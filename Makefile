@@ -50,23 +50,25 @@ faultcheck: build
 	    --resume $$ck >/dev/null; \
 	  rm -f $$ck; \
 	done; echo "faultcheck resume drill OK"
-	@set -e; for spec in sa:5000:2500 greedy:40:10 random:200:100 \
+	@set -e; for spec in sa:5000:2500 sa:5000:2500:--schedule=swartz \
+	    sa:5000:2500:--serialized-bus greedy:40:10 random:200:100 \
 	    hill:200:100 tabu:20:100 ga:4:700 ga-spatial:4:700; do \
 	  engine=$${spec%%:*}; rest=$${spec#*:}; \
-	  iters=$${rest%%:*}; fault=$${rest#*:}; \
+	  iters=$${rest%%:*}; rest=$${rest#*:}; \
+	  fault=$${rest%%:*}; flags=$${rest#$$fault}; flags=$${flags#:}; \
 	  ck=$$(mktemp -u); clean=$$(mktemp); resumed=$$(mktemp); \
-	  echo "faultcheck: engine $$engine kill/resume" \
+	  echo "faultcheck: engine $$engine$${flags:+ $$flags} kill/resume" \
 	       "(iters $$iters, REPRO_FAULTS=eval:$$fault)"; \
 	  dune exec -- bin/dse_run.exe --engine $$engine --seed 7 \
-	    --iters $$iters --warmup 200 --result $$clean >/dev/null; \
+	    --iters $$iters --warmup 200 $$flags --result $$clean >/dev/null; \
 	  if REPRO_FAULTS=eval:$$fault dune exec -- bin/dse_run.exe \
-	       --engine $$engine --seed 7 --iters $$iters --warmup 200 \
+	       --engine $$engine --seed 7 --iters $$iters --warmup 200 $$flags \
 	       --checkpoint $$ck --checkpoint-every 1 >/dev/null 2>&1; then \
 	    echo "faultcheck: $$engine: injected fault did not fire"; exit 1; \
 	  fi; \
 	  dune exec -- bin/dse_run.exe --engine $$engine --seed 7 \
-	    --iters $$iters --warmup 200 --resume $$ck --result $$resumed \
-	    >/dev/null; \
+	    --iters $$iters --warmup 200 $$flags --resume $$ck \
+	    --result $$resumed >/dev/null; \
 	  sed -e 's/, "eval_stats": .*/}/' -e 's/"wall_seconds": [^,]*, //' $$clean > $$clean.cmp; \
 	  sed -e 's/, "eval_stats": .*/}/' -e 's/"wall_seconds": [^,]*, //' $$resumed > $$resumed.cmp; \
 	  if ! diff $$clean.cmp $$resumed.cmp >/dev/null; then \

@@ -69,7 +69,6 @@ let anneal_config ~iterations ~seed =
     warmup_iterations = 1_200;
     schedule = Schedule.lam ~quality:(150.0 /. float_of_int iterations) ();
     seed;
-    frozen_window = None;
   }
 
 let explore_once ?trace ?(moves = Moves.fixed_architecture) ~iterations ~seed
@@ -435,7 +434,6 @@ let ablation_schedule () =
                 warmup_iterations = 1_200;
                 schedule = make_schedule ();
                 seed = 100 + run;
-                frozen_window = None;
               };
             moves = Moves.fixed_architecture;
             objective = Explorer.Makespan;

@@ -4,7 +4,6 @@
 
 module Explorer = Repro_dse.Explorer
 module Solution = Repro_dse.Solution
-module Annealer = Repro_anneal.Annealer
 module Interrupt = Repro_util.Interrupt
 module Clock = Repro_util.Clock
 module Atomic_io = Repro_util.Atomic_io
@@ -73,10 +72,6 @@ let should_stop ~time_budget =
   | Some seconds ->
     let expired = Clock.deadline ~seconds in
     fun () -> Interrupt.pending () || expired ()
-
-let exit_code_of_status = function
-  | Annealer.Complete -> exit_ok
-  | Annealer.Interrupted -> exit_interrupted
 
 (* Machine-readable result file: always written atomically, always
    carries an explicit status ("complete" | "degraded" | "interrupted")

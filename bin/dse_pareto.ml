@@ -85,7 +85,7 @@ let engine_arg =
   Arg.(value & opt string "sa"
        & info [ "engine" ]
            ~doc:"Search engine per catalogue device, by registry name \
-                 (default sa, the native annealer; see dse-compare \
+                 (default sa, the annealer; see dse-compare \
                  --list-engines); every device keeps the same seed and \
                  iteration budget")
 

@@ -73,9 +73,8 @@ let run app_name app_file platform_file clbs engine_name iters warmup seed
          portfolio:e1+e2+..."
     else String.concat "" (engine_name :: extras)
   in
-  (* "sa" keeps its native path (bit-identical to historical runs,
-     checkpointable); any other name runs through the registry and the
-     generic engine driver. *)
+  (* "sa" is the annealer --warmup/--schedule/--lam-quality describe;
+     any other name runs a registry engine on --iters iterations. *)
   let lanes_seen = ref None in
   let engine =
     if engine_name = "sa" then None
@@ -97,7 +96,11 @@ let run app_name app_file platform_file clbs engine_name iters warmup seed
        | Ok solution -> Some solution
        | Error msg -> Cli_common.fail "%s" msg)
   in
-  let supervised = restarts > 1 || restart_timeout <> None || engine <> None in
+  (* Every run is a supervised set of chains; a plain single sa chain
+     just does not report per-restart lines and statuses. *)
+  let report_restarts =
+    restarts > 1 || restart_timeout <> None || engine <> None
+  in
   if restarts > 1 && resume_path <> None then
     Cli_common.fail
       "--resume names a single chain's checkpoint; multi-restart runs \
@@ -120,91 +123,63 @@ let run app_name app_file platform_file clbs engine_name iters warmup seed
           warmup_iterations = warmup;
           schedule = schedule_of_name schedule lam_quality;
           seed;
-          frozen_window = None;
         };
       moves = Repro_dse.Moves.fixed_architecture;
       objective =
         (if serialized then Explorer.Makespan_serialized else Explorer.Makespan);
     }
   in
-  let checkpoint =
-    Option.map
-      (fun path -> { Explorer.path; every = checkpoint_every })
-      checkpoint_path
-  in
-  let resume =
-    if supervised then None
-    else
-      Option.map
-        (fun path ->
-          match Explorer.load_snapshot config app platform path with
-          | Ok snapshot -> snapshot
-          | Error msg -> Cli_common.fail "%s" msg)
-        resume_path
-  in
-  (* Supervised runs (any engine, any restart count) checkpoint through
-     the uniform engine contract: one file per chain.  A single chain
-     uses the given path exactly (--resume makes the load mandatory); a
-     multi-restart run keeps PATH.r<i> per chain and resumes each one
-     opportunistically on rerun. *)
+  (* One checkpoint file per chain, read and written through the engine
+     driver.  A single chain uses the given path exactly (--resume makes
+     the load mandatory); a multi-restart run keeps PATH.r<i> per chain
+     and resumes each one opportunistically on rerun. *)
   let restart_checkpoint =
-    if (not supervised) || (checkpoint_path = None && resume_path = None) then
-      None
-    else begin
-      let module Engine = Repro_dse.Engine in
-      let single_path =
-        match (checkpoint_path, resume_path) with
-        | Some p, Some r when p <> r ->
-          Cli_common.fail
-            "an engine run reads and writes one checkpoint file; pass the \
-             same path to --checkpoint and --resume (or drop one)"
-        | Some p, _ -> p
-        | None, Some r -> r
-        | None, None -> assert false
-      in
-      let single_mode =
-        if resume_path <> None then Engine.Resume_required
-        else Engine.Resume_never
-      in
-      Some
-        (fun index ->
-          if restarts <= 1 then
-            {
-              Engine.path = single_path;
-              every = checkpoint_every;
-              resume = single_mode;
-            }
-          else
-            {
-              Engine.path = Printf.sprintf "%s.r%d" single_path index;
-              every = checkpoint_every;
-              resume = Engine.Resume_if_exists;
-            })
-    end
+    let module Engine = Repro_dse.Engine in
+    let path =
+      match (checkpoint_path, resume_path) with
+      | Some p, Some r when p <> r ->
+        Cli_common.fail
+          "a run reads and writes one checkpoint file; pass the same path \
+           to --checkpoint and --resume (or drop one)"
+      | Some p, _ | None, Some p -> Some p
+      | None, None -> None
+    in
+    Option.map
+      (fun path index ->
+        if restarts <= 1 then
+          {
+            Engine.path;
+            every = checkpoint_every;
+            resume =
+              (if resume_path <> None then Engine.Resume_required
+               else Engine.Resume_never);
+          }
+        else
+          {
+            Engine.path = Printf.sprintf "%s.r%d" path index;
+            every = checkpoint_every;
+            resume = Engine.Resume_if_exists;
+          })
+      path
   in
   let should_stop = Cli_common.should_stop ~time_budget in
   let trace = Repro_dse.Trace.create ~every:10 () in
   let result, restart_statuses, degraded =
-    if not supervised then
-      ( Explorer.explore ~trace ?initial:warm_start ?checkpoint ?resume
-          ~should_stop config app platform,
-        [],
-        0 )
-    else begin
-      (match engine with
-       | Some e ->
-         Format.printf "engine: %s — %s@." (Repro_dse.Engine.name e)
-           (Repro_dse.Engine.describe e)
-       | None -> ());
-      let report =
-        Explorer.explore_restarts_supervised ~trace ~jobs ?engine
-          ?restart_timeout ?restart_checkpoint ?warm_start ~should_stop
-          ~restarts config app platform
-      in
-      let statuses =
-        Array.to_list report.Explorer.restart_statuses
-        |> List.map Explorer.item_status_name
-      in
+    (match engine with
+     | Some e ->
+       Format.printf "engine: %s — %s@." (Repro_dse.Engine.name e)
+         (Repro_dse.Engine.describe e)
+     | None -> ());
+    let report =
+      Explorer.explore_restarts_supervised ~trace ~jobs ?engine
+        ?restart_timeout ?restart_checkpoint ?warm_start ~should_stop
+        ~restarts config app platform
+    in
+    let statuses =
+      Array.to_list report.Explorer.restart_statuses
+      |> List.map Explorer.item_status_name
+    in
+    if report_restarts then begin
       Format.printf "restart best costs (%d chains, %d job(s)): %s@." restarts
         jobs
         (String.concat " "
@@ -216,31 +191,33 @@ let run app_name app_file platform_file clbs engine_name iters warmup seed
         Repro_util.Log.warn
           "%d of %d restart(s) lost or cut short; reporting the best \
            surviving chain"
-          report.Explorer.degraded restarts;
-      match report.Explorer.best_result with
-      | Some best -> (best, statuses, report.Explorer.degraded)
-      | None -> (
-        (* Surface the actual failure (e.g. a --resume checkpoint that
-           does not load) instead of a generic count. *)
-        match
-          Array.to_list report.Explorer.restart_statuses
-          |> List.find_map (function
-               | Explorer.Item_failed msg -> Some msg
-               | _ -> None)
-        with
-        | Some msg ->
-          (* Supervision stringifies exceptions; unwrap the Failure
-             constructor so the diagnostic reads like our own. *)
-          let msg =
-            match Scanf.sscanf_opt msg "Failure(%S)" (fun s -> s) with
-            | Some inner -> inner
-            | None -> msg
-          in
-          Cli_common.fail "%s" msg
-        | None ->
-          Cli_common.fail "all %d restart(s) failed; no result to report"
-            restarts)
-    end
+          report.Explorer.degraded restarts
+    end;
+    match report.Explorer.best_result with
+    | Some best ->
+      if report_restarts then (best, statuses, report.Explorer.degraded)
+      else (best, [], 0)
+    | None -> (
+      (* Surface the actual failure (e.g. a --resume checkpoint that
+         does not load) instead of a generic count. *)
+      match
+        Array.to_list report.Explorer.restart_statuses
+        |> List.find_map (function
+             | Explorer.Item_failed msg -> Some msg
+             | _ -> None)
+      with
+      | Some msg ->
+        (* Supervision stringifies exceptions; unwrap the Failure
+           constructor so the diagnostic reads like our own. *)
+        let msg =
+          match Scanf.sscanf_opt msg "Failure(%S)" (fun s -> s) with
+          | Some inner -> inner
+          | None -> msg
+        in
+        Cli_common.fail "%s" msg
+      | None ->
+        Cli_common.fail "all %d restart(s) failed; no result to report"
+          restarts)
   in
   (* Portfolio runs also show the per-lane verdicts: who won the race,
      who was cancelled, who faulted and was salvaged. *)
@@ -277,8 +254,8 @@ let run app_name app_file platform_file clbs engine_name iters warmup seed
        else Printf.sprintf "%.0f ms MISSED" d
      | None -> "none");
   (match result.Explorer.status with
-   | Annealer.Complete -> ()
-   | Annealer.Interrupted ->
+   | Repro_dse.Engine.Complete -> ()
+   | Repro_dse.Engine.Interrupted ->
      Format.printf
        "interrupted at iteration %d — reporting best-so-far%s@."
        result.Explorer.iterations_run
@@ -318,9 +295,9 @@ let run app_name app_file platform_file clbs engine_name iters warmup seed
      Format.printf "trace written to %s@." path
    | None -> ());
   let overall_status =
-    if supervised && should_stop () then "interrupted"
+    if report_restarts && should_stop () then "interrupted"
     else if degraded > 0 then "degraded"
-    else Annealer.status_name result.Explorer.status
+    else Repro_dse.Engine.status_name result.Explorer.status
   in
   (match result_path with
    | Some path ->
@@ -431,8 +408,8 @@ let resume_arg =
            ~doc:"Resume from a checkpoint written by --checkpoint; the \
                  application, platform, engine and budget flags must match \
                  the checkpointed run, which then replays bit-identically.  \
-                 With a non-sa --engine the same file keeps receiving the \
-                 periodic checkpoints"
+                 The same file keeps receiving the periodic checkpoints; \
+                 a different --checkpoint path is rejected"
            ~docv:"FILE")
 
 let time_budget_arg =

@@ -37,35 +37,22 @@ type point = {
 let sweep_cell ?engine app ~n_clb ~iters ~base_seed ~run ~stop =
   let platform = Md.platform ~n_clb () in
   let seed = base_seed + (run * 7919) + n_clb in
-  let result =
-    match engine with
-    | Some e ->
-      (* Generic engine per cell: same coordinate-derived seed, same
-         iteration budget, makespan objective through the uniform
-         driver. *)
-      let ctx =
-        Repro_dse.Engine.context ~should_stop:stop ~app ~platform ~seed
-          ~iterations:iters ()
-      in
-      Explorer.result_of_outcome (Repro_dse.Engine.run e ctx)
-    | None ->
-      let config =
+  (* Any --engine gets the same coordinate-derived seed and takes
+     [iters] as its iteration budget. *)
+  let config =
+    {
+      Explorer.anneal =
         {
-          Explorer.anneal =
-            {
-              Annealer.iterations = iters;
-              warmup_iterations = 1_200;
-              schedule =
-                Schedule.lam ~quality:(150.0 /. float_of_int iters) ();
-              seed;
-              frozen_window = None;
-            };
-          moves = Repro_dse.Moves.fixed_architecture;
-          objective = Explorer.Makespan;
-        }
-      in
-      Explorer.explore ~should_stop:stop config app platform
+          Annealer.iterations = iters;
+          warmup_iterations = 1_200;
+          schedule = Schedule.lam ~quality:(150.0 /. float_of_int iters) ();
+          seed;
+        };
+      moves = Repro_dse.Moves.fixed_architecture;
+      objective = Explorer.Makespan;
+    }
   in
+  let result = Explorer.explore ?engine ~should_stop:stop config app platform in
   let eval = result.Explorer.best_eval in
   ( eval.Repro_sched.Searchgraph.makespan,
     eval.Repro_sched.Searchgraph.initial_reconfig,
@@ -267,7 +254,7 @@ let engine_arg =
   Arg.(value & opt string "sa"
        & info [ "engine" ]
            ~doc:"Search engine per sweep cell, by registry name (default \
-                 sa, the native annealer; see dse-compare --list-engines); \
+                 sa, the annealer; see dse-compare --list-engines); \
                  every cell keeps its coordinate-derived seed, so the sweep \
                  stays reproducible per engine")
 

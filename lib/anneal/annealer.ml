@@ -14,7 +14,6 @@ type config = {
   warmup_iterations : int;
   schedule : Schedule.t;
   seed : int;
-  frozen_window : int option;
 }
 
 let default_config =
@@ -23,7 +22,6 @@ let default_config =
     warmup_iterations = 1_200;
     schedule = Schedule.lam ~quality:0.003 ();
     seed = 1;
-    frozen_window = None;
   }
 
 let config_of_quality ?(seed = 1) q =
@@ -38,12 +36,40 @@ let config_of_quality ?(seed = 1) q =
     warmup_iterations = max 200 (iterations / 20);
     schedule = Schedule.lam ~quality:lam_quality ();
     seed;
-    frozen_window = None;
   }
 
-type status = Complete | Interrupted
+type chain = {
+  schedule : Schedule.instance;
+  warmup : Stats.Running.t;
+  mutable current_cost : float;
+  mutable temperature : float;
+}
 
-let status_name = function Complete -> "complete" | Interrupted -> "interrupted"
+let check_budget config =
+  if config.iterations < 0 || config.warmup_iterations < 0 then
+    invalid_arg "Annealer: negative budget"
+
+let start config ~cost =
+  check_budget config;
+  let warmup = Stats.Running.create () in
+  Stats.Running.add warmup cost;
+  {
+    schedule = Schedule.instantiate config.schedule;
+    warmup;
+    current_cost = cost;
+    temperature = infinity;
+  }
+
+let restore config ~schedule ~warmup ~cost =
+  check_budget config;
+  let instance = Schedule.instantiate config.schedule in
+  Schedule.restore instance schedule;
+  let stats = Stats.Running.create () in
+  Stats.Running.restore stats warmup;
+  { schedule = instance; warmup = stats; current_cost = cost;
+    temperature = infinity }
+
+type move = Infeasible | Rejected | Accepted
 
 type 'state outcome = {
   best : 'state;
@@ -52,182 +78,78 @@ type 'state outcome = {
   iterations_run : int;
   accepted : int;
   infeasible : int;
-  status : status;
-}
-
-type 'state snapshot = {
-  rng_state : int64 array;
-  schedule_state : float array;
-  warmup_state : float array;
-  next_iteration : int;
-  current : 'state;
-  current_cost : float;
-  best_so_far : 'state;
-  best_so_far_cost : float;
-  accepted_so_far : int;
-  infeasible_so_far : int;
-  since_improvement : int;
 }
 
 module Make (P : PROBLEM) = struct
-  (* The engine runs a single loop over the global iteration index
-     g in [0, warmup + iterations): iteration g < warmup is a warmup
-     move at infinite temperature, the schedule starts at the boundary
-     g = warmup, everything after cools adaptively.  All engine state
-     at a boundary g — RNG words, schedule statistics, warmup
-     accumulator, current/best solutions and counters — is exactly what
-     a snapshot captures, so resuming from a snapshot replays the very
-     same Metropolis decisions as the uninterrupted run. *)
-  let drive ?trace ?checkpoint ?should_stop config ~rng ~schedule ~warmup_stats
-      ~start_iteration ~state ~current_cost:initial_cost ~best:initial_best
-      ~best_cost:initial_best_cost ~accepted ~infeasible
-      ~since_improvement:initial_since =
+  (* Iteration g < warmup is a warmup move at infinite temperature; the
+     schedule starts at g = warmup, everything after cools adaptively.
+     A boundary before g = warmup leaves the schedule unstarted, so a
+     chain restored there re-runs [Schedule.start] from the restored
+     warmup statistics. *)
+  let step config chain rng state ~iteration =
+    let warmup = config.warmup_iterations in
+    if iteration = warmup then
+      Schedule.start chain.schedule
+        ~mean:(Stats.Running.mean chain.warmup)
+        ~stddev:(Stats.Running.stddev chain.warmup)
+        ~horizon:config.iterations;
+    let cooling = iteration >= warmup in
+    let temperature =
+      if cooling then Schedule.temperature chain.schedule else infinity
+    in
+    chain.temperature <- temperature;
+    match P.propose rng state with
+    | None ->
+      (* The drawn move is structurally invalid ("not performed" in
+         the paper's terms): no state change happened, so the cooling
+         schedule does not observe it either. *)
+      Infeasible
+    | Some undo ->
+      let candidate = P.cost state in
+      let delta = candidate -. chain.current_cost in
+      let accept =
+        delta <= 0.0
+        || temperature = infinity
+        || Rng.float rng 1.0 < exp (-.delta /. temperature)
+      in
+      if accept then chain.current_cost <- candidate else undo ();
+      if cooling then
+        Schedule.observe chain.schedule ~cost:chain.current_cost
+          ~accepted:accept
+      else Stats.Running.add chain.warmup chain.current_cost;
+      if accept then Accepted else Rejected
+
+  let run ?trace config state =
+    let rng = Rng.create config.seed in
+    let chain = start config ~cost:(P.cost state) in
+    let best = ref (P.snapshot state) in
+    let best_cost = ref chain.current_cost in
+    let accepted = ref 0 and infeasible = ref 0 in
     let warmup = config.warmup_iterations in
     let total = warmup + config.iterations in
-    if start_iteration < 0 || start_iteration > total then
-      invalid_arg "Annealer: snapshot iteration outside the configured budget";
-    let current_cost = ref initial_cost in
-    let best = ref initial_best in
-    let best_cost = ref initial_best_cost in
-    let accepted_count = ref accepted in
-    let infeasible_count = ref infeasible in
-    let since_improvement = ref initial_since in
-    let status = ref Complete in
-    let emit ~iteration ~temperature ~accepted =
+    for g = 0 to total - 1 do
+      let move = step config chain rng state ~iteration:g in
+      (match move with
+       | Infeasible -> incr infeasible
+       | Rejected -> ()
+       | Accepted ->
+         incr accepted;
+         if chain.current_cost < !best_cost then begin
+           best_cost := chain.current_cost;
+           best := P.snapshot state
+         end);
       match trace with
       | None -> ()
       | Some f ->
-        f ~iteration ~cost:!current_cost ~best:!best_cost ~temperature ~accepted
-    in
-    let metropolis_step ~iteration ~temperature ~observe =
-      match P.propose rng state with
-      | None ->
-        (* The drawn move is structurally invalid ("not performed" in
-           the paper's terms): no state change happened, so the cooling
-           schedule does not observe it either. *)
-        incr infeasible_count;
-        emit ~iteration ~temperature ~accepted:false
-      | Some undo ->
-        let candidate = P.cost state in
-        let delta = candidate -. !current_cost in
-        let accept =
-          delta <= 0.0
-          || temperature = infinity
-          || Rng.float rng 1.0 < exp (-.delta /. temperature)
-        in
-        if accept then begin
-          current_cost := candidate;
-          incr accepted_count;
-          if candidate < !best_cost then begin
-            best_cost := candidate;
-            best := P.snapshot state;
-            since_improvement := 0
-          end
-        end
-        else undo ();
-        observe ~accepted:accept;
-        emit ~iteration ~temperature ~accepted:accept
-    in
-    let take_snapshot g =
-      {
-        rng_state = Rng.state rng;
-        schedule_state = Schedule.capture schedule;
-        warmup_state = Stats.Running.state warmup_stats;
-        next_iteration = g;
-        current = P.snapshot state;
-        current_cost = !current_cost;
-        best_so_far = P.snapshot !best;
-        best_so_far_cost = !best_cost;
-        accepted_so_far = !accepted_count;
-        infeasible_so_far = !infeasible_count;
-        since_improvement = !since_improvement;
-      }
-    in
-    let g = ref start_iteration in
-    (try
-       while !g < total do
-         (match should_stop with
-          | Some stop when stop () ->
-            status := Interrupted;
-            (* Flush a final checkpoint at the boundary we stop at, so
-               an interrupted campaign resumes where it left off. *)
-            (match checkpoint with
-             | Some (_, save) -> save (take_snapshot !g)
-             | None -> ());
-            raise Exit
-          | Some _ | None -> ());
-         (match checkpoint with
-          | Some (every, save)
-            when every > 0 && !g > start_iteration
-                 && (!g - start_iteration) mod every = 0 ->
-            save (take_snapshot !g)
-          | Some _ | None -> ());
-         (* Boundary effect: snapshots at g = warmup are taken before
-            the schedule starts, so a resume from that boundary re-runs
-            [Schedule.start] from the restored warmup statistics. *)
-         if !g = warmup then
-           Schedule.start schedule
-             ~mean:(Stats.Running.mean warmup_stats)
-             ~stddev:(Stats.Running.stddev warmup_stats)
-             ~horizon:config.iterations;
-         if !g < warmup then
-           metropolis_step ~iteration:(!g - warmup) ~temperature:infinity
-             ~observe:(fun ~accepted:_ ->
-               Stats.Running.add warmup_stats !current_cost)
-         else begin
-           incr since_improvement;
-           let temperature = Schedule.temperature schedule in
-           metropolis_step ~iteration:(!g - warmup) ~temperature
-             ~observe:(fun ~accepted ->
-               Schedule.observe schedule ~cost:!current_cost ~accepted)
-         end;
-         incr g;
-         if !g > warmup then
-           match config.frozen_window with
-           | Some window when !since_improvement >= window -> raise Exit
-           | Some _ | None -> ()
-       done
-     with Exit -> ());
+        f ~iteration:(g - warmup) ~cost:chain.current_cost ~best:!best_cost
+          ~temperature:chain.temperature ~accepted:(move = Accepted)
+    done;
     {
       best = !best;
       best_cost = !best_cost;
-      final_cost = !current_cost;
-      iterations_run = !g;
-      accepted = !accepted_count;
-      infeasible = !infeasible_count;
-      status = !status;
+      final_cost = chain.current_cost;
+      iterations_run = total;
+      accepted = !accepted;
+      infeasible = !infeasible;
     }
-
-  let run ?trace ?checkpoint ?should_stop config state =
-    if config.iterations < 0 || config.warmup_iterations < 0 then
-      invalid_arg "Annealer.run: negative budget";
-    let rng = Rng.create config.seed in
-    let schedule = Schedule.instantiate config.schedule in
-    let warmup_stats = Stats.Running.create () in
-    let current_cost = P.cost state in
-    Stats.Running.add warmup_stats current_cost;
-    drive ?trace ?checkpoint ?should_stop config ~rng ~schedule ~warmup_stats
-      ~start_iteration:0 ~state ~current_cost ~best:(P.snapshot state)
-      ~best_cost:current_cost ~accepted:0 ~infeasible:0 ~since_improvement:0
-
-  let resume ?trace ?checkpoint ?should_stop config snapshot =
-    if config.iterations < 0 || config.warmup_iterations < 0 then
-      invalid_arg "Annealer.resume: negative budget";
-    let rng = Rng.of_state snapshot.rng_state in
-    let schedule = Schedule.instantiate config.schedule in
-    Schedule.restore schedule snapshot.schedule_state;
-    let warmup_stats = Stats.Running.create () in
-    Stats.Running.restore warmup_stats snapshot.warmup_state;
-    (* Continue in place: the snapshot's [current] becomes the working
-       state (callers wanting to resume twice must copy it first).  The
-       best is copied — it is only ever replaced, never mutated, but the
-       outcome must not alias a state the caller still owns. *)
-    let state = snapshot.current in
-    drive ?trace ?checkpoint ?should_stop config ~rng ~schedule ~warmup_stats
-      ~start_iteration:snapshot.next_iteration ~state
-      ~current_cost:snapshot.current_cost
-      ~best:(P.snapshot snapshot.best_so_far)
-      ~best_cost:snapshot.best_so_far_cost ~accepted:snapshot.accepted_so_far
-      ~infeasible:snapshot.infeasible_so_far
-      ~since_improvement:snapshot.since_improvement
 end

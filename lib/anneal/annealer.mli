@@ -1,21 +1,23 @@
-(** Generic simulated-annealing engine.
+(** Generic simulated annealing: the Metropolis step.
 
-    The engine is problem-agnostic: a problem provides a mutable state,
-    a cost function, and a move proposer that mutates the state and
-    returns an undo.  The engine runs the paper's protocol — a warmup
+    The step is problem-agnostic: a problem provides a mutable state, a
+    cost function, and a move proposer that mutates the state and
+    returns an undo.  The step runs the paper's protocol — a warmup
     phase at infinite temperature to sample the cost landscape, then
-    adaptive cooling — and can be interrupted by the caller at any
-    iteration boundary (the paper's "iterative, can be interrupted by
-    the user at any time"): a [should_stop] probe turns into a graceful
-    stop with a final checkpoint, and a periodic checkpoint sink plus
-    {!Make.resume} make any run restartable bit-identically. *)
+    adaptive cooling — one move at a time, on a {!chain} that holds
+    everything the protocol remembers between moves (schedule, warmup
+    statistics, current cost).  Callers own the loop around it: the
+    design-space explorer drives it through the generic engine driver
+    (which adds interruption and checkpoint/resume, the paper's
+    "iterative, can be interrupted by the user at any time"), and
+    {!Make.run} is a plain loop with no checkpoint for small problems. *)
 
 module type PROBLEM = sig
   type state
 
   val cost : state -> float
   (** Cost of the current state; smaller is better.  Called once after
-      each proposed move. *)
+      each feasible proposed move. *)
 
   val snapshot : state -> state
   (** Immutable copy used to remember the best solution found. *)
@@ -32,14 +34,11 @@ type config = {
   warmup_iterations : int;  (** iterations at infinite temperature *)
   schedule : Schedule.t;
   seed : int;
-  frozen_window : int option;
-  (** Stop early when no strict improvement of the best cost has been
-      seen for this many iterations ([None] = run the full budget). *)
 }
 
 val default_config : config
 (** 50000 iterations, 1200 warmup (the paper's Fig. 2 uses 1200),
-    Lam schedule with quality 0.003, seed 1, no early freeze. *)
+    Lam schedule with quality 0.003, seed 1. *)
 
 val config_of_quality : ?seed:int -> float -> config
 (** [config_of_quality q] maps the user-selected optimization quality
@@ -47,12 +46,33 @@ val config_of_quality : ?seed:int -> float -> config
     (q=0) to 200k (q=1) and the Lam schedule gets a proportionally
     slower cooling. *)
 
-type status =
-  | Complete     (** ran to the end of the budget (or froze) *)
-  | Interrupted  (** stopped early by [should_stop] *)
+type chain = {
+  schedule : Schedule.instance;
+  warmup : Repro_util.Stats.Running.t;
+  (** cost samples of the warmup phase; they start the schedule *)
+  mutable current_cost : float;
+  mutable temperature : float;
+  (** temperature of the latest move (infinite during warmup) *)
+}
+(** The annealing state carried between moves, apart from the problem
+    state and the random stream.  Everything a chain remembers is
+    captured by {!Schedule.capture}, {!Repro_util.Stats.Running.state}
+    and [current_cost]; {!restore} rebuilds it bit-exactly. *)
 
-val status_name : status -> string
-(** ["complete"] / ["interrupted"], the strings used in result files. *)
+val start : config -> cost:float -> chain
+(** A fresh chain whose current state costs [cost]: the schedule is
+    instantiated from the configured recipe and [cost] is the first
+    warmup sample. *)
+
+val restore :
+  config -> schedule:float array -> warmup:float array -> cost:float -> chain
+(** Rebuild a chain from its captured parts.  Raises [Invalid_argument]
+    when an encoding does not fit the configured schedule. *)
+
+type move =
+  | Infeasible  (** the proposal was structurally invalid; no cost evaluated *)
+  | Rejected    (** evaluated and undone *)
+  | Accepted    (** evaluated and kept; [current_cost] is its cost *)
 
 type 'state outcome = {
   best : 'state;
@@ -61,58 +81,28 @@ type 'state outcome = {
   iterations_run : int;
   accepted : int;
   infeasible : int;   (** proposals rejected as structurally invalid *)
-  status : status;
 }
-
-type 'state snapshot = {
-  rng_state : int64 array;       (** {!Repro_util.Rng.state} words *)
-  schedule_state : float array;  (** {!Schedule.capture} encoding *)
-  warmup_state : float array;    (** warmup {!Repro_util.Stats.Running} *)
-  next_iteration : int;
-  (** Global iteration index of the boundary: warmup iterations occupy
-      \[0, warmup), cooling \[warmup, warmup + iterations). *)
-  current : 'state;
-  current_cost : float;
-  best_so_far : 'state;
-  best_so_far_cost : float;
-  accepted_so_far : int;
-  infeasible_so_far : int;
-  since_improvement : int;
-}
-(** Everything the engine needs to continue a run from an iteration
-    boundary.  [current] and [best_so_far] are deep copies — the engine
-    never mutates a snapshot it handed out. *)
 
 module Make (P : PROBLEM) : sig
+  val step :
+    config -> chain -> Repro_util.Rng.t -> P.state -> iteration:int -> move
+  (** One Metropolis move at global iteration [iteration]: iterations
+      \[0, warmup) run at infinite temperature and feed the warmup
+      statistics; at [iteration = warmup] the schedule starts from
+      those statistics, and later moves cool adaptively.  An
+      infeasible proposal changes nothing, not even the schedule.
+      Given the same chain, state and random stream, the step makes
+      the same decision — so a loop that saves and restores all three
+      at an iteration boundary replays its uninterrupted run bit for
+      bit. *)
+
   val run :
     ?trace:(iteration:int -> cost:float -> best:float -> temperature:float ->
             accepted:bool -> unit) ->
-    ?checkpoint:int * (P.state snapshot -> unit) ->
-    ?should_stop:(unit -> bool) ->
     config -> P.state -> P.state outcome
-  (** Anneal starting from (and mutating) the given state.  The trace
-      callback fires once per iteration, warmup included (warmup
-      iterations have negative [iteration] numbers counting up to -1,
-      cooling starts at 0).
-
-      [checkpoint (every, save)] calls [save] with a boundary snapshot
-      every [every] iterations; [should_stop] is polled at every
-      boundary and, when it answers [true], the engine saves one final
-      snapshot (if a sink is configured) and returns with status
-      {!Interrupted}. *)
-
-  val resume :
-    ?trace:(iteration:int -> cost:float -> best:float -> temperature:float ->
-            accepted:bool -> unit) ->
-    ?checkpoint:int * (P.state snapshot -> unit) ->
-    ?should_stop:(unit -> bool) ->
-    config -> P.state snapshot -> P.state outcome
-  (** Continue from a snapshot.  [config] must be the configuration of
-      the run that produced the snapshot (same schedule recipe and
-      budgets — the seed is irrelevant, the RNG continues from the
-      snapshot words); the concatenation of the run up to the snapshot
-      and the resumed run replays the uninterrupted run exactly, bit
-      for bit.  The snapshot's [current] state becomes the working
-      state and is mutated — pass a copy to resume from the same
-      snapshot more than once. *)
+  (** Anneal starting from (and mutating) the given state for the whole
+      warmup + cooling budget, drawing from [Rng.create config.seed].
+      The trace callback fires once per iteration, warmup included
+      (warmup iterations have negative [iteration] numbers counting up
+      to -1, cooling starts at 0). *)
 end

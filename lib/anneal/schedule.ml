@@ -88,7 +88,10 @@ let lam ?(quality = 0.01) ?(smoothing = 0.02) () =
     in
     { temperature; start; observe; capture; restore }
   in
-  { name = "lam"; instantiate }
+  {
+    name = Printf.sprintf "lam(quality %.12g, smoothing %.12g)" quality smoothing;
+    instantiate;
+  }
 
 let swartz ?shrink () =
   (match shrink with
@@ -149,7 +152,13 @@ let swartz ?shrink () =
     in
     { temperature = (fun () -> !temperature); start; observe; capture; restore }
   in
-  { name = "swartz"; instantiate }
+  {
+    name =
+      (match shrink with
+       | None -> "swartz"
+       | Some s -> Printf.sprintf "swartz(shrink %.12g)" s);
+    instantiate;
+  }
 
 let geometric ?(alpha = 0.95) ?(steps_per_level = 100) () =
   if alpha <= 0.0 || alpha >= 1.0 then
@@ -176,7 +185,11 @@ let geometric ?(alpha = 0.95) ?(steps_per_level = 100) () =
     in
     { temperature = (fun () -> !temperature); start; observe; capture; restore }
   in
-  { name = "geometric"; instantiate }
+  {
+    name =
+      Printf.sprintf "geometric(alpha %.12g, steps %d)" alpha steps_per_level;
+    instantiate;
+  }
 
 let infinite () =
   let instantiate () =

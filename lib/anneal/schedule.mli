@@ -22,6 +22,10 @@ type instance
     {!start}). *)
 
 val name : t -> string
+(** The recipe's family and fixed parameters, e.g.
+    ["lam(quality 0.003, smoothing 0.02)"]: two recipes with the same
+    name drive identical runs. *)
+
 val instantiate : t -> instance
 
 val temperature : instance -> float

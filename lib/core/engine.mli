@@ -28,12 +28,10 @@
       engine's working state (or the returned best) afterwards cannot
       corrupt it.
 
-    Engines whose search loop is a plain iterate-and-improve cycle are
+    Every engine in the repository — the annealer included — is
     written against the generic driver {!drive}, which centralizes the
-    budget accounting, best-snapshot bookkeeping, interrupt handling
-    and trace emission; the annealer implements the same contract
-    natively on top of its warmup/cooling loop (see
-    {!Explorer.sa_engine}). *)
+    budget accounting, best-snapshot bookkeeping, interrupt handling,
+    checkpoint/resume and trace emission. *)
 
 open Repro_taskgraph
 open Repro_arch
@@ -201,8 +199,7 @@ val fingerprint : context -> string
 
 val checkpoint_kind : string
 (** The {!Repro_util.Checkpoint} kind tag of driver checkpoints,
-    ["dse-engine"].  (The annealer's native snapshots keep their own
-    ["dse-run"] kind; {!Checkpoint.inspect} tells them apart.) *)
+    ["dse-engine"]. *)
 
 val drive :
   ?codec:'state codec ->

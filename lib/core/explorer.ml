@@ -4,10 +4,9 @@ open Repro_sched
 module Annealer = Repro_anneal.Annealer
 module Schedule = Repro_anneal.Schedule
 module Rng = Repro_util.Rng
+module Stats = Repro_util.Stats
 module Parallel = Repro_util.Parallel
-module Clock = Repro_util.Clock
 module Checkpoint = Repro_util.Checkpoint
-module Log = Repro_util.Log
 
 type objective =
   | Makespan
@@ -44,198 +43,38 @@ type result = {
   accepted : int;
   infeasible : int;
   wall_seconds : float;
-  status : Annealer.status;
+  status : Engine.status;
 }
 
-type run_checkpoint = { path : string; every : int }
-
-let run_checkpoint_kind = "dse-run"
-
-(* A checkpoint only resumes against the inputs and budget it was taken
-   under; the fingerprint ties the file to them. *)
-let fingerprint config application platform =
-  Checkpoint.crc32_hex
-    (String.concat "\n"
-       [
-         App_io.to_string application;
-         Platform_io.to_string platform;
-         Printf.sprintf "anneal %d %d %s %d" config.anneal.Annealer.iterations
-           config.anneal.Annealer.warmup_iterations
-           (Schedule.name config.anneal.Annealer.schedule)
-           config.anneal.Annealer.seed;
-       ])
-
-(* Snapshot payload: line-oriented, floats in "%h" so every value
-   round-trips bit-exactly.  The two solution blocks close the file;
-   [current]/[best] marker lines separate them. *)
-let payload_of_snapshot ~fingerprint:fp (s : Solution.t Annealer.snapshot) =
-  let b = Buffer.create 1024 in
-  let add_floats tag a =
-    Buffer.add_string b tag;
-    Array.iter (fun x -> Printf.bprintf b " %h" x) a;
-    Buffer.add_char b '\n'
-  in
-  Printf.bprintf b "fingerprint %s\n" fp;
-  Buffer.add_string b "rng";
-  Array.iter (fun w -> Printf.bprintf b " %Lx" w) s.Annealer.rng_state;
-  Buffer.add_char b '\n';
-  add_floats "schedule" s.Annealer.schedule_state;
-  add_floats "warmup" s.Annealer.warmup_state;
-  Printf.bprintf b "next %d\n" s.Annealer.next_iteration;
-  Printf.bprintf b "counters %d %d %d\n" s.Annealer.accepted_so_far
-    s.Annealer.infeasible_so_far s.Annealer.since_improvement;
-  Printf.bprintf b "costs %h %h\n" s.Annealer.current_cost
-    s.Annealer.best_so_far_cost;
-  Buffer.add_string b "current\n";
-  Buffer.add_string b (Solution.encode s.Annealer.current);
-  Buffer.add_string b "best\n";
-  Buffer.add_string b (Solution.encode s.Annealer.best_so_far);
-  Buffer.contents b
-
-let snapshot_of_payload ~fingerprint:fp application platform payload =
-  let ( let* ) = Result.bind in
-  let fail fmt = Printf.ksprintf (fun m -> Error ("checkpoint: " ^ m)) fmt in
-  let lines = String.split_on_char '\n' payload in
-  let take tag = function
-    | [] -> fail "missing %s line" tag
-    | line :: rest -> (
-      match String.split_on_char ' ' line with
-      | t :: fields when t = tag -> Ok (fields, rest)
-      | _ -> fail "expected a %s line" tag)
-  in
-  let floats tag fields =
-    let parsed = List.map float_of_string_opt fields in
-    if List.for_all Option.is_some parsed then
-      Ok (Array.of_list (List.map Option.get parsed))
-    else fail "bad %s value" tag
-  in
-  let ints tag fields =
-    let parsed = List.map int_of_string_opt fields in
-    if List.for_all Option.is_some parsed then
-      Ok (List.map Option.get parsed)
-    else fail "bad %s value" tag
-  in
-  let* fields, lines = take "fingerprint" lines in
-  let* () =
-    match fields with
-    | [ fp' ] when fp' = fp -> Ok ()
-    | [ _ ] ->
-      fail "produced under a different application/platform/configuration"
-    | _ -> fail "bad fingerprint line"
-  in
-  let* fields, lines = take "rng" lines in
-  let* rng_state =
-    let parsed =
-      List.map (fun s -> Int64.of_string_opt ("0x" ^ s)) fields
-    in
-    if List.length parsed = 4 && List.for_all Option.is_some parsed then
-      Ok (Array.of_list (List.map Option.get parsed))
-    else fail "bad rng line"
-  in
-  let* fields, lines = take "schedule" lines in
-  let* schedule_state = floats "schedule" fields in
-  let* fields, lines = take "warmup" lines in
-  let* warmup_state = floats "warmup" fields in
-  let* fields, lines = take "next" lines in
-  let* next_iteration =
-    match ints "next" fields with Ok [ g ] -> Ok g | _ -> fail "bad next line"
-  in
-  let* fields, lines = take "counters" lines in
-  let* accepted, infeasible, since =
-    match ints "counters" fields with
-    | Ok [ a; i; s ] -> Ok (a, i, s)
-    | _ -> fail "bad counters line"
-  in
-  let* fields, lines = take "costs" lines in
-  let* current_cost, best_cost =
-    match fields with
-    | [ c; b ] -> (
-      match (float_of_string_opt c, float_of_string_opt b) with
-      | Some c, Some b -> Ok (c, b)
-      | _ -> fail "bad costs line")
-    | _ -> fail "bad costs line"
-  in
-  let* current_lines, best_lines =
-    match lines with
-    | "current" :: rest -> (
-      let rec split acc = function
-        | "best" :: tail -> Ok (List.rev acc, tail)
-        | line :: tail -> split (line :: acc) tail
-        | [] -> fail "missing best section"
-      in
-      split [] rest)
-    | _ -> fail "missing current section"
-  in
-  let block ls = String.concat "\n" ls in
-  let* current = Solution.decode application platform (block current_lines) in
-  let* best = Solution.decode application platform (block best_lines) in
-  Ok
-    {
-      Annealer.rng_state;
-      schedule_state;
-      warmup_state;
-      next_iteration;
-      current;
-      current_cost;
-      best_so_far = best;
-      best_so_far_cost = best_cost;
-      accepted_so_far = accepted;
-      infeasible_so_far = infeasible;
-      since_improvement = since;
-    }
-
-let save_snapshot config application platform path snapshot =
-  Checkpoint.save path ~kind:run_checkpoint_kind
-    (payload_of_snapshot
-       ~fingerprint:(fingerprint config application platform)
-       snapshot)
-
-let load_snapshot config application platform path =
-  Result.bind (Checkpoint.load path ~kind:run_checkpoint_kind) (fun payload ->
-      match
-        snapshot_of_payload
-          ~fingerprint:(fingerprint config application platform)
-          application platform payload
-      with
-      | Ok _ as ok -> ok
-      | Error msg -> Error (path ^ ": " ^ msg))
-
-(* The incumbent of any checkpoint, for cross-engine warm starts
+(* The incumbent of a driver checkpoint, for cross-engine warm starts
    (--seed-from).  Deliberately *not* fingerprint-checked: the donor
    may be a different engine under a different seed or budget — the
    only requirement is that its best solution decodes against the
-   current application and platform (the "inputs-only" rule).  Both
-   checkpoint dialects carry the best solution behind a bare marker
-   line no solution encoding can contain: the annealer's "dse-run"
-   files close with it ([current]…[best]…), the driver's and the
-   portfolio's "dse-engine" files hold it between [best] and
-   [state]. *)
+   current application and platform (the "inputs-only" rule).  The
+   driver's and the portfolio's files hold it between bare [best] and
+   [state] marker lines no solution encoding can contain. *)
 let read_incumbent path application platform =
   let ( let* ) = Result.bind in
   let fail fmt =
     Printf.ksprintf (fun m -> Error (path ^ ": checkpoint: " ^ m)) fmt
   in
   let* kind, payload = Checkpoint.inspect path in
-  let lines = String.split_on_char '\n' payload in
-  let rec drop_to marker = function
+  let rec drop_to_best = function
     | [] -> None
-    | l :: tail -> if l = marker then Some tail else drop_to marker tail
+    | "best" :: tail -> Some tail
+    | _ :: tail -> drop_to_best tail
   in
-  let rec take_until marker acc = function
-    | [] -> List.rev acc
-    | l :: _ when l = marker -> List.rev acc
-    | l :: tail -> take_until marker (l :: acc) tail
+  let rec take_to_state acc = function
+    | [] | "state" :: _ -> List.rev acc
+    | l :: tail -> take_to_state (l :: acc) tail
   in
   let* best_lines =
-    if kind = run_checkpoint_kind then
-      match Option.bind (drop_to "current" lines) (drop_to "best") with
-      | Some ls -> Ok ls
+    if kind <> Engine.checkpoint_kind then
+      fail "kind %S holds no incumbent solution" kind
+    else
+      match drop_to_best (String.split_on_char '\n' payload) with
+      | Some ls -> Ok (take_to_state [] ls)
       | None -> fail "missing best section"
-    else if kind = Engine.checkpoint_kind then
-      match drop_to "best" lines with
-      | Some ls -> Ok (take_until "state" [] ls)
-      | None -> fail "missing best section"
-    else fail "kind %S holds no incumbent solution" kind
   in
   match
     Solution.decode application platform (String.concat "\n" best_lines)
@@ -277,8 +116,98 @@ type frontier_point = {
   meets : bool;
 }
 
-let explore ?trace ?initial ?checkpoint ?resume ?should_stop ?on_iteration
-    config application platform =
+(* ---- the annealer on the engine driver ---------------------------- *)
+
+(* The driven annealer's working state: the solution under annealing
+   and the Metropolis chain around it. *)
+type sa_state = { solution : Solution.t; chain : Annealer.chain }
+
+let objective_label = function
+  | Makespan -> "makespan"
+  | Makespan_serialized -> "makespan-serialized"
+  | Min_period -> "min-period"
+  | Cost_under_deadline { penalty_per_ms } ->
+    Printf.sprintf "cost-under-deadline/%h" penalty_per_ms
+
+(* What a chain state is only valid under: the warmup/cooling split,
+   the schedule, the objective and the move set.  The driver's
+   fingerprint binds inputs, seed and total budget, not these — two
+   configurations with the same total would otherwise resume each
+   other's chains. *)
+let config_label config =
+  let a = config.anneal and m = config.moves in
+  Printf.sprintf "warmup %d, cooling %d, %s schedule, %s objective, moves %s"
+    a.Annealer.warmup_iterations a.Annealer.iterations
+    (Schedule.name a.Annealer.schedule)
+    (objective_label config.objective)
+    (Checkpoint.crc32_hex
+       (String.concat "\n"
+          (Printf.sprintf "%h %h %h %h %h" m.Moves.p_impl m.Moves.p_new_context
+             m.Moves.p_swap_contexts m.Moves.p_to_sw m.Moves.p_device
+          :: List.map Platform_io.to_string m.Moves.device_catalogue)))
+
+(* Chain state on disk, version 1: the configuration line, the schedule
+   and warmup statistics (floats in "%h", so they round-trip
+   bit-exactly), the current cost, then the current solution. *)
+let sa_codec config application platform : sa_state Engine.codec =
+  let label = config_label config in
+  let floats tag a =
+    String.concat " " (tag :: List.map (Printf.sprintf "%h") (Array.to_list a))
+  in
+  let encode s =
+    String.concat "\n"
+      [
+        "config " ^ label;
+        floats "schedule" (Schedule.capture s.chain.Annealer.schedule);
+        floats "warmup" (Stats.Running.state s.chain.Annealer.warmup);
+        floats "current" [| s.chain.Annealer.current_cost |];
+        Solution.encode s.solution;
+      ]
+  in
+  let decode text =
+    let ( let* ) = Result.bind in
+    let parse tag line =
+      match String.split_on_char ' ' line with
+      | t :: fields when t = tag -> (
+        match List.map float_of_string_opt fields with
+        | parsed when List.for_all Option.is_some parsed ->
+          Ok (Array.of_list (List.map Option.get parsed))
+        | _ -> Error ("bad " ^ tag ^ " line"))
+      | _ -> Error ("expected a " ^ tag ^ " line")
+    in
+    match String.split_on_char '\n' text with
+    | written :: schedule :: warmup :: current :: solution ->
+      let* () =
+        match String.split_on_char ' ' written with
+        | "config" :: _ when written = "config " ^ label -> Ok ()
+        | "config" :: words ->
+          Error
+            (Printf.sprintf "annealed under %s; this run anneals under %s"
+               (String.concat " " words) label)
+        | _ -> Error "expected a config line"
+      in
+      let* schedule = parse "schedule" schedule in
+      let* warmup = parse "warmup" warmup in
+      let* cost =
+        match parse "current" current with
+        | Ok [| cost |] -> Ok cost
+        | _ -> Error "bad current line"
+      in
+      let* solution =
+        Solution.decode application platform (String.concat "\n" solution)
+      in
+      (match Annealer.restore config.anneal ~schedule ~warmup ~cost with
+       | chain -> Ok { solution; chain }
+       | exception Invalid_argument m -> Error m)
+    | _ -> Error "truncated chain state"
+  in
+  { Engine.engine = "sa"; version = 1; encode; decode }
+
+(* One annealing run through the generic driver.  [notify] sees every
+   move with its annealing-specific context: the iteration number
+   relative to the end of warmup (negative during warmup), the
+   temperature and the working solution. *)
+let anneal ?notify config (ctx : Engine.context) =
   let module P = struct
     type state = Solution.t
 
@@ -286,113 +215,56 @@ let explore ?trace ?initial ?checkpoint ?resume ?should_stop ?on_iteration
     let snapshot = Solution.snapshot
     let propose rng s = Moves.propose rng config.moves s
   end in
-  let module Engine = Annealer.Make (P) in
-  let start_clock = Clock.wall () in
-  let solution, initial_cost =
-    match resume with
-    | Some snap -> (snap.Annealer.current, snap.Annealer.current_cost)
-    | None ->
-      let solution =
-        match initial with
-        | Some s -> s
-        | None ->
-          let rng = Rng.create config.anneal.Annealer.seed in
-          Solution.random rng application platform
-      in
-      (match Solution.evaluate solution with
-       | Some _ -> ()
-       | None ->
-         invalid_arg "Explorer.explore: initial solution is infeasible");
-      (solution, P.cost solution)
-  in
-  let annealer_trace =
-    let record =
-      Option.map
-        (fun t ~iteration ~cost ~best ~temperature ~accepted ->
-          Trace.record t
-            {
-              Trace.iteration;
-              cost;
-              best;
-              temperature;
-              accepted;
-              n_contexts = Solution.n_contexts solution;
-            })
-        trace
+  let module A = Annealer.Make (P) in
+  let anneal = config.anneal in
+  let init _driver_rng =
+    (* The random initial solution has its own stream, seeded like the
+       annealing one: drawing it from the driver's stream would shift
+       every later decision off the historical runs. *)
+    let solution =
+      match ctx.warm_start with
+      | Some s -> Solution.snapshot s
+      | None -> Solution.random (Rng.create ctx.seed) ctx.app ctx.platform
     in
-    match (record, on_iteration) with
-    | None, None -> None
-    | Some f, None | None, Some f -> Some f
-    | Some f, Some g ->
+    if Solution.evaluate solution = None then
+      invalid_arg "Explorer.explore: initial solution is infeasible";
+    let cost = P.cost solution in
+    ({ solution; chain = Annealer.start anneal ~cost }, cost, 0)
+  in
+  let last = ref None in
+  let step rng ~iteration s =
+    let move = A.step anneal s.chain rng s.solution ~iteration in
+    if notify <> None then last := Some s;
+    {
+      Engine.state = s;
+      cost = s.chain.Annealer.current_cost;
+      accepted = move = Annealer.Accepted;
+      (* An infeasible proposal is never evaluated, so evaluations
+         count feasible moves and infeasible = iterations - evaluations. *)
+      evaluations = (if move = Annealer.Infeasible then 0 else 1);
+    }
+  in
+  let observe =
+    match notify with
+    | None -> ctx.observe
+    | Some f ->
+      let warmup = anneal.Annealer.warmup_iterations in
       Some
-        (fun ~iteration ~cost ~best ~temperature ~accepted ->
-          f ~iteration ~cost ~best ~temperature ~accepted;
-          g ~iteration ~cost ~best ~temperature ~accepted)
+        (fun (p : Engine.probe) ->
+          let s = Option.get !last in
+          f ~iteration:(p.Engine.iteration - warmup) ~cost:p.Engine.cost
+            ~best:p.Engine.best ~temperature:s.chain.Annealer.temperature
+            ~accepted:p.Engine.accepted s.solution;
+          Option.iter (fun g -> g p) ctx.observe)
   in
-  let checkpoint =
-    Option.map
-      (fun { path; every } ->
-        (every, save_snapshot config application platform path))
-      checkpoint
-  in
-  let outcome =
-    match resume with
-    | Some snap ->
-      Engine.resume ?trace:annealer_trace ?checkpoint ?should_stop
-        config.anneal snap
-    | None ->
-      Engine.run ?trace:annealer_trace ?checkpoint ?should_stop config.anneal
-        solution
-  in
-  let best = outcome.Annealer.best in
-  let best_eval =
-    match Solution.evaluate best with
-    | Some eval -> eval
-    | None -> assert false (* only feasible states are ever accepted *)
-  in
-  {
-    best;
-    best_eval;
-    best_cost = outcome.Annealer.best_cost;
-    initial_cost;
-    iterations_run = outcome.Annealer.iterations_run;
-    accepted = outcome.Annealer.accepted;
-    infeasible = outcome.Annealer.infeasible;
-    wall_seconds = Clock.wall () -. start_clock;
-    status = outcome.Annealer.status;
-  }
+  Engine.drive
+    ~codec:(sa_codec config ctx.app ctx.platform)
+    { ctx with observe } ~init ~step
+    ~snapshot:(fun s -> Solution.snapshot s.solution)
 
-(* ---- the annealer as a registered engine -------------------------- *)
-
-(* Translate the engine-layer checkpoint contract into the annealer's
-   native snapshot machinery (kind "dse-run", annealing-config
-   fingerprint), so `--checkpoint --engine sa` and the daemon speak the
-   same protocol as the historical native flags. *)
-let native_checkpoint config application platform (ck : Engine.checkpoint) =
-  let sink = { path = ck.Engine.path; every = ck.Engine.every } in
-  let resume =
-    match ck.Engine.resume with
-    | Engine.Resume_never -> None
-    | Engine.Resume_required -> (
-      match load_snapshot config application platform ck.Engine.path with
-      | Ok snap -> Some snap
-      | Error msg -> failwith msg)
-    | Engine.Resume_if_exists ->
-      if not (Sys.file_exists ck.Engine.path) then None
-      else (
-        match load_snapshot config application platform ck.Engine.path with
-        | Ok snap -> Some snap
-        | Error msg ->
-          Log.warn "ignoring unusable checkpoint: %s" msg;
-          None)
-  in
-  (sink, resume)
-
-(* The annealer implements the Engine contract natively: the generic
-   iteration budget is the *total* move count (warmup + cooling), so
-   [iterations_run <= budget.iterations] holds exactly as for the
-   driven engines, and the stop probe / wall timing / observation
-   callbacks are the ones the rest of the system already exercises. *)
+(* The registered annealer: the generic iteration budget is the *total*
+   move count (warmup + cooling), so [iterations_run <=
+   budget.iterations] holds exactly as for every other engine. *)
 module Sa_engine : Engine.S = struct
   let name = "sa"
   let describe = "adaptive simulated annealing (the paper, \xc2\xa74)"
@@ -404,14 +276,13 @@ module Sa_engine : Engine.S = struct
   let default_iterations = 50_000
 
   let run (ctx : Engine.context) =
-    let total = ctx.Engine.budget.Engine.iterations in
     (* The annealer spends at most one evaluation per iteration, so an
        evaluation budget is enforced exactly by capping the move
        count. *)
     let total =
-      match ctx.Engine.budget.Engine.max_evaluations with
-      | Some m -> min total m
-      | None -> total
+      match ctx.budget.max_evaluations with
+      | Some m -> min ctx.budget.iterations m
+      | None -> ctx.budget.iterations
     in
     if total < 2 then invalid_arg "sa engine: budget below 2 iterations";
     let warmup = max 1 (min 1_200 (total / 10)) in
@@ -422,52 +293,88 @@ module Sa_engine : Engine.S = struct
             Annealer.default_config with
             Annealer.iterations = total - warmup;
             warmup_iterations = warmup;
-            seed = ctx.Engine.seed;
+            seed = ctx.seed;
           };
         moves = Moves.fixed_architecture;
         objective = Makespan;
       }
     in
-    let on_iteration =
-      Option.map
-        (fun f ~iteration ~cost ~best ~temperature:_ ~accepted ->
-          (* Warmup iterations count from -warmup; present the engine's
-             uniform 0-based index instead. *)
-          f { Engine.iteration = iteration + warmup; cost; best; accepted })
-        ctx.Engine.observe
-    in
-    let checkpoint, resume =
-      match ctx.Engine.checkpoint with
-      | None -> (None, None)
-      | Some ck ->
-        let sink, resume =
-          native_checkpoint config ctx.Engine.app ctx.Engine.platform ck
-        in
-        (Some sink, resume)
-    in
-    let result =
-      explore
-        ~should_stop:(Engine.stop_probe ctx)
-        ?initial:(Option.map Solution.snapshot ctx.Engine.warm_start)
-        ?on_iteration ?checkpoint ?resume config ctx.Engine.app
-        ctx.Engine.platform
-    in
-    {
-      Engine.best = result.best;
-      best_cost = result.best_cost;
-      initial_cost = result.initial_cost;
-      iterations_run = result.iterations_run;
-      evaluations = result.iterations_run - result.infeasible;
-      accepted = result.accepted;
-      wall_seconds = result.wall_seconds;
-      status =
-        (match result.status with
-         | Annealer.Complete -> Engine.Complete
-         | Annealer.Interrupted -> Engine.Interrupted);
-    }
+    anneal config
+      { ctx with budget = { ctx.budget with iterations = total } }
 end
 
 let sa_engine : Engine.t = (module Sa_engine)
+
+let result_of_outcome ~infeasible (o : Engine.outcome) =
+  let best_eval =
+    match Solution.evaluate o.best with
+    | Some eval -> eval
+    | None -> failwith "Explorer: engine returned an infeasible best solution"
+  in
+  {
+    best = o.best;
+    best_eval;
+    best_cost = o.best_cost;
+    initial_cost = o.initial_cost;
+    iterations_run = o.iterations_run;
+    accepted = o.accepted;
+    infeasible;
+    wall_seconds = o.wall_seconds;
+    status = o.status;
+  }
+
+let explore ?trace ?initial ?checkpoint ?should_stop ?on_iteration ?engine
+    config application platform =
+  let notify ~iteration ~cost ~best ~temperature ~accepted ~n_contexts =
+    Option.iter
+      (fun t ->
+        Trace.record t
+          { Trace.iteration; cost; best; temperature; accepted; n_contexts })
+      trace;
+    Option.iter
+      (fun f -> f ~iteration ~cost ~best ~temperature ~accepted)
+      on_iteration
+  in
+  let observed = trace <> None || on_iteration <> None in
+  let run, iterations, observe, infeasible =
+    match engine with
+    | None ->
+      let notify =
+        if not observed then None
+        else
+          Some
+            (fun ~iteration ~cost ~best ~temperature ~accepted solution ->
+              notify ~iteration ~cost ~best ~temperature ~accepted
+                ~n_contexts:(Solution.n_contexts solution))
+      in
+      ( anneal ?notify config,
+        config.anneal.Annealer.warmup_iterations
+        + config.anneal.Annealer.iterations,
+        None,
+        fun (o : Engine.outcome) -> o.iterations_run - o.evaluations )
+    | Some engine ->
+      (* Any other engine takes the cooling count as its budget; it
+         has no temperature or context count, both observed as 0. *)
+      let observe =
+        if not observed then None
+        else
+          Some
+            (fun { Engine.iteration; cost; best; accepted } ->
+              notify ~iteration ~cost ~best ~temperature:0.0 ~accepted
+                ~n_contexts:0)
+      in
+      ( Engine.run engine,
+        config.anneal.Annealer.iterations,
+        observe,
+        fun _ -> 0 )
+  in
+  let ctx =
+    Engine.context ?should_stop ?observe ?checkpoint ?warm_start:initial
+      ~app:application ~platform ~seed:config.anneal.Annealer.seed ~iterations
+      ()
+  in
+  let outcome = run ctx in
+  result_of_outcome ~infeasible:(infeasible outcome) outcome
 
 (* ---- supervised restarts ----------------------------------------- *)
 
@@ -496,30 +403,6 @@ type restarts_report = {
   degraded : int;
 }
 
-(* A generic engine's outcome, dressed as the explorer's result record:
-   the eval is recomputed from the (feasible) best solution, and the
-   annealer-specific infeasible counter is 0. *)
-let result_of_outcome (o : Engine.outcome) =
-  let best_eval =
-    match Solution.evaluate o.Engine.best with
-    | Some eval -> eval
-    | None -> failwith "Explorer: engine returned an infeasible best solution"
-  in
-  {
-    best = o.Engine.best;
-    best_eval;
-    best_cost = o.Engine.best_cost;
-    initial_cost = o.Engine.initial_cost;
-    iterations_run = o.Engine.iterations_run;
-    accepted = o.Engine.accepted;
-    infeasible = 0;
-    wall_seconds = o.Engine.wall_seconds;
-    status =
-      (match o.Engine.status with
-       | Engine.Complete -> Annealer.Complete
-       | Engine.Interrupted -> Annealer.Interrupted);
-  }
-
 let supervise_restarts ?trace ?(jobs = 1) ?restart_timeout ?should_stop
     ?(retries = 0) ?engine ?restart_checkpoint ?warm_start ~restarts config
     application platform =
@@ -533,54 +416,12 @@ let supervise_restarts ?trace ?(jobs = 1) ?restart_timeout ?should_stop
     let checkpoint =
       Option.map (fun path_of -> path_of index) restart_checkpoint
     in
-    match engine with
-    | None ->
-      (* Native annealer path, bit-identical to the historical one. *)
-      let config =
-        { config with anneal = { config.anneal with Annealer.seed } }
-      in
-      let checkpoint, resume =
-        match checkpoint with
-        | None -> (None, None)
-        | Some ck ->
-          let sink, resume =
-            native_checkpoint config application platform ck
-          in
-          (Some sink, resume)
-      in
-      (* The per-restart deadline reaches the annealer as its stop
-         probe: a chain out of budget returns best-so-far at the next
-         iteration boundary instead of being torn down. *)
-      explore ?trace ?checkpoint ?resume ~should_stop:stop
-        ?initial:(Option.map Solution.snapshot warm_start)
-        config application platform
-    | Some engine ->
-      (* Any registered engine gets the same supervision: derived
-         seeds, the anneal iteration budget, and the stop probe wired
-         to its boundary polls.  Restart 0 streams its observations
-         into the trace (engines other than the annealer have no
-         temperature or context count; both are recorded as 0). *)
-      let observe =
-        Option.map
-          (fun t { Engine.iteration; cost; best; accepted } ->
-            Trace.record t
-              {
-                Trace.iteration;
-                cost;
-                best;
-                temperature = 0.0;
-                accepted;
-                n_contexts = 0;
-              })
-          trace
-      in
-      let ctx =
-        Engine.context ~should_stop:stop ?observe ?checkpoint
-          ?warm_start:(Option.map Solution.snapshot warm_start)
-          ~app:application ~platform ~seed
-          ~iterations:config.anneal.Annealer.iterations ()
-      in
-      result_of_outcome (Engine.run engine ctx)
+    (* The per-restart deadline reaches the engine as its stop probe: a
+       chain out of budget returns best-so-far at the next iteration
+       boundary instead of being torn down. *)
+    explore ?trace ?checkpoint ~should_stop:stop ?initial:warm_start ?engine
+      { config with anneal = { config.anneal with Annealer.seed } }
+      application platform
   in
   let outcomes =
     Parallel.map_outcomes ~jobs ~retries ?timeout:restart_timeout ?should_stop
@@ -671,27 +512,15 @@ let cost_performance_frontier_supervised ?(seed = 1) ?(iterations = 20_000)
       (Array.length devices)
       (fun i ~stop ->
         let platform = devices.(i) in
+        let config =
+          {
+            anneal = { Annealer.default_config with Annealer.iterations; seed };
+            moves = Moves.fixed_architecture;
+            objective = Makespan;
+          }
+        in
         let result =
-          match engine with
-          | None ->
-            let config =
-              {
-                anneal =
-                  { Annealer.default_config with Annealer.iterations; seed };
-                moves = Moves.fixed_architecture;
-                objective = Makespan;
-              }
-            in
-            explore ~should_stop:stop config application platform
-          | Some engine ->
-            (* Same per-device treatment for any registered engine:
-               identical seed and iteration budget for every device,
-               the stop probe carrying the per-device deadline. *)
-            let ctx =
-              Engine.context ~should_stop:stop ~app:application ~platform
-                ~seed ~iterations ()
-            in
-            result_of_outcome (Engine.run engine ctx)
+          explore ~should_stop:stop ?engine config application platform
         in
         {
           platform;

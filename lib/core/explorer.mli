@@ -52,68 +52,61 @@ type result = {
   accepted : int;
   infeasible : int;
   wall_seconds : float;
-  status : Repro_anneal.Annealer.status;
+  status : Engine.status;
   (** [Interrupted] when [should_stop] ended the run early; the best
       solution is still the best seen so far. *)
 }
-(** For results produced by a generic engine (see [engine] below),
-    [iterations_run]/[accepted] come from the engine's outcome,
-    [infeasible] is 0 (only the annealer counts structurally invalid
-    proposals) and [initial_cost] is the cost of the engine's initial
-    state. *)
+(** For results produced by an engine other than the annealer (see
+    [engine] below), [infeasible] is 0 (only the annealer counts
+    structurally invalid proposals). *)
 
 val cost_of : objective -> Solution.t -> float
 (** The scalar the annealer minimizes. *)
 
-type run_checkpoint = { path : string; every : int }
-(** Periodic snapshot sink: every [every] iterations the engine state
-    is written to [path] as a {!Repro_util.Checkpoint} of kind
-    ["dse-run"] (atomic, CRC-checked, floats in hex so resume is
-    bit-exact). *)
-
-val save_snapshot :
-  config -> App.t -> Platform.t -> string ->
-  Solution.t Repro_anneal.Annealer.snapshot -> unit
-(** Persist an engine snapshot; the file embeds a fingerprint of the
-    application, platform and annealing configuration. *)
-
-val load_snapshot :
-  config -> App.t -> Platform.t -> string ->
-  (Solution.t Repro_anneal.Annealer.snapshot, string) Stdlib.result
-(** Load a snapshot saved by {!save_snapshot} (or by the periodic
-    sink); fails with a one-line message when the file is damaged or
-    was produced under different inputs or configuration. *)
-
 val read_incumbent :
   string -> App.t -> Platform.t -> (Solution.t, string) Stdlib.result
 (** [read_incumbent path app platform] extracts the best-so-far
-    solution from any checkpoint file — the annealer's native
-    ["dse-run"] snapshots and the engine driver's (or the portfolio's)
-    ["dse-engine"] files alike — and decodes it against [app] and
-    [platform].  This is the [--seed-from] primitive: unlike
-    {!load_snapshot}, no fingerprint is checked, so an incumbent found
-    by one engine (any seed, any budget) can warm-start any other; the
-    only contract is that the donor ran on the same inputs (the
-    decode fails otherwise). *)
+    solution from any engine checkpoint (kind ["dse-engine"], the
+    driver's and the portfolio's files alike) and decodes it against
+    [app] and [platform].  This is the [--seed-from] primitive: no
+    fingerprint is checked, so an incumbent found by one engine (any
+    seed, any budget) can warm-start any other; the only contract is
+    that the donor ran on the same inputs (the decode fails
+    otherwise). *)
 
 val explore :
-  ?trace:Trace.t -> ?initial:Solution.t -> ?checkpoint:run_checkpoint ->
-  ?resume:Solution.t Repro_anneal.Annealer.snapshot ->
+  ?trace:Trace.t -> ?initial:Solution.t -> ?checkpoint:Engine.checkpoint ->
   ?should_stop:(unit -> bool) ->
   ?on_iteration:(iteration:int -> cost:float -> best:float ->
                  temperature:float -> accepted:bool -> unit) ->
+  ?engine:Engine.t ->
   config -> App.t -> Platform.t -> result
-(** Run one exploration.  The initial solution defaults to
-    {!Solution.random} drawn from the annealing seed.  [resume]
-    continues a checkpointed run instead of starting fresh ([initial]
-    is then ignored); the resumed run replays the uninterrupted one bit
-    for bit.  [should_stop] is polled at iteration boundaries — on
-    [true] the run flushes a final checkpoint (when [checkpoint] is
-    given) and returns with status [Interrupted].  [on_iteration] is a
-    streaming observation callback firing once per annealing iteration
-    (warmup iterations carry negative indices), independent of [trace]
+(** Run one exploration on the engine driver ({!Engine.drive}).  By
+    default the engine is the annealer [config] describes: [warmup + iterations] moves
+    under the configured schedule, objective and move set, seeded with
+    [config.anneal.seed].  The initial solution defaults to
+    {!Solution.random} drawn from a stream of its own with that seed;
+    [initial] replaces it (the run anneals a copy).
+
+    [checkpoint] makes the run crash-safe under the engine driver's
+    contract: periodic and on-interrupt saves of kind ["dse-engine"],
+    and, by its [resume] mode, a continuation that replays the
+    uninterrupted run bit for bit.  The annealer's chain state records
+    its warmup/cooling split, schedule, objective and move set, so a
+    checkpoint taken under another configuration is refused with a
+    one-line diagnostic even when seed and total budget agree.
+    [should_stop] is polled at iteration boundaries — on [true] the run
+    flushes a final checkpoint (when [checkpoint] is given) and returns
+    with status [Interrupted].  [on_iteration] is a streaming
+    observation callback firing once per annealing iteration (warmup
+    iterations carry negative indices), independent of [trace]
     recording.  Raises [Invalid_argument] when [Cost_under_deadline] is
-    used on an application without a deadline. *)
+    used on an application without a deadline.
+
+    [engine] runs any registered engine instead, on
+    [config.anneal.iterations] iterations with [config.anneal.seed]
+    and the makespan objective; its observations carry temperature and
+    context count 0. *)
 
 val sa_engine : Engine.t
 (** The annealer behind the uniform {!Engine.S} contract, under the
@@ -121,26 +114,11 @@ val sa_engine : Engine.t
     move count: a tenth (capped at the paper's 1200, at least 1) is
     spent as infinite-temperature warmup and the rest cools under the
     default Lam schedule, so [iterations_run <= budget.iterations]
-    holds like for every other engine.  The stop probe, wall timing and
-    per-iteration observations follow the contract; the objective is
-    the makespan.
-
-    [context.checkpoint] is honoured through the annealer's native
-    snapshot machinery (kind ["dse-run"], annealing-config
-    fingerprint), so [dse-run --checkpoint --engine sa] resumes
-    bit-identically like every driven engine; an evaluation budget is
+    holds like for every other engine; an evaluation budget is
     enforced exactly by capping the move count (the annealer spends at
-    most one evaluation per move).  One caveat inherited from the
-    native snapshot format: a resumed run reports the checkpoint's
-    {e current} cost as [initial_cost] (the original initial cost does
-    not cross the file), while all other outcome fields resume
-    bit-identically. *)
-
-val result_of_outcome : Engine.outcome -> result
-(** A generic engine's outcome dressed as the explorer's {!result}:
-    the eval is recomputed from the (feasible) best solution,
-    [infeasible] is 0.  Raises [Failure] if the engine returned an
-    infeasible best. *)
+    most one evaluation per move).  The objective is the makespan.
+    It runs on {!Engine.drive} like {!explore}'s annealer, with the
+    same versioned ["sa"] state codec. *)
 
 val meets_deadline : App.t -> Searchgraph.eval -> bool
 (** True when the application declares no deadline or the evaluated
@@ -187,28 +165,20 @@ val explore_restarts_supervised :
     The report aggregates over survivors; consumers must treat
     [degraded > 0] as a partial (still deterministic) answer.
 
-    [engine] selects the search engine (default: the annealer through
-    its native path, preserving the historical bit-exact streams).
-    Every engine gets the same treatment: per-restart derived seeds
-    ([config.anneal.seed + 65537 * index]), parallel chains over
-    [jobs] domains, per-restart timeouts and degradation.  Generic
-    engines take [config.anneal.iterations] as their iteration budget
-    and run on the makespan objective; restart 0 feeds [trace] through
-    the engine's observation callback (temperature and context count
-    are not defined for them and recorded as 0).
+    Each chain is one {!explore} call with seed [config.anneal.seed +
+    65537 * index], so [engine] (default: the configured annealer)
+    chooses the search as there; chains run in parallel over [jobs]
+    domains, and restart 0 feeds [trace].
 
     [restart_checkpoint] makes the supervised run crash-safe: it maps
     a restart index to that chain's {!Engine.checkpoint} (path,
-    cadence, resume mode).  Generic engines receive it through their
-    context; the native annealer translates it onto its own snapshot
-    machinery.  Because per-restart seeds are derived from the index,
-    each chain's checkpoint resumes exactly that chain.
+    cadence, resume mode).  Because per-restart seeds are derived from
+    the index, each chain's checkpoint resumes exactly that chain.
 
-    [warm_start] hands every restart the same donated incumbent
-    (see {!read_incumbent}): generic engines receive it through
-    [context.warm_start], the native annealer as its initial
-    solution.  A resumed chain ignores it — the warm start is baked
-    into the checkpointed state. *)
+    [warm_start] hands every restart the same donated incumbent (see
+    {!read_incumbent}) as its initial solution.  A resumed chain
+    ignores it — the warm start is baked into the checkpointed
+    state. *)
 
 val explore_restarts :
   ?trace:Trace.t -> ?jobs:int -> ?engine:Engine.t -> restarts:int ->
@@ -255,10 +225,10 @@ val cost_performance_frontier_supervised :
     its own [device_timeout] and failure isolation, and the report
     labels exactly which devices the frontier covers.  Candidates never
     interact before the final dominance pass, so the degraded frontier
-    is the exact frontier of the surviving sub-catalogue.  [engine]
-    selects the search engine per device (default: the annealer's
-    native path); every device gets the same seed and iteration
-    budget, whichever engine runs. *)
+    is the exact frontier of the surviving sub-catalogue.  Each device
+    is one {!explore} call on the default configuration with [seed]
+    and [iterations] cooling moves, so [engine] chooses the search as
+    there; every device gets the same seed and budget. *)
 
 val cost_performance_frontier :
   ?seed:int -> ?iterations:int -> ?jobs:int -> ?engine:Engine.t ->

@@ -226,7 +226,6 @@ let explore ?(seed = 1) ?(iterations = 20_000) problem platform =
       warmup_iterations = max 200 (iterations / 20);
       schedule = Schedule.lam ~quality:(150.0 /. float_of_int iterations) ();
       seed;
-      frozen_window = None;
     }
   in
   let outcome = Engine.run config state in

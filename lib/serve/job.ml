@@ -104,7 +104,7 @@ let of_json ~name text =
     else if restarts < 1 then Error "job wants restarts >= 1"
     else if clbs < 1 then Error "job wants clbs >= 1"
     else if serialized && engine <> None then
-      Error "job field \"serialized\" only applies to the native annealer \
+      Error "job field \"serialized\" only applies to the default annealer \
              (drop the \"engine\" field)"
     else Ok ()
   in
@@ -192,7 +192,6 @@ let explorer_config job =
         warmup_iterations = job.warmup;
         schedule = Schedule.lam ~quality:(150.0 /. float_of_int job.iters) ();
         seed = job.seed;
-        frozen_window = None;
       };
     moves = Repro_dse.Moves.fixed_architecture;
     objective =

@@ -14,15 +14,15 @@
       ["seed"] (default 1), ["restarts"] (default 1)
     - ["timeout"] — per-job wall seconds, overriding the daemon's
       default
-    - ["serialized"] — optimize under the serialized bus model (native
+    - ["serialized"] — optimize under the serialized bus model (default
       annealer only; incompatible with ["engine"])
-    - ["engine"] — a registered engine name; the job then runs through
-      the uniform engine interface (budget = ["iters"], makespan
-      objective; ["warmup"] is annealer-specific and ignored) with the
-      driver's checkpointing, so a timed-out engine job records
-      best-so-far {e and} keeps its resume checkpoint for a retry.
-      Without the field the job takes the historical native-annealer
-      path. *)
+    - ["engine"] — a registered engine name (budget = ["iters"],
+      makespan objective; ["warmup"] is annealer-specific and ignored).
+      Without the field the job runs the annealer its ["iters"],
+      ["warmup"] and ["serialized"] fields describe.
+    Either way the job runs through the engine driver's checkpointing,
+    so a timed-out job records best-so-far {e and} keeps its resume
+    checkpoint for a retry. *)
 
 type source = Named of string | From_file of string
 
@@ -37,7 +37,7 @@ type t = {
   restarts : int;
   timeout : float option;
   serialized : bool;
-  engine : string option;  (** registered engine name; [None] = native *)
+  engine : string option;  (** registered engine name; [None] = annealer *)
 }
 
 val of_json : name:string -> string -> (t, string) result

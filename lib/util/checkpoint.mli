@@ -6,7 +6,7 @@
     {v REPRO-CKPT <version> <kind> <payload-bytes> <crc32-hex> v}
 
     followed by the raw payload.  [kind] tags the producer (for
-    example ["dse-run"] or ["dse-sweep"]) so a checkpoint is never
+    example ["dse-engine"] or ["dse-sweep"]) so a checkpoint is never
     resumed by the wrong tool; the CRC and length reject corrupt or
     truncated files, and the version gates future format changes.
     Payload encoding is the producer's business — the conventions used

@@ -106,7 +106,6 @@ let test_annealer_minimizes () =
       warmup_iterations = 200;
       schedule = Schedule.lam ~quality:0.01 ();
       seed = 5;
-      frozen_window = None;
     }
   in
   let outcome = Toy_annealer.run config { Toy.x = 90 } in
@@ -122,27 +121,12 @@ let test_annealer_outcome_fields () =
       warmup_iterations = 50;
       schedule = Schedule.lam ();
       seed = 1;
-      frozen_window = None;
     }
   in
   let outcome = Toy_annealer.run config { Toy.x = 40 } in
   Alcotest.(check int) "iterations counted" 150 outcome.Annealer.iterations_run;
   Alcotest.(check bool) "final >= best" true
     (outcome.Annealer.final_cost >= outcome.Annealer.best_cost)
-
-let test_frozen_window_stops_early () =
-  let config =
-    {
-      Annealer.iterations = 100_000;
-      warmup_iterations = 0;
-      schedule = Schedule.geometric ~alpha:0.5 ~steps_per_level:10 ();
-      seed = 2;
-      frozen_window = Some 500;
-    }
-  in
-  let outcome = Toy_annealer.run config { Toy.x = 37 } in
-  Alcotest.(check bool) "stopped long before the budget" true
-    (outcome.Annealer.iterations_run < 100_000)
 
 let test_trace_callback () =
   let config =
@@ -151,7 +135,6 @@ let test_trace_callback () =
       warmup_iterations = 5;
       schedule = Schedule.lam ();
       seed = 3;
-      frozen_window = None;
     }
   in
   let iterations = ref [] in
@@ -173,7 +156,6 @@ let test_best_monotone () =
       warmup_iterations = 100;
       schedule = Schedule.lam ();
       seed = 9;
-      frozen_window = None;
     }
   in
   let previous_best = ref infinity in
@@ -195,7 +177,6 @@ let suite =
     Alcotest.test_case "geometric" `Quick test_geometric;
     Alcotest.test_case "annealer minimizes" `Quick test_annealer_minimizes;
     Alcotest.test_case "outcome fields" `Quick test_annealer_outcome_fields;
-    Alcotest.test_case "frozen window" `Quick test_frozen_window_stops_early;
     Alcotest.test_case "trace callback" `Quick test_trace_callback;
     Alcotest.test_case "best monotone" `Quick test_best_monotone;
   ]

@@ -3,17 +3,11 @@
    interrupted after k iterations (k = 0, 1, mid, last) with a
    checkpoint flushed on the way out; a second process image (a fresh
    run resuming from the file) must finish with a bit-identical
-   outcome: same best solution text, same best cost bits, same
-   iteration and evaluation counters.
-
-   [initial_cost] is deliberately excluded from the equality: the
-   annealer's native snapshot format does not carry the original
-   initial cost across the file (a resumed sa run reports the
-   checkpoint's current cost), and the resume contract is defined over
-   the search outcome, not the starting point.
+   outcome: same best solution text, same best and initial cost bits,
+   same iteration and evaluation counters.
 
    Damage handling rides along: corrupted, truncated, foreign-engine
-   and foreign-kind checkpoints must fail a Resume_required load with
+   and legacy-kind checkpoints must fail a Resume_required load with
    a one-line diagnostic, and Resume_if_exists must fall back to a
    fresh (still correct) run. *)
 
@@ -58,10 +52,11 @@ let tmp_ckpt name =
     (Printf.sprintf "repro-resume-%d-%s.ckpt" (Unix.getpid ()) name)
 
 (* The resume contract's equality: everything in the outcome except
-   [initial_cost] (see the header comment) and wall time. *)
+   wall time. *)
 let fingerprint (o : Engine.outcome) =
   ( Solution.encode o.Engine.best,
     Int64.bits_of_float o.Engine.best_cost,
+    Int64.bits_of_float o.Engine.initial_cost,
     (o.Engine.iterations_run, o.Engine.evaluations, o.Engine.accepted),
     o.Engine.status = Engine.Complete )
 
@@ -191,16 +186,16 @@ let damage_tests =
         required_fails "foreign engine" hill path [ "greedy" ];
         Sys.remove path);
     Alcotest.test_case
-      "required resume: native sa snapshot is a foreign kind" `Quick
+      "required resume: legacy dse-run kind is rejected" `Quick
       (fun () ->
-        let path = tmp_ckpt "foreign-kind" in
+        let path = tmp_ckpt "legacy-kind" in
         let sa =
           match Registry.find "sa" with
           | Ok e -> e
           | Error msg -> Alcotest.fail msg
         in
-        write_checkpoint sa path;
-        required_fails "foreign kind" (engine ()) path [];
+        Repro_util.Checkpoint.save path ~kind:"dse-run" "fingerprint 0\n";
+        required_fails "legacy kind" sa path [ "dse-run" ];
         Sys.remove path);
     Alcotest.test_case
       "if-exists resume: unusable checkpoint falls back to a clean run"

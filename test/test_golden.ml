@@ -1,0 +1,213 @@
+(* Golden pins of the historical search streams.  Each case runs one
+   entry point on a small fixed input and compares the CRC of the best
+   solution's canonical text, the bits of its cost and the run's
+   counters against values recorded before the annealer moved onto the
+   generic engine driver.  Any change to the order of random draws, to
+   the Metropolis decisions or to the warmup/cooling split shows up
+   here as a CRC or counter mismatch. *)
+
+module Md = Repro_workloads.Motion_detection
+module Explorer = Repro_dse.Explorer
+module Engine = Repro_dse.Engine
+module Moves = Repro_dse.Moves
+module Solution = Repro_dse.Solution
+module Multi_mode = Repro_dse.Multi_mode
+module Annealer = Repro_anneal.Annealer
+module Schedule = Repro_anneal.Schedule
+module Checkpoint = Repro_util.Checkpoint
+module Json = Repro_util.Json_lite
+module Atomic_io = Repro_util.Atomic_io
+module Log = Repro_util.Log
+module Spool = Repro_serve.Spool
+module Daemon = Repro_serve.Daemon
+
+let crc s = Checkpoint.crc32_hex (Solution.encode s)
+
+let pin ~best ~cost counters =
+  Printf.sprintf "%s %Lx %s" (crc best) (Int64.bits_of_float cost)
+    (String.concat " " (List.map string_of_int counters))
+
+let pin_result (r : Explorer.result) =
+  pin ~best:r.Explorer.best ~cost:r.Explorer.best_cost
+    [ r.Explorer.iterations_run; r.Explorer.accepted; r.Explorer.infeasible ]
+
+let config ?(schedule = Schedule.lam ~quality:0.003 ())
+    ?(objective = Explorer.Makespan) ?(moves = Moves.fixed_architecture) ~seed
+    ~iterations ~warmup () =
+  {
+    Explorer.anneal =
+      { Annealer.iterations; warmup_iterations = warmup; schedule; seed };
+    moves;
+    objective;
+  }
+
+let md () = (Md.app (), Md.platform ~n_clb:2000 ())
+
+let explore cfg =
+  let app, platform = md () in
+  pin_result (Explorer.explore cfg app platform)
+
+let explore_default () =
+  explore (config ~seed:3 ~iterations:3_000 ~warmup:300 ())
+
+let explore_serialized () =
+  explore
+    (config ~objective:Explorer.Makespan_serialized ~seed:4 ~iterations:2_000
+       ~warmup:200 ())
+
+let explore_swartz () =
+  explore
+    (config ~schedule:(Schedule.swartz ()) ~seed:5 ~iterations:3_000
+       ~warmup:300 ())
+
+let explore_architecture () =
+  let app = Md.app () in
+  let catalogue =
+    List.map (fun n -> Md.platform ~n_clb:n ()) [ 400; 1000; 2000; 5000; 10000 ]
+  in
+  let cfg =
+    config ~moves:(Moves.exploration catalogue)
+      ~objective:(Explorer.Cost_under_deadline { penalty_per_ms = 50.0 })
+      ~seed:6 ~iterations:3_000 ~warmup:300 ()
+  in
+  pin_result (Explorer.explore cfg app (List.nth catalogue 4))
+
+let supervised_restarts () =
+  let app, platform = md () in
+  let report =
+    Explorer.explore_restarts_supervised ~jobs:2 ~restarts:3
+      (config ~seed:7 ~iterations:1_500 ~warmup:200 ())
+      app platform
+  in
+  let best =
+    match report.Explorer.best_result with
+    | Some r -> pin_result r
+    | None -> "lost"
+  in
+  String.concat " "
+    (best
+     :: List.map
+          (fun (i, c) -> Printf.sprintf "%d:%Lx" i (Int64.bits_of_float c))
+          report.Explorer.restart_costs)
+
+let registered_sa () =
+  let app, platform = md () in
+  let o =
+    Engine.run Explorer.sa_engine
+      (Engine.context ~max_evaluations:1_800 ~app ~platform ~seed:8
+         ~iterations:5_000 ())
+  in
+  pin ~best:o.Engine.best ~cost:o.Engine.best_cost
+    [ o.Engine.iterations_run; o.Engine.evaluations; o.Engine.accepted ]
+
+let daemon_job () =
+  let root = Filename.temp_dir "repro_golden" "" in
+  Fun.protect
+    ~finally:(fun () ->
+      ignore (Sys.command (Printf.sprintf "rm -rf %s" (Filename.quote root))))
+  @@ fun () ->
+  let spool = Spool.create root in
+  Atomic_io.write_string
+    (Spool.job_path spool "golden.json")
+    "{\"app\": \"motion_detection\", \"iters\": 600, \"warmup\": 100, \
+     \"seed\": 9}";
+  let config =
+    { Daemon.default_config with Daemon.once = true; poll_interval = 0.01 }
+  in
+  ignore (Daemon.run config spool);
+  let text =
+    match Atomic_io.read_file (Filename.concat root "results/golden.json") with
+    | Ok t -> t
+    | Error msg -> Alcotest.fail msg
+  in
+  match Json.parse_obj text with
+  | Error msg -> Alcotest.fail msg
+  | Ok fields ->
+    let field f = Option.get (Json.find fields f) in
+    Printf.sprintf "%s %Lx %d %d %d"
+      (Option.get (Json.get_str (field "solution")))
+      (Int64.bits_of_float (Option.get (Json.get_num (field "best_cost"))))
+      (Option.get (Json.get_int (field "iterations_run")))
+      (Option.get (Json.get_int (field "accepted")))
+      (Option.get (Json.get_int (field "infeasible")))
+
+let multi_mode () =
+  let open Repro_taskgraph in
+  let t id sw_time clbs =
+    Task.make ~id ~name:(Printf.sprintf "t%d" id) ~functionality:"F" ~sw_time
+      ~impls:
+        [
+          { Task.clbs; hw_time = sw_time /. 5.0 };
+          { Task.clbs = 2 * clbs; hw_time = sw_time /. 8.0 };
+        ]
+  in
+  let edge src dst = { App.src; dst; kbytes = 8.0 } in
+  let mode name members edges =
+    { Multi_mode.mode_name = name; members; edges; deadline = 6.0 }
+  in
+  let problem =
+    Multi_mode.make_problem ~name:"golden"
+      ~tasks:[ t 0 1.0 10; t 1 3.0 20; t 2 2.5 20; t 3 6.0 60; t 4 5.0 50 ]
+      ~modes:
+        [
+          mode "a" [ 0; 1; 2; 3 ] [ edge 0 1; edge 1 2; edge 2 3 ];
+          mode "b" [ 4; 1; 2 ] [ edge 4 1; edge 1 2 ];
+        ]
+  in
+  let platform =
+    Repro_arch.Platform.make ~name:"p"
+      ~processor:(Repro_arch.Resource.processor "cpu")
+      ~rc:
+        (Repro_arch.Resource.reconfigurable ~n_clb:150
+           ~reconfig_ms_per_clb:0.005 "rc")
+      ~bus:{ Repro_arch.Platform.kb_per_ms = 80.0; latency_ms = 0.05 }
+      ()
+  in
+  let r = Multi_mode.explore ~seed:3 ~iterations:2_000 problem platform in
+  let a = r.Multi_mode.assignment in
+  Printf.sprintf "%s %s %Lx %d"
+    (String.concat ""
+       (Array.to_list
+          (Array.map (fun b -> if b then "1" else "0") a.Multi_mode.hw)))
+    (String.concat ","
+       (Array.to_list (Array.map string_of_int a.Multi_mode.impl)))
+    (Int64.bits_of_float r.Multi_mode.worst_slack_ratio)
+    r.Multi_mode.iterations_run
+
+(* Recorded before the annealer became a driven engine. *)
+let golden =
+  [
+    ( "explore default",
+      explore_default,
+      "c387aec4 403875da92c8f351 3300 968 1877" );
+    ( "explore serialized bus",
+      explore_serialized,
+      "ddb4f793 403b13f96f161485 2200 1020 1025" );
+    ( "explore swartz schedule",
+      explore_swartz,
+      "756078ee 403900bc40f11407 3300 1101 1703" );
+    ( "explore cost under deadline, architecture moves",
+      explore_architecture,
+      "22f7368f 4034000000000000 3300 1469 1607" );
+    ( "supervised restarts, 3 chains on 2 jobs",
+      supervised_restarts,
+      "4e0a263f 4041898b2d2de6ce 1700 697 960 0:4041898b2d2de6ce \
+       1:40465e7fcc0f5f37 2:404417ec6431765d" );
+    ( "registered sa, evaluation budget",
+      registered_sa,
+      "a41ff50a 403d8b4f926178c7 1800 983 849" );
+    ( "daemon job without an engine field",
+      daemon_job,
+      "ec8b08b3 403b6fe1ac965222 700 212 363" );
+    ( "multi-mode explore",
+      multi_mode,
+      "11111 1,1,1,1,0 3fe1cccccccccccd 2200" );
+  ]
+
+let suite =
+  List.map
+    (fun (label, run, expected) ->
+      Alcotest.test_case label `Quick (fun () ->
+          Log.set_level Log.Error;
+          Alcotest.(check string) label expected (run ())))
+    golden
