@@ -187,9 +187,9 @@ let fig3 () =
      run order, so the table is identical for any job count. *)
   let sizes = Array.of_list Md.fig3_sizes in
   let cells =
-    Parallel.map ~jobs:bench_jobs
+    Parallel.map_outcomes ~jobs:bench_jobs
       (Array.length sizes * runs_per_point)
-      (fun i ->
+      (fun i ~stop:_ ->
         let n_clb = sizes.(i / runs_per_point) in
         let run = i mod runs_per_point in
         let platform = Md.platform ~n_clb () in
@@ -202,6 +202,12 @@ let fig3 () =
         ( eval.Searchgraph.makespan, eval.Searchgraph.initial_reconfig,
           eval.Searchgraph.dynamic_reconfig, eval.Searchgraph.n_contexts,
           Explorer.meets_deadline app eval ))
+    |> Array.map (function
+         | Parallel.Done cell -> cell
+         | outcome ->
+           failwith
+             (Printf.sprintf "fig3: a grid cell %s"
+                (Parallel.outcome_name outcome)))
   in
   let min_mean_exec = ref infinity in
   Array.iteri
@@ -737,8 +743,9 @@ let pareto () =
   let app = Md.app () in
   let catalogue = List.map (fun n_clb -> Md.platform ~n_clb ()) Md.fig3_sizes in
   let frontier =
-    Explorer.cost_performance_frontier ~seed:1 ~iterations:iters_per_run
-      ~jobs:bench_jobs app catalogue
+    (Explorer.cost_performance_frontier ~seed:1 ~iterations:iters_per_run
+       ~jobs:bench_jobs app catalogue)
+      .Explorer.frontier
   in
   let table =
     Table.create
@@ -1149,10 +1156,15 @@ let restarts_bench () =
   in
   let timed jobs =
     let t0 = Clock.wall () in
-    let best, costs =
+    let report =
       Explorer.explore_restarts ~jobs ~restarts:4 config app platform
     in
-    (Clock.wall () -. t0, best, costs)
+    let best =
+      match report.Explorer.best_result with
+      | Some best -> best
+      | None -> failwith "restarts_bench: every chain was lost"
+    in
+    (Clock.wall () -. t0, best, List.map snd report.Explorer.restart_costs)
   in
   let wall1, best1, costs1 = timed 1 in
   let wall4, best4, costs4 = timed 4 in

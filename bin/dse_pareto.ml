@@ -24,25 +24,25 @@ let run sizes iterations seed engine_name jobs device_timeout =
   in
   let catalogue = List.map (fun n_clb -> Md.platform ~n_clb ()) sizes in
   let report =
-    Explorer.cost_performance_frontier_supervised ~seed ~iterations ~jobs
+    Explorer.cost_performance_frontier ~seed ~iterations ~jobs
       ?device_timeout ?engine
       ~should_stop:(Cli_common.should_stop ~time_budget:None)
       app catalogue
   in
   let frontier = report.Explorer.frontier in
   Array.iteri
-    (fun i status ->
-      match status with
-      | Explorer.Item_done -> ()
-      | Explorer.Item_timed_out ->
+    (fun i outcome ->
+      match outcome with
+      | Repro_util.Parallel.Done _ -> ()
+      | Repro_util.Parallel.Timed_out (Some _) ->
         Repro_util.Log.warn
           "device %d CLBs: timed out; its best-so-far point was used"
           (List.nth sizes i)
-      | status ->
+      | outcome ->
         Repro_util.Log.warn "device %d CLBs: %s; excluded from the frontier"
           (List.nth sizes i)
-          (Explorer.item_status_name status))
-    report.Explorer.device_statuses;
+          (Repro_util.Parallel.outcome_name outcome))
+    report.Explorer.device_outcomes;
   if report.Explorer.devices_lost > 0 then
     Repro_util.Log.warn
       "%d of %d device(s) lost; the frontier covers the surviving \

@@ -171,13 +171,13 @@ let run app_name app_file platform_file clbs engine_name iters warmup seed
          (Repro_dse.Engine.describe e)
      | None -> ());
     let report =
-      Explorer.explore_restarts_supervised ~trace ~jobs ?engine
+      Explorer.explore_restarts ~trace ~jobs ?engine
         ?restart_timeout ?restart_checkpoint ?warm_start ~should_stop
         ~restarts config app platform
     in
     let statuses =
-      Array.to_list report.Explorer.restart_statuses
-      |> List.map Explorer.item_status_name
+      Array.to_list report.Explorer.restart_outcomes
+      |> List.map Repro_util.Parallel.outcome_name
     in
     if report_restarts then begin
       Format.printf "restart best costs (%d chains, %d job(s)): %s@." restarts
@@ -201,9 +201,9 @@ let run app_name app_file platform_file clbs engine_name iters warmup seed
       (* Surface the actual failure (e.g. a --resume checkpoint that
          does not load) instead of a generic count. *)
       match
-        Array.to_list report.Explorer.restart_statuses
+        Array.to_list report.Explorer.restart_outcomes
         |> List.find_map (function
-             | Explorer.Item_failed msg -> Some msg
+             | Repro_util.Parallel.Failed { error; _ } -> Some error
              | _ -> None)
       with
       | Some msg ->

@@ -378,32 +378,20 @@ let explore ?trace ?initial ?checkpoint ?should_stop ?on_iteration ?engine
 
 (* ---- supervised restarts ----------------------------------------- *)
 
-type item_status =
-  | Item_done
-  | Item_timed_out
-  | Item_failed of string
-  | Item_skipped
-
-let item_status_name = function
-  | Item_done -> "done"
-  | Item_timed_out -> "timed-out"
-  | Item_failed _ -> "failed"
-  | Item_skipped -> "skipped"
-
-let status_of_outcome = function
-  | Parallel.Done _ -> Item_done
-  | Parallel.Timed_out _ -> Item_timed_out
-  | Parallel.Failed { error; _ } -> Item_failed error
-  | Parallel.Skipped -> Item_skipped
-
 type restarts_report = {
   best_result : result option;
   restart_costs : (int * float) list;
-  restart_statuses : item_status array;
+  restart_outcomes : result Parallel.outcome array;
   degraded : int;
 }
 
-let supervise_restarts ?trace ?(jobs = 1) ?restart_timeout ?should_stop
+(* Items that did not complete cleanly. *)
+let not_done outcomes =
+  Array.fold_left
+    (fun n -> function Parallel.Done _ -> n | _ -> n + 1)
+    0 outcomes
+
+let explore_restarts ?trace ?(jobs = 1) ?restart_timeout ?should_stop
     ?(retries = 0) ?engine ?restart_checkpoint ?warm_start ~restarts config
     application platform =
   if restarts < 1 then invalid_arg "Explorer.explore_restarts: restarts < 1";
@@ -427,7 +415,6 @@ let supervise_restarts ?trace ?(jobs = 1) ?restart_timeout ?should_stop
     Parallel.map_outcomes ~jobs ~retries ?timeout:restart_timeout ?should_stop
       restarts run_chain
   in
-  let statuses = Array.map status_of_outcome outcomes in
   let survivors =
     Array.to_list outcomes
     |> List.mapi (fun index outcome -> (index, Parallel.outcome_value outcome))
@@ -447,32 +434,9 @@ let supervise_restarts ?trace ?(jobs = 1) ?restart_timeout ?should_stop
   {
     best_result = best;
     restart_costs = List.map (fun (i, r) -> (i, r.best_cost)) survivors;
-    restart_statuses = statuses;
-    degraded =
-      Array.fold_left
-        (fun n s -> match s with Item_done -> n | _ -> n + 1)
-        0 statuses;
+    restart_outcomes = outcomes;
+    degraded = not_done outcomes;
   }
-
-let explore_restarts_supervised = supervise_restarts
-
-let explore_restarts ?trace ?jobs ?engine ~restarts config application
-    platform =
-  let report =
-    supervise_restarts ?trace ?jobs ?engine ~restarts config application
-      platform
-  in
-  match report.best_result with
-  | Some best -> (best, List.map snd report.restart_costs)
-  | None ->
-    (* Strict entry point: with every restart lost there is nothing to
-       degrade to, so surface the first recorded failure. *)
-    let reason =
-      Array.to_list report.restart_statuses
-      |> List.find_map (function Item_failed e -> Some e | _ -> None)
-      |> Option.value ~default:"all restarts lost"
-    in
-    failwith (Printf.sprintf "Explorer.explore_restarts: %s" reason)
 
 let pareto_frontier candidates =
   let dominated point =
@@ -493,11 +457,11 @@ let pareto_frontier candidates =
 
 type frontier_report = {
   frontier : frontier_point list;
-  device_statuses : item_status array;
+  device_outcomes : frontier_point Parallel.outcome array;
   devices_lost : int;
 }
 
-let cost_performance_frontier_supervised ?(seed = 1) ?(iterations = 20_000)
+let cost_performance_frontier ?(seed = 1) ?(iterations = 20_000)
     ?(jobs = 1) ?device_timeout ?should_stop ?(retries = 0) ?engine
     application catalogue =
   (* One independent exploration per catalogue device: a natural
@@ -529,21 +493,11 @@ let cost_performance_frontier_supervised ?(seed = 1) ?(iterations = 20_000)
           meets = meets_deadline application result.best_eval;
         })
   in
-  let statuses = Array.map status_of_outcome outcomes in
   let candidates =
     Array.to_list outcomes |> List.filter_map Parallel.outcome_value
   in
   {
     frontier = pareto_frontier candidates;
-    device_statuses = statuses;
-    devices_lost =
-      Array.fold_left
-        (fun n s -> match s with Item_done -> n | _ -> n + 1)
-        0 statuses;
+    device_outcomes = outcomes;
+    devices_lost = not_done outcomes;
   }
-
-let cost_performance_frontier ?seed ?iterations ?jobs ?engine application
-    catalogue =
-  (cost_performance_frontier_supervised ?seed ?iterations ?jobs ?engine
-     application catalogue)
-    .frontier

@@ -124,18 +124,6 @@ val meets_deadline : App.t -> Searchgraph.eval -> bool
 (** True when the application declares no deadline or the evaluated
     makespan honours it. *)
 
-type item_status =
-  | Item_done                (** completed within its budget *)
-  | Item_timed_out           (** per-item deadline hit; best-so-far kept *)
-  | Item_failed of string    (** raised on every attempt; printed exn *)
-  | Item_skipped             (** global stop pending before it started *)
-(** Per-restart (or per-device) supervision verdict, mirroring
-    {!Repro_util.Parallel.outcome} without the payload. *)
-
-val item_status_name : item_status -> string
-(** ["done"] / ["timed-out"] / ["failed"] / ["skipped"], the strings
-    used in result files. *)
-
 type restarts_report = {
   best_result : result option;
   (** best over surviving restarts; [None] when every restart was
@@ -143,32 +131,40 @@ type restarts_report = {
   restart_costs : (int * float) list;
   (** (restart index, best cost) for each survivor, in index order —
       timed-out restarts contribute their best-so-far *)
-  restart_statuses : item_status array;
-  (** one verdict per restart *)
+  restart_outcomes : result Repro_util.Parallel.outcome array;
+  (** one verdict per restart, in index order, as the pool returned
+      it *)
   degraded : int;
-  (** restarts that did not complete cleanly; [0] means the report
-      equals the unsupervised result *)
+  (** restarts that did not complete cleanly; [0] means every restart
+      is [Done] *)
 }
 
-val explore_restarts_supervised :
+val explore_restarts :
   ?trace:Trace.t -> ?jobs:int -> ?restart_timeout:float ->
   ?should_stop:(unit -> bool) -> ?retries:int -> ?engine:Engine.t ->
   ?restart_checkpoint:(int -> Engine.checkpoint) ->
   ?warm_start:Solution.t ->
   restarts:int -> config -> App.t -> Platform.t -> restarts_report
-(** Supervised multi-start exploration: one raising or overrunning
+(** Run [restarts] independent explorations and keep the best — the
+    usual defense against annealing variance, and the data behind the
+    paper's Fig. 3 averaging.  Supervised: one raising or overrunning
     chain never costs the others their results.  Each restart runs
     under [restart_timeout] wall seconds (cooperatively — the deadline
     is the engine's stop probe, so an over-budget chain flushes and
     yields best-so-far at an iteration boundary), is retried [retries]
-    extra times on failure, and resolves to its own {!item_status}.
-    The report aggregates over survivors; consumers must treat
-    [degraded > 0] as a partial (still deterministic) answer.
+    extra times on failure, and resolves to its own
+    {!Repro_util.Parallel.outcome}.  The report aggregates over
+    survivors; consumers must treat [degraded > 0] as a partial (still
+    deterministic) answer.  Raises [Invalid_argument] when
+    [restarts < 1].
 
     Each chain is one {!explore} call with seed [config.anneal.seed +
     65537 * index], so [engine] (default: the configured annealer)
-    chooses the search as there; chains run in parallel over [jobs]
-    domains, and restart 0 feeds [trace].
+    chooses the search as there; restart 0 feeds [trace].  [jobs]
+    (default 1) runs the chains on that many domains
+    ({!Repro_util.Parallel}); seeds derive from the index and results
+    fold in index order, so the report and the trace are bit-identical
+    for every [jobs].
 
     [restart_checkpoint] makes the supervised run crash-safe: it maps
     a restart index to that chain's {!Engine.checkpoint} (path,
@@ -179,24 +175,6 @@ val explore_restarts_supervised :
     {!read_incumbent}) as its initial solution.  A resumed chain
     ignores it — the warm start is baked into the checkpointed
     state. *)
-
-val explore_restarts :
-  ?trace:Trace.t -> ?jobs:int -> ?engine:Engine.t -> restarts:int ->
-  config -> App.t -> Platform.t -> result * float list
-(** Run [restarts] independent explorations (seeds derived from the
-    configured one) and return the best result together with every
-    run's best cost — the usual defense against annealing variance,
-    and the data behind the paper's Fig. 3 averaging.  The trace, when
-    given, records the run of index 0; prefer single runs for traces.
-
-    [jobs] (default 1) runs the chains on that many domains
-    ({!Repro_util.Parallel}); every chain's seed derives from its index
-    and results are folded in index order, so the best solution, the
-    cost list and the trace are bit-identical for every [jobs].
-
-    Strict wrapper over {!explore_restarts_supervised}: survivors are
-    aggregated silently, but when {e every} restart is lost the first
-    recorded failure surfaces as [Failure]. *)
 
 type frontier_point = {
   platform : Platform.t;
@@ -209,7 +187,7 @@ type frontier_report = {
   frontier : frontier_point list;
   (** Pareto frontier over the devices that completed (or salvaged a
       best-so-far under a timeout) *)
-  device_statuses : item_status array;
+  device_outcomes : frontier_point Repro_util.Parallel.outcome array;
   (** one verdict per catalogue device, in catalogue order *)
   devices_lost : int;
   (** devices that did not complete cleanly; when positive the
@@ -217,25 +195,21 @@ type frontier_report = {
       with those devices excluded a priori *)
 }
 
-val cost_performance_frontier_supervised :
+val cost_performance_frontier :
   ?seed:int -> ?iterations:int -> ?jobs:int -> ?device_timeout:float ->
   ?should_stop:(unit -> bool) -> ?retries:int -> ?engine:Engine.t ->
   App.t -> Platform.t list -> frontier_report
-(** Supervised {!cost_performance_frontier}: each device explores under
-    its own [device_timeout] and failure isolation, and the report
-    labels exactly which devices the frontier covers.  Candidates never
-    interact before the final dominance pass, so the degraded frontier
-    is the exact frontier of the surviving sub-catalogue.  Each device
-    is one {!explore} call on the default configuration with [seed]
-    and [iterations] cooling moves, so [engine] chooses the search as
-    there; every device gets the same seed and budget. *)
-
-val cost_performance_frontier :
-  ?seed:int -> ?iterations:int -> ?jobs:int -> ?engine:Engine.t ->
-  App.t -> Platform.t list -> frontier_point list
 (** Explore the application once per catalogue platform (makespan
     objective) and keep the Pareto-dominant (platform cost, makespan)
     points, sorted by increasing cost — the designer-facing output of
-    the paper's cost-minimization story.  Default budget: 20000
-    iterations per platform; [jobs] explores catalogue devices in
-    parallel with identical output. *)
+    the paper's cost-minimization story.  Each device is one {!explore}
+    call on the default configuration with [seed] and [iterations]
+    cooling moves (default 20000), so [engine] chooses the search as
+    there; every device gets the same seed and budget, and [jobs]
+    explores devices in parallel with identical output.
+
+    Supervised: each device explores under its own [device_timeout]
+    and failure isolation, and the report labels exactly which devices
+    the frontier covers.  Candidates never interact before the final
+    dominance pass, so the degraded frontier is the exact frontier of
+    the surviving sub-catalogue. *)

@@ -4,6 +4,7 @@ module Clock = Repro_util.Clock
 module Fault = Repro_util.Fault
 module Json = Repro_util.Json_lite
 module Log = Repro_util.Log
+module Parallel = Repro_util.Parallel
 module Rng = Repro_util.Rng
 module Explorer = Repro_dse.Explorer
 module Engine = Repro_dse.Engine
@@ -179,7 +180,7 @@ let run_attempt config spool job ~attempts ~stop ~deadline_expired =
         }
       in
       let report =
-        Explorer.explore_restarts_supervised ~jobs:config.jobs
+        Explorer.explore_restarts ~jobs:config.jobs
           ~should_stop:stop ?engine ~restart_checkpoint
           ~restarts:job.Job.restarts explorer_config app platform
       in
@@ -188,8 +189,8 @@ let run_attempt config spool job ~attempts ~stop ~deadline_expired =
       | None -> failwith "all restarts lost"
       | Some best ->
         let statuses =
-          Array.to_list report.Explorer.restart_statuses
-          |> List.map Explorer.item_status_name
+          Array.to_list report.Explorer.restart_outcomes
+          |> List.map Parallel.outcome_name
         in
         let status =
           if deadline_expired () then "timed-out"

@@ -25,7 +25,9 @@ type view = {
   fields : (string * Json.t) list;
 }
 
-let hostname = lazy (try Unix.gethostname () with Unix.Unix_error _ -> "?")
+(* Computed once at module initialisation, never lazily: a [lazy]
+   forced by two domains at once raises [CamlinternalLazy.Undefined]. *)
+let hostname = try Unix.gethostname () with Unix.Unix_error _ -> "?"
 
 (* The nonce wants uniqueness across incarnations, not reproducibility:
    two daemons restarted within the same second on the same pid (fork
@@ -40,7 +42,7 @@ let fresh_id () =
         Atomic.fetch_and_add nonce_counter 1 )
     land 0xffffff
   in
-  Printf.sprintf "%s-%d-%06x" (Lazy.force hostname) (Unix.getpid ()) nonce
+  Printf.sprintf "%s-%d-%06x" hostname (Unix.getpid ()) nonce
 
 let validate_id id =
   let ok_char = function
@@ -110,7 +112,7 @@ let acquire ?id ~dir ~ttl () =
     {
       dir;
       id;
-      host = Lazy.force hostname;
+      host = hostname;
       pid = Unix.getpid ();
       ttl;
       lock = Mutex.create ();
@@ -205,7 +207,7 @@ let alive ~now (v : view) =
   && now -. v.updated < v.ttl
   (* A dead pid on our own host short-circuits the ttl wait: the
      daemon is provably gone, its claims are reclaimable now. *)
-  && (v.host <> Lazy.force hostname || pid_alive v.pid)
+  && (v.host <> hostname || pid_alive v.pid)
 
 (* ---- cross-host death detection: the observation ledger ----------- *)
 

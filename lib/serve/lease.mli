@@ -7,8 +7,7 @@
     {e monotonic sequence number} and a wall-clock [updated] stamp;
     it doubles as the daemon's heartbeat (the caller's status fields
     ride along).  Because each daemon writes only its own file,
-    concurrent daemons never clobber each other — the failure mode of
-    the old shared [daemon.json].
+    concurrent daemons never clobber each other.
 
     Liveness is judged from the file alone: a lease is {e alive} when
     it has not been {!release}d, its [updated] stamp is younger than

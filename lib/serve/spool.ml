@@ -119,7 +119,6 @@ let restart_checkpoint_path t name index =
 (* The claim stamp deliberately does not end in ".json": work/ listings
    must see claimed jobs only, never their sidecars. *)
 let claim_stamp_path t name = Filename.concat t.work_dir (base name ^ ".claim")
-let heartbeat_path t = Filename.concat t.root "daemon.json"
 
 let remove_if_exists path = try Sys.remove path with Sys_error _ -> ()
 
@@ -488,26 +487,3 @@ let fleet_breaker_open ~now t =
        (fun (v : Lease.view) ->
          Json.str_field v.Lease.fields "breaker" = Some "open")
        live
-
-let write_heartbeat t fields =
-  Atomic_io.write_string (heartbeat_path t) (Json.obj fields ^ "\n")
-
-(* The freshest per-daemon lease file wins; the legacy shared
-   [daemon.json] remains readable for pre-fleet producers. *)
-let read_heartbeat t =
-  let freshest =
-    List.fold_left
-      (fun best (_file, view) ->
-        match view with
-        | Error _ -> best
-        | Ok (v : Lease.view) -> (
-          match best with
-          | Some (b : Lease.view) when b.Lease.updated >= v.Lease.updated ->
-            best
-          | _ -> Some v))
-      None
-      (Lease.list ~dir:t.daemons_dir)
-  in
-  match freshest with
-  | Some v -> Ok v.Lease.fields
-  | None -> Result.bind (Atomic_io.read_file (heartbeat_path t)) Json.parse_obj

@@ -10,7 +10,6 @@
     <root>/results/  one result JSON per completed job (same name)
     <root>/failed/   quarantined poison jobs + <base>.reason.json
     <root>/daemons/  one lease/heartbeat file per daemon ({!Lease})
-    <root>/daemon.json  legacy single-daemon heartbeat (read-compat)
     v}
 
     Claim order is priority band first (band 0 = [jobs/] itself, the
@@ -199,16 +198,3 @@ val fleet_breaker_open : now:float -> t -> bool
     ["breaker": "open"].  An empty fleet is healthy (submissions just
     queue); one healthy daemon clears the signal.  [campaign submit]
     backs off (Backoff-paced) while this holds. *)
-
-val heartbeat_path : t -> string
-(** The legacy shared heartbeat path, [<root>/daemon.json]. *)
-
-val write_heartbeat : t -> (string * Repro_util.Json_lite.t) list -> unit
-(** Atomically replace the {e legacy} heartbeat file with one JSON
-    object.  Fleet daemons heartbeat through their {!Lease} instead —
-    concurrent daemons would clobber this shared file. *)
-
-val read_heartbeat :
-  t -> ((string * Repro_util.Json_lite.t) list, string) result
-(** The freshest per-daemon lease file's fields; falls back to the
-    legacy [daemon.json] when no daemon has ever leased here. *)

@@ -1,28 +1,28 @@
 let version = 1
 let magic = "REPRO-CKPT"
 
-(* Table-driven CRC-32 (IEEE 802.3 polynomial, reflected). *)
+(* Table-driven CRC-32 (IEEE 802.3 polynomial, reflected).  The table
+   is built at module initialisation, never lazily: a [lazy] forced by
+   two domains at once raises [CamlinternalLazy.Undefined]. *)
 let crc_table =
-  lazy
-    (Array.init 256 (fun n ->
-         let c = ref (Int32.of_int n) in
-         for _ = 0 to 7 do
-           c :=
-             if Int32.logand !c 1l <> 0l then
-               Int32.logxor 0xEDB88320l (Int32.shift_right_logical !c 1)
-             else Int32.shift_right_logical !c 1
-         done;
-         !c))
+  Array.init 256 (fun n ->
+      let c = ref (Int32.of_int n) in
+      for _ = 0 to 7 do
+        c :=
+          if Int32.logand !c 1l <> 0l then
+            Int32.logxor 0xEDB88320l (Int32.shift_right_logical !c 1)
+          else Int32.shift_right_logical !c 1
+      done;
+      !c)
 
 let crc32 s =
-  let table = Lazy.force crc_table in
   let crc = ref 0xFFFFFFFFl in
   String.iter
     (fun ch ->
       let index =
         Int32.to_int (Int32.logand (Int32.logxor !crc (Int32.of_int (Char.code ch))) 0xFFl)
       in
-      crc := Int32.logxor table.(index) (Int32.shift_right_logical !crc 8))
+      crc := Int32.logxor crc_table.(index) (Int32.shift_right_logical !crc 8))
     s;
   Int32.logxor !crc 0xFFFFFFFFl
 

@@ -3,7 +3,7 @@
     A fault {e plan} is a set of (site, index) points at which an
     {!Injected} exception is raised.  Four sites exist: [Eval] indexes
     the process-wide count of solution evaluations, [Worker] indexes
-    the work items of a [Parallel.map], [Job] indexes the jobs a
+    the items of a [Parallel.map_outcomes] pool, [Job] indexes the jobs a
     [dse-serve] daemon claims — an armed [Job] point crashes the daemon
     mid-queue, the hook the service fault drills use — [Lease]
     indexes a daemon's lease refreshes, so an armed point kills a
@@ -12,10 +12,9 @@
     the repairs an [Fsck.run ~repair:true] pass applies, so an armed
     point crashes the auditor {e mid-repair}, the window the chaos
     drill uses to prove fsck is idempotent under its own crashes.
-    Points marked
-    {e transient}
-    fire exactly once and then heal — the hook [Parallel.map_retry]
-    uses to prove bounded-retry recovery.
+    Points marked {e transient} fire exactly once and then heal — the
+    hook that proves [Parallel.map_outcomes ~retries] absorbs a
+    transient failure.
 
     When nothing is armed the probes cost a single atomic load, so the
     hooks stay in production code paths permanently.  Plans are armed

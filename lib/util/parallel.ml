@@ -8,89 +8,30 @@ let resolve_jobs jobs n =
 (* Work stealing off a shared counter: each domain claims the next
    unclaimed index until the list is drained.  Item [i]'s result lands
    in slot [i], so collection order is item order regardless of which
-   domain ran what.  [item] is the per-index body (already wrapped with
-   fault probes and any retry policy). *)
+   domain ran what.  [item] is the per-index body; it must not raise
+   ([map_outcomes] turns every failure into an outcome), so every
+   domain drains to the end and is joined before [run] returns. *)
 let run ?jobs n item =
-  if n < 0 then invalid_arg "Parallel.map: negative size";
+  if n < 0 then invalid_arg "Parallel.map_outcomes: negative size";
+  let jobs = resolve_jobs jobs n in
   if n = 0 then [||]
   else begin
-    let jobs = resolve_jobs jobs n in
     let results = Array.make n None in
-    if jobs <= 1 then
-      for i = 0 to n - 1 do
-        results.(i) <- Some (item i)
-      done
-    else begin
-      let next = Atomic.make 0 in
-      let failure = Atomic.make None in
-      (* Keep the failure of the lowest-index failing item.  Claims are
-         issued in index order, so every item below a failing one has
-         already started (and will record its own failure if it has
-         one): the minimum over recorded failures is deterministic —
-         the same exception surfaces for every jobs count and every
-         scheduling. *)
-      let record i exn bt =
-        let rec loop () =
-          match Atomic.get failure with
-          | Some (j, _, _) when j <= i -> ()
-          | previous ->
-            if not (Atomic.compare_and_set failure previous (Some (i, exn, bt)))
-            then loop ()
-        in
-        loop ()
-      in
-      let worker () =
-        let rec loop () =
-          let i = Atomic.fetch_and_add next 1 in
-          (* The failure flag also drains the remaining items without
-             running them; drained items always have higher indices
-             than the failure that set the flag. *)
-          if i < n && Atomic.get failure = None then begin
-            (match item i with
-             | value -> results.(i) <- Some value
-             | exception exn ->
-               record i exn (Printexc.get_raw_backtrace ()));
-            loop ()
-          end
-        in
-        loop ()
-      in
-      let team = Array.init (jobs - 1) (fun _ -> Domain.spawn worker) in
-      worker ();
-      Array.iter Domain.join team;
-      match Atomic.get failure with
-      | Some (_, exn, bt) -> Printexc.raise_with_backtrace exn bt
-      | None -> ()
-    end;
+    let next = Atomic.make 0 in
+    let rec worker () =
+      let i = Atomic.fetch_and_add next 1 in
+      if i < n then begin
+        results.(i) <- Some (item i);
+        worker ()
+      end
+    in
+    let team = Array.init (jobs - 1) (fun _ -> Domain.spawn worker) in
+    worker ();
+    Array.iter Domain.join team;
     Array.map
       (function Some v -> v | None -> assert false (* all slots filled *))
       results
   end
-
-let map ?jobs n f =
-  run ?jobs n (fun i ->
-      Fault.check Fault.Worker i;
-      f i)
-
-let map_retry ?jobs ~retries n f =
-  if retries < 0 then invalid_arg "Parallel.map_retry: negative retries";
-  run ?jobs n (fun i ->
-      (* The fault probe sits inside the retried body, so a transient
-         injected fault is absorbed exactly like a real transient
-         failure of the item itself. *)
-      let rec attempt failures =
-        match
-          Fault.check Fault.Worker i;
-          f i
-        with
-        | value -> value
-        | exception exn when failures < retries ->
-          ignore exn;
-          attempt (failures + 1)
-      in
-      attempt 0)
-
-(* ---- supervised mapping ------------------------------------------ *)
 
 type 'a outcome =
   | Done of 'a
@@ -133,7 +74,7 @@ let map_outcomes ?jobs ?(retries = 0) ?backoff ?timeout ?should_stop n body =
         | Some seconds -> Clock.deadline ~seconds
       in
       let stop () = stop_requested () || expired () in
-      let rng = lazy (Rng.create (jitter_seed + i)) in
+      let rng = Rng.create (jitter_seed + i) in
       let rec attempt k =
         match
           Fault.check Fault.Worker i;
@@ -152,7 +93,7 @@ let map_outcomes ?jobs ?(retries = 0) ?backoff ?timeout ?should_stop n body =
             (match backoff with
              | None -> ()
              | Some policy ->
-               Unix.sleepf (Backoff.delay policy (Lazy.force rng) ~attempt:k));
+               Unix.sleepf (Backoff.delay policy rng ~attempt:k));
             attempt (k + 1)
           end
           else
@@ -161,13 +102,6 @@ let map_outcomes ?jobs ?(retries = 0) ?backoff ?timeout ?should_stop n body =
       attempt 0
     end
   in
-  (* [item] catches everything, so the pool's abort path is never taken:
-     one pathological slot cannot cost the others their results. *)
+  (* [item] catches everything, so one pathological slot cannot cost
+     the others their results. *)
   run ?jobs n item
-
-let map_list ?jobs f items =
-  let arr = Array.of_list items in
-  Array.to_list (map ?jobs (Array.length arr) (fun i -> f arr.(i)))
-
-let map_reduce ?jobs n ~map:f ~reduce ~init =
-  Array.fold_left reduce init (map ?jobs n f)

@@ -14,22 +14,6 @@ val default_jobs : unit -> int
 (** [Domain.recommended_domain_count ()] — the machine's useful
     parallelism. *)
 
-val map : ?jobs:int -> int -> (int -> 'a) -> 'a array
-(** [map ~jobs n f] evaluates [f 0 .. f (n-1)] on up to [jobs] domains
-    (default {!default_jobs}; clamped to [n]) and returns the results
-    in index order.  With [jobs <= 1] everything runs sequentially in
-    the calling domain.  If any item raises, the exception of the
-    {e lowest-index} failing item is re-raised after all domains have
-    joined — items are claimed in index order, so that choice is
-    deterministic across jobs counts and schedulings.  Raises
-    [Invalid_argument] when [n < 0] or [jobs < 1]. *)
-
-val map_retry : ?jobs:int -> retries:int -> int -> (int -> 'a) -> 'a array
-(** {!map} where each item is retried up to [retries] extra times when
-    it raises, absorbing transient failures (including transient
-    injected faults); a persistent failure still propagates after the
-    last attempt.  Raises [Invalid_argument] when [retries < 0]. *)
-
 type 'a outcome =
   | Done of 'a                (** completed within its budget *)
   | Failed of { error : string; trace : string; attempts : int }
@@ -52,9 +36,14 @@ val map_outcomes :
   ?jobs:int -> ?retries:int -> ?backoff:Backoff.policy -> ?timeout:float ->
   ?should_stop:(unit -> bool) -> int ->
   (int -> stop:(unit -> bool) -> 'a) -> 'a outcome array
-(** Supervised {!map}: the pool {e never} aborts — each slot resolves
-    to its own {!outcome} and every other item still runs to its own
-    conclusion.
+(** [map_outcomes ~jobs n body] runs [body 0 .. body (n-1)] on up to
+    [jobs] domains (default {!default_jobs}; clamped to [n]; [jobs = 1]
+    runs everything in the calling domain) and returns one {!outcome}
+    per item, in index order.  The pool {e never} aborts: each slot
+    resolves to its own outcome and every other item still runs to its
+    own conclusion; every spawned domain is joined before the call
+    returns.  The [Fault.Worker] probe fires inside each attempt, with
+    the item index as its index.
 
     The body receives [~stop], a cooperative probe combining the
     caller's [should_stop] with the per-item [timeout] (seconds,
@@ -69,16 +58,5 @@ val map_outcomes :
     perturb the body's own index-derived RNG).  An exhausted item is
     [Failed] with the last attempt's printed exception and backtrace.
     Items not yet started when [should_stop] turns true resolve to
-    [Skipped].  Raises [Invalid_argument] on negative [retries] or
-    [timeout]. *)
-
-val map_list : ?jobs:int -> ('a -> 'b) -> 'a list -> 'b list
-(** {!map} over the elements of a list, preserving order. *)
-
-val map_reduce :
-  ?jobs:int -> int -> map:(int -> 'a) -> reduce:('b -> 'a -> 'b) ->
-  init:'b -> 'b
-(** [map_reduce ~jobs n ~map ~reduce ~init] maps in parallel, then
-    folds the results sequentially in index order — the fold order is
-    deterministic, so non-associative reductions (floating-point sums,
-    first-winner selections) behave exactly as in a sequential run. *)
+    [Skipped].  Raises [Invalid_argument] when [n < 0], [jobs < 1], or
+    [retries] or [timeout] is negative. *)

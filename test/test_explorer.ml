@@ -136,11 +136,13 @@ let test_explore_restarts () =
   let app = Md.app () in
   let platform = Md.platform () in
   let config = small_budget ~seed:8 ~iterations:2_000 () in
-  let best, costs = Explorer.explore_restarts ~restarts:4 config app platform in
+  let report = Explorer.explore_restarts ~restarts:4 config app platform in
+  let costs = List.map snd report.Explorer.restart_costs in
   Alcotest.(check int) "one cost per restart" 4 (List.length costs);
+  Alcotest.(check int) "nothing degraded" 0 report.Explorer.degraded;
   Alcotest.(check (float 1e-12)) "best is the minimum"
     (List.fold_left Float.min infinity costs)
-    best.Explorer.best_cost;
+    (Option.get report.Explorer.best_result).Explorer.best_cost;
   Alcotest.check_raises "restarts < 1"
     (Invalid_argument "Explorer.explore_restarts: restarts < 1") (fun () ->
       ignore (Explorer.explore_restarts ~restarts:0 config app platform))
@@ -191,7 +193,9 @@ let test_cost_performance_frontier () =
   let app = Md.app () in
   let catalogue = List.map (fun n -> Md.platform ~n_clb:n ()) [ 200; 800; 5000 ] in
   let frontier =
-    Explorer.cost_performance_frontier ~seed:4 ~iterations:4_000 app catalogue
+    (Explorer.cost_performance_frontier ~seed:4 ~iterations:4_000 app
+       catalogue)
+      .Explorer.frontier
   in
   Alcotest.(check bool) "non-empty" true (frontier <> []);
   (* Sorted by cost and Pareto-consistent: makespan strictly improves
@@ -218,12 +222,12 @@ let test_supervised_restarts_degrade () =
      over the survivors and label the loss. *)
   Fault.arm_point ~site:Fault.Worker ~index:1 ~transient:false;
   let report =
-    Explorer.explore_restarts_supervised ~restarts:3 config app platform
+    Explorer.explore_restarts ~restarts:3 config app platform
   in
   Alcotest.(check int) "one restart degraded" 1 report.Explorer.degraded;
   Alcotest.(check (list string)) "statuses" [ "done"; "failed"; "done" ]
-    (Array.to_list report.Explorer.restart_statuses
-     |> List.map Explorer.item_status_name);
+    (Array.to_list report.Explorer.restart_outcomes
+     |> List.map Repro_util.Parallel.outcome_name);
   Alcotest.(check (list int)) "survivor indices" [ 0; 2 ]
     (List.map fst report.Explorer.restart_costs);
   Fault.disarm ();
@@ -251,24 +255,19 @@ let test_supervised_restarts_all_lost () =
   let platform = Md.platform ~n_clb:2000 () in
   Fault.arm "worker:0, worker:1";
   let report =
-    Explorer.explore_restarts_supervised ~restarts:2
+    Explorer.explore_restarts ~restarts:2
       (small_budget ~seed:5 ~iterations:400 ())
       app platform
   in
   Alcotest.(check bool) "no best" true (report.Explorer.best_result = None);
   Alcotest.(check int) "all degraded" 2 report.Explorer.degraded;
-  (* The strict wrapper surfaces the first failure instead. *)
-  Fault.arm "worker:0, worker:1";
-  match
-    Explorer.explore_restarts ~restarts:2
-      (small_budget ~seed:5 ~iterations:400 ())
-      app platform
-  with
-  | _ -> Alcotest.fail "strict entry point degraded silently"
-  | exception Failure msg ->
-    Alcotest.(check bool) "names the module" true
-      (String.length msg > 25
-       && String.sub msg 0 25 = "Explorer.explore_restarts")
+  Alcotest.(check (list string)) "the injected failure is kept"
+    [ "Fault.Injected(injected fault at worker:0)";
+      "Fault.Injected(injected fault at worker:1)" ]
+    (Array.to_list report.Explorer.restart_outcomes
+     |> List.map (function
+          | Repro_util.Parallel.Failed { error; _ } -> error
+          | outcome -> Repro_util.Parallel.outcome_name outcome))
 
 let test_supervised_frontier_matches_a_priori_exclusion () =
   let module Fault = Repro_util.Fault in
@@ -281,17 +280,17 @@ let test_supervised_frontier_matches_a_priori_exclusion () =
      frontier of the catalogue without that device. *)
   Fault.arm_point ~site:Fault.Worker ~index:1 ~transient:false;
   let report =
-    Explorer.cost_performance_frontier_supervised ~seed:4 ~iterations:2_000
-      app catalogue
+    Explorer.cost_performance_frontier ~seed:4 ~iterations:2_000 app catalogue
   in
   Alcotest.(check int) "one device lost" 1 report.Explorer.devices_lost;
   Alcotest.(check (list string)) "statuses" [ "done"; "failed"; "done" ]
-    (Array.to_list report.Explorer.device_statuses
-     |> List.map Explorer.item_status_name);
+    (Array.to_list report.Explorer.device_outcomes
+     |> List.map Repro_util.Parallel.outcome_name);
   Fault.disarm ();
   let excluded =
-    Explorer.cost_performance_frontier ~seed:4 ~iterations:2_000 app
-      [ device 200; device 5000 ]
+    (Explorer.cost_performance_frontier ~seed:4 ~iterations:2_000 app
+       [ device 200; device 5000 ])
+      .Explorer.frontier
   in
   let shape frontier =
     List.map
@@ -338,7 +337,7 @@ let suite =
       test_cost_performance_frontier;
     Alcotest.test_case "supervised restarts degrade over survivors" `Quick
       test_supervised_restarts_degrade;
-    Alcotest.test_case "all restarts lost: report vs strict" `Quick
+    Alcotest.test_case "all restarts lost, errors kept" `Quick
       test_supervised_restarts_all_lost;
     Alcotest.test_case "degraded frontier = a-priori exclusion" `Quick
       test_supervised_frontier_matches_a_priori_exclusion;

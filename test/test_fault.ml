@@ -1,7 +1,7 @@
 (* Deterministic fault injection: armed faults fire at exactly the
    chosen points, the domain pool survives a worker death (all domains
-   joined, first exception propagated, no deadlock), and map_retry
-   absorbs transient faults. *)
+   joined, the failure confined to its item's outcome, no deadlock),
+   and map_outcomes' retries absorb transient faults. *)
 
 module Fault = Repro_util.Fault
 module Parallel = Repro_util.Parallel
@@ -14,6 +14,29 @@ let with_faults f = Fun.protect ~finally:Fault.disarm f
 let injected site index =
   Fault.Injected (Printf.sprintf "injected fault at %s:%d" site index)
 
+(* One line per item: its value, or how it failed and after how many
+   attempts. *)
+let describe outcomes =
+  Array.to_list
+    (Array.map
+       (function
+         | Parallel.Done v -> string_of_int v
+         | Parallel.Failed { error; attempts; _ } ->
+           Printf.sprintf "failed after %d: %s" attempts error
+         | outcome -> Parallel.outcome_name outcome)
+       outcomes)
+
+let map ?retries ~jobs n f =
+  describe (Parallel.map_outcomes ?retries ~jobs n (fun i ~stop:_ -> f i))
+
+let expect ?(attempts = 1) ~failing n f =
+  List.init n (fun i ->
+      if i = failing then
+        Printf.sprintf "failed after %d: Fault.Injected(injected fault at \
+                        worker:%d)"
+          attempts i
+      else string_of_int (f i))
+
 let test_disarmed_is_silent () =
   Fault.disarm ();
   Alcotest.(check bool) "not armed" false (Fault.armed ());
@@ -24,34 +47,41 @@ let test_disarmed_is_silent () =
 let test_worker_fault_propagates_pool_survives () =
   with_faults @@ fun () ->
   Fault.arm_point ~site:Fault.Worker ~index:5 ~transient:false;
-  Alcotest.check_raises "worker 5 dies" (injected "worker" 5) (fun () ->
-      ignore (Parallel.map ~jobs:4 32 (fun i -> i * i)));
+  let square i = i * i in
+  (* The injected exception propagates into item 5's outcome, and only
+     there: every other item completes. *)
+  Alcotest.(check (list string)) "worker 5 dies alone"
+    (expect ~failing:5 32 square)
+    (map ~jobs:4 32 square);
   (* The pool joined all its domains and is reusable: the next map on
      the healed plan must complete normally — a deadlock here hangs the
      test suite, which is the regression this guards against. *)
   Fault.disarm ();
-  Alcotest.(check (array int)) "pool reusable" (Array.init 32 (fun i -> i * i))
-    (Parallel.map ~jobs:4 32 (fun i -> i * i))
+  Alcotest.(check (list string)) "pool reusable"
+    (List.init 32 (fun i -> string_of_int (square i)))
+    (map ~jobs:4 32 square)
 
 let test_worker_fault_sequential () =
   with_faults @@ fun () ->
   Fault.arm_point ~site:Fault.Worker ~index:2 ~transient:false;
-  Alcotest.check_raises "jobs=1 too" (injected "worker" 2) (fun () ->
-      ignore (Parallel.map ~jobs:1 8 Fun.id))
+  Alcotest.(check (list string)) "jobs=1 too"
+    (expect ~failing:2 8 Fun.id)
+    (map ~jobs:1 8 Fun.id)
 
-let test_map_retry_absorbs_transient () =
+let test_retries_absorb_transient () =
   with_faults @@ fun () ->
   Fault.arm_point ~site:Fault.Worker ~index:3 ~transient:true;
-  let result = Parallel.map_retry ~jobs:4 ~retries:2 16 (fun i -> i + 100) in
-  Alcotest.(check (array int)) "recovered" (Array.init 16 (fun i -> i + 100))
-    result;
+  Alcotest.(check (list string)) "recovered"
+    (List.init 16 (fun i -> string_of_int (i + 100)))
+    (map ~jobs:4 ~retries:2 16 (fun i -> i + 100));
   Alcotest.(check bool) "transient point healed" false (Fault.armed ())
 
-let test_map_retry_exhausts_on_persistent () =
+let test_retries_exhaust_on_persistent () =
   with_faults @@ fun () ->
   Fault.arm_point ~site:Fault.Worker ~index:2 ~transient:false;
-  Alcotest.check_raises "persistent fault wins" (injected "worker" 2)
-    (fun () -> ignore (Parallel.map_retry ~jobs:2 ~retries:3 8 Fun.id))
+  Alcotest.(check (list string)) "persistent fault wins"
+    (expect ~attempts:4 ~failing:2 8 Fun.id)
+    (map ~jobs:2 ~retries:3 8 Fun.id)
 
 let test_eval_site_counts_evaluations () =
   with_faults @@ fun () ->
@@ -94,27 +124,22 @@ let test_spec_parsing () =
   | () -> Alcotest.fail "negative index accepted"
   | exception Invalid_argument _ -> ()
 
-let test_map_retry_attempt_count () =
+let test_retry_attempt_count () =
   (* Exhaustion is exact: a persistently failing item runs retries + 1
-     times, healthy items exactly once. *)
+     times and says so in its outcome; healthy items run exactly
+     once. *)
   let attempts = Array.init 8 (fun _ -> Atomic.make 0) in
   let body i =
     Atomic.incr attempts.(i);
     if i = 2 then failwith "persistent" else i
   in
-  (match Parallel.map_retry ~jobs:2 ~retries:3 8 body with
-   | _ -> Alcotest.fail "persistent failure absorbed"
-   | exception Failure _ -> ());
-  Alcotest.(check int) "failing item ran retries+1 times" 4
-    (Atomic.get attempts.(2));
-  Array.iteri
-    (fun i a ->
-      if i <> 2 then
-        Alcotest.(check bool)
-          (Printf.sprintf "item %d ran at most once" i)
-          true
-          (Atomic.get a <= 1))
-    attempts
+  Alcotest.(check (list string)) "only item 2 fails"
+    (List.init 8 (fun i ->
+         if i = 2 then "failed after 4: Failure(\"persistent\")"
+         else string_of_int i))
+    (map ~jobs:2 ~retries:3 8 body);
+  Alcotest.(check (list int)) "attempts per item" [ 1; 1; 4; 1; 1; 1; 1; 1 ]
+    (Array.to_list (Array.map Atomic.get attempts))
 
 let test_retries_do_not_perturb_rng_streams () =
   with_faults @@ fun () ->
@@ -125,14 +150,26 @@ let test_retries_do_not_perturb_rng_streams () =
     let rng = Repro_util.Rng.create (500 + i) in
     (Repro_util.Rng.float rng 1.0, Repro_util.Rng.int rng 1_000_000)
   in
+  let values outcomes =
+    Array.map
+      (fun o ->
+        match Parallel.outcome_value o with
+        | Some v -> v
+        | None -> Alcotest.fail "a run lost an item")
+      outcomes
+  in
   Fault.disarm ();
-  let clean = Parallel.map ~jobs:4 32 body in
+  let clean =
+    values (Parallel.map_outcomes ~jobs:4 32 (fun i ~stop:_ -> body i))
+  in
   Fault.arm_point ~site:Fault.Worker ~index:3 ~transient:true;
-  let retried = Parallel.map_retry ~jobs:4 ~retries:2 32 body in
-  Alcotest.(check bool) "map_retry bit-identical" true (clean = retried);
-  (* Same contract under the supervised pool with backoff pacing: the
-     jitter draws come from a separate per-index stream, never from the
-     body's. *)
+  let retried =
+    values
+      (Parallel.map_outcomes ~jobs:4 ~retries:2 32 (fun i ~stop:_ -> body i))
+  in
+  Alcotest.(check bool) "retried run bit-identical" true (clean = retried);
+  (* Same contract with backoff pacing: the jitter draws come from a
+     separate per-index stream, never from the body's. *)
   Fault.arm_point ~site:Fault.Worker ~index:7 ~transient:true;
   let policy =
     { Repro_util.Backoff.base = 1e-6; factor = 2.0; max_delay = 1e-5;
@@ -142,15 +179,8 @@ let test_retries_do_not_perturb_rng_streams () =
     Parallel.map_outcomes ~jobs:4 ~retries:2 ~backoff:policy 32
       (fun i ~stop:_ -> body i)
   in
-  let values =
-    Array.map
-      (fun o ->
-        match Parallel.outcome_value o with
-        | Some v -> v
-        | None -> Alcotest.fail "supervised run lost an item")
-      supervised
-  in
-  Alcotest.(check bool) "map_outcomes bit-identical" true (clean = values)
+  Alcotest.(check bool) "backed-off run bit-identical" true
+    (clean = values supervised)
 
 let test_spec_error_fixtures () =
   (* Malformed $REPRO_FAULTS entries produce one-line messages naming
@@ -190,14 +220,15 @@ let test_spec_error_fixtures () =
 
 let test_many_jobs_no_deadlock () =
   with_faults @@ fun () ->
-  (* Several armed points, a wide pool and repeated rounds: every round
-     must terminate with the first failure propagated. *)
+  (* An armed point, a wide pool and repeated rounds: every round must
+     terminate with exactly the armed item failed. *)
   for round = 0 to 3 do
     Fault.disarm ();
     Fault.arm_point ~site:Fault.Worker ~index:(10 + round) ~transient:false;
-    match Parallel.map ~jobs:8 64 Fun.id with
-    | _ -> Alcotest.fail "fault did not fire"
-    | exception Fault.Injected _ -> ()
+    Alcotest.(check (list string))
+      (Printf.sprintf "round %d" round)
+      (expect ~failing:(10 + round) 64 Fun.id)
+      (map ~jobs:8 64 Fun.id)
   done
 
 let suite =
@@ -208,12 +239,12 @@ let suite =
       test_worker_fault_propagates_pool_survives;
     Alcotest.test_case "worker fault at jobs=1" `Quick
       test_worker_fault_sequential;
-    Alcotest.test_case "map_retry absorbs a transient fault" `Quick
-      test_map_retry_absorbs_transient;
-    Alcotest.test_case "map_retry exhausts on persistent fault" `Quick
-      test_map_retry_exhausts_on_persistent;
-    Alcotest.test_case "map_retry attempt count is exact" `Quick
-      test_map_retry_attempt_count;
+    Alcotest.test_case "retries absorb a transient fault" `Quick
+      test_retries_absorb_transient;
+    Alcotest.test_case "persistent fault beats retries" `Quick
+      test_retries_exhaust_on_persistent;
+    Alcotest.test_case "retry attempt count is exact" `Quick
+      test_retry_attempt_count;
     Alcotest.test_case "retries never perturb rng streams" `Quick
       test_retries_do_not_perturb_rng_streams;
     Alcotest.test_case "spec error fixtures" `Quick test_spec_error_fixtures;

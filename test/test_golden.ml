@@ -1,9 +1,9 @@
 (* Golden pins of the historical search streams.  Each case runs one
    entry point on a small fixed input and compares the CRC of the best
    solution's canonical text, the bits of its cost and the run's
-   counters against values recorded before the annealer moved onto the
-   generic engine driver.  Any change to the order of random draws, to
-   the Metropolis decisions or to the warmup/cooling split shows up
+   counters against values recorded before a refactor of the code
+   behind it (see [golden]).  Any change to the order of random draws,
+   to the Metropolis decisions or to the warmup/cooling split shows up
    here as a CRC or counter mismatch. *)
 
 module Md = Repro_workloads.Motion_detection
@@ -12,9 +12,13 @@ module Engine = Repro_dse.Engine
 module Moves = Repro_dse.Moves
 module Solution = Repro_dse.Solution
 module Multi_mode = Repro_dse.Multi_mode
+module Searchgraph = Repro_sched.Searchgraph
+module Platform = Repro_arch.Platform
 module Annealer = Repro_anneal.Annealer
 module Schedule = Repro_anneal.Schedule
 module Checkpoint = Repro_util.Checkpoint
+module Fault = Repro_util.Fault
+module Parallel = Repro_util.Parallel
 module Json = Repro_util.Json_lite
 module Atomic_io = Repro_util.Atomic_io
 module Log = Repro_util.Log
@@ -75,7 +79,7 @@ let explore_architecture () =
 let supervised_restarts () =
   let app, platform = md () in
   let report =
-    Explorer.explore_restarts_supervised ~jobs:2 ~restarts:3
+    Explorer.explore_restarts ~jobs:2 ~restarts:3
       (config ~seed:7 ~iterations:1_500 ~warmup:200 ())
       app platform
   in
@@ -89,6 +93,45 @@ let supervised_restarts () =
      :: List.map
           (fun (i, c) -> Printf.sprintf "%d:%Lx" i (Int64.bits_of_float c))
           report.Explorer.restart_costs)
+
+let degraded_restarts () =
+  Fun.protect ~finally:Fault.disarm @@ fun () ->
+  Fault.arm_point ~site:Fault.Worker ~index:1 ~transient:false;
+  let app, platform = md () in
+  let report =
+    Explorer.explore_restarts ~jobs:2 ~restarts:3
+      (config ~seed:7 ~iterations:1_500 ~warmup:200 ())
+      app platform
+  in
+  let best =
+    match report.Explorer.best_result with
+    | Some r -> Printf.sprintf "%Lx" (Int64.bits_of_float r.Explorer.best_cost)
+    | None -> "lost"
+  in
+  String.concat " "
+    (List.map Parallel.outcome_name
+       (Array.to_list report.Explorer.restart_outcomes)
+     @ List.map (fun (i, _) -> string_of_int i) report.Explorer.restart_costs
+     @ [ best ])
+
+let frontier () =
+  let app = Md.app () in
+  let catalogue =
+    List.map (fun n -> Md.platform ~n_clb:n ()) [ 200; 800; 5000 ]
+  in
+  let report =
+    Explorer.cost_performance_frontier ~seed:4 ~iterations:2_000 ~jobs:2 app
+      catalogue
+  in
+  String.concat " "
+    (List.map
+       (fun (p : Explorer.frontier_point) ->
+         Printf.sprintf "%d:%Lx:%Lx:%d:%b"
+           (Platform.n_clb p.Explorer.platform)
+           (Int64.bits_of_float p.Explorer.cost)
+           (Int64.bits_of_float p.Explorer.eval.Searchgraph.makespan)
+           p.Explorer.eval.Searchgraph.n_contexts p.Explorer.meets)
+       report.Explorer.frontier)
 
 let registered_sa () =
   let app, platform = md () in
@@ -174,7 +217,10 @@ let multi_mode () =
     (Int64.bits_of_float r.Multi_mode.worst_slack_ratio)
     r.Multi_mode.iterations_run
 
-(* Recorded before the annealer became a driven engine. *)
+(* Recorded before the annealer became a driven engine; the degraded
+   restarts and the frontier, before the strict restart and frontier
+   wrappers were folded into their supervised forms (a device dominated
+   by a cheaper, faster one does not appear). *)
 let golden =
   [
     ( "explore default",
@@ -193,6 +239,13 @@ let golden =
       supervised_restarts,
       "4e0a263f 4041898b2d2de6ce 1700 697 960 0:4041898b2d2de6ce \
        1:40465e7fcc0f5f37 2:404417ec6431765d" );
+    ( "restarts with a failing worker",
+      degraded_restarts,
+      "done failed done 0 2 4041898b2d2de6ce" );
+    ( "frontier of three devices",
+      frontier,
+      "200:4028000000000000:404a3f202535868c:3:false \
+       800:4032000000000000:4042bb796ac9dfd2:1:true" );
     ( "registered sa, evaluation budget",
       registered_sa,
       "a41ff50a 403d8b4f926178c7 1800 983 849" );

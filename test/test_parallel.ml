@@ -1,5 +1,5 @@
-(* The domain pool: ordered collection, per-index seeding, exception
-   propagation, and the end-to-end determinism contract of
+(* The domain pool: ordered collection, per-index seeding, per-item
+   outcomes, and the end-to-end determinism contract of
    Explorer.explore_restarts (jobs=1 and jobs=4 must agree bitwise). *)
 
 module Parallel = Repro_util.Parallel
@@ -10,17 +10,27 @@ module Solution = Repro_dse.Solution
 module Trace = Repro_dse.Trace
 module Annealer = Repro_anneal.Annealer
 
+(* Unwrap a pool run in which every item must complete. *)
+let values outcomes =
+  Array.map
+    (function
+      | Parallel.Done v -> v
+      | outcome -> Alcotest.fail ("item " ^ Parallel.outcome_name outcome))
+    outcomes
+
+let map ~jobs n f =
+  values (Parallel.map_outcomes ~jobs n (fun i ~stop:_ -> f i))
+
 let test_map_matches_sequential () =
   let f i = (i * i) + 1 in
   let expected = Array.init 100 f in
-  Alcotest.(check (array int)) "jobs 1" expected (Parallel.map ~jobs:1 100 f);
-  Alcotest.(check (array int)) "jobs 4" expected (Parallel.map ~jobs:4 100 f);
+  Alcotest.(check (array int)) "jobs 1" expected (map ~jobs:1 100 f);
+  Alcotest.(check (array int)) "jobs 4" expected (map ~jobs:4 100 f);
   Alcotest.(check (array int)) "more jobs than items" (Array.init 3 f)
-    (Parallel.map ~jobs:16 3 f)
+    (map ~jobs:16 3 f)
 
 let test_map_empty () =
-  Alcotest.(check (array int)) "empty" [||]
-    (Parallel.map ~jobs:4 0 (fun i -> i))
+  Alcotest.(check (array int)) "empty" [||] (map ~jobs:4 0 (fun i -> i))
 
 let test_per_index_rng () =
   (* Seeds derived from the item index, never from scheduling order. *)
@@ -28,55 +38,13 @@ let test_per_index_rng () =
     let rng = Rng.create (1_000 + i) in
     Rng.float rng 1.0
   in
-  let sequential = Parallel.map ~jobs:1 64 f in
-  let parallel = Parallel.map ~jobs:4 64 f in
+  let sequential = map ~jobs:1 64 f in
+  let parallel = map ~jobs:4 64 f in
   Alcotest.(check (array (float 0.0))) "identical streams" sequential parallel
-
-let test_map_list () =
-  Alcotest.(check (list int)) "ordered" [ 2; 3; 4; 5 ]
-    (Parallel.map_list ~jobs:3 (fun x -> x + 1) [ 1; 2; 3; 4 ])
-
-let test_map_reduce () =
-  Alcotest.(check int) "sum 0..49" 1225
-    (Parallel.map_reduce ~jobs:4 50 ~map:Fun.id ~reduce:( + ) ~init:0)
-
-let test_exception_propagates () =
-  Alcotest.check_raises "worker failure resurfaces" (Failure "boom")
-    (fun () ->
-      ignore (Parallel.map ~jobs:4 32 (fun i -> if i = 17 then failwith "boom" else i)))
 
 let test_invalid_jobs () =
   Alcotest.check_raises "jobs < 1" (Invalid_argument "Parallel: jobs < 1")
-    (fun () -> ignore (Parallel.map ~jobs:0 4 (fun i -> i)))
-
-let test_lowest_index_failure_wins () =
-  (* Two items fail; whatever the scheduling, the re-raised exception
-     is the lowest-index one — items are claimed in index order, so
-     index 9 has always started (and recorded its failure) by the time
-     index 17 runs. *)
-  let f i =
-    if i = 9 then failwith "low" else if i = 17 then failwith "high" else i
-  in
-  for _round = 1 to 20 do
-    Alcotest.check_raises "lowest index deterministically" (Failure "low")
-      (fun () -> ignore (Parallel.map ~jobs:4 32 f))
-  done;
-  Alcotest.check_raises "jobs=1 agrees" (Failure "low") (fun () ->
-      ignore (Parallel.map ~jobs:1 32 f))
-
-let test_lowest_index_with_armed_faults () =
-  let module Fault = Repro_util.Fault in
-  Fun.protect ~finally:Fault.disarm @@ fun () ->
-  (* Same contract with two armed worker faults under jobs=4: the
-     injected exception of index 9 wins over index 17's. *)
-  Fault.arm "worker:9, worker:17";
-  for _round = 1 to 10 do
-    match Parallel.map ~jobs:4 32 Fun.id with
-    | _ -> Alcotest.fail "armed faults did not fire"
-    | exception Fault.Injected msg ->
-      Alcotest.(check string) "lower armed point wins"
-        "injected fault at worker:9" msg
-  done
+    (fun () -> ignore (map ~jobs:0 4 (fun i -> i)))
 
 let test_map_outcomes_classification () =
   let module Fault = Repro_util.Fault in
@@ -173,15 +141,19 @@ let test_restarts_deterministic () =
   let platform = Md.platform ~n_clb:2000 () in
   let run jobs =
     let trace = Trace.create () in
-    let best, costs =
+    let report =
       Explorer.explore_restarts ~trace ~jobs ~restarts:3 (small_config ~seed:5)
         app platform
     in
-    (best, costs, Trace.entries trace)
+    ( Option.get report.Explorer.best_result,
+      report.Explorer.restart_costs,
+      Trace.entries trace )
   in
   let best1, costs1, trace1 = run 1 in
   let best4, costs4, trace4 = run 4 in
-  Alcotest.(check (list (float 0.0))) "per-chain costs identical" costs1 costs4;
+  Alcotest.(check (list (pair int (float 0.0)))) "per-chain costs identical"
+    costs1 costs4;
+  Alcotest.(check int) "every chain survived" 3 (List.length costs1);
   Alcotest.(check (float 0.0)) "winner cost identical"
     best1.Explorer.best_cost best4.Explorer.best_cost;
   Alcotest.(check string) "winning solution identical"
@@ -196,14 +168,7 @@ let suite =
       test_map_matches_sequential;
     Alcotest.test_case "map on empty range" `Quick test_map_empty;
     Alcotest.test_case "per-index rng streams" `Quick test_per_index_rng;
-    Alcotest.test_case "map_list ordered" `Quick test_map_list;
-    Alcotest.test_case "map_reduce" `Quick test_map_reduce;
-    Alcotest.test_case "exception propagates" `Quick test_exception_propagates;
     Alcotest.test_case "invalid jobs rejected" `Quick test_invalid_jobs;
-    Alcotest.test_case "lowest-index failure wins" `Quick
-      test_lowest_index_failure_wins;
-    Alcotest.test_case "lowest-index wins with armed faults" `Quick
-      test_lowest_index_with_armed_faults;
     Alcotest.test_case "map_outcomes isolates a failure" `Quick
       test_map_outcomes_classification;
     Alcotest.test_case "map_outcomes retry absorbs a transient" `Quick
