@@ -43,19 +43,25 @@ let spatial_only =
   }
 
 (* Validate a realized move: keep it when the search graph is acyclic
-   and capacities hold, otherwise undo and report infeasibility. *)
+   and capacities hold, otherwise undo and report infeasibility.  Only
+   the makespan is read, so judging a move builds no evaluation
+   record. *)
 let validated solution undo =
-  match Solution.evaluate solution with
-  | Some _ -> Some undo
-  | None ->
+  if Solution.makespan solution < infinity then Some undo
+  else begin
     undo ();
     None
+  end
+
+let draw_hw_task rng solution =
+  match Solution.hw_count solution with
+  | 0 -> None
+  | count -> Some (Solution.nth_hw_task solution (Rng.int rng count))
 
 let impl_move rng solution =
-  match Solution.hw_tasks solution with
-  | [] -> None
-  | hw ->
-    let v = Rng.choice_list rng hw in
+  match draw_hw_task rng solution with
+  | None -> None
+  | Some v ->
     let task = App.task (Solution.app solution) v in
     let count = Task.impl_count task in
     if count < 2 then None
@@ -217,10 +223,9 @@ let propose_kind rng config solution (kind : Solution.move_kind) =
         let vd = order.(Rng.int rng (Array.length order)) in
         if vs = vd then None else reorder_move solution vs vd)
   | Solution.Ctx_migrate -> (
-    match Solution.hw_tasks solution with
-    | [] -> None
-    | hw ->
-      let vd = Rng.choice_list rng hw in
+    match draw_hw_task rng solution with
+    | None -> None
+    | Some vd ->
       let vs = Rng.int rng (Solution.size solution) in
       if vs = vd then None
       else

@@ -54,6 +54,13 @@ val spatial_only : config
 (** Ablation: no implementation-selection moves, no explicit
     context-creation moves — only m1/m2. *)
 
+val draw_hw_task : Repro_util.Rng.t -> Solution.t -> int option
+(** A hardware task drawn uniformly, [None] (and no draw) when every
+    task runs in software.  Counts and indexes the bindings instead of
+    building {!Solution.hw_tasks}, consuming exactly the [Rng.int]
+    draw of [Rng.choice_list rng (Solution.hw_tasks s)]: the same task,
+    the same generator state. *)
+
 val propose : Repro_util.Rng.t -> config -> Solution.t -> (unit -> unit) option
 (** Draw, realize, and validate one move; [Some undo] on success,
     [None] when the drawn move is infeasible or void (the annealer

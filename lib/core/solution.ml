@@ -90,6 +90,16 @@ let fresh_stats () =
 
 let kind_stats stats kind = stats.by_kind.(kind_index kind)
 
+(* Int-typed list lookups for the move path: the polymorphic [List.mem]
+   and [List.assoc] pay a generic compare per cell. *)
+let rec mem_int (x : int) = function
+  | [] -> false
+  | y :: rest -> x = y || mem_int x rest
+
+let rec assoc_int (x : int) = function
+  | [] -> raise Not_found
+  | (k, v) :: rest -> if x = k then v else assoc_int x rest
+
 (* One entry of the incremental state's delta log.  Every mutation of
    the live search graph, its weights, the slot allocation, the cached
    pair list or the boundary-traffic total is recorded here, so an undo
@@ -127,7 +137,10 @@ type op =
 
    [valid = false] keeps the state alive as a storage donor only (next
    evaluation rebuilds); [desync] flags a move whose sequencing
-   contradicts the application precedences (infeasible until undone). *)
+   contradicts the application precedences (infeasible until undone).
+   The scratch fields ([scratch_tbl], [around]) belong to the one
+   solution that owns this state: restarts anneal on several domains,
+   so nothing here may be shared between solutions. *)
 type incr = {
   sg : Graph.t;
   lp : Longest_path.t;
@@ -145,6 +158,10 @@ type incr = {
      longest-path edge-weight lookup *)
   scratch_tbl : (int, int list) Hashtbl.t;
   (* reused by every context-membership diff — never live across moves *)
+  around : int array;
+  mutable around_stamp : int;
+  (* task -> stamp of the last resync that put it around a disturbed
+     software position: one O(1) test per chain cell *)
   mutable log : op array;
   mutable log_len : int;
   mutable epoch : int;             (* bumped when the log is truncated *)
@@ -166,6 +183,15 @@ let check_deltas =
 let set_check_deltas enabled = check_deltas := enabled
 let check_deltas_enabled () = !check_deltas
 
+(* What the solution knows about its own evaluation.  [Settled m]: the
+   state is feasible with makespan [m], and the O(n+k) evaluation record
+   has not been built — the move path reads only the makespan.
+   [Evaluated None] is an infeasible state. *)
+type cache =
+  | Stale
+  | Settled of float
+  | Evaluated of Searchgraph.eval option
+
 (* assign.(v) = -(p+1) when the task runs in software on processor p
    (so -1 is the primary processor), otherwise the stable id (>= 0) of
    its context.  Stable ids survive context insertions and removals;
@@ -180,7 +206,7 @@ type t = {
   mutable sw : int list array;
   mutable ctxs : (int * int list) list;
   mutable next_ctx : int;
-  mutable cached : Searchgraph.eval option option;
+  mutable cached : cache;
   mutable incr : incr option;
   mutable last_kind : move_kind;
   stats : eval_stats;
@@ -203,7 +229,7 @@ let cap_of t = size t
 (* Retire the incremental state to storage-donor duty: the next
    evaluation rebuilds from scratch (recycling the arrays). *)
 let invalidate t =
-  t.cached <- None;
+  t.cached <- Stale;
   match t.incr with Some inc -> inc.valid <- false | None -> ()
 
 let eval_stats t = t.stats
@@ -227,7 +253,7 @@ let all_software application platform =
     sw;
     ctxs = [];
     next_ctx = 0;
-    cached = None;
+    cached = Stale;
     incr = None;
     last_kind = Init;
     stats = fresh_stats ();
@@ -235,7 +261,9 @@ let all_software application platform =
 
 (* Copies never share the incremental state: it tracks one solution's
    mutations and would be corrupted by a sibling's.  The stats record
-   stays shared so a solution and its snapshots count together. *)
+   stays shared so a solution and its snapshots count together, and the
+   cache is copied as is (a settled copy builds its record from the
+   spec, see [evaluate]). *)
 let copy t =
   {
     t with
@@ -366,6 +394,22 @@ let n_contexts t = List.length t.ctxs
 
 let hw_tasks t =
   List.filter (fun v -> t.assign.(v) >= 0) (List.init (size t) Fun.id)
+
+let hw_count t =
+  let count = ref 0 in
+  Array.iter (fun a -> if a >= 0 then incr count) t.assign;
+  !count
+
+let nth_hw_task t k =
+  if k < 0 then invalid_arg "Solution.nth_hw_task";
+  let n = size t in
+  let rec find v k =
+    if v = n then invalid_arg "Solution.nth_hw_task"
+    else if t.assign.(v) < 0 then find (v + 1) k
+    else if k = 0 then v
+    else find (v + 1) (k - 1)
+  in
+  find 0 k
 
 let task_clbs t v = (Task.impl (App.task t.app v) t.impl.(v)).Task.clbs
 
@@ -504,7 +548,7 @@ let chain_neighbors order targets =
     | [] -> acc
     | v :: rest ->
       let acc =
-        if List.mem v targets then begin
+        if mem_int v targets then begin
           let acc = match prev with Some p -> p :: acc | None -> acc in
           match rest with nx :: _ -> nx :: acc | [] -> acc
         end
@@ -573,7 +617,7 @@ let sym_diff_pairs a b =
    regenerated and the emitted delta asserted against the
    regenerate-and-diff reference. *)
 let native_resync t kind ~rebound ~sw_around ~old_sw ~old_ctxs =
-  t.cached <- None;
+  t.cached <- Stale;
   t.last_kind <- kind;
   match t.incr with
   | None -> ()
@@ -617,7 +661,7 @@ let native_resync t kind ~rebound ~sw_around ~old_sw ~old_ctxs =
               touched := (cid, ms) :: !touched
             | Some old_ms ->
               Hashtbl.remove old_tbl cid;
-              if not (old_ms == ms) && old_ms <> ms then
+              if not (old_ms == ms || List.equal Int.equal old_ms ms) then
                 touched := (cid, ms) :: !touched)
           t.ctxs;
         let freed =
@@ -640,8 +684,11 @@ let native_resync t kind ~rebound ~sw_around ~old_sw ~old_ctxs =
            @ List.map fst freed
            @ adj_endpoints)
     in
-    let in_region cid = List.mem cid region in
-    let around v = List.mem v sw_around in
+    let in_region cid = mem_int cid region in
+    inc.around_stamp <- inc.around_stamp + 1;
+    let stamp = inc.around_stamp in
+    List.iter (fun v -> inc.around.(v) <- stamp) sw_around;
+    let around v = inc.around.(v) = stamp in
     (* 2. Before-pairs, from the snapshots (slots still pre-move). *)
     let before_pairs =
       List.concat_map
@@ -790,8 +837,8 @@ let native_resync t kind ~rebound ~sw_around ~old_sw ~old_ctxs =
       ks.k_edges_edited <- ks.k_edges_edited + !edited
     end
 
-(* Assemble the evaluation from the live state, reading only the
-   canonical nodes (tasks, then live configuration slots in context
+(* Assemble the evaluation record from the live state, reading only
+   the canonical nodes (tasks, then live configuration slots in context
    execution order) so retired slots are invisible.  The folds run in
    the same order as [Searchgraph.evaluate]'s, keeping the result
    bit-identical to a rebuild. *)
@@ -812,15 +859,19 @@ let eval_from_incr t inc =
     t.ctxs;
   let makespan = Array.fold_left Float.max 0.0 finish in
   let initial_reconfig = !initial_reconfig in
-  Some
-    {
-      Searchgraph.makespan;
-      initial_reconfig;
-      dynamic_reconfig = !dynamic_reconfig;
-      comm = Searchgraph.Comm.total inc.comm;
-      n_contexts = k;
-      finish;
-    }
+  {
+    Searchgraph.makespan;
+    initial_reconfig;
+    dynamic_reconfig = !dynamic_reconfig;
+    comm = Searchgraph.Comm.total inc.comm;
+    n_contexts = k;
+    finish;
+  }
+
+(* The makespan straight off the live finish array.  Free slots are
+   isolated nodes of weight 0, so they finish at 0 and leave the
+   maximum over the canonical nodes unchanged. *)
+let settled inc = Settled (Longest_path.makespan inc.lp)
 
 (* Full (re)build: construct the slotted search graph and longest-path
    state directly (contexts take slots 0..k-1), recycling the retired
@@ -889,7 +940,7 @@ let evaluate_full t =
       ~node_weight:(fun v -> weights.(v))
       ~edge_weight:(edge_weight_over ~n ~in_edge comm)
   with
-  | None -> None
+  | None -> Evaluated None
   | Some lp ->
     t.stats.full_evals <- t.stats.full_evals + 1;
     t.stats.full_nodes <- t.stats.full_nodes + n + k;
@@ -915,6 +966,12 @@ let evaluate_full t =
           (match retired with
            | Some inc -> inc.scratch_tbl
            | None -> Hashtbl.create 16);
+        around =
+          (match retired with
+           | Some inc when Array.length inc.around = n -> inc.around
+           | Some _ | None -> Array.make n 0);
+        around_stamp =
+          (match retired with Some inc -> inc.around_stamp | None -> 0);
         log;
         log_len = 0;
         epoch = 0;
@@ -924,7 +981,7 @@ let evaluate_full t =
       }
     in
     t.incr <- Some inc;
-    eval_from_incr t inc
+    settled inc
 
 (* Incremental path: the live graph already realizes the mutated
    structure (resync applied the edge delta and weights eagerly);
@@ -942,29 +999,53 @@ let evaluate_incremental t inc =
   t.stats.incr_evals <- t.stats.incr_evals + 1;
   (kind_stats t.stats t.last_kind).k_incr_evals <-
     (kind_stats t.stats t.last_kind).k_incr_evals + 1;
-  eval_from_incr t inc
+  settled inc
 
-let evaluate t =
-  Repro_util.Fault.tick_eval ();
-  match t.cached with
-  | Some result -> result
-  | None ->
-    let result =
-      match t.incr with
-      | Some inc when inc.valid ->
-        if inc.desync then None
-        else if not (capacity_ok t) then None
-        else evaluate_incremental t inc
-      | Some _ | None ->
-        if not (capacity_ok t) then None else evaluate_full t
-    in
-    t.cached <- Some result;
-    result
+(* Bring the cache up to date — it is never [Stale] afterwards: refresh
+   the live graph's dirty cones (or rebuild it) and read the makespan.
+   This is all a move costs to judge; the evaluation record waits for
+   [evaluate]. *)
+let settle t =
+  (match t.cached with
+   | Stale ->
+     t.cached <-
+       (match t.incr with
+        | Some inc when inc.valid ->
+          if inc.desync || not (capacity_ok t) then Evaluated None
+          else evaluate_incremental t inc
+        | Some _ | None ->
+          if not (capacity_ok t) then Evaluated None else evaluate_full t)
+   | Settled _ | Evaluated _ -> ());
+  t.cached
 
 let makespan t =
-  match evaluate t with
-  | Some eval -> eval.Searchgraph.makespan
-  | None -> infinity
+  Repro_util.Fault.tick_eval ();
+  match settle t with
+  | Settled m -> m
+  | Evaluated (Some e) -> e.Searchgraph.makespan
+  | Evaluated None | Stale -> infinity
+
+(* The record of a settled state, built on demand.  While the live
+   graph still realizes that state (valid, in sync, no dirty cone) it
+   is read off the live arrays.  A copy carries no live graph, and an
+   undo restores the cache but leaves its rolled-back cones dirty:
+   there the record comes from [Searchgraph.evaluate], which is
+   bit-identical and, like the cached record it stands in for, books
+   no evaluation work. *)
+let evaluate t =
+  Repro_util.Fault.tick_eval ();
+  match settle t with
+  | Evaluated result -> result
+  | Stale -> None
+  | Settled _ ->
+    let result =
+      match t.incr with
+      | Some inc when inc.valid && (not inc.desync) && inc.dirty = [] ->
+        Some (eval_from_incr t inc)
+      | Some _ | None -> Searchgraph.evaluate (spec t)
+    in
+    t.cached <- Evaluated result;
+    result
 
 (* --- mutations --- *)
 
@@ -976,13 +1057,13 @@ let set_impl t v k =
     invalid_arg "Solution.set_impl: implementation index out of range";
   if t.impl.(v) <> k then begin
     t.impl.(v) <- k;
-    t.cached <- None;
+    t.cached <- Stale;
     t.last_kind <- Impl;
     match t.incr with
     | Some inc when inc.valid && not inc.desync ->
       set_weight inc v (exec_time_of t v);
       if t.assign.(v) >= 0 then begin
-        let members = List.assoc t.assign.(v) t.ctxs in
+        let members = assoc_int t.assign.(v) t.ctxs in
         set_weight inc
           (size t + Hashtbl.find inc.slot_of t.assign.(v))
           (Platform.reconfiguration_time t.platform (members_clbs t members))
@@ -1005,7 +1086,7 @@ let remove_from_context t v =
       t.ctxs;
   t.assign.(v) <- -1
 
-let insert_before x before list =
+let insert_before x (before : int) list =
   let rec walk = function
     | [] -> [ x ]
     | y :: rest -> if y = before then x :: y :: rest else y :: walk rest
@@ -1047,7 +1128,7 @@ let move_to_sw ?(proc = 0) t ~task ~before =
   (match before with
    | None -> t.sw.(proc) <- t.sw.(proc) @ [ task ]
    | Some anchor ->
-     if not (List.mem anchor t.sw.(proc)) then
+     if not (mem_int anchor t.sw.(proc)) then
        invalid_arg "Solution.move_to_sw: anchor not in that processor's order";
      t.sw.(proc) <- insert_before task anchor t.sw.(proc));
   native_resync t Sw_migrate ~rebound:[ task ] ~sw_around ~old_sw ~old_ctxs
@@ -1280,7 +1361,7 @@ let rec of_mapping ?scratch application platform ~sw_orders ~contexts ~impl =
               sw = Array.of_list sw_orders;
               ctxs = List.mapi (fun j members -> (j, members)) contexts;
               next_ctx = List.length contexts;
-              cached = None;
+              cached = Stale;
               incr = None;
               last_kind = Init;
               stats = fresh_stats ();
@@ -1457,7 +1538,7 @@ let decode ?scratch application platform text =
               sw = Array.of_list sw_orders;
               ctxs = List.mapi (fun j members -> (j, members)) ctx_members;
               next_ctx = k;
-              cached = None;
+              cached = Stale;
               incr = None;
               last_kind = Init;
               stats = fresh_stats ();
@@ -1474,7 +1555,7 @@ let pp fmt t =
   let eval = evaluate t in
   Format.fprintf fmt "@[<v>solution: %d sw / %d hw tasks, %d context(s)@,"
     (Array.fold_left (fun acc order -> acc + List.length order) 0 t.sw)
-    (List.length (hw_tasks t))
+    (hw_count t)
     (n_contexts t);
   (match eval with
    | Some e ->

@@ -81,6 +81,14 @@ val contexts : t -> int list list
 
 val n_contexts : t -> int
 val hw_tasks : t -> int list
+
+val hw_count : t -> int
+(** [List.length (hw_tasks t)], without building the list. *)
+
+val nth_hw_task : t -> int -> int
+(** [nth_hw_task t k] is [List.nth (hw_tasks t) k] without building the
+    list; raises [Invalid_argument] unless [0 <= k < hw_count t]. *)
+
 val context_clbs : t -> int -> int
 (** CLBs used by the context at positional index [j]. *)
 
@@ -88,7 +96,10 @@ val spec : t -> Searchgraph.spec
 
 val evaluate : t -> Searchgraph.eval option
 (** Cached; [None] if the current order is infeasible (cyclic) or a
-    context exceeds the device capacity.
+    context exceeds the device capacity.  The O(n+k) record is built
+    on demand, so a caller that needs only the cost should read
+    {!makespan}; which of the two is read first changes neither the
+    result nor {!eval_stats}.
 
     Evaluation keeps the built search graph and its longest-path state
     alive inside the solution, and the graph is {e dynamic}: both the
@@ -176,7 +187,10 @@ val set_check_deltas : bool -> unit
 val check_deltas_enabled : unit -> bool
 
 val makespan : t -> float
-(** Makespan of a feasible solution; [infinity] when infeasible. *)
+(** Makespan of a feasible solution; [infinity] when infeasible.  Read
+    straight off the live longest-path state, without building the
+    {!evaluate} record: this is what judging a move costs.  Bitwise
+    equal to the record's makespan. *)
 
 val check_invariants : t -> (unit, string) result
 (** Structural invariants: bindings, context membership and capacity,

@@ -73,6 +73,8 @@ type t = {
   finish : float array;
   queue : heap;           (* refresh worklist scratch; empty between *)
   queued : Bitset.t;      (* calls, so reusable without clearing *)
+  fwd : Bitset.t;         (* Pearce–Kelly discovery marks: empty between *)
+  bwd : Bitset.t;         (* insertions, each clears what it marked *)
   mutable touched : int;
 }
 
@@ -95,24 +97,38 @@ let create ?scratch graph ~node_weight ~edge_weight =
   | None -> None
   | Some order ->
     let n = Graph.size graph in
-    let position, finish, queue, queued =
+    let position, finish, queue, queued, fwd, bwd =
       match scratch with
       | Some s when Array.length s.position = n ->
-        (s.position, s.finish, s.queue, s.queued)
+        (s.position, s.finish, s.queue, s.queued, s.fwd, s.bwd)
       | Some _ | None ->
-        (Array.make n 0, Array.make n 0.0, heap_create (), Bitset.create n)
+        ( Array.make n 0, Array.make n 0.0, heap_create (), Bitset.create n,
+          Bitset.create n, Bitset.create n )
     in
     Array.iteri (fun i v -> position.(v) <- i) order;
     let t =
       { graph; node_weight; edge_weight; position; finish; queue; queued;
-        touched = n }
+        fwd; bwd; touched = n }
     in
     recompute_in_order t order;
     Some t
 
 let finish t v = t.finish.(v)
 let finish_array t = t.finish
-let makespan t = Array.fold_left Float.max 0.0 t.finish
+
+(* [Array.fold_left Float.max 0.0 t.finish] without boxing a float per
+   node: this runs on every settled move.  Away from NaNs the
+   accumulator starts at +0 and only grows, so it is never -0 and the
+   strict test is exactly [Float.max]; a NaN on either side goes
+   through [Float.max] itself. *)
+let makespan t =
+  let m = ref 0.0 in
+  for i = 0 to Array.length t.finish - 1 do
+    let x = t.finish.(i) in
+    if x > !m then m := x
+    else if Float.is_nan x || Float.is_nan !m then m := Float.max !m x
+  done;
+  !m
 
 let recompute t =
   (* Rebuild the processing order from positions. *)
@@ -165,7 +181,10 @@ let touched_last_refresh t = t.touched
    otherwise the nodes reaching u from v's position range and the nodes
    reachable from v up to u's position range swap position pools.  The
    two discovery DFSs run before any mutation, so a rejected (cyclic)
-   insertion leaves the state untouched. *)
+   insertion leaves the state untouched.  Their marks live in the two
+   bitsets owned by [t], and each search keeps the list of the nodes it
+   marked: clearing and sorting those costs the search area, not the
+   graph size. *)
 let insert_edge t u v =
   let n = Array.length t.position in
   if u < 0 || u >= n || v < 0 || v >= n then
@@ -178,31 +197,34 @@ let insert_edge t u v =
   end
   else begin
     let lb = t.position.(v) and ub = t.position.(u) in
-    let fwd = Bitset.create n in
-    let cycle = ref false in
+    let fwd = ref [] and cycle = ref false in
     let rec forward w =
       if not !cycle then begin
-        Bitset.add fwd w;
+        Bitset.add t.fwd w;
+        fwd := w :: !fwd;
         List.iter
           (fun x ->
             if x = u then cycle := true
-            else if t.position.(x) < ub && not (Bitset.mem fwd x) then
+            else if t.position.(x) < ub && not (Bitset.mem t.fwd x) then
               forward x)
           (Graph.succs t.graph w)
       end
     in
     forward v;
+    List.iter (Bitset.remove t.fwd) !fwd;
     if !cycle then false
     else begin
-      let bwd = Bitset.create n in
+      let bwd = ref [] in
       let rec backward w =
-        Bitset.add bwd w;
+        Bitset.add t.bwd w;
+        bwd := w :: !bwd;
         List.iter
           (fun x ->
-            if t.position.(x) > lb && not (Bitset.mem bwd x) then backward x)
+            if t.position.(x) > lb && not (Bitset.mem t.bwd x) then backward x)
           (Graph.preds t.graph w)
       in
       backward u;
+      List.iter (Bitset.remove t.bwd) !bwd;
       (* Positions increase along every path, so the forward frontier
          bounded by pos(u) cannot miss a cycle, and the two sets are
          disjoint whenever no cycle was found.  Reassign the merged
@@ -211,7 +233,7 @@ let insert_edge t u v =
       let by_pos l =
         List.sort (fun a b -> Int.compare t.position.(a) t.position.(b)) l
       in
-      let affected = by_pos (Bitset.to_list bwd) @ by_pos (Bitset.to_list fwd) in
+      let affected = by_pos !bwd @ by_pos !fwd in
       let pool =
         List.sort Int.compare (List.map (fun w -> t.position.(w)) affected)
       in

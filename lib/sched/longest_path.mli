@@ -27,15 +27,18 @@ val create :
 (** Builds the state and computes all completion times; [None] when the
     graph is cyclic.  The graph must only be mutated afterwards through
     {!insert_edge} / {!delete_edge}.  [scratch] donates the internal
-    arrays of a retired state of the same size, avoiding reallocation
-    on rebuild-heavy paths (the donor must no longer be used). *)
+    arrays and the insertion marks of a retired state of the same
+    size, avoiding reallocation on rebuild-heavy paths (the donor must
+    no longer be used). *)
 
 val insert_edge : t -> int -> int -> bool
 (** [insert_edge t u v] adds edge [u -> v] to the graph, restoring a
     valid topological order if needed.  Returns [false] — with the
     graph and order left untouched — when the edge would create a
     cycle; returns [true] if the edge was added (or already present).
-    Completion times are {e not} updated: pass [v] to {!refresh}. *)
+    Completion times are {e not} updated: pass [v] to {!refresh}.
+    The cost is that of the search over the reordered region, not of
+    the graph size. *)
 
 val delete_edge : t -> int -> int -> unit
 (** Removes edge [u -> v] (no-op if absent).  The maintained order

@@ -30,16 +30,22 @@ let clear t =
 let check t v =
   if v < 0 || v >= t.size then invalid_arg "Graph: node out of range"
 
+(* Int-typed membership: the polymorphic [List.mem] pays a generic
+   compare per cell, and these lists are scanned on every edge edit. *)
+let rec mem_int (x : int) = function
+  | [] -> false
+  | y :: rest -> x = y || mem_int x rest
+
 let has_edge t src dst =
   check t src;
   check t dst;
-  List.mem dst t.succs.(src)
+  mem_int dst t.succs.(src)
 
 let add_edge t src dst =
   check t src;
   check t dst;
   if src = dst then invalid_arg "Graph.add_edge: self-loop";
-  if not (List.mem dst t.succs.(src)) then begin
+  if not (mem_int dst t.succs.(src)) then begin
     t.succs.(src) <- dst :: t.succs.(src);
     t.preds.(dst) <- src :: t.preds.(dst);
     t.edge_count <- t.edge_count + 1
@@ -48,7 +54,7 @@ let add_edge t src dst =
 let remove_edge t src dst =
   check t src;
   check t dst;
-  if List.mem dst t.succs.(src) then begin
+  if mem_int dst t.succs.(src) then begin
     t.succs.(src) <- List.filter (fun v -> v <> dst) t.succs.(src);
     t.preds.(dst) <- List.filter (fun v -> v <> src) t.preds.(dst);
     t.edge_count <- t.edge_count - 1

@@ -143,6 +143,30 @@ let registered_sa () =
   pin ~best:o.Engine.best ~cost:o.Engine.best_cost
     [ o.Engine.iterations_run; o.Engine.evaluations; o.Engine.accepted ]
 
+(* The benchmark's ~1000-task recipe: 8 layers up to 250 tasks wide,
+   p = 0.015, the first generator seed reaching 1000 tasks, 600-CLB
+   contexts; SA warm-started from the all-software design for 2000
+   moves (a tenth of them warmup, as the registered engine splits). *)
+let layered1k () =
+  let open Repro_taskgraph in
+  let rec find seed =
+    let app =
+      Generators.layered ~name:"layered1k" (Repro_util.Rng.create seed)
+        Generators.default_impl_model ~layers:8 ~width:250
+        ~edge_probability:0.015 ~mean_sw_time:2.0 ~mean_kbytes:8.0
+    in
+    if App.size app >= 1000 then app else find (seed + 1)
+  in
+  let app = find 1 in
+  let platform =
+    Platform.with_rc_size (Repro_workloads.Suite.platform_for app) 600
+  in
+  pin_result
+    (Explorer.explore
+       ~initial:(Solution.all_software app platform)
+       (config ~seed:1 ~iterations:1_800 ~warmup:200 ())
+       app platform)
+
 let daemon_job () =
   let root = Filename.temp_dir "repro_golden" "" in
   Fun.protect
@@ -220,7 +244,9 @@ let multi_mode () =
 (* Recorded before the annealer became a driven engine; the degraded
    restarts and the frontier, before the strict restart and frontier
    wrappers were folded into their supervised forms (a device dominated
-   by a cheaper, faster one does not appear). *)
+   by a cheaper, faster one does not appear); the 1000-task run, before
+   the move path's membership tests, Pearce–Kelly scratch and makespan
+   reads stopped scanning the whole graph. *)
 let golden =
   [
     ( "explore default",
@@ -249,6 +275,9 @@ let golden =
     ( "registered sa, evaluation budget",
       registered_sa,
       "a41ff50a 403d8b4f926178c7 1800 983 849" );
+    ( "sa on the 1000-task layered benchmark graph",
+      layered1k,
+      "f7136908 40a149cb2f7ef31a 2000 862 1121" );
     ( "daemon job without an engine field",
       daemon_job,
       "ec8b08b3 403b6fe1ac965222 700 212 363" );

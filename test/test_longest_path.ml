@@ -310,6 +310,114 @@ let qcheck_dynamic_edges =
         done;
         !ok)
 
+let qcheck_makespan_is_the_fold =
+  (* The unboxed makespan scan against the fold it replaced, bit for
+     bit, with NaNs, signed zeros, infinities and negative weights in
+     the finish times. *)
+  let specials = [| nan; -.nan; -0.0; 0.0; infinity; neg_infinity; -1.5 |] in
+  QCheck.Test.make ~name:"makespan equals the Float.max fold bitwise"
+    ~count:300
+    QCheck.(pair small_int (int_range 1 20))
+    (fun (seed, n) ->
+      let rng = Rng.create (seed + 5) in
+      let g = Graph.create n in
+      for u = 0 to n - 2 do
+        if Rng.bernoulli rng 0.3 then Graph.add_edge g u (u + 1)
+      done;
+      let weights =
+        Array.init n (fun _ ->
+            if Rng.bernoulli rng 0.3 then Rng.choice rng specials
+            else Rng.float rng 10.0)
+      in
+      match
+        Longest_path.create g
+          ~node_weight:(fun v -> weights.(v))
+          ~edge_weight:(fun _ _ -> 0.0)
+      with
+      | None -> false
+      | Some lp ->
+        Int64.bits_of_float (Longest_path.makespan lp)
+        = Int64.bits_of_float
+            (Array.fold_left Float.max 0.0 (Longest_path.finish_array lp)))
+
+(* Reachability in the current graph, by an independent search: the
+   reference for which insertions must be rejected. *)
+let reaches g src dst =
+  let seen = Array.make (Graph.size g) false in
+  let rec visit w =
+    w = dst
+    || (not seen.(w))
+       && begin
+         seen.(w) <- true;
+         List.exists visit (Graph.succs g w)
+       end
+  in
+  visit src
+
+let qcheck_large_dags =
+  (* Benchmark-scale graphs, where the Pearce–Kelly searches cover a
+     small part of the nodes: a search mark left set by one insertion
+     would corrupt a later answer or order.  Half of the insertions
+     point backwards in node order, so many of them close a cycle. *)
+  QCheck.Test.make ~name:"edge edits on large DAGs match a fresh create"
+    ~count:12
+    QCheck.(pair small_int (int_range 200 600))
+    (fun (seed, n) ->
+      let rng = Rng.create (seed + 71) in
+      let g = Graph.create n in
+      for _ = 1 to 3 * n do
+        let u = Rng.int rng n and v = Rng.int rng n in
+        if u < v then Graph.add_edge g u v
+      done;
+      let weights = Array.init n (fun _ -> Rng.float rng 10.0) in
+      let node_weight v = weights.(v) in
+      let edge_weight u v = float_of_int (((u * 7) + (v * 13)) mod 5) in
+      match Longest_path.create g ~node_weight ~edge_weight with
+      | None -> false
+      | Some lp ->
+        let rejected = ref 0 in
+        (* The first divergence ends the case: a wrongly accepted edge
+           closes a cycle, and refreshing a cyclic graph never ends. *)
+        let check ok = if not ok then raise Exit in
+        let check_fresh () =
+          match
+            Longest_path.create (Graph.copy g) ~node_weight ~edge_weight
+          with
+          | None -> check false
+          | Some fresh ->
+            for w = 0 to n - 1 do
+              check (Longest_path.finish fresh w = Longest_path.finish lp w)
+            done
+        in
+        try
+          for _ = 1 to 200 do
+            let u = Rng.int rng n and v = Rng.int rng n in
+            (if Rng.bernoulli rng 0.3 && Graph.succs g u <> [] then begin
+               let w = Rng.choice_list rng (Graph.succs g u) in
+               Longest_path.delete_edge lp u w;
+               Longest_path.refresh lp [ w ]
+             end
+             else begin
+               let expected =
+                 Graph.has_edge g u v || (u <> v && not (reaches g v u))
+               in
+               let before = Array.copy (Longest_path.finish_array lp) in
+               let edges = Graph.edge_count g in
+               let accepted = Longest_path.insert_edge lp u v in
+               check (accepted = expected);
+               if accepted then Longest_path.refresh lp [ v ]
+               else begin
+                 incr rejected;
+                 check
+                   (Graph.edge_count g = edges
+                    && Longest_path.finish_array lp = before)
+               end
+             end);
+            check_fresh ()
+          done;
+          !rejected > 0
+        with Exit -> false)
+
 let suite =
   [
     Alcotest.test_case "create matches reference" `Quick
@@ -324,4 +432,6 @@ let suite =
     QCheck_alcotest.to_alcotest qcheck_multi_dirty;
     QCheck_alcotest.to_alcotest qcheck_repeated_refresh_rounds;
     QCheck_alcotest.to_alcotest qcheck_dynamic_edges;
+    QCheck_alcotest.to_alcotest qcheck_large_dags;
+    QCheck_alcotest.to_alcotest qcheck_makespan_is_the_fold;
   ]

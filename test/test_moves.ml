@@ -61,6 +61,30 @@ let fingerprint s =
           (fun members -> String.concat "," (List.map string_of_int members))
           (Solution.contexts s)))
 
+(* The counting hardware-task draw against the list draw it replaced:
+   the same task, and the generator left in the same state. *)
+let test_hw_draw_matches_choice_list () =
+  List.iter
+    (fun (label, (application, plat)) ->
+      let rng = Rng.create 13 in
+      for _ = 1 to 100 do
+        let s = Solution.random rng application plat in
+        let seed = Rng.int rng 1_000_000 in
+        let by_list = Rng.create seed and by_count = Rng.create seed in
+        let expected =
+          match Solution.hw_tasks s with
+          | [] -> None
+          | hw -> Some (Rng.choice_list by_list hw)
+        in
+        Alcotest.(check (option int))
+          (label ^ ": same task") expected
+          (Moves.draw_hw_task by_count s);
+        Alcotest.(check bool)
+          (label ^ ": same generator state") true
+          (Rng.state by_list = Rng.state by_count)
+      done)
+    [ ("md28", Test_solution.md28 ()); ("g128", Test_solution.g128 ()) ]
+
 let test_feasibility_preserved () =
   let rng = Rng.create 77 in
   let s = Solution.random (Rng.split rng) (app ()) (platform ()) in
@@ -201,4 +225,6 @@ let suite =
     Alcotest.test_case "spatial-only config" `Quick
       test_spatial_only_never_touches_impls;
     QCheck_alcotest.to_alcotest qcheck_random_walk_invariants;
+    Alcotest.test_case "hardware-task draw matches the list draw" `Quick
+      test_hw_draw_matches_choice_list;
   ]

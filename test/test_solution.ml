@@ -449,6 +449,128 @@ let qcheck_paranoid_deltas =
           done;
           !ok))
 
+(* The micro benchmark's 128-task layered recipe (8 layers up to 31
+   wide, p = 0.12, the first generator seed reaching 128 tasks) on
+   600-CLB contexts. *)
+let g128 () =
+  let rec find seed =
+    let application =
+      Generators.layered ~name:"layered128" (Rng.create seed)
+        Generators.default_impl_model ~layers:8 ~width:31
+        ~edge_probability:0.12 ~mean_sw_time:2.0 ~mean_kbytes:8.0
+    in
+    if App.size application >= 128 then application else find (seed + 1)
+  in
+  let application = find 1 in
+  ( application,
+    Platform.with_rc_size (Repro_workloads.Suite.platform_for application) 600
+  )
+
+let md28 () =
+  ( Repro_workloads.Motion_detection.app (),
+    Repro_workloads.Motion_detection.platform ~n_clb:800 () )
+
+let same_bits a b = Int64.bits_of_float a = Int64.bits_of_float b
+
+let same_eval (a : Searchgraph.eval) (b : Searchgraph.eval) =
+  same_bits a.Searchgraph.makespan b.Searchgraph.makespan
+  && same_bits a.Searchgraph.initial_reconfig b.Searchgraph.initial_reconfig
+  && same_bits a.Searchgraph.dynamic_reconfig b.Searchgraph.dynamic_reconfig
+  && same_bits a.Searchgraph.comm b.Searchgraph.comm
+  && a.Searchgraph.n_contexts = b.Searchgraph.n_contexts
+  && Array.length a.Searchgraph.finish = Array.length b.Searchgraph.finish
+  && Array.for_all2 same_bits a.Searchgraph.finish b.Searchgraph.finish
+
+(* A mutation applied directly, so the next read finds the state
+   unsettled; a reorder without the closure check may close a cycle. *)
+let direct_mutation rng s =
+  let n = Solution.size s in
+  match Rng.int rng 3 with
+  | 0 when Solution.n_contexts s >= 2 ->
+    Solution.swap_contexts s ~at:(Rng.int rng (Solution.n_contexts s - 1))
+  | 1 -> (
+    match Solution.sw_order s with
+    | _ :: _ :: _ as order ->
+      let pick () = List.nth order (Rng.int rng (List.length order)) in
+      let task = pick () and before = pick () in
+      Solution.reorder_sw s ~task ~before
+    | _ -> ())
+  | _ ->
+    let v = Rng.int rng n in
+    let count = Task.impl_count (App.task (Solution.app s) v) in
+    Solution.set_impl s v (Rng.int rng count)
+
+(* The makespan read off the live state must carry the same bits as the
+   evaluation record and as a from-scratch evaluation, be infinite
+   exactly on infeasible states, and reading it first must not change
+   the record [evaluate] returns.  Two solutions run the same moves in
+   lockstep: [b] reads the record before the makespan; [a] reads the
+   makespan and, on a coin, the record after it — so an undo often
+   restores a state whose record was never built — and a copy of [a]
+   (which carries no live graph) builds its own. *)
+let test_makespan_path () =
+  List.iter
+    (fun (label, (application, plat), steps) ->
+      let ra = Rng.create 41 and rb = Rng.create 41 and coin = Rng.create 42 in
+      let a = Solution.random (Rng.create 5) application plat in
+      let b = Solution.random (Rng.create 5) application plat in
+      let check what =
+        let eb = Solution.evaluate b in
+        let mb = Solution.makespan b in
+        let m = Solution.makespan a in
+        let copied = Solution.evaluate (Solution.copy a) in
+        let ea =
+          if Rng.bernoulli coin 0.5 then Solution.evaluate a else eb
+        in
+        (* The reference: a from-scratch evaluation, which knows nothing
+           of device capacity, behind the capacity invariant. *)
+        let reference =
+          match Solution.check_invariants a with
+          | Ok () -> Searchgraph.evaluate (Solution.spec a)
+          | Error _ -> None
+        in
+        let ok =
+          match (eb, ea, copied, reference) with
+          | Some y, Some x, Some z, Some r ->
+            m < infinity && same_bits m y.Searchgraph.makespan
+            && same_bits mb m && same_eval x y && same_eval y z
+            && same_eval y r
+          | None, None, None, None -> m = infinity && mb = infinity
+          | _ -> false
+        in
+        if not ok then Alcotest.failf "%s: %s diverged" label what
+      in
+      let infeasible = ref 0 in
+      for _ = 1 to steps do
+        (match
+           ( Repro_dse.Moves.propose ra Repro_dse.Moves.fixed_architecture a,
+             Repro_dse.Moves.propose rb Repro_dse.Moves.fixed_architecture b )
+         with
+         | Some undo_a, Some undo_b ->
+           if Rng.bernoulli coin 0.3 then begin
+             undo_a ();
+             undo_b ()
+           end
+         | None, None -> ()
+         | _ -> Alcotest.failf "%s: lockstep proposals diverged" label);
+        check "after a move";
+        if Rng.bernoulli coin 0.5 then begin
+          let undo_a = Solution.save a and undo_b = Solution.save b in
+          direct_mutation ra a;
+          direct_mutation rb b;
+          check "after a direct mutation";
+          if Solution.makespan a = infinity then incr infeasible;
+          if Solution.makespan a = infinity || Rng.bernoulli coin 0.5 then begin
+            undo_a ();
+            undo_b ();
+            check "after an undo"
+          end
+        end
+      done;
+      if !infeasible = 0 then
+        Alcotest.failf "%s: no infeasible state was visited" label)
+    [ ("md28", md28 (), 300); ("g128", g128 (), 150) ]
+
 let test_replace_platform () =
   let s = Solution.all_software (app ()) (platform ~n_clb:100 ()) in
   Solution.append_context s ~task:3;
@@ -489,4 +611,5 @@ let suite =
       test_native_delta_counters;
     QCheck_alcotest.to_alcotest qcheck_paranoid_deltas;
     Alcotest.test_case "replace platform" `Quick test_replace_platform;
+    Alcotest.test_case "makespan path (md28, g128)" `Quick test_makespan_path;
   ]
