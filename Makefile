@@ -1,4 +1,4 @@
-.PHONY: all build test bench bench-smoke bench-full examples doc clean faultcheck chaoscheck
+.PHONY: all build test bench bench-smoke bench-full bench-compare examples doc clean faultcheck chaoscheck
 
 all: build
 
@@ -22,6 +22,17 @@ bench-smoke:
 # Paper-scale Fig. 3 protocol (100 runs per device size)
 bench-full:
 	BENCH_RUNS=100 dune exec bench/main.exe -- fig3
+
+# Paired perfbench runs of revision OLD against this checkout on
+# seeds 1..PAIRS, judged by `perfbench/run.py compare`
+# (see bench/compare.sh).
+PAIRS ?= 5
+SECONDS ?= 20
+bench-compare:
+	@if [ -z "$(OLD)" ] || [ -z "$(W)" ]; then \
+	  echo "usage: make bench-compare OLD=<rev> W=<workload> [PAIRS=5] [SECONDS=20]"; \
+	  exit 2; fi
+	sh bench/compare.sh $(OLD) $(W) $(PAIRS) $(SECONDS)
 
 examples:
 	dune exec examples/quickstart.exe

@@ -51,35 +51,32 @@ let plan app platform individual =
   in
   let is_hw v = individual.hw.(v) && fits v in
   let contexts = Repro_sched.Clustering.contexts app platform ~is_hw ~impl_choice in
-  (* Positional context of each hardware task. *)
-  let position = Hashtbl.create 32 in
+  (* Positional context of each hardware task, -1 for software: one
+     array read per query on the ranking and ordering paths. *)
+  let position = Array.make (App.size app) (-1) in
   List.iteri
-    (fun j members -> List.iter (fun v -> Hashtbl.add position v j) members)
+    (fun j members -> List.iter (fun v -> position.(v) <- j) members)
     contexts;
-  let binding v =
-    match Hashtbl.find_opt position v with
-    | Some j -> Searchgraph.Hw j
-    | None -> Searchgraph.Sw
+  let bindings =
+    Array.map
+      (fun j -> if j < 0 then Searchgraph.Sw else Searchgraph.Hw j)
+      position
   in
+  let binding v = bindings.(v) in
+  let is_sw v = position.(v) < 0 in
   let time v =
-    match binding v with
-    | Searchgraph.Sw -> (App.task app v).Task.sw_time
-    | Searchgraph.Hw _ | Searchgraph.On_asic _ ->
-      (Task.impl (App.task app v) (impl_choice v)).Task.hw_time
+    if is_sw v then (App.task app v).Task.sw_time
+    else (Task.impl (App.task app v) (impl_choice v)).Task.hw_time
   in
+  (* A transfer costs only across the HW/SW boundary. *)
   let comm u v =
-    match (binding u, binding v) with
-    | Searchgraph.Sw, Searchgraph.Sw -> 0.0
-    | Searchgraph.Sw, _ | _, Searchgraph.Sw ->
+    if is_sw u <> is_sw v then
       Platform.transfer_time platform (App.kbytes app u v)
-    | (Searchgraph.Hw _ | Searchgraph.On_asic _),
-      (Searchgraph.Hw _ | Searchgraph.On_asic _) -> 0.0
+    else 0.0
   in
   let rank = List_sched.upward_rank app ~time ~comm in
   let sw_order =
-    List_sched.sw_order app
-      ~is_sw:(fun v -> binding v = Searchgraph.Sw)
-      ~priority:(fun v -> rank.(v))
+    List_sched.sw_order app ~is_sw ~priority:(fun v -> rank.(v))
   in
   (contexts, sw_order, binding, impl_choice)
 
@@ -151,7 +148,7 @@ let evolve ?progress config (ctx : Engine.context) =
   if config.elite >= config.population then invalid_arg "Ga: elite too big";
   let app = ctx.Engine.app and platform = ctx.Engine.platform in
   let score individual = fitness app platform individual in
-  let by_fitness (fa, _) (fb, _) = compare fa fb in
+  let by_fitness (fa, _) (fb, _) = Float.compare fa fb in
   let final = ref None in
   let previous_best = ref infinity in
   (* The full scored population crosses the checkpoint: one header

@@ -127,13 +127,14 @@ type op =
    Each mutator emits its own exact edge delta from the pair emitters
    of only the chains, contexts and context adjacencies it touched
    (see [native_resync]); the boundary-traffic total [comm] is a
-   pairwise sum tree whose terms are flipped for the edges incident to
-   rebound tasks ([incident] indexes [edges] per task).  [pairs] is a
-   verification artifact only: in [REPRO_CHECK_DELTAS] paranoid mode
-   it caches the sorted packed (u·2n+v) canonical pair list so every
-   move's emitted delta can be asserted against a regenerate-and-diff
-   reference ([pairs_fresh] tracks whether the cache is current —
-   default-mode moves stop maintaining it).
+   pairwise sum tree, one leaf per application edge in {!App.edges}
+   order, whose terms are flipped for the edges incident to rebound
+   tasks ({!App.iter_incident}).  [pairs] is a verification artifact
+   only: in [REPRO_CHECK_DELTAS] paranoid mode it caches the sorted
+   packed (u·2n+v) canonical pair list so every move's emitted delta
+   can be asserted against a regenerate-and-diff reference
+   ([pairs_fresh] tracks whether the cache is current — default-mode
+   moves stop maintaining it).
 
    [valid = false] keeps the state alive as a storage donor only (next
    evaluation rebuilds); [desync] flags a move whose sequencing
@@ -150,12 +151,6 @@ type incr = {
   mutable pairs : int list;
   mutable pairs_fresh : bool;
   comm : Searchgraph.Comm.t;
-  for_app : App.t;                 (* the app [edges]/[incident] index *)
-  edges : App.edge array;          (* App.edges, indexed for [comm] *)
-  incident : int list array;       (* task -> indices into [edges] *)
-  in_edge : (int * int) list array;
-  (* task -> (src, edge index) of its application in-edges: the
-     longest-path edge-weight lookup *)
   scratch_tbl : (int, int list) Hashtbl.t;
   (* reused by every context-membership diff — never live across moves *)
   around : int array;
@@ -298,7 +293,7 @@ let set_weight inc v w =
 
 (* Replay the inverse ops down to [mark].  Re-inserting a deleted edge
    restores a historical (acyclic) graph, so it can never fail. *)
-let rollback inc ~mark =
+let rollback app inc ~mark =
   while inc.log_len > mark do
     inc.log_len <- inc.log_len - 1;
     match inc.log.(inc.log_len) with
@@ -314,7 +309,7 @@ let rollback inc ~mark =
     | Comm_set (i, old) ->
       Searchgraph.Comm.set inc.comm i old;
       (* The term doubles as the longest-path weight of this edge. *)
-      mark_dirty inc inc.edges.(i).App.dst
+      mark_dirty inc (App.edge app i).App.dst
     | Slot_alloc (cid, slot) ->
       Hashtbl.remove inc.slot_of cid;
       inc.free_slots <- slot :: inc.free_slots
@@ -363,7 +358,7 @@ let save t =
      | Some inc, Some (saved, epoch, len)
        when inc == saved && inc.epoch = epoch && inc.log_len >= len
             && inc.valid ->
-       rollback inc ~mark:len;
+       rollback t.app inc ~mark:len;
        inc.desync <- false
      | Some inc, _ -> inc.valid <- false
      | None, _ -> ());
@@ -455,7 +450,7 @@ let crossing_of t u v =
   code t.assign.(u) <> code t.assign.(v)
 
 (* The boundary term of one application edge under this solution's
-   bindings — [Searchgraph.comm_terms] read off the indexed edge array.
+   bindings — one leaf of [Searchgraph.comm_terms].
    The rebuild's [Searchgraph.Comm] tree and the incrementally patched
    one evaluate the identical expression over identical terms, hence
    bitwise-equal totals (resume replay depends on it). *)
@@ -466,18 +461,11 @@ let comm_term_of t { App.src; dst; kbytes } =
 (* Edge weights for the longest path, read off the live boundary-term
    tree: the term of application edge [i] is already the transfer time
    when crossing and 0 otherwise, kept current by the per-move comm
-   patch — so the innermost refresh loop scans a tiny per-task in-edge
-   list instead of hashing an (u, v) key into [App.kbytes] on every
-   predecessor visit.  Sequencing edges never appear in the index and
-   weigh 0. *)
-let edge_weight_over ~n ~in_edge comm =
-  let rec scan u l =
-    match l with
-    | [] -> 0.0
-    | (u', i) :: rest ->
-      if u' = (u : int) then Searchgraph.Comm.get comm i else scan u rest
-  in
-  fun u v -> if u < n && v < n then scan u in_edge.(v) else 0.0
+   patch — so the innermost refresh loop scans the tiny per-task
+   in-edge list of the application index ({!App.edge_weight}) instead
+   of recomputing a transfer time on every predecessor visit.
+   Sequencing edges are not application edges and weigh 0. *)
+let edge_weight_over app comm = App.edge_weight app (Searchgraph.Comm.get comm)
 
 (* The canonical dynamic pair list (Esw ∪ Ehw) the live graph must
    realize for the current solution state, with configuration nodes
@@ -791,7 +779,7 @@ let native_resync t kind ~rebound ~sw_around ~old_sw ~old_ctxs =
          of the same edge set would be cyclic too.  Leave the graph at
          the pre-move state and report infeasible until the move is
          undone. *)
-      rollback inc ~mark;
+      rollback t.app inc ~mark;
       inc.desync <- true
     end
     else begin
@@ -819,16 +807,14 @@ let native_resync t kind ~rebound ~sw_around ~old_sw ~old_ctxs =
         let patched = ref 0 in
         List.iter
           (fun v ->
-            List.iter
-              (fun i ->
-                let term = comm_term_of t inc.edges.(i) in
+            App.iter_incident t.app v (fun i ->
+                let term = comm_term_of t (App.edge t.app i) in
                 let old = Searchgraph.Comm.get inc.comm i in
                 if term <> old then begin
                   log_push inc (Comm_set (i, old));
                   Searchgraph.Comm.set inc.comm i term;
                   incr patched
-                end)
-              inc.incident.(v))
+                end))
           rebound;
         t.stats.comm_patched <- t.stats.comm_patched + !patched;
         ks.k_comm_patched <- ks.k_comm_patched + !patched
@@ -892,28 +878,8 @@ let evaluate_full t =
     | Some _ | None ->
       (Graph.create total, Array.make total 0.0, Hashtbl.create 16, [||], None)
   in
-  (* The edge index and per-task incidence lists are pure functions of
-     the application — share them with the retired state instead of
-     re-walking [App.edges] (which allocates its list afresh) on every
-     rebuild. *)
-  let edges, incident, in_edge =
-    match retired with
-    | Some inc when inc.for_app == t.app ->
-      (inc.edges, inc.incident, inc.in_edge)
-    | Some _ | None ->
-      let edges = Array.of_list (App.edges t.app) in
-      let incident = Array.make n [] in
-      let in_edge = Array.make n [] in
-      for i = Array.length edges - 1 downto 0 do
-        let { App.src; dst; kbytes = _ } = edges.(i) in
-        incident.(src) <- i :: incident.(src);
-        incident.(dst) <- i :: incident.(dst);
-        in_edge.(dst) <- (src, i) :: in_edge.(dst)
-      done;
-      (edges, incident, in_edge)
-  in
-  Array.iter (fun { App.src; dst; kbytes = _ } -> Graph.add_edge g src dst)
-    edges;
+  List.iter (fun { App.src; dst; kbytes = _ } -> Graph.add_edge g src dst)
+    (App.edges t.app);
   let pairs_raw =
     Searchgraph.sequencing_pairs
       ~cfg:(fun j -> n + j)
@@ -934,11 +900,15 @@ let evaluate_full t =
   for s = k to cap_of t - 1 do
     weights.(n + s) <- 0.0
   done;
-  let comm = Searchgraph.Comm.create (Array.map (comm_term_of t) edges) in
+  let comm =
+    Searchgraph.Comm.create
+      (Searchgraph.comm_terms ~platform:t.platform ~app:t.app
+         ~crossing:(crossing_of t))
+  in
   match
     Longest_path.create ?scratch g
       ~node_weight:(fun v -> weights.(v))
-      ~edge_weight:(edge_weight_over ~n ~in_edge comm)
+      ~edge_weight:(edge_weight_over t.app comm)
   with
   | None -> Evaluated None
   | Some lp ->
@@ -958,10 +928,6 @@ let evaluate_full t =
         pairs = (if !check_deltas then pack_pairs t pairs_raw else []);
         pairs_fresh = !check_deltas;
         comm;
-        for_app = t.app;
-        edges;
-        incident;
-        in_edge;
         scratch_tbl =
           (match retired with
            | Some inc -> inc.scratch_tbl

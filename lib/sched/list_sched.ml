@@ -5,18 +5,16 @@ let upward_rank app ~time ~comm =
   let g = app.App.graph in
   let n = App.size app in
   let rank = Array.make n 0.0 in
-  (match Graph.topological_order g with
-   | None -> assert false (* App.make guarantees a DAG *)
-   | Some order ->
-     for i = n - 1 downto 0 do
-       let v = order.(i) in
-       let tail =
-         List.fold_left
-           (fun acc w -> Float.max acc (comm v w +. rank.(w)))
-           0.0 (Graph.succs g v)
-       in
-       rank.(v) <- time v +. tail
-     done);
+  let order = App.topological_order app in
+  for i = n - 1 downto 0 do
+    let v = order.(i) in
+    let tail =
+      List.fold_left
+        (fun acc w -> Float.max acc (comm v w +. rank.(w)))
+        0.0 (Graph.succs g v)
+    in
+    rank.(v) <- time v +. tail
+  done;
   rank
 
 let prioritized_topological_order app ~priority =
@@ -37,7 +35,7 @@ let prioritized_topological_order app ~priority =
         (fun w ->
           indegree.(w) <- indegree.(w) - 1;
           if indegree.(w) = 0 then Pqueue.push ready (-.priority w) w)
-        (List.sort compare (Graph.succs g v));
+        (List.sort Int.compare (Graph.succs g v));
       drain (v :: acc)
   in
   let order = drain [] in

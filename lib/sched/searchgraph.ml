@@ -109,12 +109,10 @@ end
    bindings change) — one implementation, one association, identical
    bits. *)
 let comm_terms ~platform ~app ~crossing =
-  Array.of_list
-    (List.map
-       (fun { App.src; dst; kbytes } ->
-         if crossing src dst then Platform.transfer_time platform kbytes
-         else 0.0)
-       (App.edges app))
+  Array.init (App.edge_count app) (fun i ->
+      let { App.src; dst; kbytes } = App.edge app i in
+      if crossing src dst then Platform.transfer_time platform kbytes
+      else 0.0)
 
 let comm_cost spec =
   Comm.total

@@ -1,14 +1,44 @@
 type edge = { src : int; dst : int; kbytes : float }
 
+(* The application's derived structure, computed once by [make]: the
+   rebuild evaluators read it on every evaluation.  The per-task lists
+   are int slices of flat arrays: task [v]'s in-edges occupy slots
+   [in_start.(v) .. in_start.(v+1) - 1] of [in_src]/[in_edge], its
+   incident edges likewise in [inc_edge].  Int arrays hold no
+   pointers, so building them costs the collector nothing beyond the
+   arrays themselves, and a scan reads contiguous words. *)
+type index = {
+  edges : edge array;
+  (* in [Graph.edges] order: source ascending, then the source's
+     successor list, most recently added first *)
+  edge_list : edge list;           (* [edges] as a list *)
+  in_start : int array;
+  in_src : int array;              (* slot -> source of the in-edge *)
+  in_edge : int array;             (* slot -> its index in [edges] *)
+  inc_start : int array;
+  inc_edge : int array;            (* slot -> edge index, ascending per task *)
+  topo : int array;
+}
+
 type t = {
   name : string;
   tasks : Task.t array;
   graph : Graph.t;
-  edge_data : (int * int, float) Hashtbl.t;
+  index : index;
   deadline : float option;
 }
 
-let make ~name ?deadline ~tasks ~edges () =
+(* [starts counts] is the slice table of per-task [counts]: task [v]
+   owns slots [starts.(v) .. starts.(v+1) - 1]. *)
+let starts counts =
+  let n = Array.length counts in
+  let s = Array.make (n + 1) 0 in
+  for v = 0 to n - 1 do
+    s.(v + 1) <- s.(v) + counts.(v)
+  done;
+  s
+
+let make ~name ?deadline ~tasks ~edges:input () =
   let tasks = Array.of_list tasks in
   let n = Array.length tasks in
   Array.iteri
@@ -22,20 +52,66 @@ let make ~name ?deadline ~tasks ~edges () =
    | Some d when d <= 0.0 -> invalid_arg "App.make: non-positive deadline"
    | Some _ | None -> ());
   let graph = Graph.create n in
-  let edge_data = Hashtbl.create (2 * List.length edges) in
+  let out_degree = Array.make n 0 and in_degree = Array.make n 0 in
   List.iter
     (fun { src; dst; kbytes } ->
       if src < 0 || src >= n || dst < 0 || dst >= n then
         invalid_arg "App.make: edge endpoint out of range";
       if kbytes < 0.0 then invalid_arg "App.make: negative data amount";
-      if Hashtbl.mem edge_data (src, dst) then
-        invalid_arg "App.make: duplicate edge";
+      let before = Graph.edge_count graph in
       Graph.add_edge graph src dst;
-      Hashtbl.add edge_data (src, dst) kbytes)
+      if Graph.edge_count graph = before then
+        invalid_arg "App.make: duplicate edge";
+      out_degree.(src) <- out_degree.(src) + 1;
+      in_degree.(dst) <- in_degree.(dst) + 1)
+    input;
+  let topo =
+    match Graph.topological_order graph with
+    | Some order -> order
+    | None -> invalid_arg "App.make: precedence graph has a cycle"
+  in
+  let m = Graph.edge_count graph in
+  (* [Graph.add_edge] conses each new successor in front, so
+     [Graph.edges] lists a source's edges latest input first: fill each
+     source's slice from its end. *)
+  let edges = match input with [] -> [||] | e :: _ -> Array.make m e in
+  let out_end = Array.sub (starts out_degree) 1 n in
+  List.iter
+    (fun ({ src; _ } as e) ->
+      out_end.(src) <- out_end.(src) - 1;
+      edges.(out_end.(src)) <- e)
+    input;
+  let in_start = starts in_degree in
+  let inc_start = starts (Array.map2 ( + ) in_degree out_degree) in
+  let in_src = Array.make m 0 and in_edge = Array.make m 0 in
+  let inc_edge = Array.make (2 * m) 0 in
+  let in_next = Array.sub in_start 0 n and inc_next = Array.sub inc_start 0 n in
+  let add_incident v i =
+    inc_edge.(inc_next.(v)) <- i;
+    inc_next.(v) <- inc_next.(v) + 1
+  in
+  Array.iteri
+    (fun i { src; dst; kbytes = _ } ->
+      let k = in_next.(dst) in
+      in_src.(k) <- src;
+      in_edge.(k) <- i;
+      in_next.(dst) <- k + 1;
+      add_incident src i;
+      add_incident dst i)
     edges;
-  if not (Graph.is_dag graph) then
-    invalid_arg "App.make: precedence graph has a cycle";
-  { name; tasks; graph; edge_data; deadline }
+  let index =
+    {
+      edges;
+      edge_list = Array.to_list edges;
+      in_start;
+      in_src;
+      in_edge;
+      inc_start;
+      inc_edge;
+      topo;
+    }
+  in
+  { name; tasks; graph; index; deadline }
 
 let size t = Array.length t.tasks
 
@@ -43,20 +119,42 @@ let task t i =
   if i < 0 || i >= size t then invalid_arg "App.task: index out of range";
   t.tasks.(i)
 
+let edge_count t = Array.length t.index.edges
+let edge t i = t.index.edges.(i)
+
+let iter_incident t v f =
+  let ix = t.index in
+  for k = ix.inc_start.(v) to ix.inc_start.(v + 1) - 1 do
+    f ix.inc_edge.(k)
+  done
+
+(* Index of the edge [src -> dst], -1 if absent: an int scan of
+   [dst]'s in-edge slice, since a task has a handful of predecessors
+   and hashing a boxed (src, dst) key costs more. *)
+let in_edge_index ix src dst =
+  let rec scan k stop =
+    if k = stop then -1
+    else if ix.in_src.(k) = src then ix.in_edge.(k)
+    else scan (k + 1) stop
+  in
+  scan ix.in_start.(dst) ix.in_start.(dst + 1)
+
+let edge_weight t w =
+  let n = size t and ix = t.index in
+  fun src dst ->
+    if src >= n || dst < 0 || dst >= n then 0.0
+    else
+      let i = in_edge_index ix src dst in
+      if i < 0 then 0.0 else w i
+
 let kbytes t src dst =
-  match Hashtbl.find_opt t.edge_data (src, dst) with
-  | Some q -> q
-  | None -> 0.0
+  if dst < 0 || dst >= size t then 0.0
+  else
+    let i = in_edge_index t.index src dst in
+    if i < 0 then 0.0 else t.index.edges.(i).kbytes
 
-let edges t =
-  List.map
-    (fun (src, dst) -> { src; dst; kbytes = kbytes t src dst })
-    (Graph.edges t.graph)
-
-let topological_order t =
-  match Graph.topological_order t.graph with
-  | Some order -> order
-  | None -> assert false (* acyclicity established at construction *)
+let edges t = t.index.edge_list
+let topological_order t = Array.copy t.index.topo
 
 let total_sw_time t =
   Array.fold_left (fun acc (task : Task.t) -> acc +. task.Task.sw_time) 0.0 t.tasks
@@ -93,12 +191,15 @@ let validate t =
       if Array.length task.Task.impls = 0 then
         note (Printf.sprintf "task %d: no implementation" i))
     t.tasks;
-  Hashtbl.iter
-    (fun (src, dst) q ->
+  Array.iter
+    (fun { src; dst; kbytes } ->
       if not (Graph.has_edge t.graph src dst) then
         note (Printf.sprintf "edge data (%d,%d) without graph edge" src dst);
-      if q < 0.0 then note (Printf.sprintf "edge (%d,%d): negative data" src dst))
-    t.edge_data;
+      if kbytes < 0.0 then
+        note (Printf.sprintf "edge (%d,%d): negative data" src dst))
+    t.index.edges;
+  if Array.length t.index.edges <> Graph.edge_count t.graph then
+    note "edge index size mismatch";
   if not (Graph.is_dag t.graph) then note "graph has a cycle";
   if n > 0 && Graph.size t.graph <> n then note "graph size mismatch";
   match !problems with

@@ -8,11 +8,17 @@ type edge = {
   kbytes : float;  (** data transferred along the edge, kilobytes *)
 }
 
+type index
+(** The structure derived from the precedence graph once, at
+    construction: the indexed edge array, per-task in-edges and
+    incident edges, and the topological order.  Read it through the
+    accessors below. *)
+
 type t = private {
   name : string;
   tasks : Task.t array;
   graph : Graph.t;                   (** precedence structure *)
-  edge_data : (int * int, float) Hashtbl.t;  (** (src,dst) -> kbytes *)
+  index : index;
   deadline : float option;           (** performance constraint, ms *)
 }
 
@@ -27,10 +33,35 @@ val make :
 val size : t -> int
 val task : t -> int -> Task.t
 val kbytes : t -> int -> int -> float
-(** Data carried by an edge; 0 when the edge does not exist. *)
+(** Data carried by an edge; 0 when the edge does not exist (including
+    out-of-range endpoints). *)
 
 val edges : t -> edge list
+(** Every edge with its data, in {!Graph.edges} order of [graph]:
+    source ascending, then that source's successor list.  The list is
+    built once; the order is the leaf order of the communication sum
+    tree ({!Repro_sched.Searchgraph.comm_terms}), so it is part of the
+    bit-identity contract of every evaluator. *)
+
+val edge_count : t -> int
+
+val edge : t -> int -> edge
+(** [edge t i] is the [i]-th element of [edges t]. *)
+
+val edge_weight : t -> (int -> float) -> int -> int -> float
+(** [edge_weight t w] is the edge-weight function that gives [w i] for
+    the application edge [src -> dst] of index [i] in [edges], and 0
+    for any other pair (a non-edge, or a node beyond the tasks, such as
+    a configuration node of a search graph).  Apply it to [t] and [w]
+    once: the function returned scans [dst]'s in-edges directly. *)
+
+val iter_incident : t -> int -> (int -> unit) -> unit
+(** [iter_incident t v f] applies [f] to the index in [edges] of each
+    edge entering or leaving task [v], in increasing order. *)
+
 val topological_order : t -> int array
+(** {!Graph.topological_order} of [graph], computed once by {!make};
+    each call returns a fresh copy. *)
 
 val total_sw_time : t -> float
 (** Execution time of the all-software solution (tasks are sequential

@@ -147,6 +147,59 @@ let test_greedy_fraction () =
   in
   Alcotest.(check (list int)) "two heaviest in hw" [ 1; 2 ] hw_tasks
 
+let md28 () = (Md.app (), Md.platform ~n_clb:2000 ())
+
+(* The GA's fitness (a one-shot Searchgraph rebuild through the
+   application index) against the independent paths: the decoded spec's
+   own [Searchgraph.evaluate], and the same realization built as a
+   Solution (slotted live graph, dynamic longest path) and checked by
+   [Validate].  Each chromosome draws its own hardware density, so
+   sparse partitions — the ones that decode to an acyclic graph — are
+   well represented. *)
+let ga_differential ~explore_impls input () =
+  let module Rng = Repro_util.Rng in
+  let module Solution = Repro_dse.Solution in
+  let app, platform = input () in
+  let n = App.size app in
+  let rng = Rng.create 11 in
+  let feasible = ref 0 in
+  for k = 1 to 200 do
+    let density = Rng.float rng 1.0 in
+    let individual =
+      {
+        Ga.hw = Array.init n (fun _ -> Rng.bernoulli rng density);
+        impl =
+          Array.init n (fun v ->
+              if explore_impls then
+                Rng.int rng (Task.impl_count (App.task app v))
+              else 0);
+      }
+    in
+    let fitness = Ga.fitness app platform individual in
+    let label what = Printf.sprintf "chromosome %d: %s" k what in
+    match Searchgraph.evaluate (Ga.decode app platform individual) with
+    | None ->
+      Alcotest.(check bool) (label "infeasible scores infinity") true
+        (fitness = infinity)
+    | Some eval -> (
+      incr feasible;
+      let bits = Int64.bits_of_float in
+      Alcotest.(check int64) (label "fitness is the makespan")
+        (bits eval.Searchgraph.makespan) (bits fitness);
+      match Ga.solution_of app platform individual with
+      | Error msg -> Alcotest.fail (label msg)
+      | Ok s ->
+        Alcotest.(check int64) (label "Solution agrees") (bits fitness)
+          (bits (Solution.makespan s));
+        (match Repro_sched.Validate.evaluated (Solution.spec s) with
+         | Ok () -> ()
+         | Error problems ->
+           Alcotest.fail (label (String.concat "; " problems))))
+  done;
+  Alcotest.(check bool)
+    (Printf.sprintf "enough feasible chromosomes (%d)" !feasible)
+    true (!feasible >= 20)
+
 let test_greedy_run () =
   let app = app () in
   let result = Greedy.run app (platform ()) in
@@ -279,6 +332,15 @@ let suite =
     Alcotest.test_case "ga improves" `Quick test_ga_improves;
     Alcotest.test_case "ga spatial only" `Quick test_ga_spatial_only;
     Alcotest.test_case "ga on motion detection" `Slow test_ga_on_motion_detection;
+    Alcotest.test_case "ga fitness vs independent paths, md28" `Quick
+      (ga_differential ~explore_impls:true md28);
+    Alcotest.test_case "ga-spatial fitness vs independent paths, md28" `Quick
+      (ga_differential ~explore_impls:false md28);
+    Alcotest.test_case "ga fitness vs independent paths, 132 tasks" `Quick
+      (ga_differential ~explore_impls:true Test_golden.layered128);
+    Alcotest.test_case "ga-spatial fitness vs independent paths, 132 tasks"
+      `Quick
+      (ga_differential ~explore_impls:false Test_golden.layered128);
     Alcotest.test_case "greedy fraction" `Quick test_greedy_fraction;
     Alcotest.test_case "greedy run" `Quick test_greedy_run;
     Alcotest.test_case "random search" `Quick test_random_search;

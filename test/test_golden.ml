@@ -167,6 +167,44 @@ let layered1k () =
        (config ~seed:1 ~iterations:1_800 ~warmup:200 ())
        app platform)
 
+(* A registered GA engine through the generic driver, 3 generations. *)
+let registered_ga name app platform =
+  Repro_baseline.Engines.register_all ();
+  let engine =
+    match Repro_dse.Engine_registry.find name with
+    | Ok e -> e
+    | Error msg -> Alcotest.fail msg
+  in
+  let o =
+    Engine.run engine (Engine.context ~app ~platform ~seed:1 ~iterations:3 ())
+  in
+  pin ~best:o.Engine.best ~cost:o.Engine.best_cost
+    [ o.Engine.evaluations; o.Engine.iterations_run ]
+
+(* The benchmark's 132-task recipe: 8 layers up to 31 tasks wide,
+   p = 0.12, the first generator seed reaching 128 tasks, 600-CLB
+   contexts. *)
+let layered128 () =
+  let open Repro_taskgraph in
+  let rec find seed =
+    let app =
+      Generators.layered ~name:"layered128" (Repro_util.Rng.create seed)
+        Generators.default_impl_model ~layers:8 ~width:31
+        ~edge_probability:0.12 ~mean_sw_time:2.0 ~mean_kbytes:8.0
+    in
+    if App.size app >= 128 then app else find (seed + 1)
+  in
+  let app = find 1 in
+  (app, Platform.with_rc_size (Repro_workloads.Suite.platform_for app) 600)
+
+let ga132 () =
+  let app, platform = layered128 () in
+  registered_ga "ga" app platform
+
+let ga_spatial_md28 () =
+  let app, platform = md () in
+  registered_ga "ga-spatial" app platform
+
 let daemon_job () =
   let root = Filename.temp_dir "repro_golden" "" in
   Fun.protect
@@ -246,7 +284,9 @@ let multi_mode () =
    wrappers were folded into their supervised forms (a device dominated
    by a cheaper, faster one does not appear); the 1000-task run, before
    the move path's membership tests, Pearce–Kelly scratch and makespan
-   reads stopped scanning the whole graph. *)
+   reads stopped scanning the whole graph; the two GA streams, before
+   the application indexed its edges and topological order once at
+   construction. *)
 let golden =
   [
     ( "explore default",
@@ -281,6 +321,12 @@ let golden =
     ( "daemon job without an engine field",
       daemon_job,
       "ec8b08b3 403b6fe1ac965222 700 212 363" );
+    ( "registered ga on the 132-task layered benchmark graph",
+      ga132,
+      "1dcbd260 40667c661c0da1a4 1195 3" );
+    ( "registered ga-spatial on motion detection",
+      ga_spatial_md28,
+      "b4d50a54 403e898cff3659cb 1195 3" );
     ( "multi-mode explore",
       multi_mode,
       "11111 1,1,1,1,0 3fe1cccccccccccd 2200" );

@@ -107,6 +107,166 @@ let test_topological_order () =
   Alcotest.(check (array int)) "chain order" [| 0; 1; 2 |]
     (App.topological_order app)
 
+(* --- the application index ---
+
+   [App.make] derives the edge array, the per-task in-edge and
+   incidence lists and the topological order once.  The reference
+   definitions below are the direct ones: [Graph.edges] order with the
+   data of the edge list handed to [App.make], a hashed (src, dst)
+   lookup, Kahn's order from the graph. *)
+
+(* The same tasks and edge set, the edges handed over in a shuffled
+   order and each with its own data amount, so a misplaced edge shows
+   up as wrong data. *)
+let remade rng app =
+  let input = Array.of_list (App.edges app) in
+  Repro_util.Rng.shuffle_in_place rng input;
+  let input =
+    List.mapi
+      (fun i (e : App.edge) ->
+        { e with App.kbytes = 0.5 *. float_of_int (i + 1) })
+      (Array.to_list input)
+  in
+  ( App.make ~name:app.App.name ~tasks:(Array.to_list app.App.tasks)
+      ~edges:input (),
+    input )
+
+let bits = Int64.bits_of_float
+
+let check_index label app input =
+  let n = App.size app in
+  let check_true what = Alcotest.(check bool) (label ^ ": " ^ what) true in
+  let data = Hashtbl.create 64 in
+  List.iter
+    (fun { App.src; dst; kbytes } -> Hashtbl.replace data (src, dst) kbytes)
+    input;
+  let reference =
+    List.map
+      (fun (src, dst) ->
+        { App.src; dst; kbytes = Hashtbl.find data (src, dst) })
+      (Graph.edges app.App.graph)
+  in
+  check_true "edges in Graph.edges order" (App.edges app = reference);
+  Alcotest.(check int) (label ^ ": edge count") (List.length input)
+    (App.edge_count app);
+  List.iteri (fun i e -> check_true "edge i" (App.edge app i = e)) reference;
+  (* Every ordered pair, one step out of range on each side included,
+     then the extremes: the data or 0.0, never an exception. *)
+  (* Every ordered pair, one step out of range on each side included,
+     then the extremes: the data or 0.0, never an exception; the edge
+     weight of edge [i] is [i + 1] here, 0 off the edges. *)
+  let position_of = Hashtbl.create 64 in
+  List.iteri
+    (fun i { App.src; dst; kbytes = _ } ->
+      Hashtbl.replace position_of (src, dst) i)
+    reference;
+  let weight = App.edge_weight app (fun i -> float_of_int (i + 1)) in
+  let check_pair u v =
+    let expected = Option.value ~default:0.0 (Hashtbl.find_opt data (u, v)) in
+    if bits (App.kbytes app u v) <> bits expected then
+      Alcotest.failf "%s: kbytes %d %d = %g, expected %g" label u v
+        (App.kbytes app u v) expected;
+    let expected =
+      match Hashtbl.find_opt position_of (u, v) with
+      | Some i -> float_of_int (i + 1)
+      | None -> 0.0
+    in
+    if weight u v <> expected then
+      Alcotest.failf "%s: edge_weight %d %d = %g, expected %g" label u v
+        (weight u v) expected
+  in
+  for u = -1 to n do
+    for v = -1 to n do
+      check_pair u v
+    done
+  done;
+  List.iter
+    (fun (u, v) -> check_pair u v)
+    [ (min_int, 0); (0, min_int); (max_int, 0); (0, max_int) ];
+  for v = 0 to n - 1 do
+    let around = ref [] in
+    List.iteri
+      (fun i { App.src; dst; kbytes = _ } ->
+        if src = v || dst = v then around := i :: !around)
+      reference;
+    let incident = ref [] in
+    App.iter_incident app v (fun i -> incident := i :: !incident);
+    Alcotest.(check (list int)) (label ^ ": incident") !around !incident
+  done;
+  let order = App.topological_order app in
+  Alcotest.(check (option (array int))) (label ^ ": Kahn's order")
+    (Graph.topological_order app.App.graph) (Some order);
+  let position = Array.make n (-1) in
+  Array.iteri (fun i v -> position.(v) <- i) order;
+  check_true "a permutation" (Array.for_all (fun p -> p >= 0) position);
+  List.iter
+    (fun { App.src; dst; kbytes = _ } ->
+      if position.(src) >= position.(dst) then
+        Alcotest.failf "%s: edge %d -> %d against the order" label src dst)
+    reference;
+  let kept = Array.copy order in
+  Array.fill order 0 n 0;
+  Alcotest.(check (array int)) (label ^ ": copies are private") kept
+    (App.topological_order app);
+  check_true "validates" (App.validate app = Ok ())
+
+let test_index_layered () =
+  List.iter
+    (fun (layers, width, edge_probability, seed) ->
+      let app =
+        Generators.layered (Repro_util.Rng.create seed)
+          Generators.default_impl_model ~layers ~width ~edge_probability
+          ~mean_sw_time:2.0 ~mean_kbytes:8.0
+      in
+      let app, input = remade (Repro_util.Rng.create (seed + 100)) app in
+      check_index (Printf.sprintf "layered, %d tasks" (App.size app)) app
+        input)
+    [
+      (3, 4, 0.3, 1);
+      (5, 8, 0.2, 2);
+      (8, 31, 0.12, 3);
+      (8, 125, 0.03, 4);
+      (8, 250, 0.015, 5);
+    ]
+
+let test_index_fixtures () =
+  let good f =
+    String.starts_with ~prefix:"good_" f && Filename.check_suffix f ".tg"
+  in
+  List.iter
+    (fun file ->
+      match App_io.load (Filename.concat "fixtures" file) with
+      | Error msg -> Alcotest.fail msg
+      | Ok app ->
+        let app, input = remade (Repro_util.Rng.create 7) app in
+        check_index file app input)
+    (List.filter good (Array.to_list (Sys.readdir "fixtures")))
+
+(* The diagnostics of [App.make], one per construction rule; the first
+   offending edge in list order names the problem. *)
+let test_make_diagnostics () =
+  List.iter
+    (fun (label, msg, edges) ->
+      Alcotest.check_raises label (Invalid_argument msg) (fun () ->
+          ignore
+            (App.make ~name:"bad"
+               ~tasks:[ simple_task 0; simple_task 1; simple_task 2 ]
+               ~edges ())))
+    [
+      ( "duplicate", "App.make: duplicate edge",
+        [ edge 0 1 1.0; edge 1 2 1.0; edge 0 1 1.0 ] );
+      ( "self-loop", "Graph.add_edge: self-loop",
+        [ edge 0 1 1.0; edge 2 2 1.0 ] );
+      ("endpoint", "App.make: edge endpoint out of range", [ edge 0 3 1.0 ]);
+      ( "negative endpoint", "App.make: edge endpoint out of range",
+        [ edge (-1) 0 1.0 ] );
+      ("negative data", "App.make: negative data amount", [ edge 0 1 (-0.5) ]);
+      ( "cycle", "App.make: precedence graph has a cycle",
+        [ edge 0 1 1.0; edge 1 2 1.0; edge 2 0 1.0 ] );
+      ( "negative data before a duplicate", "App.make: negative data amount",
+        [ edge 0 1 1.0; edge 1 2 (-1.0); edge 0 1 1.0 ] );
+    ]
+
 let suite =
   [
     Alcotest.test_case "task validation" `Quick test_task_validation;
@@ -122,4 +282,7 @@ let suite =
     Alcotest.test_case "app metrics" `Quick test_metrics;
     Alcotest.test_case "parallel metrics" `Quick test_parallel_metrics;
     Alcotest.test_case "topological order" `Quick test_topological_order;
+    Alcotest.test_case "index of layered apps" `Quick test_index_layered;
+    Alcotest.test_case "index of the good fixtures" `Quick test_index_fixtures;
+    Alcotest.test_case "make diagnostics" `Quick test_make_diagnostics;
   ]
