@@ -17,7 +17,7 @@ bench-smoke:
 	BENCH_RUNS=1 BENCH_ITERS=300 BENCH_FIG2_ITERS=1500 \
 	BENCH_COMPARE_ITERS=2000 BENCH_GA_GENERATIONS=5 BENCH_GA_POPULATION=30 \
 	BENCH_RANDOM_SAMPLES=500 BENCH_HILL_MOVES=1000 BENCH_TABU_ITERS=200 \
-	BENCH_RESTARTS_ITERS=1500 BENCH_MICRO_MOVES=2000 dune exec bench/main.exe
+	dune exec bench/main.exe
 
 # Paper-scale Fig. 3 protocol (100 runs per device size)
 bench-full:

@@ -1,6 +1,6 @@
 (* Benchmark harness: one experiment per table/figure of the paper's
-   evaluation (§5), plus the ablations called out in DESIGN.md and
-   Bechamel micro-benchmarks of the evaluation primitives.
+   evaluation (§5), plus the ablations called out in DESIGN.md.
+   Per-layer timing lives in perfbench/, not here.
 
      dune exec bench/main.exe                 # every experiment
      dune exec bench/main.exe -- fig3 space   # a selection
@@ -40,7 +40,6 @@ module Rng = Repro_util.Rng
 module Parallel = Repro_util.Parallel
 module Clock = Repro_util.Clock
 module App = Repro_taskgraph.App
-module Task = Repro_taskgraph.Task
 
 let env_int name default =
   match Sys.getenv_opt name with
@@ -56,8 +55,6 @@ let ga_population = env_int "BENCH_GA_POPULATION" 300
 let random_samples = env_int "BENCH_RANDOM_SAMPLES" 5_000
 let hill_moves = env_int "BENCH_HILL_MOVES" 10_000
 let tabu_iters = env_int "BENCH_TABU_ITERS" 2_000
-let restarts_iters = env_int "BENCH_RESTARTS_ITERS" 20_000
-let micro_moves = env_int "BENCH_MICRO_MOVES" 20_000
 let bench_jobs = env_int "BENCH_JOBS" (Parallel.default_jobs ())
 
 let header title =
@@ -300,71 +297,45 @@ let compare_methods () =
   row "adaptive SA (this paper)" sa.Explorer.best_cost
     (string_of_int sa.Explorer.best_eval.Searchgraph.n_contexts)
     sa.Explorer.wall_seconds;
-  let ga =
-    Ga.run
-      { Ga.default_config with seed = 1; population = ga_population;
-        generations = ga_generations }
-      app platform
+  (* Every other method runs through the engine contract, seed 1. *)
+  let run engine iterations =
+    Engine.run engine (Engine.context ~app ~platform ~seed:1 ~iterations ())
   in
-  row
+  let engine_row ?(contexts = false) name (o : Engine.outcome) =
+    row name o.Engine.best_cost
+      (if contexts then string_of_int (Solution.n_contexts o.Engine.best)
+       else "-")
+      o.Engine.wall_seconds
+  in
+  let ga = run (Ga.engine ~population:ga_population ()) ga_generations in
+  engine_row ~contexts:true
     (Printf.sprintf "GA after [6] (pop %d)" ga_population)
-    ga.Ga.best_eval.Searchgraph.makespan
-    (string_of_int ga.Ga.best_eval.Searchgraph.n_contexts)
-    ga.Ga.wall_seconds;
-  let ga_basic =
-    Ga.run
-      { Ga.default_config with seed = 1; population = ga_population;
-        generations = ga_generations; explore_impls = false }
-      app platform
-  in
-  row "GA, spatial genes only (as [6])"
-    ga_basic.Ga.best_eval.Searchgraph.makespan
-    (string_of_int ga_basic.Ga.best_eval.Searchgraph.n_contexts)
-    ga_basic.Ga.wall_seconds;
-  let greedy = Greedy.run app platform in
-  row
-    (Printf.sprintf "greedy compute-to-HW (frac %.1f)" greedy.Greedy.hw_fraction)
-    greedy.Greedy.eval.Searchgraph.makespan
-    (string_of_int greedy.Greedy.eval.Searchgraph.n_contexts)
-    greedy.Greedy.wall_seconds;
-  let random =
-    Random_search.run ~seed:1 ~samples:random_samples app platform
-  in
-  row
+    ga;
+  engine_row ~contexts:true "GA, spatial genes only (as [6])"
+    (run
+       (Ga.engine ~population:ga_population ~explore_impls:false ())
+       ga_generations);
+  engine_row ~contexts:true "greedy compute-to-HW" (run Greedy.engine 11);
+  engine_row
     (Printf.sprintf "random search (%d samples)" random_samples)
-    random.Random_search.best_makespan "-" random.Random_search.wall_seconds;
-  let hill =
-    Hill_climb.run
-      { Hill_climb.seed = 1; moves_per_climb = hill_moves; restarts = 5 }
-      app platform
-  in
-  row "hill climbing (5 restarts)" hill.Hill_climb.best_makespan "-"
-    hill.Hill_climb.wall_seconds;
-  let tabu =
-    Tabu.run
-      { Tabu.seed = 1; iterations = tabu_iters; neighbourhood = 24;
-        tenure = 20; aspiration = false }
-      app platform
-  in
-  row "tabu search (tenure 20)" tabu.Tabu.best_makespan "-" tabu.Tabu.wall_seconds;
+    (run Random_search.engine random_samples);
+  engine_row "hill climbing (5 restarts)"
+    (run (Hill_climb.engine_with ~moves_per_climb:hill_moves ())
+       (5 * hill_moves));
+  engine_row "tabu search (tenure 20)" (run Tabu.engine tabu_iters);
   Repro_baseline.Engines.register_all ();
   let portfolio =
-    let engine =
-      match Portfolio.of_spec "portfolio:race:sa+tabu" with
-      | Ok e -> e
-      | Error msg -> failwith msg
-    in
-    Engine.run engine
-      (Engine.context ~app ~platform ~seed:1 ~iterations:compare_iters ())
+    match Portfolio.of_spec "portfolio:race:sa+tabu" with
+    | Ok engine -> run engine compare_iters
+    | Error msg -> failwith msg
   in
-  row "racing portfolio (sa+tabu)" portfolio.Engine.best_cost "-"
-    portfolio.Engine.wall_seconds;
+  engine_row "racing portfolio (sa+tabu)" portfolio;
   print_string (Table.render table);
   [
     ("sa_best_ms", sa.Explorer.best_cost);
     ("sa_seconds", sa.Explorer.wall_seconds);
-    ("ga_best_ms", ga.Ga.best_eval.Searchgraph.makespan);
-    ("ga_seconds", ga.Ga.wall_seconds);
+    ("ga_best_ms", ga.Engine.best_cost);
+    ("ga_seconds", ga.Engine.wall_seconds);
     ("portfolio_best_ms", portfolio.Engine.best_cost);
     ("portfolio_seconds", portfolio.Engine.wall_seconds);
     ("iterations_per_second",
@@ -834,381 +805,6 @@ let multiproc () =
   []
 
 (* ------------------------------------------------------------------ *)
-(* Bechamel micro-benchmarks of the evaluation primitives.             *)
-(* ------------------------------------------------------------------ *)
-
-(* Moves/sec per move kind, incremental vs forced-rebuild evaluation.
-   Each arm runs the annealer's rejected-move cycle — save, mutate,
-   evaluate, undo — against the same starting solution with the same
-   draw stream, using the annealer's own per-kind generators
-   ([Moves.propose_kind]); the rebuild arm calls [Solution.invalidate]
-   before every proposal so its evaluations are full builds.  Always
-   undoing keeps the state (hence the kinds' preconditions) fixed, so
-   the two arms walk identically and their final solutions must agree
-   bit-for-bit. *)
-let micro_move_matrix_for ~tag app platform alt_platform =
-  let prefix = if tag = "" then "" else tag ^ "_" in
-  header
-    (Printf.sprintf
-       "Structural-move matrix%s — %d tasks, %d draws/kind, incremental vs \
-        rebuild (BENCH_MICRO_MOVES)"
-       (if tag = "" then "" else " [" ^ tag ^ "]")
-       (App.size app) micro_moves);
-  (* A starting point with software tasks and several contexts.
-     [Solution.random] packs hardware into as few contexts as the
-     device allows (one, here), so the structural kinds need a richer
-     start: move two mutually independent software tasks into fresh
-     singleton contexts — independence keeps at least the swap of
-     those two contexts acyclic, so every kind has feasible draws.
-     The seed search keeps the recipe deterministic. *)
-  let prepare s =
-    let clo = Solution.closure s in
-    let order = Solution.sw_order s in
-    let independent a b =
-      (not (Repro_sched.Closure.reaches clo a b))
-      && not (Repro_sched.Closure.reaches clo b a)
-    in
-    let pair =
-      List.find_map
-        (fun a ->
-          List.find_map
-            (fun b -> if a < b && independent a b then Some (a, b) else None)
-            order)
-        order
-    in
-    match pair with
-    | Some (a, b) when Solution.n_contexts s >= 1 ->
-      Solution.insert_context s ~task:a ~at:(Solution.n_contexts s);
-      Solution.insert_context s ~task:b ~at:(Solution.n_contexts s);
-      Solution.n_contexts s >= 3
-      && List.length (Solution.sw_order s) >= 4
-      && Float.is_finite (Solution.makespan s)
-    | _ -> false
-  in
-  let base_seed =
-    let rec find seed =
-      if prepare (Solution.random (Rng.create seed) app platform) then seed
-      else find (seed + 1)
-    in
-    find 1
-  in
-  let mconfig = Moves.exploration [ platform; alt_platform ] in
-  let kinds =
-    [
-      ("impl", Solution.Impl);
-      ("sw_reorder", Solution.Sw_reorder);
-      ("sw_migrate", Solution.Sw_migrate);
-      ("ctx_migrate", Solution.Ctx_migrate);
-      ("ctx_create", Solution.Ctx_create);
-      ("ctx_swap", Solution.Ctx_swap);
-      ("device", Solution.Platform_swap);
-    ]
-  in
-  (* Each arm is a resumable closure over its own solution and RNG;
-     the driver alternates chunks of the two arms so both sample the
-     same machine conditions (frequency drift otherwise dominates the
-     per-kind ratios). *)
-  let make_arm ~rebuild kind =
-    let rng = Rng.create 101 in
-    let s = Solution.random (Rng.create base_seed) app platform in
-    let ok = prepare s in
-    assert ok;
-    ignore (Solution.makespan s);
-    let applied = ref 0 in
-    let wall = ref 0.0 in
-    let run chunk =
-      let t0 = Clock.wall () in
-      for _ = 1 to chunk do
-        if rebuild then Solution.invalidate s;
-        match Moves.propose_kind rng mconfig s kind with
-        | Some undo ->
-          incr applied;
-          undo ()
-        | None -> ()
-      done;
-      wall := !wall +. (Clock.wall () -. t0)
-    in
-    (run, wall, applied, s)
-  in
-  let run_arms kind =
-    let run_i, wall_i, applied_i, s_i = make_arm ~rebuild:false kind in
-    let run_r, wall_r, applied_r, s_r = make_arm ~rebuild:true kind in
-    let chunk = max 1 (micro_moves / 10) in
-    let rec go left =
-      if left > 0 then begin
-        let c = min chunk left in
-        run_i c;
-        run_r c;
-        go (left - c)
-      end
-    in
-    go micro_moves;
-    ( (!wall_i, !applied_i, Solution.eval_stats s_i, Solution.encode s_i),
-      (!wall_r, !applied_r, Solution.eval_stats s_r, Solution.encode s_r) )
-  in
-  Printf.printf
-    "  %-12s %13s %13s %8s %11s %9s %9s %9s %7s\n" "kind" "incr moves/s"
-    "rebld moves/s" "speedup" "nodes/rfsh" "edges/mv" "pairs/mv" "comm/mv"
-    "regens";
-  let metrics =
-    List.concat_map
-      (fun (name, kind) ->
-        let (wall_i, applied_i, stats_i, final_i),
-            (wall_r, applied_r, _stats_r, final_r) =
-          run_arms kind
-        in
-        if applied_i <> applied_r || final_i <> final_r then
-          failwith
-            (Printf.sprintf
-               "micro: %s%s: incremental and rebuild arms diverged" prefix name);
-        let ks = Solution.kind_stats stats_i kind in
-        let rate applied wall =
-          float_of_int applied /. Float.max wall 1e-9
-        in
-        let per num den =
-          if den = 0 then 0.0 else float_of_int num /. float_of_int den
-        in
-        let incr_rate = rate applied_i wall_i in
-        let rebuild_rate = rate applied_r wall_r in
-        let speedup = incr_rate /. Float.max rebuild_rate 1e-9 in
-        Printf.printf
-          "  %-12s %13.0f %13.0f %7.2fx %11.1f %9.1f %9.1f %9.1f %7d\n" name
-          incr_rate rebuild_rate speedup
-          (per ks.Solution.k_incr_nodes ks.Solution.k_incr_evals)
-          (per ks.Solution.k_edges_edited applied_i)
-          (per ks.Solution.k_pairs_emitted applied_i)
-          (per ks.Solution.k_comm_patched applied_i)
-          ks.Solution.k_pair_regens;
-        [
-          (prefix ^ name ^ "_moves_per_s_incr", incr_rate);
-          (prefix ^ name ^ "_moves_per_s_rebuild", rebuild_rate);
-          (prefix ^ name ^ "_speedup", speedup);
-          (prefix ^ name ^ "_incr_evals", float_of_int ks.Solution.k_incr_evals);
-          (prefix ^ name ^ "_nodes_per_incr_eval",
-           per ks.Solution.k_incr_nodes ks.Solution.k_incr_evals);
-          (prefix ^ name ^ "_edges_per_move",
-           per ks.Solution.k_edges_edited applied_i);
-          (prefix ^ name ^ "_pairs_per_move",
-           per ks.Solution.k_pairs_emitted applied_i);
-          (prefix ^ name ^ "_comm_patched_per_move",
-           per ks.Solution.k_comm_patched applied_i);
-          (prefix ^ name ^ "_pair_regens",
-           float_of_int ks.Solution.k_pair_regens);
-        ])
-      kinds
-  in
-  Printf.printf "\n";
-  metrics
-
-(* The matrix on the 28-task case study, then on a >=128-node layered
-   graph: the native-delta claim is that per-move cost tracks the move
-   footprint, so the incremental-vs-rebuild gap must widen with size.
-   Layer widths are drawn randomly, so the seed is searched
-   deterministically until the generator actually crosses 128 nodes. *)
-let micro_move_matrix () =
-  let m28 =
-    micro_move_matrix_for ~tag:"" (Md.app ()) (Md.platform ())
-      (Md.platform ~n_clb:2000 ())
-  in
-  let model = Repro_taskgraph.Generators.default_impl_model in
-  (* Wide and shallow — the parallel-workload shape whose move
-     footprints stay local (a deep chain would make every downstream
-     cone the whole graph, drowning the locality the deltas buy). *)
-  let g_app =
-    let rec find seed =
-      let app =
-        Repro_taskgraph.Generators.layered ~name:"layered128"
-          (Rng.create seed) model ~layers:8 ~width:31 ~edge_probability:0.12
-          ~mean_sw_time:2.0 ~mean_kbytes:8.0
-      in
-      if App.size app >= 128 then app else find (seed + 1)
-    in
-    find 1
-  in
-  (* Size the device for a handful of tasks per context, as in the
-     case study, rather than [platform_for]'s 60%-of-total giant
-     contexts. *)
-  let g_platform =
-    Repro_arch.Platform.with_rc_size (Suite_w.platform_for g_app) 600
-  in
-  let g_alt = Repro_arch.Platform.with_rc_size g_platform 1_200 in
-  m28 @ micro_move_matrix_for ~tag:"g128" g_app g_platform g_alt
-
-let micro () =
-  header "Micro-benchmarks (Bechamel, monotonic clock)";
-  let open Bechamel in
-  let app = Md.app () in
-  let platform = Md.platform () in
-  let base_solution =
-    let rng = Rng.create 5 in
-    Solution.random rng app platform
-  in
-  let test_evaluate =
-    Test.make ~name:"searchgraph evaluate (28 tasks)"
-      (Staged.stage (fun () ->
-           let spec = Solution.spec base_solution in
-           match Searchgraph.evaluate spec with
-           | Some eval -> ignore eval.Searchgraph.makespan
-           | None -> ()))
-  in
-  let move_rng = Rng.create 9 in
-  let move_solution = Solution.snapshot base_solution in
-  let test_move =
-    Test.make ~name:"propose+undo move"
-      (Staged.stage (fun () ->
-           match
-             Moves.propose move_rng Moves.fixed_architecture move_solution
-           with
-           | Some undo -> undo ()
-           | None -> ()))
-  in
-  let test_closure =
-    Test.make ~name:"closure of the task graph"
-      (Staged.stage (fun () ->
-           ignore (Repro_sched.Closure.of_graph app.App.graph)))
-  in
-  let random_rng = Rng.create 3 in
-  let test_random_solution =
-    Test.make ~name:"random initial solution"
-      (Staged.stage (fun () -> ignore (Solution.random random_rng app platform)))
-  in
-  (* Incremental longest path: full solve vs Woodbury-style refresh of
-     one changed node, on the case study's search graph. *)
-  let lp_graph, lp_node_weight, lp_edge_weight =
-    Searchgraph.build (Solution.spec base_solution)
-  in
-  (* Perturb a sink task (13, the tracking output): the affected cone
-     is minimal, which is the annealing case the paper's Woodbury
-     remark targets — a local move touching a local region. *)
-  let perturb = ref 0.0 in
-  let node_weight v = lp_node_weight v +. if v = 13 then !perturb else 0.0 in
-  let lp_state =
-    match
-      Repro_sched.Longest_path.create lp_graph ~node_weight
-        ~edge_weight:lp_edge_weight
-    with
-    | Some lp -> lp
-    | None -> assert false (* specs of feasible solutions are acyclic *)
-  in
-  let test_lp_full =
-    Test.make ~name:"longest path, full recompute"
-      (Staged.stage (fun () -> Repro_sched.Longest_path.recompute lp_state))
-  in
-  let test_lp_refresh =
-    Test.make ~name:"longest path, incremental refresh"
-      (Staged.stage (fun () ->
-           perturb := if !perturb = 0.0 then 0.3 else 0.0;
-           Repro_sched.Longest_path.refresh lp_state [ 13 ]))
-  in
-  let test_serialized =
-    Test.make ~name:"searchgraph evaluate_serialized"
-      (Staged.stage (fun () ->
-           ignore (Searchgraph.evaluate_serialized (Solution.spec base_solution))))
-  in
-  let tests =
-    [ test_evaluate; test_serialized; test_move; test_closure;
-      test_random_solution; test_lp_full; test_lp_refresh ]
-  in
-  let benchmark test =
-    let cfg =
-      Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) ~kde:(Some 1000) ()
-    in
-    Benchmark.all cfg Toolkit.Instance.[ monotonic_clock ] test
-  in
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:true
-      ~predictors:[| Measure.run |]
-  in
-  List.iter
-    (fun test ->
-      let results = Analyze.all ols Toolkit.Instance.monotonic_clock (benchmark test) in
-      Hashtbl.iter
-        (fun name ols_result ->
-          let nanoseconds =
-            match Analyze.OLS.estimates ols_result with
-            | Some [ est ] -> est
-            | Some _ | None -> nan
-          in
-          Printf.printf "  %-40s %12.1f ns/run\n" name nanoseconds)
-        results)
-    tests;
-  micro_move_matrix ()
-
-(* ------------------------------------------------------------------ *)
-(* Parallel restarts: wall-clock of jobs=1 vs jobs=4 on the same four
-   chains, with the determinism contract checked on the spot.          *)
-(* ------------------------------------------------------------------ *)
-
-let restarts_bench () =
-  header "Parallel restarts — 4 chains, jobs=1 vs jobs=4";
-  Printf.printf
-    "same seeds, same winner selection: the parallel run must produce the\n\
-     bit-identical best solution and cost list.  speedup tracks the number\n\
-     of cores the container actually has (this host: %d).\n\
-     this run: %d iterations/chain (BENCH_RESTARTS_ITERS).\n\n"
-    (Domain.recommended_domain_count ())
-    restarts_iters;
-  let app = Md.app () in
-  let platform = Md.platform ~n_clb:2000 () in
-  let config =
-    { Explorer.anneal = anneal_config ~iterations:restarts_iters ~seed:21;
-      moves = Moves.fixed_architecture; objective = Explorer.Makespan }
-  in
-  let timed jobs =
-    let t0 = Clock.wall () in
-    let report =
-      Explorer.explore_restarts ~jobs ~restarts:4 config app platform
-    in
-    let best =
-      match report.Explorer.best_result with
-      | Some best -> best
-      | None -> failwith "restarts_bench: every chain was lost"
-    in
-    (Clock.wall () -. t0, best, List.map snd report.Explorer.restart_costs)
-  in
-  let wall1, best1, costs1 = timed 1 in
-  let wall4, best4, costs4 = timed 4 in
-  let identical =
-    costs1 = costs4
-    && best1.Explorer.best_cost = best4.Explorer.best_cost
-    && Format.asprintf "%a" Solution.pp best1.Explorer.best
-       = Format.asprintf "%a" Solution.pp best4.Explorer.best
-  in
-  if not identical then
-    failwith "restarts_bench: jobs=4 diverged from jobs=1";
-  let stats = Solution.eval_stats best4.Explorer.best in
-  let per_eval evals nodes =
-    if evals = 0 then 0.0 else float_of_int nodes /. float_of_int evals
-  in
-  Printf.printf
-    "jobs=1: %.2f s   jobs=4: %.2f s   speedup %.2fx   best %.2f ms \
-     (identical: yes)\n"
-    wall1 wall4 (wall1 /. Float.max wall4 1e-9)
-    best1.Explorer.best_cost;
-  Printf.printf
-    "incremental evaluation on the winning chain: %d full evals \
-     (%.1f nodes/eval), %d incremental (%.1f nodes/eval), %d edges edited\n"
-    stats.Solution.full_evals
-    (per_eval stats.Solution.full_evals stats.Solution.full_nodes)
-    stats.Solution.incr_evals
-    (per_eval stats.Solution.incr_evals stats.Solution.incr_nodes)
-    stats.Solution.edges_edited;
-  [
-    ("wall_jobs1", wall1);
-    ("wall_jobs4", wall4);
-    ("speedup", wall1 /. Float.max wall4 1e-9);
-    ("best_cost_ms", best1.Explorer.best_cost);
-    ("iterations_per_second",
-     float_of_int (4 * restarts_iters) /. Float.max wall4 1e-9);
-    ("identical", 1.0);
-    ("full_nodes_per_eval",
-     per_eval stats.Solution.full_evals stats.Solution.full_nodes);
-    ("incr_nodes_per_eval",
-     per_eval stats.Solution.incr_evals stats.Solution.incr_nodes);
-    ("edges_edited", float_of_int stats.Solution.edges_edited);
-  ]
-
-(* ------------------------------------------------------------------ *)
 
 let experiments =
   [
@@ -1224,8 +820,6 @@ let experiments =
     ("scaling", scaling);
     ("multiproc", multiproc);
     ("suite", suite_eval);
-    ("restarts", restarts_bench);
-    ("micro", micro);
   ]
 
 let json_field (key, value) =

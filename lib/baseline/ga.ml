@@ -7,38 +7,24 @@ module Solution = Repro_dse.Solution
 
 type config = {
   population : int;
-  generations : int;
   crossover_rate : float;
   mutation_rate : float;
   tournament : int;
   elite : int;
-  seed : int;
   explore_impls : bool;
 }
 
 let default_config =
   {
     population = 300;
-    generations = 120;
     crossover_rate = 0.9;
     mutation_rate = 0.02;
     tournament = 3;
     elite = 2;
-    seed = 1;
     explore_impls = true;
   }
 
 type individual = { hw : bool array; impl : int array }
-
-type result = {
-  best : individual;
-  best_spec : Searchgraph.spec;
-  best_eval : Searchgraph.eval;
-  evaluations : int;
-  generations_run : int;
-  history : float list;
-  wall_seconds : float;
-}
 
 (* The deterministic realization of a chromosome, shared by the spec
    decoder and the Solution builder: temporal partitioning by
@@ -139,17 +125,14 @@ let mutate rng config app rate individual =
 let copy_individual i = { hw = Array.copy i.hw; impl = Array.copy i.impl }
 
 (* Evolution through the generic driver: one iteration = one
-   generation.  [config.seed] and [config.generations] are ignored —
-   the seed and the budget come from the engine context.  Returns the
-   outcome plus the final best individual (the elite slots make
-   population.(0) the best ever seen). *)
-let evolve ?progress config (ctx : Engine.context) =
+   generation; the seed and the budget come from the engine context.
+   The elite slots make population.(0) the best ever seen. *)
+let evolve config (ctx : Engine.context) =
   if config.population < 2 then invalid_arg "Ga: population < 2";
   if config.elite >= config.population then invalid_arg "Ga: elite too big";
   let app = ctx.Engine.app and platform = ctx.Engine.platform in
   let score individual = fitness app platform individual in
   let by_fitness (fa, _) (fb, _) = Float.compare fa fb in
-  let final = ref None in
   let previous_best = ref infinity in
   (* The full scored population crosses the checkpoint: one header
      line per run plus one "ind <fitness> <hw-genes> <impl-genes>"
@@ -228,89 +211,79 @@ let evolve ?progress config (ctx : Engine.context) =
           else begin
             let population = Array.of_list (List.rev individuals) in
             previous_best := prev;
-            final := Some population;
             Ok population
           end);
     }
   in
-  let outcome =
-    Engine.drive ~codec ctx
-      ~init:(fun rng ->
-        let population =
-          Array.init config.population (fun _ ->
-              let i = random_individual rng config app in
-              (score i, i))
-        in
-        (* Seed one all-software individual: always feasible, so the
-           final best is finite even if every random spatial partition
-           decodes to a cyclic search graph. *)
-        let n = App.size app in
-        let all_sw = { hw = Array.make n false; impl = Array.make n 0 } in
-        population.(config.population - 1) <- (score all_sw, all_sw);
-        (* A warm start enters the gene pool as one more seeded
-           individual (never displacing the all-software safety net),
-           so the evolved best can only match or beat the donor. *)
-        let warm_evals =
-          match ctx.Engine.warm_start with
-          | None -> 0
-          | Some w ->
-            let genome =
-              {
-                hw =
-                  Array.init n (fun v ->
-                      Solution.binding w v <> Searchgraph.Sw);
-                impl = Array.init n (fun v -> Solution.impl_index w v);
-              }
-            in
-            population.(0) <- (score genome, genome);
-            1
-        in
-        Array.sort by_fitness population;
-        final := Some population;
-        previous_best := fst population.(0);
-        (population, fst population.(0), config.population + 1 + warm_evals))
-      ~step:(fun rng ~iteration population ->
-        let tournament_pick () =
-          let best = ref (Rng.int rng config.population) in
-          for _ = 2 to config.tournament do
-            let candidate = Rng.int rng config.population in
-            if fst population.(candidate) < fst population.(!best) then
-              best := candidate
-          done;
-          snd population.(!best)
-        in
-        let next =
-          Array.init config.population (fun slot ->
-              if slot < config.elite then
-                let f, i = population.(slot) in
-                (f, copy_individual i)
-              else begin
-                let parent_a = tournament_pick () in
-                let child =
-                  if Rng.bernoulli rng config.crossover_rate then
-                    crossover rng parent_a (tournament_pick ())
-                  else copy_individual parent_a
-                in
-                mutate rng config app config.mutation_rate child;
-                (score child, child)
-              end)
-        in
-        Array.sort by_fitness next;
-        Array.blit next 0 population 0 config.population;
-        let cost = fst population.(0) in
-        let accepted = cost < !previous_best in
-        if accepted then previous_best := cost;
-        (match progress with
-         | Some f -> f ~generation:(iteration + 1) ~best:cost
-         | None -> ());
-        { Engine.state = population; cost; accepted;
-          evaluations = config.population - config.elite })
-      ~snapshot:(fun population ->
-        solution_of_exn app platform (snd population.(0)))
-  in
-  match !final with
-  | None -> assert false (* init always runs *)
-  | Some population -> (outcome, snd population.(0))
+  Engine.drive ~codec ctx
+    ~init:(fun rng ->
+      let population =
+        Array.init config.population (fun _ ->
+            let i = random_individual rng config app in
+            (score i, i))
+      in
+      (* Seed one all-software individual: always feasible, so the
+         final best is finite even if every random spatial partition
+         decodes to a cyclic search graph. *)
+      let n = App.size app in
+      let all_sw = { hw = Array.make n false; impl = Array.make n 0 } in
+      population.(config.population - 1) <- (score all_sw, all_sw);
+      (* A warm start enters the gene pool as one more seeded
+         individual (never displacing the all-software safety net),
+         so the evolved best can only match or beat the donor. *)
+      let warm_evals =
+        match ctx.Engine.warm_start with
+        | None -> 0
+        | Some w ->
+          let genome =
+            {
+              hw =
+                Array.init n (fun v ->
+                    Solution.binding w v <> Searchgraph.Sw);
+              impl = Array.init n (fun v -> Solution.impl_index w v);
+            }
+          in
+          population.(0) <- (score genome, genome);
+          1
+      in
+      Array.sort by_fitness population;
+      previous_best := fst population.(0);
+      (population, fst population.(0), config.population + 1 + warm_evals))
+    ~step:(fun rng ~iteration:_ population ->
+      let tournament_pick () =
+        let best = ref (Rng.int rng config.population) in
+        for _ = 2 to config.tournament do
+          let candidate = Rng.int rng config.population in
+          if fst population.(candidate) < fst population.(!best) then
+            best := candidate
+        done;
+        snd population.(!best)
+      in
+      let next =
+        Array.init config.population (fun slot ->
+            if slot < config.elite then
+              let f, i = population.(slot) in
+              (f, copy_individual i)
+            else begin
+              let parent_a = tournament_pick () in
+              let child =
+                if Rng.bernoulli rng config.crossover_rate then
+                  crossover rng parent_a (tournament_pick ())
+                else copy_individual parent_a
+              in
+              mutate rng config app config.mutation_rate child;
+              (score child, child)
+            end)
+      in
+      Array.sort by_fitness next;
+      Array.blit next 0 population 0 config.population;
+      let cost = fst population.(0) in
+      let accepted = cost < !previous_best in
+      if accepted then previous_best := cost;
+      { Engine.state = population; cost; accepted;
+        evaluations = config.population - config.elite })
+    ~snapshot:(fun population ->
+      solution_of_exn app platform (snd population.(0)))
 
 let engine ?(population = default_config.population) ?(explore_impls = true)
     () : Engine.t =
@@ -331,34 +304,6 @@ let engine ?(population = default_config.population) ?(explore_impls = true)
         "population %d, crossover 0.9, mutation 0.02, tournament 3, \
          elite 2; one iteration = one generation" population
 
-    let default_iterations = default_config.generations
-    let run ctx = fst (evolve config ctx)
+    let default_iterations = 120
+    let run ctx = evolve config ctx
   end : Engine.S)
-
-let run ?progress config app platform =
-  let ctx =
-    Engine.context ~app ~platform ~seed:config.seed
-      ~iterations:config.generations ()
-  in
-  let history = ref [] in
-  let record ~generation ~best =
-    history := best :: !history;
-    match progress with Some f -> f ~generation ~best | None -> ()
-  in
-  let outcome, best = evolve ~progress:record config ctx in
-  let best_spec = decode app platform best in
-  let best_eval =
-    match Searchgraph.evaluate best_spec with
-    | Some eval -> eval
-    | None -> assert false (* the seeded all-software individual is
-                              feasible, so the best one is too *)
-  in
-  {
-    best;
-    best_spec;
-    best_eval;
-    evaluations = outcome.Engine.evaluations;
-    generations_run = outcome.Engine.iterations_run;
-    history = outcome.Engine.initial_cost :: List.rev !history;
-    wall_seconds = outcome.Engine.wall_seconds;
-  }

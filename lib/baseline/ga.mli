@@ -12,37 +12,9 @@ open Repro_taskgraph
 open Repro_arch
 open Repro_sched
 
-type config = {
-  population : int;       (** the paper quotes 300 in [6] *)
-  generations : int;
-  crossover_rate : float;
-  mutation_rate : float;  (** per-gene flip probability *)
-  tournament : int;
-  elite : int;
-  seed : int;
-  explore_impls : bool;
-  (** when false, every individual keeps the smallest implementation —
-      the spatial-partitioning-only GA closest to [6]'s published
-      description *)
-}
-
-val default_config : config
-(** population 300, 120 generations, crossover 0.9, mutation 0.02,
-    tournament 3, elite 2, seed 1, implementations explored. *)
-
 type individual = {
   hw : bool array;        (** spatial partitioning gene per task *)
   impl : int array;       (** implementation-selection gene per task *)
-}
-
-type result = {
-  best : individual;
-  best_spec : Searchgraph.spec;
-  best_eval : Searchgraph.eval;
-  evaluations : int;
-  generations_run : int;
-  history : float list;   (** best makespan per generation *)
-  wall_seconds : float;   (** {!Repro_util.Clock} wall time *)
 }
 
 val decode : App.t -> Platform.t -> individual -> Searchgraph.spec
@@ -62,20 +34,23 @@ val solution_of :
 
 val fitness : App.t -> Platform.t -> individual -> float
 (** Makespan of the decoded individual.  [infinity] when the decoded
-    search graph is cyclic (the list-scheduled software order can
-    conflict with the clustered context chain on rare partitions);
-    such individuals are selected away. *)
+    search graph is cyclic: the list-scheduled software order and the
+    clustered context chain follow two different topological orders,
+    and where they disagree the two chains close a cycle.  That is not
+    rare.  A traced perfbench run measures [ga.infeasible_ratio] at
+    about 0.56 on the 28-task study and 0.93-0.94 on the 132-task
+    [ga132] workload.  Such individuals are selected away; deriving
+    both orders from one is an open ROADMAP item ("Make the GA of [6]
+    feasible by construction"). *)
 
 val engine :
   ?population:int -> ?explore_impls:bool -> unit -> Repro_dse.Engine.t
 (** An engine over generations: one budget iteration = one generation.
     Registered as ["ga"] (implementations explored, the default) and as
-    ["ga-spatial"] ([~explore_impls:false]).  All other knobs keep
-    {!default_config}; the seed and generation budget come from the
-    engine context. *)
-
-val run :
-  ?progress:(generation:int -> best:float -> unit) -> config -> App.t ->
-  Platform.t -> result
-(** Thin wrapper over the engine; [config.generations] is the iteration
-    budget and [config.seed] the context seed. *)
+    ["ga-spatial"] ([~explore_impls:false]: every individual keeps the
+    smallest implementation, the spatial-partitioning-only GA closest
+    to [6]'s published description).  [population] defaults to 300,
+    the size [6] quotes; crossover 0.9, per-gene mutation 0.02,
+    tournament 3 and elite 2 are fixed.  The seed and generation budget
+    come from the engine context; the traditional budget is 120
+    generations. *)

@@ -1,14 +1,6 @@
 open Repro_taskgraph
-open Repro_sched
 module Engine = Repro_dse.Engine
 module Solution = Repro_dse.Solution
-
-type result = {
-  hw_fraction : float;
-  spec : Searchgraph.spec;
-  eval : Searchgraph.eval;
-  wall_seconds : float;
-}
 
 let heaviest_fraction app fraction =
   if fraction < 0.0 || fraction > 1.0 then
@@ -29,14 +21,17 @@ let heaviest_fraction app fraction =
 let with_fraction app platform fraction =
   Ga.decode app platform (heaviest_fraction app fraction)
 
-(* One iteration = one hardware fraction decoded and evaluated.  The
-   init state is the all-software mapping, so the sweep always has a
-   feasible reference; [on_accept] reports each strictly-improving
-   fraction (first feasible fraction wins ties, as the historical
-   fold did). *)
-let engine_run ?on_accept ~fractions (ctx : Engine.context) =
+(* One iteration = one hardware fraction decoded and evaluated; a
+   budget of n iterations sweeps n evenly spaced fractions.  The init
+   state is the all-software mapping, so the sweep always has a
+   feasible reference; only a strict improvement is accepted, so the
+   first fraction reaching a cost wins ties. *)
+let engine_run (ctx : Engine.context) =
   let app = ctx.Engine.app and platform = ctx.Engine.platform in
-  let fractions = Array.of_list fractions in
+  let n = ctx.Engine.budget.Engine.iterations in
+  let fraction i =
+    if n <= 1 then 0.0 else float_of_int i /. float_of_int (n - 1)
+  in
   let sweep_best = ref infinity in
   let codec =
     State_codec.solution_plus ~engine:"greedy" ~version:1 ~tag:"sweep"
@@ -53,28 +48,20 @@ let engine_run ?on_accept ~fractions (ctx : Engine.context) =
       in
       (s, Solution.makespan s, 1))
     ~step:(fun _rng ~iteration state ->
-      let fraction = fractions.(iteration) in
       (* The previous step's solution retires here: donate its
          evaluation storage to the incoming candidate. *)
       match
         Ga.solution_of ~scratch:state app platform
-          (heaviest_fraction app fraction)
+          (heaviest_fraction app (fraction iteration))
       with
       | Error _ ->
         { Engine.state; cost = infinity; accepted = false; evaluations = 0 }
       | Ok candidate ->
         let cost = Solution.makespan candidate in
         let accepted = cost < !sweep_best in
-        if accepted then begin
-          sweep_best := cost;
-          match on_accept with Some f -> f fraction | None -> ()
-        end;
+        if accepted then sweep_best := cost;
         { Engine.state = candidate; cost; accepted; evaluations = 1 })
     ~snapshot:Solution.snapshot
-
-let evenly_spaced n =
-  if n <= 1 then [ 0.0 ]
-  else List.init n (fun i -> float_of_int i /. float_of_int (n - 1))
 
 module Engine_impl : Engine.S = struct
   let name = "greedy"
@@ -88,30 +75,7 @@ module Engine_impl : Engine.S = struct
 
   let default_iterations = 11
 
-  let run ctx =
-    engine_run ~fractions:(evenly_spaced ctx.Engine.budget.Engine.iterations)
-      ctx
+  let run = engine_run
 end
 
 let engine : Engine.t = (module Engine_impl)
-
-let run ?(fractions = List.init 11 (fun i -> float_of_int i /. 10.0)) app
-    platform =
-  let ctx =
-    Engine.context ~app ~platform ~seed:0
-      ~iterations:(List.length fractions) ()
-  in
-  let best_fraction = ref None in
-  let o =
-    engine_run ~on_accept:(fun f -> best_fraction := Some f) ~fractions ctx
-  in
-  match !best_fraction with
-  | None -> invalid_arg "Greedy.run: no feasible fraction (empty sweep?)"
-  | Some hw_fraction ->
-    let spec = with_fraction app platform hw_fraction in
-    let eval =
-      match Searchgraph.evaluate spec with
-      | Some eval -> eval
-      | None -> assert false (* accepted, hence finite, hence acyclic *)
-    in
-    { hw_fraction; spec; eval; wall_seconds = o.Engine.wall_seconds }

@@ -6,19 +6,12 @@
     Tasks are ranked by software execution time; the heaviest fraction
     is mapped to hardware (smallest implementation), temporal
     partitioning is clustered deterministically, the schedule is list
-    scheduling.  [run] sweeps the hardware fraction and keeps the best,
-    giving the strongest version of this family. *)
+    scheduling.  The engine sweeps the hardware fraction and keeps the
+    best, giving the strongest version of this family. *)
 
 open Repro_taskgraph
 open Repro_arch
 open Repro_sched
-
-type result = {
-  hw_fraction : float;        (** fraction of tasks mapped to hardware *)
-  spec : Searchgraph.spec;
-  eval : Searchgraph.eval;
-  wall_seconds : float;       (** {!Repro_util.Clock} wall time *)
-}
 
 val with_fraction : App.t -> Platform.t -> float -> Searchgraph.spec
 (** Map the heaviest [fraction] of the tasks to hardware. *)
@@ -26,7 +19,3 @@ val with_fraction : App.t -> Platform.t -> float -> Searchgraph.spec
 val engine : Repro_dse.Engine.t
 (** Registered as ["greedy"]; deterministic — a budget of [n]
     iterations evaluates [n] evenly spaced hardware fractions. *)
-
-val run : ?fractions:float list -> App.t -> Platform.t -> result
-(** Default sweep: 0.0, 0.1, ..., 1.0; infeasible decodes are
-    skipped.  Thin wrapper over the engine. *)

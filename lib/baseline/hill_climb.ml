@@ -2,21 +2,10 @@ module Solution = Repro_dse.Solution
 module Moves = Repro_dse.Moves
 module Engine = Repro_dse.Engine
 
-type config = { seed : int; moves_per_climb : int; restarts : int }
-
-let default_config = { seed = 1; moves_per_climb = 5000; restarts = 4 }
-
-type result = {
-  best : Solution.t;
-  best_makespan : float;
-  moves_tried : int;
-  wall_seconds : float;
-}
-
 (* One iteration = one proposed move; every [moves_per_climb]
    iterations the climb restarts from a fresh random solution (the
    restart shares the iteration with the first move of the new climb,
-   so the total budget is exactly moves_per_climb * restarts).  The
+   so a budget of k * moves_per_climb iterations runs k climbs).  The
    driver's best-snapshot bookkeeping subsumes the historical
    end-of-climb comparison: within a climb the current cost only
    decreases, so the per-improvement snapshots reach the same optima. *)
@@ -67,30 +56,19 @@ let engine_run ~moves_per_climb (ctx : Engine.context) =
         end)
     ~snapshot:Solution.snapshot
 
-module Engine_impl : Engine.S = struct
-  let name = "hill"
-  let describe = "first-improvement hill climbing with random restarts"
+let engine_with ?(moves_per_climb = 5000) () : Engine.t =
+  (module struct
+    let name = "hill"
+    let describe = "first-improvement hill climbing with random restarts"
 
-  let knobs =
-    "restart every 5000 moves; one iteration = one proposed move \
-     (annealer move set, uphill always rejected)"
+    let knobs =
+      Printf.sprintf
+        "restart every %d moves; one iteration = one proposed move \
+         (annealer move set, uphill always rejected)"
+        moves_per_climb
 
-  let default_iterations = 20_000
-  let run ctx = engine_run ~moves_per_climb:default_config.moves_per_climb ctx
-end
+    let default_iterations = 20_000
+    let run ctx = engine_run ~moves_per_climb ctx
+  end : Engine.S)
 
-let engine : Engine.t = (module Engine_impl)
-
-let run config app platform =
-  if config.restarts < 1 then invalid_arg "Hill_climb.run: restarts < 1";
-  let ctx =
-    Engine.context ~app ~platform ~seed:config.seed
-      ~iterations:(config.moves_per_climb * config.restarts) ()
-  in
-  let o = engine_run ~moves_per_climb:config.moves_per_climb ctx in
-  {
-    best = o.Engine.best;
-    best_makespan = o.Engine.best_cost;
-    moves_tried = o.Engine.iterations_run;
-    wall_seconds = o.Engine.wall_seconds;
-  }
+let engine : Engine.t = engine_with ()

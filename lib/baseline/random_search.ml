@@ -1,13 +1,6 @@
 module Solution = Repro_dse.Solution
 module Engine = Repro_dse.Engine
 
-type result = {
-  best : Solution.t;
-  best_makespan : float;
-  samples : int;
-  wall_seconds : float;
-}
-
 (* One iteration = one independent random sample; the generic driver
    keeps the best and the budget.  The RNG stream is exactly the
    historical one: the driver seeds Rng.create ctx.seed and every draw
@@ -46,14 +39,3 @@ module Engine_impl : Engine.S = struct
 end
 
 let engine : Engine.t = (module Engine_impl)
-
-let run ~seed ~samples app platform =
-  if samples < 1 then invalid_arg "Random_search.run: samples < 1";
-  let ctx = Engine.context ~app ~platform ~seed ~iterations:samples () in
-  let o = engine_run ctx in
-  {
-    best = o.Engine.best;
-    best_makespan = o.Engine.best_cost;
-    samples = o.Engine.iterations_run;
-    wall_seconds = o.Engine.wall_seconds;
-  }

@@ -8,12 +8,7 @@
     Its quality is indeed sensitive to [tenure] — the `compare`
     tooling can sweep it. *)
 
-open Repro_taskgraph
-open Repro_arch
-
 type config = {
-  seed : int;
-  iterations : int;       (** outer iterations (one applied move each) *)
   neighbourhood : int;    (** candidate moves sampled per iteration *)
   tenure : int;           (** applied moves a visited state stays tabu *)
   aspiration : bool;
@@ -27,15 +22,8 @@ type config = {
 }
 
 val default_config : config
-(** seed 1, 4000 iterations, 24 candidates, tenure 20, aspiration
-    off (the historical behaviour). *)
-
-type result = {
-  best : Repro_dse.Solution.t;
-  best_makespan : float;
-  moves_applied : int;
-  wall_seconds : float;   (** {!Repro_util.Clock} wall time *)
-}
+(** 24 candidates, tenure 20, aspiration off (the historical
+    behaviour). *)
 
 (** Sliding-window tabu list with multiset semantics: remembering the
     same hash twice keeps it tabu until {e both} occurrences age out.
@@ -64,7 +52,3 @@ val engine_with :
   Repro_dse.Engine.t
 (** The same engine with explicit knobs (still named ["tabu"]); the
     tenure-ablation bench and the aspiration tests go through this. *)
-
-val run : config -> App.t -> Platform.t -> result
-(** Thin wrapper over the engine with explicit neighbourhood size and
-    tenure. *)

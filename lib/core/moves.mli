@@ -72,5 +72,5 @@ val propose_kind :
 (** Like {!propose} but restricted to one {!Solution.move_kind}: the
     same generators, targeting draws, static closure checks and
     validation as the mixed proposal, without the kind lottery.  Feeds
-    the per-kind micro-benchmark matrix; [Solution.Init] never
-    proposes. *)
+    the per-kind probes and the incremental-vs-rebuild test;
+    [Solution.Init] never proposes. *)

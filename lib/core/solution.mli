@@ -213,8 +213,8 @@ val save : t -> (unit -> unit)
 val invalidate : t -> unit
 (** Force the next evaluation to rebuild from scratch (the retired
     incremental state is kept as a storage donor).  Escape hatch for
-    manual surgery on the solution — and the forced-rebuild arm of the
-    micro benchmark. *)
+    manual surgery on the solution — and the forced-rebuild twin of
+    the incremental-vs-rebuild test. *)
 
 val set_impl : t -> int -> int -> unit
 (** Structure-preserving: updates the task's weight (and its context's

@@ -5,6 +5,9 @@ module Ga = Repro_baseline.Ga
 module Greedy = Repro_baseline.Greedy
 module Random_search = Repro_baseline.Random_search
 module Hill_climb = Repro_baseline.Hill_climb
+module Tabu = Repro_baseline.Tabu
+module Engine = Repro_dse.Engine
+module Solution = Repro_dse.Solution
 module Searchgraph = Repro_sched.Searchgraph
 module Md = Repro_workloads.Motion_detection
 
@@ -73,8 +76,9 @@ let test_clustering_respects_is_hw () =
 
 (* --- GA --- *)
 
-let ga_config =
-  { Ga.default_config with population = 30; generations = 15; seed = 3 }
+(* Every baseline runs through the engine contract. *)
+let run ?observe engine ~seed ~iterations app platform =
+  Engine.run engine (Engine.context ?observe ~app ~platform ~seed ~iterations ())
 
 let test_ga_decode_feasible () =
   let app = app () in
@@ -102,37 +106,42 @@ let test_ga_decode_oversized_to_sw () =
 
 let test_ga_improves () =
   let app = app () in
-  let platform = platform () in
-  let result = Ga.run ga_config app platform in
-  let all_sw = App.total_sw_time app in
+  let history = ref [] in
+  let observe (p : Engine.probe) = history := p.cost :: !history in
+  let o =
+    run ~observe (Ga.engine ~population:30 ()) ~seed:3 ~iterations:15 app
+      (platform ())
+  in
   Alcotest.(check bool) "beats all-software" true
-    (result.Ga.best_eval.Searchgraph.makespan < all_sw);
+    (o.Engine.best_cost < App.total_sw_time app);
   Alcotest.(check bool) "history is monotone" true
     (let rec monotone = function
        | a :: (b :: _ as rest) -> a >= b -. 1e-12 && monotone rest
        | [ _ ] | [] -> true
      in
-     monotone result.Ga.history);
-  Alcotest.(check int) "history has one entry per generation + initial"
-    (ga_config.Ga.generations + 1)
-    (List.length result.Ga.history)
+     monotone (o.Engine.initial_cost :: List.rev !history));
+  Alcotest.(check int) "one probe per generation" 15 (List.length !history)
 
 let test_ga_on_motion_detection () =
-  let app = Md.app () in
-  let platform = Md.platform () in
-  let config = { Ga.default_config with population = 60; generations = 25 } in
-  let result = Ga.run config app platform in
+  let o =
+    run (Ga.engine ~population:60 ()) ~seed:1 ~iterations:25 (Md.app ())
+      (Md.platform ())
+  in
   Alcotest.(check bool) "meets the 40 ms constraint" true
-    (result.Ga.best_eval.Searchgraph.makespan < 40.0)
+    (o.Engine.best_cost < 40.0)
 
 let test_ga_spatial_only () =
   let app = app () in
-  let platform = platform () in
-  let config = { ga_config with Ga.explore_impls = false } in
-  let result = Ga.run config app platform in
+  let o =
+    run
+      (Ga.engine ~population:30 ~explore_impls:false ())
+      ~seed:3 ~iterations:15 app (platform ())
+  in
   (* Every implementation gene stays at the smallest variant. *)
   Alcotest.(check bool) "impl genes untouched" true
-    (Array.for_all (fun k -> k = 0) result.Ga.best.Ga.impl)
+    (List.for_all
+       (fun v -> Solution.impl_index o.Engine.best v = 0)
+       (List.init (App.size app) Fun.id))
 
 (* --- greedy --- *)
 
@@ -158,7 +167,6 @@ let md28 () = (Md.app (), Md.platform ~n_clb:2000 ())
    well represented. *)
 let ga_differential ~explore_impls input () =
   let module Rng = Repro_util.Rng in
-  let module Solution = Repro_dse.Solution in
   let app, platform = input () in
   let n = App.size app in
   let rng = Rng.create 11 in
@@ -202,39 +210,34 @@ let ga_differential ~explore_impls input () =
 
 let test_greedy_run () =
   let app = app () in
-  let result = Greedy.run app (platform ()) in
-  Alcotest.(check bool) "beats or ties all-software" true
-    (result.Greedy.eval.Searchgraph.makespan <= App.total_sw_time app);
-  Alcotest.(check bool) "fraction within range" true
-    (result.Greedy.hw_fraction >= 0.0 && result.Greedy.hw_fraction <= 1.0)
+  let o = run Greedy.engine ~seed:1 ~iterations:11 app (platform ()) in
+  Alcotest.(check bool) "beats all-software" true
+    (o.Engine.best_cost < App.total_sw_time app);
+  Alcotest.(check int) "one fraction per iteration" 11 o.Engine.iterations_run
 
 (* --- random search --- *)
 
 let test_random_search () =
   let app = app () in
-  let result = Random_search.run ~seed:1 ~samples:200 app (platform ()) in
+  let o = run Random_search.engine ~seed:1 ~iterations:200 app (platform ()) in
   Alcotest.(check bool) "no worse than all-software" true
-    (result.Random_search.best_makespan <= App.total_sw_time app);
-  Alcotest.(check int) "samples counted" 200 result.Random_search.samples
+    (o.Engine.best_cost <= App.total_sw_time app);
+  Alcotest.(check int) "samples counted" 200 o.Engine.iterations_run
 
 (* --- tabu search --- *)
 
 let test_tabu () =
   let app = app () in
-  let config =
-    { Repro_baseline.Tabu.seed = 4; iterations = 300; neighbourhood = 12;
-      tenure = 15; aspiration = false }
+  let o =
+    run
+      (Tabu.engine_with ~neighbourhood:12 ~tenure:15 ())
+      ~seed:4 ~iterations:300 app (platform ())
   in
-  let result = Repro_baseline.Tabu.run config app (platform ()) in
   Alcotest.(check bool) "beats all-software" true
-    (result.Repro_baseline.Tabu.best_makespan < App.total_sw_time app);
-  Alcotest.(check bool) "applied moves" true
-    (result.Repro_baseline.Tabu.moves_applied > 0);
+    (o.Engine.best_cost < App.total_sw_time app);
+  Alcotest.(check bool) "applied moves" true (o.Engine.accepted > 0);
   Alcotest.(check bool) "best solution consistent" true
-    (abs_float
-       (Repro_dse.Solution.makespan result.Repro_baseline.Tabu.best
-        -. result.Repro_baseline.Tabu.best_makespan)
-     < 1e-9)
+    (abs_float (Solution.makespan o.Engine.best -. o.Engine.best_cost) < 1e-9)
 
 (* Regression for the tenure-eviction bug: remembering the same state
    hash twice within one tenure window, then evicting the *older*
@@ -242,7 +245,7 @@ let test_tabu () =
    Hashtbl.replace-based list collapsed the duplicate, so the eviction
    un-tabooed a state that was still within tenure.) *)
 let test_tabu_tenure_eviction () =
-  let module Tenure = Repro_baseline.Tabu.Tenure in
+  let module Tenure = Tabu.Tenure in
   let t = Tenure.create 3 in
   Tenure.remember t 1;
   Tenure.remember t 2;
@@ -259,15 +262,13 @@ let test_tabu_tenure_eviction () =
 
 let test_tabu_deterministic () =
   let app = app () in
-  let config =
-    { Repro_baseline.Tabu.seed = 9; iterations = 100; neighbourhood = 8;
-      tenure = 10; aspiration = false }
+  let best () =
+    (run
+       (Tabu.engine_with ~neighbourhood:8 ~tenure:10 ())
+       ~seed:9 ~iterations:100 app (platform ()))
+      .Engine.best_cost
   in
-  let run () =
-    (Repro_baseline.Tabu.run config app (platform ()))
-      .Repro_baseline.Tabu.best_makespan
-  in
-  Alcotest.(check (float 1e-12)) "same seed same result" (run ()) (run ())
+  Alcotest.(check (float 1e-12)) "same seed same result" (best ()) (best ())
 
 (* Aspiration regression: with everything else fixed, switching the
    aspiration criterion on strictly improves the best cost on this
@@ -277,15 +278,13 @@ let test_tabu_deterministic () =
    search backtrack out of a stalled window it is otherwise forbidden
    to re-enter. *)
 let test_tabu_aspiration_improves () =
-  let module Engine = Repro_dse.Engine in
   let app = (List.assoc "sobel" Repro_workloads.Suite.named) () in
   let platform = Repro_workloads.Suite.platform_for app in
   let best aspiration =
     let engine =
-      Repro_baseline.Tabu.engine_with ~neighbourhood:4 ~tenure:8 ~aspiration ()
+      Tabu.engine_with ~neighbourhood:4 ~tenure:8 ~aspiration ()
     in
-    let ctx = Engine.context ~app ~platform ~seed:12 ~iterations:30 () in
-    (Engine.run engine ctx).Engine.best_cost
+    (run engine ~seed:12 ~iterations:30 app platform).Engine.best_cost
   in
   let off = best false and on_ = best true in
   Alcotest.(check bool)
@@ -295,10 +294,9 @@ let test_tabu_aspiration_improves () =
   (* The knob defaults to off: the registry engine and the explicit
      aspiration-off engine produce the same stream. *)
   let default_best =
-    let ctx = Engine.context ~app ~platform ~seed:12 ~iterations:30 () in
-    (Engine.run
-       (Repro_baseline.Tabu.engine_with ~neighbourhood:4 ~tenure:8 ())
-       ctx)
+    (run
+       (Tabu.engine_with ~neighbourhood:4 ~tenure:8 ())
+       ~seed:12 ~iterations:30 app platform)
       .Engine.best_cost
   in
   Alcotest.(check (float 0.0)) "off is the default" off default_best
@@ -307,17 +305,18 @@ let test_tabu_aspiration_improves () =
 
 let test_hill_climb () =
   let app = app () in
-  let config = { Hill_climb.seed = 2; moves_per_climb = 500; restarts = 2 } in
-  let result = Hill_climb.run config app (platform ()) in
+  (* Two climbs of 500 moves. *)
+  let o =
+    run
+      (Hill_climb.engine_with ~moves_per_climb:500 ())
+      ~seed:2 ~iterations:1000 app (platform ())
+  in
   Alcotest.(check bool) "no worse than all-software" true
-    (result.Hill_climb.best_makespan <= App.total_sw_time app);
-  Alcotest.(check int) "moves counted" 1000 result.Hill_climb.moves_tried;
+    (o.Engine.best_cost <= App.total_sw_time app);
+  Alcotest.(check int) "moves counted" 1000 o.Engine.iterations_run;
   Alcotest.(check bool) "result solution evaluates to the reported makespan"
     true
-    (abs_float
-       (Repro_dse.Solution.makespan result.Hill_climb.best
-        -. result.Hill_climb.best_makespan)
-     < 1e-9)
+    (abs_float (Solution.makespan o.Engine.best -. o.Engine.best_cost) < 1e-9)
 
 let suite =
   [

@@ -389,32 +389,41 @@ let qcheck_large_dags =
               check (Longest_path.finish fresh w = Longest_path.finish lp w)
             done
         in
+        let insert u v =
+          let expected =
+            Graph.has_edge g u v || (u <> v && not (reaches g v u))
+          in
+          let before = Array.copy (Longest_path.finish_array lp) in
+          let edges = Graph.edge_count g in
+          let accepted = Longest_path.insert_edge lp u v in
+          check (accepted = expected);
+          if accepted then Longest_path.refresh lp [ v ]
+          else begin
+            incr rejected;
+            check
+              (Graph.edge_count g = edges
+               && Longest_path.finish_array lp = before)
+          end;
+          check_fresh ()
+        in
         try
           for _ = 1 to 200 do
             let u = Rng.int rng n and v = Rng.int rng n in
-            (if Rng.bernoulli rng 0.3 && Graph.succs g u <> [] then begin
-               let w = Rng.choice_list rng (Graph.succs g u) in
-               Longest_path.delete_edge lp u w;
-               Longest_path.refresh lp [ w ]
-             end
-             else begin
-               let expected =
-                 Graph.has_edge g u v || (u <> v && not (reaches g v u))
-               in
-               let before = Array.copy (Longest_path.finish_array lp) in
-               let edges = Graph.edge_count g in
-               let accepted = Longest_path.insert_edge lp u v in
-               check (accepted = expected);
-               if accepted then Longest_path.refresh lp [ v ]
-               else begin
-                 incr rejected;
-                 check
-                   (Graph.edge_count g = edges
-                    && Longest_path.finish_array lp = before)
-               end
-             end);
-            check_fresh ()
+            if Rng.bernoulli rng 0.3 && Graph.succs g u <> [] then begin
+              let w = Rng.choice_list rng (Graph.succs g u) in
+              Longest_path.delete_edge lp u w;
+              Longest_path.refresh lp [ w ];
+              check_fresh ()
+            end
+            else insert u v
           done;
+          (* The random draws may all miss a cycle: close one for sure
+             by inserting the reverse of an existing edge. *)
+          (match
+             List.find_opt (fun u -> Graph.succs g u <> []) (List.init n Fun.id)
+           with
+           | Some u -> insert (List.hd (Graph.succs g u)) u
+           | None -> ());
           !rejected > 0
         with Exit -> false)
 

@@ -83,7 +83,7 @@ let test_hw_draw_matches_choice_list () =
           (label ^ ": same generator state") true
           (Rng.state by_list = Rng.state by_count)
       done)
-    [ ("md28", Test_solution.md28 ()); ("g128", Test_solution.g128 ()) ]
+    [ ("md28", Test_solution.md28 ()); ("g128", Test_golden.layered128 ()) ]
 
 let test_feasibility_preserved () =
   let rng = Rng.create 77 in
@@ -211,6 +211,125 @@ let qcheck_random_walk_invariants =
       in
       walk steps)
 
+(* The incremental evaluator against forced rebuilds, one move kind at
+   a time.  Two copies of one starting solution take the same draws
+   from [Moves.propose_kind] in lockstep and undo every applied move
+   (the annealer's rejected-move cycle, which keeps every kind's
+   preconditions fixed); the rebuild copy calls [Solution.invalidate]
+   before each draw, so its evaluations are full builds.  They must
+   apply the same moves and agree on every makespan bit.  The
+   incremental copy's counters then show that the structural kinds
+   were served by the refresh path and that no kind regenerated the
+   global sequencing-pair list. *)
+let structural_kinds =
+  [ Solution.Sw_reorder; Solution.Sw_migrate; Solution.Ctx_migrate;
+    Solution.Ctx_create; Solution.Ctx_swap ]
+
+let matrix_kinds =
+  (Solution.Impl :: structural_kinds) @ [ Solution.Platform_swap ]
+
+(* A starting point with software tasks and several contexts:
+   [Solution.random] packs hardware into as few contexts as the device
+   allows, so two mutually independent software tasks go into fresh
+   singleton contexts — their independence keeps at least the swap of
+   those two contexts acyclic, so every kind has feasible draws. *)
+let prepare s =
+  let clo = Solution.closure s in
+  let order = Solution.sw_order s in
+  let independent a b =
+    (not (Repro_sched.Closure.reaches clo a b))
+    && not (Repro_sched.Closure.reaches clo b a)
+  in
+  let pair =
+    List.find_map
+      (fun a ->
+        List.find_map
+          (fun b -> if a < b && independent a b then Some (a, b) else None)
+          order)
+      order
+  in
+  match pair with
+  | Some (a, b) when Solution.n_contexts s >= 1 ->
+    Solution.insert_context s ~task:a ~at:(Solution.n_contexts s);
+    Solution.insert_context s ~task:b ~at:(Solution.n_contexts s);
+    Solution.n_contexts s >= 3
+    && List.length (Solution.sw_order s) >= 4
+    && Float.is_finite (Solution.makespan s)
+  | _ -> false
+
+(* The first generator seed whose random solution [prepare] accepts. *)
+let start_seed (application, plat) =
+  let rec find seed =
+    if prepare (Solution.random (Rng.create seed) application plat) then seed
+    else find (seed + 1)
+  in
+  find 1
+
+(* Runs the lockstep drive under the given delta-check mode and returns
+   the incremental copy's counters. *)
+let lockstep ~label ~paranoid ~draws ~seed (application, plat) kind =
+  let was = Solution.check_deltas_enabled () in
+  Solution.set_check_deltas paranoid;
+  Fun.protect ~finally:(fun () -> Solution.set_check_deltas was) @@ fun () ->
+  let start () =
+    let s = Solution.random (Rng.create seed) application plat in
+    assert (prepare s);
+    s
+  in
+  let incremental = start () and rebuild = start () in
+  let config =
+    Moves.exploration
+      [ plat; Platform.with_rc_size plat (2 * Platform.n_clb plat) ]
+  in
+  let rng_i = Rng.create 101 and rng_r = Rng.create 101 in
+  let label = Printf.sprintf "%s, %s" label (Solution.move_kind_label kind) in
+  let bits = Int64.bits_of_float in
+  let applied = ref 0 in
+  for draw = 1 to draws do
+    Solution.invalidate rebuild;
+    match
+      ( Moves.propose_kind rng_i config incremental kind,
+        Moves.propose_kind rng_r config rebuild kind )
+    with
+    | Some undo_i, Some undo_r ->
+      incr applied;
+      let mi = Solution.makespan incremental
+      and mr = Solution.makespan rebuild in
+      if bits mi <> bits mr then
+        Alcotest.failf "%s: draw %d: makespan %h incremental, %h rebuild"
+          label draw mi mr;
+      undo_i ();
+      undo_r ()
+    | None, None -> ()
+    | Some _, None | None, Some _ ->
+      Alcotest.failf "%s: draw %d applied by one copy only" label draw
+  done;
+  Alcotest.(check string) (label ^ ": same final state")
+    (Solution.encode rebuild) (Solution.encode incremental);
+  if !applied = 0 then Alcotest.failf "%s: no draw applied" label;
+  Solution.kind_stats (Solution.eval_stats incremental) kind
+
+let test_incremental_matches_rebuild () =
+  List.iter
+    (fun (label, input) ->
+      let seed = start_seed input in
+      List.iter
+        (fun kind ->
+          let ks =
+            lockstep ~label ~paranoid:false ~draws:300 ~seed input kind
+          in
+          let name = label ^ ", " ^ Solution.move_kind_label kind in
+          if List.mem kind structural_kinds then
+            Alcotest.(check bool) (name ^ ": served incrementally") true
+              (ks.Solution.k_incr_evals > 0);
+          Alcotest.(check int) (name ^ ": no global pair regeneration") 0
+            ks.Solution.k_pair_regens;
+          (* The paranoid mode re-derives every emitted delta and
+             raises on a mismatch: the drive itself is the check. *)
+          ignore (lockstep ~label ~paranoid:true ~draws:100 ~seed input kind))
+        matrix_kinds)
+    [ ("md28", Test_solution.md28 ()); ("g128", Test_golden.layered128 ()) ]
+
 let suite =
   [
     Alcotest.test_case "feasibility preserved" `Quick test_feasibility_preserved;
@@ -227,4 +346,6 @@ let suite =
     QCheck_alcotest.to_alcotest qcheck_random_walk_invariants;
     Alcotest.test_case "hardware-task draw matches the list draw" `Quick
       test_hw_draw_matches_choice_list;
+    Alcotest.test_case "incremental matches rebuild per move kind" `Quick
+      test_incremental_matches_rebuild;
   ]

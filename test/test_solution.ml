@@ -449,23 +449,6 @@ let qcheck_paranoid_deltas =
           done;
           !ok))
 
-(* The micro benchmark's 128-task layered recipe (8 layers up to 31
-   wide, p = 0.12, the first generator seed reaching 128 tasks) on
-   600-CLB contexts. *)
-let g128 () =
-  let rec find seed =
-    let application =
-      Generators.layered ~name:"layered128" (Rng.create seed)
-        Generators.default_impl_model ~layers:8 ~width:31
-        ~edge_probability:0.12 ~mean_sw_time:2.0 ~mean_kbytes:8.0
-    in
-    if App.size application >= 128 then application else find (seed + 1)
-  in
-  let application = find 1 in
-  ( application,
-    Platform.with_rc_size (Repro_workloads.Suite.platform_for application) 600
-  )
-
 let md28 () =
   ( Repro_workloads.Motion_detection.app (),
     Repro_workloads.Motion_detection.platform ~n_clb:800 () )
@@ -569,7 +552,7 @@ let test_makespan_path () =
       done;
       if !infeasible = 0 then
         Alcotest.failf "%s: no infeasible state was visited" label)
-    [ ("md28", md28 (), 300); ("g128", g128 (), 150) ]
+    [ ("md28", md28 (), 300); ("g128", Test_golden.layered128 (), 150) ]
 
 let test_replace_platform () =
   let s = Solution.all_software (app ()) (platform ~n_clb:100 ()) in
