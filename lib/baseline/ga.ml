@@ -71,14 +71,14 @@ let decode app platform individual =
   Searchgraph.single_processor_spec ~app ~platform ~binding ~impl_choice
     ~sw_order ~contexts
 
-let solution_of ?scratch app platform individual =
+let solution_of app platform individual =
   let contexts, sw_order, _binding, impl_choice = plan app platform individual in
   let sw_orders =
     sw_order
     :: List.init (Platform.processor_count platform - 1) (fun _ -> [])
   in
   let impl = List.init (App.size app) impl_choice in
-  Solution.of_mapping ?scratch app platform ~sw_orders ~contexts ~impl
+  Solution.of_mapping app platform ~sw_orders ~contexts ~impl
 
 let solution_of_exn app platform individual =
   match solution_of app platform individual with

@@ -23,14 +23,11 @@ val decode : App.t -> Platform.t -> individual -> Searchgraph.spec
     treated as software. *)
 
 val solution_of :
-  ?scratch:Repro_dse.Solution.t ->
   App.t -> Platform.t -> individual ->
   (Repro_dse.Solution.t, string) Stdlib.result
 (** The same realization as {!decode}, materialized as a first-class
     {!Repro_dse.Solution.t} (via {!Repro_dse.Solution.of_mapping}) so
-    decoded individuals flow through the engine contract.  [scratch]
-    donates a retiring solution's evaluation storage to the new one
-    (see {!Repro_dse.Solution.of_mapping}). *)
+    decoded individuals flow through the engine contract. *)
 
 val fitness : App.t -> Platform.t -> individual -> float
 (** Makespan of the decoded individual.  [infinity] when the decoded

@@ -48,11 +48,8 @@ let engine_run (ctx : Engine.context) =
       in
       (s, Solution.makespan s, 1))
     ~step:(fun _rng ~iteration state ->
-      (* The previous step's solution retires here: donate its
-         evaluation storage to the incoming candidate. *)
       match
-        Ga.solution_of ~scratch:state app platform
-          (heaviest_fraction app (fraction iteration))
+        Ga.solution_of app platform (heaviest_fraction app (fraction iteration))
       with
       | Error _ ->
         { Engine.state; cost = infinity; accepted = false; evaluations = 0 }

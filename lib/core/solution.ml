@@ -101,28 +101,25 @@ let rec assoc_int (x : int) = function
   | (k, v) :: rest -> if x = k then v else assoc_int x rest
 
 (* One entry of the incremental state's delta log.  Every mutation of
-   the live search graph, its weights, the slot allocation, the cached
-   pair list or the boundary-traffic total is recorded here, so an undo
-   closure can replay the inverse ops (LIFO) instead of forcing a
-   rebuild. *)
+   the live search graph, its weights, the cached pair list or the
+   boundary-traffic total is recorded here, so an undo closure can
+   replay the inverse ops (LIFO) instead of forcing a rebuild. *)
 type op =
   | W of int * float * float       (* node, old weight, new weight *)
   | E_add of int * int
   | E_del of int * int
   | Comm_set of int * float        (* app-edge index, old boundary term *)
-  | Slot_alloc of int * int        (* context id, slot *)
-  | Slot_free of int * int
   | Pairs of int list * bool       (* old cache (sorted, packed u·2n+v)
                                       and whether it was fresh *)
   | Touch of int list              (* nodes whose edge weights changed *)
 
 (* Incremental-evaluation state: a live search graph over n task nodes
-   plus [cap = n] configuration-node *slots*, its longest-path solution
-   (dynamic: edges are edited in place), and the bookkeeping that turns
-   a structural mutation into an edge-delta set.  Contexts come and go
-   as moves execute, so each live context id owns a slot for its
-   configuration node; free slots stay isolated (no edges, weight 0)
-   and are excluded from the canonical evaluation.
+   plus n configuration nodes, its longest-path solution (dynamic:
+   edges are edited in place), and the bookkeeping that turns a
+   structural mutation into an edge-delta set.  A context's id is in
+   [0, n) and its configuration node is [n + id]; the nodes of free ids
+   stay isolated (no edges, weight 0) and are excluded from the
+   canonical evaluation.
 
    Each mutator emits its own exact edge delta from the pair emitters
    of only the chains, contexts and context adjacencies it touched
@@ -136,18 +133,16 @@ type op =
    ([pairs_fresh] tracks whether the cache is current — default-mode
    moves stop maintaining it).
 
-   [valid = false] keeps the state alive as a storage donor only (next
-   evaluation rebuilds); [desync] flags a move whose sequencing
-   contradicts the application precedences (infeasible until undone).
-   The scratch fields ([scratch_tbl], [around]) belong to the one
-   solution that owns this state: restarts anneal on several domains,
-   so nothing here may be shared between solutions. *)
+   [desync] flags a move whose sequencing contradicts the application
+   precedences (infeasible until undone).  A state that can no longer
+   be trusted is dropped ([t.incr <- None]) and the next evaluation
+   builds a new one.  The scratch fields ([scratch_tbl], [around])
+   belong to the one solution that owns this state: restarts anneal on
+   several domains, so nothing here may be shared between solutions. *)
 type incr = {
   sg : Graph.t;
   lp : Longest_path.t;
   weights : float array;
-  slot_of : (int, int) Hashtbl.t;
-  mutable free_slots : int list;
   mutable pairs : int list;
   mutable pairs_fresh : bool;
   comm : Searchgraph.Comm.t;
@@ -162,7 +157,6 @@ type incr = {
   mutable epoch : int;             (* bumped when the log is truncated *)
   mutable dirty : int list;
   mutable desync : bool;
-  mutable valid : bool;
 }
 
 (* Paranoid cross-checking: regenerate the canonical pair list on every
@@ -191,7 +185,10 @@ type cache =
    (so -1 is the primary processor), otherwise the stable id (>= 0) of
    its context.  Stable ids survive context insertions and removals;
    the execution order of contexts is the order of the [contexts]
-   association list.  [sw.(p)] is the execution order of processor p. *)
+   association list.  [sw.(p)] is the execution order of processor p.
+   Contexts are never empty, so n ids suffice: [free_ids] holds the ids
+   in [0, n) no context uses.  Like [ctxs] it is an immutable list, so
+   saving and restoring it is a pointer copy. *)
 type t = {
   app : App.t;
   clo : Closure.t;
@@ -200,7 +197,7 @@ type t = {
   impl : int array;
   mutable sw : int list array;
   mutable ctxs : (int * int list) list;
-  mutable next_ctx : int;
+  mutable free_ids : int list;
   mutable cached : cache;
   mutable incr : incr option;
   mutable last_kind : move_kind;
@@ -217,15 +214,10 @@ let platform t = t.platform
 let closure t = t.clo
 let size t = App.size t.app
 
-(* Contexts are never empty, so a solution over n tasks has at most n
-   of them: n slots always suffice. *)
-let cap_of t = size t
-
-(* Retire the incremental state to storage-donor duty: the next
-   evaluation rebuilds from scratch (recycling the arrays). *)
+(* Drop the live search graph: the next evaluation builds a new one. *)
 let invalidate t =
   t.cached <- Stale;
-  match t.incr with Some inc -> inc.valid <- false | None -> ()
+  t.incr <- None
 
 let eval_stats t = t.stats
 
@@ -247,7 +239,7 @@ let all_software application platform =
     impl = Array.make n 0;
     sw;
     ctxs = [];
-    next_ctx = 0;
+    free_ids = List.init n Fun.id;
     cached = Stale;
     incr = None;
     last_kind = Init;
@@ -310,14 +302,6 @@ let rollback app inc ~mark =
       Searchgraph.Comm.set inc.comm i old;
       (* The term doubles as the longest-path weight of this edge. *)
       mark_dirty inc (App.edge app i).App.dst
-    | Slot_alloc (cid, slot) ->
-      Hashtbl.remove inc.slot_of cid;
-      inc.free_slots <- slot :: inc.free_slots
-    | Slot_free (cid, slot) ->
-      (match inc.free_slots with
-       | s :: rest when s = slot -> inc.free_slots <- rest
-       | _ -> assert false);
-      Hashtbl.replace inc.slot_of cid slot
     | Pairs (old, fresh) ->
       inc.pairs <- old;
       inc.pairs_fresh <- fresh
@@ -334,13 +318,13 @@ let save t =
   let impl = Array.copy t.impl in
   let sw = Array.copy t.sw in
   let ctxs = t.ctxs in
-  let next_ctx = t.next_ctx in
+  let free_ids = t.free_ids in
   let cached = t.cached in
   let platform = t.platform in
   let last_kind = t.last_kind in
   let mark =
     match t.incr with
-    | Some inc when inc.valid && not inc.desync ->
+    | Some inc when not inc.desync ->
       if inc.log_len > log_truncate_threshold then begin
         inc.log_len <- 0;
         inc.epoch <- inc.epoch + 1
@@ -352,21 +336,20 @@ let save t =
     (* The incremental state rolls its delta log back to the save
        point when it is still the same generation; any mismatch (a
        rebuild happened in between, the log was truncated, undos ran
-       out of order) degrades it to storage-donor duty — the solution
-       arrays are restored either way. *)
+       out of order) drops it — the solution arrays are restored
+       either way. *)
     (match (t.incr, mark) with
      | Some inc, Some (saved, epoch, len)
-       when inc == saved && inc.epoch = epoch && inc.log_len >= len
-            && inc.valid ->
+       when inc == saved && inc.epoch = epoch && inc.log_len >= len ->
        rollback t.app inc ~mark:len;
        inc.desync <- false
-     | Some inc, _ -> inc.valid <- false
+     | Some _, _ -> t.incr <- None
      | None, _ -> ());
     Array.blit assign 0 t.assign 0 (Array.length assign);
     Array.blit impl 0 t.impl 0 (Array.length impl);
     t.sw <- Array.copy sw;
     t.ctxs <- ctxs;
-    t.next_ctx <- next_ctx;
+    t.free_ids <- free_ids;
     t.cached <- cached;
     t.platform <- platform;
     t.last_kind <- last_kind
@@ -467,28 +450,25 @@ let comm_term_of t { App.src; dst; kbytes } =
    Sequencing edges are not application edges and weigh 0. *)
 let edge_weight_over app comm = App.edge_weight app (Searchgraph.Comm.get comm)
 
-(* The canonical dynamic pair list (Esw ∪ Ehw) the live graph must
-   realize for the current solution state, with configuration nodes
-   addressed through the slot allocation.  Each pair is packed into a
-   single int (u·2n+v) and the list sorted with the int comparator:
-   this runs once per structural move, and a polymorphic sort over
-   boxed tuples would cost as much as the full rebuild it replaces. *)
+(* Pairs are packed into a single int (u·2n+v) and sorted with the int
+   comparator: this runs once per structural move, and a polymorphic
+   sort over boxed tuples would cost as much as the full rebuild it
+   replaces. *)
 let pack_pairs t pairs =
   let stride = 2 * size t in
   List.sort Int.compare (List.map (fun (u, v) -> (u * stride) + v) pairs)
 
-let slot_pairs t inc =
+(* The canonical dynamic pair list (Esw ∪ Ehw) the live graph must
+   realize for the current solution state, configuration nodes at
+   [n + id]. *)
+let sequencing_pairs t =
   let n = size t in
-  let slots =
-    Array.of_list
-      (List.map (fun (cid, _) -> n + Hashtbl.find inc.slot_of cid) t.ctxs)
-  in
+  let cfg = Array.of_list (List.map (fun (cid, _) -> n + cid) t.ctxs) in
   Searchgraph.sequencing_pairs
-    ~cfg:(fun j -> slots.(j))
+    ~cfg:(fun j -> cfg.(j))
     ~sw_order:t.sw.(0)
     ~extra_sw_orders:(List.tl (Array.to_list t.sw))
     ~contexts:(List.map snd t.ctxs)
-  |> pack_pairs t
 
 (* [a \ b] for sorted int lists. *)
 let rec diff_sorted a b =
@@ -505,8 +485,8 @@ let rec diff_sorted a b =
    the GTLP emitter for every adjacency with an endpoint in it.
    Contexts outside the region contribute only an O(1) id test —
    their member lists are never traversed. *)
-let capture_ctx_pairs inc n in_region ctxs =
-  let slot cid = n + Hashtbl.find inc.slot_of cid in
+let capture_ctx_pairs n in_region ctxs =
+  let cfg cid = n + cid in
   let rec walk prev acc = function
     | [] -> acc
     | (cid, members) :: rest ->
@@ -514,14 +494,14 @@ let capture_ctx_pairs inc n in_region ctxs =
         match prev with
         | Some (prev_id, prev_members)
           when in_region prev_id || in_region cid ->
-          Searchgraph.gtlp_pairs ~prev_cfg:(slot prev_id) ~prev_members
-            ~cfg:(slot cid)
+          Searchgraph.gtlp_pairs ~prev_cfg:(cfg prev_id) ~prev_members
+            ~cfg:(cfg cid)
           @ acc
         | Some _ | None -> acc
       in
       let acc =
         if in_region cid then
-          Searchgraph.ehw_intra_pairs ~cfg:(slot cid) members @ acc
+          Searchgraph.ehw_intra_pairs ~cfg:(cfg cid) members @ acc
         else acc
       in
       walk (Some (cid, members)) acc rest
@@ -609,10 +589,9 @@ let native_resync t kind ~rebound ~sw_around ~old_sw ~old_ctxs =
   t.last_kind <- kind;
   match t.incr with
   | None -> ()
-  | Some inc when not inc.valid -> ()
   | Some inc when inc.desync ->
     (* Mutating on top of an unresolved desync loses the diff base. *)
-    inc.valid <- false
+    t.incr <- None
   | Some inc ->
     let mark = inc.log_len in
     let n = size t in
@@ -630,23 +609,21 @@ let native_resync t kind ~rebound ~sw_around ~old_sw ~old_ctxs =
        touched the context chain: every context diff below is empty and
        the captures reduce to the disturbed software adjacencies. *)
     let ctx_changed = not (old_ctxs == t.ctxs) in
-    let freed, created, touched_ctxs =
-      if not ctx_changed then ([], [], [])
+    let freed, touched_ctxs =
+      if not ctx_changed then ([], [])
       else begin
         (* One pass over each list through the reused scratch table:
            old members keyed by id, then the new list classifies every
-           context as created, membership-changed, or intact — what
-           stays unclaimed in the table was freed. *)
+           context as created or membership-changed (both touched), or
+           intact — what stays unclaimed in the table was freed. *)
         let old_tbl = inc.scratch_tbl in
         Hashtbl.reset old_tbl;
         List.iter (fun (cid, ms) -> Hashtbl.replace old_tbl cid ms) old_ctxs;
-        let created = ref [] and touched = ref [] in
+        let touched = ref [] in
         List.iter
           (fun (cid, ms) ->
             match Hashtbl.find_opt old_tbl cid with
-            | None ->
-              created := (cid, ms) :: !created;
-              touched := (cid, ms) :: !touched
+            | None -> touched := (cid, ms) :: !touched
             | Some old_ms ->
               Hashtbl.remove old_tbl cid;
               if not (old_ms == ms || List.equal Int.equal old_ms ms) then
@@ -655,7 +632,7 @@ let native_resync t kind ~rebound ~sw_around ~old_sw ~old_ctxs =
         let freed =
           List.filter (fun (cid, _) -> Hashtbl.mem old_tbl cid) old_ctxs
         in
-        (freed, List.rev !created, List.rev !touched)
+        (freed, List.rev !touched)
       end
     in
     let region =
@@ -677,42 +654,17 @@ let native_resync t kind ~rebound ~sw_around ~old_sw ~old_ctxs =
     let stamp = inc.around_stamp in
     List.iter (fun v -> inc.around.(v) <- stamp) sw_around;
     let around v = inc.around.(v) = stamp in
-    (* 2. Before-pairs, from the snapshots (slots still pre-move). *)
-    let before_pairs =
+    (* 2. Before- and after-pairs, from the snapshots and from the
+       mutated state; their sorted diff is the move's exact edge
+       delta. *)
+    let captured sw ctxs =
       List.concat_map
-        (fun p -> Searchgraph.chain_pairs_near around old_sw.(p))
+        (fun p -> Searchgraph.chain_pairs_near around sw.(p))
         changed_procs
-      @ (if region = [] then []
-         else capture_ctx_pairs inc n in_region old_ctxs)
+      @ (if region = [] then [] else capture_ctx_pairs n in_region ctxs)
     in
-    (* 3. Slots follow the move exactly: removed contexts release
-       theirs, created contexts claim from the free list. *)
-    List.iter
-      (fun (cid, _) ->
-        let slot = Hashtbl.find inc.slot_of cid in
-        log_push inc (Slot_free (cid, slot));
-        Hashtbl.remove inc.slot_of cid;
-        inc.free_slots <- slot :: inc.free_slots;
-        set_weight inc (n + slot) 0.0)
-      freed;
-    List.iter
-      (fun (cid, _) ->
-        match inc.free_slots with
-        | [] -> assert false (* cap = n >= number of non-empty contexts *)
-        | slot :: rest ->
-          inc.free_slots <- rest;
-          log_push inc (Slot_alloc (cid, slot));
-          Hashtbl.replace inc.slot_of cid slot)
-      created;
-    (* 4. After-pairs from the mutated state; the sorted diff is the
-       move's exact edge delta. *)
-    let after_pairs =
-      List.concat_map
-        (fun p -> Searchgraph.chain_pairs_near around t.sw.(p))
-        changed_procs
-      @ (if region = [] then []
-         else capture_ctx_pairs inc n in_region t.ctxs)
-    in
+    let before_pairs = captured old_sw old_ctxs in
+    let after_pairs = captured t.sw t.ctxs in
     let before_packed = pack_pairs t before_pairs in
     let after_packed = pack_pairs t after_pairs in
     let removals = diff_sorted before_packed after_packed in
@@ -727,7 +679,7 @@ let native_resync t kind ~rebound ~sw_around ~old_sw ~old_ctxs =
     if !check_deltas then begin
       t.stats.pair_regens <- t.stats.pair_regens + 1;
       ks.k_pair_regens <- ks.k_pair_regens + 1;
-      let fresh = slot_pairs t inc in
+      let fresh = pack_pairs t (sequencing_pairs t) in
       if inc.pairs_fresh then begin
         let want_rm = diff_sorted inc.pairs fresh in
         let want_add = diff_sorted fresh inc.pairs in
@@ -745,7 +697,7 @@ let native_resync t kind ~rebound ~sw_around ~old_sw ~old_ctxs =
       inc.pairs_fresh <- true
     end
     else inc.pairs_fresh <- false;
-    (* 5. Apply the delta: deletions then insertions, packed order. *)
+    (* 3. Apply the delta: deletions then insertions, packed order. *)
     let stride = 2 * n in
     let edited = ref 0 in
     List.iter
@@ -783,10 +735,11 @@ let native_resync t kind ~rebound ~sw_around ~old_sw ~old_ctxs =
       inc.desync <- true
     end
     else begin
-      (* 6. Weights: rebound tasks re-read their execution time (and
+      (* 4. Weights: rebound tasks re-read their execution time (and
          their application successors see changed edge weights);
          configuration nodes track their context's area — only where
-         membership changed. *)
+         membership changed — and a freed context's node goes back to
+         weight 0. *)
       List.iter
         (fun v ->
           set_weight inc v (exec_time_of t v);
@@ -796,11 +749,11 @@ let native_resync t kind ~rebound ~sw_around ~old_sw ~old_ctxs =
         rebound;
       List.iter
         (fun (cid, members) ->
-          set_weight inc
-            (n + Hashtbl.find inc.slot_of cid)
+          set_weight inc (n + cid)
             (Platform.reconfiguration_time t.platform (members_clbs t members)))
         touched_ctxs;
-      (* 7. Boundary traffic: flip the sum-tree terms of the edges
+      List.iter (fun (cid, _) -> set_weight inc (n + cid) 0.0) freed;
+      (* 5. Boundary traffic: flip the sum-tree terms of the edges
          incident to rebound tasks — O(deg · log m), not a re-walk of
          the application graph. *)
       if rebound <> [] then begin
@@ -824,8 +777,8 @@ let native_resync t kind ~rebound ~sw_around ~old_sw ~old_ctxs =
     end
 
 (* Assemble the evaluation record from the live state, reading only
-   the canonical nodes (tasks, then live configuration slots in context
-   execution order) so retired slots are invisible.  The folds run in
+   the canonical nodes (tasks, then the configuration nodes of the live
+   contexts in execution order) so free ids are invisible.  The folds run in
    the same order as [Searchgraph.evaluate]'s, keeping the result
    bit-identical to a rebuild. *)
 let eval_from_incr t inc =
@@ -838,7 +791,7 @@ let eval_from_incr t inc =
   let dynamic_reconfig = ref 0.0 in
   List.iteri
     (fun j (cid, _) ->
-      let s = n + Hashtbl.find inc.slot_of cid in
+      let s = n + cid in
       finish.(n + j) <- lp_finish.(s);
       if j = 0 then initial_reconfig := inc.weights.(s)
       else dynamic_reconfig := !dynamic_reconfig +. inc.weights.(s))
@@ -854,59 +807,38 @@ let eval_from_incr t inc =
     finish;
   }
 
-(* The makespan straight off the live finish array.  Free slots are
-   isolated nodes of weight 0, so they finish at 0 and leave the
+(* The makespan straight off the live finish array.  The nodes of free
+   ids are isolated and of weight 0, so they finish at 0 and leave the
    maximum over the canonical nodes unchanged. *)
 let settled inc = Settled (Longest_path.makespan inc.lp)
 
-(* Full (re)build: construct the slotted search graph and longest-path
-   state directly (contexts take slots 0..k-1), recycling the retired
-   state's storage when the sizes match, and keep the result alive for
-   the incremental path. *)
+(* Full build: construct the search graph over n task and n
+   configuration nodes and its longest-path state, and keep them alive
+   for the incremental path. *)
 let evaluate_full t =
   let n = size t in
-  let total = n + cap_of t in
   let k = List.length t.ctxs in
-  let retired = t.incr in
-  t.incr <- None;
-  let g, weights, slot_of, log, scratch =
-    match retired with
-    | Some inc when Graph.size inc.sg = total ->
-      Graph.clear inc.sg;
-      Hashtbl.reset inc.slot_of;
-      (inc.sg, inc.weights, inc.slot_of, inc.log, Some inc.lp)
-    | Some _ | None ->
-      (Graph.create total, Array.make total 0.0, Hashtbl.create 16, [||], None)
-  in
+  let g = Graph.create (2 * n) in
   List.iter (fun { App.src; dst; kbytes = _ } -> Graph.add_edge g src dst)
     (App.edges t.app);
-  let pairs_raw =
-    Searchgraph.sequencing_pairs
-      ~cfg:(fun j -> n + j)
-      ~sw_order:t.sw.(0)
-      ~extra_sw_orders:(List.tl (Array.to_list t.sw))
-      ~contexts:(List.map snd t.ctxs)
-  in
+  let pairs_raw = sequencing_pairs t in
   List.iter (fun (a, b) -> Graph.add_edge g a b) pairs_raw;
-  List.iteri (fun j (cid, _) -> Hashtbl.replace slot_of cid j) t.ctxs;
+  let weights = Array.make (2 * n) 0.0 in
   for v = 0 to n - 1 do
     weights.(v) <- exec_time_of t v
   done;
-  List.iteri
-    (fun j (_, members) ->
-      weights.(n + j) <-
+  List.iter
+    (fun (cid, members) ->
+      weights.(n + cid) <-
         Platform.reconfiguration_time t.platform (members_clbs t members))
     t.ctxs;
-  for s = k to cap_of t - 1 do
-    weights.(n + s) <- 0.0
-  done;
   let comm =
     Searchgraph.Comm.create
       (Searchgraph.comm_terms ~platform:t.platform ~app:t.app
          ~crossing:(crossing_of t))
   in
   match
-    Longest_path.create ?scratch g
+    Longest_path.create g
       ~node_weight:(fun v -> weights.(v))
       ~edge_weight:(edge_weight_over t.app comm)
   with
@@ -921,29 +853,19 @@ let evaluate_full t =
         sg = g;
         lp;
         weights;
-        slot_of;
-        free_slots = List.init (cap_of t - k) (fun i -> k + i);
         (* The canonical pair cache is a verification artifact: seed it
            only when the paranoid cross-check will read it. *)
         pairs = (if !check_deltas then pack_pairs t pairs_raw else []);
         pairs_fresh = !check_deltas;
         comm;
-        scratch_tbl =
-          (match retired with
-           | Some inc -> inc.scratch_tbl
-           | None -> Hashtbl.create 16);
-        around =
-          (match retired with
-           | Some inc when Array.length inc.around = n -> inc.around
-           | Some _ | None -> Array.make n 0);
-        around_stamp =
-          (match retired with Some inc -> inc.around_stamp | None -> 0);
-        log;
+        scratch_tbl = Hashtbl.create 16;
+        around = Array.make n 0;
+        around_stamp = 0;
+        log = [||];
         log_len = 0;
         epoch = 0;
         dirty = [];
         desync = false;
-        valid = true;
       }
     in
     t.incr <- Some inc;
@@ -976,10 +898,10 @@ let settle t =
    | Stale ->
      t.cached <-
        (match t.incr with
-        | Some inc when inc.valid ->
+        | Some inc ->
           if inc.desync || not (capacity_ok t) then Evaluated None
           else evaluate_incremental t inc
-        | Some _ | None ->
+        | None ->
           if not (capacity_ok t) then Evaluated None else evaluate_full t)
    | Settled _ | Evaluated _ -> ());
   t.cached
@@ -992,7 +914,7 @@ let makespan t =
   | Evaluated None | Stale -> infinity
 
 (* The record of a settled state, built on demand.  While the live
-   graph still realizes that state (valid, in sync, no dirty cone) it
+   graph still realizes that state (in sync, no dirty cone) it
    is read off the live arrays.  A copy carries no live graph, and an
    undo restores the cache but leaves its rolled-back cones dirty:
    there the record comes from [Searchgraph.evaluate], which is
@@ -1006,7 +928,7 @@ let evaluate t =
   | Settled _ ->
     let result =
       match t.incr with
-      | Some inc when inc.valid && (not inc.desync) && inc.dirty = [] ->
+      | Some inc when (not inc.desync) && inc.dirty = [] ->
         Some (eval_from_incr t inc)
       | Some _ | None -> Searchgraph.evaluate (spec t)
     in
@@ -1026,18 +948,18 @@ let set_impl t v k =
     t.cached <- Stale;
     t.last_kind <- Impl;
     match t.incr with
-    | Some inc when inc.valid && not inc.desync ->
+    | Some inc when inc.desync -> t.incr <- None
+    | Some inc ->
       set_weight inc v (exec_time_of t v);
       if t.assign.(v) >= 0 then begin
         let members = assoc_int t.assign.(v) t.ctxs in
-        set_weight inc
-          (size t + Hashtbl.find inc.slot_of t.assign.(v))
+        set_weight inc (size t + t.assign.(v))
           (Platform.reconfiguration_time t.platform (members_clbs t members))
       end
-    | Some inc when inc.desync -> inc.valid <- false
-    | Some _ | None -> ()
+    | None -> ()
   end
 
+(* An emptied context is dropped and its id freed. *)
 let remove_from_context t v =
   let id = t.assign.(v) in
   assert (id >= 0);
@@ -1047,10 +969,20 @@ let remove_from_context t v =
         if cid <> id then Some (cid, members)
         else
           match List.filter (fun w -> w <> v) members with
-          | [] -> None
+          | [] ->
+            t.free_ids <- cid :: t.free_ids;
+            None
           | remaining -> Some (cid, remaining))
       t.ctxs;
   t.assign.(v) <- -1
+
+(* A new context takes the id at the head of the free list. *)
+let fresh_id t =
+  match t.free_ids with
+  | id :: rest ->
+    t.free_ids <- rest;
+    id
+  | [] -> assert false (* n ids, and contexts are never empty *)
 
 let insert_before x (before : int) list =
   let rec walk = function
@@ -1124,8 +1056,7 @@ let move_to_context t ~task ~dest =
           end
           else begin
             (* Spawn a fresh context right after the destination. *)
-            let fresh = t.next_ctx in
-            t.next_ctx <- t.next_ctx + 1;
+            let fresh = fresh_id t in
             placed := true;
             t.assign.(task) <- fresh;
             [ (cid, members); (fresh, [ task ]) ]
@@ -1143,8 +1074,7 @@ let insert_context t ~task ~at =
   let old_ctxs = t.ctxs in
   let sw_around = sw_departure_around t task in
   detach t task;
-  let fresh = t.next_ctx in
-  t.next_ctx <- t.next_ctx + 1;
+  let fresh = fresh_id t in
   t.assign.(task) <- fresh;
   (* The source context may have disappeared; recompute the bound. *)
   let at = min at (List.length t.ctxs) in
@@ -1258,30 +1188,21 @@ let random rng application platform =
           t.ctxs <-
             List.map
               (fun (cid, ms) -> if cid = last_id then (cid, v :: ms) else (cid, ms))
-              t.ctxs;
-          invalidate t
+              t.ctxs
         | _ :: _ | [] -> append_context t ~task:v
       end)
     topo;
+  (* [append_context] stamps its own kind: the first evaluation of the
+     initial solution is booked under [Init]. *)
+  t.last_kind <- Init;
   t
 
-(* Move a retired solution's incremental state into [t] as a storage
-   donor: the next evaluation rebuilds in place instead of
-   reallocating the graph, the weight store and the position/finish
-   arrays (the rebuild-heavy engines decode or remap every step). *)
-let adopt_scratch t scratch =
-  match scratch with
-  | None -> ()
-  | Some donor -> (
-    match donor.incr with
-    | Some inc when Graph.size inc.sg = size t + cap_of t ->
-      donor.incr <- None;
-      inc.valid <- false;
-      inc.desync <- false;
-      t.incr <- Some inc
-    | Some _ | None -> ())
+(* Ids [k..n-1] are free.  The guard keeps a malformed input (more
+   contexts than tasks, necessarily some empty) from raising here: the
+   invariant check rejects it. *)
+let free_ids_after ~n ~k = List.init (max 0 (n - k)) (fun i -> k + i)
 
-let rec of_mapping ?scratch application platform ~sw_orders ~contexts ~impl =
+let rec of_mapping application platform ~sw_orders ~contexts ~impl =
   let n = App.size application in
   let procs = Platform.processor_count platform in
   if List.length sw_orders <> procs then
@@ -1326,7 +1247,7 @@ let rec of_mapping ?scratch application platform ~sw_orders ~contexts ~impl =
               impl = Array.of_list impl;
               sw = Array.of_list sw_orders;
               ctxs = List.mapi (fun j members -> (j, members)) contexts;
-              next_ctx = List.length contexts;
+              free_ids = free_ids_after ~n ~k:(List.length contexts);
               cached = Stale;
               incr = None;
               last_kind = Init;
@@ -1334,9 +1255,7 @@ let rec of_mapping ?scratch application platform ~sw_orders ~contexts ~impl =
             }
           in
           match check_invariants t with
-          | Ok () ->
-            adopt_scratch t scratch;
-            Ok t
+          | Ok () -> Ok t
           | Error msg -> Error ("of_mapping: " ^ msg)
         end
     end
@@ -1404,8 +1323,7 @@ and check_invariants t =
 
    Context ids are renumbered to their positional index 0..k-1: ids are
    only compared for equality within one solution, so renumbering (with
-   [next_ctx = k] keeping fresh ids fresh) preserves every move's
-   behaviour.  Member and order lists keep their exact element order —
+   ids k..n-1 free) preserves every move's behaviour.  Member and order lists keep their exact element order —
    the proposal stream depends on it. *)
 
 let encode t =
@@ -1433,7 +1351,7 @@ let encode t =
   List.iter (fun (_, members) -> add_ints "ctx" members) t.ctxs;
   Buffer.contents b
 
-let decode ?scratch application platform text =
+let decode application platform text =
   let ( let* ) = Result.bind in
   let ints_after tag line =
     match String.split_on_char ' ' line with
@@ -1503,7 +1421,7 @@ let decode ?scratch application platform text =
               impl = Array.of_list impl;
               sw = Array.of_list sw_orders;
               ctxs = List.mapi (fun j members -> (j, members)) ctx_members;
-              next_ctx = k;
+              free_ids = free_ids_after ~n ~k;
               cached = Stale;
               incr = None;
               last_kind = Init;
@@ -1511,9 +1429,7 @@ let decode ?scratch application platform text =
             }
           in
           match check_invariants t with
-          | Ok () ->
-            adopt_scratch t scratch;
-            Ok t
+          | Ok () -> Ok t
           | Error msg -> Error ("solution codec: " ^ msg)
         end)
 

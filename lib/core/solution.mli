@@ -41,7 +41,6 @@ val random : Repro_util.Rng.t -> App.t -> Platform.t -> t
 val copy : t -> t
 
 val of_mapping :
-  ?scratch:t ->
   App.t -> Platform.t ->
   sw_orders:int list list ->
   contexts:int list list ->
@@ -54,9 +53,7 @@ val of_mapping :
     constructed solution passes {!check_invariants} or an error is
     returned.  Used by the decoded baselines (GA, greedy) to express
     their answers as first-class solutions behind the common engine
-    interface.  [scratch] donates a retiring solution of the same
-    problem size whose evaluation storage (graph, weights, positions)
-    is recycled by the first evaluation instead of reallocated. *)
+    interface. *)
 
 (** {1 Inspection} *)
 
@@ -116,9 +113,13 @@ val evaluate : t -> Searchgraph.eval option
     total is patched by flipping the sum-tree terms of the edges
     incident to the moved tasks.  Every edit lands in a delta log so
     {!save}'s undo closure restores the live graph by replaying
-    inverses.  {!replace_platform}, {!decode} and cycle detection fall
-    back to a full rebuild that recycles the previous state's storage.
-    Incremental results are bit-identical to a rebuild: the
+    inverses.  A move that closes a cycle is rolled back and the
+    solution reads as infeasible until the move is undone.  The live
+    graph is dropped, and the next evaluation builds a new one, on
+    {!replace_platform} and {!invalidate}, on an undo that does not
+    match the log (out of order, or after truncation), and on a
+    mutation on top of an infeasible move; copies and decoded
+    solutions start without one.  Incremental results are bit-identical to a rebuild: the
     longest-path fixpoint is exact, and the comm term is a pairwise
     sum whose value is a pure function of the current boundary terms
     ({!Repro_sched.Searchgraph.Comm}).  Under [REPRO_CHECK_DELTAS]
@@ -169,8 +170,8 @@ type eval_stats = {
 
 val eval_stats : t -> eval_stats
 (** Counters shared by a solution and its snapshots — the measured
-    locality win of the incremental path (see the bench harness and
-    the solution tests). *)
+    locality win of the incremental path, written into the
+    [dse-run --result] file and read by the perfbench probes. *)
 
 val kind_stats : eval_stats -> move_kind -> kind_stats
 (** Evaluation work booked against the kind of the mutation that
@@ -207,14 +208,13 @@ val save : t -> (unit -> unit)
     (move undo).  The live search graph is restored by replaying the
     delta log backwards to the save point, so rejecting a structural
     move costs a few inverse edge edits rather than a rebuild.  Undo
-    closures are one-shot and LIFO; out-of-order use degrades safely
-    to a full rebuild at the next evaluation. *)
+    closures are one-shot and LIFO; out-of-order use drops the live
+    graph, and the next evaluation rebuilds it. *)
 
 val invalidate : t -> unit
-(** Force the next evaluation to rebuild from scratch (the retired
-    incremental state is kept as a storage donor).  Escape hatch for
-    manual surgery on the solution — and the forced-rebuild twin of
-    the incremental-vs-rebuild test. *)
+(** Drop the live search graph, so the next evaluation rebuilds it from
+    scratch.  Escape hatch for manual surgery on the solution — and the
+    forced-rebuild twin of the incremental-vs-rebuild test. *)
 
 val set_impl : t -> int -> int -> unit
 (** Structure-preserving: updates the task's weight (and its context's
@@ -264,12 +264,10 @@ val encode : t -> string
     positionally, which no move can observe, so a decoded solution
     replays the same proposal stream as the original. *)
 
-val decode : ?scratch:t -> App.t -> Platform.t -> string -> (t, string) result
+val decode : App.t -> Platform.t -> string -> (t, string) result
 (** Rebuild a solution from {!encode} output against the same
     application and platform; validates shape and
     {!check_invariants}.  Evaluation caches start cold — the exact
-    longest-path refresh guarantees re-evaluation is bit-identical.
-    [scratch] donates a retiring solution's evaluation storage as in
-    {!of_mapping}. *)
+    longest-path refresh guarantees re-evaluation is bit-identical. *)
 
 val pp : Format.formatter -> t -> unit

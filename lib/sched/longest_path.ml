@@ -92,23 +92,17 @@ let evaluate_node t v =
 let recompute_in_order t order =
   Array.iter (fun v -> t.finish.(v) <- evaluate_node t v) order
 
-let create ?scratch graph ~node_weight ~edge_weight =
+let create graph ~node_weight ~edge_weight =
   match Graph.topological_order graph with
   | None -> None
   | Some order ->
     let n = Graph.size graph in
-    let position, finish, queue, queued, fwd, bwd =
-      match scratch with
-      | Some s when Array.length s.position = n ->
-        (s.position, s.finish, s.queue, s.queued, s.fwd, s.bwd)
-      | Some _ | None ->
-        ( Array.make n 0, Array.make n 0.0, heap_create (), Bitset.create n,
-          Bitset.create n, Bitset.create n )
-    in
+    let position = Array.make n 0 in
     Array.iteri (fun i v -> position.(v) <- i) order;
     let t =
-      { graph; node_weight; edge_weight; position; finish; queue; queued;
-        fwd; bwd; touched = n }
+      { graph; node_weight; edge_weight; position; finish = Array.make n 0.0;
+        queue = heap_create (); queued = Bitset.create n;
+        fwd = Bitset.create n; bwd = Bitset.create n; touched = n }
     in
     recompute_in_order t order;
     Some t

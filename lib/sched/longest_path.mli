@@ -21,15 +21,11 @@ open Repro_taskgraph
 type t
 
 val create :
-  ?scratch:t ->
   Graph.t -> node_weight:(int -> float) -> edge_weight:(int -> int -> float) ->
   t option
 (** Builds the state and computes all completion times; [None] when the
     graph is cyclic.  The graph must only be mutated afterwards through
-    {!insert_edge} / {!delete_edge}.  [scratch] donates the internal
-    arrays and the insertion marks of a retired state of the same
-    size, avoiding reallocation on rebuild-heavy paths (the donor must
-    no longer be used). *)
+    {!insert_edge} / {!delete_edge}. *)
 
 val insert_edge : t -> int -> int -> bool
 (** [insert_edge t u v] adds edge [u -> v] to the graph, restoring a

@@ -193,17 +193,10 @@ let sequencing_pairs ~cfg ~sw_order ~extra_sw_orders ~contexts =
   @ List.concat_map chain_pairs extra_sw_orders
   @ ehw_pairs ~cfg contexts
 
-let build ?reuse spec =
+let build spec =
   let n = App.size spec.app in
   let contexts = Array.of_list spec.contexts in
-  let k = Array.length contexts in
-  let g =
-    match reuse with
-    | Some g when Graph.size g = n + k ->
-      Graph.clear g;
-      g
-    | Some _ | None -> Graph.create (n + k)
-  in
+  let g = Graph.create (n + Array.length contexts) in
   (* Application edges. *)
   List.iter (fun { App.src; dst; kbytes = _ } -> Graph.add_edge g src dst)
     (App.edges spec.app);

@@ -171,14 +171,10 @@ val sequencing_pairs :
     paranoid mode, to assert the mutator-emitted deltas against a
     regenerate-and-diff reference. *)
 
-val build :
-  ?reuse:Graph.t -> spec -> Graph.t * (int -> float) * (int -> int -> float)
+val build : spec -> Graph.t * (int -> float) * (int -> int -> float)
 (** The raw search graph with its node- and edge-weight functions
     (tasks [0..n-1], then context configuration nodes).  Exposed for
-    tests and for the Gantt view.  [reuse] donates a graph whose edges
-    are discarded; when its size matches the spec's, the adjacency
-    storage is rebuilt in place instead of reallocated (the hot path of
-    the move loop). *)
+    tests and for the Gantt view. *)
 
 val evaluate : spec -> eval option
 (** [None] when the search graph is cyclic (infeasible order).

@@ -22,11 +22,6 @@ let copy t =
     edge_count = t.edge_count;
   }
 
-let clear t =
-  Array.fill t.succs 0 t.size [];
-  Array.fill t.preds 0 t.size [];
-  t.edge_count <- 0
-
 let check t v =
   if v < 0 || v >= t.size then invalid_arg "Graph: node out of range"
 

@@ -15,11 +15,6 @@ val size : t -> int
 val edge_count : t -> int
 val copy : t -> t
 
-val clear : t -> unit
-(** Remove every edge, keeping the node set — lets hot paths rebuild a
-    graph of the same size into preallocated adjacency storage instead
-    of reallocating. *)
-
 val add_edge : t -> int -> int -> unit
 (** Adds [src -> dst].  Duplicate insertions are idempotent.
     Self-loops are rejected with [Invalid_argument]. *)

@@ -5,6 +5,7 @@
 
 module App_io = Repro_taskgraph.App_io
 module Platform_io = Repro_arch.Platform_io
+module Solution = Repro_dse.Solution
 
 let fixture name = Filename.concat "fixtures" name
 
@@ -37,6 +38,32 @@ let bad_tg name ~line ~message =
 
 let bad_plat name ~line ~message =
   Alcotest.test_case name `Quick (check_bad Platform_io.load name ~line ~message)
+
+(* The problem the solution-codec fixtures are written for. *)
+let on_tiny_problem f =
+  match
+    (App_io.load (fixture "good_tiny.tg"),
+     Platform_io.load (fixture "good_board.plat"))
+  with
+  | Ok app, Ok platform -> f app platform
+  | Error msg, _ | _, Error msg -> Error msg
+
+(* [mapping] is the fixture's content as [Solution.of_mapping]
+   arguments, which must be rejected the same way as the decoded
+   text. *)
+let bad_sol name ~mapping:(sw_orders, contexts, impl) ~message =
+  Alcotest.test_case name `Quick (fun () ->
+      let decode path =
+        on_tiny_problem (fun app platform ->
+            Solution.decode app platform
+              (In_channel.with_open_bin path In_channel.input_all))
+      in
+      let of_mapping _path =
+        on_tiny_problem (fun app platform ->
+            Solution.of_mapping app platform ~sw_orders ~contexts ~impl)
+      in
+      check_bad decode name ~line:None ~message ();
+      check_bad of_mapping name ~line:None ~message ())
 
 let check_tg_roundtrip name () =
   match App_io.load (fixture name) with
@@ -101,6 +128,10 @@ let suite =
     bad_plat "bad_dangling_attr.plat" ~line:(Some 2) ~message:"has no value";
     bad_plat "bad_rc_missing_tr.plat" ~line:(Some 3)
       ~message:"rc needs a tr attribute";
+    (* solution codec corpus *)
+    bad_sol "bad_empty_contexts.sol"
+      ~mapping:([ [ 0; 1 ]; [] ], [ []; []; [] ], [ 0; 0 ])
+      ~message:"context 2 empty";
     (* good fixtures round-trip *)
     Alcotest.test_case "good_tiny.tg round-trip" `Quick
       (check_tg_roundtrip "good_tiny.tg");

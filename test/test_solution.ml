@@ -55,6 +55,21 @@ let test_random_valid () =
     Alcotest.(check bool) "feasible" true (Solution.evaluate s <> None)
   done
 
+(* The initial solution's first evaluation is booked under [Init],
+   although [random] opens its contexts through [append_context]. *)
+let test_random_books_init () =
+  let s =
+    Solution.random (Rng.create 5)
+      (Repro_workloads.Motion_detection.app ())
+      (Repro_workloads.Motion_detection.platform ~n_clb:800 ())
+  in
+  Alcotest.(check bool) "has a context" true (Solution.n_contexts s > 0);
+  ignore (Solution.makespan s);
+  let stats = Solution.eval_stats s in
+  let full kind = (Solution.kind_stats stats kind).Solution.k_full_evals in
+  Alcotest.(check int) "init full evals" 1 (full Solution.Init);
+  Alcotest.(check int) "ctx_create full evals" 0 (full Solution.Ctx_create)
+
 let test_random_respects_capacity () =
   (* A 35-CLB device can only host task 0 (30) and task 4 (20),
      one per context. *)
@@ -464,6 +479,43 @@ let same_eval (a : Searchgraph.eval) (b : Searchgraph.eval) =
   && Array.length a.Searchgraph.finish = Array.length b.Searchgraph.finish
   && Array.for_all2 same_bits a.Searchgraph.finish b.Searchgraph.finish
 
+(* Moving a singleton context's task into a full destination frees the
+   context's id and spawns a context right after the destination with
+   that same id, at another position: the emitted delta must still
+   match the regenerated pair list, with no rebuild. *)
+let test_respawn_freed_id () =
+  let was = Solution.check_deltas_enabled () in
+  Solution.set_check_deltas true;
+  Fun.protect ~finally:(fun () -> Solution.set_check_deltas was) @@ fun () ->
+  let s = Solution.all_software (app ()) (platform ~n_clb:100 ()) in
+  Solution.append_context s ~task:0;
+  Solution.append_context s ~task:2;
+  Solution.append_context s ~task:1;
+  Solution.set_impl s 1 1 (* 80 CLBs: task 2 (40) no longer fits *);
+  Alcotest.(check bool) "warm" true (Solution.evaluate s <> None);
+  let stats = Solution.eval_stats s in
+  let full_before = stats.Solution.full_evals in
+  let restore = Solution.save s in
+  Solution.move_to_context s ~task:2 ~dest:1;
+  Alcotest.(check (list (list int))) "re-spawned after the destination"
+    [ [ 0 ]; [ 1 ]; [ 2 ] ] (Solution.contexts s);
+  Alcotest.(check bool) "invariants" true (ok (Solution.check_invariants s));
+  let matches_rebuild what =
+    match (Solution.evaluate s, Searchgraph.evaluate (Solution.spec s)) with
+    | Some got, Some want ->
+      Alcotest.(check bool) (what ^ ": bit-identical to a rebuild") true
+        (same_eval got want)
+    | _ -> Alcotest.failf "%s: expected a feasible evaluation" what
+  in
+  matches_rebuild "after the move";
+  restore ();
+  Alcotest.(check (list (list int))) "undone" [ [ 0 ]; [ 2 ]; [ 1 ] ]
+    (Solution.contexts s);
+  (* A further move reads the rolled-back live graph. *)
+  Solution.swap_contexts s ~at:1;
+  matches_rebuild "after the undo and a swap";
+  Alcotest.(check int) "no rebuild" full_before stats.Solution.full_evals
+
 (* A mutation applied directly, so the next read finds the state
    unsettled; a reorder without the closure check may close a cycle. *)
 let direct_mutation rng s =
@@ -490,7 +542,10 @@ let direct_mutation rng s =
    lockstep: [b] reads the record before the makespan; [a] reads the
    makespan and, on a coin, the record after it — so an undo often
    restores a state whose record was never built — and a copy of [a]
-   (which carries no live graph) builds its own. *)
+   (which carries no live graph) builds its own.  Besides moves, direct
+   mutations and their undo, the sequence mutates on top of infeasible
+   states and undoes nested saves out of order: the paths that drop
+   the live graph. *)
 let test_makespan_path () =
   List.iter
     (fun (label, (application, plat), steps) ->
@@ -542,11 +597,40 @@ let test_makespan_path () =
           direct_mutation ra a;
           direct_mutation rb b;
           check "after a direct mutation";
-          if Solution.makespan a = infinity then incr infeasible;
-          if Solution.makespan a = infinity || Rng.bernoulli coin 0.5 then begin
+          let failed = Solution.makespan a = infinity in
+          if failed then begin
+            incr infeasible;
+            (* A mutation on top of a cyclic one has lost its diff base:
+               the live graph is dropped and rebuilt. *)
+            if Rng.bernoulli coin 0.5 then begin
+              direct_mutation ra a;
+              direct_mutation rb b;
+              check "after a mutation on an infeasible state"
+            end
+          end;
+          if failed || Rng.bernoulli coin 0.5 then begin
             undo_a ();
             undo_b ();
             check "after an undo"
+          end
+          else if Rng.bernoulli coin 0.3 then begin
+            (* Two nested saves undone out of LIFO order: the outer undo
+               rolls the log back past the inner save point, so the
+               inner one no longer matches it and drops the live graph.
+               The state is the inner save point's. *)
+            let inner_a = Solution.save a and inner_b = Solution.save b in
+            direct_mutation ra a;
+            direct_mutation rb b;
+            check "after a nested direct mutation";
+            undo_a ();
+            undo_b ();
+            check "after the outer undo";
+            inner_a ();
+            inner_b ();
+            check "after the inner undo, out of order";
+            direct_mutation ra a;
+            direct_mutation rb b;
+            check "after a mutation past out-of-order undos"
           end
         end
       done;
@@ -568,6 +652,8 @@ let suite =
   [
     Alcotest.test_case "all software" `Quick test_all_software;
     Alcotest.test_case "random valid" `Quick test_random_valid;
+    Alcotest.test_case "random books its evaluation under init" `Quick
+      test_random_books_init;
     Alcotest.test_case "random respects capacity" `Quick
       test_random_respects_capacity;
     Alcotest.test_case "move to context and back" `Quick
@@ -577,6 +663,8 @@ let suite =
     Alcotest.test_case "insert context positions" `Quick
       test_insert_context_positions;
     Alcotest.test_case "swap contexts" `Quick test_swap_contexts;
+    Alcotest.test_case "freed id re-spawned in one move" `Quick
+      test_respawn_freed_id;
     Alcotest.test_case "set impl" `Quick test_set_impl;
     Alcotest.test_case "capacity violation infeasible" `Quick
       test_capacity_violation_infeasible;
