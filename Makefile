@@ -121,11 +121,11 @@ faultcheck: build
 	    printf '{"app": "motion_detection", "iters": 200, "warmup": 50, "seed": %d}\n' \
 	      $$((seed * 10 + j)) > $$spool/jobs/job$$j.json; \
 	  done; \
-	  if REPRO_FAULTS=job:1 dune exec -- bin/dse_serve.exe $$spool --once \
+	  if REPRO_FAULTS=job:1 dune exec -- bin/dse_serve.exe watch $$spool --once \
 	       >/dev/null 2>&1; then \
 	    echo "faultcheck: injected job fault did not fire"; exit 1; \
 	  fi; \
-	  dune exec -- bin/dse_serve.exe $$spool --once >/dev/null 2>&1; \
+	  dune exec -- bin/dse_serve.exe watch $$spool --once >/dev/null 2>&1; \
 	  for j in 1 2 3; do \
 	    r=$$spool/results/job$$j.json; f=$$spool/failed/job$$j.json; \
 	    if [ -e $$r ] && [ -e $$f ]; then \
@@ -144,9 +144,9 @@ faultcheck: build
 	  mkdir -p $$spool/jobs $$clean/jobs; \
 	  echo "$$job" > $$spool/jobs/drill.json; \
 	  echo "$$job" > $$clean/jobs/drill.json; \
-	  dune exec -- bin/dse_serve.exe $$clean --once --checkpoint-every 50 \
+	  dune exec -- bin/dse_serve.exe watch $$clean --once --checkpoint-every 50 \
 	    >/dev/null 2>&1; \
-	  if REPRO_FAULTS=eval:700 dune exec -- bin/dse_serve.exe $$spool --once \
+	  if REPRO_FAULTS=eval:700 dune exec -- bin/dse_serve.exe watch $$spool --once \
 	       --lease-ttl 2 --checkpoint-every 50 >/dev/null 2>&1; then \
 	    echo "faultcheck: injected eval fault did not kill the daemon"; exit 1; \
 	  fi; \
@@ -154,7 +154,7 @@ faultcheck: build
 	    echo "faultcheck: crash left no stamped claim behind"; exit 1; fi; \
 	  if [ ! -e $$spool/work/drill.ckpt ]; then \
 	    echo "faultcheck: crash left no checkpoint behind"; exit 1; fi; \
-	  dune exec -- bin/dse_serve.exe $$spool --once --checkpoint-every 50 \
+	  dune exec -- bin/dse_serve.exe watch $$spool --once --checkpoint-every 50 \
 	    >/dev/null 2>&1; \
 	  if [ ! -e $$spool/results/drill.json ]; then \
 	    echo "faultcheck: reclaimed job never completed"; exit 1; fi; \

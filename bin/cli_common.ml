@@ -1,6 +1,5 @@
-(* Shared plumbing for the dse-* command-line tools: input loading with
-   one-line `file:line: message` errors, model validation before
-   exploring, SIGINT/deadline wiring, result files and exit codes. *)
+(* Shared plumbing for the dse-* command-line tools: SIGINT/deadline
+   wiring, result files, campaign cells and exit codes. *)
 
 module Explorer = Repro_dse.Explorer
 module Solution = Repro_dse.Solution
@@ -33,36 +32,6 @@ exception Usage_error of string
 
 let fail fmt = Printf.ksprintf (fun msg -> raise (Usage_error msg)) fmt
 
-(* Parser errors come out as "line N: message"; prefix the file so the
-   user gets a clickable "file:N: message" location. *)
-let located path msg =
-  match Scanf.sscanf_opt msg "line %d: " (fun n -> n) with
-  | Some n ->
-    let tail_start = String.length (Printf.sprintf "line %d: " n) in
-    Printf.sprintf "%s:%d: %s" path n
-      (String.sub msg tail_start (String.length msg - tail_start))
-  | None -> Printf.sprintf "%s: %s" path msg
-
-let load_app path =
-  match Repro_taskgraph.App_io.load path with
-  | Ok app -> app
-  | Error msg -> fail "%s" (located path msg)
-
-let load_platform path =
-  match Repro_arch.Platform_io.load path with
-  | Ok platform -> platform
-  | Error msg -> fail "%s" (located path msg)
-
-(* Check the loaded model before spending iterations on it: the
-   all-software solution must evaluate and pass the independent
-   schedule checker. *)
-let validate_inputs app platform =
-  let spec = Solution.spec (Solution.all_software app platform) in
-  match Repro_sched.Validate.evaluated spec with
-  | Ok () -> ()
-  | Error problems ->
-    fail "invalid input model: %s" (String.concat "; " problems)
-
 (* [should_stop ~time_budget] wires SIGINT and the wall-clock budget
    into one boundary probe; pass it to the explorer. *)
 let should_stop ~time_budget =
@@ -73,11 +42,6 @@ let should_stop ~time_budget =
     let expired = Clock.deadline ~seconds in
     fun () -> Interrupt.pending () || expired ()
 
-(* Machine-readable result file: always written atomically, always
-   carries an explicit status ("complete" | "degraded" | "interrupted")
-   so a consumer can tell a finished campaign from a partial one.
-   Supervised multi-restart runs additionally list the per-restart
-   statuses and how many restarts were lost. *)
 (* The evaluation counters of a run, per move kind — the perf
    trajectory of the incremental evaluator, machine-readable across
    PRs.  Kinds that never evaluated are omitted. *)
@@ -117,35 +81,14 @@ let eval_stats_json (stats : Solution.eval_stats) =
       ("by_kind", Obj by_kind);
     ]
 
-let write_result ?(restart_statuses = []) ?(degraded = 0) path
-    ~(status : string) ~(result : Explorer.result) =
-  let eval = result.Explorer.best_eval in
-  let open Json in
+(* Machine-readable result file: always written atomically, always
+   carries an explicit status ("complete" | "degraded" | "interrupted")
+   so a consumer can tell a finished campaign from a partial one — the
+   daemon's result fields ([Job.result_fields]), plus the evaluation
+   counters. *)
+let write_result ?restarts path ~status ~(result : Explorer.result) =
   let fields =
-    [
-      ("status", Str status);
-      ("best_cost", Num result.Explorer.best_cost);
-      ("makespan", Num eval.Repro_sched.Searchgraph.makespan);
-      ("n_contexts", num_int eval.Repro_sched.Searchgraph.n_contexts);
-      ("iterations_run", num_int result.Explorer.iterations_run);
-      ("accepted", num_int result.Explorer.accepted);
-      ("infeasible", num_int result.Explorer.infeasible);
-      ("wall_seconds", Num result.Explorer.wall_seconds);
-      (* CRC of the canonical solution text: lets two runs (e.g. a
-         clean one and a kill/resume one) be compared for bit-identity
-         without shipping the whole solution. *)
-      ( "solution",
-        Str
-          (Repro_util.Checkpoint.crc32_hex
-             (Repro_dse.Solution.encode result.Explorer.best)) );
-    ]
-    @ (match restart_statuses with
-       | [] -> []
-       | statuses ->
-         [
-           ("restart_statuses", Arr (List.map (fun s -> Str s) statuses));
-           ("degraded_restarts", num_int degraded);
-         ])
+    Repro_serve.Job.result_fields ~status ?restarts result
     (* Keep this the last field: the faultcheck drill strips it (the
        counters are process-local, so a clean run and a kill/resume
        run legitimately differ here). *)
@@ -154,7 +97,7 @@ let write_result ?(restart_statuses = []) ?(degraded = 0) path
           eval_stats_json (Solution.eval_stats result.Explorer.best) );
       ]
   in
-  Atomic_io.write_string path (obj fields ^ "\n")
+  Atomic_io.write_string path (Json.obj fields ^ "\n")
 
 (* Restart-level checkpointing for the campaign tools (dse-sweep,
    dse-compare): the unit of work is an indexed cell whose result

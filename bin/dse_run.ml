@@ -26,33 +26,21 @@ let schedule_of_name name quality =
   | "infinite" -> Schedule.infinite ()
   | other -> invalid_arg (Printf.sprintf "unknown schedule %S" other)
 
-let app_of_name name =
-  match List.assoc_opt name Repro_workloads.Suite.named with
-  | Some make -> make ()
-  | None ->
-    invalid_arg
-      (Printf.sprintf "unknown application %S (try: %s)" name
-         (String.concat ", " (List.map fst Repro_workloads.Suite.named)))
-
 let run app_name app_file platform_file clbs engine_name iters warmup seed
     schedule lam_quality serialized trace_path gantt dot_path save_app
     restarts jobs checkpoint_path checkpoint_every resume_path time_budget
     restart_timeout result_path race chain target_cost seed_from =
   Cli_common.guard @@ fun () ->
-  let app =
-    match app_file with
-    | Some path -> Cli_common.load_app path
-    | None -> app_of_name app_name
+  let app, platform =
+    let app =
+      match app_file with
+      | Some path -> Repro_serve.Job.From_file path
+      | None -> Repro_serve.Job.Named app_name
+    in
+    match Repro_serve.Job.load ~app ~platform_file ~clbs with
+    | Ok inputs -> inputs
+    | Error msg -> Cli_common.fail "%s" msg
   in
-  let platform =
-    match platform_file with
-    | Some path -> Cli_common.load_platform path
-    | None ->
-      if app_file = None && app_name <> "motion_detection" then
-        Repro_workloads.Suite.platform_for app
-      else Repro_workloads.Motion_detection.platform ~n_clb:clbs ()
-  in
-  Cli_common.validate_inputs app platform;
   (* --race/--chain/--target-cost compose onto a portfolio spec; the
      spec grammar accepts the same tokens inline, the flags just read
      better in a shell line. *)
@@ -164,57 +152,48 @@ let run app_name app_file platform_file clbs engine_name iters warmup seed
   in
   let should_stop = Cli_common.should_stop ~time_budget in
   let trace = Repro_dse.Trace.create ~every:10 () in
-  let result, restart_statuses, degraded =
-    (match engine with
-     | Some e ->
-       Format.printf "engine: %s — %s@." (Repro_dse.Engine.name e)
-         (Repro_dse.Engine.describe e)
-     | None -> ());
-    let report =
-      Explorer.explore_restarts ~trace ~jobs ?engine
-        ?restart_timeout ?restart_checkpoint ?warm_start ~should_stop
-        ~restarts config app platform
-    in
-    let statuses =
-      Array.to_list report.Explorer.restart_outcomes
-      |> List.map Repro_util.Parallel.outcome_name
-    in
-    if report_restarts then begin
-      Format.printf "restart best costs (%d chains, %d job(s)): %s@." restarts
-        jobs
-        (String.concat " "
-           (List.map
-              (fun (i, c) -> Printf.sprintf "%d:%.2f" i c)
-              report.Explorer.restart_costs));
-      Format.printf "restart statuses: %s@." (String.concat " " statuses);
-      if report.Explorer.degraded > 0 then
-        Repro_util.Log.warn
-          "%d of %d restart(s) lost or cut short; reporting the best \
-           surviving chain"
-          report.Explorer.degraded restarts
-    end;
+  (match engine with
+   | Some e ->
+     Format.printf "engine: %s — %s@." (Repro_dse.Engine.name e)
+       (Repro_dse.Engine.describe e)
+   | None -> ());
+  let report =
+    Explorer.explore_restarts ~trace ~jobs ?engine ?restart_timeout
+      ?restart_checkpoint ?warm_start ~should_stop ~restarts config app
+      platform
+  in
+  if report_restarts then begin
+    Format.printf "restart best costs (%d chains, %d job(s)): %s@." restarts
+      jobs
+      (String.concat " "
+         (List.map
+            (fun (i, c) -> Printf.sprintf "%d:%.2f" i c)
+            report.Explorer.restart_costs));
+    Format.printf "restart statuses: %s@."
+      (String.concat " "
+         (Array.to_list report.Explorer.restart_outcomes
+         |> List.map Repro_util.Parallel.outcome_name));
+    if report.Explorer.degraded > 0 then
+      Repro_util.Log.warn
+        "%d of %d restart(s) lost or cut short; reporting the best \
+         surviving chain"
+        report.Explorer.degraded restarts
+  end;
+  let result =
     match report.Explorer.best_result with
-    | Some best ->
-      if report_restarts then (best, statuses, report.Explorer.degraded)
-      else (best, [], 0)
+    | Some best -> best
     | None -> (
       (* Surface the actual failure (e.g. a --resume checkpoint that
-         does not load) instead of a generic count. *)
+         does not load) instead of a generic count; a [Failure] reads
+         like our own diagnostic. *)
       match
         Array.to_list report.Explorer.restart_outcomes
         |> List.find_map (function
+             | Repro_util.Parallel.Failed { exn = Failure msg; _ } -> Some msg
              | Repro_util.Parallel.Failed { error; _ } -> Some error
              | _ -> None)
       with
-      | Some msg ->
-        (* Supervision stringifies exceptions; unwrap the Failure
-           constructor so the diagnostic reads like our own. *)
-        let msg =
-          match Scanf.sscanf_opt msg "Failure(%S)" (fun s -> s) with
-          | Some inner -> inner
-          | None -> msg
-        in
-        Cli_common.fail "%s" msg
+      | Some msg -> Cli_common.fail "%s" msg
       | None ->
         Cli_common.fail "all %d restart(s) failed; no result to report"
           restarts)
@@ -296,13 +275,13 @@ let run app_name app_file platform_file clbs engine_name iters warmup seed
    | None -> ());
   let overall_status =
     if report_restarts && should_stop () then "interrupted"
-    else if degraded > 0 then "degraded"
+    else if report.Explorer.degraded > 0 then "degraded"
     else Repro_dse.Engine.status_name result.Explorer.status
   in
   (match result_path with
    | Some path ->
-     Cli_common.write_result ~restart_statuses ~degraded path
-       ~status:overall_status ~result;
+     let restarts = if report_restarts then Some report else None in
+     Cli_common.write_result ?restarts path ~status:overall_status ~result;
      Format.printf "result summary written to %s@." path
    | None -> ());
   if overall_status = "interrupted" then Cli_common.exit_interrupted

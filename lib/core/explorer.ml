@@ -323,29 +323,18 @@ let result_of_outcome ~infeasible (o : Engine.outcome) =
     status = o.status;
   }
 
-let explore ?trace ?initial ?checkpoint ?should_stop ?on_iteration ?engine
-    config application platform =
-  let notify ~iteration ~cost ~best ~temperature ~accepted ~n_contexts =
-    Option.iter
-      (fun t ->
-        Trace.record t
-          { Trace.iteration; cost; best; temperature; accepted; n_contexts })
-      trace;
-    Option.iter
-      (fun f -> f ~iteration ~cost ~best ~temperature ~accepted)
-      on_iteration
-  in
-  let observed = trace <> None || on_iteration <> None in
+let explore ?trace ?initial ?checkpoint ?should_stop ?engine config
+    application platform =
   let run, iterations, observe, infeasible =
     match engine with
     | None ->
       let notify =
-        if not observed then None
-        else
-          Some
-            (fun ~iteration ~cost ~best ~temperature ~accepted solution ->
-              notify ~iteration ~cost ~best ~temperature ~accepted
-                ~n_contexts:(Solution.n_contexts solution))
+        Option.map
+          (fun t ~iteration ~cost ~best ~temperature ~accepted solution ->
+            let n_contexts = Solution.n_contexts solution in
+            Trace.record t
+              { Trace.iteration; cost; best; temperature; accepted; n_contexts })
+          trace
       in
       ( anneal ?notify config,
         config.anneal.Annealer.warmup_iterations
@@ -356,12 +345,12 @@ let explore ?trace ?initial ?checkpoint ?should_stop ?on_iteration ?engine
       (* Any other engine takes the cooling count as its budget; it
          has no temperature or context count, both observed as 0. *)
       let observe =
-        if not observed then None
-        else
-          Some
-            (fun { Engine.iteration; cost; best; accepted } ->
-              notify ~iteration ~cost ~best ~temperature:0.0 ~accepted
-                ~n_contexts:0)
+        Option.map
+          (fun t { Engine.iteration; cost; best; accepted } ->
+            Trace.record t
+              { Trace.iteration; cost; best; temperature = 0.0; accepted;
+                n_contexts = 0 })
+          trace
       in
       ( Engine.run engine,
         config.anneal.Annealer.iterations,

@@ -76,10 +76,7 @@ val read_incumbent :
 
 val explore :
   ?trace:Trace.t -> ?initial:Solution.t -> ?checkpoint:Engine.checkpoint ->
-  ?should_stop:(unit -> bool) ->
-  ?on_iteration:(iteration:int -> cost:float -> best:float ->
-                 temperature:float -> accepted:bool -> unit) ->
-  ?engine:Engine.t ->
+  ?should_stop:(unit -> bool) -> ?engine:Engine.t ->
   config -> App.t -> Platform.t -> result
 (** Run one exploration on the engine driver ({!Engine.drive}).  By
     default the engine is the annealer [config] describes: [warmup + iterations] moves
@@ -97,11 +94,9 @@ val explore :
     one-line diagnostic even when seed and total budget agree.
     [should_stop] is polled at iteration boundaries — on [true] the run
     flushes a final checkpoint (when [checkpoint] is given) and returns
-    with status [Interrupted].  [on_iteration] is a streaming
-    observation callback firing once per annealing iteration (warmup
-    iterations carry negative indices), independent of [trace]
-    recording.  Raises [Invalid_argument] when [Cost_under_deadline] is
-    used on an application without a deadline.
+    with status [Interrupted].  Raises [Invalid_argument] when
+    [Cost_under_deadline] is used on an application without a
+    deadline.
 
     [engine] runs any registered engine instead, on
     [config.anneal.iterations] iterations with [config.anneal.seed]

@@ -1,5 +1,4 @@
 module Backoff = Repro_util.Backoff
-module Checkpoint = Repro_util.Checkpoint
 module Clock = Repro_util.Clock
 module Fault = Repro_util.Fault
 module Json = Repro_util.Json_lite
@@ -8,8 +7,6 @@ module Parallel = Repro_util.Parallel
 module Rng = Repro_util.Rng
 module Explorer = Repro_dse.Explorer
 module Engine = Repro_dse.Engine
-module Engine_registry = Repro_dse.Engine_registry
-module Solution = Repro_dse.Solution
 
 type config = {
   timeout : float option;
@@ -72,61 +69,46 @@ let outcome_name = function
 
 (* ---- per-job result ---------------------------------------------- *)
 
-let result_json job ~status ~attempts ~(result : Explorer.result)
-    ~restart_statuses ~degraded =
-  let eval = result.Explorer.best_eval in
+let result_json job ~status ~attempts ?restarts result =
   let open Json in
   obj
-    ([
-       ("job", Str job.Job.name);
-       ("status", Str status);
-       ("best_cost", Num result.Explorer.best_cost);
-       ("makespan", Num eval.Repro_sched.Searchgraph.makespan);
-       ("n_contexts", num_int eval.Repro_sched.Searchgraph.n_contexts);
-       ("iterations_run", num_int result.Explorer.iterations_run);
-       ("accepted", num_int result.Explorer.accepted);
-       ("infeasible", num_int result.Explorer.infeasible);
-       ("wall_seconds", Num result.Explorer.wall_seconds);
-       ("seed", num_int job.Job.seed);
-       ("restarts", num_int job.Job.restarts);
-       ("attempts", num_int attempts);
-       (* CRC of the canonical solution text: lets a reclaimed-and-
-          resumed run be compared for bit-identity against an
-          uninterrupted one without shipping the whole solution. *)
-       ( "solution",
-         Str (Checkpoint.crc32_hex (Solution.encode result.Explorer.best)) );
-     ]
-     @ (match job.Job.engine with
-        | Some e -> [ ("engine", Str e) ]
-        | None -> [])
-     @
-     match restart_statuses with
-     | [] -> []
-     | statuses ->
-       [
-         ("restart_statuses", Arr (List.map (fun s -> Str s) statuses));
-         ("degraded_restarts", num_int degraded);
-       ])
+    ((("job", Str job.Job.name) :: Job.result_fields ~status ?restarts result)
+    @ [
+        ("seed", num_int job.Job.seed);
+        ("restarts", num_int job.Job.restarts);
+        ("attempts", num_int attempts);
+      ]
+    @
+    match job.Job.engine with Some e -> [ ("engine", Str e) ] | None -> [])
 
 (* What one attempt of a job produced.  [Shutdown] is not a job
    verdict: the global stop fired mid-run, the job goes back to the
-   queue with its checkpoint and the daemon winds down. *)
+   queue with its checkpoints and the daemon winds down. *)
 type attempt_result =
   | Finished of { status : string; json : string }
   | Shutdown
+
+(* A chain was cut short when its engine returned at a stop probe, or
+   when the pool never started it because a stop was already
+   pending. *)
+let chain_cut_short = function
+  | Parallel.Skipped -> true
+  | outcome -> (
+    match Parallel.outcome_value outcome with
+    | Some r -> r.Explorer.status = Engine.Interrupted
+    | None -> false)
 
 let run_attempt config spool job ~attempts ~stop ~deadline_expired =
   let name = job.Job.name ^ ".json" in
   match Job.load_inputs job with
   | Error msg -> failwith msg
   | Ok (app, platform) ->
-    let explorer_config = Job.explorer_config job in
     (* An unknown engine name is poison, not a transient failure; the
        registry error already lists every known name.  Portfolio specs
        (portfolio:race:sa+tabu:...) build the meta-engine on the fly —
-       a portfolio job's checkpoint nests the member states inside the
-       regular work/<base>.ckpt file, plus one .ckpt.m<i> scratch per
-       live member. *)
+       a portfolio chain's checkpoint nests the member states inside
+       its regular checkpoint file, plus one .m<i> scratch per live
+       member. *)
     let engine =
       match job.Job.engine with
       | None -> None
@@ -135,76 +117,56 @@ let run_attempt config spool job ~attempts ~stop ~deadline_expired =
         | Ok e -> Some e
         | Error msg -> failwith msg)
     in
-    if job.Job.restarts <= 1 then begin
-      (* The engine driver owns resume (opportunistic — a stale or
-         foreign checkpoint is warned about and ignored) and flushes a
-         final checkpoint when the deadline interrupts the run, which
-         the timed-out retry contract relies on. *)
-      let result =
-        Explorer.explore ?engine ~should_stop:stop
-          ~checkpoint:
-            {
-              Engine.path = Spool.checkpoint_path spool name;
-              every = config.checkpoint_every;
-              resume = Engine.Resume_if_exists;
-            }
-          explorer_config app platform
-      in
-      match result.Explorer.status with
-      | Engine.Interrupted when not (deadline_expired ()) -> Shutdown
-      | status ->
-        let status =
-          match status with
-          | Engine.Complete -> "complete"
-          | Engine.Interrupted -> "timed-out"
-        in
-        Finished
-          {
-            status;
-            json =
-              result_json job ~status ~attempts ~result ~restart_statuses:[]
-                ~degraded:0;
-          }
-    end
-    else begin
-      (* Multi-restart jobs run under the supervised pool: the job
-         deadline is every chain's stop probe, chains that overrun
-         yield best-so-far, chains that never started are skipped.
-         Each chain checkpoints to its own work/<base>.r<i>.ckpt, so a
-         crash or timeout resumes every chain where it stopped. *)
-      let restart_checkpoint index =
-        {
-          Engine.path = Spool.restart_checkpoint_path spool name index;
-          every = config.checkpoint_every;
-          resume = Engine.Resume_if_exists;
-        }
-      in
-      let report =
-        Explorer.explore_restarts ~jobs:config.jobs
-          ~should_stop:stop ?engine ~restart_checkpoint
-          ~restarts:job.Job.restarts explorer_config app platform
-      in
+    (* Every job runs as supervised chains; the job deadline is every
+       chain's stop probe, so a chain that overruns flushes its
+       checkpoint and yields best-so-far, and a chain that never
+       started is skipped.  A single chain checkpoints to
+       work/<base>.ckpt, restart i of several to work/<base>.r<i>.ckpt,
+       and the engine driver resumes each one opportunistically (a
+       stale or foreign checkpoint is warned about and ignored). *)
+    let restart_checkpoint index =
+      {
+        Engine.path =
+          (if job.Job.restarts = 1 then Spool.checkpoint_path spool name
+           else Spool.restart_checkpoint_path spool name index);
+        every = config.checkpoint_every;
+        resume = Engine.Resume_if_exists;
+      }
+    in
+    let report =
+      Explorer.explore_restarts ~jobs:config.jobs ~should_stop:stop ?engine
+        ~restart_checkpoint ~restarts:job.Job.restarts
+        (Job.explorer_config job) app platform
+    in
+    let outcomes = Array.to_list report.Explorer.restart_outcomes in
+    (* An injected fault is a simulated crash wherever it fired, so it
+       outranks every other verdict. *)
+    List.iter
+      (function
+        | Parallel.Failed { exn = Fault.Injected _ as crash; _ } -> raise crash
+        | _ -> ())
+      outcomes;
+    let cut_short = List.exists chain_cut_short outcomes in
+    if cut_short && not (deadline_expired ()) then Shutdown
+    else
       match report.Explorer.best_result with
-      | None when not (deadline_expired ()) && stop () -> Shutdown
-      | None -> failwith "all restarts lost"
+      | None -> (
+        match
+          List.find_map
+            (function Parallel.Failed { exn; _ } -> Some exn | _ -> None)
+            outcomes
+        with
+        | Some exn -> raise exn
+        | None -> failwith "all restarts lost")
       | Some best ->
-        let statuses =
-          Array.to_list report.Explorer.restart_outcomes
-          |> List.map Parallel.outcome_name
-        in
         let status =
-          if deadline_expired () then "timed-out"
+          if cut_short then "timed-out"
           else if report.Explorer.degraded > 0 then "degraded"
           else "complete"
         in
+        let restarts = if job.Job.restarts > 1 then Some report else None in
         Finished
-          {
-            status;
-            json =
-              result_json job ~status ~attempts ~result:best
-                ~restart_statuses:statuses ~degraded:report.Explorer.degraded;
-          }
-    end
+          { status; json = result_json job ~status ~attempts ?restarts best }
 
 (* ---- one claimed job --------------------------------------------- *)
 

@@ -29,15 +29,19 @@
       its best-so-far solution — never a hang, never a lost job;
     - the same stop probe keeps the lease fresh mid-job, so a job
       longer than the lease ttl never lapses into a reclaim window;
-    - single-restart jobs checkpoint into [work/<base>.ckpt] and
-      resume from it after a crash or shutdown;
-    - a global stop (SIGINT) re-queues the in-flight job with its
-      checkpoint and returns [Interrupted];
+    - every job, one chain or several, runs through
+      {!Repro_dse.Explorer.explore_restarts}: a single chain
+      checkpoints into [work/<base>.ckpt], restart i of several into
+      [work/<base>.r<i>.ckpt], and each resumes after a crash or
+      shutdown;
+    - a global stop (SIGINT) that cuts any chain short re-queues the
+      in-flight job with its checkpoints and returns [Interrupted];
     - an armed [Fault.Job] point crashes the daemon right after a
       claim, an armed [Fault.Lease] point at the matching lease
-      refresh, and any {!Repro_util.Fault.Injected} reaching the job
-      retry loop is re-raised as a crash — the windows
-      {!Spool.reclaim} must close; [make faultcheck] drills them. *)
+      refresh, and any {!Repro_util.Fault.Injected} raised in a chain
+      or reaching the job retry loop is re-raised as a crash — the
+      windows {!Spool.reclaim} must close; [make faultcheck] drills
+      them. *)
 
 type config = {
   timeout : float option;       (** default per-job wall seconds *)

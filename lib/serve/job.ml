@@ -136,9 +136,10 @@ let to_json job =
   in
   obj fields
 
-(* Input loading mirrors the CLIs (same parsers, same one-line
-   located errors) but returns [Error] instead of exiting: the daemon
-   quarantines a job whose inputs do not load. *)
+(* Inputs load through one path for the daemon and [dse-run]: the
+   same parsers, the same one-line [file:line: message] errors and the
+   same model check, returned as [Error] so the daemon can quarantine
+   a job whose inputs do not load and the CLI can exit 2 on it. *)
 let locate path msg =
   match Scanf.sscanf_opt msg "line %d: " (fun n -> n) with
   | Some n ->
@@ -147,10 +148,10 @@ let locate path msg =
       (String.sub msg skip (String.length msg - skip))
   | None -> Printf.sprintf "%s: %s" path msg
 
-let load_inputs job =
+let load ~app:source ~platform_file ~clbs =
   let ( let* ) = Result.bind in
   let* app =
-    match job.app with
+    match source with
     | Named name -> (
       match List.assoc_opt name Repro_workloads.Suite.named with
       | Some make -> Ok (make ())
@@ -165,17 +166,20 @@ let load_inputs job =
       | Error msg -> Error (locate path msg))
   in
   let* platform =
-    match job.platform_file with
+    match platform_file with
     | Some path -> (
       match Repro_arch.Platform_io.load path with
       | Ok p -> Ok p
       | Error msg -> Error (locate path msg))
     | None -> (
-      match job.app with
+      match source with
       | Named "motion_detection" | From_file _ ->
-        Ok (Repro_workloads.Motion_detection.platform ~n_clb:job.clbs ())
+        Ok (Repro_workloads.Motion_detection.platform ~n_clb:clbs ())
       | Named _ -> Ok (Repro_workloads.Suite.platform_for app))
   in
+  (* Check the model before spending iterations on it: the
+     all-software solution must evaluate and pass the independent
+     schedule checker. *)
   let spec =
     Repro_dse.Solution.spec (Repro_dse.Solution.all_software app platform)
   in
@@ -183,6 +187,41 @@ let load_inputs job =
   | Ok () -> Ok (app, platform)
   | Error problems ->
     Error ("invalid input model: " ^ String.concat "; " problems)
+
+let load_inputs job =
+  load ~app:job.app ~platform_file:job.platform_file ~clbs:job.clbs
+
+let result_fields ~status ?restarts (result : Explorer.result) =
+  let eval = result.Explorer.best_eval in
+  let open Json in
+  [
+    ("status", Str status);
+    ("best_cost", Num result.Explorer.best_cost);
+    ("makespan", Num eval.Repro_sched.Searchgraph.makespan);
+    ("n_contexts", num_int eval.Repro_sched.Searchgraph.n_contexts);
+    ("iterations_run", num_int result.Explorer.iterations_run);
+    ("accepted", num_int result.Explorer.accepted);
+    ("infeasible", num_int result.Explorer.infeasible);
+    ("wall_seconds", Num result.Explorer.wall_seconds);
+    (* CRC of the canonical solution text: lets two runs (a clean one
+       and a kill/resume or reclaimed one) be compared for bit-identity
+       without shipping the whole solution. *)
+    ( "solution",
+      Str
+        (Repro_util.Checkpoint.crc32_hex
+           (Repro_dse.Solution.encode result.Explorer.best)) );
+  ]
+  @
+  match restarts with
+  | None -> []
+  | Some report ->
+    [
+      ( "restart_statuses",
+        Arr
+          (Array.to_list report.Explorer.restart_outcomes
+          |> List.map (fun o -> Str (Repro_util.Parallel.outcome_name o))) );
+      ("degraded_restarts", num_int report.Explorer.degraded);
+    ]
 
 let explorer_config job =
   {

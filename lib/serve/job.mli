@@ -46,11 +46,34 @@ val of_json : name:string -> string -> (t, string) result
 val to_json : t -> string
 (** One-line JSON re-encoding (used by tests and the enqueue helper). *)
 
+val load :
+  app:source -> platform_file:string option -> clbs:int ->
+  (Repro_taskgraph.App.t * Repro_arch.Platform.t, string) result
+(** Load and validate an application and its platform — the one input
+    loader of the daemon and [dse-run].  Without [platform_file], the
+    motion-detection study and [.tg] files get the motion-detection
+    platform sized by [clbs]; any other built-in workload gets its
+    {!Repro_workloads.Suite.platform_for} platform.  The all-software
+    solution must then evaluate and pass the independent schedule
+    checker.  [Error] carries a one-line message, located
+    ([file:line: message]) for parser errors. *)
+
 val load_inputs :
   t -> (Repro_taskgraph.App.t * Repro_arch.Platform.t, string) result
-(** Load and validate the job's application and platform with the same
-    parsers and model checks as the CLIs; [Error] carries a one-line
-    located message. *)
+(** {!load} on the job's ["app"]/["app_file"], ["platform_file"] and
+    ["clbs"] fields. *)
+
+val result_fields :
+  status:string -> ?restarts:Repro_dse.Explorer.restarts_report ->
+  Repro_dse.Explorer.result -> (string * Repro_util.Json_lite.t) list
+(** The fields every result file starts from, for [dse-serve] results
+    and [dse-run --result] alike: [status], the costs ([best_cost],
+    [makespan], [n_contexts]), the counters ([iterations_run],
+    [accepted], [infeasible]), [wall_seconds] and [solution], the CRC
+    of the encoded best solution (equal CRCs mean bit-identical
+    solutions).  With [restarts], [restart_statuses] (one
+    {!Repro_util.Parallel.outcome_name} per chain) and
+    [degraded_restarts] follow. *)
 
 val explorer_config : t -> Repro_dse.Explorer.config
 (** The annealing configuration the job requests (Lam schedule with

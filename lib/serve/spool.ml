@@ -142,7 +142,7 @@ let claim ?owner t name =
              ("seq", num_int (Lease.seq lease));
              ("claimed_at", Num (Clock.wall ()));
              (* Recorded so unclaim/reclaim re-queue the job into the
-                band it came from; legacy stamps without it mean 0. *)
+                band it came from. *)
              ("band", num_int band);
            ]
         ^ "\n")
@@ -163,6 +163,9 @@ let claim ?owner t name =
 let read_claim_stamp t name =
   Result.bind (Atomic_io.read_file (claim_stamp_path t name)) Json.parse_obj
 
+(* Band 0 is the fallback for a claim without a readable band: a
+   daemon that crashed between the claim's rename and its stamp leaves
+   a stamp-less claim, and that job still has to go back somewhere. *)
 let claim_band t name =
   match read_claim_stamp t name with
   | Ok fields -> Option.value ~default:0 (Json.int_field fields "band")
@@ -254,15 +257,15 @@ let remove_checkpoints t name =
       entries
   | exception Sys_error _ -> ()
 
-(* Completion order matters for crash safety: the result file lands
-   (atomically) before the claimed job file disappears, so a crash
-   between the two leaves both — recovery then sees the result and
-   drops the stale claim instead of re-running finished work.
-   [keep_checkpoints] is the timed-out contract: the best-so-far
-   result is recorded, and the checkpoints stay in [work/] so
-   the rerun resumes instead of restarting. *)
-let finish ?(keep_checkpoints = false) t name ~result_json =
-  Atomic_io.write_string (result_path t name) (result_json ^ "\n");
+(* The commit cleanup of a finished claim, shared by the fenced commit
+   and reclaim's finished-claim sweep.  Order matters for crash
+   safety: the caller has already landed the result (atomically), so a
+   crash part-way leaves a result next to a stale claim — reclaim then
+   sees the result and finishes the cleanup instead of re-running
+   finished work.  [keep_checkpoints] is the timed-out contract: the
+   best-so-far result is recorded, and the checkpoints stay in [work/]
+   so the rerun resumes instead of restarting. *)
+let clear_claim ?(keep_checkpoints = false) t name =
   if not keep_checkpoints then remove_checkpoints t name;
   remove_if_exists (claim_stamp_path t name);
   remove_if_exists (work_path t name)
@@ -313,9 +316,7 @@ let finish_fenced ?(keep_checkpoints = false) ?(after_write = fun () -> ()) t
     Atomic_io.write_string (result_path t name) (result_json ^ "\n");
     after_write ();
     if fence_holds () then begin
-      if not keep_checkpoints then remove_checkpoints t name;
-      remove_if_exists (claim_stamp_path t name);
-      remove_if_exists (work_path t name);
+      clear_claim ~keep_checkpoints t name;
       Committed
     end
     else begin
@@ -364,15 +365,15 @@ let quarantine ?owner ?attempts t name ~reason =
    is alive belongs to a live peer and is never touched; the stamp of
    a dead or missing lease is removed and the job re-queued with its
    checkpoints, so the rerun resumes.  (3) A stamp-less claim (the
-   crash window between rename and stamp, or a legacy claimer) is
-   re-queued only once its work file is older than [grace] — a live
-   claimer stamps within microseconds of winning the rename, so after
-   a full lease period of silence the claimer is dead. *)
+   crash window between rename and stamp, or a claimer without a
+   lease) is re-queued only once its work file is older than [grace]
+   — a live claimer stamps within microseconds of winning the rename,
+   so after a full lease period of silence the claimer is dead. *)
 (* Atomic-write temp files ([<path>.tmp.<pid>.<domain>]) orphaned in
    [work/] by a hard kill mid-checkpoint: a live writer renames within
    milliseconds, so any temp more than a minute old is garbage —
    floored well above any writer's hold time because a zero-grace
-   {!recover} must never delete a live peer's in-flight write. *)
+   reclaim must never delete a live peer's in-flight write. *)
 let sweep_orphan_temps ~now ~grace t =
   let grace = Float.max grace 60.0 in
   let is_temp name =
@@ -432,9 +433,7 @@ let reclaim ?self ?ledger ~now ~grace t =
     (fun name ->
       if Sys.file_exists (result_path t name) && result_ok t name then begin
         (* Finished before the crash, only the claim cleanup was lost. *)
-        remove_checkpoints t name;
-        remove_if_exists (claim_stamp_path t name);
-        remove_if_exists (work_path t name);
+        clear_claim t name;
         None
       end
       else
@@ -460,11 +459,6 @@ let reclaim ?self ?ledger ~now ~grace t =
           | _ -> None
           | exception Unix.Unix_error _ -> None))
     (in_work t)
-
-(* Startup-time recovery, kept for single-daemon callers: an immediate
-   sweep (no stamp-less grace) that still honours live peers' stamped
-   claims, so it is fleet-safe to call at any time. *)
-let recover t = reclaim ~now:(Clock.wall ()) ~grace:0.0 t
 
 let queue_depth t = List.length (pending t)
 

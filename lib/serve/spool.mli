@@ -99,14 +99,7 @@ val read_claimed : t -> string -> (string, string) result
 val read_claim_stamp :
   t -> string -> ((string * Repro_util.Json_lite.t) list, string) result
 (** The claim stamp of a claimed job: [owner] (lease id), [seq],
-    [claimed_at]. *)
-
-val finish : ?keep_checkpoints:bool -> t -> string -> result_json:string -> unit
-(** Write [results/<name>] atomically, then drop the claim, its stamp
-    and its checkpoints.  [~keep_checkpoints:true] (default false)
-    leaves the checkpoints in [work/]: the timed-out contract — the
-    best-so-far result is recorded, and re-enqueueing the same job
-    name resumes the search from where the deadline cut it. *)
+    [claimed_at] and the priority [band] it was claimed from. *)
 
 type commit = Committed | Fenced | Fenced_late
 (** Outcome of a fenced result commit.  [Committed]: fence held on
@@ -127,13 +120,21 @@ val commit_name : commit -> string
 val finish_fenced :
   ?keep_checkpoints:bool -> ?after_write:(unit -> unit) -> t -> string ->
   owner:Lease.t -> claim_seq:int -> result_json:string -> commit
-(** {!finish} behind the fencing token, with detect-and-rollback on
-    the write window: the claim stamp must name [owner]'s lease id
-    with the sequence number captured at claim time ([claim_seq],
-    i.e. {!Lease.seq} right after the winning {!claim}) both
-    immediately before the atomic result write and immediately after
-    it; see {!commit} for the three outcomes.  [after_write] is test
-    instrumentation, called inside the window. *)
+(** Commit a claimed job's result behind the fencing token: write
+    [results/<name>] atomically, then drop the claim's checkpoints,
+    its stamp and its work copy, in that order.
+    [~keep_checkpoints:true] (default false) leaves the checkpoints in
+    [work/]: the timed-out contract — the best-so-far result is
+    recorded, and re-enqueueing the same job name resumes the search
+    from where the deadline cut it.
+
+    The fence has detect-and-rollback on the write window: the claim
+    stamp must name [owner]'s lease id with the sequence number
+    captured at claim time ([claim_seq], i.e. {!Lease.seq} right after
+    the winning {!claim}) both immediately before the atomic result
+    write and immediately after it; see {!commit} for the three
+    outcomes.  [after_write] is test instrumentation, called inside
+    the window. *)
 
 val quarantine :
   ?owner:Lease.t -> ?attempts:int -> t -> string -> reason:string -> unit
@@ -161,10 +162,6 @@ val reclaim :
     [work/] by a hard kill are swept too (once older than
     [max grace 60] seconds, so a live peer's in-flight write is never
     deleted).  Returns the re-queued names. *)
-
-val recover : t -> string list
-(** Startup-time sweep for single-daemon callers: {!reclaim} with zero
-    stamp-less grace.  Still honours live peers' stamped claims. *)
 
 val job_path : t -> string -> string
 val work_path : t -> string -> string

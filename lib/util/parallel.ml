@@ -35,7 +35,7 @@ let run ?jobs n item =
 
 type 'a outcome =
   | Done of 'a
-  | Failed of { error : string; trace : string; attempts : int }
+  | Failed of { exn : exn; error : string; trace : string; attempts : int }
   | Timed_out of 'a option
   | Skipped
 
@@ -97,7 +97,8 @@ let map_outcomes ?jobs ?(retries = 0) ?backoff ?timeout ?should_stop n body =
             attempt (k + 1)
           end
           else
-            Failed { error = Printexc.to_string exn; trace; attempts = k + 1 }
+            Failed
+              { exn; error = Printexc.to_string exn; trace; attempts = k + 1 }
       in
       attempt 0
     end

@@ -16,9 +16,12 @@ val default_jobs : unit -> int
 
 type 'a outcome =
   | Done of 'a                (** completed within its budget *)
-  | Failed of { error : string; trace : string; attempts : int }
-      (** raised on every attempt; [error] is the printed exception of
-          the last one, [attempts] how many times the body ran *)
+  | Failed of { exn : exn; error : string; trace : string; attempts : int }
+      (** raised on every attempt; [exn] is the last attempt's
+          exception, for a caller that must re-raise it or match on it
+          (an injected fault is a crash, a [Failure] carries its own
+          message), [error] its printed form, [attempts] how many times
+          the body ran *)
   | Timed_out of 'a option
       (** the per-item deadline expired; [Some v] when the cooperative
           body returned a best-so-far value, [None] when it raised *)

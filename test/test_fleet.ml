@@ -423,51 +423,62 @@ let test_lease_reclaim_drill_bit_identical () =
   Fun.protect ~finally:Fault.disarm @@ fun () ->
   (* An SA engine job: the uniform engine path checkpoints under the
      driver and resumes bit-identically — the property that makes the
-     reclaimed re-run equal the uninterrupted one. *)
-  let job_text =
-    "{\"app\": \"motion_detection\", \"engine\": \"sa\", \"iters\": 2000, \
-     \"seed\": 11}"
+     reclaimed re-run equal the uninterrupted one.  One chain and two
+     run the same path; the fault lands in chain 0 either way. *)
+  let job_text restarts =
+    Printf.sprintf
+      "{\"app\": \"motion_detection\", \"engine\": \"sa\", \"iters\": 2000, \
+       \"seed\": 11, \"restarts\": %d}"
+      restarts
   in
   let config = { quiet_config with Daemon.checkpoint_every = 50 } in
-  let reference =
-    with_spool @@ fun spool ->
-    enqueue spool "drill.json" job_text;
-    ignore (Daemon.run config spool);
-    match Json.str_field (read_result spool "drill.json") "solution" with
-    | Some crc -> crc
-    | None -> Alcotest.fail "reference result lost its solution CRC"
-  in
-  with_spool @@ fun spool ->
-  enqueue spool "drill.json" job_text;
-  (* Daemon A dies mid-job — evaluation 600 of the run — with its
-     claim stamped, its lease on file and checkpoints flushed. *)
-  Fault.arm_point ~site:Fault.Eval ~index:600 ~transient:true;
-  (match Daemon.run config spool with
-   | _ -> Alcotest.fail "armed eval fault did not crash the daemon"
-   | exception Fault.Injected _ -> ());
-  Fault.disarm ();
-  Alcotest.(check (list string)) "claim left behind" [ "drill.json" ]
-    (Spool.in_work spool);
-  Alcotest.(check bool) "checkpoint flushed before the crash" true
-    (Sys.file_exists (Spool.checkpoint_path spool "drill.json"));
-  Alcotest.(check bool) "claim is lease-stamped" true
-    (Result.is_ok (Spool.read_claim_stamp spool "drill.json"));
-  (* Daemon B starts after A's lease expires: reclaim re-queues the
-     orphan with its checkpoint, the re-run resumes and completes. *)
-  Unix.sleepf 0.1;
-  let outcome, stats = Daemon.run config spool in
-  Alcotest.(check string) "peer drained" "drained"
-    (Daemon.outcome_name outcome);
-  Alcotest.(check int) "orphan reclaimed" 1 stats.Daemon.recovered;
-  Alcotest.(check int) "job completed" 1 stats.Daemon.completed;
-  let fields = read_result spool "drill.json" in
-  Alcotest.(check (option string)) "status complete" (Some "complete")
-    (Json.str_field fields "status");
-  Alcotest.(check (option string))
-    "resumed solution is bit-identical to the uninterrupted run"
-    (Some reference)
-    (Json.str_field fields "solution");
-  Alcotest.(check (list string)) "work/ clean" [] (Spool.in_work spool)
+  List.iter
+    (fun restarts ->
+      let label what = Printf.sprintf "restarts %d: %s" restarts what in
+      let reference =
+        with_spool @@ fun spool ->
+        enqueue spool "drill.json" (job_text restarts);
+        ignore (Daemon.run config spool);
+        match Json.str_field (read_result spool "drill.json") "solution" with
+        | Some crc -> crc
+        | None -> Alcotest.fail (label "reference result lost its solution CRC")
+      in
+      with_spool @@ fun spool ->
+      enqueue spool "drill.json" (job_text restarts);
+      (* Daemon A dies mid-job — evaluation 600 of the run — with its
+         claim stamped, its lease on file and checkpoints flushed. *)
+      Fault.arm_point ~site:Fault.Eval ~index:600 ~transient:true;
+      (match Daemon.run config spool with
+       | _ -> Alcotest.fail (label "armed eval fault did not crash the daemon")
+       | exception Fault.Injected _ -> ());
+      Fault.disarm ();
+      Alcotest.(check (list string)) (label "claim left behind")
+        [ "drill.json" ] (Spool.in_work spool);
+      Alcotest.(check bool) (label "checkpoint flushed before the crash") true
+        (Sys.file_exists
+           (if restarts = 1 then Spool.checkpoint_path spool "drill.json"
+            else Spool.restart_checkpoint_path spool "drill.json" 0));
+      Alcotest.(check bool) (label "claim is lease-stamped") true
+        (Result.is_ok (Spool.read_claim_stamp spool "drill.json"));
+      (* Daemon B starts after A's lease expires: reclaim re-queues the
+         orphan with its checkpoints, the re-run resumes and completes. *)
+      Unix.sleepf 0.1;
+      let outcome, stats = Daemon.run config spool in
+      Alcotest.(check string) (label "peer drained") "drained"
+        (Daemon.outcome_name outcome);
+      Alcotest.(check int) (label "orphan reclaimed") 1 stats.Daemon.recovered;
+      Alcotest.(check int) (label "job completed") 1 stats.Daemon.completed;
+      let fields = read_result spool "drill.json" in
+      Alcotest.(check (option string)) (label "status complete")
+        (Some "complete")
+        (Json.str_field fields "status");
+      Alcotest.(check (option string))
+        (label "resumed solution is bit-identical to the uninterrupted run")
+        (Some reference)
+        (Json.str_field fields "solution");
+      Alcotest.(check (list string)) (label "work/ clean") []
+        (Spool.in_work spool))
+    [ 1; 2 ]
 
 let suite =
   [

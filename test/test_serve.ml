@@ -1,12 +1,14 @@
 (* The job-queue subsystem: Json_lite round-trips and parse errors,
    job-file parsing (poison detection), the spool's atomic claim /
-   finish / quarantine / recover protocol, and the daemon's drain loop
-   with timeouts and the crash drill around an armed job fault. *)
+   fenced finish / quarantine / reclaim protocol, and the daemon's
+   drain loop with timeouts, shutdown and the crash drill around an
+   armed job fault. *)
 
 module Json = Repro_util.Json_lite
 module Fault = Repro_util.Fault
 module Log = Repro_util.Log
 module Atomic_io = Repro_util.Atomic_io
+module Clock = Repro_util.Clock
 module Job = Repro_serve.Job
 module Spool = Repro_serve.Spool
 module Lease = Repro_serve.Lease
@@ -119,11 +121,22 @@ let test_spool_claim_and_finish () =
   enqueue spool "b.json" "{}";
   Alcotest.(check (list string)) "sorted queue" [ "a.json"; "b.json" ]
     (Spool.pending spool);
-  Alcotest.(check bool) "claim wins" true (Spool.claim spool "a.json");
-  Alcotest.(check bool) "second claim loses" false (Spool.claim spool "a.json");
+  let owner = Lease.acquire ~dir:spool.Spool.daemons_dir ~ttl:30.0 () in
+  Alcotest.(check bool) "claim wins" true (Spool.claim ~owner spool "a.json");
+  let claim_seq = Lease.seq owner in
+  Alcotest.(check bool) "second claim loses" false
+    (Spool.claim ~owner spool "a.json");
   Alcotest.(check (list string)) "claimed visible" [ "a.json" ]
     (Spool.in_work spool);
-  Spool.finish spool "a.json" ~result_json:"{\"ok\": true}";
+  Atomic_io.write_string (Spool.checkpoint_path spool "a.json") "ckpt";
+  Alcotest.(check string) "fenced commit" "committed"
+    (Spool.commit_name
+       (Spool.finish_fenced spool "a.json" ~owner ~claim_seq
+          ~result_json:"{\"ok\": true}"));
+  Alcotest.(check bool) "checkpoint dropped with the claim" false
+    (Sys.file_exists (Spool.checkpoint_path spool "a.json"));
+  Alcotest.(check bool) "stamp dropped with the claim" false
+    (Sys.file_exists (Spool.claim_stamp_path spool "a.json"));
   Alcotest.(check bool) "result filed" true
     (Sys.file_exists (Spool.result_path spool "a.json"));
   Alcotest.(check (list string)) "claim gone" [] (Spool.in_work spool);
@@ -156,7 +169,7 @@ let test_spool_recover () =
   Alcotest.(check bool) "claim cut" true (Spool.claim spool "cut.json");
   Atomic_io.write_string (Spool.result_path spool "done.json") "{}\n";
   Atomic_io.write_string (Spool.checkpoint_path spool "cut.json") "ckpt";
-  let requeued = Spool.recover spool in
+  let requeued = Spool.reclaim ~now:(Clock.wall ()) ~grace:0.0 spool in
   Alcotest.(check (list string)) "interrupted job re-queued" [ "cut.json" ]
     requeued;
   Alcotest.(check (list string)) "back in the queue" [ "cut.json" ]
@@ -426,6 +439,63 @@ let test_daemon_shutdown_requeues () =
   Alcotest.(check int) "nothing claimed" 0 stats.Daemon.claimed;
   Alcotest.(check int) "job still queued" 1 (Spool.queue_depth spool)
 
+(* A stop that fires mid-run cuts a multi-restart job short on one
+   domain (chain 1 never starts) and on two (both chains return at a
+   stop probe) alike: the job goes back to the queue with no result,
+   every chain that ran keeps its work/<base>.r<i>.ckpt, and the rerun
+   resumes them to the uninterrupted solution. *)
+let test_daemon_shutdown_mid_run_requeues () =
+  let job_text =
+    "{\"app\": \"motion_detection\", \"iters\": 20000, \"warmup\": 100, \
+     \"restarts\": 2, \"seed\": 8}"
+  in
+  let config = { quiet_config with Daemon.checkpoint_every = 200 } in
+  let solution spool =
+    match Json.str_field (read_result spool "mid.json") "solution" with
+    | Some crc -> crc
+    | None -> Alcotest.fail "result lost its solution CRC"
+  in
+  let reference =
+    with_spool @@ fun spool ->
+    enqueue spool "mid.json" job_text;
+    ignore (Daemon.run config spool);
+    solution spool
+  in
+  List.iter
+    (fun jobs ->
+      with_spool @@ fun spool ->
+      let label what = Printf.sprintf "jobs %d: %s" jobs what in
+      let config = { config with Daemon.jobs } in
+      enqueue spool "mid.json" job_text;
+      (* The probe runs in every chain's domain. *)
+      let polls = Atomic.make 0 in
+      let should_stop () = Atomic.fetch_and_add polls 1 >= 3000 in
+      let outcome, stats = Daemon.run ~should_stop config spool in
+      Alcotest.(check string) (label "interrupted") "interrupted"
+        (Daemon.outcome_name outcome);
+      Alcotest.(check int) (label "re-queued") 1 stats.Daemon.requeued;
+      Alcotest.(check int) (label "nothing completed") 0 stats.Daemon.completed;
+      Alcotest.(check bool) (label "no result filed") false
+        (Sys.file_exists (Spool.result_path spool "mid.json"));
+      Alcotest.(check (list string)) (label "back in the queue")
+        [ "mid.json" ] (Spool.pending spool);
+      List.iter
+        (fun i ->
+          Alcotest.(check bool)
+            (label (Printf.sprintf "chain %d checkpoint kept" i))
+            true
+            (Sys.file_exists (Spool.restart_checkpoint_path spool "mid.json" i)))
+        (List.init jobs Fun.id);
+      let _outcome, stats = Daemon.run config spool in
+      Alcotest.(check int) (label "rerun completes") 1 stats.Daemon.completed;
+      Alcotest.(check (option string)) (label "rerun status")
+        (Some "complete")
+        (Json.str_field (read_result spool "mid.json") "status");
+      Alcotest.(check string)
+        (label "resumed solution is bit-identical to the uninterrupted run")
+        reference (solution spool))
+    [ 1; 2 ]
+
 let suite =
   [
     Alcotest.test_case "json round-trip" `Quick test_json_round_trip;
@@ -450,6 +520,8 @@ let suite =
       test_daemon_crash_drill_loses_nothing;
     Alcotest.test_case "shutdown before claiming re-queues" `Quick
       test_daemon_shutdown_requeues;
+    Alcotest.test_case "shutdown mid-run re-queues a multi-restart job"
+      `Quick test_daemon_shutdown_mid_run_requeues;
     Alcotest.test_case "job engine field parses and round-trips" `Quick
       test_job_engine_field;
     Alcotest.test_case "engine job runs through the registry" `Quick
