@@ -62,7 +62,7 @@ faultcheck: build
 	  rm -f $$ck; \
 	done; echo "faultcheck resume drill OK"
 	@set -e; for spec in sa:5000:2500 sa:5000:2500:--schedule=swartz \
-	    sa:5000:2500:--serialized-bus greedy:40:10 random:200:100 \
+	    sa:5000:1100:--serialized-bus greedy:40:10 random:200:100 \
 	    hill:200:100 tabu:20:100 ga:4:700 ga-spatial:4:700; do \
 	  engine=$${spec%%:*}; rest=$${spec#*:}; \
 	  iters=$${rest%%:*}; rest=$${rest#*:}; \

@@ -42,16 +42,105 @@ let spatial_only =
     device_catalogue = [];
   }
 
-(* Validate a realized move: keep it when the search graph is acyclic
-   and capacities hold, otherwise undo and report infeasibility.  Only
-   the makespan is read, so judging a move builds no evaluation
-   record. *)
-let validated solution undo =
+(* Realize a move and validate it: keep it when the search graph is
+   acyclic and capacities hold, otherwise undo and report
+   infeasibility.  Only the makespan is read, so judging a move builds
+   no evaluation record. *)
+let realized solution mutate =
+  let undo = Solution.save solution in
+  mutate ();
   if Solution.makespan solution < infinity then Some undo
   else begin
     undo ();
     None
   end
+
+(* Static cycle tests (§4.3: a cycle is "detectable in O(1) operations
+   on the associated transitive closure matrix").  Each one finds two
+   tasks that the realized move would sequence against an application
+   path, which closes a cycle whatever the rest of the search graph
+   holds; a move they reject is never saved, made or undone.  Cycles
+   running through both the software chain and the context chain are
+   left to validation, where Pearce-Kelly catches them. *)
+
+(* m1 places [vs] right before [vd]: [vs] jumps ahead of the tasks in
+   [vd, vs) when [vd] comes first, behind those in (vs, vd) otherwise. *)
+let reorder_cyclic solution vs vd =
+  let clo = Solution.closure solution in
+  Closure.reaches clo vd vs
+  ||
+  let rec jumped_ahead_of = function
+    | [] -> false
+    | y :: rest ->
+      y <> vs && (Closure.reaches clo y vs || jumped_ahead_of rest)
+  in
+  let rec jumped_behind = function
+    | [] -> false
+    | y :: rest ->
+      y <> vd && (Closure.reaches clo vs y || jumped_behind rest)
+  in
+  let rec find = function
+    | [] -> invalid_arg "Moves.reorder_cyclic: tasks not on one processor"
+    | y :: rest ->
+      if y = vd then jumped_ahead_of rest
+      else if y = vs then jumped_behind rest
+      else find rest
+  in
+  let proc = Solution.processor_index solution vs in
+  find (List.nth (Solution.sw_orders solution) proc)
+
+type placement = Join of int | Fresh_at of int
+
+(* Every member of an earlier context precedes every member of a later
+   one, so the moved task [v] must not reach into an earlier context,
+   nor be reached from a later one.  Positions count the contexts left
+   once [v] is detached, as the mutators do. *)
+let placement_cyclic solution v placement =
+  let clo = Solution.closure solution in
+  let contexts =
+    List.filter
+      (function [ x ] -> x <> v | _ -> true)
+      (Solution.contexts solution)
+  in
+  (* Contexts before position [lo] run before [v]'s, those from [hi] on
+     after it. *)
+  let lo, hi =
+    match placement with
+    | Fresh_at at -> (at, at)
+    | Join vd ->
+      let rec position j = function
+        | [] -> invalid_arg "Moves.placement_cyclic: destination in software"
+        | members :: rest ->
+          if List.exists (fun x -> x = vd) members then j
+          else position (j + 1) rest
+      in
+      let d = position 0 contexts in
+      (* A full destination spawns [v]'s context right after it. *)
+      if Solution.joins_context solution ~task:v ~dest:vd then (d, d + 1)
+      else (d + 1, d + 1)
+  in
+  let reaches_into = List.exists (fun x -> x <> v && Closure.reaches clo v x)
+  and reached_from = List.exists (fun x -> x <> v && Closure.reaches clo x v) in
+  let rec scan j = function
+    | [] -> false
+    | members :: rest ->
+      (j < lo && reaches_into members)
+      || (j >= hi && reached_from members)
+      || scan (j + 1) rest
+  in
+  scan 0 contexts
+
+(* Swapping contexts [at] and [at+1] runs every member of the second
+   before every member of the first. *)
+let swap_cyclic solution at =
+  let clo = Solution.closure solution in
+  let contexts = Solution.contexts solution in
+  match List.filteri (fun j _ -> j = at || j = at + 1) contexts with
+  | [ first; second ] ->
+    List.exists
+      (fun x -> List.exists (fun y -> Closure.reaches clo x y) second)
+      first
+  | _ -> invalid_arg "Moves.swap_cyclic: bad position"
 
 let draw_hw_task rng solution =
   match Solution.hw_count solution with
@@ -69,9 +158,7 @@ let impl_move rng solution =
       let current = Solution.impl_index solution v in
       let pick = Rng.int rng (count - 1) in
       let next = if pick >= current then pick + 1 else pick in
-      let undo = Solution.save solution in
-      Solution.set_impl solution v next;
-      validated solution undo
+      realized solution (fun () -> Solution.set_impl solution v next)
     end
 
 let new_context_move rng solution =
@@ -85,10 +172,10 @@ let new_context_move rng solution =
   in
   if alone_in_context then None
   else begin
-    let undo = Solution.save solution in
     let at = Rng.int rng (Solution.n_contexts solution + 1) in
-    Solution.insert_context solution ~task:v ~at;
-    validated solution undo
+    if placement_cyclic solution v (Fresh_at at) then None
+    else
+      realized solution (fun () -> Solution.insert_context solution ~task:v ~at)
   end
 
 (* Explore the globally total context order directly: exchange two
@@ -97,9 +184,9 @@ let swap_contexts_move rng solution =
   let k = Solution.n_contexts solution in
   if k < 2 then None
   else begin
-    let undo = Solution.save solution in
-    Solution.swap_contexts solution ~at:(Rng.int rng (k - 1));
-    validated solution undo
+    let at = Rng.int rng (k - 1) in
+    if swap_cyclic solution at then None
+    else realized solution (fun () -> Solution.swap_contexts solution ~at)
   end
 
 let device_move rng config solution =
@@ -120,22 +207,19 @@ let device_move rng config solution =
      | [] -> None
      | _ :: _ ->
        let platform = Rng.choice_list rng others in
-       let undo = Solution.save solution in
-       Solution.replace_platform solution platform;
-       validated solution undo)
+       realized solution (fun () ->
+           Solution.replace_platform solution platform))
 
 (* m1: reposition [vs] immediately before [vd] in the software order.
-   Statically impossible orders (vd is an ancestor of vs) are rejected
-   in O(1) on the closure matrix; dynamic conflicts through hardware
+   Statically impossible orders ([vs] would run after an ancestor it
+   jumps, or before a descendant) are rejected on the closure matrix
+   before anything is saved; dynamic conflicts through hardware
    contexts are caught by validation. *)
 let reorder_move solution vs vd =
-  let clo = Solution.closure solution in
-  if Closure.reaches clo vd vs then None
-  else begin
-    let undo = Solution.save solution in
-    Solution.reorder_sw solution ~task:vs ~before:vd;
-    validated solution undo
-  end
+  if reorder_cyclic solution vs vd then None
+  else
+    realized solution (fun () ->
+        Solution.reorder_sw solution ~task:vs ~before:vd)
 
 (* Statically consistent insertion point for a task entering a
    processor's order: right before the first software task of that
@@ -150,10 +234,9 @@ let sw_insertion_point solution ~proc vs =
 (* m2 with a software destination: migrate [vs] to the processor
    holding [vd]. *)
 let to_software_move ~proc solution vs =
-  let undo = Solution.save solution in
   let before = sw_insertion_point solution ~proc vs in
-  Solution.move_to_sw ~proc solution ~task:vs ~before;
-  validated solution undo
+  realized solution (fun () ->
+      Solution.move_to_sw ~proc solution ~task:vs ~before)
 
 (* Escape move keeping the chain ergodic: when no task runs on some
    processor, no draw of [vd] can designate it, so migration to it
@@ -172,9 +255,10 @@ let hw_to_sw_move rng solution =
     to_software_move ~proc solution v
 
 let to_context_move solution vs vd =
-  let undo = Solution.save solution in
-  Solution.move_to_context solution ~task:vs ~dest:vd;
-  validated solution undo
+  if placement_cyclic solution vs (Join vd) then None
+  else
+    realized solution (fun () ->
+        Solution.move_to_context solution ~task:vs ~dest:vd)
 
 let main_move rng solution =
   let n = Solution.size solution in

@@ -19,8 +19,14 @@
 
     Every move is validated: structural invariants are preserved by
     construction, and a move whose search graph becomes cyclic (or
-    whose contexts overflow) is undone and reported as infeasible,
-    matching §4.3. *)
+    whose contexts overflow) is reported as infeasible, matching §4.3.
+    A reorder, context placement or context swap that would sequence
+    two tasks against an application path is rejected on the closure
+    matrix before anything is saved ({!reorder_cyclic},
+    {!placement_cyclic}, {!swap_cyclic}); any other move is realized,
+    and undone when the live search graph finds a cycle (one running
+    through both the software chain and the context chain) or an
+    overflow. *)
 
 open Repro_arch
 
@@ -60,6 +66,34 @@ val draw_hw_task : Repro_util.Rng.t -> Solution.t -> int option
     building {!Solution.hw_tasks}, consuming exactly the [Rng.int]
     draw of [Rng.choice_list rng (Solution.hw_tasks s)]: the same task,
     the same generator state. *)
+
+(** {1 Static cycle tests}
+
+    Each predicate is sound: [true] means the realized move makes the
+    search graph cyclic, whatever else it holds. *)
+
+val reorder_cyclic : Solution.t -> int -> int -> bool
+(** [reorder_cyclic s vs vd]: placing software task [vs] right before
+    [vd] on their processor would run it after a task that reaches it,
+    or before a task it reaches. *)
+
+type placement =
+  | Join of int
+  (** the context of this task, or a fresh one right after it when
+      full, as {!Solution.move_to_context} *)
+  | Fresh_at of int
+  (** a fresh context at this position, as {!Solution.insert_context} *)
+
+val placement_cyclic : Solution.t -> int -> placement -> bool
+(** [placement_cyclic s v p]: [v] placed by [p] would reach a member
+    of an earlier context, or be reached from a later one. *)
+
+val swap_cyclic : Solution.t -> int -> bool
+(** [swap_cyclic s at]: a member of context [at] reaches a member of
+    context [at+1], the one {!Solution.swap_contexts} would run
+    first. *)
+
+(** {1 Proposals} *)
 
 val propose : Repro_util.Rng.t -> config -> Solution.t -> (unit -> unit) option
 (** Draw, realize, and validate one move; [Some undo] on success,

@@ -1031,25 +1031,30 @@ let move_to_sw ?(proc = 0) t ~task ~before =
      t.sw.(proc) <- insert_before task anchor t.sw.(proc));
   native_resync t Sw_migrate ~rebound:[ task ] ~sw_around ~old_sw ~old_ctxs
 
+let joins_context t ~task ~dest =
+  if t.assign.(dest) < 0 then
+    invalid_arg "Solution.joins_context: destination not in hardware";
+  members_clbs t (assoc_int t.assign.(dest) t.ctxs) + task_clbs t task
+  <= Platform.n_clb t.platform
+
 let move_to_context t ~task ~dest =
   let dest_id = t.assign.(dest) in
   if dest_id < 0 then
     invalid_arg "Solution.move_to_context: destination not in hardware";
   if t.assign.(task) = dest_id then
     invalid_arg "Solution.move_to_context: already in that context";
+  let joins = joins_context t ~task ~dest in
   let old_sw = Array.copy t.sw in
   let old_ctxs = t.ctxs in
   let sw_around = sw_departure_around t task in
   (* Detach the source task first. *)
   detach t task;
-  let limit = Platform.n_clb t.platform in
-  let fits members = members_clbs t members + task_clbs t task <= limit in
   let placed = ref false in
   t.ctxs <-
     List.concat_map
       (fun (cid, members) ->
         if cid = dest_id then begin
-          if fits members then begin
+          if joins then begin
             placed := true;
             t.assign.(task) <- cid;
             [ (cid, task :: members) ]

@@ -228,9 +228,15 @@ val move_to_sw : ?proc:int -> t -> task:int -> before:int option -> unit
 
 val move_to_context : t -> task:int -> dest:int -> unit
 (** Bind [task] to the context of hardware task [dest].  When the
-    destination context cannot also hold [task]'s implementation, a
-    fresh context is spawned right after it instead, as in §4.3.
-    [task] may come from software or from another context. *)
+    destination context cannot also hold [task]'s implementation
+    ({!joins_context} is false), a fresh context is spawned right after
+    it instead, as in §4.3.  [task] may come from software or from
+    another context. *)
+
+val joins_context : t -> task:int -> dest:int -> bool
+(** Whether the context of hardware task [dest] can also hold [task]'s
+    implementation, so that {!move_to_context} joins it rather than
+    spawning a fresh context; [task] must not already be in it. *)
 
 val insert_context : t -> task:int -> at:int -> unit
 (** Move m4 restricted to the reconfigurable circuit: create a fresh

@@ -61,6 +61,10 @@ let fingerprint s =
           (fun members -> String.concat "," (List.map string_of_int members))
           (Solution.contexts s)))
 
+(* The 28-task case study and the benchmark's 132-task layered graph. *)
+let inputs () =
+  [ ("md28", Test_solution.md28 ()); ("g128", Test_golden.layered128 ()) ]
+
 (* The counting hardware-task draw against the list draw it replaced:
    the same task, and the generator left in the same state. *)
 let test_hw_draw_matches_choice_list () =
@@ -83,7 +87,7 @@ let test_hw_draw_matches_choice_list () =
           (label ^ ": same generator state") true
           (Rng.state by_list = Rng.state by_count)
       done)
-    [ ("md28", Test_solution.md28 ()); ("g128", Test_golden.layered128 ()) ]
+    (inputs ())
 
 let test_feasibility_preserved () =
   let rng = Rng.create 77 in
@@ -328,7 +332,234 @@ let test_incremental_matches_rebuild () =
              raises on a mismatch: the drive itself is the check. *)
           ignore (lockstep ~label ~paranoid:true ~draws:100 ~seed input kind))
         matrix_kinds)
-    [ ("md28", Test_solution.md28 ()); ("g128", Test_golden.layered128 ()) ]
+    (inputs ())
+
+(* The static cycle tests.  [realize s mutate] makes a mutation, reads
+   whether the solution calls it infeasible and whether a rebuild of
+   its spec finds a cycle, then undoes it. *)
+let realize s mutate =
+  let undo = Solution.save s in
+  mutate ();
+  let infinite = Solution.makespan s = infinity in
+  let cyclic = Searchgraph.evaluate (Solution.spec s) = None in
+  undo ();
+  (infinite, cyclic)
+
+(* One random draw of each static test the state offers, as
+   [(kind, rejected, mutation)]. *)
+let static_draws rng s =
+  let reorder =
+    match List.filter (fun o -> List.length o >= 2) (Solution.sw_orders s) with
+    | [] -> None
+    | orders ->
+      let order = Rng.choice_list rng orders in
+      let vs = Rng.choice_list rng order in
+      let vd = Rng.choice_list rng order in
+      if vs = vd then None
+      else
+        Some
+          ( "reorder",
+            Moves.reorder_cyclic s vs vd,
+            fun () -> Solution.reorder_sw s ~task:vs ~before:vd )
+  in
+  let join =
+    match Moves.draw_hw_task rng s with
+    | None -> None
+    | Some vd ->
+      let v = Rng.int rng (Solution.size s) in
+      if Solution.binding s v = Solution.binding s vd then None
+      else
+        Some
+          ( "join",
+            Moves.placement_cyclic s v (Moves.Join vd),
+            fun () -> Solution.move_to_context s ~task:v ~dest:vd )
+  in
+  let fresh =
+    let v = Rng.int rng (Solution.size s) in
+    let at = Rng.int rng (Solution.n_contexts s + 1) in
+    Some
+      ( "fresh",
+        Moves.placement_cyclic s v (Moves.Fresh_at at),
+        fun () -> Solution.insert_context s ~task:v ~at )
+  in
+  let swap =
+    match Solution.n_contexts s with
+    | k when k >= 2 ->
+      let at = Rng.int rng (k - 1) in
+      Some
+        ( "swap",
+          Moves.swap_cyclic s at,
+          fun () -> Solution.swap_contexts s ~at )
+    | _ -> None
+  in
+  List.filter_map Fun.id [ reorder; join; fresh; swap ]
+
+(* Soundness: a draw a predicate rejects is cyclic when made anyway.
+   The states are 12 random solutions given two more contexts by
+   [prepare], and 12 points of a walk that keeps every feasible move
+   (with extra context creations); each kind gets at least 2000 draws
+   per input and rejects at least once (both placements too). *)
+let test_static_rejections_sound () =
+  List.iter
+    (fun (label, (application, plat)) ->
+      let rng = Rng.create 41 in
+      let random () =
+        let s = Solution.random (Rng.split rng) application plat in
+        ignore (prepare s);
+        s
+      in
+      let walk = random () in
+      let states =
+        List.init 12 (fun _ -> random ())
+        @ List.init 12 (fun _ ->
+              for _ = 1 to 100 do
+                ignore (Moves.propose rng Moves.fixed_architecture walk);
+                ignore
+                  (Moves.propose_kind rng Moves.fixed_architecture walk
+                     Solution.Ctx_create)
+              done;
+              Solution.snapshot walk)
+      in
+      let draws = Hashtbl.create 4 and rejected = Hashtbl.create 4 in
+      let bump table kind =
+        Hashtbl.replace table kind
+          (1 + Option.value ~default:0 (Hashtbl.find_opt table kind))
+      in
+      List.iter
+        (fun s ->
+          for _ = 1 to 250 do
+            List.iter
+              (fun (kind, cyclic, mutate) ->
+                bump draws kind;
+                if cyclic then begin
+                  bump rejected kind;
+                  match realize s mutate with
+                  | true, true -> ()
+                  | infinite, rebuilt_cyclic ->
+                    Alcotest.failf
+                      "%s: %s rejected a move that is feasible (makespan \
+                       infinite %b, rebuild cyclic %b)"
+                      label kind infinite rebuilt_cyclic
+                end)
+              (static_draws rng s)
+          done)
+        states;
+      List.iter
+        (fun kind ->
+          let count table =
+            Option.value ~default:0 (Hashtbl.find_opt table kind)
+          in
+          if count draws < 2000 then
+            Alcotest.failf "%s: %s: only %d draws" label kind (count draws);
+          if count rejected = 0 then
+            Alcotest.failf "%s: %s never rejected" label kind)
+        [ "reorder"; "join"; "fresh"; "swap" ])
+    (inputs ())
+
+(* Exactness for reorders: with every task on the one processor, the
+   only cycles are application paths against the chain, so the
+   predicate rejects exactly the infeasible reorders.  The orders come
+   from a walk of feasible reorders. *)
+let test_reorder_test_exact () =
+  List.iter
+    (fun (label, (application, plat)) ->
+      let rng = Rng.create 43 in
+      let s = Solution.all_software application plat in
+      let draws = ref 0 and rejected = ref 0 in
+      for _ = 1 to 40 do
+        for _ = 1 to 50 do
+          ignore
+            (Moves.propose_kind rng Moves.fixed_architecture s
+               Solution.Sw_reorder)
+        done;
+        let order = Solution.sw_order s in
+        for _ = 1 to 50 do
+          let vs = Rng.choice_list rng order in
+          let vd = Rng.choice_list rng order in
+          if vs <> vd then begin
+            incr draws;
+            let predicted = Moves.reorder_cyclic s vs vd in
+            if predicted then incr rejected;
+            let infinite, _ =
+              realize s (fun () -> Solution.reorder_sw s ~task:vs ~before:vd)
+            in
+            if predicted <> infinite then
+              Alcotest.failf
+                "%s: reorder %d before %d: predicted %b, infeasible %b" label
+                vs vd predicted infinite
+          end
+        done
+      done;
+      Alcotest.(check bool) (label ^ ": some reorders rejected") true
+        (!rejected > 0);
+      Alcotest.(check bool) (label ^ ": some reorders kept") true
+        (!rejected < !draws))
+    (inputs ())
+
+(* An all-hardware state on a device too large to overflow: a random
+   topological order (a walk of feasible reorders from all-software)
+   cut into contexts of random length. *)
+let all_hardware rng (application, plat) =
+  let big = Platform.with_rc_size plat 100_000 in
+  let walk = Solution.all_software application big in
+  for _ = 1 to 300 do
+    ignore
+      (Moves.propose_kind rng Moves.fixed_architecture walk Solution.Sw_reorder)
+  done;
+  let rec cut contexts current = function
+    | [] when current = [] -> List.rev contexts
+    | [] -> List.rev (List.rev current :: contexts)
+    | v :: rest ->
+      if Rng.int rng 3 = 0 then
+        cut (List.rev (v :: current) :: contexts) [] rest
+      else cut contexts (v :: current) rest
+  in
+  match
+    Solution.of_mapping application big ~sw_orders:[ [] ]
+      ~contexts:(cut [] [] (Solution.sw_order walk))
+      ~impl:(List.init (App.size application) (fun _ -> 0))
+  with
+  | Ok s -> s
+  | Error msg -> Alcotest.failf "all-hardware state: %s" msg
+
+(* Exactness for swaps: with every task in a context, the only cycles
+   are application paths against the context order, so the predicate
+   rejects exactly the infeasible swaps.  Walks of feasible context
+   moves vary the state between rounds of draws. *)
+let test_swap_test_exact () =
+  List.iter
+    (fun (label, input) ->
+      let rng = Rng.create 47 in
+      let s = all_hardware rng input in
+      let draws = ref 0 and rejected = ref 0 in
+      for _ = 1 to 40 do
+        for _ = 1 to 20 do
+          List.iter
+            (fun kind ->
+              ignore (Moves.propose_kind rng Moves.fixed_architecture s kind))
+            [ Solution.Ctx_swap; Solution.Ctx_migrate; Solution.Ctx_create ]
+        done;
+        Alcotest.(check int) (label ^ ": all hardware") (Solution.size s)
+          (Solution.hw_count s);
+        let k = Solution.n_contexts s in
+        for _ = 1 to 50 do
+          let at = Rng.int rng (k - 1) in
+          incr draws;
+          let predicted = Moves.swap_cyclic s at in
+          if predicted then incr rejected;
+          let infinite, _ =
+            realize s (fun () -> Solution.swap_contexts s ~at)
+          in
+          if predicted <> infinite then
+            Alcotest.failf "%s: swap at %d: predicted %b, infeasible %b" label
+              at predicted infinite
+        done
+      done;
+      Alcotest.(check bool) (label ^ ": some swaps rejected") true
+        (!rejected > 0);
+      Alcotest.(check bool) (label ^ ": some swaps kept") true
+        (!rejected < !draws))
+    (inputs ())
 
 let suite =
   [
@@ -348,4 +579,10 @@ let suite =
       test_hw_draw_matches_choice_list;
     Alcotest.test_case "incremental matches rebuild per move kind" `Quick
       test_incremental_matches_rebuild;
+    Alcotest.test_case "static cycle rejections are sound" `Quick
+      test_static_rejections_sound;
+    Alcotest.test_case "reorder cycle test is exact on software" `Quick
+      test_reorder_test_exact;
+    Alcotest.test_case "swap cycle test is exact on hardware" `Quick
+      test_swap_test_exact;
   ]
