@@ -90,29 +90,30 @@ faultcheck: build
 	  fi; \
 	  rm -f $$ck $$clean $$clean.cmp $$resumed $$resumed.cmp; \
 	done; echo "faultcheck all-engine kill/resume drill OK"
-	@set -e; \
+	@set -e; for spec in portfolio:race:sa+hill portfolio:rr:sa+hill \
+	    portfolio:chain:greedy+sa; do \
 	  ck=$$(mktemp -u); clean=$$(mktemp); resumed=$$(mktemp); \
-	  echo "faultcheck: racing portfolio kill/resume (--time-budget 1)"; \
-	  dune exec -- bin/dse_run.exe --engine portfolio:race:sa+hill --seed 7 \
-	    --iters 200000 --result $$clean >/dev/null; \
-	  if dune exec -- bin/dse_run.exe --engine portfolio:race:sa+hill \
-	       --seed 7 --iters 200000 --time-budget 1 \
+	  echo "faultcheck: $$spec kill/resume (--time-budget 1)"; \
+	  dune exec -- bin/dse_run.exe --engine $$spec --seed 7 \
+	    --iters 300000 --result $$clean >/dev/null; \
+	  if dune exec -- bin/dse_run.exe --engine $$spec \
+	       --seed 7 --iters 300000 --time-budget 1 \
 	       --checkpoint $$ck --checkpoint-every 1 >/dev/null 2>&1; then \
-	    echo "faultcheck: portfolio: time budget did not interrupt the race"; \
+	    echo "faultcheck: $$spec: time budget did not interrupt the run"; \
 	    exit 1; \
 	  fi; \
 	  if [ ! -e $$ck ]; then \
-	    echo "faultcheck: portfolio: interrupt flushed no checkpoint"; exit 1; fi; \
-	  dune exec -- bin/dse_run.exe --engine portfolio:race:sa+hill --seed 7 \
-	    --iters 200000 --resume $$ck --result $$resumed >/dev/null; \
+	    echo "faultcheck: $$spec: interrupt flushed no checkpoint"; exit 1; fi; \
+	  dune exec -- bin/dse_run.exe --engine $$spec --seed 7 \
+	    --iters 300000 --resume $$ck --result $$resumed >/dev/null; \
 	  sed -e 's/, "eval_stats": .*/}/' -e 's/"wall_seconds": [^,]*, //' $$clean > $$clean.cmp; \
 	  sed -e 's/, "eval_stats": .*/}/' -e 's/"wall_seconds": [^,]*, //' $$resumed > $$resumed.cmp; \
 	  if ! diff $$clean.cmp $$resumed.cmp >/dev/null; then \
-	    echo "faultcheck: portfolio: resumed race differs from clean run"; \
+	    echo "faultcheck: $$spec: resumed run differs from clean run"; \
 	    cat $$clean.cmp $$resumed.cmp; exit 1; \
 	  fi; \
 	  rm -f $$ck $$ck.m0 $$ck.m1 $$clean $$clean.cmp $$resumed $$resumed.cmp; \
-	  echo "faultcheck racing-portfolio kill/resume drill OK"
+	done; echo "faultcheck portfolio kill/resume drill OK"
 	@set -e; for seed in 1 2 3; do \
 	  spool=$$(mktemp -d); \
 	  echo "faultcheck: serve drill seed $$seed (REPRO_FAULTS=job:1)"; \

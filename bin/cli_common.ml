@@ -228,19 +228,14 @@ let report_warnings ~what warnings =
     (fun (index, msg) -> Log.warn "%s %d: %s" what index msg)
     warnings
 
-(* Engine selection, shared by the tools that take --engine/--engines:
-   the registry is populated explicitly (never by linking side
+(* The --engine front door of dse-run, dse-sweep and dse-pareto, the
+   same one the daemon uses: [None] is the annealer the tool's own
+   flags configure; [report] receives a portfolio's per-lane verdicts.
+   The registry is populated explicitly (never by linking side
    effects), and an unknown name dies as a usage error listing what is
-   registered.  Portfolio specs (portfolio:race:sa+tabu:...) build the
-   meta-engine on the fly; [report] receives its final per-lane
-   verdicts. *)
-let find_engine ?report name =
-  let resolved =
-    if Repro_dse.Portfolio.is_spec name then
-      Repro_dse.Portfolio.of_spec ?report name
-    else Repro_dse.Engine_registry.find name
-  in
-  match resolved with
+   registered. *)
+let search_engine ?report name =
+  match Repro_serve.Job.resolve_engine ?report name with
   | Ok engine -> engine
   | Error msg -> fail "%s" msg
 

@@ -116,8 +116,11 @@ let run clbs seed sa_iters ga_generations ga_population evals engines_spec
       |> List.map String.trim
       |> List.filter (fun name -> name <> "")
       |> List.map (fun name ->
-             let e = Cli_common.find_engine name in
-             (Engine.name e, e))
+             (* Every name, sa included, is a registry engine: the
+                comparison holds them all to one budget rule. *)
+             match Repro_dse.Portfolio.resolve name with
+             | Ok e -> (Engine.name e, e)
+             | Error msg -> Cli_common.fail "%s" msg)
   in
   if selected = [] then Cli_common.fail "--engines names no engine";
   let app = Md.app () in

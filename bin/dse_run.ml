@@ -29,7 +29,7 @@ let schedule_of_name name quality =
 let run app_name app_file platform_file clbs engine_name iters warmup seed
     schedule lam_quality serialized trace_path gantt dot_path save_app
     restarts jobs checkpoint_path checkpoint_every resume_path time_budget
-    restart_timeout result_path race chain target_cost seed_from =
+    restart_timeout result_path seed_from =
   Cli_common.guard @@ fun () ->
   let app, platform =
     let app =
@@ -41,36 +41,13 @@ let run app_name app_file platform_file clbs engine_name iters warmup seed
     | Ok inputs -> inputs
     | Error msg -> Cli_common.fail "%s" msg
   in
-  (* --race/--chain/--target-cost compose onto a portfolio spec; the
-     spec grammar accepts the same tokens inline, the flags just read
-     better in a shell line. *)
-  if race && chain then Cli_common.fail "--race and --chain conflict";
-  let engine_name =
-    let extras =
-      (if race then [ ":race" ] else [])
-      @ (if chain then [ ":chain" ] else [])
-      @
-      match target_cost with
-      | Some c -> [ Printf.sprintf ":target=%.12g" c ]
-      | None -> []
-    in
-    if extras = [] then engine_name
-    else if not (Repro_dse.Portfolio.is_spec engine_name) then
-      Cli_common.fail
-        "--race/--chain/--target-cost shape a portfolio; pass --engine \
-         portfolio:e1+e2+..."
-    else String.concat "" (engine_name :: extras)
-  in
   (* "sa" is the annealer --warmup/--schedule/--lam-quality describe;
      any other name runs a registry engine on --iters iterations. *)
   let lanes_seen = ref None in
   let engine =
-    if engine_name = "sa" then None
-    else
-      Some
-        (Cli_common.find_engine
-           ~report:(fun lanes -> lanes_seen := Some lanes)
-           engine_name)
+    Cli_common.search_engine
+      ~report:(fun lanes -> lanes_seen := Some lanes)
+      engine_name
   in
   let warm_start =
     match seed_from with
@@ -415,32 +392,6 @@ let result_arg =
                  per-restart statuses under supervision) to $(docv)"
            ~docv:"FILE")
 
-let race_arg =
-  Arg.(value & flag
-       & info [ "race" ]
-           ~doc:"Run the portfolio's members as concurrent racing lanes, \
-                 each with the full --iters budget (shorthand for the :race \
-                 spec token).  With --target-cost the race is hedged: the \
-                 first lane to reach the target wins and the others are \
-                 cancelled at their next iteration boundary")
-
-let chain_arg =
-  Arg.(value & flag
-       & info [ "chain" ]
-           ~doc:"Run the portfolio's members in order, each warm-started \
-                 from the best incumbent of the stages before it (shorthand \
-                 for the :chain spec token) — e.g. \
-                 portfolio:greedy+sa seeds the annealer with the greedy \
-                 mapping")
-
-let target_cost_arg =
-  Arg.(value & opt (some float) None
-       & info [ "target-cost" ]
-           ~doc:"Portfolio target: stop as soon as some lane's best reaches \
-                 $(docv) (milliseconds of makespan); losing lanes are \
-                 cancelled within one member iteration"
-           ~docv:"COST")
-
 let seed_from_arg =
   Arg.(value & opt (some string) None
        & info [ "seed-from" ]
@@ -460,6 +411,6 @@ let cmd =
           $ serialized_arg $ trace_arg $ gantt_arg $ dot_arg $ save_app_arg
           $ restarts_arg $ jobs_arg $ checkpoint_arg $ checkpoint_every_arg
           $ resume_arg $ time_budget_arg $ restart_timeout_arg $ result_arg
-          $ race_arg $ chain_arg $ target_cost_arg $ seed_from_arg)
+          $ seed_from_arg)
 
 let () = exit (Cmd.eval' cmd)

@@ -131,10 +131,7 @@ let run runs iters base_seed sizes engine_name csv_path jobs checkpoint_path
    | Some s when s <= 0.0 ->
      Cli_common.fail "--restart-timeout wants a positive number of seconds"
    | _ -> ());
-  let engine =
-    if engine_name = "sa" then None
-    else Some (Cli_common.find_engine engine_name)
-  in
+  let engine = Cli_common.search_engine engine_name in
   Printf.printf
     "Fig. 3 sweep: %d run(s) per size, %d iterations each, %d job(s), \
      engine %s (paper: 100 runs)\n%!"

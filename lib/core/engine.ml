@@ -99,6 +99,20 @@ let knobs (module E : S) = E.knobs
 let default_iterations (module E : S) = E.default_iterations
 let run (module E : S) ctx = E.run ctx
 
+(* Defined before [step], whose labels it shares, so that [drive]'s
+   loop reads its step results without annotations. *)
+type 'state snapshot = {
+  iteration : int;
+  evaluations : int;
+  accepted : int;
+  initial_cost : float;
+  best_cost : float;
+  elapsed : float;
+  rng : Rng.t;
+  best : Solution.t;
+  state : 'state;
+}
+
 type 'state step = {
   state : 'state;
   cost : float;
@@ -121,7 +135,7 @@ let checkpoint_kind = "dse-engine"
    taken under; the fingerprint ties the file to them.  The engine name
    and codec version are separate header lines so their mismatches get
    their own (more helpful) diagnostics. *)
-let drive_fingerprint ctx =
+let fingerprint ctx =
   Checkpoint.crc32_hex
     (String.concat "\n"
        [
@@ -133,43 +147,29 @@ let drive_fingerprint ctx =
             | Some m -> string_of_int m);
        ])
 
-let fingerprint = drive_fingerprint
-
-type 'state resumed = {
-  r_iteration : int;
-  r_evaluations : int;
-  r_accepted : int;
-  r_initial_cost : float;
-  r_best_cost : float;
-  r_elapsed : float;
-  r_rng : Rng.t;
-  r_best : Solution.t;
-  r_state : 'state;
-}
-
 (* Driver payload: line-oriented, floats in "%h" so every value
    round-trips bit-exactly.  The best solution and the engine's own
    state block close the file; [best]/[state] marker lines separate
-   them (no line of {!Solution.encode} or of a codec in this repo is a
-   bare "best"/"state"). *)
-let payload_of codec ctx ~iteration ~evaluations ~accepted ~initial_cost
-    ~best_cost ~elapsed ~rng ~best state =
+   them (no line of {!Solution.encode} is a bare "best"/"state", and
+   the state block runs to the end of the file). *)
+let payload_of codec ctx snap =
   let b = Buffer.create 1024 in
   Printf.bprintf b "engine %s %d\n" codec.engine codec.version;
-  Printf.bprintf b "fingerprint %s\n" (drive_fingerprint ctx);
-  Printf.bprintf b "driver %d %d %d\n" iteration evaluations accepted;
-  Printf.bprintf b "costs %h %h\n" initial_cost best_cost;
-  Printf.bprintf b "wall %h\n" elapsed;
+  Printf.bprintf b "fingerprint %s\n" (fingerprint ctx);
+  Printf.bprintf b "driver %d %d %d\n" snap.iteration snap.evaluations
+    snap.accepted;
+  Printf.bprintf b "costs %h %h\n" snap.initial_cost snap.best_cost;
+  Printf.bprintf b "wall %h\n" snap.elapsed;
   Buffer.add_string b "rng";
-  Array.iter (fun w -> Printf.bprintf b " %Lx" w) (Rng.state rng);
+  Array.iter (fun w -> Printf.bprintf b " %Lx" w) (Rng.state snap.rng);
   Buffer.add_char b '\n';
   Buffer.add_string b "best\n";
-  Buffer.add_string b (Solution.encode best);
+  Buffer.add_string b (Solution.encode snap.best);
   Buffer.add_string b "state\n";
-  Buffer.add_string b (codec.encode state);
+  Buffer.add_string b (codec.encode snap.state);
   Buffer.contents b
 
-let resumed_of_payload codec ctx payload =
+let snapshot_of_payload codec ctx payload =
   let ( let* ) = Result.bind in
   let fail fmt = Printf.ksprintf (fun m -> Error ("checkpoint: " ^ m)) fmt in
   let lines = String.split_on_char '\n' payload in
@@ -195,7 +195,7 @@ let resumed_of_payload codec ctx payload =
   let* fields, lines = take "fingerprint" lines in
   let* () =
     match fields with
-    | [ fp ] when fp = drive_fingerprint ctx -> Ok ()
+    | [ fp ] when fp = fingerprint ctx -> Ok ()
     | [ _ ] -> fail "produced under a different application/platform/seed/budget"
     | _ -> fail "bad fingerprint line"
   in
@@ -245,24 +245,47 @@ let resumed_of_payload codec ctx payload =
   in
   Ok
     {
-      r_iteration = iteration;
-      r_evaluations = evaluations;
-      r_accepted = accepted;
-      r_initial_cost = initial_cost;
-      r_best_cost = best_cost;
-      r_elapsed = elapsed;
-      r_rng = Rng.of_state rng_words;
-      r_best = best;
-      r_state = state;
+      iteration;
+      evaluations;
+      accepted;
+      initial_cost;
+      best_cost;
+      elapsed;
+      rng = Rng.of_state rng_words;
+      best;
+      state;
     }
 
-let load_resume codec ctx path =
-  match Checkpoint.load path ~kind:checkpoint_kind with
-  | Error _ as e -> e
-  | Ok payload -> (
-    match resumed_of_payload codec ctx payload with
-    | Ok _ as ok -> ok
-    | Error msg -> Error (path ^ ": " ^ msg))
+let save codec ctx snap =
+  match ctx.checkpoint with
+  | Some ck ->
+    Checkpoint.save ck.path ~kind:checkpoint_kind (payload_of codec ctx snap)
+  | None -> ()
+
+let restore codec ctx =
+  let load path =
+    match Checkpoint.load path ~kind:checkpoint_kind with
+    | Error _ as e -> e
+    | Ok payload -> (
+      match snapshot_of_payload codec ctx payload with
+      | Ok _ as ok -> ok
+      | Error msg -> Error (path ^ ": " ^ msg))
+  in
+  match ctx.checkpoint with
+  | None -> None
+  | Some ck -> (
+    match ck.resume with
+    | Resume_never -> None
+    | Resume_required -> (
+      match load ck.path with Ok r -> Some r | Error msg -> failwith msg)
+    | Resume_if_exists ->
+      if not (Sys.file_exists ck.path) then None
+      else (
+        match load ck.path with
+        | Ok r -> Some r
+        | Error msg ->
+          Log.warn "ignoring unusable checkpoint: %s" msg;
+          None))
 
 (* The generic search loop: budget accounting, best-snapshot
    bookkeeping, cooperative interruption, per-iteration observation —
@@ -280,64 +303,51 @@ let drive ?codec ctx ~init ~step ~snapshot =
        "Engine.drive: checkpointing requested but the engine has no state \
         codec"
    | _ -> ());
-  let resumed =
-    match (ctx.checkpoint, codec) with
-    | Some ck, Some codec -> (
-      match ck.resume with
-      | Resume_never -> None
-      | Resume_required -> (
-        match load_resume codec ctx ck.path with
-        | Ok r -> Some r
-        | Error msg -> failwith msg)
-      | Resume_if_exists ->
-        if not (Sys.file_exists ck.path) then None
-        else (
-          match load_resume codec ctx ck.path with
-          | Ok r -> Some r
-          | Error msg ->
-            Log.warn "ignoring unusable checkpoint: %s" msg;
-            None))
-    | _ -> None
-  in
-  let rng, state0, initial_cost, start_iteration, wall_offset =
-    match resumed with
-    | None ->
-      let rng = Rng.create ctx.seed in
-      (rng, None, None, 0, 0.0)
-    | Some r -> (r.r_rng, Some r.r_state, Some r.r_initial_cost, r.r_iteration, r.r_elapsed)
-  in
   (* [init] runs only on a fresh start; a resumed run restores the
      engine's working state through the codec instead. *)
-  let state, initial_cost, initial_evals =
-    match (state0, initial_cost) with
-    | Some s, Some c -> (s, c, 0)
-    | _ ->
-      let s, c, e = init rng in
-      (s, c, e)
+  let start =
+    match Option.bind codec (fun codec -> restore codec ctx) with
+    | Some r -> r
+    | None ->
+      let rng = Rng.create ctx.seed in
+      let state, cost, evaluations = init rng in
+      {
+        iteration = 0;
+        evaluations;
+        accepted = 0;
+        initial_cost = cost;
+        best_cost = cost;
+        elapsed = 0.0;
+        rng;
+        best = snapshot state;
+        state;
+      }
   in
-  let best =
-    ref (match resumed with Some r -> r.r_best | None -> snapshot state)
-  in
-  let best_cost =
-    ref (match resumed with Some r -> r.r_best_cost | None -> initial_cost)
-  in
-  let evaluations =
-    ref
-      (match resumed with Some r -> r.r_evaluations | None -> initial_evals)
-  in
-  let accepted = ref (match resumed with Some r -> r.r_accepted | None -> 0) in
+  let rng = start.rng and initial_cost = start.initial_cost in
+  let start_iteration = start.iteration and wall_offset = start.elapsed in
+  let best = ref start.best in
+  let best_cost = ref start.best_cost in
+  let evaluations = ref start.evaluations in
+  let accepted = ref start.accepted in
   let status = ref Complete in
-  let state = ref state in
+  let state = ref start.state in
   let g = ref start_iteration in
   let save_checkpoint () =
-    match (ctx.checkpoint, codec) with
-    | Some ck, Some codec ->
-      Checkpoint.save ck.path ~kind:checkpoint_kind
-        (payload_of codec ctx ~iteration:!g ~evaluations:!evaluations
-           ~accepted:!accepted ~initial_cost ~best_cost:!best_cost
-           ~elapsed:(wall_offset +. Clock.wall () -. start_clock)
-           ~rng ~best:!best !state)
-    | _ -> ()
+    match codec with
+    | Some codec ->
+      save codec ctx
+        {
+          iteration = !g;
+          evaluations = !evaluations;
+          accepted = !accepted;
+          initial_cost;
+          best_cost = !best_cost;
+          elapsed = wall_offset +. Clock.wall () -. start_clock;
+          rng;
+          best = !best;
+          state = !state;
+        }
+    | None -> ()
   in
   (try
      while !g < ctx.budget.iterations do

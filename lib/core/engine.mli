@@ -180,8 +180,9 @@ type 'state codec = {
   (** serialize the working state, including any auxiliary search
       memory the engine keeps outside the state value (incumbents,
       tabu tenure, populations).  Line-oriented text with ["%h"]
-      floats, by the repo's checkpoint convention; must not contain a
-      bare ["best"] or ["state"] line. *)
+      floats, by the repo's checkpoint convention.  It closes the
+      checkpoint file, so it may hold any bytes (the portfolio embeds
+      its members' whole checkpoint files). *)
   decode : string -> ('state, string) result;
   (** inverse of [encode]; must also restore that auxiliary memory.
       After [decode] the engine must behave bit-identically to the run
@@ -191,15 +192,40 @@ type 'state codec = {
     The driver owns everything else (counters, RNG words, best
     snapshot, wall-clock offset). *)
 
-val fingerprint : context -> string
-(** CRC fingerprint tying a driver checkpoint to its inputs, seed and
-    budget (application text, platform text, seed, iteration and
-    evaluation budgets).  Exposed so meta-engines (the portfolio) can
-    stamp their own native checkpoints with the same binding. *)
-
 val checkpoint_kind : string
 (** The {!Repro_util.Checkpoint} kind tag of driver checkpoints,
     ["dse-engine"]. *)
+
+type 'state snapshot = {
+  iteration : int;      (** iterations completed *)
+  evaluations : int;    (** cost evaluations spent *)
+  accepted : int;       (** iterations that changed the state *)
+  initial_cost : float;
+  best_cost : float;
+  elapsed : float;      (** wall seconds spent before the snapshot *)
+  rng : Repro_util.Rng.t;
+  best : Solution.t;
+  state : 'state;       (** persisted through the codec *)
+}
+(** Everything a checkpoint holds: the driver's counters, costs, wall
+    offset, RNG words and best solution, plus the engine's working
+    state. *)
+
+val save : 'state codec -> context -> 'state snapshot -> unit
+(** Write the snapshot to [context.checkpoint]'s path as one
+    atomically-replaced [REPRO-CKPT] file of kind {!checkpoint_kind},
+    stamped with the codec's engine name and version and with a
+    fingerprint of the application, platform, seed and budgets.  No-op
+    without a checkpoint. *)
+
+val restore : 'state codec -> context -> 'state snapshot option
+(** Apply [context.checkpoint]'s resume mode: [None] without a
+    checkpoint, under [Resume_never], or when [Resume_if_exists] finds
+    no file; the decoded snapshot when the file loads and validates.
+    A file that is missing, corrupt, of the wrong kind, from a
+    different engine or codec version, or fingerprint-mismatched
+    raises a one-line [Failure] under [Resume_required]; under
+    [Resume_if_exists] it is warned about and ignored ([None]). *)
 
 val drive :
   ?codec:'state codec ->
@@ -217,16 +243,10 @@ val drive :
     (start from a feasible solution, e.g. all-software).
 
     When [context.checkpoint] is set, [codec] is mandatory
-    ([Invalid_argument] otherwise) and the driver persists a snapshot
-    — its counters, the RNG words, the best solution and
-    [codec.encode state] — into the versioned [REPRO-CKPT] container
-    at every [every] iteration boundary and on interruption.  Saves
-    and loads happen only at iteration boundaries, before the step
-    runs, so a resumed run replays the exact remaining iterations: the
-    outcome (best solution, costs, counters) is bit-identical to the
-    uninterrupted run.  [resume] says whether an existing file is
-    ignored, opportunistically continued, or required; a required
-    checkpoint that is missing, corrupt, of the wrong kind, from a
-    different engine or codec version, or fingerprint-mismatched
-    (different app/platform/seed/budget) raises a one-line
-    [Failure]. *)
+    ([Invalid_argument] otherwise).  The driver first calls {!restore};
+    a restored snapshot replaces [init].  It then calls {!save} at every
+    [every] iteration boundary and once on interruption.  Saves and
+    loads happen only at iteration boundaries, before the step runs, so
+    a resumed run replays the exact remaining iterations: the outcome
+    (best solution, costs, counters) is bit-identical to the
+    uninterrupted run. *)

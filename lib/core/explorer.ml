@@ -50,9 +50,10 @@ type result = {
    (--seed-from).  Deliberately *not* fingerprint-checked: the donor
    may be a different engine under a different seed or budget — the
    only requirement is that its best solution decodes against the
-   current application and platform (the "inputs-only" rule).  The
-   driver's and the portfolio's files hold it between bare [best] and
-   [state] marker lines no solution encoding can contain. *)
+   current application and platform (the "inputs-only" rule).  Every
+   engine, the portfolio included, writes the one driver format, which
+   holds it between the first bare [best] and [state] marker lines no
+   solution encoding can contain. *)
 let read_incumbent path application platform =
   let ( let* ) = Result.bind in
   let fail fmt =

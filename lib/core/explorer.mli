@@ -66,8 +66,8 @@ val cost_of : objective -> Solution.t -> float
 val read_incumbent :
   string -> App.t -> Platform.t -> (Solution.t, string) Stdlib.result
 (** [read_incumbent path app platform] extracts the best-so-far
-    solution from any engine checkpoint (kind ["dse-engine"], the
-    driver's and the portfolio's files alike) and decodes it against
+    solution from any engine checkpoint (kind ["dse-engine"], the one
+    driver format every engine writes) and decodes it against
     [app] and [platform].  This is the [--seed-from] primitive: no
     fingerprint is checked, so an incumbent found by one engine (any
     seed, any budget) can warm-start any other; the only contract is

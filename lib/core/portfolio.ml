@@ -7,8 +7,7 @@
    the portfolio.  See portfolio.mli for the contract. *)
 
 module Clock = Repro_util.Clock
-module Cancel = Repro_util.Cancel
-module Checkpoint = Repro_util.Checkpoint
+module Rng = Repro_util.Rng
 module Parallel = Repro_util.Parallel
 module Atomic_io = Repro_util.Atomic_io
 module Log = Repro_util.Log
@@ -175,7 +174,154 @@ let lane_view lane =
     best = lane.best_cost;
   }
 
-let version = 1
+(* The portfolio's checkpoint state, carried by the driver's container
+   ({!Engine.save}/{!Engine.restore}) as the codec's state block: the
+   round-robin cursor, whether the container's best is real, and every
+   lane with its blob — a live member's whole checkpoint file, or a
+   faulted lane's reason. *)
+type saved = { cursor : int; has_best : bool; lanes : (lane * string) array }
+
+let lane_code lane =
+  match lane.st with
+  | L_pending -> 'p'
+  | L_alive -> 'a'
+  | L_finished | L_won -> 'f'
+  | L_cancelled -> 'c'
+  | L_faulted _ -> 'x'
+  | L_timed_out -> 't'
+
+let opt_h v = if Float.is_nan v then "-" else Printf.sprintf "%h" v
+
+let encode_saved name saved =
+  let b = Buffer.create 4096 in
+  Printf.bprintf b "spec %s\n" name;
+  Printf.bprintf b "cursor %d\n" saved.cursor;
+  Printf.bprintf b "incumbent %d\n" (Bool.to_int saved.has_best);
+  Printf.bprintf b "lanes %d\n" (Array.length saved.lanes);
+  Array.iter
+    (fun (lane, blob) ->
+      Printf.bprintf b "lane %d %c %d %d %d %d %d %s %s %d\n" lane.index
+        (lane_code lane)
+        (Bool.to_int lane.started)
+        lane.done_ lane.target lane.evals lane.acc
+        (opt_h lane.best_cost) (opt_h lane.init_cost)
+        (String.length blob);
+      Buffer.add_string b blob;
+      Buffer.add_char b '\n')
+    saved.lanes;
+  Buffer.contents b
+
+(* The inverse of [encode_saved]; [templates] are the run's own lanes,
+   whose fixed fields (engine, budget, scratch path) the decoded lanes
+   copy. *)
+let decode_saved name templates text =
+  let ( let* ) = Result.bind in
+  let fail fmt = Printf.ksprintf (fun m -> Error m) fmt in
+  let k = Array.length templates in
+  let pos = ref 0 in
+  let len = String.length text in
+  let next_line () =
+    if !pos > len then Error "truncated state"
+    else
+      match String.index_from_opt text !pos '\n' with
+      | None ->
+        let l = String.sub text !pos (len - !pos) in
+        pos := len + 1;
+        Ok l
+      | Some j ->
+        let l = String.sub text !pos (j - !pos) in
+        pos := j + 1;
+        Ok l
+  in
+  let take tag =
+    let* line = next_line () in
+    match String.split_on_char ' ' line with
+    | t :: fields when t = tag -> Ok fields
+    | _ -> fail "expected a %s line" tag
+  in
+  let* fields = take "spec" in
+  let* () =
+    match fields with
+    | [ s ] when s = name -> Ok ()
+    | [ s ] ->
+      fail "taken as %s — this portfolio is configured differently (%s)" s
+        name
+    | _ -> fail "bad spec line"
+  in
+  let* fields = take "cursor" in
+  let* cursor =
+    match List.map int_of_string_opt fields with
+    | [ Some c ] when c >= 0 && c < k -> Ok c
+    | _ -> fail "bad cursor line"
+  in
+  let* fields = take "incumbent" in
+  let* has_best =
+    match fields with
+    | [ "0" ] -> Ok false
+    | [ "1" ] -> Ok true
+    | _ -> fail "bad incumbent line"
+  in
+  let* fields = take "lanes" in
+  let* () =
+    match fields with
+    | [ n ] when int_of_string_opt n = Some k -> Ok ()
+    | [ n ] -> fail "taken with %s member lanes, this portfolio has %d" n k
+    | _ -> fail "bad lanes line"
+  in
+  let rec read_lanes i acc =
+    if i = k then Ok (Array.of_list (List.rev acc))
+    else
+      let* fields = take "lane" in
+      let* record =
+        match fields with
+        | [ idx; code; started; done_; target; evals; acc_n; bc; ic; blob_n ]
+          -> (
+          let ints =
+            List.map int_of_string_opt
+              [ idx; started; done_; target; evals; acc_n; blob_n ]
+          in
+          let flt s = if s = "-" then Some nan else float_of_string_opt s in
+          match (ints, flt bc, flt ic) with
+          | ( [ Some idx; Some started; Some done_; Some target; Some evals;
+                Some acc_n; Some blob_n ],
+              Some best_cost, Some init_cost )
+            when idx = i && String.length code = 1 && blob_n >= 0
+                 && !pos + blob_n <= len ->
+            let blob = String.sub text !pos blob_n in
+            pos := !pos + blob_n;
+            let* nl = next_line () in
+            if nl <> "" then fail "lane %d: bad blob framing" i
+            else
+              let st =
+                match code.[0] with
+                | 'a' -> L_alive
+                | 'f' -> L_finished
+                | 'c' -> L_cancelled
+                | 'x' -> L_faulted blob
+                | 't' -> L_timed_out
+                | _ -> L_pending
+              in
+              Ok
+                ( {
+                    (templates.(i)) with
+                    st;
+                    started = started = 1;
+                    done_;
+                    target;
+                    evals;
+                    acc = acc_n;
+                    best_cost;
+                    init_cost;
+                    has_init = not (Float.is_nan init_cost);
+                  },
+                  blob )
+          | _ -> fail "bad lane %d line" i)
+        | _ -> fail "bad lane %d line" i
+      in
+      read_lanes (i + 1) (record :: acc)
+  in
+  let* lanes = read_lanes 0 [] in
+  Ok { cursor; has_best; lanes }
 
 (* ---- the engine --------------------------------------------------- *)
 
@@ -212,13 +358,18 @@ let run_portfolio ?report ~spec ~engines (ctx : Engine.context) =
       | (Round_robin | Chain), _ -> max 1 (b_total / (4 * k)))
   in
   (* External interruption — the caller's probe and the wall-clock
-     budget — latched into one token.  Sequential schedules join it
-     into every member's own boundary probe; racing lanes run on other
-     domains and must not call an arbitrary caller closure there, so
-     the race polls it between rounds instead (cancellation latency:
-     one slice). *)
-  let outer = Cancel.create () in
-  Cancel.join outer (Engine.stop_probe ctx);
+     budget — latched, so a probe that answers [true] once still ends
+     the run.  Sequential schedules join it into every member's own
+     boundary probe; racing lanes run on other domains and must not
+     call an arbitrary caller closure there, so the race polls it
+     between rounds instead (cancellation latency: one slice).  Either
+     way only the main domain polls it, so a plain ref latches it. *)
+  let outer =
+    let probe = Engine.stop_probe ctx and latched = ref false in
+    fun () ->
+      if not !latched then latched := probe ();
+      !latched
+  in
   let temp_mode = ctx.Engine.checkpoint = None in
   let scratch_of i =
     match ctx.Engine.checkpoint with
@@ -257,264 +408,75 @@ let run_portfolio ?report ~spec ~engines (ctx : Engine.context) =
     | Race -> Array.fold_left (fun n l -> max n l.done_) 0 lanes
     | Round_robin | Chain -> Array.fold_left (fun n l -> n + l.done_) 0 lanes
   in
+  let initial_cost () =
+    match Array.find_opt (fun l -> l.has_init) lanes with
+    | Some l -> l.init_cost
+    | None -> nan
+  in
 
-  (* -- the nested checkpoint ---------------------------------------- *)
-  let lane_code lane =
-    match lane.st with
-    | L_pending -> 'p'
-    | L_alive -> 'a'
-    | L_finished | L_won -> 'f'
-    | L_cancelled -> 'c'
-    | L_faulted _ -> 'x'
-    | L_timed_out -> 't'
+  (* -- the checkpoint: the driver's container, lanes as its state --- *)
+  let codec =
+    {
+      Engine.engine = "portfolio";
+      version = 2;
+      encode = encode_saved name;
+      decode = decode_saved name lanes;
+    }
   in
-  let opt_h v = if Float.is_nan v then "-" else Printf.sprintf "%h" v in
-  let payload () =
-    let b = Buffer.create 4096 in
-    Printf.bprintf b "engine portfolio %d\n" version;
-    Printf.bprintf b "fingerprint %s\n" (Engine.fingerprint ctx);
-    Printf.bprintf b "spec %s\n" name;
-    Printf.bprintf b "cursor %d\n" !cursor;
-    Printf.bprintf b "wall %h\n"
-      (!wall_offset +. Clock.wall () -. start_clock);
-    (match !best with
-     | None ->
-       Buffer.add_string b "costs -\nbest\nstate\n"
-     | Some (solution, cost) ->
-       Printf.bprintf b "costs %h\n" cost;
-       Buffer.add_string b "best\n";
-       Buffer.add_string b (Solution.encode solution);
-       Buffer.add_string b "state\n");
-    Printf.bprintf b "lanes %d\n" k;
-    Array.iter
-      (fun lane ->
-        (* Live lanes embed their member's own checkpoint bytes, so the
-           portfolio file is one self-contained, atomically-written
-           snapshot; dead lanes carry their failure reason instead. *)
-        let blob =
-          match lane.st with
-          | L_alive ->
-            (try In_channel.with_open_bin lane.scratch In_channel.input_all
-             with Sys_error _ -> "")
-          | L_faulted e -> e
-          | L_pending | L_finished | L_won | L_cancelled | L_timed_out -> ""
-        in
-        Printf.bprintf b "lane %d %c %d %d %d %d %d %s %s %d\n" lane.index
-          (lane_code lane)
-          (Bool.to_int lane.started)
-          lane.done_ lane.target lane.evals lane.acc
-          (opt_h lane.best_cost) (opt_h lane.init_cost)
-          (String.length blob);
-        Buffer.add_string b blob;
-        Buffer.add_char b '\n')
-      lanes;
-    Buffer.contents b
-  in
-  let save_portfolio () =
-    match ctx.Engine.checkpoint with
-    | None -> ()
-    | Some ck -> Checkpoint.save ck.Engine.path ~kind:Engine.checkpoint_kind (payload ())
-  in
-  let parse_payload payload =
-    let ( let* ) = Result.bind in
-    let fail fmt = Printf.ksprintf (fun m -> Error ("checkpoint: " ^ m)) fmt in
-    let pos = ref 0 in
-    let len = String.length payload in
-    let next_line () =
-      if !pos > len then Error "checkpoint: truncated payload"
-      else
-        match String.index_from_opt payload !pos '\n' with
-        | None ->
-          let l = String.sub payload !pos (len - !pos) in
-          pos := len + 1;
-          Ok l
-        | Some j ->
-          let l = String.sub payload !pos (j - !pos) in
-          pos := j + 1;
-          Ok l
+  let save () =
+    let blob lane =
+      match lane.st with
+      | L_alive -> (
+        try In_channel.with_open_bin lane.scratch In_channel.input_all
+        with Sys_error _ -> "")
+      | L_faulted e -> e
+      | L_pending | L_finished | L_won | L_cancelled | L_timed_out -> ""
     in
-    let take tag =
-      let* line = next_line () in
-      match String.split_on_char ' ' line with
-      | t :: fields when t = tag -> Ok fields
-      | _ -> fail "expected a %s line" tag
-    in
-    let* fields = take "engine" in
-    let* () =
-      match fields with
-      | [ ename; v ] ->
-        if ename <> "portfolio" then
-          fail "written by engine %s, not portfolio" ename
-        else if int_of_string_opt v <> Some version then
-          fail "portfolio state version %s, this build reads %d" v version
-        else Ok ()
-      | _ -> fail "bad engine line"
-    in
-    let* fields = take "fingerprint" in
-    let* () =
-      match fields with
-      | [ fp ] when fp = Engine.fingerprint ctx -> Ok ()
-      | [ _ ] ->
-        fail "produced under a different application/platform/seed/budget"
-      | _ -> fail "bad fingerprint line"
-    in
-    let* fields = take "spec" in
-    let* () =
-      match fields with
-      | [ s ] when s = name -> Ok ()
-      | [ s ] ->
-        fail "taken as %s — this portfolio is configured differently (%s)" s
-          name
-      | _ -> fail "bad spec line"
-    in
-    let* fields = take "cursor" in
-    let* r_cursor =
-      match fields with
-      | [ c ] -> (
-        match int_of_string_opt c with
-        | Some c when c >= 0 && c < k -> Ok c
-        | _ -> fail "bad cursor line")
-      | _ -> fail "bad cursor line"
-    in
-    let* fields = take "wall" in
-    let* r_wall =
-      match List.map float_of_string_opt fields with
-      | [ Some w ] -> Ok w
-      | _ -> fail "bad wall line"
-    in
-    let* fields = take "costs" in
-    let* r_best_cost =
-      match fields with
-      | [ "-" ] -> Ok None
-      | [ c ] -> (
-        match float_of_string_opt c with
-        | Some c -> Ok (Some c)
-        | None -> fail "bad costs line")
-      | _ -> fail "bad costs line"
-    in
-    let* () =
-      let* line = next_line () in
-      if line = "best" then Ok () else fail "missing best section"
-    in
-    let rec best_lines acc =
-      let* line = next_line () in
-      if line = "state" then Ok (List.rev acc) else best_lines (line :: acc)
-    in
-    let* solution_lines = best_lines [] in
-    let* r_best =
-      match r_best_cost with
+    (* Before any lane has produced a best the container still needs a
+       solution; [has_best] tells a resumed run to ignore it. *)
+    let best_solution, best_cost =
+      match !best with
+      | Some b -> b
       | None ->
-        if solution_lines = [] then Ok None
-        else fail "best section without a best cost"
-      | Some cost -> (
-        match
-          Solution.decode ctx.Engine.app ctx.Engine.platform
-            (String.concat "\n" solution_lines)
-        with
-        | Ok s -> Ok (Some (s, cost))
-        | Error m -> fail "best solution: %s" m)
+        (Solution.all_software ctx.Engine.app ctx.Engine.platform, infinity)
     in
-    let* fields = take "lanes" in
-    let* () =
-      match fields with
-      | [ n ] when int_of_string_opt n = Some k -> Ok ()
-      | [ n ] -> fail "taken with %s member lanes, this portfolio has %d" n k
-      | _ -> fail "bad lanes line"
-    in
-    let rec read_lanes i acc =
-      if i = k then Ok (List.rev acc)
-      else
-        let* fields = take "lane" in
-        let* record =
-          match fields with
-          | [ idx; code; started; done_; target; evals; acc_n; bc; ic; blob_n ]
-            -> (
-            let ints = List.map int_of_string_opt [ idx; started; done_; target; evals; acc_n; blob_n ] in
-            let flt s =
-              if s = "-" then Some nan else float_of_string_opt s
-            in
-            match (ints, flt bc, flt ic, code) with
-            | ( [ Some idx; Some started; Some done_; Some target; Some evals;
-                  Some acc_n; Some blob_n ],
-                Some best_cost, Some init_cost, code )
-              when idx = i && String.length code = 1 && blob_n >= 0
-                   && !pos + blob_n <= len ->
-              let blob = String.sub payload !pos blob_n in
-              pos := !pos + blob_n;
-              let* nl = next_line () in
-              if nl <> "" then fail "lane %d: bad blob framing" i
-              else
-                Ok
-                  (code.[0], started = 1, done_, target, evals, acc_n,
-                   best_cost, init_cost, blob)
-            | _ -> fail "bad lane %d line" i)
-          | _ -> fail "bad lane %d line" i
-        in
-        read_lanes (i + 1) (record :: acc)
-    in
-    let* records = read_lanes 0 [] in
-    Ok (r_cursor, r_wall, r_best, records)
+    Engine.save codec ctx
+      {
+        Engine.iteration = iterations_total ();
+        evaluations = evals_total ();
+        accepted = acc_total ();
+        initial_cost = initial_cost ();
+        best_cost;
+        elapsed = !wall_offset +. Clock.wall () -. start_clock;
+        (* The portfolio never draws from this stream: each member's
+           own RNG words travel inside its embedded checkpoint. *)
+        rng = Rng.create ctx.Engine.seed;
+        best = best_solution;
+        state =
+          {
+            cursor = !cursor;
+            has_best = Option.is_some !best;
+            lanes = Array.map (fun l -> (l, blob l)) lanes;
+          };
+      }
   in
-  let apply_resume (r_cursor, r_wall, r_best, records) =
-    cursor := r_cursor;
-    wall_offset := r_wall;
-    best := r_best;
-    List.iteri
-      (fun i (code, started, done_, target, evals, acc_n, best_cost,
-              init_cost, blob) ->
-        let lane = lanes.(i) in
-        lane.started <- started;
-        lane.done_ <- done_;
-        lane.target <- target;
-        lane.evals <- evals;
-        lane.acc <- acc_n;
-        lane.best_cost <- best_cost;
-        lane.init_cost <- init_cost;
-        lane.has_init <- not (Float.is_nan init_cost);
-        lane.st <-
-          (match code with
-           | 'a' -> L_alive
-           | 'f' -> L_finished
-           | 'c' -> L_cancelled
-           | 'x' -> L_faulted blob
-           | 't' -> L_timed_out
-           | _ -> L_pending);
-        (* Re-materialize the member's own checkpoint so its next slice
-           resumes from the embedded state. *)
-        if lane.st = L_alive then Atomic_io.write_string lane.scratch blob)
-      records;
-    gobs := iterations_total ()
-  in
-  let load_own path =
-    match Checkpoint.load path ~kind:Engine.checkpoint_kind with
-    | Error _ as e -> e
-    | Ok payload -> (
-      match parse_payload payload with
-      | Ok r -> Ok r
-      | Error msg -> Error (path ^ ": " ^ msg))
-  in
-  (match ctx.Engine.checkpoint with
+  (match Engine.restore codec ctx with
    | None -> ()
-   | Some ck -> (
-     match ck.Engine.resume with
-     | Engine.Resume_never -> ()
-     | Engine.Resume_required -> (
-       match load_own ck.Engine.path with
-       | Ok r -> apply_resume r
-       | Error msg -> failwith msg)
-     | Engine.Resume_if_exists ->
-       if Sys.file_exists ck.Engine.path then (
-         match load_own ck.Engine.path with
-         | Ok r -> apply_resume r
-         | Error msg -> Log.warn "ignoring unusable checkpoint: %s" msg)));
-  let last_saved = ref (iterations_total ()) in
-  let maybe_save () =
-    match ctx.Engine.checkpoint with
-    | Some ck when iterations_total () - !last_saved >= ck.Engine.every ->
-      save_portfolio ();
-      last_saved := iterations_total ()
-    | _ -> ()
-  in
+   | Some r ->
+     let saved = r.Engine.state in
+     cursor := saved.cursor;
+     wall_offset := r.Engine.elapsed;
+     best :=
+       if saved.has_best then Some (r.Engine.best, r.Engine.best_cost)
+       else None;
+     Array.iteri
+       (fun i (lane, blob) ->
+         lanes.(i) <- lane;
+         (* Re-materialize the member's own checkpoint so its next
+            slice resumes from the embedded state. *)
+         if lane.st = L_alive then Atomic_io.write_string lane.scratch blob)
+       saved.lanes;
+     gobs := iterations_total ());
 
   (* -- running one slice of one lane -------------------------------- *)
   let run_slice ~sequential ~warm lane =
@@ -534,9 +496,9 @@ let run_portfolio ?report ~spec ~engines (ctx : Engine.context) =
       || (match spec.target_cost with
           | Some c -> !best_live <= c
           | None -> false)
-      || (sequential && Cancel.test outer)
+      || (sequential && outer ())
     in
-    let observe p =
+    let observe (p : Engine.probe) =
       done_live := p.Engine.iteration + 1;
       best_live := p.Engine.best;
       match ctx.Engine.observe with
@@ -636,21 +598,26 @@ let run_portfolio ?report ~spec ~engines (ctx : Engine.context) =
   let exception Stop in
   (* After each slice, in order: a met target completes the hedge (and
      cancels the losers), a latched external stop interrupts (flushing
-     the nested checkpoint), an exhausted evaluation budget completes. *)
-  let boundary_checks () =
+     the checkpoint), an exhausted evaluation budget completes.  A
+     periodic save happens when the slice crossed a multiple of the
+     checkpoint cadence ([before] is the iteration total before it). *)
+  let boundary_checks ~before =
     (match winner_lane () with
      | Some w when target_met () ->
        cancel_losers w;
        raise Stop
      | _ -> ());
-    if Cancel.test outer then begin
+    if outer () then begin
       status := Engine.Interrupted;
-      save_portfolio ();
-      last_saved := iterations_total ();
+      save ();
       raise Stop
     end;
     if evals_exhausted () then raise Stop;
-    maybe_save ()
+    match ctx.Engine.checkpoint with
+    | Some ck
+      when iterations_total () / ck.Engine.every > before / ck.Engine.every ->
+      save ()
+    | _ -> ()
   in
   let run_sequential pick_warm pick_lane =
     try
@@ -663,12 +630,13 @@ let run_portfolio ?report ~spec ~engines (ctx : Engine.context) =
           if lane.done_ >= lane.target then
             lane.target <- min (lane.done_ + slice_q) lane.b;
           let warm = pick_warm lane in
+          let before = iterations_total () in
           let outcome =
             (Parallel.map_outcomes ~jobs:1 1 (fun _ ~stop:_ ->
                  run_slice ~sequential:true ~warm lane)).(0)
           in
           settle lane outcome;
-          boundary_checks ()
+          boundary_checks ~before
       done
     with Stop -> ()
   in
@@ -708,13 +676,14 @@ let run_portfolio ?report ~spec ~engines (ctx : Engine.context) =
                l.target <- min (l.done_ + slice_q) l.b)
            active;
          let n = Array.length active in
+         let before = iterations_total () in
          let outcomes =
            Parallel.map_outcomes ~jobs:n n (fun j ~stop:_ ->
                run_slice ~sequential:false ~warm:ctx.Engine.warm_start
                  active.(j))
          in
          Array.iteri (fun j outcome -> settle active.(j) outcome) outcomes;
-         boundary_checks ()
+         boundary_checks ~before
        done
      with Stop -> ()));
   (* -- the outcome --------------------------------------------------- *)
@@ -742,17 +711,10 @@ let run_portfolio ?report ~spec ~engines (ctx : Engine.context) =
     in
     failwith (Printf.sprintf "%s: all member lanes lost (%s)" name reason)
   | Some (solution, cost) ->
-    let initial_cost =
-      let found = ref nan in
-      Array.iter
-        (fun l -> if Float.is_nan !found && l.has_init then found := l.init_cost)
-        lanes;
-      !found
-    in
     {
       Engine.best = solution;
       best_cost = cost;
-      initial_cost;
+      initial_cost = initial_cost ();
       iterations_run = iterations_total ();
       evaluations = evals_total ();
       accepted = acc_total ();
@@ -801,5 +763,5 @@ let engine () =
   | Ok e -> e
   | Error msg -> failwith ("portfolio: default members unregistered: " ^ msg)
 
-let resolve text =
-  if is_spec text then of_spec text else Engine_registry.find text
+let resolve ?report text =
+  if is_spec text then of_spec ?report text else Engine_registry.find text

@@ -37,11 +37,20 @@
     lowest lane index — so a fixed spec, seed and budget give a
     bit-identical outcome for any [--jobs], modulo wall-clock fields.
 
-    {b Checkpointing.} The portfolio checkpoints as one self-contained
-    ["dse-engine"] file: a versioned header (spec, cursor, incumbent)
-    framing each live member's own checkpoint bytes.  Resume restores
-    every lane mid-slice-sequence and replays bit-identically, which is
-    what the registry-wide resume suite checks. *)
+    {b Checkpointing.} The portfolio saves and resumes through the
+    driver's own container, {!Engine.save} and {!Engine.restore}, with
+    a ["portfolio"] codec at version 2: the header checks, the counters
+    (lane totals), costs, wall time and best solution are the driver's
+    sections, and the codec's state holds the canonical spec, the
+    cursor and one length-framed record per lane, embedding each live
+    member's own checkpoint bytes.  Before any lane has a best the
+    container holds the all-software mapping at cost [infinity], and a
+    flag in the state restores "no best".  Resume restores every lane
+    mid-slice-sequence and replays bit-identically, which is what the
+    registry-wide resume suite checks.  A version-1 file (the format
+    before the shared container) is refused in one line under
+    [Resume_required] and ignored with a warning under
+    [Resume_if_exists]. *)
 
 type mode = Round_robin | Race | Chain
 
@@ -94,6 +103,7 @@ val engine : unit -> Engine.t
     members must already be registered when it is built — call after
     the baseline engines are in the registry. *)
 
-val resolve : string -> (Engine.t, string) result
-(** The [--engine] front door: portfolio specs build a portfolio,
+val resolve :
+  ?report:(lane_report array -> unit) -> string -> (Engine.t, string) result
+(** Portfolio specs build a portfolio ([report] as in {!make}),
     anything else goes to {!Engine_registry.find}. *)

@@ -104,18 +104,17 @@ let run_attempt config spool job ~attempts ~stop ~deadline_expired =
   | Error msg -> failwith msg
   | Ok (app, platform) ->
     (* An unknown engine name is poison, not a transient failure; the
-       registry error already lists every known name.  Portfolio specs
-       (portfolio:race:sa+tabu:...) build the meta-engine on the fly —
-       a portfolio chain's checkpoint nests the member states inside
-       its regular checkpoint file, plus one .m<i> scratch per live
-       member. *)
+       registry error already lists every known name.  "sa" is the
+       annealer the job's own fields configure, as in dse-run.
+       Portfolio specs (portfolio:race:sa+tabu:...) build the
+       meta-engine on the fly — a portfolio chain's checkpoint nests
+       the member states inside its regular checkpoint file, plus one
+       .m<i> scratch per live member. *)
     let engine =
-      match job.Job.engine with
+      match Option.map Job.resolve_engine job.Job.engine with
       | None -> None
-      | Some name -> (
-        match Repro_dse.Portfolio.resolve name with
-        | Ok e -> Some e
-        | Error msg -> failwith msg)
+      | Some (Ok e) -> e
+      | Some (Error msg) -> failwith msg
     in
     (* Every job runs as supervised chains; the job deadline is every
        chain's stop probe, so a chain that overruns flushes its

@@ -25,6 +25,12 @@ let known_fields =
     "restarts"; "timeout"; "serialized"; "engine";
   ]
 
+(* "sa" is the annealer the job's (or the tool's) own fields configure;
+   every other name is a registry engine or a portfolio spec. *)
+let resolve_engine ?report name =
+  if name = "sa" then Ok None
+  else Result.map Option.some (Repro_dse.Portfolio.resolve ?report name)
+
 (* A job file is one flat JSON object.  Unknown keys and ill-typed
    values are hard errors: a poison job must be quarantined with a
    message naming the problem, not half-run with silently dropped
@@ -103,9 +109,13 @@ let of_json ~name text =
     if iters < 1 || warmup < 0 then Error "job wants iters >= 1, warmup >= 0"
     else if restarts < 1 then Error "job wants restarts >= 1"
     else if clbs < 1 then Error "job wants clbs >= 1"
-    else if serialized && engine <> None then
-      Error "job field \"serialized\" only applies to the default annealer \
-             (drop the \"engine\" field)"
+    else if serialized then
+      match Option.map resolve_engine engine with
+      | None | Some (Ok None) -> Ok ()
+      | Some (Ok (Some _)) ->
+        Error "job field \"serialized\" only applies to the annealer \
+               (\"engine\": \"sa\" or no \"engine\" field)"
+      | Some (Error msg) -> Error msg
     else Ok ()
   in
   Ok

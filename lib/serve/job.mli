@@ -14,12 +14,13 @@
       ["seed"] (default 1), ["restarts"] (default 1)
     - ["timeout"] — per-job wall seconds, overriding the daemon's
       default
-    - ["serialized"] — optimize under the serialized bus model (default
-      annealer only; incompatible with ["engine"])
-    - ["engine"] — a registered engine name (budget = ["iters"],
-      makespan objective; ["warmup"] is annealer-specific and ignored).
-      Without the field the job runs the annealer its ["iters"],
-      ["warmup"] and ["serialized"] fields describe.
+    - ["serialized"] — optimize under the serialized bus model
+      (annealer only: no ["engine"] field, or ["sa"])
+    - ["engine"] — resolved by {!resolve_engine}: ["sa"], like no
+      field at all, runs the annealer its ["iters"], ["warmup"] and
+      ["serialized"] fields describe; any other registered engine or
+      portfolio spec runs with budget = ["iters"] and the makespan
+      objective (["warmup"] is annealer-specific and ignored).
     Either way the job runs through the engine driver's checkpointing,
     so a timed-out job records best-so-far {e and} keeps its resume
     checkpoint for a retry. *)
@@ -37,8 +38,18 @@ type t = {
   restarts : int;
   timeout : float option;
   serialized : bool;
-  engine : string option;  (** registered engine name; [None] = annealer *)
+  engine : string option;  (** engine name, see {!resolve_engine} *)
 }
+
+val resolve_engine :
+  ?report:(Repro_dse.Portfolio.lane_report array -> unit) ->
+  string -> (Repro_dse.Engine.t option, string) result
+(** The one [--engine]/["engine"] resolver of [dse-run], [dse-sweep],
+    [dse-pareto] and the daemon: ["sa"] is [None], the annealer the
+    caller's own configuration describes (budget, warmup, schedule,
+    objective); any other name goes through {!Repro_dse.Portfolio.resolve}
+    ([report] as there).  [Error] is a one-line message listing the
+    registered engines. *)
 
 val of_json : name:string -> string -> (t, string) result
 (** Parse a job file; every failure is a one-line message. *)

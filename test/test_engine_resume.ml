@@ -6,10 +6,11 @@
    outcome: same best solution text, same best and initial cost bits,
    same iteration and evaluation counters.
 
-   Damage handling rides along: corrupted, truncated, foreign-engine
-   and legacy-kind checkpoints must fail a Resume_required load with
-   a one-line diagnostic, and Resume_if_exists must fall back to a
-   fresh (still correct) run. *)
+   Damage handling rides along, again for every engine: missing,
+   corrupted, truncated and foreign-engine checkpoints must fail a
+   Resume_required load with a one-line diagnostic, and
+   Resume_if_exists must fall back to a fresh (still correct) run.  A
+   legacy-kind file is rejected too. *)
 
 open Repro_taskgraph
 open Repro_arch
@@ -135,33 +136,37 @@ let required_fails what engine path expect =
             needle)
       expect
 
-let damage_tests =
-  let engine () =
-    match Registry.find "greedy" with
-    | Ok e -> e
-    | Error msg -> Alcotest.fail msg
+(* Damage handling, run over every registered engine: the diagnostics
+   come from the one driver container, so each engine must reject the
+   same damage the same way. *)
+let damage_tests engine =
+  let name = Engine.name engine in
+  let case title body =
+    Alcotest.test_case (Printf.sprintf "%s (%s)" title name) `Quick body
+  in
+  let path what = tmp_ckpt (Printf.sprintf "%s-%s" what name) in
+  let cleanup path =
+    List.iter
+      (fun p -> if Sys.file_exists p then Sys.remove p)
+      (path :: List.init 8 (fun i -> Printf.sprintf "%s.m%d" path i))
   in
   [
-    Alcotest.test_case "required resume: missing file is a one-line failure"
-      `Quick
-      (fun () ->
-        let path = tmp_ckpt "missing" in
-        if Sys.file_exists path then Sys.remove path;
-        required_fails "missing" (engine ()) path [ path ]);
-    Alcotest.test_case "required resume: truncated file is rejected" `Quick
-      (fun () ->
-        let path = tmp_ckpt "truncated" in
-        write_checkpoint (engine ()) path;
+    case "required resume: missing file is a one-line failure" (fun () ->
+        let path = path "missing" in
+        cleanup path;
+        required_fails "missing" engine path [ path ]);
+    case "required resume: truncated file is rejected" (fun () ->
+        let path = path "truncated" in
+        write_checkpoint engine path;
         let full = In_channel.with_open_bin path In_channel.input_all in
         Out_channel.with_open_bin path (fun oc ->
             Out_channel.output_string oc
               (String.sub full 0 (String.length full / 2)));
-        required_fails "truncated" (engine ()) path [];
-        Sys.remove path);
-    Alcotest.test_case "required resume: flipped byte fails the CRC" `Quick
-      (fun () ->
-        let path = tmp_ckpt "corrupt" in
-        write_checkpoint (engine ()) path;
+        required_fails "truncated" engine path [];
+        cleanup path);
+    case "required resume: flipped byte fails the CRC" (fun () ->
+        let path = path "corrupt" in
+        write_checkpoint engine path;
         let full =
           Bytes.of_string (In_channel.with_open_bin path In_channel.input_all)
         in
@@ -170,21 +175,36 @@ let damage_tests =
           (Char.chr (Char.code (Bytes.get full i) lxor 0x5a));
         Out_channel.with_open_bin path (fun oc ->
             Out_channel.output_bytes oc full);
-        required_fails "corrupt" (engine ()) path [];
-        Sys.remove path);
-    Alcotest.test_case
-      "required resume: foreign engine's checkpoint is named in the error"
-      `Quick
+        required_fails "corrupt" engine path [];
+        cleanup path);
+    case "required resume: foreign engine's checkpoint is named in the error"
       (fun () ->
-        let path = tmp_ckpt "foreign-engine" in
-        write_checkpoint (engine ()) path;
-        let hill =
-          match Registry.find "hill" with
+        let path = path "foreign-engine" in
+        write_checkpoint engine path;
+        let other =
+          match Registry.find (if name = "hill" then "greedy" else "hill") with
           | Ok e -> e
           | Error msg -> Alcotest.fail msg
         in
-        required_fails "foreign engine" hill path [ "greedy" ];
-        Sys.remove path);
+        required_fails "foreign engine" other path [ name ];
+        cleanup path);
+    case "if-exists resume: unusable checkpoint falls back to a clean run"
+      (fun () ->
+        let path = path "fallback" in
+        Out_channel.with_open_bin path (fun oc ->
+            Out_channel.output_string oc "not a checkpoint\n");
+        let clean = Engine.run engine (context ()) in
+        let fallback =
+          Engine.run engine
+            (context ~checkpoint:(ckpt path Engine.Resume_if_exists) ())
+        in
+        cleanup path;
+        Alcotest.(check bool) "fresh run, identical outcome" true
+          (fingerprint clean = fingerprint fallback));
+  ]
+
+let driver_tests =
+  [
     Alcotest.test_case
       "required resume: legacy dse-run kind is rejected" `Quick
       (fun () ->
@@ -197,21 +217,6 @@ let damage_tests =
         Repro_util.Checkpoint.save path ~kind:"dse-run" "fingerprint 0\n";
         required_fails "legacy kind" sa path [ "dse-run" ];
         Sys.remove path);
-    Alcotest.test_case
-      "if-exists resume: unusable checkpoint falls back to a clean run"
-      `Quick
-      (fun () ->
-        let path = tmp_ckpt "fallback" in
-        Out_channel.with_open_bin path (fun oc ->
-            Out_channel.output_string oc "not a checkpoint\n");
-        let e = engine () in
-        let clean = Engine.run e (context ()) in
-        let fallback =
-          Engine.run e (context ~checkpoint:(ckpt path Engine.Resume_if_exists) ())
-        in
-        Sys.remove path;
-        Alcotest.(check bool) "fresh run, identical outcome" true
-          (fingerprint clean = fingerprint fallback));
     Alcotest.test_case "checkpointing without a codec is a usage error"
       `Quick
       (fun () ->
@@ -239,4 +244,5 @@ let suite =
   List.concat_map
     (fun engine -> List.map (kill_resume_test engine) kill_points)
     (Registry.all ())
-  @ damage_tests
+  @ List.concat_map damage_tests (Registry.all ())
+  @ driver_tests

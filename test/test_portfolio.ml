@@ -1,6 +1,7 @@
 (* Portfolio meta-engine: spec grammar, hedged-racing cancellation
    latency, member-fault isolation, chain warm starts, --seed-from's
-   read_incumbent, the Cancel token, and the spool's fencing check.
+   read_incumbent, the latched outer stop, the checkpoint container's
+   version and "no best yet" cases, and the spool's fencing check.
    The generic contract (budgets, stop probes, bit-identical resume) is
    covered by the registry-wide suites in test_engine{,_resume}.ml. *)
 
@@ -10,7 +11,6 @@ module Engine = Repro_dse.Engine
 module Explorer = Repro_dse.Explorer
 module Portfolio = Repro_dse.Portfolio
 module Solution = Repro_dse.Solution
-module Cancel = Repro_util.Cancel
 module Fault = Repro_util.Fault
 module Atomic_io = Repro_util.Atomic_io
 module Lease = Repro_serve.Lease
@@ -94,24 +94,139 @@ let test_spec_parse () =
     Alcotest.(check bool) "unknown member names the registry" true
       (String.length msg > 0)
 
-(* ---- Cancel ------------------------------------------------------- *)
+(* ---- the latched outer stop ------------------------------------ *)
 
-let test_cancel () =
-  let t = Cancel.create () in
-  Alcotest.(check bool) "fresh token untriggered" false (Cancel.test t);
-  let flag = ref false in
-  Cancel.join t (fun () -> !flag);
-  Alcotest.(check bool) "probe false" false (Cancel.test t);
-  flag := true;
-  Alcotest.(check bool) "probe true" true (Cancel.test t);
-  flag := false;
-  Alcotest.(check bool) "latched: stays true after the probe recants" true
-    (Cancel.test t);
-  Alcotest.(check bool) "probe-latched is not fired" false (Cancel.fired t);
-  let u = Cancel.create () in
-  Cancel.fire u;
-  Alcotest.(check bool) "fired" true (Cancel.fired u);
-  Alcotest.(check bool) "fired tests true" true (Cancel.test u)
+(* Everything in an outcome except wall time. *)
+let outcome_bits (o : Engine.outcome) =
+  ( Solution.encode o.Engine.best,
+    Int64.bits_of_float o.Engine.best_cost,
+    Int64.bits_of_float o.Engine.initial_cost,
+    (o.Engine.iterations_run, o.Engine.evaluations, o.Engine.accepted),
+    o.Engine.status )
+
+let remove_checkpoint path k =
+  List.iter
+    (fun p -> try Sys.remove p with Sys_error _ -> ())
+    (path :: List.init k (fun i -> Printf.sprintf "%s.m%d" path i))
+
+let rr_spec =
+  {
+    Portfolio.mode = Round_robin;
+    members = [ "greedy"; "hill" ];
+    slice = Some 3;
+    target_cost = None;
+  }
+
+let test_latched_stop () =
+  (* The stop probe answers [true] on its fifth poll only: the
+     portfolio must latch it, end Interrupted, and leave a checkpoint
+     that resumes to the uninterrupted outcome. *)
+  let path = Filename.temp_file "dse-portfolio-latch" ".ckpt" in
+  Fun.protect ~finally:(fun () -> remove_checkpoint path 2) @@ fun () ->
+  let engine = engine_of rr_spec in
+  let clean = Engine.run engine (context ~seed:11 ~iterations:40 ()) in
+  let polls = ref 0 in
+  let once () =
+    incr polls;
+    !polls = 5
+  in
+  let ckpt resume = { Engine.path; every = 1_000; resume } in
+  let killed =
+    Engine.run engine
+      (context ~should_stop:once ~checkpoint:(ckpt Engine.Resume_never)
+         ~seed:11 ~iterations:40 ())
+  in
+  Alcotest.(check bool) "a one-shot stop still interrupts" true
+    (killed.Engine.status = Engine.Interrupted);
+  Alcotest.(check bool) "stopped early" true
+    (killed.Engine.iterations_run < clean.Engine.iterations_run);
+  let resumed =
+    Engine.run engine
+      (context ~checkpoint:(ckpt Engine.Resume_required) ~seed:11
+         ~iterations:40 ())
+  in
+  Alcotest.(check bool) "resume is bit-identical to the clean run" true
+    (outcome_bits resumed = outcome_bits clean)
+
+(* ---- the checkpoint container ----------------------------------- *)
+
+let contains text needle =
+  let n = String.length needle and m = String.length text in
+  let rec scan i =
+    i + n <= m && (String.sub text i n = needle || scan (i + 1))
+  in
+  scan 0
+
+let test_version_one_refused () =
+  (* A portfolio file in the pre-container layout (format version 1):
+     a required resume names the version in one line; an
+     opportunistic one starts fresh. *)
+  let path = Filename.temp_file "dse-portfolio-v1" ".ckpt" in
+  Fun.protect ~finally:(fun () -> remove_checkpoint path 2) @@ fun () ->
+  Repro_util.Checkpoint.save path ~kind:Engine.checkpoint_kind
+    "engine portfolio 1\nfingerprint 0\nspec portfolio\ncursor 0\n\
+     wall 0x0p+0\ncosts -\nbest\nstate\nlanes 2\n";
+  let engine = engine_of Portfolio.default_spec in
+  let ckpt resume = { Engine.path; every = 1; resume } in
+  (match
+     Engine.run engine
+       (context ~checkpoint:(ckpt Engine.Resume_required) ~seed:11
+          ~iterations:40 ())
+   with
+   | _ -> Alcotest.fail "a version-1 portfolio file resumed"
+   | exception Failure msg ->
+     Alcotest.(check bool) "diagnostic is one line" false
+       (String.contains msg '\n');
+     Alcotest.(check bool)
+       (Printf.sprintf "%S names the version" msg)
+       true
+       (contains msg "version 1, this build reads 2"));
+  let clean = Engine.run engine (context ~seed:11 ~iterations:40 ()) in
+  let fresh =
+    Engine.run engine
+      (context ~checkpoint:(ckpt Engine.Resume_if_exists) ~seed:11
+         ~iterations:40 ())
+  in
+  Alcotest.(check bool) "if-exists: a fresh, identical run" true
+    (outcome_bits fresh = outcome_bits clean)
+
+let test_no_best_yet () =
+  (* Lane 0's first slice dies (a transient worker fault) and the stop
+     lands at that boundary: the flushed container holds no best yet.
+     Resuming it must still match the uninterrupted (equally faulted)
+     run bit for bit. *)
+  let path = Filename.temp_file "dse-portfolio-nobest" ".ckpt" in
+  Fun.protect
+    ~finally:(fun () ->
+      Fault.disarm ();
+      remove_checkpoint path 2)
+  @@ fun () ->
+  let engine = engine_of rr_spec in
+  let ckpt resume = { Engine.path; every = 1; resume } in
+  Fault.arm "worker:0:transient";
+  let clean = Engine.run engine (context ~seed:11 ~iterations:40 ()) in
+  Fault.arm "worker:0:transient";
+  (match
+     Engine.run engine
+       (context
+          ~should_stop:(fun () -> true)
+          ~checkpoint:(ckpt Engine.Resume_never) ~seed:11 ~iterations:40 ())
+   with
+   | _ -> Alcotest.fail "a portfolio without any best returned an outcome"
+   | exception Failure _ -> ());
+  Fault.disarm ();
+  (match Repro_util.Checkpoint.load path ~kind:Engine.checkpoint_kind with
+   | Error msg -> Alcotest.failf "the stop flushed no checkpoint: %s" msg
+   | Ok payload ->
+     Alcotest.(check bool) "the container says there is no best yet" true
+       (contains payload "\nincumbent 0\n"));
+  let resumed =
+    Engine.run engine
+      (context ~checkpoint:(ckpt Engine.Resume_required) ~seed:11
+         ~iterations:40 ())
+  in
+  Alcotest.(check bool) "resume is bit-identical to the clean run" true
+    (outcome_bits resumed = outcome_bits clean)
 
 (* ---- hedged racing ------------------------------------------------ *)
 
@@ -416,7 +531,12 @@ let suite =
   [
     Alcotest.test_case "spec: grammar, canonical form, rejects" `Quick
       test_spec_parse;
-    Alcotest.test_case "cancel: fire, probe join, latch" `Quick test_cancel;
+    Alcotest.test_case "latch: one-shot stop interrupts" `Quick
+      test_latched_stop;
+    Alcotest.test_case "container: version 1 is refused" `Quick
+      test_version_one_refused;
+    Alcotest.test_case "container: no best yet still resumes" `Quick
+      test_no_best_yet;
     Alcotest.test_case
       "race: hedged target, winner, one-boundary cancellation" `Quick
       test_race_hedged_cancellation;

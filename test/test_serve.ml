@@ -351,6 +351,35 @@ let test_daemon_engine_job () =
       o.Engine.best_cost cost
   | None -> Alcotest.fail "engine result lost its best_cost"
 
+let test_daemon_sa_engine_is_the_annealer () =
+  (* "engine": "sa" names the annealer the job's fields configure, as
+     in dse-run: same search, same counters, and "serialized" applies. *)
+  with_spool @@ fun spool ->
+  let job extra =
+    Printf.sprintf
+      "{\"app\": \"motion_detection\", \"iters\": 600, \"warmup\": 100, \
+       \"seed\": 4%s}"
+      extra
+  in
+  enqueue spool "plain.json" (job "");
+  enqueue spool "sa.json" (job ", \"engine\": \"sa\"");
+  enqueue spool "sa-ser.json"
+    (job ", \"engine\": \"sa\", \"serialized\": true");
+  let _outcome, stats = Daemon.run quiet_config spool in
+  Alcotest.(check int) "all three complete" 3 stats.Daemon.completed;
+  let plain = read_result spool "plain.json" in
+  let sa = read_result spool "sa.json" in
+  Alcotest.(check (option string)) "same solution"
+    (Json.str_field plain "solution") (Json.str_field sa "solution");
+  List.iter
+    (fun field ->
+      Alcotest.(check (option (float 0.0))) field
+        (Json.num_field plain field) (Json.num_field sa field))
+    [ "iterations_run"; "infeasible" ];
+  Alcotest.(check (option string)) "serialized sa job completes"
+    (Some "complete")
+    (Json.str_field (read_result spool "sa-ser.json") "status")
+
 let test_daemon_unknown_engine_quarantined () =
   with_spool @@ fun spool ->
   enqueue spool "ue.json" "{\"app\": \"sobel\", \"engine\": \"bogus\"}";
@@ -526,6 +555,8 @@ let suite =
       test_job_engine_field;
     Alcotest.test_case "engine job runs through the registry" `Quick
       test_daemon_engine_job;
+    Alcotest.test_case "sa engine job is the configured annealer" `Quick
+      test_daemon_sa_engine_is_the_annealer;
     Alcotest.test_case "unknown engine is quarantined" `Quick
       test_daemon_unknown_engine_quarantined;
     Alcotest.test_case "timed-out engine job resumes on retry" `Quick
