@@ -205,6 +205,21 @@ let ga_spatial_md28 () =
   let app, platform = md () in
   registered_ga "ga-spatial" app platform
 
+(* A portfolio spec on motion detection at 2000 CLBs, seed 1. *)
+let portfolio spec iterations () =
+  Repro_baseline.Engines.register_all ();
+  let engine =
+    match Repro_dse.Portfolio.resolve spec with
+    | Ok e -> e
+    | Error msg -> Alcotest.fail msg
+  in
+  let app, platform = md () in
+  let o =
+    Engine.run engine (Engine.context ~app ~platform ~seed:1 ~iterations ())
+  in
+  pin ~best:o.Engine.best ~cost:o.Engine.best_cost
+    [ o.Engine.iterations_run; o.Engine.evaluations; o.Engine.accepted ]
+
 let daemon_job () =
   let root = Filename.temp_dir "repro_golden" "" in
   Fun.protect
@@ -286,7 +301,8 @@ let multi_mode () =
    the move path's membership tests, Pearce–Kelly scratch and makespan
    reads stopped scanning the whole graph; the two GA streams, before
    the application indexed its edges and topological order once at
-   construction. *)
+   construction; the four portfolio schedules, before lanes stopped
+   round-tripping through member checkpoint files between slices. *)
 let golden =
   [
     ( "explore default",
@@ -327,6 +343,18 @@ let golden =
     ( "registered ga-spatial on motion detection",
       ga_spatial_md28,
       "b4d50a54 403e898cff3659cb 1195 3" );
+    ( "portfolio round-robin sa+hill",
+      portfolio "portfolio:rr:sa+hill" 2_000,
+      "511f473c 40376c9655027079 2000 863 412" );
+    ( "portfolio race sa+tabu",
+      portfolio "portfolio:race:sa+tabu" 400,
+      "19e11c31 4036e8de93630d1f 400 5124 546" );
+    ( "portfolio race sa+tabu to a target",
+      portfolio "portfolio:race:sa+tabu:target=25" 400,
+      "a755c537 4038f9a50c9cdf0a 183 2289 253" );
+    ( "portfolio chain greedy+sa",
+      portfolio "portfolio:chain:greedy+sa" 600,
+      "2b1f7860 403f15121deeabb6 600 469 179" );
     ( "multi-mode explore",
       multi_mode,
       "11111 1,1,1,1,0 3fe1cccccccccccd 2200" );
