@@ -104,6 +104,9 @@ faultcheck: build
 	  fi; \
 	  if [ ! -e $$ck ]; then \
 	    echo "faultcheck: $$spec: interrupt flushed no checkpoint"; exit 1; fi; \
+	  if ls $$ck.m* >/dev/null 2>&1; then \
+	    echo "faultcheck: $$spec: member scratch files beside the checkpoint"; \
+	    exit 1; fi; \
 	  dune exec -- bin/dse_run.exe --engine $$spec --seed 7 \
 	    --iters 300000 --resume $$ck --result $$resumed >/dev/null; \
 	  sed -e 's/, "eval_stats": .*/}/' -e 's/"wall_seconds": [^,]*, //' $$clean > $$clean.cmp; \
@@ -112,7 +115,7 @@ faultcheck: build
 	    echo "faultcheck: $$spec: resumed run differs from clean run"; \
 	    cat $$clean.cmp $$resumed.cmp; exit 1; \
 	  fi; \
-	  rm -f $$ck $$ck.m0 $$ck.m1 $$clean $$clean.cmp $$resumed $$resumed.cmp; \
+	  rm -f $$ck $$clean $$clean.cmp $$resumed $$resumed.cmp; \
 	done; echo "faultcheck portfolio kill/resume drill OK"
 	@set -e; for seed in 1 2 3; do \
 	  spool=$$(mktemp -d); \

@@ -127,7 +127,7 @@ let copy_individual i = { hw = Array.copy i.hw; impl = Array.copy i.impl }
 (* Evolution through the generic driver: one iteration = one
    generation; the seed and the budget come from the engine context.
    The elite slots make population.(0) the best ever seen. *)
-let evolve config (ctx : Engine.context) =
+let evolve ?payload config (ctx : Engine.context) =
   if config.population < 2 then invalid_arg "Ga: population < 2";
   if config.elite >= config.population then invalid_arg "Ga: elite too big";
   let app = ctx.Engine.app and platform = ctx.Engine.platform in
@@ -215,7 +215,7 @@ let evolve config (ctx : Engine.context) =
           end);
     }
   in
-  Engine.drive ~codec ctx
+  Engine.drive ?payload ~codec ctx
     ~init:(fun rng ->
       let population =
         Array.init config.population (fun _ ->
@@ -305,5 +305,5 @@ let engine ?(population = default_config.population) ?(explore_impls = true)
          elite 2; one iteration = one generation" population
 
     let default_iterations = 120
-    let run ctx = evolve config ctx
+    let start ?payload ctx = evolve ?payload config ctx
   end : Engine.S)

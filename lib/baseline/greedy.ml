@@ -26,7 +26,7 @@ let with_fraction app platform fraction =
    state is the all-software mapping, so the sweep always has a
    feasible reference; only a strict improvement is accepted, so the
    first fraction reaching a cost wins ties. *)
-let engine_run (ctx : Engine.context) =
+let engine_start ?payload (ctx : Engine.context) =
   let app = ctx.Engine.app and platform = ctx.Engine.platform in
   let n = ctx.Engine.budget.Engine.iterations in
   let fraction i =
@@ -37,7 +37,7 @@ let engine_run (ctx : Engine.context) =
     State_codec.solution_plus ~engine:"greedy" ~version:1 ~tag:"sweep"
       sweep_best app platform
   in
-  Engine.drive ~codec ctx
+  Engine.drive ?payload ~codec ctx
     ~init:(fun _rng ->
       (* A warm start replaces the all-software reference: the sweep
          then only has to beat the donated incumbent. *)
@@ -72,7 +72,7 @@ module Engine_impl : Engine.S = struct
 
   let default_iterations = 11
 
-  let run = engine_run
+  let start = engine_start
 end
 
 let engine : Engine.t = (module Engine_impl)

@@ -9,7 +9,7 @@ module Engine = Repro_dse.Engine
    driver's best-snapshot bookkeeping subsumes the historical
    end-of-climb comparison: within a climb the current cost only
    decreases, so the per-improvement snapshots reach the same optima. *)
-let engine_run ~moves_per_climb (ctx : Engine.context) =
+let engine_start ?payload ~moves_per_climb (ctx : Engine.context) =
   if moves_per_climb < 1 then
     invalid_arg "Hill_climb: moves_per_climb < 1";
   let app = ctx.Engine.app and platform = ctx.Engine.platform in
@@ -18,7 +18,7 @@ let engine_run ~moves_per_climb (ctx : Engine.context) =
     State_codec.solution_plus ~engine:"hill" ~version:1 ~tag:"climb" current
       app platform
   in
-  Engine.drive ~codec ctx
+  Engine.drive ?payload ~codec ctx
     ~init:(fun _rng ->
       (* A warm start becomes the initial best the climbs must beat;
          the iteration-0 restart still draws its own fresh state. *)
@@ -68,7 +68,7 @@ let engine_with ?(moves_per_climb = 5000) () : Engine.t =
         moves_per_climb
 
     let default_iterations = 20_000
-    let run ctx = engine_run ~moves_per_climb ctx
+    let start ?payload ctx = engine_start ?payload ~moves_per_climb ctx
   end : Engine.S)
 
 let engine : Engine.t = engine_with ()

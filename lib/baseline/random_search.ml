@@ -5,14 +5,14 @@ module Engine = Repro_dse.Engine
    keeps the best and the budget.  The RNG stream is exactly the
    historical one: the driver seeds Rng.create ctx.seed and every draw
    happens inside the step. *)
-let engine_run (ctx : Engine.context) =
+let engine_start ?payload (ctx : Engine.context) =
   let app = ctx.Engine.app and platform = ctx.Engine.platform in
   let best_seen = ref infinity in
   let codec =
     State_codec.solution_plus ~engine:"random" ~version:1 ~tag:"incumbent"
       best_seen app platform
   in
-  Engine.drive ~codec ctx
+  Engine.drive ?payload ~codec ctx
     ~init:(fun _rng ->
       let s =
         match ctx.Engine.warm_start with
@@ -35,7 +35,7 @@ module Engine_impl : Engine.S = struct
   let describe = "uniform random sampling of the solution space (control)"
   let knobs = "no knobs; one iteration = one random solution evaluated"
   let default_iterations = 5_000
-  let run = engine_run
+  let start = engine_start
 end
 
 let engine : Engine.t = (module Engine_impl)

@@ -63,7 +63,8 @@ let state_hash solution =
 (* One iteration = one neighbourhood sweep plus (when some candidate is
    admissible — not tabu, or tabu but beating the global best when the
    aspiration criterion is on — and feasible) one applied move. *)
-let engine_run ~neighbourhood ~tenure ~aspiration (ctx : Engine.context) =
+let engine_start ?payload ~neighbourhood ~tenure ~aspiration
+    (ctx : Engine.context) =
   if neighbourhood < 1 then invalid_arg "Tabu: neighbourhood < 1";
   let app = ctx.Engine.app and platform = ctx.Engine.platform in
   let tabu = Tenure.create tenure in
@@ -141,7 +142,7 @@ let engine_run ~neighbourhood ~tenure ~aspiration (ctx : Engine.context) =
           Ok solution);
     }
   in
-  Engine.drive ~codec ctx
+  Engine.drive ?payload ~codec ctx
     ~init:(fun rng ->
       let solution =
         match ctx.Engine.warm_start with
@@ -217,7 +218,8 @@ let engine_with ?(neighbourhood = default_config.neighbourhood)
         (if aspiration then "on" else "off")
 
     let default_iterations = 4_000
-    let run ctx = engine_run ~neighbourhood ~tenure ~aspiration ctx
+    let start ?payload ctx =
+      engine_start ?payload ~neighbourhood ~tenure ~aspiration ctx
   end : Engine.S)
 
 let engine : Engine.t = engine_with ()

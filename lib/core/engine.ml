@@ -70,25 +70,18 @@ type outcome = {
   status : status;
 }
 
-(* Fold the explicit probe and the wall-clock budget into one boundary
-   predicate; the deadline starts when the probe is built, i.e. at the
-   top of the engine's run. *)
-let stop_probe ctx =
-  let deadline =
-    Option.map (fun seconds -> Clock.deadline ~seconds) ctx.budget.time_limit
-  in
-  match (ctx.should_stop, deadline) with
-  | None, None -> fun () -> false
-  | Some stop, None -> stop
-  | None, Some expired -> expired
-  | Some stop, Some expired -> fun () -> stop () || expired ()
+type session = {
+  advance : until:(int -> bool) -> status;
+  outcome : unit -> outcome;
+  payload : unit -> string;
+}
 
 module type S = sig
   val name : string
   val describe : string
   val knobs : string
   val default_iterations : int
-  val run : context -> outcome
+  val start : ?payload:string -> context -> (session, string) result
 end
 
 type t = (module S)
@@ -97,7 +90,7 @@ let name (module E : S) = E.name
 let describe (module E : S) = E.describe
 let knobs (module E : S) = E.knobs
 let default_iterations (module E : S) = E.default_iterations
-let run (module E : S) ctx = E.run ctx
+let start (module E : S) = E.start
 
 (* Defined before [step], whose labels it shares, so that [drive]'s
    loop reads its step results without annotations. *)
@@ -152,7 +145,7 @@ let fingerprint ctx =
    state block close the file; [best]/[state] marker lines separate
    them (no line of {!Solution.encode} is a bare "best"/"state", and
    the state block runs to the end of the file). *)
-let payload_of codec ctx snap =
+let encode_payload codec ctx snap =
   let b = Buffer.create 1024 in
   Printf.bprintf b "engine %s %d\n" codec.engine codec.version;
   Printf.bprintf b "fingerprint %s\n" (fingerprint ctx);
@@ -169,227 +162,247 @@ let payload_of codec ctx snap =
   Buffer.add_string b (codec.encode snap.state);
   Buffer.contents b
 
-let snapshot_of_payload codec ctx payload =
+(* The payload cut at its marker lines: the header lines, the best
+   solution's text and the engine's state text. *)
+let sections payload =
+  let rec header acc = function
+    | [] -> Error "missing best section"
+    | "best" :: rest -> best (List.rev acc) [] rest
+    | line :: rest -> header (line :: acc) rest
+  and best head acc = function
+    | [] -> Error "missing state section"
+    | "state" :: rest ->
+      Ok (head, String.concat "\n" (List.rev acc), String.concat "\n" rest)
+    | line :: rest -> best head (line :: acc) rest
+  in
+  header [] (String.split_on_char '\n' payload)
+
+let payload_incumbent app platform payload =
+  match sections payload with
+  | Error _ as e -> e
+  | Ok (_, best, _) -> (
+    match Solution.decode app platform best with
+    | Ok _ as ok -> ok
+    | Error m -> Error ("incumbent does not fit these inputs: " ^ m))
+
+let decode_payload codec ctx payload =
   let ( let* ) = Result.bind in
   let fail fmt = Printf.ksprintf (fun m -> Error ("checkpoint: " ^ m)) fmt in
-  let lines = String.split_on_char '\n' payload in
-  let take tag = function
-    | [] -> fail "missing %s line" tag
-    | line :: rest -> (
-      match String.split_on_char ' ' line with
-      | t :: fields when t = tag -> Ok (fields, rest)
-      | _ -> fail "expected a %s line" tag)
+  let* header, best, state =
+    Result.map_error (fun m -> "checkpoint: " ^ m) (sections payload)
   in
-  let* fields, lines = take "engine" lines in
+  let header = List.map (String.split_on_char ' ') header in
+  (* The fields of the header line [tag], each read by [parse]. *)
+  let line tag parse =
+    match List.find_opt (fun l -> List.hd l = tag) header with
+    | None -> fail "missing %s line" tag
+    | Some l -> (
+      match List.map parse (List.tl l) with
+      | vs when List.for_all Option.is_some vs -> Ok (List.map Option.get vs)
+      | _ -> fail "bad %s line" tag)
+  in
   let* () =
-    match fields with
-    | [ name; version ] ->
-      if name <> codec.engine then
-        fail "written by engine %s, not %s" name codec.engine
-      else if int_of_string_opt version <> Some codec.version then
-        fail "engine %s state codec version %s, this build reads %d" name
-          version codec.version
-      else Ok ()
-    | _ -> fail "bad engine line"
-  in
-  let* fields, lines = take "fingerprint" lines in
-  let* () =
-    match fields with
-    | [ fp ] when fp = fingerprint ctx -> Ok ()
-    | [ _ ] -> fail "produced under a different application/platform/seed/budget"
-    | _ -> fail "bad fingerprint line"
-  in
-  let* fields, lines = take "driver" lines in
-  let* iteration, evaluations, accepted =
-    match List.map int_of_string_opt fields with
-    | [ Some g; Some e; Some a ] -> Ok (g, e, a)
-    | _ -> fail "bad driver line"
-  in
-  let* fields, lines = take "costs" lines in
-  let* initial_cost, best_cost =
-    match List.map float_of_string_opt fields with
-    | [ Some i; Some b ] -> Ok (i, b)
-    | _ -> fail "bad costs line"
-  in
-  let* fields, lines = take "wall" lines in
-  let* elapsed =
-    match List.map float_of_string_opt fields with
-    | [ Some w ] -> Ok w
-    | _ -> fail "bad wall line"
-  in
-  let* fields, lines = take "rng" lines in
-  let* rng_words =
-    let parsed = List.map (fun s -> Int64.of_string_opt ("0x" ^ s)) fields in
-    if List.length parsed = 4 && List.for_all Option.is_some parsed then
-      Ok (Array.of_list (List.map Option.get parsed))
-    else fail "bad rng line"
-  in
-  let* best_lines, state_lines =
-    match lines with
-    | "best" :: rest -> (
-      let rec split acc = function
-        | "state" :: tail -> Ok (List.rev acc, tail)
-        | line :: tail -> split (line :: acc) tail
-        | [] -> fail "missing state section"
-      in
-      split [] rest)
-    | _ -> fail "missing best section"
-  in
-  let* best =
-    Solution.decode ctx.app ctx.platform (String.concat "\n" best_lines)
-  in
-  let* state =
-    match codec.decode (String.concat "\n" state_lines) with
-    | Ok s -> Ok s
-    | Error m -> fail "%s state: %s" codec.engine m
-  in
-  Ok
-    {
-      iteration;
-      evaluations;
-      accepted;
-      initial_cost;
-      best_cost;
-      elapsed;
-      rng = Rng.of_state rng_words;
-      best;
-      state;
-    }
-
-let save codec ctx snap =
-  match ctx.checkpoint with
-  | Some ck ->
-    Checkpoint.save ck.path ~kind:checkpoint_kind (payload_of codec ctx snap)
-  | None -> ()
-
-let restore codec ctx =
-  let load path =
-    match Checkpoint.load path ~kind:checkpoint_kind with
+    match line "engine" Option.some with
+    | Ok [ name; _ ] when name <> codec.engine ->
+      fail "written by engine %s, not %s" name codec.engine
+    | Ok [ name; version ] when int_of_string_opt version <> Some codec.version
+      ->
+      fail "engine %s state codec version %s, this build reads %d" name
+        version codec.version
+    | Ok [ _; _ ] -> Ok ()
+    | Ok _ -> fail "bad engine line"
     | Error _ as e -> e
-    | Ok payload -> (
-      match snapshot_of_payload codec ctx payload with
-      | Ok _ as ok -> ok
-      | Error msg -> Error (path ^ ": " ^ msg))
   in
-  match ctx.checkpoint with
-  | None -> None
-  | Some ck -> (
-    match ck.resume with
-    | Resume_never -> None
-    | Resume_required -> (
-      match load ck.path with Ok r -> Some r | Error msg -> failwith msg)
-    | Resume_if_exists ->
-      if not (Sys.file_exists ck.path) then None
-      else (
-        match load ck.path with
-        | Ok r -> Some r
-        | Error msg ->
-          Log.warn "ignoring unusable checkpoint: %s" msg;
-          None))
+  let* () =
+    match line "fingerprint" Option.some with
+    | Ok [ fp ] when fp = fingerprint ctx -> Ok ()
+    | Ok [ _ ] -> fail "produced under a different application/platform/seed/budget"
+    | Ok _ -> fail "bad fingerprint line"
+    | Error _ as e -> e
+  in
+  let* driver = line "driver" int_of_string_opt in
+  let* costs = line "costs" float_of_string_opt in
+  let* wall = line "wall" float_of_string_opt in
+  let* words = line "rng" (fun w -> Int64.of_string_opt ("0x" ^ w)) in
+  match (driver, costs, wall, words) with
+  | ( [ iteration; evaluations; accepted ], [ initial_cost; best_cost ],
+      [ elapsed ], [ _; _; _; _ ] ) ->
+    let* best = Solution.decode ctx.app ctx.platform best in
+    let* state =
+      match codec.decode state with
+      | Ok s -> Ok s
+      | Error m -> fail "%s state: %s" codec.engine m
+    in
+    Ok
+      {
+        iteration;
+        evaluations;
+        accepted;
+        initial_cost;
+        best_cost;
+        elapsed;
+        rng = Rng.of_state (Array.of_list words);
+        best;
+        state;
+      }
+  | _ -> fail "bad driver, costs, wall or rng line"
 
 (* The generic search loop: budget accounting, best-snapshot
-   bookkeeping, cooperative interruption, per-iteration observation —
-   and now crash safety — live here once, instead of once per
-   baseline.  Engines supply the initial state, the single-iteration
-   step and (for checkpointing) a state codec; everything the driver
-   does is deterministic given the context, so an engine built on it
+   bookkeeping and per-iteration observation live here once, instead
+   of once per baseline.  Engines supply the initial state, the
+   single-iteration step and a state codec; everything the driver does
+   is deterministic given the context, so an engine built on it
    inherits the determinism and resume contracts for free. *)
-let drive ?codec ctx ~init ~step ~snapshot =
+let drive ?payload ~codec ctx ~init ~step ~snapshot =
   let start_clock = Clock.wall () in
-  let stop = stop_probe ctx in
-  (match (ctx.checkpoint, codec) with
-   | Some _, None ->
-     invalid_arg
-       "Engine.drive: checkpointing requested but the engine has no state \
-        codec"
-   | _ -> ());
   (* [init] runs only on a fresh start; a resumed run restores the
      engine's working state through the codec instead. *)
   let start =
-    match Option.bind codec (fun codec -> restore codec ctx) with
-    | Some r -> r
+    match payload with
+    | Some text -> decode_payload codec ctx text
     | None ->
       let rng = Rng.create ctx.seed in
       let state, cost, evaluations = init rng in
-      {
-        iteration = 0;
-        evaluations;
-        accepted = 0;
-        initial_cost = cost;
-        best_cost = cost;
-        elapsed = 0.0;
-        rng;
-        best = snapshot state;
-        state;
-      }
-  in
-  let rng = start.rng and initial_cost = start.initial_cost in
-  let start_iteration = start.iteration and wall_offset = start.elapsed in
-  let best = ref start.best in
-  let best_cost = ref start.best_cost in
-  let evaluations = ref start.evaluations in
-  let accepted = ref start.accepted in
-  let status = ref Complete in
-  let state = ref start.state in
-  let g = ref start_iteration in
-  let save_checkpoint () =
-    match codec with
-    | Some codec ->
-      save codec ctx
+      Ok
         {
-          iteration = !g;
+          iteration = 0;
+          evaluations;
+          accepted = 0;
+          initial_cost = cost;
+          best_cost = cost;
+          elapsed = 0.0;
+          rng;
+          best = snapshot state;
+          state;
+        }
+  in
+  Result.map
+    (fun start ->
+      let rng = start.rng and initial_cost = start.initial_cost in
+      let wall_offset = start.elapsed in
+      let best = ref start.best in
+      let best_cost = ref start.best_cost in
+      let evaluations = ref start.evaluations in
+      let accepted = ref start.accepted in
+      let status = ref Interrupted in
+      let state = ref start.state in
+      let g = ref start.iteration in
+      let elapsed () = wall_offset +. Clock.wall () -. start_clock in
+      (* Boundary checks in order: the budget's end, the caller's
+         predicate, the evaluation budget. *)
+      let rec advance ~until =
+        if !g >= ctx.budget.iterations then Complete
+        else if until !g then Interrupted
+        else
+          match ctx.budget.max_evaluations with
+          | Some m when !evaluations >= m -> Complete
+          | _ ->
+            let r = step rng ~iteration:!g !state in
+            state := r.state;
+            evaluations := !evaluations + r.evaluations;
+            if r.accepted then incr accepted;
+            if r.cost < !best_cost then begin
+              best_cost := r.cost;
+              best := snapshot r.state
+            end;
+            (match ctx.observe with
+             | Some f ->
+               f { iteration = !g; cost = r.cost; best = !best_cost;
+                   accepted = r.accepted }
+             | None -> ());
+            incr g;
+            advance ~until
+      in
+      let advance ~until =
+        status := advance ~until;
+        !status
+      in
+      let outcome () =
+        {
+          best = !best;
+          best_cost = !best_cost;
+          initial_cost;
+          iterations_run = !g;
           evaluations = !evaluations;
           accepted = !accepted;
-          initial_cost;
-          best_cost = !best_cost;
-          elapsed = wall_offset +. Clock.wall () -. start_clock;
-          rng;
-          best = !best;
-          state = !state;
+          wall_seconds = elapsed ();
+          status = !status;
         }
-    | None -> ()
+      in
+      let payload () =
+        encode_payload codec ctx
+          {
+            iteration = !g;
+            evaluations = !evaluations;
+            accepted = !accepted;
+            initial_cost;
+            best_cost = !best_cost;
+            elapsed = elapsed ();
+            rng;
+            best = !best;
+            state = !state;
+          }
+      in
+      { advance; outcome; payload })
+    start
+
+(* A session from the context's checkpoint under its resume mode, or a
+   fresh one. *)
+let resume_or_start (module E : S) ctx =
+  let ok = function Ok s -> s | Error msg -> failwith msg in
+  let resume path =
+    Result.bind (Checkpoint.load path ~kind:checkpoint_kind) (fun payload ->
+        Result.map_error (fun msg -> path ^ ": " ^ msg) (E.start ~payload ctx))
   in
-  (try
-     while !g < ctx.budget.iterations do
-       if stop () then begin
-         status := Interrupted;
-         (* Flush the boundary state so a kill right after the stop
-            probe loses no work. *)
-         save_checkpoint ();
-         raise Exit
-       end;
-       (match ctx.budget.max_evaluations with
-        | Some m when !evaluations >= m -> raise Exit
-        | _ -> ());
-       (match ctx.checkpoint with
-        | Some ck
-          when !g > start_iteration && (!g - start_iteration) mod ck.every = 0
-          ->
-          save_checkpoint ()
-        | _ -> ());
-       let r = step rng ~iteration:!g !state in
-       state := r.state;
-       evaluations := !evaluations + r.evaluations;
-       if r.accepted then incr accepted;
-       if r.cost < !best_cost then begin
-         best_cost := r.cost;
-         best := snapshot r.state
-       end;
-       (match ctx.observe with
-        | Some f ->
-          f { iteration = !g; cost = r.cost; best = !best_cost;
-              accepted = r.accepted }
-        | None -> ());
-       incr g
-     done
-   with Exit -> ());
-  {
-    best = !best;
-    best_cost = !best_cost;
-    initial_cost;
-    iterations_run = !g;
-    evaluations = !evaluations;
-    accepted = !accepted;
-    wall_seconds = wall_offset +. Clock.wall () -. start_clock;
-    status = !status;
-  }
+  match ctx.checkpoint with
+  | Some { path; resume = Resume_required; _ } -> ok (resume path)
+  | Some { path; resume = Resume_if_exists; _ } when Sys.file_exists path -> (
+    match resume path with
+    | Ok s -> s
+    | Error msg ->
+      Log.warn "ignoring unusable checkpoint: %s" msg;
+      ok (E.start ctx))
+  | Some _ | None -> ok (E.start ctx)
+
+(* The one run loop, and the only code that touches checkpoint files:
+   the session advances in [every]-iteration chunks with the payload
+   written between them, and once more when the stop probe ends the
+   run.  The probe folds [should_stop] with the time limit (whose clock
+   starts here) and is latched.  A chunk's end is checked first, so
+   the boundary a chunk ends at polls the probe once, on the next
+   [advance]. *)
+let run engine ctx =
+  let expired =
+    match ctx.budget.time_limit with
+    | Some seconds -> Clock.deadline ~seconds
+    | None -> fun () -> false
+  in
+  let should_stop = Option.value ctx.should_stop ~default:(fun () -> false) in
+  let stopped = ref false in
+  let session = resume_or_start engine ctx in
+  let every, save =
+    match ctx.checkpoint with
+    | Some ck ->
+      ( ck.every,
+        fun () ->
+          Checkpoint.save ck.path ~kind:checkpoint_kind (session.payload ()) )
+    | None -> (max_int, ignore)
+  in
+  let chunk_start = ref (-1) in
+  let until i =
+    if !chunk_start < 0 then chunk_start := i;
+    i - !chunk_start >= every
+    || begin
+         if not !stopped then stopped := should_stop () || expired ();
+         !stopped
+       end
+  in
+  let rec go () =
+    if session.advance ~until = Interrupted then begin
+      save ();
+      chunk_start := -1;
+      if not !stopped then go ()
+    end
+  in
+  go ();
+  session.outcome ()

@@ -5,8 +5,8 @@
     That comparison is only fair when every engine runs under identical
     budgets, seeding and measurement.  This module is the contract that
     makes it so: every engine — the annealer and each baseline — is a
-    first-class module of signature {!S} whose [run] obeys the same
-    rules:
+    first-class module of signature {!S}, and every run of one through
+    {!run} obeys the same rules:
 
     - {b determinism}: the engine derives every random decision from a
       {!Repro_util.Rng} stream seeded with [context.seed]; equal
@@ -28,10 +28,14 @@
       engine's working state (or the returned best) afterwards cannot
       corrupt it.
 
-    Every engine in the repository — the annealer included — is
-    written against the generic driver {!drive}, which centralizes the
-    budget accounting, best-snapshot bookkeeping, interrupt handling,
-    checkpoint/resume and trace emission. *)
+    An engine does not run itself: it {e starts} a {!session}, a run in
+    progress that advances on request.  {!run} is the one loop over
+    sessions: it polls the stop probe, and it alone reads and writes
+    checkpoint files.  Every engine in the repository — the annealer
+    included — builds its session with the generic driver {!drive},
+    which centralizes the budget accounting, best-snapshot bookkeeping
+    and the checkpoint payload; the portfolio builds its own over its
+    members' sessions. *)
 
 open Repro_taskgraph
 open Repro_arch
@@ -83,7 +87,7 @@ type checkpoint = {
                       final save also happens on interruption *)
   resume : resume_mode;
 }
-(** Crash-safety contract for a run: where the driver persists its
+(** Crash-safety contract for a run: where {!run} persists its
     state, how often, and whether to continue from an existing file. *)
 
 type context = {
@@ -125,12 +129,20 @@ type outcome = {
   status : status;
 }
 
-val stop_probe : context -> (unit -> bool)
-(** The context's [should_stop] and [time_limit] folded into one
-    boundary probe (starts the time budget when called the first
-    time). *)
+(** {1 Sessions and the engine signature} *)
 
-(** {1 The engine signature} *)
+type session = {
+  advance : until:(int -> bool) -> status;
+  (** Run iterations until [until] — given the iterations completed —
+      holds at a boundary ([Interrupted]; a later call carries on from
+      there) or the budget ends ([Complete]). *)
+  outcome : unit -> outcome;
+  (** The counters and best so far; [status] is the last [advance]'s. *)
+  payload : unit -> string;
+  (** The driver checkpoint payload of the current boundary. *)
+}
+(** A run in progress.  The context's [should_stop], [time_limit] and
+    [checkpoint] are not its business: {!run} applies them. *)
 
 module type S = sig
   val name : string
@@ -147,7 +159,9 @@ module type S = sig
   (** The engine's traditional budget, used when the caller does not
       choose one. *)
 
-  val run : context -> outcome
+  val start : ?payload:string -> context -> (session, string) result
+  (** A fresh session, or the one a [payload] describes; [Error] is a
+      one-line reason the payload does not fit the context. *)
 end
 
 type t = (module S)
@@ -156,7 +170,21 @@ val name : t -> string
 val describe : t -> string
 val knobs : t -> string
 val default_iterations : t -> int
+
+val start : t -> ?payload:string -> context -> (session, string) result
+(** The engine's {!S.start}. *)
+
 val run : t -> context -> outcome
+(** The one run loop, and the only code that reads or writes
+    checkpoint files.  It starts the session under
+    [context.checkpoint]'s resume mode (a missing, corrupt, foreign or
+    fingerprint-mismatched file is a one-line [Failure] under
+    [Resume_required]), advances it in [every]-iteration chunks and
+    writes the payload as a [REPRO-CKPT] file of kind
+    {!checkpoint_kind} between chunks and once more when the stop probe
+    ends the run.  The probe folds [should_stop] with [time_limit] and
+    is latched.  Writes happen only at iteration boundaries, so a
+    resumed run's outcome is bit-identical to the uninterrupted one. *)
 
 (** {1 Generic driver} *)
 
@@ -211,42 +239,36 @@ type 'state snapshot = {
     offset, RNG words and best solution, plus the engine's working
     state. *)
 
-val save : 'state codec -> context -> 'state snapshot -> unit
-(** Write the snapshot to [context.checkpoint]'s path as one
-    atomically-replaced [REPRO-CKPT] file of kind {!checkpoint_kind},
-    stamped with the codec's engine name and version and with a
-    fingerprint of the application, platform, seed and budgets.  No-op
-    without a checkpoint. *)
+val encode_payload : 'state codec -> context -> 'state snapshot -> string
+(** The snapshot as a driver checkpoint payload, stamped with the
+    codec's engine name and version and with a fingerprint of the
+    application, platform, seed and budgets. *)
 
-val restore : 'state codec -> context -> 'state snapshot option
-(** Apply [context.checkpoint]'s resume mode: [None] without a
-    checkpoint, under [Resume_never], or when [Resume_if_exists] finds
-    no file; the decoded snapshot when the file loads and validates.
-    A file that is missing, corrupt, of the wrong kind, from a
-    different engine or codec version, or fingerprint-mismatched
-    raises a one-line [Failure] under [Resume_required]; under
-    [Resume_if_exists] it is warned about and ignored ([None]). *)
+val decode_payload :
+  'state codec -> context -> string -> ('state snapshot, string) result
+(** The inverse of {!encode_payload}; a payload from a different engine
+    or codec version, or fingerprint-mismatched, is a one-line
+    [Error]. *)
+
+val payload_incumbent :
+  App.t -> Platform.t -> string -> (Solution.t, string) result
+(** The best solution of any driver payload, decoded against these
+    inputs.  Deliberately not fingerprint-checked: a cross-engine warm
+    start only needs the inputs to match. *)
 
 val drive :
-  ?codec:'state codec ->
+  ?payload:string ->
+  codec:'state codec ->
   context ->
   init:(Repro_util.Rng.t -> 'state * float * int) ->
   step:(Repro_util.Rng.t -> iteration:int -> 'state -> 'state step) ->
   snapshot:('state -> Solution.t) ->
-  outcome
-(** The one loop shared by every driven engine.  [init] builds the
+  (session, string) result
+(** The session shared by every driven engine.  [init] builds the
     initial working state and returns it with its cost and the
-    evaluations spent; the driver snapshots it as the initial best.
-    Each iteration then polls the stop probe, calls [step], keeps the
-    budget and acceptance accounts, snapshots new strict bests and
+    evaluations spent; the driver snapshots it as the initial best.  A
+    [payload] replaces [init] ({!decode_payload}).  Each iteration of
+    [advance] checks the budget, [until] and the evaluation budget,
+    calls [step], keeps the accounts, snapshots new strict bests and
     emits the observation.  The initial state's cost must be finite
-    (start from a feasible solution, e.g. all-software).
-
-    When [context.checkpoint] is set, [codec] is mandatory
-    ([Invalid_argument] otherwise).  The driver first calls {!restore};
-    a restored snapshot replaces [init].  It then calls {!save} at every
-    [every] iteration boundary and once on interruption.  Saves and
-    loads happen only at iteration boundaries, before the step runs, so
-    a resumed run replays the exact remaining iterations: the outcome
-    (best solution, costs, counters) is bit-identical to the
-    uninterrupted run. *)
+    (start from a feasible solution, e.g. all-software). *)

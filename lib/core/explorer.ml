@@ -51,37 +51,18 @@ type result = {
    may be a different engine under a different seed or budget — the
    only requirement is that its best solution decodes against the
    current application and platform (the "inputs-only" rule).  Every
-   engine, the portfolio included, writes the one driver format, which
-   holds it between the first bare [best] and [state] marker lines no
-   solution encoding can contain. *)
+   engine, the portfolio included, writes the one driver format. *)
 let read_incumbent path application platform =
-  let ( let* ) = Result.bind in
-  let fail fmt =
-    Printf.ksprintf (fun m -> Error (path ^ ": checkpoint: " ^ m)) fmt
-  in
-  let* kind, payload = Checkpoint.inspect path in
-  let rec drop_to_best = function
-    | [] -> None
-    | "best" :: tail -> Some tail
-    | _ :: tail -> drop_to_best tail
-  in
-  let rec take_to_state acc = function
-    | [] | "state" :: _ -> List.rev acc
-    | l :: tail -> take_to_state (l :: acc) tail
-  in
-  let* best_lines =
-    if kind <> Engine.checkpoint_kind then
-      fail "kind %S holds no incumbent solution" kind
-    else
-      match drop_to_best (String.split_on_char '\n' payload) with
-      | Some ls -> Ok (take_to_state [] ls)
-      | None -> fail "missing best section"
-  in
-  match
-    Solution.decode application platform (String.concat "\n" best_lines)
-  with
-  | Ok s -> Ok s
-  | Error m -> fail "incumbent does not fit these inputs: %s" m
+  match Checkpoint.inspect path with
+  | Error _ as e -> e
+  | Ok (kind, _) when kind <> Engine.checkpoint_kind ->
+    Error
+      (Printf.sprintf "%s: checkpoint: kind %S holds no incumbent solution"
+         path kind)
+  | Ok (_, payload) ->
+    Result.map_error
+      (fun m -> path ^ ": checkpoint: " ^ m)
+      (Engine.payload_incumbent application platform payload)
 
 let cost_of objective solution =
   match objective with
@@ -208,7 +189,7 @@ let sa_codec config application platform : sa_state Engine.codec =
    move with its annealing-specific context: the iteration number
    relative to the end of warmup (negative during warmup), the
    temperature and the working solution. *)
-let anneal ?notify config (ctx : Engine.context) =
+let anneal ?notify ?payload config (ctx : Engine.context) =
   let module P = struct
     type state = Solution.t
 
@@ -258,7 +239,7 @@ let anneal ?notify config (ctx : Engine.context) =
             ~accepted:p.Engine.accepted s.solution;
           Option.iter (fun g -> g p) ctx.observe)
   in
-  Engine.drive
+  Engine.drive ?payload
     ~codec:(sa_codec config ctx.app ctx.platform)
     { ctx with observe } ~init ~step
     ~snapshot:(fun s -> Solution.snapshot s.solution)
@@ -276,7 +257,7 @@ module Sa_engine : Engine.S = struct
 
   let default_iterations = 50_000
 
-  let run (ctx : Engine.context) =
+  let start ?payload (ctx : Engine.context) =
     (* The annealer spends at most one evaluation per iteration, so an
        evaluation budget is enforced exactly by capping the move
        count. *)
@@ -300,11 +281,20 @@ module Sa_engine : Engine.S = struct
         objective = Makespan;
       }
     in
-    anneal config
+    anneal ?payload config
       { ctx with budget = { ctx.budget with iterations = total } }
 end
 
 let sa_engine : Engine.t = (module Sa_engine)
+
+(* [explore]'s own annealer: [config] as given, with [notify] seeing
+   every move. *)
+let annealer ?notify config : Engine.t =
+  (module struct
+    include Sa_engine
+
+    let start ?payload ctx = anneal ?notify ?payload config ctx
+  end)
 
 let result_of_outcome ~infeasible (o : Engine.outcome) =
   let best_eval =
@@ -326,7 +316,7 @@ let result_of_outcome ~infeasible (o : Engine.outcome) =
 
 let explore ?trace ?initial ?checkpoint ?should_stop ?engine config
     application platform =
-  let run, iterations, observe, infeasible =
+  let engine, iterations, observe, infeasible =
     match engine with
     | None ->
       let notify =
@@ -337,7 +327,7 @@ let explore ?trace ?initial ?checkpoint ?should_stop ?engine config
               { Trace.iteration; cost; best; temperature; accepted; n_contexts })
           trace
       in
-      ( anneal ?notify config,
+      ( annealer ?notify config,
         config.anneal.Annealer.warmup_iterations
         + config.anneal.Annealer.iterations,
         None,
@@ -353,7 +343,7 @@ let explore ?trace ?initial ?checkpoint ?should_stop ?engine config
                 n_contexts = 0 })
           trace
       in
-      ( Engine.run engine,
+      ( engine,
         config.anneal.Annealer.iterations,
         observe,
         fun _ -> 0 )
@@ -363,7 +353,7 @@ let explore ?trace ?initial ?checkpoint ?should_stop ?engine config
       ~app:application ~platform ~seed:config.anneal.Annealer.seed ~iterations
       ()
   in
-  let outcome = run ctx in
+  let outcome = Engine.run engine ctx in
   result_of_outcome ~infeasible:(infeasible outcome) outcome
 
 (* ---- supervised restarts ----------------------------------------- *)

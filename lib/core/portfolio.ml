@@ -9,7 +9,7 @@
 module Clock = Repro_util.Clock
 module Rng = Repro_util.Rng
 module Parallel = Repro_util.Parallel
-module Atomic_io = Repro_util.Atomic_io
+module Checkpoint = Repro_util.Checkpoint
 module Log = Repro_util.Log
 
 type mode = Round_robin | Race | Chain
@@ -129,7 +129,6 @@ type lane_state =
   | L_won
   | L_cancelled
   | L_faulted of string
-  | L_timed_out
 
 type lane_report = {
   member : string;
@@ -146,23 +145,21 @@ let state_name = function
   | L_won -> "won"
   | L_cancelled -> "cancelled"
   | L_faulted e -> "faulted: " ^ e
-  | L_timed_out -> "timed-out"
 
 type lane = {
   index : int;
   engine : Engine.t;
   ename : string;
   b : int;  (* this lane's iteration budget, constant across slices *)
-  scratch : string;  (* member checkpoint file behind the slicing *)
+  mutable session : Engine.session option;  (* from the first slice on *)
   mutable st : lane_state;
-  mutable started : bool;
   mutable done_ : int;  (* member iterations completed (cumulative) *)
   mutable target : int;  (* active slice target, absolute *)
   mutable evals : int;  (* cumulative, replaced by each slice outcome *)
   mutable acc : int;
   mutable best_cost : float;  (* infinity until the first boundary *)
-  mutable init_cost : float;
-  mutable has_init : bool;
+  mutable live_best : float;  (* the member's best during a slice *)
+  mutable init_cost : float;  (* nan until the first boundary *)
 }
 
 let lane_view lane =
@@ -175,10 +172,10 @@ let lane_view lane =
   }
 
 (* The portfolio's checkpoint state, carried by the driver's container
-   ({!Engine.save}/{!Engine.restore}) as the codec's state block: the
-   round-robin cursor, whether the container's best is real, and every
-   lane with its blob — a live member's whole checkpoint file, or a
-   faulted lane's reason. *)
+   as the codec's state block: the round-robin cursor, whether the
+   container's best is real, and every lane with its blob — a live
+   member's payload wrapped as a whole checkpoint file, or a faulted
+   lane's reason. *)
 type saved = { cursor : int; has_best : bool; lanes : (lane * string) array }
 
 let lane_code lane =
@@ -188,7 +185,6 @@ let lane_code lane =
   | L_finished | L_won -> 'f'
   | L_cancelled -> 'c'
   | L_faulted _ -> 'x'
-  | L_timed_out -> 't'
 
 let opt_h v = if Float.is_nan v then "-" else Printf.sprintf "%h" v
 
@@ -202,7 +198,7 @@ let encode_saved name saved =
     (fun (lane, blob) ->
       Printf.bprintf b "lane %d %c %d %d %d %d %d %s %s %d\n" lane.index
         (lane_code lane)
-        (Bool.to_int lane.started)
+        (Bool.to_int (not (Float.is_nan lane.init_cost)))
         lane.done_ lane.target lane.evals lane.acc
         (opt_h lane.best_cost) (opt_h lane.init_cost)
         (String.length blob);
@@ -212,113 +208,94 @@ let encode_saved name saved =
   Buffer.contents b
 
 (* The inverse of [encode_saved]; [templates] are the run's own lanes,
-   whose fixed fields (engine, budget, scratch path) the decoded lanes
-   copy. *)
+   whose fixed fields (engine, budget) the decoded lanes copy. *)
 let decode_saved name templates text =
   let ( let* ) = Result.bind in
-  let fail fmt = Printf.ksprintf (fun m -> Error m) fmt in
   let k = Array.length templates in
   let pos = ref 0 in
-  let len = String.length text in
-  let next_line () =
-    if !pos > len then Error "truncated state"
-    else
-      match String.index_from_opt text !pos '\n' with
-      | None ->
-        let l = String.sub text !pos (len - !pos) in
-        pos := len + 1;
-        Ok l
-      | Some j ->
-        let l = String.sub text !pos (j - !pos) in
-        pos := j + 1;
-        Ok l
+  (* The next line, read by [scan] (a [Scanf.sscanf] of it). *)
+  let line what scan =
+    match String.index_from_opt text !pos '\n' with
+    | None -> Error "truncated state"
+    | Some j -> (
+      let l = String.sub text !pos (j - !pos) in
+      pos := j + 1;
+      try scan l
+      with Scanf.Scan_failure _ | Failure _ | End_of_file ->
+        Error ("bad " ^ what ^ " line"))
   in
-  let take tag =
-    let* line = next_line () in
-    match String.split_on_char ' ' line with
-    | t :: fields when t = tag -> Ok fields
-    | _ -> fail "expected a %s line" tag
-  in
-  let* fields = take "spec" in
   let* () =
-    match fields with
-    | [ s ] when s = name -> Ok ()
-    | [ s ] ->
-      fail "taken as %s — this portfolio is configured differently (%s)" s
-        name
-    | _ -> fail "bad spec line"
+    line "spec" (fun l ->
+        Scanf.sscanf l "spec %s%!" (fun s ->
+            if s = name then Ok ()
+            else
+              Error
+                (Printf.sprintf
+                   "taken as %s — this portfolio is configured differently (%s)"
+                   s name)))
   in
-  let* fields = take "cursor" in
   let* cursor =
-    match List.map int_of_string_opt fields with
-    | [ Some c ] when c >= 0 && c < k -> Ok c
-    | _ -> fail "bad cursor line"
+    line "cursor" (fun l ->
+        Scanf.sscanf l "cursor %d%!" (fun c ->
+            if c >= 0 && c < k then Ok c else Error "bad cursor line"))
   in
-  let* fields = take "incumbent" in
   let* has_best =
-    match fields with
-    | [ "0" ] -> Ok false
-    | [ "1" ] -> Ok true
-    | _ -> fail "bad incumbent line"
+    line "incumbent" (fun l ->
+        Scanf.sscanf l "incumbent %d%!" (function
+          | 0 -> Ok false
+          | 1 -> Ok true
+          | _ -> Error "bad incumbent line"))
   in
-  let* fields = take "lanes" in
   let* () =
-    match fields with
-    | [ n ] when int_of_string_opt n = Some k -> Ok ()
-    | [ n ] -> fail "taken with %s member lanes, this portfolio has %d" n k
-    | _ -> fail "bad lanes line"
+    line "lanes" (fun l ->
+        Scanf.sscanf l "lanes %d%!" (fun n ->
+            if n = k then Ok ()
+            else
+              Error
+                (Printf.sprintf
+                   "taken with %d member lanes, this portfolio has %d" n k)))
   in
+  let flt = function "-" -> nan | v -> float_of_string v in
+  (* The third field (the lane has reached a boundary) is implied by
+     the initial cost. *)
   let rec read_lanes i acc =
     if i = k then Ok (Array.of_list (List.rev acc))
     else
-      let* fields = take "lane" in
-      let* record =
-        match fields with
-        | [ idx; code; started; done_; target; evals; acc_n; bc; ic; blob_n ]
-          -> (
-          let ints =
-            List.map int_of_string_opt
-              [ idx; started; done_; target; evals; acc_n; blob_n ]
-          in
-          let flt s = if s = "-" then Some nan else float_of_string_opt s in
-          match (ints, flt bc, flt ic) with
-          | ( [ Some idx; Some started; Some done_; Some target; Some evals;
-                Some acc_n; Some blob_n ],
-              Some best_cost, Some init_cost )
-            when idx = i && String.length code = 1 && blob_n >= 0
-                 && !pos + blob_n <= len ->
-            let blob = String.sub text !pos blob_n in
-            pos := !pos + blob_n;
-            let* nl = next_line () in
-            if nl <> "" then fail "lane %d: bad blob framing" i
-            else
-              let st =
-                match code.[0] with
-                | 'a' -> L_alive
-                | 'f' -> L_finished
-                | 'c' -> L_cancelled
-                | 'x' -> L_faulted blob
-                | 't' -> L_timed_out
-                | _ -> L_pending
-              in
-              Ok
-                ( {
-                    (templates.(i)) with
-                    st;
-                    started = started = 1;
-                    done_;
-                    target;
-                    evals;
-                    acc = acc_n;
-                    best_cost;
-                    init_cost;
-                    has_init = not (Float.is_nan init_cost);
-                  },
-                  blob )
-          | _ -> fail "bad lane %d line" i)
-        | _ -> fail "bad lane %d line" i
+      let* lane, code, n =
+        line "lane" (fun l ->
+            Scanf.sscanf l "lane %d %c %d %d %d %d %d %s %s %d%!"
+              (fun idx code _ done_ target evals acc_n bc ic n ->
+                let best_cost = flt bc in
+                if idx <> i || n < 0 || !pos + n >= String.length text then
+                  Error (Printf.sprintf "bad lane %d line" i)
+                else
+                  Ok
+                    ( {
+                        (templates.(i)) with
+                        done_;
+                        target;
+                        evals;
+                        acc = acc_n;
+                        best_cost;
+                        live_best = best_cost;
+                        init_cost = flt ic;
+                      },
+                      code,
+                      n )))
       in
-      read_lanes (i + 1) (record :: acc)
+      let blob = String.sub text !pos n in
+      pos := !pos + n + 1;
+      let* st =
+        match code with
+        | _ when text.[!pos - 1] <> '\n' -> Error "bad blob framing"
+        | 'p' -> Ok L_pending
+        | 'a' -> Ok L_alive
+        | 'f' -> Ok L_finished
+        | 'c' -> Ok L_cancelled
+        | 'x' -> Ok (L_faulted blob)
+        | _ -> Error (Printf.sprintf "bad lane %d state" i)
+      in
+      read_lanes (i + 1) (({ lane with st }, blob) :: acc)
   in
   let* lanes = read_lanes 0 [] in
   Ok { cursor; has_best; lanes }
@@ -334,7 +311,10 @@ let member_engines spec =
   in
   go spec.members
 
-let run_portfolio ?report ~spec ~engines (ctx : Engine.context) =
+(* The portfolio's session.  Every lane holds its member's live
+   session, and one slice is one [advance] of it: nothing is encoded
+   until the portfolio's own payload is taken. *)
+let start_portfolio ?report ?payload ~spec ~engines (ctx : Engine.context) =
   let start_clock = Clock.wall () in
   let name = canonical spec in
   let k = List.length engines in
@@ -347,7 +327,7 @@ let run_portfolio ?report ~spec ~engines (ctx : Engine.context) =
   (* The slicing quantum: with a target cost the race checks for a
      winner every iteration (the one-boundary cancellation-latency
      guarantee); otherwise slices are a modest fraction of the budget
-     so schedules interleave and checkpoints stay fresh. *)
+     so schedules interleave. *)
   let slice_q =
     match spec.slice with
     | Some s -> s
@@ -357,25 +337,6 @@ let run_portfolio ?report ~spec ~engines (ctx : Engine.context) =
       | Race, None -> max 1 (b_total / 16)
       | (Round_robin | Chain), _ -> max 1 (b_total / (4 * k)))
   in
-  (* External interruption — the caller's probe and the wall-clock
-     budget — latched, so a probe that answers [true] once still ends
-     the run.  Sequential schedules join it into every member's own
-     boundary probe; racing lanes run on other domains and must not
-     call an arbitrary caller closure there, so the race polls it
-     between rounds instead (cancellation latency: one slice).  Either
-     way only the main domain polls it, so a plain ref latches it. *)
-  let outer =
-    let probe = Engine.stop_probe ctx and latched = ref false in
-    fun () ->
-      if not !latched then latched := probe ();
-      !latched
-  in
-  let temp_mode = ctx.Engine.checkpoint = None in
-  let scratch_of i =
-    match ctx.Engine.checkpoint with
-    | Some ck -> ck.Engine.path ^ ".m" ^ string_of_int i
-    | None -> Filename.temp_file "dse-portfolio" (Printf.sprintf ".m%d.ckpt" i)
-  in
   let lanes =
     Array.of_list engines
     |> Array.mapi (fun i eng ->
@@ -384,20 +345,19 @@ let run_portfolio ?report ~spec ~engines (ctx : Engine.context) =
              engine = eng;
              ename = Engine.name eng;
              b = budget_of i;
-             scratch = scratch_of i;
+             session = None;
              st = L_pending;
-             started = false;
              done_ = 0;
              target = 0;
              evals = 0;
              acc = 0;
              best_cost = infinity;
+             live_best = infinity;
              init_cost = nan;
-             has_init = false;
            })
   in
   let best = ref None in
-  let status = ref Engine.Complete in
+  let status = ref Engine.Interrupted in
   let wall_offset = ref 0.0 in
   let cursor = ref 0 in
   let gobs = ref 0 in
@@ -409,12 +369,40 @@ let run_portfolio ?report ~spec ~engines (ctx : Engine.context) =
     | Round_robin | Chain -> Array.fold_left (fun n l -> n + l.done_) 0 lanes
   in
   let initial_cost () =
-    match Array.find_opt (fun l -> l.has_init) lanes with
+    match Array.find_opt (fun l -> not (Float.is_nan l.init_cost)) lanes with
     | Some l -> l.init_cost
     | None -> nan
   in
-
-  (* -- the checkpoint: the driver's container, lanes as its state --- *)
+  (* A member's context: its own seed and budget, and an observer that
+     tracks its best for the target self-stop and, in sequential
+     schedules, forwards the observation at the portfolio's count. *)
+  let member_context ?warm_start lane =
+    let observe (p : Engine.probe) =
+      lane.live_best <- p.Engine.best;
+      match ctx.Engine.observe with
+      | Some f when spec.mode <> Race ->
+        let pb =
+          match !best with
+          | Some (_, c) -> Float.min c p.Engine.best
+          | None -> p.Engine.best
+        in
+        f { p with Engine.iteration = !gobs; best = pb };
+        incr gobs
+      | _ -> ()
+    in
+    Engine.context ~observe ?warm_start ~app:ctx.Engine.app
+      ~platform:ctx.Engine.platform
+      ~seed:(ctx.Engine.seed + (65_537 * lane.index))
+      ~iterations:lane.b ()
+  in
+  (* The lane's member session, from its first slice on. *)
+  let start_member ?payload ?warm_start lane =
+    Result.map
+      (fun s ->
+        lane.session <- Some s;
+        s)
+      (Engine.start lane.engine ?payload (member_context ?warm_start lane))
+  in
   let codec =
     {
       Engine.engine = "portfolio";
@@ -423,14 +411,236 @@ let run_portfolio ?report ~spec ~engines (ctx : Engine.context) =
       decode = decode_saved name lanes;
     }
   in
-  let save () =
+  let ( let* ) = Result.bind in
+  let* () =
+    match payload with
+    | None -> Ok ()
+    | Some text ->
+      let* r = Engine.decode_payload codec ctx text in
+      let saved = r.Engine.state in
+      cursor := saved.cursor;
+      wall_offset := r.Engine.elapsed;
+      best :=
+        if saved.has_best then Some (r.Engine.best, r.Engine.best_cost)
+        else None;
+      let rec restore i =
+        if i = k then Ok ()
+        else
+          let lane, blob = saved.lanes.(i) in
+          lanes.(i) <- lane;
+          let* () =
+            if lane.st <> L_alive then Ok ()
+            else
+              let source = Printf.sprintf "lane %d" i in
+              let* payload =
+                Checkpoint.of_string ~source ~kind:Engine.checkpoint_kind blob
+              in
+              Result.map_error
+                (fun m -> source ^ ": " ^ m)
+                (Result.map ignore (start_member ~payload lane))
+          in
+          restore (i + 1)
+      in
+      let* () = restore 0 in
+      gobs := iterations_total ();
+      Ok ()
+  in
+
+  (* -- running one slice of one lane -------------------------------- *)
+  (* The member's boundary predicate, in short-circuit order: the slice
+     boundary first, then the lane's own target-cost self-stop, then —
+     in sequential schedules — the caller's [until] at the portfolio's
+     iteration count, so an interrupt lands within one member
+     iteration.  [cut] records that [until] ended the slice. *)
+  let slice ?until ~warm ~cut lane () =
+    if lane.done_ >= lane.target then
+      lane.target <- min (lane.done_ + slice_q) lane.b;
+    let session =
+      match lane.session with
+      | Some s -> s
+      | None -> (
+        match start_member ?warm_start:warm lane with
+        | Ok s -> s
+        | Error msg -> failwith msg)
+    in
+    let base = iterations_total () - lane.done_ in
+    let slice_end = lane.target in
+    lane.live_best <- lane.best_cost;
+    let probe i =
+      i >= slice_end
+      || (match spec.target_cost with
+          | Some c -> lane.live_best <= c
+          | None -> false)
+      ||
+      match until with
+      | Some until ->
+        cut := until (base + i);
+        !cut
+      | None -> false
+    in
+    ignore (session.Engine.advance ~until:probe);
+    session.Engine.outcome ()
+  in
+  let absorb lane (o : Engine.outcome) =
+    lane.done_ <- o.Engine.iterations_run;
+    lane.evals <- o.Engine.evaluations;
+    lane.acc <- o.Engine.accepted;
+    lane.best_cost <- o.Engine.best_cost;
+    if Float.is_nan lane.init_cost then lane.init_cost <- o.Engine.initial_cost;
+    (match !best with
+     | Some (_, c) when not (o.Engine.best_cost < c) -> ()
+     | Some _ | None -> best := Some (o.Engine.best, o.Engine.best_cost));
+    lane.st <-
+      (if o.Engine.status = Engine.Complete then L_finished else L_alive)
+  in
+  let settle lane = function
+    | Parallel.Done o -> absorb lane o
+    | outcome ->
+      let error =
+        match outcome with
+        | Parallel.Failed { error; _ } -> error
+        | _ -> Parallel.outcome_name outcome
+      in
+      lane.st <- L_faulted error;
+      Log.warn "portfolio %s: lane %d (%s) lost: %s; best-so-far salvaged"
+        name lane.index lane.ename error
+  in
+
+  (* -- schedules ----------------------------------------------------- *)
+  let schedulable lane =
+    match lane.st with L_pending | L_alive -> true | _ -> false
+  in
+  (* Deterministic: the lowest-indexed lane whose own best meets the
+     target at this boundary. *)
+  let winner_lane () =
+    match spec.target_cost with
+    | None -> None
+    | Some c ->
+      Array.find_opt
+        (fun l ->
+          (match l.st with L_alive | L_finished -> true | _ -> false)
+          && l.best_cost <= c)
+        lanes
+  in
+  let finished () =
+    match winner_lane () with
+    | Some w ->
+      Array.iter
+        (fun l -> if l != w && schedulable l then l.st <- L_cancelled)
+        lanes;
+      w.st <- L_won;
+      true
+    | None -> (
+      match ctx.Engine.budget.Engine.max_evaluations with
+      | Some m -> evals_total () >= m
+      | None -> false)
+  in
+  (* One step of a schedule: [None] when no lane is left to run, else
+     whether [until] cut the step short.  After every whole step a
+     lane at the target wins the hedge and cancels the losers, an
+     exhausted evaluation budget completes the run, and [until] is
+     polled at the portfolio's iteration count. *)
+  let rec run_schedule ~until step =
+    match step ~until with
+    | None -> Engine.Complete
+    | Some true -> Engine.Interrupted
+    | Some false ->
+      if finished () then Engine.Complete
+      else if until (iterations_total ()) then Engine.Interrupted
+      else run_schedule ~until step
+  in
+  (* A slice cut short by [until] stays the cursor's lane, so the next
+     [advance] finishes it exactly as an uncut run would. *)
+  let sequential_step pick warm ~until =
+    Option.map
+      (fun lane ->
+        let cut = ref false in
+        settle lane
+          (Parallel.map_outcomes ~jobs:1 1 (fun _ ~stop:_ ->
+               slice ~until ~warm:(warm ()) ~cut lane ())).(0);
+        cursor := if !cut then lane.index else (lane.index + 1) mod k;
+        !cut)
+      (pick ())
+  in
+  (* Racing lanes run on other domains and must not call the caller's
+     [until] there, so the race polls it between rounds only
+     (cancellation latency: one slice). *)
+  let race_step ~until:_ =
+    let active =
+      Array.of_list (List.filter schedulable (Array.to_list lanes))
+    in
+    let n = Array.length active in
+    if n = 0 then None
+    else begin
+      Parallel.map_outcomes ~jobs:n n (fun j ~stop:_ ->
+          slice ~warm:ctx.Engine.warm_start ~cut:(ref false) active.(j) ())
+      |> Array.iteri (fun j outcome -> settle active.(j) outcome);
+      Some false
+    end
+  in
+  let step =
+    match spec.mode with
+    | Round_robin ->
+      let pick () =
+        let rec go j n =
+          if n = 0 then None
+          else
+            let lane = lanes.(j mod k) in
+            if schedulable lane then Some lane else go (j + 1) (n - 1)
+        in
+        go !cursor k
+      in
+      sequential_step pick (fun () -> ctx.Engine.warm_start)
+    | Chain ->
+      (* Each chain stage inherits the incumbent of the stages before
+         it; the first stage takes the caller's own warm start. *)
+      sequential_step
+        (fun () -> Array.find_opt schedulable lanes)
+        (fun () ->
+          match !best with
+          | Some (s, _) -> Some s
+          | None -> ctx.Engine.warm_start)
+    | Race -> race_step
+  in
+  let advance ~until =
+    if !status <> Engine.Complete then status := run_schedule ~until step;
+    !status
+  in
+
+  (* -- the outcome and the payload ----------------------------------- *)
+  let elapsed () = !wall_offset +. Clock.wall () -. start_clock in
+  let outcome () =
+    (match report with
+     | Some f -> f (Array.map lane_view lanes)
+     | None -> ());
+    match !best with
+    | None ->
+      let reason =
+        Array.to_list lanes
+        |> List.find_map (fun l ->
+               match l.st with L_faulted e -> Some e | _ -> None)
+        |> Option.value ~default:"no lane produced a result"
+      in
+      failwith (Printf.sprintf "%s: all member lanes lost (%s)" name reason)
+    | Some (solution, cost) ->
+      {
+        Engine.best = solution;
+        best_cost = cost;
+        initial_cost = initial_cost ();
+        iterations_run = iterations_total ();
+        evaluations = evals_total ();
+        accepted = acc_total ();
+        wall_seconds = elapsed ();
+        status = !status;
+      }
+  in
+  let payload () =
     let blob lane =
-      match lane.st with
-      | L_alive -> (
-        try In_channel.with_open_bin lane.scratch In_channel.input_all
-        with Sys_error _ -> "")
-      | L_faulted e -> e
-      | L_pending | L_finished | L_won | L_cancelled | L_timed_out -> ""
+      match (lane.st, lane.session) with
+      | L_alive, Some s ->
+        Checkpoint.to_string ~kind:Engine.checkpoint_kind (s.Engine.payload ())
+      | L_faulted e, _ -> e
+      | _ -> ""
     in
     (* Before any lane has produced a best the container still needs a
        solution; [has_best] tells a resumed run to ignore it. *)
@@ -440,14 +650,14 @@ let run_portfolio ?report ~spec ~engines (ctx : Engine.context) =
       | None ->
         (Solution.all_software ctx.Engine.app ctx.Engine.platform, infinity)
     in
-    Engine.save codec ctx
+    Engine.encode_payload codec ctx
       {
         Engine.iteration = iterations_total ();
         evaluations = evals_total ();
         accepted = acc_total ();
         initial_cost = initial_cost ();
         best_cost;
-        elapsed = !wall_offset +. Clock.wall () -. start_clock;
+        elapsed = elapsed ();
         (* The portfolio never draws from this stream: each member's
            own RNG words travel inside its embedded checkpoint. *)
         rng = Rng.create ctx.Engine.seed;
@@ -460,267 +670,7 @@ let run_portfolio ?report ~spec ~engines (ctx : Engine.context) =
           };
       }
   in
-  (match Engine.restore codec ctx with
-   | None -> ()
-   | Some r ->
-     let saved = r.Engine.state in
-     cursor := saved.cursor;
-     wall_offset := r.Engine.elapsed;
-     best :=
-       if saved.has_best then Some (r.Engine.best, r.Engine.best_cost)
-       else None;
-     Array.iteri
-       (fun i (lane, blob) ->
-         lanes.(i) <- lane;
-         (* Re-materialize the member's own checkpoint so its next
-            slice resumes from the embedded state. *)
-         if lane.st = L_alive then Atomic_io.write_string lane.scratch blob)
-       saved.lanes;
-     gobs := iterations_total ());
-
-  (* -- running one slice of one lane -------------------------------- *)
-  let run_slice ~sequential ~warm lane =
-    let resume =
-      if lane.started then Engine.Resume_required else Engine.Resume_never
-    in
-    let done_live = ref lane.done_ in
-    let best_live = ref lane.best_cost in
-    let slice_target = lane.target in
-    (* Boundary probe, in short-circuit order: the slice boundary
-       first (costs no external poll), then the lane's own
-       target-cost self-stop, then — in sequential schedules — the
-       latched outer token, so an interrupt lands within one member
-       iteration. *)
-    let probe () =
-      !done_live >= slice_target
-      || (match spec.target_cost with
-          | Some c -> !best_live <= c
-          | None -> false)
-      || (sequential && outer ())
-    in
-    let observe (p : Engine.probe) =
-      done_live := p.Engine.iteration + 1;
-      best_live := p.Engine.best;
-      match ctx.Engine.observe with
-      | Some f when sequential ->
-        let pb =
-          match !best with
-          | Some (_, c) -> Float.min c p.Engine.best
-          | None -> p.Engine.best
-        in
-        f { p with Engine.iteration = !gobs; best = pb };
-        incr gobs
-      | _ -> ()
-    in
-    let mctx =
-      Engine.context ~should_stop:probe ~observe
-        ~checkpoint:{ Engine.path = lane.scratch; every = max_int; resume }
-        ?warm_start:warm ~app:ctx.Engine.app ~platform:ctx.Engine.platform
-        ~seed:(ctx.Engine.seed + (65_537 * lane.index))
-        ~iterations:lane.b ()
-    in
-    Engine.run lane.engine mctx
-  in
-  let absorb lane (o : Engine.outcome) =
-    lane.started <- true;
-    lane.done_ <- o.Engine.iterations_run;
-    lane.evals <- o.Engine.evaluations;
-    lane.acc <- o.Engine.accepted;
-    lane.best_cost <- o.Engine.best_cost;
-    if not lane.has_init then begin
-      lane.init_cost <- o.Engine.initial_cost;
-      lane.has_init <- true
-    end;
-    (match !best with
-     | Some (_, c) when not (o.Engine.best_cost < c) -> ()
-     | Some _ | None -> best := Some (o.Engine.best, o.Engine.best_cost));
-    lane.st <-
-      (if o.Engine.status = Engine.Complete then L_finished else L_alive)
-  in
-  let settle lane outcome =
-    match outcome with
-    | Parallel.Done o -> absorb lane o
-    | Parallel.Timed_out (Some o) ->
-      absorb lane o;
-      lane.st <- L_timed_out;
-      Log.warn "portfolio %s: lane %d (%s) timed out; best-so-far salvaged"
-        name lane.index lane.ename
-    | Parallel.Timed_out None ->
-      lane.st <- L_timed_out;
-      Log.warn "portfolio %s: lane %d (%s) timed out with nothing to salvage"
-        name lane.index lane.ename
-    | Parallel.Failed { error; _ } ->
-      lane.st <- L_faulted error;
-      Log.warn "portfolio %s: lane %d (%s) lost: %s; best-so-far salvaged"
-        name lane.index lane.ename error
-    | Parallel.Skipped -> lane.st <- L_faulted "skipped"
-  in
-
-  (* -- schedules ----------------------------------------------------- *)
-  let schedulable lane =
-    match lane.st with L_pending | L_alive -> true | _ -> false
-  in
-  let cancel_losers winner =
-    Array.iter
-      (fun l ->
-        if l != winner && schedulable l then l.st <- L_cancelled)
-      lanes;
-    winner.st <- L_won
-  in
-  let target_met () =
-    match (spec.target_cost, !best) with
-    | Some c, Some (_, bc) -> bc <= c
-    | _ -> false
-  in
-  let winner_lane () =
-    (* Deterministic: the lowest-indexed lane whose own best meets the
-       target at this boundary. *)
-    let found = ref None in
-    Array.iter
-      (fun l ->
-        if
-          !found = None
-          && (match l.st with
-              | L_alive | L_finished -> true
-              | _ -> false)
-          && (match spec.target_cost with
-              | Some c -> l.best_cost <= c
-              | None -> false)
-        then found := Some l)
-      lanes;
-    !found
-  in
-  let evals_exhausted () =
-    match ctx.Engine.budget.Engine.max_evaluations with
-    | Some m -> evals_total () >= m
-    | None -> false
-  in
-  let exception Stop in
-  (* After each slice, in order: a met target completes the hedge (and
-     cancels the losers), a latched external stop interrupts (flushing
-     the checkpoint), an exhausted evaluation budget completes.  A
-     periodic save happens when the slice crossed a multiple of the
-     checkpoint cadence ([before] is the iteration total before it). *)
-  let boundary_checks ~before =
-    (match winner_lane () with
-     | Some w when target_met () ->
-       cancel_losers w;
-       raise Stop
-     | _ -> ());
-    if outer () then begin
-      status := Engine.Interrupted;
-      save ();
-      raise Stop
-    end;
-    if evals_exhausted () then raise Stop;
-    match ctx.Engine.checkpoint with
-    | Some ck
-      when iterations_total () / ck.Engine.every > before / ck.Engine.every ->
-      save ()
-    | _ -> ()
-  in
-  let run_sequential pick_warm pick_lane =
-    try
-      let continue_ = ref true in
-      while !continue_ do
-        match pick_lane () with
-        | None -> continue_ := false
-        | Some lane ->
-          cursor := (lane.index + 1) mod k;
-          if lane.done_ >= lane.target then
-            lane.target <- min (lane.done_ + slice_q) lane.b;
-          let warm = pick_warm lane in
-          let before = iterations_total () in
-          let outcome =
-            (Parallel.map_outcomes ~jobs:1 1 (fun _ ~stop:_ ->
-                 run_slice ~sequential:true ~warm lane)).(0)
-          in
-          settle lane outcome;
-          boundary_checks ~before
-      done
-    with Stop -> ()
-  in
-  (match spec.mode with
-   | Round_robin ->
-     let pick () =
-       let rec go j n =
-         if n = 0 then None
-         else
-           let lane = lanes.(j mod k) in
-           if schedulable lane then Some lane else go (j + 1) (n - 1)
-       in
-       go !cursor k
-     in
-     run_sequential (fun _ -> ctx.Engine.warm_start) pick
-   | Chain ->
-     let pick () = Array.find_opt schedulable lanes in
-     (* Each chain stage inherits the incumbent of the stages before
-        it; the first stage takes the caller's own warm start. *)
-     let warm lane =
-       if lane.started then None
-       else
-         match !best with
-         | Some (s, _) -> Some s
-         | None -> ctx.Engine.warm_start
-     in
-     run_sequential warm pick
-   | Race -> (
-     try
-       while Array.exists schedulable lanes do
-         let active =
-           Array.of_list (List.filter schedulable (Array.to_list lanes))
-         in
-         Array.iter
-           (fun l ->
-             if l.done_ >= l.target then
-               l.target <- min (l.done_ + slice_q) l.b)
-           active;
-         let n = Array.length active in
-         let before = iterations_total () in
-         let outcomes =
-           Parallel.map_outcomes ~jobs:n n (fun j ~stop:_ ->
-               run_slice ~sequential:false ~warm:ctx.Engine.warm_start
-                 active.(j))
-         in
-         Array.iteri (fun j outcome -> settle active.(j) outcome) outcomes;
-         boundary_checks ~before
-       done
-     with Stop -> ()));
-  (* -- the outcome --------------------------------------------------- *)
-  let cleanup_scratch () =
-    Array.iter
-      (fun lane -> try Sys.remove lane.scratch with Sys_error _ -> ())
-      lanes
-  in
-  if temp_mode then cleanup_scratch ()
-  else if !status = Engine.Complete then
-    (* Finished portfolios keep only their own (self-contained) file,
-       like any driven engine; interrupted ones keep the member files
-       too — they are rewritten on resume anyway. *)
-    cleanup_scratch ();
-  (match report with
-   | Some f -> f (Array.map lane_view lanes)
-   | None -> ());
-  match !best with
-  | None ->
-    let reason =
-      Array.to_list lanes
-      |> List.find_map (fun l ->
-             match l.st with L_faulted e -> Some e | _ -> None)
-      |> Option.value ~default:"no lane produced a result"
-    in
-    failwith (Printf.sprintf "%s: all member lanes lost (%s)" name reason)
-  | Some (solution, cost) ->
-    {
-      Engine.best = solution;
-      best_cost = cost;
-      initial_cost = initial_cost ();
-      iterations_run = iterations_total ();
-      evaluations = evals_total ();
-      accepted = acc_total ();
-      wall_seconds = !wall_offset +. Clock.wall () -. start_clock;
-      status = !status;
-    }
+  Ok { Engine.advance; outcome; payload }
 
 let make ?report spec =
   Result.bind (member_engines spec) (fun engines ->
@@ -752,7 +702,8 @@ let make ?report spec =
             | Race -> List.fold_left max 1 defaults
             | Round_robin | Chain -> List.fold_left ( + ) 0 defaults
 
-          let run ctx = run_portfolio ?report ~spec ~engines ctx
+          let start ?payload ctx =
+            start_portfolio ?report ?payload ~spec ~engines ctx
         end : Engine.S))
 
 let of_spec ?report text =

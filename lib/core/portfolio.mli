@@ -22,13 +22,14 @@
       warm-started ({!Engine.context}[.warm_start]) from the best
       incumbent of the stages before it (greedy seeding sa, say).
 
-    {b Isolation.} Every slice runs under
-    {!Repro_util.Parallel.map_outcomes}, so a member that raises, hits
-    an armed {!Repro_util.Fault} or times out degrades to a dead lane:
-    its best-so-far (from its last completed boundary) stays in the
-    aggregate, the loss is logged, and the portfolio's outcome is the
-    best over surviving lanes.  The run only fails when {e every} lane
-    is lost before producing a boundary.
+    {b Isolation.} Every lane holds its member's live
+    {!Engine.session}, and one slice is one [advance] of it under
+    {!Repro_util.Parallel.map_outcomes}, so a member that raises or
+    hits an armed {!Repro_util.Fault} degrades to a dead lane: its
+    best-so-far (from its last completed slice) stays in the aggregate,
+    the loss is logged, and the portfolio's outcome is the best over
+    surviving lanes.  The run only fails when {e every} lane is lost
+    before producing a boundary.
 
     {b Determinism.} Member seeds derive from the portfolio seed
     ([seed + 65537 * lane]), slice boundaries are fixed by the spec and
@@ -37,20 +38,20 @@
     lowest lane index — so a fixed spec, seed and budget give a
     bit-identical outcome for any [--jobs], modulo wall-clock fields.
 
-    {b Checkpointing.} The portfolio saves and resumes through the
-    driver's own container, {!Engine.save} and {!Engine.restore}, with
-    a ["portfolio"] codec at version 2: the header checks, the counters
-    (lane totals), costs, wall time and best solution are the driver's
-    sections, and the codec's state holds the canonical spec, the
-    cursor and one length-framed record per lane, embedding each live
-    member's own checkpoint bytes.  Before any lane has a best the
-    container holds the all-software mapping at cost [infinity], and a
-    flag in the state restores "no best".  Resume restores every lane
-    mid-slice-sequence and replays bit-identically, which is what the
-    registry-wide resume suite checks.  A version-1 file (the format
-    before the shared container) is refused in one line under
-    [Resume_required] and ignored with a warning under
-    [Resume_if_exists]. *)
+    {b Checkpointing.} {!Engine.run} writes the files; no file is
+    written between slices.  The payload is the driver's container
+    with a ["portfolio"] codec at version 2: the driver's sections hold
+    the header checks, the lane totals, costs, wall time and best
+    solution, and the codec's state the canonical spec, the cursor and
+    one length-framed record per lane, embedding each live member's
+    payload (encoded only then) as a whole checkpoint file.  Before any
+    lane has a best the container holds the all-software mapping at
+    cost [infinity], and a flag restores "no best".  A slice cut short
+    by a stop or a checkpoint chunk finishes on the next [advance], so
+    resume replays bit-identically, as the registry-wide resume suite
+    checks.  A version-1 file (the format before the shared container)
+    is refused in one line under [Resume_required] and ignored with a
+    warning under [Resume_if_exists]. *)
 
 type mode = Round_robin | Race | Chain
 
@@ -82,7 +83,7 @@ type lane_report = {
   member : string;  (** the member engine's name *)
   state : string;
       (** ["pending"], ["running"], ["finished"], ["won"],
-          ["cancelled"], ["timed-out"] or ["faulted: <reason>"] *)
+          ["cancelled"] or ["faulted: <reason>"] *)
   iterations : int;
   evaluations : int;
   best : float;  (** infinity when the lane never reached a boundary *)

@@ -107,9 +107,8 @@ let run_attempt config spool job ~attempts ~stop ~deadline_expired =
        registry error already lists every known name.  "sa" is the
        annealer the job's own fields configure, as in dse-run.
        Portfolio specs (portfolio:race:sa+tabu:...) build the
-       meta-engine on the fly — a portfolio chain's checkpoint nests
-       the member states inside its regular checkpoint file, plus one
-       .m<i> scratch per live member. *)
+       meta-engine on the fly; its checkpoint nests the member states
+       inside its one regular checkpoint file. *)
     let engine =
       match Option.map Job.resolve_engine job.Job.engine with
       | None -> None

@@ -63,8 +63,9 @@ let is_job_file name = Filename.check_suffix name ".json"
 let is_stamp name = Filename.check_suffix name ".claim"
 let is_reason name = Filename.check_suffix name ".reason.json"
 
-(* work/<base>.ckpt, work/<base>.r<i>.ckpt, work/<base>.ckpt.m<j> —
-   the job file a checkpoint-ish entry belongs to. *)
+(* work/<base>.ckpt, work/<base>.r<i>.ckpt, and any <base>.ckpt.<x>
+   an older build left behind — the job file a checkpoint-ish entry
+   belongs to. *)
 let ckpt_job_file entry =
   let rec find i =
     if i + 5 > String.length entry then None
@@ -316,8 +317,8 @@ let run ?(repair = false) ?now (t : Spool.t) =
               (fun () -> if not (live ()) then remove_if_exists path)
         end
         else if Filename.check_suffix name ".ckpt" && Sys.file_exists path then
-          (* Only whole-container files are CRC-verifiable; portfolio
-             member scratch (.ckpt.m<j>) is nested payload. *)
+          (* Only a job's own checkpoints are verified; other
+             checkpoint-ish leftovers are left to the orphan rule. *)
           match Checkpoint.inspect path with
           | Ok _ -> ()
           | Error msg ->

@@ -230,10 +230,10 @@ let promote_aged ~now ~after t =
 
 let read_claimed t name = Atomic_io.read_file (work_path t name)
 
-(* Every checkpoint a job may own: the single-chain one, the
+(* Every checkpoint a job may own: the single-chain one and the
    per-restart ones (<base>.r<i>.ckpt) of supervised multi-restart
-   runs, and the portfolio member files either may grow
-   (<...>.ckpt.m<j>). *)
+   runs.  The prefix match also removes the portfolio member files
+   (<...>.ckpt.m<j>) that older builds wrote beside them. *)
 let remove_checkpoints t name =
   remove_if_exists (checkpoint_path t name);
   let ckpt_prefix = base name ^ ".ckpt" in

@@ -181,7 +181,8 @@ val claim_stamp_path : t -> string -> string
 
 val remove_checkpoints : t -> string -> unit
 (** Drop every checkpoint a job may own in [work/]: the single-chain
-    one, per-restart ones and portfolio member scratch. *)
+    one and per-restart ones, plus any [<base>.ckpt.<x>] file an older
+    build left behind. *)
 
 val queue_depth : t -> int
 

@@ -35,43 +35,50 @@ let valid_kind kind =
          (c >= 'a' && c <= 'z') || (c >= '0' && c <= '9') || c = '-' || c = '_')
        kind
 
-let save path ~kind payload =
+let to_string ~kind payload =
   if not (valid_kind kind) then invalid_arg "Checkpoint.save: bad kind";
-  let header =
-    Printf.sprintf "%s %d %s %d %s\n" magic version kind
-      (String.length payload) (crc32_hex payload)
-  in
-  Atomic_io.write_string path (header ^ payload)
+  Printf.sprintf "%s %d %s %d %s\n%s" magic version kind
+    (String.length payload) (crc32_hex payload) payload
+
+let save path ~kind payload =
+  Atomic_io.write_string path (to_string ~kind payload)
 
 let ( let* ) = Result.bind
 
-let inspect path =
-  let* contents = Atomic_io.read_file path in
+(* [source] names the contents in every diagnostic: a path, or what
+   the caller embedded them in. *)
+let parse source contents =
   let* header, payload =
     match String.index_opt contents '\n' with
-    | None when contents = "" -> Error (path ^ ": empty checkpoint file")
+    | None when contents = "" -> Error (source ^ ": empty checkpoint file")
     | Some i ->
       Ok
         ( String.sub contents 0 i,
           String.sub contents (i + 1) (String.length contents - i - 1) )
-    | None -> Error (path ^ ": not a checkpoint file (no header)")
+    | None -> Error (source ^ ": not a checkpoint file (no header)")
   in
   match String.split_on_char ' ' header with
   | [ m; v; k; len; crc ] ->
-    if m <> magic then Error (path ^ ": not a checkpoint file")
+    if m <> magic then Error (source ^ ": not a checkpoint file")
     else if int_of_string_opt v <> Some version then
       Error
-        (Printf.sprintf "%s: unsupported checkpoint version %s (want %d)" path v
-           version)
+        (Printf.sprintf "%s: unsupported checkpoint version %s (want %d)"
+           source v version)
     else if int_of_string_opt len <> Some (String.length payload) then
-      Error (path ^ ": truncated checkpoint (length mismatch)")
+      Error (source ^ ": truncated checkpoint (length mismatch)")
     else if crc <> crc32_hex payload then
-      Error (path ^ ": corrupt checkpoint (CRC mismatch)")
+      Error (source ^ ": corrupt checkpoint (CRC mismatch)")
     else Ok (k, payload)
-  | _ -> Error (path ^ ": not a checkpoint file (malformed header)")
+  | _ -> Error (source ^ ": not a checkpoint file (malformed header)")
 
-let load path ~kind =
-  let* k, payload = inspect path in
+let check_kind source ~kind (k, payload) =
   if k <> kind then
-    Error (Printf.sprintf "%s: checkpoint kind %S, expected %S" path k kind)
+    Error (Printf.sprintf "%s: checkpoint kind %S, expected %S" source k kind)
   else Ok payload
+
+let inspect path = Result.bind (Atomic_io.read_file path) (parse path)
+
+let load path ~kind = Result.bind (inspect path) (check_kind path ~kind)
+
+let of_string ~source ~kind contents =
+  Result.bind (parse source contents) (check_kind source ~kind)

@@ -30,6 +30,15 @@ val inspect : string -> (string * string, string) result
     example, to tell a user resuming with the wrong [--engine] which
     flag the file actually matches. *)
 
+val to_string : kind:string -> string -> string
+(** The bytes {!save} writes: the header line, then the payload.  For
+    a checkpoint nested inside another producer's payload. *)
+
+val of_string :
+  source:string -> kind:string -> string -> (string, string) result
+(** {!load} on bytes already in memory; [source] names them in the
+    one-line [Error]s, where {!load} puts the path. *)
+
 val crc32 : string -> int32
 (** CRC-32 (IEEE) of a string; exposed for fingerprinting inputs. *)
 

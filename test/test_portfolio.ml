@@ -1,7 +1,8 @@
 (* Portfolio meta-engine: spec grammar, hedged-racing cancellation
    latency, member-fault isolation, chain warm starts, --seed-from's
    read_incumbent, the latched outer stop, the checkpoint container's
-   version and "no best yet" cases, and the spool's fencing check.
+   version and "no best yet" cases, file-free slicing, and the spool's
+   fencing check.
    The generic contract (budgets, stop probes, bit-identical resume) is
    covered by the registry-wide suites in test_engine{,_resume}.ml. *)
 
@@ -104,10 +105,7 @@ let outcome_bits (o : Engine.outcome) =
     (o.Engine.iterations_run, o.Engine.evaluations, o.Engine.accepted),
     o.Engine.status )
 
-let remove_checkpoint path k =
-  List.iter
-    (fun p -> try Sys.remove p with Sys_error _ -> ())
-    (path :: List.init k (fun i -> Printf.sprintf "%s.m%d" path i))
+let remove_checkpoint path = try Sys.remove path with Sys_error _ -> ()
 
 let rr_spec =
   {
@@ -122,7 +120,7 @@ let test_latched_stop () =
      portfolio must latch it, end Interrupted, and leave a checkpoint
      that resumes to the uninterrupted outcome. *)
   let path = Filename.temp_file "dse-portfolio-latch" ".ckpt" in
-  Fun.protect ~finally:(fun () -> remove_checkpoint path 2) @@ fun () ->
+  Fun.protect ~finally:(fun () -> remove_checkpoint path) @@ fun () ->
   let engine = engine_of rr_spec in
   let clean = Engine.run engine (context ~seed:11 ~iterations:40 ()) in
   let polls = ref 0 in
@@ -148,6 +146,40 @@ let test_latched_stop () =
   Alcotest.(check bool) "resume is bit-identical to the clean run" true
     (outcome_bits resumed = outcome_bits clean)
 
+(* A checkpoint every iteration cuts every slice at each member
+   iteration; each cut slice must finish on the next advance exactly as
+   an uncut one, in every schedule: same outcome, and in the sequential
+   schedules the same observation stream, i.e. the same interleaving. *)
+let test_cut_slices () =
+  let path = Filename.temp_file "dse-portfolio-cut" ".ckpt" in
+  Fun.protect ~finally:(fun () -> remove_checkpoint path) @@ fun () ->
+  List.iter
+    (fun mode ->
+      let engine =
+        engine_of
+          { Portfolio.mode; members = [ "sa"; "hill" ]; slice = Some 3;
+            target_cost = None }
+      in
+      let run ?checkpoint () =
+        let seen = ref [] in
+        let o =
+          Engine.run engine
+            (Engine.context ?checkpoint
+               ~observe:(fun p -> seen := p :: !seen)
+               ~app:(app ()) ~platform:(platform ()) ~seed:11 ~iterations:40
+               ())
+        in
+        (outcome_bits o, !seen)
+      in
+      let clean = run () in
+      let cut =
+        run ~checkpoint:{ Engine.path; every = 1; resume = Resume_never } ()
+      in
+      Alcotest.(check bool)
+        (Engine.name engine ^ ": outcome and observations unchanged") true
+        (cut = clean))
+    [ Portfolio.Round_robin; Chain; Race ]
+
 (* ---- the checkpoint container ----------------------------------- *)
 
 let contains text needle =
@@ -162,7 +194,7 @@ let test_version_one_refused () =
      a required resume names the version in one line; an
      opportunistic one starts fresh. *)
   let path = Filename.temp_file "dse-portfolio-v1" ".ckpt" in
-  Fun.protect ~finally:(fun () -> remove_checkpoint path 2) @@ fun () ->
+  Fun.protect ~finally:(fun () -> remove_checkpoint path) @@ fun () ->
   Repro_util.Checkpoint.save path ~kind:Engine.checkpoint_kind
     "engine portfolio 1\nfingerprint 0\nspec portfolio\ncursor 0\n\
      wall 0x0p+0\ncosts -\nbest\nstate\nlanes 2\n";
@@ -199,7 +231,7 @@ let test_no_best_yet () =
   Fun.protect
     ~finally:(fun () ->
       Fault.disarm ();
-      remove_checkpoint path 2)
+      remove_checkpoint path)
   @@ fun () ->
   let engine = engine_of rr_spec in
   let ckpt resume = { Engine.path; every = 1; resume } in
@@ -431,10 +463,7 @@ let test_read_incumbent_and_warm_start () =
 let test_read_incumbent_portfolio_checkpoint () =
   let path = Filename.temp_file "dse-portfolio-ckpt" ".ckpt" in
   Fun.protect
-    ~finally:(fun () ->
-      Array.iter
-        (fun p -> try Sys.remove p with Sys_error _ -> ())
-        [| path; path ^ ".m0"; path ^ ".m1" |])
+    ~finally:(fun () -> remove_checkpoint path)
     (fun () ->
       let outcome =
         Engine.run
@@ -460,6 +489,77 @@ let test_read_incumbent_portfolio_checkpoint () =
           "the nested checkpoint's incumbent is the portfolio's best" true
           (Float.abs (Solution.makespan incumbent -. outcome.Engine.best_cost)
            < 1e-9))
+
+(* ---- slicing is file-free ----------------------------------------- *)
+
+(* Runs [f] with the process temp dir pointed at a fresh private
+   directory, so every file a run creates — checkpoint or scratch —
+   shows up in one listing. *)
+let with_private_temp f =
+  let dir = Filename.temp_dir "dse-portfolio-files" "" in
+  let saved = Filename.get_temp_dir_name () in
+  Filename.set_temp_dir_name dir;
+  Fun.protect
+    ~finally:(fun () ->
+      Filename.set_temp_dir_name saved;
+      Array.iter
+        (fun f -> Sys.remove (Filename.concat dir f))
+        (Sys.readdir dir);
+      Sys.rmdir dir)
+    (fun () -> f dir)
+
+let test_slicing_is_file_free () =
+  let members = [ "greedy"; "hill" ] in
+  List.iter
+    (fun spec ->
+      with_private_temp @@ fun dir ->
+      let name = Portfolio.canonical spec in
+      let engine = engine_of spec in
+      let listing () = List.sort compare (Array.to_list (Sys.readdir dir)) in
+      (* Polled at every boundary the portfolio polls (between racing
+         rounds) and at every forwarded observation (sequential
+         schedules): no file but [allowed] may exist then. *)
+      let run ?should_stop ?checkpoint what allowed =
+        let check () =
+          let extra = List.filter (fun f -> not (List.mem f allowed)) in
+          match extra (listing ()) with
+          | [] -> ()
+          | extra ->
+            Alcotest.failf "%s, %s: unexpected files %s" name what
+              (String.concat ", " extra)
+        in
+        let o =
+          Engine.run engine
+            (Engine.context
+               ~should_stop:(fun () ->
+                 check ();
+                 match should_stop with Some stop -> stop () | None -> false)
+               ~observe:(fun _ -> check ())
+               ?checkpoint ~app:(app ()) ~platform:(platform ()) ~seed:11
+               ~iterations:40 ())
+        in
+        check ();
+        o
+      in
+      ignore (run "no checkpoint" []);
+      let path = Filename.concat dir "run.ckpt" in
+      let ckpt every = { Engine.path; every; resume = Engine.Resume_never } in
+      ignore (run ~checkpoint:(ckpt 1_000_000) "large cadence" [ "run.ckpt" ]);
+      remove_checkpoint path;
+      let killed =
+        run ~should_stop:(stop_after 7) ~checkpoint:(ckpt 1) "interrupted"
+          [ "run.ckpt" ]
+      in
+      Alcotest.(check bool) (name ^ ": interrupted") true
+        (killed.Engine.status = Engine.Interrupted);
+      Alcotest.(check (list string)) (name ^ ": only the checkpoint remains")
+        [ "run.ckpt" ] (listing ()))
+    [
+      { Portfolio.mode = Race; members; slice = Some 1;
+        target_cost = Some 0.0 };
+      { Portfolio.mode = Round_robin; members; slice = Some 1;
+        target_cost = None };
+    ]
 
 (* ---- spool fencing ------------------------------------------------ *)
 
@@ -533,6 +633,8 @@ let suite =
       test_spec_parse;
     Alcotest.test_case "latch: one-shot stop interrupts" `Quick
       test_latched_stop;
+    Alcotest.test_case "chunks: cut slices finish as uncut ones" `Quick
+      test_cut_slices;
     Alcotest.test_case "container: version 1 is refused" `Quick
       test_version_one_refused;
     Alcotest.test_case "container: no best yet still resumes" `Quick
@@ -550,6 +652,8 @@ let suite =
       test_read_incumbent_and_warm_start;
     Alcotest.test_case "seed-from: portfolio checkpoints donate too" `Quick
       test_read_incumbent_portfolio_checkpoint;
+    Alcotest.test_case "slicing: no file is written between slices" `Quick
+      test_slicing_is_file_free;
     Alcotest.test_case "spool: result writes are lease-fenced" `Quick
       test_finish_fenced;
   ]
