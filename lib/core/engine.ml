@@ -254,7 +254,7 @@ let decode_payload codec ctx payload =
    is deterministic given the context, so an engine built on it
    inherits the determinism and resume contracts for free. *)
 let drive ?payload ~codec ctx ~init ~step ~snapshot =
-  let start_clock = Clock.wall () in
+  let start_clock = Clock.mono () in
   (* [init] runs only on a fresh start; a resumed run restores the
      engine's working state through the codec instead. *)
   let start =
@@ -287,7 +287,7 @@ let drive ?payload ~codec ctx ~init ~step ~snapshot =
       let status = ref Interrupted in
       let state = ref start.state in
       let g = ref start.iteration in
-      let elapsed () = wall_offset +. Clock.wall () -. start_clock in
+      let elapsed () = wall_offset +. Clock.mono () -. start_clock in
       (* Boundary checks in order: the budget's end, the caller's
          predicate, the evaluation budget. *)
       let rec advance ~until =

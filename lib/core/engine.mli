@@ -18,9 +18,9 @@
     - {b stop probe}: [should_stop] is polled at every iteration
       boundary; when it answers [true] the engine returns within one
       iteration, with a valid best-so-far and status {!Interrupted};
-    - {b timing}: [wall_seconds] is {!Repro_util.Clock} wall time
-      (never [Sys.time] CPU time), so the seconds columns of every
-      engine are comparable;
+    - {b timing}: [wall_seconds] is elapsed time on the monotonic
+      {!Repro_util.Clock.mono} (never [Sys.time] CPU time), so the
+      seconds columns of every engine are comparable;
     - {b observability}: when [observe] is given it fires once per
       iteration with the current and best cost and the acceptance
       flag;
@@ -125,7 +125,7 @@ type outcome = {
   iterations_run : int;       (** <= [budget.iterations], always *)
   evaluations : int;          (** cost-function evaluations performed *)
   accepted : int;             (** iterations that changed the state *)
-  wall_seconds : float;       (** {!Repro_util.Clock} wall time *)
+  wall_seconds : float;       (** elapsed, {!Repro_util.Clock.mono} *)
   status : status;
 }
 

@@ -211,7 +211,7 @@ end
 module Engine = Annealer.Make (Problem_state)
 
 let explore ?(seed = 1) ?(iterations = 20_000) problem platform =
-  let start_clock = Repro_util.Clock.wall () in
+  let start_clock = Repro_util.Clock.mono () in
   let n = Array.length problem.tasks in
   let state =
     {
@@ -259,5 +259,5 @@ let explore ?(seed = 1) ?(iterations = 20_000) problem platform =
     per_mode;
     worst_slack_ratio;
     iterations_run = outcome.Annealer.iterations_run;
-    wall_seconds = Repro_util.Clock.wall () -. start_clock;
+    wall_seconds = Repro_util.Clock.mono () -. start_clock;
   }

@@ -315,7 +315,7 @@ let member_engines spec =
    session, and one slice is one [advance] of it: nothing is encoded
    until the portfolio's own payload is taken. *)
 let start_portfolio ?report ?payload ~spec ~engines (ctx : Engine.context) =
-  let start_clock = Clock.wall () in
+  let start_clock = Clock.mono () in
   let name = canonical spec in
   let k = List.length engines in
   let b_total = ctx.Engine.budget.Engine.iterations in
@@ -608,7 +608,7 @@ let start_portfolio ?report ?payload ~spec ~engines (ctx : Engine.context) =
   in
 
   (* -- the outcome and the payload ----------------------------------- *)
-  let elapsed () = !wall_offset +. Clock.wall () -. start_clock in
+  let elapsed () = !wall_offset +. Clock.mono () -. start_clock in
   let outcome () =
     (match report with
      | Some f -> f (Array.map lane_view lanes)

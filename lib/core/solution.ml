@@ -181,6 +181,44 @@ type cache =
   | Settled of float
   | Evaluated of Searchgraph.eval option
 
+(* The version chain that makes {!save} O(1): Baker's rerooting, as in
+   Conchon and Filliâtre's persistent arrays, over the [assign] and
+   [impl] arrays together.  The live arrays are the state of the root
+   version (the one whose [next] is itself); any other version [v] is
+   [v.next]'s state with [v.arr.(v.idx) = v.old].  A write turns the
+   root into such a diff and starts a fresh root; [save] keeps the
+   current root; the undo reroots the chain at the saved version,
+   reversing the diffs on the way, so undos in any order restore the
+   exact arrays. *)
+type version = {
+  mutable arr : int array;
+  mutable idx : int;
+  mutable old : int;
+  mutable next : version;
+}
+
+let fresh_root () =
+  let rec root = { arr = [||]; idx = 0; old = 0; next = root } in
+  root
+
+(* Make [v] the root: apply the diffs between it and the root, nearest
+   the root first, each reversed so that the old root can come back.
+   The path is collected by a tail-recursive walk: an undo may span
+   any number of writes. *)
+let reroot v =
+  let rec path acc v = if v.next == v then acc else path (v :: acc) v.next in
+  List.iter
+    (fun d ->
+      let root = d.next and arr = d.arr and i = d.idx in
+      root.arr <- arr;
+      root.idx <- i;
+      root.old <- arr.(i);
+      root.next <- d;
+      arr.(i) <- d.old;
+      d.arr <- [||];
+      d.next <- d)
+    (path [] v)
+
 (* assign.(v) = -(p+1) when the task runs in software on processor p
    (so -1 is the primary processor), otherwise the stable id (>= 0) of
    its context.  Stable ids survive context insertions and removals;
@@ -195,6 +233,7 @@ type t = {
   mutable platform : Platform.t;
   assign : int array;
   impl : int array;
+  mutable version : version;  (* root of the [assign]/[impl] chain *)
   mutable sw : int list array;
   mutable ctxs : (int * int list) list;
   mutable free_ids : int list;
@@ -203,6 +242,17 @@ type t = {
   mutable last_kind : move_kind;
   stats : eval_stats;
 }
+
+(* Every write to [assign] and [impl] goes through here, recording the
+   old value on the chain. *)
+let write t arr i x =
+  let root = t.version and fresh = fresh_root () in
+  root.arr <- arr;
+  root.idx <- i;
+  root.old <- arr.(i);
+  root.next <- fresh;
+  t.version <- fresh;
+  arr.(i) <- x
 
 let processor_index t v =
   if t.assign.(v) >= 0 then
@@ -237,6 +287,7 @@ let all_software application platform =
     platform;
     assign = Array.make n (-1);
     impl = Array.make n 0;
+    version = fresh_root ();
     sw;
     ctxs = [];
     free_ids = List.init n Fun.id;
@@ -256,6 +307,7 @@ let copy t =
     t with
     assign = Array.copy t.assign;
     impl = Array.copy t.impl;
+    version = fresh_root ();
     sw = Array.copy t.sw;
     cached = t.cached;
     incr = None;
@@ -314,8 +366,7 @@ let rollback app inc ~mark =
 let log_truncate_threshold = 8192
 
 let save t =
-  let assign = Array.copy t.assign in
-  let impl = Array.copy t.impl in
+  let version = t.version in
   let sw = Array.copy t.sw in
   let ctxs = t.ctxs in
   let free_ids = t.free_ids in
@@ -345,8 +396,8 @@ let save t =
        inc.desync <- false
      | Some _, _ -> t.incr <- None
      | None, _ -> ());
-    Array.blit assign 0 t.assign 0 (Array.length assign);
-    Array.blit impl 0 t.impl 0 (Array.length impl);
+    reroot version;
+    t.version <- version;
     t.sw <- Array.copy sw;
     t.ctxs <- ctxs;
     t.free_ids <- free_ids;
@@ -944,7 +995,7 @@ let set_impl t v k =
   if k < 0 || k >= Task.impl_count (App.task t.app v) then
     invalid_arg "Solution.set_impl: implementation index out of range";
   if t.impl.(v) <> k then begin
-    t.impl.(v) <- k;
+    write t t.impl v k;
     t.cached <- Stale;
     t.last_kind <- Impl;
     match t.incr with
@@ -974,7 +1025,7 @@ let remove_from_context t v =
             None
           | remaining -> Some (cid, remaining))
       t.ctxs;
-  t.assign.(v) <- -1
+  write t t.assign v (-1)
 
 (* A new context takes the id at the head of the free list. *)
 let fresh_id t =
@@ -1022,7 +1073,7 @@ let move_to_sw ?(proc = 0) t ~task ~before =
       (match List.rev t.sw.(proc) with last :: _ -> [ last ] | [] -> [])
   in
   detach t task;
-  t.assign.(task) <- -(proc + 1);
+  write t t.assign task (-(proc + 1));
   (match before with
    | None -> t.sw.(proc) <- t.sw.(proc) @ [ task ]
    | Some anchor ->
@@ -1056,14 +1107,14 @@ let move_to_context t ~task ~dest =
         if cid = dest_id then begin
           if joins then begin
             placed := true;
-            t.assign.(task) <- cid;
+            write t t.assign task cid;
             [ (cid, task :: members) ]
           end
           else begin
             (* Spawn a fresh context right after the destination. *)
             let fresh = fresh_id t in
             placed := true;
-            t.assign.(task) <- fresh;
+            write t t.assign task fresh;
             [ (cid, members); (fresh, [ task ]) ]
           end
         end
@@ -1080,7 +1131,7 @@ let insert_context t ~task ~at =
   let sw_around = sw_departure_around t task in
   detach t task;
   let fresh = fresh_id t in
-  t.assign.(task) <- fresh;
+  write t t.assign task fresh;
   (* The source context may have disappeared; recompute the bound. *)
   let at = min at (List.length t.ctxs) in
   let rec insert j = function
@@ -1174,7 +1225,7 @@ let random rng application platform =
   in
   Array.iter
     (fun v ->
-      t.impl.(v) <- pick_impl v;
+      write t t.impl v (pick_impl v);
       if task_clbs t v <= limit then in_hw.(v) <- true)
     chosen;
   (* Pack along the same topological order that the software schedule
@@ -1189,7 +1240,7 @@ let random rng application platform =
         | (last_id, members) :: _
           when members_clbs t members + task_clbs t v <= limit ->
           t.sw.(0) <- List.filter (fun w -> w <> v) t.sw.(0);
-          t.assign.(v) <- last_id;
+          write t t.assign v last_id;
           t.ctxs <-
             List.map
               (fun (cid, ms) -> if cid = last_id then (cid, v :: ms) else (cid, ms))
@@ -1250,6 +1301,7 @@ let rec of_mapping application platform ~sw_orders ~contexts ~impl =
               platform;
               assign;
               impl = Array.of_list impl;
+              version = fresh_root ();
               sw = Array.of_list sw_orders;
               ctxs = List.mapi (fun j members -> (j, members)) contexts;
               free_ids = free_ids_after ~n ~k:(List.length contexts);
@@ -1424,6 +1476,7 @@ let decode application platform text =
               platform;
               assign = Array.of_list assign;
               impl = Array.of_list impl;
+              version = fresh_root ();
               sw = Array.of_list sw_orders;
               ctxs = List.mapi (fun j members -> (j, members)) ctx_members;
               free_ids = free_ids_after ~n ~k;

@@ -204,12 +204,16 @@ val snapshot : t -> t
 (** Alias of {!copy} for the annealer's best-keeping. *)
 
 val save : t -> (unit -> unit)
-(** Capture the full mutable state; the returned closure restores it
-    (move undo).  The live search graph is restored by replaying the
-    delta log backwards to the save point, so rejecting a structural
-    move costs a few inverse edge edits rather than a rebuild.  Undo
-    closures are one-shot and LIFO; out-of-order use drops the live
-    graph, and the next evaluation rebuilds it. *)
+(** Capture the full mutable state in O(1); the returned closure
+    restores it (move undo).  The assignment and implementation arrays
+    are not copied: every write to them is recorded on a version chain,
+    [save] keeps the current version, and the undo reroots the chain at
+    it, in time proportional to the writes made since.  The live search
+    graph is restored by replaying the delta log backwards to the save
+    point, so rejecting a structural move costs a few inverse edge
+    edits rather than a rebuild.  Undo closures are one-shot and meant
+    LIFO; out-of-order use still restores the exact saved state, but
+    drops the live graph, and the next evaluation rebuilds it. *)
 
 val invalidate : t -> unit
 (** Drop the live search graph, so the next evaluation rebuilds it from

@@ -65,12 +65,27 @@ let heap_pop h =
   end;
   top
 
+(* The weights are cached: [weight] holds the node weights, and the
+   in-edges live in one flat store — [in_src] / [in_w] hold each
+   edge's source and weight, node [v] owning the slice
+   [in_start.(v), in_start.(v) + in_cap.(v)) of which the first
+   [in_len.(v)] cells are live.  The cone loop reads two arrays per
+   predecessor and calls no weight closure, whose float result would be
+   boxed.  [refresh] re-reads the cache only for the nodes it is told
+   about. *)
 type t = {
   graph : Graph.t;
   node_weight : int -> float;
   edge_weight : int -> int -> float;
   position : int array;   (* topological position of each node *)
   finish : float array;
+  weight : float array;
+  in_start : int array;
+  in_len : int array;
+  in_cap : int array;
+  mutable in_src : int array;
+  mutable in_w : float array;
+  mutable in_used : int;  (* the store's cells past this one are free *)
   queue : heap;           (* refresh worklist scratch; empty between *)
   queued : Bitset.t;      (* calls, so reusable without clearing *)
   fwd : Bitset.t;         (* Pearce–Kelly discovery marks: empty between *)
@@ -78,20 +93,108 @@ type t = {
   mutable touched : int;
 }
 
-(* Hand-rolled fold: this is the innermost loop of every refresh and
-   rebuild, and a [fold_left] closure here is one heap allocation per
-   node evaluated. *)
-let rec latest_pred t v acc = function
-  | [] -> acc
-  | u :: rest ->
-    latest_pred t v (Float.max acc (t.finish.(u) +. t.edge_weight u v)) rest
+(* Free cells left at the end of every slice by [create], so that most
+   edge insertions land in place. *)
+let slack = 2
 
-let evaluate_node t v =
-  latest_pred t v 0.0 (Graph.preds t.graph v) +. t.node_weight v
+(* Room for [need] more cells at the end of the store.  When short,
+   every live slice is compacted into fresh arrays with twice the room:
+   the holes that relocated slices left behind are reclaimed there. *)
+let reserve t need =
+  if t.in_used + need > Array.length t.in_src then begin
+    let n = Array.length t.in_start in
+    let live = ref 0 in
+    for v = 0 to n - 1 do
+      live := !live + t.in_cap.(v)
+    done;
+    let size = 2 * (!live + need) in
+    let src = Array.make size 0 and w = Array.make size 0.0 in
+    let cursor = ref 0 in
+    for v = 0 to n - 1 do
+      Array.blit t.in_src t.in_start.(v) src !cursor t.in_len.(v);
+      Array.blit t.in_w t.in_start.(v) w !cursor t.in_len.(v);
+      t.in_start.(v) <- !cursor;
+      cursor := !cursor + t.in_cap.(v)
+    done;
+    t.in_src <- src;
+    t.in_w <- w;
+    t.in_used <- !cursor
+  end
 
-let recompute_in_order t order =
-  Array.iter (fun v -> t.finish.(v) <- evaluate_node t v) order
+(* Append the in-edge [u -> v] to [v]'s slice; a full slice moves to
+   the end of the store with twice the room. *)
+let add_in t u v =
+  if t.in_len.(v) = t.in_cap.(v) then begin
+    let cap = max 4 (2 * t.in_cap.(v)) in
+    reserve t cap;
+    let s = t.in_used in
+    Array.blit t.in_src t.in_start.(v) t.in_src s t.in_len.(v);
+    Array.blit t.in_w t.in_start.(v) t.in_w s t.in_len.(v);
+    t.in_start.(v) <- s;
+    t.in_cap.(v) <- cap;
+    t.in_used <- s + cap
+  end;
+  let k = t.in_start.(v) + t.in_len.(v) in
+  t.in_src.(k) <- u;
+  t.in_w.(k) <- t.edge_weight u v;
+  t.in_len.(v) <- t.in_len.(v) + 1
 
+(* Drop [u -> v] from [v]'s slice, moving its last cell into the hole.
+   The order of a slice does not matter: the maximum over it is the
+   same bits in any order (see [update]). *)
+let remove_in t u v =
+  let s = t.in_start.(v) in
+  let last = s + t.in_len.(v) - 1 in
+  let k = ref s in
+  while t.in_src.(!k) <> u do
+    incr k
+  done;
+  t.in_src.(!k) <- t.in_src.(last);
+  t.in_w.(!k) <- t.in_w.(last);
+  t.in_len.(v) <- t.in_len.(v) - 1
+
+(* Re-read [v]'s weight and the weights of its in-edges. *)
+let reread t v =
+  t.weight.(v) <- t.node_weight v;
+  let s = t.in_start.(v) in
+  for k = s to s + t.in_len.(v) - 1 do
+    t.in_w.(k) <- t.edge_weight t.in_src.(k) v
+  done
+
+(* Re-evaluate [v] from the cache and store its completion time;
+   [true] when it changed.  This is the innermost loop of every refresh
+   and rebuild: a plain loop over the slice with an unboxed
+   accumulator, and no float crosses a call (a returned float would be
+   boxed).  The maximum is [Float.max]'s, as in [makespan] below:
+   the accumulator starts at +0, so away from NaNs the strict test is
+   exact (and order-independent), and a NaN goes through [Float.max]
+   itself.
+
+   Exact comparison, not a tolerance: incremental refresh must reach
+   the same bitwise fixpoint as a full rebuild, or a checkpoint/resume
+   (which rebuilds cold) would diverge from the warm run it is
+   replaying. *)
+let update t v =
+  let src = t.in_src and w = t.in_w and finish = t.finish in
+  let s = t.in_start.(v) in
+  let acc = ref 0.0 in
+  for k = s to s + t.in_len.(v) - 1 do
+    let x = finish.(src.(k)) +. w.(k) in
+    if x > !acc then acc := x
+    else if Float.is_nan x || Float.is_nan !acc then acc := Float.max !acc x
+  done;
+  let fresh = !acc +. t.weight.(v) in
+  if fresh <> finish.(v) then begin
+    finish.(v) <- fresh;
+    true
+  end
+  else false
+
+let recompute_in_order t order = Array.iter (fun v -> ignore (update t v)) order
+
+(* The store is filled in one pass over [Graph.preds], its size known
+   up front from the edge count: a handful of arrays whatever the graph
+   size, not one per node. *)
 let create graph ~node_weight ~edge_weight =
   match Graph.topological_order graph with
   | None -> None
@@ -99,11 +202,31 @@ let create graph ~node_weight ~edge_weight =
     let n = Graph.size graph in
     let position = Array.make n 0 in
     Array.iteri (fun i v -> position.(v) <- i) order;
+    let size = Graph.edge_count graph + (slack * n) in
     let t =
       { graph; node_weight; edge_weight; position; finish = Array.make n 0.0;
+        weight = Array.make n 0.0; in_start = Array.make n 0;
+        in_len = Array.make n 0; in_cap = Array.make n 0;
+        in_src = Array.make size 0; in_w = Array.make size 0.0; in_used = 0;
         queue = heap_create (); queued = Bitset.create n;
         fwd = Bitset.create n; bwd = Bitset.create n; touched = n }
     in
+    let rec fill v k = function
+      | [] -> k
+      | u :: rest ->
+        t.in_src.(k) <- u;
+        t.in_w.(k) <- edge_weight u v;
+        fill v (k + 1) rest
+    in
+    for v = 0 to n - 1 do
+      let s = t.in_used in
+      let e = fill v s (Graph.preds graph v) in
+      t.in_start.(v) <- s;
+      t.in_len.(v) <- e - s;
+      t.in_cap.(v) <- e - s + slack;
+      t.in_used <- e + slack;
+      t.weight.(v) <- node_weight v
+    done;
     recompute_in_order t order;
     Some t
 
@@ -125,8 +248,11 @@ let makespan t =
   !m
 
 let recompute t =
-  (* Rebuild the processing order from positions. *)
   let n = Array.length t.position in
+  for v = 0 to n - 1 do
+    reread t v
+  done;
+  (* Rebuild the processing order from positions. *)
   let order = Array.make n 0 in
   Array.iteri (fun v pos -> order.(pos) <- v) t.position;
   recompute_in_order t order;
@@ -146,27 +272,26 @@ let rec push_all t = function
     push t v;
     push_all t rest
 
-let rec drain t =
-  if t.queue.hsize > 0 then begin
+(* A dirty node re-reads its weights when first queued, so a node
+   listed twice is read once. *)
+let rec push_dirty t = function
+  | [] -> ()
+  | v :: rest ->
+    if not (Bitset.mem t.queued v) then begin
+      reread t v;
+      push t v
+    end;
+    push_dirty t rest
+
+let refresh t dirty =
+  push_dirty t dirty;
+  t.touched <- 0;
+  while t.queue.hsize > 0 do
     let v = heap_pop t.queue in
     Bitset.remove t.queued v;
     t.touched <- t.touched + 1;
-    let fresh = evaluate_node t v in
-    (* Exact comparison, not a tolerance: incremental refresh must
-       reach the same bitwise fixpoint as a full rebuild, or a
-       checkpoint/resume (which rebuilds cold) would diverge from the
-       warm run it is replaying. *)
-    if fresh <> t.finish.(v) then begin
-      t.finish.(v) <- fresh;
-      push_all t (Graph.succs t.graph v)
-    end;
-    drain t
-  end
-
-let refresh t dirty =
-  push_all t dirty;
-  t.touched <- 0;
-  drain t
+    if update t v then push_all t (Graph.succs t.graph v)
+  done
 
 let touched_last_refresh t = t.touched
 
@@ -187,6 +312,7 @@ let insert_edge t u v =
   else if Graph.has_edge t.graph u v then true
   else if t.position.(u) < t.position.(v) then begin
     Graph.add_edge t.graph u v;
+    add_in t u v;
     true
   end
   else begin
@@ -233,9 +359,14 @@ let insert_edge t u v =
       in
       List.iter2 (fun w p -> t.position.(w) <- p) affected pool;
       Graph.add_edge t.graph u v;
+      add_in t u v;
       true
     end
   end
 
 (* Removing an edge never breaks a topological order. *)
-let delete_edge t u v = Graph.remove_edge t.graph u v
+let delete_edge t u v =
+  if Graph.has_edge t.graph u v then begin
+    Graph.remove_edge t.graph u v;
+    remove_in t u v
+  end

@@ -12,9 +12,10 @@
     underlying structure while maintaining a valid topological order
     in-place (Pearce–Kelly), so structural moves on the search graph
     are served by the same {!refresh} worklist as weight changes.
-    Node and edge weights are read through the provided callbacks, so
-    the caller mutates its own weight store and then calls {!refresh}
-    with the affected nodes. *)
+    Node and edge weights are read through the provided callbacks and
+    cached: the caller mutates its own weight store and then calls
+    {!refresh} with the affected nodes, which is when the cache is
+    re-read. *)
 
 open Repro_taskgraph
 
@@ -32,7 +33,8 @@ val insert_edge : t -> int -> int -> bool
     valid topological order if needed.  Returns [false] — with the
     graph and order left untouched — when the edge would create a
     cycle; returns [true] if the edge was added (or already present).
-    Completion times are {e not} updated: pass [v] to {!refresh}.
+    Completion times are {e not} updated, and the new edge's cached
+    weight is read now: pass [v] to {!refresh}.
     The cost is that of the search over the reordered region, not of
     the graph size. *)
 
@@ -54,10 +56,14 @@ val refresh : t -> int list -> unit
 (** [refresh t dirty] re-reads the weights of the [dirty] nodes (and of
     their incoming edges) and propagates changes through their
     downstream cones.  Nodes whose completion time is unaffected are
-    not touched. *)
+    not touched.  The weights of nodes not in [dirty] — and of their
+    incoming edges — are {e not} re-read, even where the cone passes
+    through them: every node whose weight or in-edge weight changed
+    must be listed. *)
 
 val recompute : t -> unit
-(** Full recomputation (reference semantics for tests/benches). *)
+(** Full recomputation, re-reading every weight (reference semantics
+    for tests/benches). *)
 
 val touched_last_refresh : t -> int
 (** Number of nodes re-evaluated by the last {!refresh} — exposed to

@@ -427,6 +427,151 @@ let qcheck_large_dags =
           !rejected > 0
         with Exit -> false)
 
+(* The cached-weight contract: [refresh] re-reads only the nodes it is
+   given, so each edit below passes exactly its documented dirty node —
+   the target of an inserted, deleted or re-weighted edge, the node of a
+   changed weight — and a batch of edits passes their union.  A hub
+   sink gains 50+ in-edges, far past the slack its in-edge slice was
+   created with, so the slice is relocated (and the store compacted)
+   several times, then loses them again.  After every refresh the
+   completion times must carry the bits of a fresh [create] over a copy
+   of the graph. *)
+let qcheck_cached_weights =
+  QCheck.Test.make ~name:"cached weights track a fresh create bitwise"
+    ~count:25
+    QCheck.(pair small_int (int_range 60 120))
+    (fun (seed, n) ->
+      (* The shrinker may step outside the range. *)
+      let n = max 60 n in
+      let rng = Rng.create (seed + 101) in
+      let hub = n - 1 in
+      let g = Graph.create n in
+      for u = 0 to n - 3 do
+        for v = u + 1 to n - 2 do
+          if Rng.bernoulli rng 0.05 then Graph.add_edge g u v
+        done
+      done;
+      Graph.add_edge g 0 hub;
+      let weights = Array.init n (fun _ -> Rng.float rng 10.0) in
+      let edge_weights = Array.init (n * n) (fun _ -> Rng.float rng 3.0) in
+      let node_weight v = weights.(v) in
+      let edge_weight u v = edge_weights.((u * n) + v) in
+      match Longest_path.create g ~node_weight ~edge_weight with
+      | None -> false
+      | Some lp ->
+        let same () =
+          match
+            Longest_path.create (Graph.copy g) ~node_weight ~edge_weight
+          with
+          | None -> false
+          | Some fresh ->
+            let a = Longest_path.finish_array lp
+            and b = Longest_path.finish_array fresh in
+            Array.for_all2
+              (fun x y -> Int64.bits_of_float x = Int64.bits_of_float y)
+              a b
+            && Int64.bits_of_float (Longest_path.makespan lp)
+               = Int64.bits_of_float (Longest_path.makespan fresh)
+        in
+        (* Only [grow] and [shrink] edit the hub's in-edges. *)
+        let random_edit () =
+          let u = Rng.int rng (n - 1) and v = Rng.int rng (n - 1) in
+          match Rng.int rng 4 with
+          | 0 ->
+            if u <> v && Graph.has_edge g u v then begin
+              Longest_path.delete_edge lp u v;
+              [ v ]
+            end
+            else if Longest_path.insert_edge lp u v then [ v ]
+            else []
+          | 1 -> (
+            match Graph.succs g u with
+            | [] -> []
+            | succs ->
+              let w = Rng.choice_list rng succs in
+              edge_weights.((u * n) + w) <- Rng.float rng 3.0;
+              [ w ])
+          | _ ->
+            let v = Rng.int rng n in
+            weights.(v) <- Rng.float rng 10.0;
+            [ v ]
+        in
+        let hub_in = ref [] in
+        let grow () =
+          let u = Rng.int rng (n - 1) in
+          if Graph.has_edge g u hub then []
+          else begin
+            (* The hub is a sink: an edge into it never closes a cycle. *)
+            if not (Longest_path.insert_edge lp u hub) then raise Exit;
+            hub_in := u :: !hub_in;
+            [ hub ]
+          end
+        in
+        let shrink () =
+          match !hub_in with
+          | [] -> []
+          | u :: rest ->
+            hub_in := rest;
+            Longest_path.delete_edge lp u hub;
+            [ hub ]
+        in
+        let round edit =
+          let dirty =
+            List.concat (List.init (1 + Rng.int rng 4) (fun _ -> edit ()))
+          in
+          Longest_path.refresh lp dirty;
+          if Longest_path.touched_last_refresh lp > n || not (same ()) then
+            raise Exit
+        in
+        try
+          while List.length !hub_in < 55 do
+            round (fun () -> if Rng.bernoulli rng 0.5 then grow () else random_edit ())
+          done;
+          let peak = Graph.in_degree g hub in
+          while !hub_in <> [] do
+            round (fun () -> if Rng.bernoulli rng 0.5 then shrink () else random_edit ())
+          done;
+          peak > 50 && Graph.in_degree g hub = 1
+        with Exit -> false)
+
+(* Minor-heap words allocated by [f]; the two readings themselves
+   account for a handful. *)
+let minor_words f =
+  let before = Gc.minor_words () in
+  f ();
+  Gc.minor_words () -. before
+
+(* The refresh cone reads cached weights in a plain loop with an
+   unboxed accumulator: a one-node refresh whose cone covers hundreds
+   of nodes allocates only for re-reading the one dirty node. *)
+let test_refresh_allocation () =
+  let n = 400 in
+  let g = Graph.create n in
+  for v = 1 to n - 1 do
+    Graph.add_edge g (v - 1) v;
+    if v >= 3 then Graph.add_edge g (v - 3) v
+  done;
+  let weights = Array.make n 1.0 in
+  match
+    Longest_path.create g
+      ~node_weight:(fun v -> weights.(v))
+      ~edge_weight:(fun u v -> float_of_int ((u + v) mod 3))
+  with
+  | None -> Alcotest.fail "DAG"
+  | Some lp ->
+    (* Warm-up: the worklist heap grows to its working size once. *)
+    weights.(0) <- 2.0;
+    Longest_path.refresh lp [ 0 ];
+    weights.(0) <- 3.0;
+    let words = minor_words (fun () -> Longest_path.refresh lp [ 0 ]) in
+    let touched = Longest_path.touched_last_refresh lp in
+    Alcotest.(check bool)
+      (Printf.sprintf "cone covers the chain (%d nodes)" touched)
+      true (touched >= 300);
+    Alcotest.(check bool)
+      (Printf.sprintf "one-node refresh allocates <= 64 words (%.0f)" words)
+      true (words <= 64.0)
+
 let suite =
   [
     Alcotest.test_case "create matches reference" `Quick
@@ -443,4 +588,7 @@ let suite =
     QCheck_alcotest.to_alcotest qcheck_dynamic_edges;
     QCheck_alcotest.to_alcotest qcheck_large_dags;
     QCheck_alcotest.to_alcotest qcheck_makespan_is_the_fold;
+    QCheck_alcotest.to_alcotest qcheck_cached_weights;
+    Alcotest.test_case "refresh allocates nothing per node" `Quick
+      test_refresh_allocation;
   ]

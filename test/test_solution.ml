@@ -648,6 +648,86 @@ let test_replace_platform () =
   Solution.replace_platform s (platform ~n_clb:200 ());
   Alcotest.(check bool) "fits 200" true (Solution.evaluate s <> None)
 
+(* [save] records the version of the assignment arrays, not a copy: an
+   undo spanning 100k accepted moves (and as many writes to the
+   arrays) reroots the whole chain back, without deep recursion, to
+   the exact saved state. *)
+let test_long_undo () =
+  let application, plat = md28 () in
+  let n = App.size application in
+  let s = Solution.random (Rng.create 11) application plat in
+  let want_eval = Solution.evaluate s in
+  let want_code = Solution.encode s in
+  let want_impl = List.init n (Solution.impl_index s) in
+  let want_binding = List.init n (Solution.binding s) in
+  let undo = Solution.save s in
+  let rng = Rng.create 12 in
+  let accepted = ref 0 in
+  while !accepted < 100_000 do
+    match Repro_dse.Moves.propose rng Repro_dse.Moves.fixed_architecture s with
+    | Some _ -> incr accepted
+    | None -> ()
+  done;
+  Alcotest.(check bool) "the moves changed the state" true
+    (Solution.encode s <> want_code);
+  undo ();
+  Alcotest.(check bool) "invariants" true (ok (Solution.check_invariants s));
+  Alcotest.(check string) "encoding restored" want_code (Solution.encode s);
+  Alcotest.(check (list int)) "implementations restored" want_impl
+    (List.init n (Solution.impl_index s));
+  Alcotest.(check bool) "bindings restored" true
+    (want_binding = List.init n (Solution.binding s));
+  match (want_eval, Solution.evaluate s, Searchgraph.evaluate (Solution.spec s))
+  with
+  | Some want, Some got, Some reference ->
+    Alcotest.(check bool) "evaluation restored, bit for bit" true
+      (same_eval want got && same_eval got reference)
+  | _ -> Alcotest.fail "expected a feasible evaluation"
+
+(* The benchmark's ~1000-task layered graph, 600-CLB contexts. *)
+let layered1k () =
+  let rec find seed =
+    let app =
+      Generators.layered ~name:"layered1k" (Rng.create seed)
+        Generators.default_impl_model ~layers:8 ~width:250
+        ~edge_probability:0.015 ~mean_sw_time:2.0 ~mean_kbytes:8.0
+    in
+    if App.size app >= 1000 then app else find (seed + 1)
+  in
+  let app = find 1 in
+  (app, Platform.with_rc_size (Repro_workloads.Suite.platform_for app) 600)
+
+(* Words allocated by [f] on both heaps (arrays this large would go
+   straight to the major heap); the readings themselves account for a
+   handful.  [Gc.counters]' minor count leaves out the words allocated
+   since the last minor collection, [Gc.minor_words] does not. *)
+let words_allocated f =
+  let total () =
+    let _, promoted, major = Gc.counters () in
+    Gc.minor_words () +. major -. promoted
+  in
+  let before = total () in
+  let r = f () in
+  (r, total () -. before)
+
+(* On a ~1000-task solution, [save] costs a constant: it allocates no
+   copy of the n-sized assignment arrays. *)
+let test_save_allocation () =
+  let application, plat = layered1k () in
+  let s = Solution.random (Rng.create 3) application plat in
+  ignore (Solution.makespan s);
+  let want_code = Solution.encode s in
+  let undo, words = words_allocated (fun () -> Solution.save s) in
+  Alcotest.(check bool)
+    (Printf.sprintf "save allocates <= 64 words (%.0f)" words)
+    true (words <= 64.0);
+  let rng = Rng.create 4 in
+  for _ = 1 to 20 do
+    ignore (Repro_dse.Moves.propose rng Repro_dse.Moves.fixed_architecture s)
+  done;
+  undo ();
+  Alcotest.(check string) "undone" want_code (Solution.encode s)
+
 let suite =
   [
     Alcotest.test_case "all software" `Quick test_all_software;
@@ -683,4 +763,6 @@ let suite =
     QCheck_alcotest.to_alcotest qcheck_paranoid_deltas;
     Alcotest.test_case "replace platform" `Quick test_replace_platform;
     Alcotest.test_case "makespan path (md28, g128)" `Quick test_makespan_path;
+    Alcotest.test_case "undo across 100k accepted moves" `Quick test_long_undo;
+    Alcotest.test_case "save allocates O(1) words" `Quick test_save_allocation;
   ]
