@@ -45,8 +45,10 @@ examples:
 # Deterministic fault drills: the in-process fault suite, then — for
 # several seeds — crash a checkpointed CLI run at an injected
 # evaluation fault and prove the checkpoint resumes to completion,
-# and crash the job daemon mid-queue at an injected job fault and
-# prove recovery leaves every job in exactly one outcome directory.
+# interrupt a checkpointed dse-sweep mid-cell and prove the resumed
+# table equals an uninterrupted one, and crash the job daemon
+# mid-queue at an injected job fault and prove recovery leaves every
+# job in exactly one outcome directory.
 faultcheck: build
 	dune exec -- test/test_main.exe test fault
 	@set -e; for seed in 1 2 3; do \
@@ -117,6 +119,22 @@ faultcheck: build
 	  fi; \
 	  rm -f $$ck $$clean $$clean.cmp $$resumed $$resumed.cmp; \
 	done; echo "faultcheck portfolio kill/resume drill OK"
+	@set -e; for j in 1 2; do \
+	  flags="--sizes 200,2000 --runs 1 --iters 200000 -j $$j"; \
+	  ck=$$(mktemp -u); clean=$$(mktemp); resumed=$$(mktemp); \
+	  echo "faultcheck: dse-sweep -j $$j interrupt/resume (--time-budget 0.3)"; \
+	  dune exec -- bin/dse_sweep.exe $$flags > $$clean; \
+	  status=0; dune exec -- bin/dse_sweep.exe $$flags --checkpoint $$ck \
+	    --time-budget 0.3 >/dev/null 2>&1 || status=$$?; \
+	  if [ $$status != 3 ]; then \
+	    echo "faultcheck: sweep -j $$j: interrupted run exited $$status, want 3"; \
+	    exit 1; fi; \
+	  dune exec -- bin/dse_sweep.exe $$flags --checkpoint $$ck > $$resumed; \
+	  if ! diff $$clean $$resumed; then \
+	    echo "faultcheck: sweep -j $$j: resumed table differs from clean run"; \
+	    exit 1; fi; \
+	  rm -f $$ck $$clean $$resumed; \
+	done; echo "faultcheck sweep interrupt/resume drill OK"
 	@set -e; for seed in 1 2 3; do \
 	  spool=$$(mktemp -d); \
 	  echo "faultcheck: serve drill seed $$seed (REPRO_FAULTS=job:1)"; \

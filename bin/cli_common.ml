@@ -2,6 +2,7 @@
    wiring, result files, campaign cells and exit codes. *)
 
 module Explorer = Repro_dse.Explorer
+module Engine = Repro_dse.Engine
 module Solution = Repro_dse.Solution
 module Interrupt = Repro_util.Interrupt
 module Clock = Repro_util.Clock
@@ -102,7 +103,7 @@ let write_result ?restarts path ~status ~(result : Explorer.result) =
 (* Restart-level checkpointing for the campaign tools (dse-sweep,
    dse-compare): the unit of work is an indexed cell whose result
    depends only on its index, so a store of completed cells can be
-   persisted after every chunk and a rerun with the same flags skips
+   persisted after every cell and a rerun with the same flags skips
    them.  The store is a Checkpoint payload: a fingerprint line (the
    campaign parameters) followed by one "<index>\t<encoded>" line per
    completed cell. *)
@@ -157,70 +158,75 @@ let save_cells ck table =
            (Printf.sprintf "%d\t%s\n" index (ck.encode (Hashtbl.find table index))));
   Repro_util.Checkpoint.save ck.ckpt_path ~kind:ck.kind (Buffer.contents buffer)
 
-(* Run [n] cells in chunks of [jobs] under the supervised pool: after
-   each chunk the completed set is flushed to the checkpoint (when
-   given) and the stop probe is polled, so SIGINT or an exhausted time
-   budget stops at a restart boundary with all finished work
-   persisted.  A cell that raises or exceeds [cell_timeout] no longer
-   aborts the campaign: the loss is recorded as a warning and the
-   campaign completes degraded over the survivors.  [`Complete] hence
-   carries an option per cell (None = lost) plus the warning list;
-   cells that timed out but salvaged a best-so-far value are kept
-   *and* warned about. *)
-let run_cells ?checkpoint ?cell_timeout ?(retries = 0) ~jobs ~should_stop n
-    cell =
+(* Run [n] cells in one supervised pool call.  A cell returns its value
+   and its search's status, and is filed into the table and checkpoint
+   as it finishes.  A cell the stop cut short or left unstarted is not
+   filed, so a rerun resumes to exactly the uninterrupted result, and
+   the run is [`Interrupted] (completed, total).  A cell that raises or
+   exceeds [cell_timeout] is a warning, not an abort: [`Complete]
+   carries an option per cell (None = lost) plus the warnings; a cell
+   that timed out but salvaged a best-so-far value is kept and warned
+   about. *)
+let run_cells ?checkpoint ?cell_timeout ~jobs ~should_stop n cell =
   let completed = match checkpoint with
     | Some ck -> load_cells ck
     | None -> Hashtbl.create 64
   in
+  let pending =
+    List.init n Fun.id
+    |> List.filter (fun i -> not (Hashtbl.mem completed i))
+    |> Array.of_list
+  in
+  (* Worker domains file under [lock]; a failed checkpoint write is
+     re-raised once the pool has drained. *)
+  let lock = Mutex.create () in
+  let save_failure = ref None in
+  let file index value =
+    Mutex.lock lock;
+    Hashtbl.replace completed index value;
+    (match checkpoint with
+     | Some ck ->
+       (try save_cells ck completed
+        with exn ->
+          if Option.is_none !save_failure then save_failure := Some exn)
+     | None -> ());
+    Mutex.unlock lock
+  in
+  let outcomes =
+    Repro_util.Parallel.map_outcomes ~jobs ?timeout:cell_timeout ~should_stop
+      (Array.length pending)
+      (fun j ~stop ->
+        let value, status = cell pending.(j) ~stop in
+        (* An interrupted search under a global stop was cut short by
+           it; under no global stop its own deadline ended it, and the
+           best-so-far is kept. *)
+        if status = Engine.Complete || not (should_stop ()) then
+          file pending.(j) value)
+  in
+  Option.iter raise !save_failure;
   let warnings = ref [] in
   let warn index msg = warnings := (index, msg) :: !warnings in
-  let pending =
-    List.filter (fun i -> not (Hashtbl.mem completed i)) (List.init n Fun.id)
-  in
-  let chunk_size = max 1 jobs in
-  let rec go pending =
-    match pending with
-    | [] ->
-      `Complete
-        ( Array.init n (fun i -> Hashtbl.find_opt completed i),
-          List.sort compare !warnings )
-    | _ when should_stop () -> `Interrupted (Hashtbl.length completed, n)
-    | _ ->
-      let chunk, rest =
-        let rec split k acc = function
-          | x :: rest when k > 0 -> split (k - 1) (x :: acc) rest
-          | rest -> (Array.of_list (List.rev acc), rest)
-        in
-        split chunk_size [] pending
-      in
-      let outcomes =
-        Repro_util.Parallel.map_outcomes ~jobs ~retries ?timeout:cell_timeout
-          ~should_stop (Array.length chunk)
-          (fun j ~stop -> cell chunk.(j) ~stop)
-      in
-      Array.iteri
-        (fun j outcome ->
-          let index = chunk.(j) in
-          match outcome with
-          | Repro_util.Parallel.Done r -> Hashtbl.replace completed index r
-          | Repro_util.Parallel.Timed_out (Some r) ->
-            Hashtbl.replace completed index r;
-            warn index "timed out (best-so-far kept)"
-          | Repro_util.Parallel.Timed_out None ->
-            warn index "timed out with nothing to salvage; dropped"
-          | Repro_util.Parallel.Failed { error; attempts; _ } ->
-            warn index
-              (Printf.sprintf "failed after %d attempt(s): %s" attempts error)
-          | Repro_util.Parallel.Skipped ->
-            (* Global stop latched before the cell started; the next
-               loop iteration reports the interruption. *)
-            ())
-        outcomes;
-      (match checkpoint with Some ck -> save_cells ck completed | None -> ());
-      go rest
-  in
-  go pending
+  let interrupted = ref false in
+  Array.iteri
+    (fun j outcome ->
+      let index = pending.(j) in
+      match outcome with
+      | Repro_util.Parallel.Skipped -> interrupted := true
+      | Repro_util.Parallel.(Done () | Timed_out (Some ()))
+        when not (Hashtbl.mem completed index) ->
+        interrupted := true
+      | Repro_util.Parallel.Done () -> ()
+      | Repro_util.Parallel.Timed_out (Some ()) ->
+        warn index "timed out (best-so-far kept)"
+      | Repro_util.Parallel.Timed_out None ->
+        warn index "timed out with nothing to salvage; dropped"
+      | Repro_util.Parallel.Failed { error; _ } -> warn index ("failed: " ^ error))
+    outcomes;
+  if !interrupted then `Interrupted (Hashtbl.length completed, n)
+  else
+    `Complete
+      ( Array.init n (fun i -> Hashtbl.find_opt completed i),
+        List.sort compare !warnings )
 
 (* Print cell-loss warnings the same way in every campaign tool. *)
 let report_warnings ~what warnings =

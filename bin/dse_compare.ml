@@ -207,13 +207,14 @@ let run clbs seed sa_iters ga_generations ga_population evals engines_spec
       checkpoint_path
   in
   (* The engines do not poll a stop probe mid-method here, so a method
-     runs to completion; supervision still isolates a raising method
-     to its own row instead of losing the whole table. *)
+     runs to completion and every row is [Complete]; supervision still
+     isolates a raising method to its own row instead of losing the
+     whole table. *)
   let outcome =
     Cli_common.run_cells ?checkpoint ~jobs
       ~should_stop:(Cli_common.should_stop ~time_budget)
       (Array.length method_arr)
-      (fun i ~stop:_ -> method_arr.(i) ())
+      (fun i ~stop:_ -> (method_arr.(i) (), Engine.Complete))
   in
   match outcome with
   | `Interrupted (done_rows, total) ->

@@ -27,9 +27,14 @@ let run sizes iterations seed engine_name jobs device_timeout =
       app catalogue
   in
   let frontier = report.Explorer.frontier in
+  let cut_short = report.Explorer.devices_cut_short in
   Array.iteri
     (fun i outcome ->
       match outcome with
+      | Repro_util.Parallel.Done _ when List.mem i cut_short ->
+        Repro_util.Log.warn
+          "device %d CLBs: interrupted; its best-so-far point was used"
+          (List.nth sizes i)
       | Repro_util.Parallel.Done _ -> ()
       | Repro_util.Parallel.Timed_out (Some _) ->
         Repro_util.Log.warn
@@ -66,7 +71,15 @@ let run sizes iterations seed engine_name jobs device_timeout =
         ])
     frontier;
   print_string (Table.render table);
-  Cli_common.exit_ok
+  (* A stop that cut a device short or left one unstarted makes the
+     frontier provisional: exit 3, as every interrupted tool does. *)
+  if
+    cut_short <> []
+    || Array.exists
+         (function Repro_util.Parallel.Skipped -> true | _ -> false)
+         report.Explorer.device_outcomes
+  then Cli_common.exit_interrupted
+  else Cli_common.exit_ok
 
 let sizes_arg =
   Arg.(value & opt (list int) [] & info [ "sizes" ]

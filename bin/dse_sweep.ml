@@ -30,10 +30,11 @@ type point = {
 }
 
 (* One cell of the sweep grid: size x run index -> the per-run
-   measurements.  The seed depends only on the cell's coordinates.
-   [stop] is the supervisor's probe (global stop or this cell's
-   deadline): an over-budget cell flushes best-so-far at an iteration
-   boundary instead of hanging the sweep. *)
+   measurements and the search's status.  The seed depends only on the
+   cell's coordinates.  [stop] is the supervisor's probe (global stop
+   or this cell's deadline): an over-budget cell flushes best-so-far at
+   an iteration boundary instead of hanging the sweep, and says it was
+   interrupted so a cell the global stop cut short is not kept. *)
 let sweep_cell ?engine app ~n_clb ~iters ~base_seed ~run ~stop =
   let platform = Md.platform ~n_clb () in
   let seed = base_seed + (run * 7919) + n_clb in
@@ -54,11 +55,12 @@ let sweep_cell ?engine app ~n_clb ~iters ~base_seed ~run ~stop =
   in
   let result = Explorer.explore ?engine ~should_stop:stop config app platform in
   let eval = result.Explorer.best_eval in
-  ( eval.Repro_sched.Searchgraph.makespan,
-    eval.Repro_sched.Searchgraph.initial_reconfig,
-    eval.Repro_sched.Searchgraph.dynamic_reconfig,
-    eval.Repro_sched.Searchgraph.n_contexts,
-    Explorer.meets_deadline app eval )
+  ( ( eval.Repro_sched.Searchgraph.makespan,
+      eval.Repro_sched.Searchgraph.initial_reconfig,
+      eval.Repro_sched.Searchgraph.dynamic_reconfig,
+      eval.Repro_sched.Searchgraph.n_contexts,
+      Explorer.meets_deadline app eval ),
+    result.Explorer.status )
 
 (* Fold one size's cells, in run order, into a sweep point. *)
 let point_of_cells ~n_clb ~runs cells =
@@ -269,7 +271,7 @@ let jobs_arg =
 let checkpoint_arg =
   Arg.(value & opt (some string) None
        & info [ "checkpoint" ]
-           ~doc:"Persist completed sweep cells to $(docv) after every chunk; \
+           ~doc:"Persist each completed sweep cell to $(docv) as it finishes; \
                  if the file already exists (same flags), those cells are \
                  skipped — interrupt with SIGINT and rerun to resume"
            ~docv:"FILE")
@@ -277,8 +279,9 @@ let checkpoint_arg =
 let time_budget_arg =
   Arg.(value & opt (some float) None
        & info [ "time-budget" ]
-           ~doc:"Stop at the next chunk boundary once $(docv) wall-clock \
-                 seconds have elapsed (exit code 3)"
+           ~doc:"Stop once $(docv) wall-clock seconds have elapsed: running \
+                 cells stop at their next iteration boundary and are not \
+                 kept, and unstarted cells are skipped (exit code 3)"
            ~docv:"SECS")
 
 let restart_timeout_arg =

@@ -371,9 +371,8 @@ let not_done outcomes =
     (fun n -> function Parallel.Done _ -> n | _ -> n + 1)
     0 outcomes
 
-let explore_restarts ?trace ?(jobs = 1) ?restart_timeout ?should_stop
-    ?(retries = 0) ?engine ?restart_checkpoint ?warm_start ~restarts config
-    application platform =
+let explore_restarts ?trace ?(jobs = 1) ?restart_timeout ?should_stop ?engine
+    ?restart_checkpoint ?warm_start ~restarts config application platform =
   if restarts < 1 then invalid_arg "Explorer.explore_restarts: restarts < 1";
   (* Each chain's seed is a pure function of its index, and results are
      collected in index order, so the winner (first strict minimum) and
@@ -392,8 +391,8 @@ let explore_restarts ?trace ?(jobs = 1) ?restart_timeout ?should_stop
       application platform
   in
   let outcomes =
-    Parallel.map_outcomes ~jobs ~retries ?timeout:restart_timeout ?should_stop
-      restarts run_chain
+    Parallel.map_outcomes ~jobs ?timeout:restart_timeout ?should_stop restarts
+      run_chain
   in
   let survivors =
     Array.to_list outcomes
@@ -439,11 +438,11 @@ type frontier_report = {
   frontier : frontier_point list;
   device_outcomes : frontier_point Parallel.outcome array;
   devices_lost : int;
+  devices_cut_short : int list;
 }
 
 let cost_performance_frontier ?(seed = 1) ?(iterations = 20_000)
-    ?(jobs = 1) ?device_timeout ?should_stop ?(retries = 0) ?engine
-    application catalogue =
+    ?(jobs = 1) ?device_timeout ?should_stop ?engine application catalogue =
   (* One independent exploration per catalogue device: a natural
      parallel grid (same seed per device as sequentially).  A device
      whose exploration fails or runs out of budget drops out of the
@@ -451,8 +450,10 @@ let cost_performance_frontier ?(seed = 1) ?(iterations = 20_000)
      catalogue with that device excluded a priori, because candidates
      never interact before the final dominance pass. *)
   let devices = Array.of_list catalogue in
+  (* Slot [i] is written by device [i]'s body only. *)
+  let stopped_early = Array.make (Array.length devices) false in
   let outcomes =
-    Parallel.map_outcomes ~jobs ~retries ?timeout:device_timeout ?should_stop
+    Parallel.map_outcomes ~jobs ?timeout:device_timeout ?should_stop
       (Array.length devices)
       (fun i ~stop ->
         let platform = devices.(i) in
@@ -466,6 +467,7 @@ let cost_performance_frontier ?(seed = 1) ?(iterations = 20_000)
         let result =
           explore ~should_stop:stop ?engine config application platform
         in
+        stopped_early.(i) <- result.status = Engine.Interrupted;
         {
           platform;
           eval = result.best_eval;
@@ -480,4 +482,12 @@ let cost_performance_frontier ?(seed = 1) ?(iterations = 20_000)
     frontier = pareto_frontier candidates;
     device_outcomes = outcomes;
     devices_lost = not_done outcomes;
+    (* Under [Done] the device deadline had not expired, so the caller's
+       stop is what ended the search. *)
+    devices_cut_short =
+      List.filter
+        (fun i ->
+          stopped_early.(i)
+          && match outcomes.(i) with Parallel.Done _ -> true | _ -> false)
+        (List.init (Array.length devices) Fun.id);
   }

@@ -136,7 +136,7 @@ type restarts_report = {
 
 val explore_restarts :
   ?trace:Trace.t -> ?jobs:int -> ?restart_timeout:float ->
-  ?should_stop:(unit -> bool) -> ?retries:int -> ?engine:Engine.t ->
+  ?should_stop:(unit -> bool) -> ?engine:Engine.t ->
   ?restart_checkpoint:(int -> Engine.checkpoint) ->
   ?warm_start:Solution.t ->
   restarts:int -> config -> App.t -> Platform.t -> restarts_report
@@ -146,8 +146,8 @@ val explore_restarts :
     chain never costs the others their results.  Each restart runs
     under [restart_timeout] wall seconds (cooperatively — the deadline
     is the engine's stop probe, so an over-budget chain flushes and
-    yields best-so-far at an iteration boundary), is retried [retries]
-    extra times on failure, and resolves to its own
+    yields best-so-far at an iteration boundary), runs once — a
+    raising chain is lost, never retried — and resolves to its own
     {!Repro_util.Parallel.outcome}.  The report aggregates over
     survivors; consumers must treat [degraded > 0] as a partial (still
     deterministic) answer.  Raises [Invalid_argument] when
@@ -188,11 +188,16 @@ type frontier_report = {
   (** devices that did not complete cleanly; when positive the
       frontier is partial — it equals the frontier of the catalogue
       with those devices excluded a priori *)
+  devices_cut_short : int list;
+  (** catalogue indices, ascending, of devices whose exploration the
+      caller's [should_stop] ended early: each is [Done] and its
+      best-so-far point is a frontier candidate, so the frontier is
+      provisional *)
 }
 
 val cost_performance_frontier :
   ?seed:int -> ?iterations:int -> ?jobs:int -> ?device_timeout:float ->
-  ?should_stop:(unit -> bool) -> ?retries:int -> ?engine:Engine.t ->
+  ?should_stop:(unit -> bool) -> ?engine:Engine.t ->
   App.t -> Platform.t list -> frontier_report
 (** Explore the application once per catalogue platform (makespan
     objective) and keep the Pareto-dominant (platform cost, makespan)
@@ -203,8 +208,10 @@ val cost_performance_frontier :
     there; every device gets the same seed and budget, and [jobs]
     explores devices in parallel with identical output.
 
-    Supervised: each device explores under its own [device_timeout]
-    and failure isolation, and the report labels exactly which devices
-    the frontier covers.  Candidates never interact before the final
-    dominance pass, so the degraded frontier is the exact frontier of
-    the surviving sub-catalogue. *)
+    Supervised: each device explores once, under its own
+    [device_timeout] and failure isolation (a raising device is lost,
+    never retried), and the report labels exactly which devices the
+    frontier covers and which the caller's [should_stop] cut short.
+    Candidates never interact before the final dominance pass, so the
+    degraded frontier is the exact frontier of the surviving
+    sub-catalogue. *)

@@ -29,7 +29,7 @@ let () =
    (Parallel workers), hence the mutex. *)
 let enabled = Atomic.make false
 let lock = Mutex.create ()
-let plan : (site * int, bool) Hashtbl.t = Hashtbl.create 7
+let plan : (site * int, unit) Hashtbl.t = Hashtbl.create 7
 let eval_ticks = Atomic.make 0
 
 let disarm () =
@@ -39,10 +39,10 @@ let disarm () =
   Atomic.set eval_ticks 0;
   Atomic.set enabled false
 
-let arm_point ~site ~index ~transient =
+let arm_point ~site ~index =
   if index < 0 then invalid_arg "Fault.arm_point: negative index";
   Mutex.lock lock;
-  Hashtbl.replace plan (site, index) transient;
+  Hashtbl.replace plan (site, index) ();
   Mutex.unlock lock;
   Atomic.set enabled true
 
@@ -71,13 +71,8 @@ let parse_point point =
   | [ site; index ] ->
     let* site = site_of site in
     let* index = index_of index in
-    Ok (site, index, false)
-  | [ site; index; "transient" ] ->
-    let* site = site_of site in
-    let* index = index_of index in
-    Ok (site, index, true)
-  | [ _; _; flag ] -> fail "unknown flag %S (want transient)" flag
-  | _ -> fail "want site:index[:transient]"
+    Ok (site, index)
+  | _ -> fail "want site:index"
 
 let arm spec =
   let points =
@@ -93,8 +88,7 @@ let arm spec =
              | Ok p -> p
              | Error msg -> invalid_arg ("Fault.arm: " ^ msg))
   in
-  List.iter (fun (site, index, transient) -> arm_point ~site ~index ~transient)
-    points
+  List.iter (fun (site, index) -> arm_point ~site ~index) points
 
 let env_var = "REPRO_FAULTS"
 
@@ -106,24 +100,9 @@ let arm_from_env () =
 let armed () = Atomic.get enabled
 
 let fire site index =
-  let hit =
-    Mutex.lock lock;
-    let found =
-      match Hashtbl.find_opt plan (site, index) with
-      | None -> false
-      | Some transient ->
-        (* A transient fault fires exactly once, then the point heals;
-           once the last point is gone the probes go back to their
-           single-atomic-load idle cost. *)
-        if transient then begin
-          Hashtbl.remove plan (site, index);
-          if Hashtbl.length plan = 0 then Atomic.set enabled false
-        end;
-        true
-    in
-    Mutex.unlock lock;
-    found
-  in
+  Mutex.lock lock;
+  let hit = Hashtbl.mem plan (site, index) in
+  Mutex.unlock lock;
   if hit then
     raise
       (Injected (Printf.sprintf "injected fault at %s:%d" (site_name site) index))

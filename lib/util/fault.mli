@@ -12,31 +12,29 @@
     the repairs an [Fsck.run ~repair:true] pass applies, so an armed
     point crashes the auditor {e mid-repair}, the window the chaos
     drill uses to prove fsck is idempotent under its own crashes.
-    Points marked {e transient} fire exactly once and then heal — the
-    hook that proves [Parallel.map_outcomes ~retries] absorbs a
-    transient failure.
+    An armed point fires every time its (site, index) is reached,
+    until {!disarm}.
 
     When nothing is armed the probes cost a single atomic load, so the
     hooks stay in production code paths permanently.  Plans are armed
     programmatically ({!arm_point}, {!arm}) or from the [REPRO_FAULTS]
     environment variable — a comma-separated list of
-    [site:index[:transient]] entries, e.g.
-    [REPRO_FAULTS="worker:3,eval:120:transient"]. *)
+    [site:index] entries, e.g. [REPRO_FAULTS="worker:3,eval:120"]. *)
 
 type site = Eval | Worker | Job | Lease | Fsck
 
 exception Injected of string
 (** Raised at an armed point; the payload names the site and index. *)
 
-val arm_point : site:site -> index:int -> transient:bool -> unit
+val arm_point : site:site -> index:int -> unit
 (** Arm a single point.  Raises [Invalid_argument] on a negative
     index. *)
 
 val arm : string -> unit
-(** Arm every point of a [site:index[:transient]] comma-separated
-    spec.  Raises [Invalid_argument] on a malformed spec with a
-    one-line message naming the offending entry and the reason
-    (unknown site, malformed or negative index, unknown flag, empty
+(** Arm every point of a [site:index] comma-separated spec.  Raises
+    [Invalid_argument] on a malformed spec with a one-line message
+    naming the offending entry and the reason (unknown site, malformed
+    or negative index, anything but two [:]-separated fields, empty
     entry from a stray comma). *)
 
 val arm_from_env : unit -> unit
@@ -49,7 +47,7 @@ val disarm : unit -> unit
 (** Clear the plan and reset the evaluation counter. *)
 
 val armed : unit -> bool
-(** Whether any point is (still) armed. *)
+(** Whether any point is armed. *)
 
 val check : site -> int -> unit
 (** [check site index] raises {!Injected} iff the plan contains

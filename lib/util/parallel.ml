@@ -35,7 +35,7 @@ let run ?jobs n item =
 
 type 'a outcome =
   | Done of 'a
-  | Failed of { exn : exn; error : string; trace : string; attempts : int }
+  | Failed of { exn : exn; error : string; trace : string }
   | Timed_out of 'a option
   | Skipped
 
@@ -49,13 +49,7 @@ let outcome_value = function
   | Done v | Timed_out (Some v) -> Some v
   | Failed _ | Timed_out None | Skipped -> None
 
-(* Per-index jitter stream: a pure function of the item index, so
-   retry pacing never perturbs the work's own RNG streams and a rerun
-   backs off at the same virtual instants. *)
-let jitter_seed = 0x6a1b5eed
-
-let map_outcomes ?jobs ?(retries = 0) ?backoff ?timeout ?should_stop n body =
-  if retries < 0 then invalid_arg "Parallel.map_outcomes: negative retries";
+let map_outcomes ?jobs ?timeout ?should_stop n body =
   (match timeout with
    | Some seconds when seconds < 0.0 || Float.is_nan seconds ->
      invalid_arg "Parallel.map_outcomes: negative timeout"
@@ -67,41 +61,27 @@ let map_outcomes ?jobs ?(retries = 0) ?backoff ?timeout ?should_stop n body =
     (* An item never starts once a global stop is pending: the slot is
        [Skipped], distinguishable from work that ran and failed. *)
     if stop_requested () then Skipped
-    else begin
+    else
       let expired =
         match timeout with
         | None -> fun () -> false
         | Some seconds -> Clock.deadline ~seconds
       in
       let stop () = stop_requested () || expired () in
-      let rng = Rng.create (jitter_seed + i) in
-      let rec attempt k =
-        match
-          Fault.check Fault.Worker i;
-          body i ~stop
-        with
-        | value ->
-          (* A cooperative body that observed its deadline returns its
-             best-so-far; the outcome still says the budget ran out. *)
-          if expired () then Timed_out (Some value) else Done value
-        | exception exn ->
-          let trace =
-            Printexc.raw_backtrace_to_string (Printexc.get_raw_backtrace ())
-          in
-          if expired () then Timed_out None
-          else if k < retries && not (stop_requested ()) then begin
-            (match backoff with
-             | None -> ()
-             | Some policy ->
-               Unix.sleepf (Backoff.delay policy rng ~attempt:k));
-            attempt (k + 1)
-          end
-          else
-            Failed
-              { exn; error = Printexc.to_string exn; trace; attempts = k + 1 }
-      in
-      attempt 0
-    end
+      match
+        Fault.check Fault.Worker i;
+        body i ~stop
+      with
+      | value ->
+        (* A cooperative body that observed its deadline returns its
+           best-so-far; the outcome still says the budget ran out. *)
+        if expired () then Timed_out (Some value) else Done value
+      | exception exn ->
+        let trace =
+          Printexc.raw_backtrace_to_string (Printexc.get_raw_backtrace ())
+        in
+        if expired () then Timed_out None
+        else Failed { exn; error = Printexc.to_string exn; trace }
   in
   (* [item] catches everything, so one pathological slot cannot cost
      the others their results. *)

@@ -16,12 +16,11 @@ val default_jobs : unit -> int
 
 type 'a outcome =
   | Done of 'a                (** completed within its budget *)
-  | Failed of { exn : exn; error : string; trace : string; attempts : int }
-      (** raised on every attempt; [exn] is the last attempt's
-          exception, for a caller that must re-raise it or match on it
-          (an injected fault is a crash, a [Failure] carries its own
-          message), [error] its printed form, [attempts] how many times
-          the body ran *)
+  | Failed of { exn : exn; error : string; trace : string }
+      (** the body raised; [exn] is the exception, for a caller that
+          must re-raise it or match on it (an injected fault is a
+          crash, a [Failure] carries its own message), [error] its
+          printed form *)
   | Timed_out of 'a option
       (** the per-item deadline expired; [Some v] when the cooperative
           body returned a best-so-far value, [None] when it raised *)
@@ -36,8 +35,7 @@ val outcome_value : 'a outcome -> 'a option
 (** The salvaged value: [Done v] and [Timed_out (Some v)] carry one. *)
 
 val map_outcomes :
-  ?jobs:int -> ?retries:int -> ?backoff:Backoff.policy -> ?timeout:float ->
-  ?should_stop:(unit -> bool) -> int ->
+  ?jobs:int -> ?timeout:float -> ?should_stop:(unit -> bool) -> int ->
   (int -> stop:(unit -> bool) -> 'a) -> 'a outcome array
 (** [map_outcomes ~jobs n body] runs [body 0 .. body (n-1)] on up to
     [jobs] domains (default {!default_jobs}; clamped to [n]; [jobs = 1]
@@ -45,21 +43,21 @@ val map_outcomes :
     per item, in index order.  The pool {e never} aborts: each slot
     resolves to its own outcome and every other item still runs to its
     own conclusion; every spawned domain is joined before the call
-    returns.  The [Fault.Worker] probe fires inside each attempt, with
-    the item index as its index.
+    returns.  The [Fault.Worker] probe fires just before each body,
+    with the item index as its index.
 
     The body receives [~stop], a cooperative probe combining the
     caller's [should_stop] with the per-item [timeout] (seconds,
-    measured from the item's first attempt).  Long-running bodies
+    measured from the item's start).  Long-running bodies
     should poll it at natural boundaries and return their best-so-far
     early — such a return is classified [Timed_out (Some v)] when the
     deadline had expired, so partial work is kept, never lost.
 
-    Failures are retried up to [retries] extra times (default 0),
-    pacing attempts by [backoff] when given ([Backoff.delay] with a
-    per-index jitter stream, slept in the worker domain; retries never
-    perturb the body's own index-derived RNG).  An exhausted item is
-    [Failed] with the last attempt's printed exception and backtrace.
-    Items not yet started when [should_stop] turns true resolve to
-    [Skipped].  Raises [Invalid_argument] when [n < 0], [jobs < 1], or
-    [retries] or [timeout] is negative. *)
+    Each item runs once: a body that raises is [Failed] with its
+    printed exception and backtrace (retrying is the caller's policy,
+    as the job daemon's).  Items not yet started when [should_stop]
+    turns true resolve to [Skipped]; an item that ran under the stop
+    resolves to [Done] with whatever the body returned, so a body that
+    can be cut short must say so in its value.  Raises
+    [Invalid_argument] when [n < 0], [jobs < 1], or [timeout] is
+    negative. *)

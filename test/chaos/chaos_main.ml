@@ -120,7 +120,7 @@ let () =
   let rounds = 2 + Rng.int rng 2 in
   for round = 1 to rounds do
     let index = Rng.int_in rng 150 900 in
-    Fault.arm_point ~site:Fault.Eval ~index ~transient:false;
+    Fault.arm_point ~site:Fault.Eval ~index;
     (match Daemon.run config spool with
      | _ -> say "round %d: drained before eval fault %d" round index
      | exception Fault.Injected _ ->
@@ -213,7 +213,7 @@ let () =
      converges — repairs are ordered so a killed pass leaves every
      unapplied finding intact for the next run. *)
   let k = Rng.int rng 3 in
-  Fault.arm_point ~site:Fault.Fsck ~index:k ~transient:false;
+  Fault.arm_point ~site:Fault.Fsck ~index:k;
   (match Fsck.run ~repair:true spool with
    | _ -> say "fsck completed before repair %d" k
    | exception Fault.Injected _ -> say "fsck killed before repair %d" k);

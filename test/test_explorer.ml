@@ -220,7 +220,7 @@ let test_supervised_restarts_degrade () =
   let config = small_budget ~seed:5 ~iterations:800 () in
   (* Restart 1 dies on every attempt; the campaign must still complete
      over the survivors and label the loss. *)
-  Fault.arm_point ~site:Fault.Worker ~index:1 ~transient:false;
+  Fault.arm_point ~site:Fault.Worker ~index:1;
   let report =
     Explorer.explore_restarts ~restarts:3 config app platform
   in
@@ -278,7 +278,7 @@ let test_supervised_frontier_matches_a_priori_exclusion () =
   (* Device index 1 (800 CLBs) is lost; each device explores with the
      same seed independently, so the degraded frontier must equal the
      frontier of the catalogue without that device. *)
-  Fault.arm_point ~site:Fault.Worker ~index:1 ~transient:false;
+  Fault.arm_point ~site:Fault.Worker ~index:1;
   let report =
     Explorer.cost_performance_frontier ~seed:4 ~iterations:2_000 app catalogue
   in
@@ -303,6 +303,30 @@ let test_supervised_frontier_matches_a_priori_exclusion () =
   in
   Alcotest.(check bool) "frontier = a-priori exclusion" true
     (shape report.Explorer.frontier = shape excluded)
+
+let test_frontier_flags_devices_cut_short () =
+  (* One domain and a stop that trips on its 50th poll: the first
+     device's search is cut short at an iteration boundary and the
+     others never start.  The report must name the cut-short device. *)
+  let app = Md.app () in
+  let catalogue = List.map (fun n -> Md.platform ~n_clb:n ()) [ 200; 800 ] in
+  let polls = ref 0 in
+  let should_stop () = incr polls; !polls > 50 in
+  let report =
+    Explorer.cost_performance_frontier ~seed:4 ~iterations:200_000 ~jobs:1
+      ~should_stop app catalogue
+  in
+  Alcotest.(check (list string)) "statuses" [ "done"; "skipped" ]
+    (Array.to_list report.Explorer.device_outcomes
+     |> List.map Repro_util.Parallel.outcome_name);
+  Alcotest.(check (list int)) "device 0 cut short" [ 0 ]
+    report.Explorer.devices_cut_short;
+  let clean =
+    Explorer.cost_performance_frontier ~seed:4 ~iterations:2_000 ~jobs:1 app
+      catalogue
+  in
+  Alcotest.(check (list int)) "no stop, nothing cut short" []
+    clean.Explorer.devices_cut_short
 
 let test_quality_config () =
   let c0 = Explorer.quality_config 0.0 in
@@ -341,5 +365,7 @@ let suite =
       test_supervised_restarts_all_lost;
     Alcotest.test_case "degraded frontier = a-priori exclusion" `Quick
       test_supervised_frontier_matches_a_priori_exclusion;
+    Alcotest.test_case "frontier flags devices the stop cut short" `Quick
+      test_frontier_flags_devices_cut_short;
     Alcotest.test_case "quality config" `Quick test_quality_config;
   ]

@@ -1,7 +1,6 @@
 (* Deterministic fault injection: armed faults fire at exactly the
    chosen points, the domain pool survives a worker death (all domains
-   joined, the failure confined to its item's outcome, no deadlock),
-   and map_outcomes' retries absorb transient faults. *)
+   joined, the failure confined to its item's outcome, no deadlock). *)
 
 module Fault = Repro_util.Fault
 module Parallel = Repro_util.Parallel
@@ -14,27 +13,23 @@ let with_faults f = Fun.protect ~finally:Fault.disarm f
 let injected site index =
   Fault.Injected (Printf.sprintf "injected fault at %s:%d" site index)
 
-(* One line per item: its value, or how it failed and after how many
-   attempts. *)
+(* One line per item: its value, or how it failed. *)
 let describe outcomes =
   Array.to_list
     (Array.map
        (function
          | Parallel.Done v -> string_of_int v
-         | Parallel.Failed { error; attempts; _ } ->
-           Printf.sprintf "failed after %d: %s" attempts error
+         | Parallel.Failed { error; _ } -> "failed: " ^ error
          | outcome -> Parallel.outcome_name outcome)
        outcomes)
 
-let map ?retries ~jobs n f =
-  describe (Parallel.map_outcomes ?retries ~jobs n (fun i ~stop:_ -> f i))
+let map ~jobs n f =
+  describe (Parallel.map_outcomes ~jobs n (fun i ~stop:_ -> f i))
 
-let expect ?(attempts = 1) ~failing n f =
+let expect ~failing n f =
   List.init n (fun i ->
       if i = failing then
-        Printf.sprintf "failed after %d: Fault.Injected(injected fault at \
-                        worker:%d)"
-          attempts i
+        Printf.sprintf "failed: Fault.Injected(injected fault at worker:%d)" i
       else string_of_int (f i))
 
 let test_disarmed_is_silent () =
@@ -46,7 +41,7 @@ let test_disarmed_is_silent () =
 
 let test_worker_fault_propagates_pool_survives () =
   with_faults @@ fun () ->
-  Fault.arm_point ~site:Fault.Worker ~index:5 ~transient:false;
+  Fault.arm_point ~site:Fault.Worker ~index:5;
   let square i = i * i in
   (* The injected exception propagates into item 5's outcome, and only
      there: every other item completes. *)
@@ -63,29 +58,14 @@ let test_worker_fault_propagates_pool_survives () =
 
 let test_worker_fault_sequential () =
   with_faults @@ fun () ->
-  Fault.arm_point ~site:Fault.Worker ~index:2 ~transient:false;
+  Fault.arm_point ~site:Fault.Worker ~index:2;
   Alcotest.(check (list string)) "jobs=1 too"
     (expect ~failing:2 8 Fun.id)
     (map ~jobs:1 8 Fun.id)
 
-let test_retries_absorb_transient () =
-  with_faults @@ fun () ->
-  Fault.arm_point ~site:Fault.Worker ~index:3 ~transient:true;
-  Alcotest.(check (list string)) "recovered"
-    (List.init 16 (fun i -> string_of_int (i + 100)))
-    (map ~jobs:4 ~retries:2 16 (fun i -> i + 100));
-  Alcotest.(check bool) "transient point healed" false (Fault.armed ())
-
-let test_retries_exhaust_on_persistent () =
-  with_faults @@ fun () ->
-  Fault.arm_point ~site:Fault.Worker ~index:2 ~transient:false;
-  Alcotest.(check (list string)) "persistent fault wins"
-    (expect ~attempts:4 ~failing:2 8 Fun.id)
-    (map ~jobs:2 ~retries:3 8 Fun.id)
-
 let test_eval_site_counts_evaluations () =
   with_faults @@ fun () ->
-  Fault.arm_point ~site:Fault.Eval ~index:2 ~transient:false;
+  Fault.arm_point ~site:Fault.Eval ~index:2;
   (* Ticks 0 and 1 pass, tick 2 fires. *)
   Fault.tick_eval ();
   Fault.tick_eval ();
@@ -96,7 +76,7 @@ let test_eval_fault_reaches_explorer () =
   with_faults @@ fun () ->
   (* Solution evaluations tick the Eval site, so an armed point aborts
      an exploration deep inside the annealing loop. *)
-  Fault.arm_point ~site:Fault.Eval ~index:40 ~transient:false;
+  Fault.arm_point ~site:Fault.Eval ~index:40;
   let cfg =
     let base = Explorer.default_config ~seed:2 () in
     {
@@ -112,7 +92,7 @@ let test_eval_fault_reaches_explorer () =
 
 let test_spec_parsing () =
   with_faults @@ fun () ->
-  Fault.arm "worker:3, eval:120:transient";
+  Fault.arm "worker:3, eval:120";
   Alcotest.(check bool) "armed" true (Fault.armed ());
   Alcotest.check_raises "worker point live" (injected "worker" 3) (fun () ->
       Fault.check Fault.Worker 3);
@@ -120,67 +100,9 @@ let test_spec_parsing () =
   (match Fault.arm "nonsense" with
    | () -> Alcotest.fail "malformed spec accepted"
    | exception Invalid_argument _ -> ());
-  match Fault.arm_point ~site:Fault.Worker ~index:(-1) ~transient:false with
+  match Fault.arm_point ~site:Fault.Worker ~index:(-1) with
   | () -> Alcotest.fail "negative index accepted"
   | exception Invalid_argument _ -> ()
-
-let test_retry_attempt_count () =
-  (* Exhaustion is exact: a persistently failing item runs retries + 1
-     times and says so in its outcome; healthy items run exactly
-     once. *)
-  let attempts = Array.init 8 (fun _ -> Atomic.make 0) in
-  let body i =
-    Atomic.incr attempts.(i);
-    if i = 2 then failwith "persistent" else i
-  in
-  Alcotest.(check (list string)) "only item 2 fails"
-    (List.init 8 (fun i ->
-         if i = 2 then "failed after 4: Failure(\"persistent\")"
-         else string_of_int i))
-    (map ~jobs:2 ~retries:3 8 body);
-  Alcotest.(check (list int)) "attempts per item" [ 1; 1; 4; 1; 1; 1; 1; 1 ]
-    (Array.to_list (Array.map Atomic.get attempts))
-
-let test_retries_do_not_perturb_rng_streams () =
-  with_faults @@ fun () ->
-  (* Each item derives its randomness from its own index, so a retried
-     item replays the same draws: the healed run must be bit-identical
-     to a run that never faulted. *)
-  let body i =
-    let rng = Repro_util.Rng.create (500 + i) in
-    (Repro_util.Rng.float rng 1.0, Repro_util.Rng.int rng 1_000_000)
-  in
-  let values outcomes =
-    Array.map
-      (fun o ->
-        match Parallel.outcome_value o with
-        | Some v -> v
-        | None -> Alcotest.fail "a run lost an item")
-      outcomes
-  in
-  Fault.disarm ();
-  let clean =
-    values (Parallel.map_outcomes ~jobs:4 32 (fun i ~stop:_ -> body i))
-  in
-  Fault.arm_point ~site:Fault.Worker ~index:3 ~transient:true;
-  let retried =
-    values
-      (Parallel.map_outcomes ~jobs:4 ~retries:2 32 (fun i ~stop:_ -> body i))
-  in
-  Alcotest.(check bool) "retried run bit-identical" true (clean = retried);
-  (* Same contract with backoff pacing: the jitter draws come from a
-     separate per-index stream, never from the body's. *)
-  Fault.arm_point ~site:Fault.Worker ~index:7 ~transient:true;
-  let policy =
-    { Repro_util.Backoff.base = 1e-6; factor = 2.0; max_delay = 1e-5;
-      jitter = 0.5 }
-  in
-  let supervised =
-    Parallel.map_outcomes ~jobs:4 ~retries:2 ~backoff:policy 32
-      (fun i ~stop:_ -> body i)
-  in
-  Alcotest.(check bool) "backed-off run bit-identical" true
-    (clean = values supervised)
 
 let test_spec_error_fixtures () =
   (* Malformed $REPRO_FAULTS entries produce one-line messages naming
@@ -199,10 +121,12 @@ let test_spec_error_fixtures () =
         "Fault.arm: bad fault point \"worker:soon\": bad index \"soon\" \
          (want a non-negative integer)" );
       ( "worker:1:often",
-        "Fault.arm: bad fault point \"worker:1:often\": unknown flag \
-         \"often\" (want transient)" );
+        "Fault.arm: bad fault point \"worker:1:often\": want site:index" );
+      ( "worker:1:transient",
+        "Fault.arm: bad fault point \"worker:1:transient\": want \
+         site:index" );
       ( "worker",
-        "Fault.arm: bad fault point \"worker\": want site:index[:transient]" );
+        "Fault.arm: bad fault point \"worker\": want site:index" );
       ( "worker:1,",
         "Fault.arm: empty fault point in \"worker:1,\" (stray comma?)" );
       ( "eval:1,,worker:2",
@@ -224,7 +148,7 @@ let test_many_jobs_no_deadlock () =
      terminate with exactly the armed item failed. *)
   for round = 0 to 3 do
     Fault.disarm ();
-    Fault.arm_point ~site:Fault.Worker ~index:(10 + round) ~transient:false;
+    Fault.arm_point ~site:Fault.Worker ~index:(10 + round);
     Alcotest.(check (list string))
       (Printf.sprintf "round %d" round)
       (expect ~failing:(10 + round) 64 Fun.id)
@@ -239,14 +163,6 @@ let suite =
       test_worker_fault_propagates_pool_survives;
     Alcotest.test_case "worker fault at jobs=1" `Quick
       test_worker_fault_sequential;
-    Alcotest.test_case "retries absorb a transient fault" `Quick
-      test_retries_absorb_transient;
-    Alcotest.test_case "persistent fault beats retries" `Quick
-      test_retries_exhaust_on_persistent;
-    Alcotest.test_case "retry attempt count is exact" `Quick
-      test_retry_attempt_count;
-    Alcotest.test_case "retries never perturb rng streams" `Quick
-      test_retries_do_not_perturb_rng_streams;
     Alcotest.test_case "spec error fixtures" `Quick test_spec_error_fixtures;
     Alcotest.test_case "eval site counts evaluations" `Quick
       test_eval_site_counts_evaluations;

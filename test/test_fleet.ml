@@ -447,7 +447,7 @@ let test_lease_reclaim_drill_bit_identical () =
       enqueue spool "drill.json" (job_text restarts);
       (* Daemon A dies mid-job — evaluation 600 of the run — with its
          claim stamped, its lease on file and checkpoints flushed. *)
-      Fault.arm_point ~site:Fault.Eval ~index:600 ~transient:true;
+      Fault.arm_point ~site:Fault.Eval ~index:600;
       (match Daemon.run config spool with
        | _ -> Alcotest.fail (label "armed eval fault did not crash the daemon")
        | exception Fault.Injected _ -> ());

@@ -96,7 +96,7 @@ let supervised_restarts () =
 
 let degraded_restarts () =
   Fun.protect ~finally:Fault.disarm @@ fun () ->
-  Fault.arm_point ~site:Fault.Worker ~index:1 ~transient:false;
+  Fault.arm_point ~site:Fault.Worker ~index:1;
   let app, platform = md () in
   let report =
     Explorer.explore_restarts ~jobs:2 ~restarts:3

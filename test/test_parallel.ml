@@ -51,13 +51,12 @@ let test_map_outcomes_classification () =
   Fun.protect ~finally:Fault.disarm @@ fun () ->
   (* One faulted item: its slot is Failed, every other item is Done —
      the supervised pool never aborts. *)
-  Fault.arm_point ~site:Fault.Worker ~index:5 ~transient:false;
+  Fault.arm_point ~site:Fault.Worker ~index:5;
   let outcomes = Parallel.map_outcomes ~jobs:4 16 (fun i ~stop:_ -> i * 2) in
   Array.iteri
     (fun i outcome ->
       match (i, outcome) with
-      | 5, Parallel.Failed { attempts; _ } ->
-        Alcotest.(check int) "single attempt" 1 attempts
+      | 5, Parallel.Failed _ -> ()
       | 5, _ -> Alcotest.fail "faulted item not Failed"
       | i, Parallel.Done v ->
         Alcotest.(check int) (Printf.sprintf "item %d done" i) (i * 2) v
@@ -67,21 +66,6 @@ let test_map_outcomes_classification () =
     (Parallel.outcome_value outcomes.(5));
   Alcotest.(check string) "outcome_name" "failed"
     (Parallel.outcome_name outcomes.(5))
-
-let test_map_outcomes_retry_absorbs_transient () =
-  let module Fault = Repro_util.Fault in
-  Fun.protect ~finally:Fault.disarm @@ fun () ->
-  Fault.arm_point ~site:Fault.Worker ~index:3 ~transient:true;
-  let outcomes =
-    Parallel.map_outcomes ~jobs:2 ~retries:1 8 (fun i ~stop:_ -> i)
-  in
-  Array.iteri
-    (fun i outcome ->
-      match outcome with
-      | Parallel.Done v ->
-        Alcotest.(check int) (Printf.sprintf "item %d" i) i v
-      | _ -> Alcotest.fail "transient fault not absorbed")
-    outcomes
 
 let test_map_outcomes_skips_on_stop () =
   (* A latched stop before the run starts: every slot resolves to
@@ -120,9 +104,6 @@ let test_map_outcomes_timeout_salvages () =
     outcomes
 
 let test_map_outcomes_validates () =
-  (match Parallel.map_outcomes ~retries:(-1) 2 (fun i ~stop:_ -> i) with
-   | _ -> Alcotest.fail "negative retries accepted"
-   | exception Invalid_argument _ -> ());
   match Parallel.map_outcomes ~timeout:(-1.0) 2 (fun i ~stop:_ -> i) with
   | _ -> Alcotest.fail "negative timeout accepted"
   | exception Invalid_argument _ -> ()
@@ -171,8 +152,6 @@ let suite =
     Alcotest.test_case "invalid jobs rejected" `Quick test_invalid_jobs;
     Alcotest.test_case "map_outcomes isolates a failure" `Quick
       test_map_outcomes_classification;
-    Alcotest.test_case "map_outcomes retry absorbs a transient" `Quick
-      test_map_outcomes_retry_absorbs_transient;
     Alcotest.test_case "map_outcomes skips on latched stop" `Quick
       test_map_outcomes_skips_on_stop;
     Alcotest.test_case "map_outcomes timeout salvages best-so-far" `Quick

@@ -223,8 +223,9 @@ let test_version_one_refused () =
     (outcome_bits fresh = outcome_bits clean)
 
 let test_no_best_yet () =
-  (* Lane 0's first slice dies (a transient worker fault) and the stop
-     lands at that boundary: the flushed container holds no best yet.
+  (* Lane 0's first slice dies (its first evaluation is the armed eval
+     point; later evaluations count past it) and the stop lands at that
+     boundary: the flushed container holds no best yet.
      Resuming it must still match the uninterrupted (equally faulted)
      run bit for bit. *)
   let path = Filename.temp_file "dse-portfolio-nobest" ".ckpt" in
@@ -235,9 +236,10 @@ let test_no_best_yet () =
   @@ fun () ->
   let engine = engine_of rr_spec in
   let ckpt resume = { Engine.path; every = 1; resume } in
-  Fault.arm "worker:0:transient";
+  Fault.arm "eval:0";
   let clean = Engine.run engine (context ~seed:11 ~iterations:40 ()) in
-  Fault.arm "worker:0:transient";
+  Fault.disarm ();
+  Fault.arm "eval:0";
   (match
      Engine.run engine
        (context

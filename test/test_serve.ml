@@ -267,7 +267,7 @@ let test_daemon_crash_drill_loses_nothing () =
   enqueue spool "c.json" (tiny_job ~seed:7 ());
   (* The armed job point kills the daemon right after it claims its
      second job — claimed but unprocessed, the worst-case window. *)
-  Fault.arm_point ~site:Fault.Job ~index:1 ~transient:false;
+  Fault.arm_point ~site:Fault.Job ~index:1;
   (match Daemon.run quiet_config spool with
    | _ -> Alcotest.fail "armed job fault did not fire"
    | exception Fault.Injected _ -> ());
