@@ -1,8 +1,7 @@
 (* Shared plumbing for the dse-* command-line tools: SIGINT/deadline
-   wiring, result files, campaign cells and exit codes. *)
+   wiring, result files, cell-loss warnings and exit codes. *)
 
 module Explorer = Repro_dse.Explorer
-module Engine = Repro_dse.Engine
 module Solution = Repro_dse.Solution
 module Interrupt = Repro_util.Interrupt
 module Clock = Repro_util.Clock
@@ -99,134 +98,6 @@ let write_result ?restarts path ~status ~(result : Explorer.result) =
       ]
   in
   Atomic_io.write_string path (Json.obj fields ^ "\n")
-
-(* Restart-level checkpointing for the campaign tools (dse-sweep,
-   dse-compare): the unit of work is an indexed cell whose result
-   depends only on its index, so a store of completed cells can be
-   persisted after every cell and a rerun with the same flags skips
-   them.  The store is a Checkpoint payload: a fingerprint line (the
-   campaign parameters) followed by one "<index>\t<encoded>" line per
-   completed cell. *)
-type 'a cell_checkpoint = {
-  ckpt_path : string;
-  kind : string;
-  fingerprint : string;
-  encode : 'a -> string;  (* single line, may contain tabs *)
-  decode : string -> 'a;
-}
-
-let load_cells ck =
-  let table = Hashtbl.create 64 in
-  if Sys.file_exists ck.ckpt_path then begin
-    match Repro_util.Checkpoint.load ck.ckpt_path ~kind:ck.kind with
-    | Error msg -> fail "%s" msg
-    | Ok payload ->
-      (match String.split_on_char '\n' payload with
-       | fp :: lines when fp = ck.fingerprint ->
-         List.iter
-           (fun line ->
-             if line <> "" then
-               match String.index_opt line '\t' with
-               | Some tab ->
-                 let index =
-                   match int_of_string_opt (String.sub line 0 tab) with
-                   | Some i -> i
-                   | None ->
-                     fail "%s: malformed checkpoint cell index" ck.ckpt_path
-                 in
-                 Hashtbl.replace table index
-                   (ck.decode
-                      (String.sub line (tab + 1)
-                         (String.length line - tab - 1)))
-               | None -> fail "%s: malformed checkpoint cell" ck.ckpt_path)
-           lines
-       | _ :: _ | [] ->
-         fail
-           "%s: checkpoint was produced under different campaign parameters"
-           ck.ckpt_path)
-  end;
-  table
-
-let save_cells ck table =
-  let buffer = Buffer.create 1024 in
-  Buffer.add_string buffer ck.fingerprint;
-  Buffer.add_char buffer '\n';
-  Hashtbl.fold (fun index _ acc -> index :: acc) table []
-  |> List.sort compare
-  |> List.iter (fun index ->
-         Buffer.add_string buffer
-           (Printf.sprintf "%d\t%s\n" index (ck.encode (Hashtbl.find table index))));
-  Repro_util.Checkpoint.save ck.ckpt_path ~kind:ck.kind (Buffer.contents buffer)
-
-(* Run [n] cells in one supervised pool call.  A cell returns its value
-   and its search's status, and is filed into the table and checkpoint
-   as it finishes.  A cell the stop cut short or left unstarted is not
-   filed, so a rerun resumes to exactly the uninterrupted result, and
-   the run is [`Interrupted] (completed, total).  A cell that raises or
-   exceeds [cell_timeout] is a warning, not an abort: [`Complete]
-   carries an option per cell (None = lost) plus the warnings; a cell
-   that timed out but salvaged a best-so-far value is kept and warned
-   about. *)
-let run_cells ?checkpoint ?cell_timeout ~jobs ~should_stop n cell =
-  let completed = match checkpoint with
-    | Some ck -> load_cells ck
-    | None -> Hashtbl.create 64
-  in
-  let pending =
-    List.init n Fun.id
-    |> List.filter (fun i -> not (Hashtbl.mem completed i))
-    |> Array.of_list
-  in
-  (* Worker domains file under [lock]; a failed checkpoint write is
-     re-raised once the pool has drained. *)
-  let lock = Mutex.create () in
-  let save_failure = ref None in
-  let file index value =
-    Mutex.lock lock;
-    Hashtbl.replace completed index value;
-    (match checkpoint with
-     | Some ck ->
-       (try save_cells ck completed
-        with exn ->
-          if Option.is_none !save_failure then save_failure := Some exn)
-     | None -> ());
-    Mutex.unlock lock
-  in
-  let outcomes =
-    Repro_util.Parallel.map_outcomes ~jobs ?timeout:cell_timeout ~should_stop
-      (Array.length pending)
-      (fun j ~stop ->
-        let value, status = cell pending.(j) ~stop in
-        (* An interrupted search under a global stop was cut short by
-           it; under no global stop its own deadline ended it, and the
-           best-so-far is kept. *)
-        if status = Engine.Complete || not (should_stop ()) then
-          file pending.(j) value)
-  in
-  Option.iter raise !save_failure;
-  let warnings = ref [] in
-  let warn index msg = warnings := (index, msg) :: !warnings in
-  let interrupted = ref false in
-  Array.iteri
-    (fun j outcome ->
-      let index = pending.(j) in
-      match outcome with
-      | Repro_util.Parallel.Skipped -> interrupted := true
-      | Repro_util.Parallel.(Done () | Timed_out (Some ()))
-        when not (Hashtbl.mem completed index) ->
-        interrupted := true
-      | Repro_util.Parallel.Done () -> ()
-      | Repro_util.Parallel.Timed_out (Some ()) ->
-        warn index "timed out (best-so-far kept)"
-      | Repro_util.Parallel.Timed_out None ->
-        warn index "timed out with nothing to salvage; dropped"
-      | Repro_util.Parallel.Failed { error; _ } -> warn index ("failed: " ^ error))
-    outcomes;
-  if !interrupted then `Interrupted (Hashtbl.length completed, n)
-  else
-    `Complete
-      ( Array.init n (fun i -> Hashtbl.find_opt completed i),
-        List.sort compare !warnings )
 
 (* Print cell-loss warnings the same way in every campaign tool. *)
 let report_warnings ~what warnings =

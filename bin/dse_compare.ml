@@ -192,7 +192,7 @@ let run clbs seed sa_iters ga_generations ga_population evals engines_spec
     Option.map
       (fun path ->
         {
-          Cli_common.ckpt_path = path;
+          Repro_dse.Cell_grid.path;
           kind = "dse-compare";
           fingerprint =
             Printf.sprintf
@@ -211,7 +211,7 @@ let run clbs seed sa_iters ga_generations ga_population evals engines_spec
      isolates a raising method to its own row instead of losing the
      whole table. *)
   let outcome =
-    Cli_common.run_cells ?checkpoint ~jobs
+    Repro_dse.Cell_grid.run ?checkpoint ~jobs
       ~should_stop:(Cli_common.should_stop ~time_budget)
       (Array.length method_arr)
       (fun i ~stop:_ -> (method_arr.(i) (), Engine.Complete))

@@ -154,7 +154,7 @@ let run runs iters base_seed sizes engine_name csv_path jobs checkpoint_path
     Option.map
       (fun path ->
         {
-          Cli_common.ckpt_path = path;
+          Repro_dse.Cell_grid.path;
           kind = "dse-sweep";
           fingerprint =
             Printf.sprintf "sweep runs=%d iters=%d seed=%d engine=%s sizes=%s"
@@ -166,7 +166,7 @@ let run runs iters base_seed sizes engine_name csv_path jobs checkpoint_path
       checkpoint_path
   in
   let outcome =
-    Cli_common.run_cells ?checkpoint ?cell_timeout:restart_timeout ~jobs
+    Repro_dse.Cell_grid.run ?checkpoint ?cell_timeout:restart_timeout ~jobs
       ~should_stop:(Cli_common.should_stop ~time_budget)
       n_cells cell
   in

@@ -108,6 +108,21 @@ let test_map_outcomes_validates () =
   | _ -> Alcotest.fail "negative timeout accepted"
   | exception Invalid_argument _ -> ()
 
+let test_map_outcomes_runs_each_item_once () =
+  (* A raising item is Failed after its one run: the pool never
+     retries, so every body, failing or not, runs exactly once. *)
+  let runs = Array.init 8 (fun _ -> Atomic.make 0) in
+  let outcomes =
+    Parallel.map_outcomes ~jobs:3 8 (fun i ~stop:_ ->
+        Atomic.incr runs.(i);
+        if i = 2 then failwith "persistent" else i)
+  in
+  Alcotest.(check (list string)) "only item 2 fails"
+    (List.init 8 (fun i -> if i = 2 then "failed" else "done"))
+    (Array.to_list (Array.map Parallel.outcome_name outcomes));
+  Alcotest.(check (list int)) "runs per item" [ 1; 1; 1; 1; 1; 1; 1; 1 ]
+    (Array.to_list (Array.map Atomic.get runs))
+
 let small_config ~seed =
   let base = Explorer.default_config ~seed () in
   {
@@ -152,6 +167,8 @@ let suite =
     Alcotest.test_case "invalid jobs rejected" `Quick test_invalid_jobs;
     Alcotest.test_case "map_outcomes isolates a failure" `Quick
       test_map_outcomes_classification;
+    Alcotest.test_case "map_outcomes runs each item once" `Quick
+      test_map_outcomes_runs_each_item_once;
     Alcotest.test_case "map_outcomes skips on latched stop" `Quick
       test_map_outcomes_skips_on_stop;
     Alcotest.test_case "map_outcomes timeout salvages best-so-far" `Quick
