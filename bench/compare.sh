@@ -4,13 +4,14 @@
 #   bench/compare.sh OLD WORKLOAD PAIRS SECONDS
 #   make bench-compare OLD=<rev> W=<workload> PAIRS=<n> SECONDS=<s>
 #
-# Checks OLD out into a temporary git worktree (under $TMPDIR), then for
+# Exports OLD into a temporary directory (under $TMPDIR), then for
 # seeds 1..PAIRS runs the perfbench workload on OLD and on this checkout
-# in turn — parent, change, parent, change, ... — and hands the runs to
+# in turn (the parent first on odd seeds, the change first on even ones,
+# so neither side always runs second), and hands the runs to
 # `perfbench/run.py compare`, which pairs them by seed and prints each
 # metric's medians, quartiles, pair wins and verdict.  The first run on
 # each side pays for its build.  The raw runs stay in
-# .perfbench/compare/<workload>/ for a second look; the worktree is
+# .perfbench/compare/<workload>/ for a second look; the export is
 # removed on exit.
 set -eu
 
@@ -24,13 +25,9 @@ root=$(git rev-parse --show-toplevel)
 cd "$root"
 rev=$(git rev-parse --verify "$old^{commit}")
 tree=$(mktemp -d)
-cleanup() {
-  git worktree remove --force "$tree" >/dev/null 2>&1 || rm -rf "$tree"
-  git worktree prune
-}
-trap cleanup EXIT
+trap 'rm -rf "$tree"' EXIT
 trap 'exit 130' INT TERM
-git worktree add --detach "$tree" "$rev" >/dev/null 2>&1
+git archive "$rev" | tar -x -C "$tree"
 
 out=.perfbench/compare/$workload
 rm -rf "$out"
@@ -41,12 +38,22 @@ run() { # DIR SEED FILE
      --seconds "$seconds" --trace 0) > "$3"
 }
 
+parent() {
+  echo "bench-compare: $workload seed $1: parent $(echo "$rev" | cut -c1-8)" >&2
+  run "$tree" "$1" "$out/parent-$1.txt"
+}
+change() {
+  echo "bench-compare: $workload seed $1: change" >&2
+  run "$root" "$1" "$out/change-$1.txt"
+}
+
 seed=1
 while [ "$seed" -le "$pairs" ]; do
-  echo "bench-compare: $workload seed $seed: parent $(echo "$rev" | cut -c1-8)" >&2
-  run "$tree" "$seed" "$out/parent-$seed.txt"
-  echo "bench-compare: $workload seed $seed: change" >&2
-  run "$root" "$seed" "$out/change-$seed.txt"
+  if [ $((seed % 2)) -eq 1 ]; then
+    parent "$seed"; change "$seed"
+  else
+    change "$seed"; parent "$seed"
+  fi
   seed=$((seed + 1))
 done
 

@@ -30,15 +30,26 @@ val solution_of :
     decoded individuals flow through the engine contract. *)
 
 val fitness : App.t -> Platform.t -> individual -> float
-(** Makespan of the decoded individual.  [infinity] when the decoded
-    search graph is cyclic: the list-scheduled software order and the
-    clustered context chain follow two different topological orders,
-    and where they disagree the two chains close a cycle.  That is not
-    rare.  A traced perfbench run measures [ga.infeasible_ratio] at
-    about 0.56 on the 28-task study and 0.93-0.94 on the 132-task
-    [ga132] workload.  Such individuals are selected away; deriving
-    both orders from one is an open ROADMAP item ("Make the GA of [6]
-    feasible by construction"). *)
+(** Makespan of the decoded individual, bit for bit
+    [(Searchgraph.evaluate (decode app platform individual)).makespan],
+    without building the spec or the search graph: the same decode on
+    flat arrays, then one Kahn pass over the implicit search graph.
+    [infinity] when that graph is cyclic: the list-scheduled software
+    order and the clustered context chain follow two different
+    topological orders, and where they disagree the two chains close a
+    cycle.  That is not rare.  A traced perfbench run measures
+    [ga.infeasible_ratio] at about 0.56 on the 28-task study and
+    0.93-0.94 on the 132-task [ga132] workload.  Such individuals are
+    selected away; deriving both orders from one is an open ROADMAP
+    item ("Make the GA of [6] feasible by construction").  Each call
+    counts one evaluation for fault injection. *)
+
+val scorer : App.t -> Platform.t -> individual -> float
+(** [scorer app platform] allocates the decode tables of one run and
+    returns a function equal to [fitness app platform] that reuses
+    them, so scoring a chromosome allocates only a few words.  The
+    tables are mutable: give each domain its own scorer.  {!fitness}
+    builds fresh tables on every call. *)
 
 val engine :
   ?population:int -> ?explore_impls:bool -> unit -> Repro_dse.Engine.t

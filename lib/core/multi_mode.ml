@@ -100,55 +100,54 @@ type result = {
 (* Deterministic per-mode realization of the shared genes: clustering
    for the temporal partitioning, HEFT-ranked list scheduling for the
    processor order (the same decode as the GA baseline). *)
-let realize_mode problem platform assignment realized =
+let realize_mode platform assignment realized =
   let app = realized.app in
-  let limit = Platform.n_clb platform in
-  let global local = realized.to_global.(local) in
-  let impl_choice local =
-    let k = assignment.impl.(global local) in
-    let task = App.task app local in
-    if k < Task.impl_count task then k else 0
+  let n = App.size app in
+  let impl_choice =
+    Array.init n (fun local ->
+        let k = assignment.impl.(realized.to_global.(local)) in
+        if k < Task.impl_count (App.task app local) then k else 0)
   in
-  let fits local =
-    (Task.impl (App.task app local) (impl_choice local)).Task.clbs <= limit
+  let selected local = Task.impl (App.task app local) impl_choice.(local) in
+  let area =
+    Array.init n (fun local ->
+        if assignment.hw.(realized.to_global.(local)) then
+          (selected local).Task.clbs
+        else -1)
   in
-  let is_hw local = assignment.hw.(global local) && fits local in
-  let contexts = Clustering.contexts app platform ~is_hw ~impl_choice in
-  let position = Hashtbl.create 16 in
-  List.iteri
-    (fun j members -> List.iter (fun v -> Hashtbl.add position v j) members)
-    contexts;
-  let binding local =
-    match Hashtbl.find_opt position local with
-    | Some j -> Searchgraph.Hw j
-    | None -> Searchgraph.Sw
+  let context = Array.make n (-1) in
+  let count =
+    Clustering.contexts app ~limit:(Platform.n_clb platform) ~area ~context
   in
-  let time local =
-    match binding local with
-    | Searchgraph.Sw -> (App.task app local).Task.sw_time
-    | Searchgraph.Hw _ | Searchgraph.On_asic _ ->
-      (Task.impl (App.task app local) (impl_choice local)).Task.hw_time
+  let time =
+    Array.init n (fun local ->
+        if context.(local) < 0 then (App.task app local).Task.sw_time
+        else (selected local).Task.hw_time)
   in
-  let comm u v =
-    match (binding u, binding v) with
-    | Searchgraph.Sw, Searchgraph.Hw _ | Searchgraph.Hw _, Searchgraph.Sw ->
-      Platform.transfer_time platform (App.kbytes app u v)
-    | (Searchgraph.Sw | Searchgraph.Hw _ | Searchgraph.On_asic _), _ -> 0.0
+  let comm =
+    Array.init (App.edge_count app) (fun i ->
+        let { App.src; dst; kbytes } = App.edge app i in
+        if context.(src) < 0 <> (context.(dst) < 0) then
+          Platform.transfer_time platform kbytes
+        else 0.0)
   in
-  let rank = List_sched.upward_rank app ~time ~comm in
-  let sw_order =
-    List_sched.sw_order app
-      ~is_sw:(fun v -> binding v = Searchgraph.Sw)
-      ~priority:(fun v -> rank.(v))
-  in
-  ignore problem;
-  Searchgraph.single_processor_spec ~app ~platform ~binding ~impl_choice
-    ~sw_order ~contexts
+  let rank = Array.make n 0.0 and order = Array.make n 0 in
+  List_sched.upward_rank app ~time ~comm ~rank;
+  List_sched.prioritized_topological_order (List_sched.scratch n) app
+    ~priority:rank ~order;
+  let sw_order = List.filter (fun v -> context.(v) < 0) (Array.to_list order) in
+  Searchgraph.single_processor_spec ~app ~platform
+    ~binding:(fun local ->
+      if context.(local) < 0 then Searchgraph.Sw
+      else Searchgraph.Hw context.(local))
+    ~impl_choice:(fun local -> impl_choice.(local))
+    ~sw_order
+    ~contexts:(Clustering.members app ~context count)
 
 let realize problem platform assignment =
   List.map
     (fun realized ->
-      (realized.descriptor, realize_mode problem platform assignment realized))
+      (realized.descriptor, realize_mode platform assignment realized))
     problem.modes
 
 let slack_ratio descriptor eval =
@@ -160,7 +159,7 @@ let slack_ratio descriptor eval =
 let assignment_cost problem platform assignment =
   List.fold_left
     (fun worst realized ->
-      let spec = realize_mode problem platform assignment realized in
+      let spec = realize_mode platform assignment realized in
       match Searchgraph.evaluate spec with
       | Some eval -> Float.max worst (-.slack_ratio realized.descriptor eval)
       | None ->
@@ -233,7 +232,7 @@ let explore ?(seed = 1) ?(iterations = 20_000) problem platform =
   let per_mode =
     List.map
       (fun realized ->
-        let spec = realize_mode problem platform assignment realized in
+        let spec = realize_mode platform assignment realized in
         match Searchgraph.evaluate spec with
         | Some eval ->
           {

@@ -1,35 +1,32 @@
 open Repro_taskgraph
-open Repro_arch
 
-let clbs_of app impl_choice v =
-  (Task.impl (App.task app v) (impl_choice v)).Task.clbs
+let contexts app ~limit ~area ~context =
+  let topo = App.topo app in
+  let count = ref 0 and clbs = ref 0 in
+  for i = 0 to Array.length topo - 1 do
+    let v = topo.(i) in
+    let a = area.(v) in
+    if a >= 0 && a <= limit then begin
+      if !count = 0 || !clbs + a > limit then begin
+        incr count;
+        clbs := 0
+      end;
+      context.(v) <- !count - 1;
+      clbs := !clbs + a
+    end
+    else context.(v) <- -1
+  done;
+  !count
 
-let oversized_tasks app platform ~is_hw ~impl_choice =
-  let limit = Platform.n_clb platform in
-  List.filter
-    (fun v -> is_hw v && clbs_of app impl_choice v > limit)
-    (List.init (App.size app) Fun.id)
+let members app ~context count =
+  let lists = Array.make count [] in
+  let topo = App.topo app in
+  for i = Array.length topo - 1 downto 0 do
+    let v = topo.(i) in
+    let j = context.(v) in
+    if j >= 0 then lists.(j) <- v :: lists.(j)
+  done;
+  Array.to_list lists
 
-let contexts app platform ~is_hw ~impl_choice =
-  let limit = Platform.n_clb platform in
-  let topo = App.topological_order app in
-  let finished = ref [] in
-  let current = ref [] in
-  let current_clbs = ref 0 in
-  Array.iter
-    (fun v ->
-      if is_hw v then begin
-        let area = clbs_of app impl_choice v in
-        if area <= limit then begin
-          if !current_clbs + area > limit && !current <> [] then begin
-            finished := List.rev !current :: !finished;
-            current := [];
-            current_clbs := 0
-          end;
-          current := v :: !current;
-          current_clbs := !current_clbs + area
-        end
-      end)
-    topo;
-  if !current <> [] then finished := List.rev !current :: !finished;
-  List.rev !finished
+let oversized_tasks app ~limit ~area =
+  List.filter (fun v -> area.(v) > limit) (List.init (App.size app) Fun.id)

@@ -5,19 +5,28 @@
     clustering pass (this is precisely the limitation the paper's
     concurrent exploration removes).  The pass walks the hardware tasks
     in topological order and packs them into the current context until
-    the device capacity would be exceeded, then opens a new context. *)
+    the device capacity would be exceeded, then opens a new context.
+
+    The pass reads and writes flat arrays so that a decoder can run it
+    once per chromosome without allocating. *)
 
 open Repro_taskgraph
-open Repro_arch
 
 val contexts :
-  App.t -> Platform.t -> is_hw:(int -> bool) -> impl_choice:(int -> int) ->
-  int list list
-(** Contexts in execution order; every member satisfies [is_hw].
-    Tasks whose selected implementation alone exceeds the device are
-    skipped (the caller must treat them as software).  *)
+  App.t -> limit:int -> area:int array -> context:int array -> int
+(** [contexts app ~limit ~area ~context] packs the tasks with
+    [area.(v) >= 0] — the CLB area of the implementation selected for a
+    task that asks for hardware; software tasks carry a negative area —
+    into devices of [limit] CLBs.  It writes into [context.(v)] the
+    0-based position of task [v]'s context in execution order, or [-1]
+    when [v] stays in software, which includes every task whose area
+    alone exceeds [limit] (the caller must treat those as software).
+    Returns the number of contexts. *)
 
-val oversized_tasks :
-  App.t -> Platform.t -> is_hw:(int -> bool) -> impl_choice:(int -> int) ->
-  int list
+val members : App.t -> context:int array -> int -> int list list
+(** [members app ~context count] lists the members of each of the
+    [count] contexts written by {!contexts}, contexts in execution
+    order and members in topological order. *)
+
+val oversized_tasks : App.t -> limit:int -> area:int array -> int list
 (** The hardware-requested tasks that cannot fit the device at all. *)

@@ -1,46 +1,98 @@
 open Repro_taskgraph
-module Pqueue = Repro_util.Pqueue
 
-let upward_rank app ~time ~comm =
-  let g = app.App.graph in
-  let n = App.size app in
-  let rank = Array.make n 0.0 in
-  let order = App.topological_order app in
-  for i = n - 1 downto 0 do
-    let v = order.(i) in
-    let tail =
-      List.fold_left
-        (fun acc w -> Float.max acc (comm v w +. rank.(w)))
-        0.0 (Graph.succs g v)
+let upward_rank app ~time ~comm ~rank =
+  let outs = App.out_edges app and topo = App.topo app in
+  for i = Array.length topo - 1 downto 0 do
+    let v = topo.(i) in
+    let tail = ref 0.0 in
+    for k = outs.start.(v) to outs.start.(v + 1) - 1 do
+      tail := Float.max !tail (comm.(outs.edge.(k)) +. rank.(outs.node.(k)))
+    done;
+    rank.(v) <- time.(v) +. !tail
+  done
+
+type scratch = {
+  heap : int array;
+  stamp : int array;
+  indegree : int array;
+  mutable size : int;
+  mutable stamps : int;
+}
+
+let scratch n =
+  {
+    heap = Array.make n 0;
+    stamp = Array.make n 0;
+    indegree = Array.make n 0;
+    size = 0;
+    stamps = 0;
+  }
+
+(* The ready set is a binary min-heap of task ids under the strict
+   total order (higher priority, then earlier stamp): a task's stamp is
+   the count of tasks that became ready before it.  Every pop takes the
+   order's minimum, so the sequence does not depend on the heap's
+   internal layout. *)
+let before (priority : float array) stamp a b =
+  let pa = priority.(a) and pb = priority.(b) in
+  pa > pb || (pa = pb && stamp.(a) < stamp.(b))
+
+let push s priority v =
+  let heap = s.heap in
+  s.stamp.(v) <- s.stamps;
+  s.stamps <- s.stamps + 1;
+  let i = ref s.size in
+  s.size <- s.size + 1;
+  while !i > 0 && before priority s.stamp v heap.((!i - 1) / 2) do
+    heap.(!i) <- heap.((!i - 1) / 2);
+    i := (!i - 1) / 2
+  done;
+  heap.(!i) <- v
+
+let pop s priority =
+  let heap = s.heap and stamp = s.stamp in
+  let top = heap.(0) in
+  s.size <- s.size - 1;
+  let size = s.size in
+  let last = heap.(size) in
+  let i = ref 0 and sifting = ref true in
+  while !sifting do
+    let left = (2 * !i) + 1 in
+    let child =
+      if left + 1 < size && before priority stamp heap.(left + 1) heap.(left)
+      then left + 1
+      else left
     in
-    rank.(v) <- time v +. tail
+    if child < size && before priority stamp heap.(child) last then begin
+      heap.(!i) <- heap.(child);
+      i := child
+    end
+    else sifting := false
   done;
-  rank
+  heap.(!i) <- last;
+  top
 
-let prioritized_topological_order app ~priority =
-  let g = app.App.graph in
+let prioritized_topological_order s app ~priority ~order =
   let n = App.size app in
-  let indegree = Array.init n (fun v -> Graph.in_degree g v) in
-  let ready = Pqueue.create () in
-  (* Min-heap: negate priority so the largest priority pops first; tie
-     break on insertion order, which follows increasing task id. *)
+  if Array.length s.heap < n then
+    invalid_arg "List_sched: scratch smaller than the application";
+  let ins = App.in_edges app and outs = App.out_edges app in
+  let indegree = s.indegree in
+  s.size <- 0;
+  s.stamps <- 0;
   for v = 0 to n - 1 do
-    if indegree.(v) = 0 then Pqueue.push ready (-.priority v) v
+    indegree.(v) <- ins.start.(v + 1) - ins.start.(v);
+    if indegree.(v) = 0 then push s priority v
   done;
-  let rec drain acc =
-    match Pqueue.pop ready with
-    | None -> List.rev acc
-    | Some (_, v) ->
-      List.iter
-        (fun w ->
-          indegree.(w) <- indegree.(w) - 1;
-          if indegree.(w) = 0 then Pqueue.push ready (-.priority w) w)
-        (List.sort Int.compare (Graph.succs g v));
-      drain (v :: acc)
-  in
-  let order = drain [] in
-  assert (List.length order = n);
-  order
-
-let sw_order app ~is_sw ~priority =
-  List.filter is_sw (prioritized_topological_order app ~priority)
+  for i = 0 to n - 1 do
+    assert (s.size > 0);
+    let v = pop s priority in
+    order.(i) <- v;
+    (* Successors become ready in increasing id, as the out-slices are
+       sorted: part of the tie rule. *)
+    for k = outs.start.(v) to outs.start.(v + 1) - 1 do
+      let w = outs.node.(k) in
+      indegree.(w) <- indegree.(w) - 1;
+      if indegree.(w) = 0 then push s priority w
+    done
+  done

@@ -1,23 +1,33 @@
 (** List-scheduling primitives.
 
     The genetic-algorithm baseline (after Ben Chehida & Auguin) and the
-    greedy baseline order tasks by a priority function and schedule
-    them in a precedence-consistent order.  This module provides the
-    classic priorities (HEFT-style upward rank) and prioritized
-    topological orders. *)
+    multi-mode decoder order tasks by a priority and schedule them in a
+    precedence-consistent order.  This module provides the classic
+    priority (HEFT-style upward rank) and the prioritized topological
+    order, both on flat arrays: a decoder runs them once per chromosome
+    into buffers it reuses. *)
 
 open Repro_taskgraph
 
-val upward_rank : App.t -> time:(int -> float) -> comm:(int -> int -> float) ->
-  float array
-(** [upward_rank app ~time ~comm] is the HEFT upward rank: for each
-    task, the longest remaining path to a sink counting node times and
-    edge communication costs. *)
+val upward_rank :
+  App.t -> time:float array -> comm:float array -> rank:float array -> unit
+(** [upward_rank app ~time ~comm ~rank] writes into [rank] the HEFT
+    upward rank: for each task, the longest remaining path to a sink
+    counting node times [time.(v)] and edge communication costs
+    [comm.(i)], where [i] is the edge's index in {!App.edges}. *)
 
-val prioritized_topological_order : App.t -> priority:(int -> float) -> int list
-(** Topological order of all tasks where, among ready tasks, the
-    highest [priority] goes first (ties by task id).  Deterministic. *)
+type scratch
+(** The ready heap, stamps and in-degree counters of
+    {!prioritized_topological_order}, reusable across calls. *)
 
-val sw_order : App.t -> is_sw:(int -> bool) -> priority:(int -> float) -> int list
-(** Restriction of the prioritized topological order to software
-    tasks — a valid processor total order for {!Searchgraph.spec}. *)
+val scratch : int -> scratch
+(** Scratch for applications of up to [n] tasks. *)
+
+val prioritized_topological_order :
+  scratch -> App.t -> priority:float array -> order:int array -> unit
+(** Writes into [order.(0 .. n-1)] a topological order of all tasks
+    where, among ready tasks, the highest [priority] goes first.  Ties
+    go to the task that became ready first: the sources in increasing
+    id, then, as each task is ordered, its newly ready successors in
+    increasing id.  Deterministic; allocates nothing.  The orders of
+    the processor chains are its restriction to software tasks. *)

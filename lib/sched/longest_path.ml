@@ -3,9 +3,9 @@ module Bitset = Repro_util.Bitset
 
 (* Zero-allocation int min-heap keyed by topological position.  Keys
    are unique (one position per node, and the [queued] bitset pushes
-   each node at most once), so no tie-breaking stamp is needed.  The
-   generic [Pqueue] would allocate an entry record per push and an
-   option per pop — in the innermost loop of every refresh. *)
+   each node at most once), so no tie-breaking stamp is needed.  A
+   heap of boxed entries would allocate on every push and pop — in
+   the innermost loop of every refresh. *)
 type heap = {
   mutable keys : int array;
   mutable vals : int array;

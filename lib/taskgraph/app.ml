@@ -1,20 +1,20 @@
 type edge = { src : int; dst : int; kbytes : float }
 
+type adjacency = { start : int array; node : int array; edge : int array }
+
 (* The application's derived structure, computed once by [make]: the
-   rebuild evaluators read it on every evaluation.  The per-task lists
-   are int slices of flat arrays: task [v]'s in-edges occupy slots
-   [in_start.(v) .. in_start.(v+1) - 1] of [in_src]/[in_edge], its
-   incident edges likewise in [inc_edge].  Int arrays hold no
-   pointers, so building them costs the collector nothing beyond the
-   arrays themselves, and a scan reads contiguous words. *)
+   rebuild evaluators and the GA decoder read it on every evaluation.
+   The per-task lists are int slices of flat arrays ({!adjacency}):
+   task [v]'s slots are [start.(v) .. start.(v+1) - 1].  Int arrays
+   hold no pointers, so building them costs the collector nothing
+   beyond the arrays themselves, and a scan reads contiguous words. *)
 type index = {
   edges : edge array;
   (* in [Graph.edges] order: source ascending, then the source's
      successor list, most recently added first *)
   edge_list : edge list;           (* [edges] as a list *)
-  in_start : int array;
-  in_src : int array;              (* slot -> source of the in-edge *)
-  in_edge : int array;             (* slot -> its index in [edges] *)
+  ins : adjacency;                 (* in-edges, in [edges] order *)
+  outs : adjacency;                (* out-edges, destination ascending *)
   inc_start : int array;
   inc_edge : int array;            (* slot -> edge index, ascending per task *)
   topo : int array;
@@ -81,9 +81,13 @@ let make ~name ?deadline ~tasks ~edges:input () =
       out_end.(src) <- out_end.(src) - 1;
       edges.(out_end.(src)) <- e)
     input;
-  let in_start = starts in_degree in
+  let adjacency degree =
+    let start = starts degree in
+    (start, { start; node = Array.make m 0; edge = Array.make m 0 })
+  in
+  let in_start, ins = adjacency in_degree in
+  let out_start, outs = adjacency out_degree in
   let inc_start = starts (Array.map2 ( + ) in_degree out_degree) in
-  let in_src = Array.make m 0 and in_edge = Array.make m 0 in
   let inc_edge = Array.make (2 * m) 0 in
   let in_next = Array.sub in_start 0 n and inc_next = Array.sub inc_start 0 n in
   let add_incident v i =
@@ -93,19 +97,29 @@ let make ~name ?deadline ~tasks ~edges:input () =
   Array.iteri
     (fun i { src; dst; kbytes = _ } ->
       let k = in_next.(dst) in
-      in_src.(k) <- src;
-      in_edge.(k) <- i;
+      ins.node.(k) <- src;
+      ins.edge.(k) <- i;
       in_next.(dst) <- k + 1;
       add_incident src i;
       add_incident dst i)
     edges;
+  (* Out-slices by destination: visit the destinations in increasing
+     id and append each in-edge to its source's slice. *)
+  let out_next = Array.sub out_start 0 n in
+  for w = 0 to n - 1 do
+    for k = in_start.(w) to in_start.(w + 1) - 1 do
+      let v = ins.node.(k) in
+      outs.node.(out_next.(v)) <- w;
+      outs.edge.(out_next.(v)) <- ins.edge.(k);
+      out_next.(v) <- out_next.(v) + 1
+    done
+  done;
   let index =
     {
       edges;
       edge_list = Array.to_list edges;
-      in_start;
-      in_src;
-      in_edge;
+      ins;
+      outs;
       inc_start;
       inc_edge;
       topo;
@@ -132,12 +146,13 @@ let iter_incident t v f =
    [dst]'s in-edge slice, since a task has a handful of predecessors
    and hashing a boxed (src, dst) key costs more. *)
 let in_edge_index ix src dst =
+  let ins = ix.ins in
   let rec scan k stop =
     if k = stop then -1
-    else if ix.in_src.(k) = src then ix.in_edge.(k)
+    else if ins.node.(k) = src then ins.edge.(k)
     else scan (k + 1) stop
   in
-  scan ix.in_start.(dst) ix.in_start.(dst + 1)
+  scan ins.start.(dst) ins.start.(dst + 1)
 
 let edge_weight t w =
   let n = size t and ix = t.index in
@@ -154,7 +169,10 @@ let kbytes t src dst =
     if i < 0 then 0.0 else t.index.edges.(i).kbytes
 
 let edges t = t.index.edge_list
+let in_edges t = t.index.ins
+let out_edges t = t.index.outs
 let topological_order t = Array.copy t.index.topo
+let topo t = t.index.topo
 
 let total_sw_time t =
   Array.fold_left (fun acc (task : Task.t) -> acc +. task.Task.sw_time) 0.0 t.tasks

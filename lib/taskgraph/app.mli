@@ -63,6 +63,27 @@ val topological_order : t -> int array
 (** {!Graph.topological_order} of [graph], computed once by {!make};
     each call returns a fresh copy. *)
 
+val topo : t -> int array
+(** The array behind {!topological_order}, shared rather than copied,
+    for per-evaluation loops.  Read it; never write it. *)
+
+type adjacency = private {
+  start : int array;
+  node : int array;
+  edge : int array;
+}
+(** Per-task edge lists as int slices of flat arrays: task [v]'s slots
+    are [start.(v) .. start.(v+1) - 1]; slot [k] holds the edge's
+    other endpoint [node.(k)] and its index [edge.(k)] in {!edges}.
+    Built once by {!make} and shared: read it; never write it. *)
+
+val in_edges : t -> adjacency
+(** Each task's predecessors, in {!edges} order.  A task's in-degree is
+    [start.(v+1) - start.(v)]. *)
+
+val out_edges : t -> adjacency
+(** Each task's successors, in increasing task id. *)
+
 val total_sw_time : t -> float
 (** Execution time of the all-software solution (tasks are sequential
     on the single processor, no communication cost). *)

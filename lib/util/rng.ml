@@ -1,5 +1,18 @@
-type t = { mutable s0 : int64; mutable s1 : int64;
-           mutable s2 : int64; mutable s3 : int64 }
+(* The four xoshiro256** words live unboxed in 32 bytes: a record of
+   [int64] fields would box every word on every write, 21 minor words
+   per draw. *)
+type t = Bytes.t
+
+let get t i = Bytes.get_int64_ne t (8 * i) [@@inline]
+let set t i w = Bytes.set_int64_ne t (8 * i) w [@@inline]
+
+let make s0 s1 s2 s3 =
+  let t = Bytes.create 32 in
+  set t 0 s0;
+  set t 1 s1;
+  set t 2 s2;
+  set t 3 s3;
+  t
 
 (* SplitMix64 step, used only to spread a seed over the four words of
    xoshiro256** state. *)
@@ -11,59 +24,60 @@ let splitmix64 state =
   let z = mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL in
   logxor z (shift_right_logical z 31)
 
-let create seed =
-  let state = ref (Int64.of_int seed) in
+let of_seed seed =
+  let state = ref seed in
   let s0 = splitmix64 state in
   let s1 = splitmix64 state in
   let s2 = splitmix64 state in
   let s3 = splitmix64 state in
-  { s0; s1; s2; s3 }
+  make s0 s1 s2 s3
 
-let copy t = { s0 = t.s0; s1 = t.s1; s2 = t.s2; s3 = t.s3 }
+let create seed = of_seed (Int64.of_int seed)
 
-let state t = [| t.s0; t.s1; t.s2; t.s3 |]
+let copy = Bytes.copy
+
+let state t = [| get t 0; get t 1; get t 2; get t 3 |]
 
 let of_state a =
   if Array.length a <> 4 then invalid_arg "Rng.of_state: want 4 words";
   if Array.for_all (fun w -> w = 0L) a then
     invalid_arg "Rng.of_state: all-zero state";
-  { s0 = a.(0); s1 = a.(1); s2 = a.(2); s3 = a.(3) }
+  make a.(0) a.(1) a.(2) a.(3)
 
 let rotl x k =
   Int64.logor (Int64.shift_left x k) (Int64.shift_right_logical x (64 - k))
+[@@inline]
 
-let bits64 t =
+(* Inlined into every draw below, so the result stays in a register
+   and only the exported [bits64] boxes it. *)
+let next t =
   let open Int64 in
-  let result = mul (rotl (mul t.s1 5L) 7) 9L in
-  let tmp = shift_left t.s1 17 in
-  t.s2 <- logxor t.s2 t.s0;
-  t.s3 <- logxor t.s3 t.s1;
-  t.s1 <- logxor t.s1 t.s2;
-  t.s0 <- logxor t.s0 t.s3;
-  t.s2 <- logxor t.s2 tmp;
-  t.s3 <- rotl t.s3 45;
+  let s0 = get t 0 and s1 = get t 1 and s2 = get t 2 and s3 = get t 3 in
+  let result = mul (rotl (mul s1 5L) 7) 9L in
+  let s2 = logxor s2 s0 in
+  let s3 = logxor s3 s1 in
+  set t 0 (logxor s0 s3);
+  set t 1 (logxor s1 s2);
+  set t 2 (logxor s2 (shift_left s1 17));
+  set t 3 (rotl s3 45);
   result
+[@@inline]
 
-let split t =
-  let state = ref (bits64 t) in
-  let s0 = splitmix64 state in
-  let s1 = splitmix64 state in
-  let s2 = splitmix64 state in
-  let s3 = splitmix64 state in
-  { s0; s1; s2; s3 }
+let bits64 t = next t
+
+let split t = of_seed (next t)
 
 let int t n =
   assert (n > 0);
   (* Rejection sampling on the top 62 bits to avoid modulo bias. *)
   let mask = Int64.shift_right_logical Int64.minus_one 2 in
   let bound = Int64.of_int n in
-  let rec draw () =
-    let r = Int64.logand (bits64 t) mask in
-    let v = Int64.rem r bound in
-    if Int64.sub r v > Int64.sub (Int64.sub mask bound) Int64.one then draw ()
-    else Int64.to_int v
-  in
-  draw ()
+  let limit = Int64.sub (Int64.sub mask bound) Int64.one in
+  let r = ref (Int64.logand (next t) mask) in
+  while Int64.sub !r (Int64.rem !r bound) > limit do
+    r := Int64.logand (next t) mask
+  done;
+  Int64.to_int (Int64.rem !r bound)
 
 let int_in t lo hi =
   assert (lo <= hi);
@@ -71,10 +85,11 @@ let int_in t lo hi =
 
 let float t x =
   (* 53 random bits scaled to [0,1). *)
-  let r = Int64.shift_right_logical (bits64 t) 11 in
+  let r = Int64.shift_right_logical (next t) 11 in
   Int64.to_float r /. 9007199254740992.0 *. x
+[@@inline]
 
-let bool t = Int64.logand (bits64 t) 1L = 1L
+let bool t = Int64.logand (next t) 1L = 1L
 
 let bernoulli t p = float t 1.0 < p
 

@@ -36,13 +36,23 @@ let platform ?(n_clb = 100) () =
 
 (* --- clustering --- *)
 
+(* Clustering with every task asking for hardware unless [is_hw]
+   says otherwise, each on its single implementation. *)
+let cluster ?(is_hw = fun _ -> true) app platform =
+  let n = App.size app in
+  let area =
+    Array.init n (fun v ->
+        if is_hw v then (Task.impl (App.task app v) 0).Task.clbs else -1)
+  in
+  let context = Array.make n 0 in
+  let count =
+    Clustering.contexts app ~limit:(Platform.n_clb platform) ~area ~context
+  in
+  (Clustering.members app ~context count, area)
+
 let test_clustering_capacity () =
   let app = app () in
-  let contexts =
-    Clustering.contexts app (platform ~n_clb:100 ())
-      ~is_hw:(fun _ -> true)
-      ~impl_choice:(fun _ -> 0)
-  in
+  let contexts, _ = cluster app (platform ~n_clb:100 ()) in
   (* Areas 40,50,60,30 against 100: [40+50]; [60+30]. *)
   Alcotest.(check (list (list int))) "packed in topo order" [ [ 0; 1 ]; [ 2; 3 ] ]
     contexts
@@ -50,28 +60,18 @@ let test_clustering_capacity () =
 let test_clustering_skips_oversized () =
   let app = app () in
   let platform = platform ~n_clb:45 () in
-  let contexts =
-    Clustering.contexts app platform
-      ~is_hw:(fun _ -> true)
-      ~impl_choice:(fun _ -> 0)
-  in
+  let contexts, area = cluster app platform in
   List.iter
     (fun members ->
       Alcotest.(check bool) "only tasks that fit" true
         (List.for_all (fun v -> v = 0 || v = 3) members))
     contexts;
   Alcotest.(check (list int)) "oversized reported" [ 1; 2 ]
-    (Clustering.oversized_tasks app platform
-       ~is_hw:(fun _ -> true)
-       ~impl_choice:(fun _ -> 0))
+    (Clustering.oversized_tasks app ~limit:(Platform.n_clb platform) ~area)
 
 let test_clustering_respects_is_hw () =
   let app = app () in
-  let contexts =
-    Clustering.contexts app (platform ())
-      ~is_hw:(fun v -> v = 2)
-      ~impl_choice:(fun _ -> 0)
-  in
+  let contexts, _ = cluster ~is_hw:(fun v -> v = 2) app (platform ()) in
   Alcotest.(check (list (list int))) "only task 2" [ [ 2 ] ] contexts
 
 (* --- GA --- *)
@@ -158,22 +158,57 @@ let test_greedy_fraction () =
 
 let md28 () = (Md.app (), Md.platform ~n_clb:2000 ())
 
-(* The GA's fitness (a one-shot Searchgraph rebuild through the
-   application index) against the independent paths: the decoded spec's
-   own [Searchgraph.evaluate], and the same realization built as a
+let fixture name = Filename.concat "fixtures" name
+
+(* A good fixture application on the good fixture board: two
+   processors, the first at speed 1.5, so software times are scaled. *)
+let on_board tg () =
+  match
+    (Repro_taskgraph.App_io.load (fixture tg),
+     Platform_io.load (fixture "good_board.plat"))
+  with
+  | Ok app, Ok platform -> (app, platform)
+  | Error msg, _ | _, Error msg -> Alcotest.fail msg
+
+(* The GA's fitness (flat decode, then one Kahn pass over the implicit
+   search graph) against the independent paths: the decoded spec's own
+   [Searchgraph.evaluate], and the same realization built as a
    Solution (slotted live graph, dynamic longest path) and checked by
-   [Validate].  Each chromosome draws its own hardware density, so
-   sparse partitions — the ones that decode to an acyclic graph — are
-   well represented. *)
-let ga_differential ~explore_impls input () =
+   [Validate].  [score] is one scorer shared by every chromosome of the
+   input, so stale tables from the previous chromosome would show;
+   [Ga.fitness] builds its own.  Returns the feasible count. *)
+let check_against_oracle app platform score k individual =
+  let fitness = Ga.fitness app platform individual in
+  let label what = Printf.sprintf "chromosome %d: %s" k what in
+  let bits = Int64.bits_of_float in
+  Alcotest.(check int64) (label "shared tables score the same") (bits fitness)
+    (bits (score individual));
+  match Searchgraph.evaluate (Ga.decode app platform individual) with
+  | None ->
+    Alcotest.(check bool) (label "infeasible scores infinity") true
+      (fitness = infinity);
+    0
+  | Some eval -> (
+    Alcotest.(check int64) (label "fitness is the makespan")
+      (bits eval.Searchgraph.makespan) (bits fitness);
+    match Ga.solution_of app platform individual with
+    | Error msg -> Alcotest.fail (label msg)
+    | Ok s ->
+      Alcotest.(check int64) (label "Solution agrees") (bits fitness)
+        (bits (Solution.makespan s));
+      (match Repro_sched.Validate.evaluated (Solution.spec s) with
+       | Ok () -> ()
+       | Error problems -> Alcotest.fail (label (String.concat "; " problems)));
+      1)
+
+(* Each chromosome draws its own hardware density, so sparse
+   partitions — the ones that decode to an acyclic graph — are well
+   represented. *)
+let random_chromosomes ~explore_impls rng app count =
   let module Rng = Repro_util.Rng in
-  let app, platform = input () in
   let n = App.size app in
-  let rng = Rng.create 11 in
-  let feasible = ref 0 in
-  for k = 1 to 200 do
-    let density = Rng.float rng 1.0 in
-    let individual =
+  List.init count (fun _ ->
+      let density = Rng.float rng 1.0 in
       {
         Ga.hw = Array.init n (fun _ -> Rng.bernoulli rng density);
         impl =
@@ -181,32 +216,118 @@ let ga_differential ~explore_impls input () =
               if explore_impls then
                 Rng.int rng (Task.impl_count (App.task app v))
               else 0);
-      }
-    in
-    let fitness = Ga.fitness app platform individual in
-    let label what = Printf.sprintf "chromosome %d: %s" k what in
-    match Searchgraph.evaluate (Ga.decode app platform individual) with
-    | None ->
-      Alcotest.(check bool) (label "infeasible scores infinity") true
-        (fitness = infinity)
-    | Some eval -> (
-      incr feasible;
-      let bits = Int64.bits_of_float in
-      Alcotest.(check int64) (label "fitness is the makespan")
-        (bits eval.Searchgraph.makespan) (bits fitness);
-      match Ga.solution_of app platform individual with
-      | Error msg -> Alcotest.fail (label msg)
-      | Ok s ->
-        Alcotest.(check int64) (label "Solution agrees") (bits fitness)
-          (bits (Solution.makespan s));
-        (match Repro_sched.Validate.evaluated (Solution.spec s) with
-         | Ok () -> ()
-         | Error problems ->
-           Alcotest.fail (label (String.concat "; " problems))))
-  done;
+      })
+
+let ga_differential ~explore_impls input () =
+  let app, platform = input () in
+  let score = Ga.scorer app platform in
+  let individuals =
+    random_chromosomes ~explore_impls (Repro_util.Rng.create 11) app 200
+  in
+  let feasible =
+    List.fold_left ( + ) 0
+      (List.mapi (check_against_oracle app platform score) individuals)
+  in
   Alcotest.(check bool)
-    (Printf.sprintf "enough feasible chromosomes (%d)" !feasible)
-    true (!feasible >= 20)
+    (Printf.sprintf "enough feasible chromosomes (%d)" feasible)
+    true (feasible >= 20)
+
+(* The individuals of a GA payload's state block: one
+   "ind <fitness> <hw-genes> <impl-genes>" line each. *)
+let population_of_payload payload =
+  let rec after_state = function
+    | "state" :: rest -> rest
+    | _ :: rest -> after_state rest
+    | [] -> Alcotest.fail "payload without a state block"
+  in
+  List.filter_map
+    (fun line ->
+      match String.split_on_char ' ' line with
+      | "ind" :: fit :: genes :: impls ->
+        Some
+          ( float_of_string fit,
+            {
+              Ga.hw = Array.init (String.length genes) (fun v -> genes.[v] = '1');
+              impl = Array.of_list (List.map int_of_string impls);
+            } )
+      | _ -> None)
+    (after_state (String.split_on_char '\n' payload))
+
+(* The final population of a 3-generation registered-GA run on the
+   132-task graph: evolved, not random, and mostly infeasible.  Every
+   recorded fitness is also re-derived bit for bit. *)
+let test_ga_final_population_vs_oracle () =
+  let app, platform = Test_golden.layered128 () in
+  let session =
+    match
+      Engine.start (Ga.engine ())
+        (Engine.context ~app ~platform ~seed:1 ~iterations:3 ())
+    with
+    | Ok session -> session
+    | Error msg -> Alcotest.fail msg
+  in
+  ignore (session.Engine.advance ~until:(fun _ -> false));
+  let population = population_of_payload (session.Engine.payload ()) in
+  Alcotest.(check int) "whole population" 300 (List.length population);
+  let score = Ga.scorer app platform in
+  let feasible =
+    List.fold_left ( + ) 0
+      (List.mapi
+         (fun k (recorded, individual) ->
+           Alcotest.(check int64)
+             (Printf.sprintf "chromosome %d: recorded fitness" k)
+             (Int64.bits_of_float recorded)
+             (Int64.bits_of_float (Ga.fitness app platform individual));
+           check_against_oracle app platform score k individual)
+         population)
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "mostly infeasible, elites feasible (%d/300)" feasible)
+    true (feasible >= 2 && feasible < 150)
+
+(* A, B, A on one run's tables: B (every task in hardware, a different
+   context count and software chain) must leave nothing behind that
+   changes A's bits. *)
+let test_ga_tables_reused () =
+  let app, platform = Test_golden.layered128 () in
+  let score = Ga.scorer app platform in
+  let a =
+    List.find
+      (fun i -> Float.is_finite (Ga.fitness app platform i))
+      (random_chromosomes ~explore_impls:true (Repro_util.Rng.create 5) app
+         100)
+  in
+  let n = App.size app in
+  let b = { Ga.hw = Array.make n true; impl = Array.make n 0 } in
+  let first = score a in
+  let middle = score b in
+  let again = score a in
+  let bits = Int64.bits_of_float in
+  Alcotest.(check int64) "A twice, same bits" (bits first) (bits again);
+  Alcotest.(check int64) "A as fresh tables score it" (bits first)
+    (bits (Ga.fitness app platform a));
+  Alcotest.(check int64) "B as fresh tables score it" (bits middle)
+    (bits (Ga.fitness app platform b))
+
+(* A GA generation scores ~300 chromosomes: with the run's tables
+   allocated, scoring stays off the minor heap but for a few words. *)
+let test_ga_scoring_allocation () =
+  let app, platform = Test_golden.layered128 () in
+  let score = Ga.scorer app platform in
+  let individuals =
+    random_chromosomes ~explore_impls:true (Repro_util.Rng.create 3) app 100
+  in
+  ignore (score (List.hd individuals));
+  let before = Gc.minor_words () in
+  List.iter (fun i -> ignore (score i)) individuals;
+  let per_chromosome =
+    (Gc.minor_words () -. before) /. float_of_int (List.length individuals)
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.0f minor words per scored chromosome (<= 1024)"
+       per_chromosome)
+    true
+    (per_chromosome <= 1024.0)
 
 let test_greedy_run () =
   let app = app () in
@@ -340,6 +461,15 @@ let suite =
     Alcotest.test_case "ga-spatial fitness vs independent paths, 132 tasks"
       `Quick
       (ga_differential ~explore_impls:false Test_golden.layered128);
+    Alcotest.test_case "ga fitness vs independent paths, good_diamond.tg"
+      `Quick
+      (ga_differential ~explore_impls:true (on_board "good_diamond.tg"));
+    Alcotest.test_case "ga fitness vs independent paths, good_tiny.tg" `Quick
+      (ga_differential ~explore_impls:true (on_board "good_tiny.tg"));
+    Alcotest.test_case "ga final population vs independent paths" `Quick
+      test_ga_final_population_vs_oracle;
+    Alcotest.test_case "ga tables reused: A, B, A" `Quick test_ga_tables_reused;
+    Alcotest.test_case "ga scoring allocation" `Quick test_ga_scoring_allocation;
     Alcotest.test_case "greedy fraction" `Quick test_greedy_fraction;
     Alcotest.test_case "greedy run" `Quick test_greedy_run;
     Alcotest.test_case "random search" `Quick test_random_search;

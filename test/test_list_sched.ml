@@ -9,6 +9,21 @@ let task id sw_time =
 
 let edge src dst = { App.src; dst; kbytes = 0.0 }
 
+let rank_of app ~time ~comm =
+  let rank = Array.make (App.size app) 0.0 in
+  List_sched.upward_rank app
+    ~time:(Array.init (App.size app) time)
+    ~comm:(Array.make (App.edge_count app) comm)
+    ~rank;
+  rank
+
+let order_of app ~priority =
+  let n = App.size app in
+  let order = Array.make n (-1) in
+  List_sched.prioritized_topological_order (List_sched.scratch n) app
+    ~priority:(Array.init n priority) ~order;
+  Array.to_list order
+
 let chain_app () =
   App.make ~name:"chain"
     ~tasks:[ task 0 1.0; task 1 2.0; task 2 3.0 ]
@@ -18,9 +33,7 @@ let chain_app () =
 let test_upward_rank_chain () =
   let app = chain_app () in
   let rank =
-    List_sched.upward_rank app
-      ~time:(fun v -> (App.task app v).Task.sw_time)
-      ~comm:(fun _ _ -> 0.0)
+    rank_of app ~time:(fun v -> (App.task app v).Task.sw_time) ~comm:0.0
   in
   (* Suffix sums along the chain. *)
   Alcotest.(check (float 1e-9)) "rank 2" 3.0 rank.(2);
@@ -30,9 +43,7 @@ let test_upward_rank_chain () =
 let test_upward_rank_comm () =
   let app = chain_app () in
   let rank =
-    List_sched.upward_rank app
-      ~time:(fun _ -> 1.0)
-      ~comm:(fun _ _ -> 10.0)
+    rank_of app ~time:(fun _ -> 1.0) ~comm:10.0
   in
   Alcotest.(check (float 1e-9)) "comm counted" 23.0 rank.(0)
 
@@ -46,20 +57,30 @@ let fork_app () =
 let test_prioritized_topo_order () =
   let app = fork_app () in
   let rank =
-    List_sched.upward_rank app
-      ~time:(fun v -> (App.task app v).Task.sw_time)
-      ~comm:(fun _ _ -> 0.0)
+    rank_of app ~time:(fun v -> (App.task app v).Task.sw_time) ~comm:0.0
   in
   let order =
-    List_sched.prioritized_topological_order app ~priority:(fun v -> rank.(v))
+    order_of app ~priority:(Array.get rank)
   in
   (* The heavy branch (2) must be scheduled before the light one (1). *)
   Alcotest.(check (list int)) "heavy first" [ 0; 2; 1; 3 ] order
 
+(* Equal priorities pop in the order tasks became ready, not by task
+   id: 0 and 2 are ready at the start, 1 only after 0 pops, so 2 goes
+   before 1. *)
+let test_ties_by_readiness () =
+  let app =
+    App.make ~name:"tie"
+      ~tasks:[ task 0 1.0; task 1 1.0; task 2 1.0 ]
+      ~edges:[ edge 0 1 ] ()
+  in
+  Alcotest.(check (list int)) "ready order" [ 0; 2; 1 ]
+    (order_of app ~priority:(fun _ -> 1.0))
+
 let test_order_is_topological () =
   let app = fork_app () in
   let order =
-    List_sched.prioritized_topological_order app ~priority:(fun _ -> 0.0)
+    order_of app ~priority:(fun _ -> 0.0)
   in
   let position = Hashtbl.create 8 in
   List.iteri (fun i v -> Hashtbl.add position v i) order;
@@ -70,20 +91,27 @@ let test_order_is_topological () =
     (App.edges app);
   Alcotest.(check int) "complete" 4 (List.length order)
 
-let test_sw_order_filters () =
-  let app = fork_app () in
-  let order =
-    List_sched.sw_order app
-      ~is_sw:(fun v -> v <> 2)
-      ~priority:(fun _ -> 0.0)
+(* Every successor slice is walked in increasing id, whatever order
+   the edges were given in: the ready order of equal-priority
+   successors does not depend on the input file. *)
+let test_successor_order_is_input_independent () =
+  let app edges =
+    App.make ~name:"fan"
+      ~tasks:[ task 0 1.0; task 1 1.0; task 2 1.0; task 3 1.0 ]
+      ~edges ()
   in
-  Alcotest.(check bool) "2 excluded" true (not (List.mem 2 order));
-  Alcotest.(check int) "three software tasks" 3 (List.length order)
+  let forward = app [ edge 0 1; edge 0 2; edge 0 3 ]
+  and backward = app [ edge 0 3; edge 0 2; edge 0 1 ] in
+  let flat = fun _ -> 1.0 in
+  Alcotest.(check (list int)) "forward input" [ 0; 1; 2; 3 ]
+    (order_of forward ~priority:flat);
+  Alcotest.(check (list int)) "backward input" [ 0; 1; 2; 3 ]
+    (order_of backward ~priority:flat)
 
 let test_determinism () =
   let app = fork_app () in
   let order () =
-    List_sched.prioritized_topological_order app ~priority:(fun v ->
+    order_of app ~priority:(fun v ->
         float_of_int v)
   in
   Alcotest.(check (list int)) "stable across calls" (order ()) (order ())
@@ -93,7 +121,9 @@ let suite =
     Alcotest.test_case "upward rank chain" `Quick test_upward_rank_chain;
     Alcotest.test_case "upward rank comm" `Quick test_upward_rank_comm;
     Alcotest.test_case "prioritized topo order" `Quick test_prioritized_topo_order;
+    Alcotest.test_case "ties by readiness" `Quick test_ties_by_readiness;
     Alcotest.test_case "order is topological" `Quick test_order_is_topological;
-    Alcotest.test_case "sw_order filters" `Quick test_sw_order_filters;
+    Alcotest.test_case "successor order is input-independent" `Quick
+      test_successor_order_is_input_independent;
     Alcotest.test_case "determinism" `Quick test_determinism;
   ]

@@ -136,6 +136,50 @@ let test_pick_weighted () =
     (let a = float_of_int (get "a") and b = float_of_int (get "b") in
      b /. a > 2.5 && b /. a < 3.5)
 
+(* Known answers recorded from the boxed-record generator: the stream,
+   the checkpointed state words and a split child must never move, or
+   old checkpoints would resume onto a different trajectory. *)
+let test_known_answers () =
+  let rng = Rng.create 1 in
+  let first =
+    [ -5480124913605472059L; -8846382939111011094L; -7856363154187860716L;
+      7218738570589545383L; -5586072249713871245L; 2648436617965840162L;
+      1310552918490157286L; 7031611932980406429L ]
+  in
+  List.iter (fun want -> Alcotest.(check int64) "bits64" want (Rng.bits64 rng)) first;
+  Alcotest.(check (array int64)) "state after 8 draws"
+    [| -4487280415371050469L; -8484006190168559738L; 7774957923122542603L;
+       2979536260719782586L |]
+    (Rng.state rng);
+  let child = Rng.split rng in
+  List.iter
+    (fun want -> Alcotest.(check int64) "split child" want (Rng.bits64 child))
+    [ 6243110573602142007L; -5343123491108834659L; -6027086951509973698L;
+      -1212018186333133171L ];
+  Alcotest.(check (array int64)) "parent state after split"
+    [| 7107325745699833639L; 2314015012477703574L; 2953302140961045008L;
+       1200090980622275754L |]
+    (Rng.state rng);
+  let resumed = Rng.of_state (Rng.state rng) in
+  Alcotest.(check int64) "of_state continues the stream" (Rng.bits64 rng)
+    (Rng.bits64 resumed)
+
+(* A GA generation makes ~158k coin flips; each must stay off the
+   minor heap. *)
+let test_bool_allocation () =
+  let rng = Rng.create 5 in
+  let n = 10_000 in
+  let heads = ref 0 in
+  let before = Gc.minor_words () in
+  for _ = 1 to n do
+    if Rng.bool rng then incr heads
+  done;
+  let per_draw = (Gc.minor_words () -. before) /. float_of_int n in
+  Alcotest.(check bool)
+    (Printf.sprintf "Rng.bool allocates %.2f words per draw (<= 1)" per_draw)
+    true (per_draw <= 1.0);
+  Alcotest.(check bool) "fair enough" true (!heads > 4_500 && !heads < 5_500)
+
 let qcheck_int_bounds =
   QCheck.Test.make ~name:"Rng.int always within bounds" ~count:500
     QCheck.(pair small_int (int_range 1 1000))
@@ -150,6 +194,8 @@ let suite =
     Alcotest.test_case "seed sensitivity" `Quick test_seed_sensitivity;
     Alcotest.test_case "copy" `Quick test_copy_independent;
     Alcotest.test_case "split" `Quick test_split_independent;
+    Alcotest.test_case "known answers" `Quick test_known_answers;
+    Alcotest.test_case "bool allocation" `Quick test_bool_allocation;
     Alcotest.test_case "int bounds" `Quick test_int_bounds;
     Alcotest.test_case "int covers range" `Quick test_int_covers_range;
     Alcotest.test_case "int_in" `Quick test_int_in;
