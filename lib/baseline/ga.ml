@@ -77,7 +77,7 @@ let tables app platform =
     comm = Array.make (App.edge_count app) 0.0;
     rank = Array.make n 0.0;
     order = Array.make n 0;
-    ctx_start = Array.make (n + 1) 0;
+    ctx_start = Array.make (n + 1) 0;  (* [ctx_start.(0)] stays 0 *)
     ctx_member = Array.make n 0;
     ctx_clbs = Array.make n 0;
     next_sw = Array.make n (-1);
@@ -97,7 +97,8 @@ let selected t individual v = t.tasks.(v).Task.impls.(individual.impl.(v))
 let plan t individual =
   let n = App.size t.app in
   for v = 0 to n - 1 do
-    t.area.(v) <- (if individual.hw.(v) then (selected t individual v).Task.clbs else -1)
+    t.area.(v) <-
+      (if individual.hw.(v) then (selected t individual v).Task.clbs else -1)
   done;
   t.n_contexts <-
     Clustering.contexts t.app ~limit:(Platform.n_clb t.platform) ~area:t.area
@@ -187,30 +188,21 @@ let makespan t =
   let n = App.size t.app and nc = t.n_contexts in
   let context = t.context and indegree = t.indegree and start = t.start in
   let ctx_start = t.ctx_start and ctx_member = t.ctx_member in
-  (* Contexts as slices of [ctx_member], by a counting sort. *)
-  Array.fill ctx_start 0 (nc + 1) 0;
+  (* Contexts as slices of [ctx_member]: clustering numbers them along
+     the topological order, so each context's members are consecutive
+     there. *)
+  let topo = App.topo t.app and members = ref 0 in
   Array.fill t.ctx_clbs 0 nc 0;
-  for v = 0 to n - 1 do
+  for i = 0 to n - 1 do
+    let v = topo.(i) in
     let j = context.(v) in
     if j >= 0 then begin
-      ctx_start.(j + 1) <- ctx_start.(j + 1) + 1;
+      ctx_member.(!members) <- v;
+      incr members;
+      ctx_start.(j + 1) <- !members;
       t.ctx_clbs.(j) <- t.ctx_clbs.(j) + t.area.(v)
     end
   done;
-  for j = 1 to nc do
-    ctx_start.(j) <- ctx_start.(j) + ctx_start.(j - 1)
-  done;
-  for v = 0 to n - 1 do
-    let j = context.(v) in
-    if j >= 0 then begin
-      ctx_member.(ctx_start.(j)) <- v;
-      ctx_start.(j) <- ctx_start.(j) + 1
-    end
-  done;
-  for j = nc downto 1 do
-    ctx_start.(j) <- ctx_start.(j - 1)
-  done;
-  ctx_start.(0) <- 0;
   (* In-degrees: application edges, the chain predecessor or the
      context's configuration, and for configuration j > 0 the previous
      configuration and the previous context's members. *)

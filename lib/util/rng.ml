@@ -74,10 +74,12 @@ let int t n =
   let bound = Int64.of_int n in
   let limit = Int64.sub (Int64.sub mask bound) Int64.one in
   let r = ref (Int64.logand (next t) mask) in
-  while Int64.sub !r (Int64.rem !r bound) > limit do
-    r := Int64.logand (next t) mask
+  let v = ref (Int64.rem !r bound) in
+  while Int64.sub !r !v > limit do
+    r := Int64.logand (next t) mask;
+    v := Int64.rem !r bound
   done;
-  Int64.to_int (Int64.rem !r bound)
+  Int64.to_int !v
 
 let int_in t lo hi =
   assert (lo <= hi);

@@ -247,7 +247,8 @@ let population_of_payload payload =
         Some
           ( float_of_string fit,
             {
-              Ga.hw = Array.init (String.length genes) (fun v -> genes.[v] = '1');
+              Ga.hw =
+                Array.init (String.length genes) (fun v -> genes.[v] = '1');
               impl = Array.of_list (List.map int_of_string impls);
             } )
       | _ -> None)

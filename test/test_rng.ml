@@ -146,7 +146,9 @@ let test_known_answers () =
       7218738570589545383L; -5586072249713871245L; 2648436617965840162L;
       1310552918490157286L; 7031611932980406429L ]
   in
-  List.iter (fun want -> Alcotest.(check int64) "bits64" want (Rng.bits64 rng)) first;
+  List.iter
+    (fun want -> Alcotest.(check int64) "bits64" want (Rng.bits64 rng))
+    first;
   Alcotest.(check (array int64)) "state after 8 draws"
     [| -4487280415371050469L; -8484006190168559738L; 7774957923122542603L;
        2979536260719782586L |]
