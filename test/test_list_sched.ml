@@ -42,9 +42,7 @@ let test_upward_rank_chain () =
 
 let test_upward_rank_comm () =
   let app = chain_app () in
-  let rank =
-    rank_of app ~time:(fun _ -> 1.0) ~comm:10.0
-  in
+  let rank = rank_of app ~time:(fun _ -> 1.0) ~comm:10.0 in
   Alcotest.(check (float 1e-9)) "comm counted" 23.0 rank.(0)
 
 let fork_app () =
@@ -59,9 +57,7 @@ let test_prioritized_topo_order () =
   let rank =
     rank_of app ~time:(fun v -> (App.task app v).Task.sw_time) ~comm:0.0
   in
-  let order =
-    order_of app ~priority:(Array.get rank)
-  in
+  let order = order_of app ~priority:(Array.get rank) in
   (* The heavy branch (2) must be scheduled before the light one (1). *)
   Alcotest.(check (list int)) "heavy first" [ 0; 2; 1; 3 ] order
 
@@ -79,9 +75,7 @@ let test_ties_by_readiness () =
 
 let test_order_is_topological () =
   let app = fork_app () in
-  let order =
-    order_of app ~priority:(fun _ -> 0.0)
-  in
+  let order = order_of app ~priority:(fun _ -> 0.0) in
   let position = Hashtbl.create 8 in
   List.iteri (fun i v -> Hashtbl.add position v i) order;
   List.iter
@@ -102,7 +96,7 @@ let test_successor_order_is_input_independent () =
   in
   let forward = app [ edge 0 1; edge 0 2; edge 0 3 ]
   and backward = app [ edge 0 3; edge 0 2; edge 0 1 ] in
-  let flat = fun _ -> 1.0 in
+  let flat _ = 1.0 in
   Alcotest.(check (list int)) "forward input" [ 0; 1; 2; 3 ]
     (order_of forward ~priority:flat);
   Alcotest.(check (list int)) "backward input" [ 0; 1; 2; 3 ]
@@ -110,10 +104,7 @@ let test_successor_order_is_input_independent () =
 
 let test_determinism () =
   let app = fork_app () in
-  let order () =
-    order_of app ~priority:(fun v ->
-        float_of_int v)
-  in
+  let order () = order_of app ~priority:float_of_int in
   Alcotest.(check (list int)) "stable across calls" (order ()) (order ())
 
 let suite =
