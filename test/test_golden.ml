@@ -251,6 +251,17 @@ let daemon_job () =
       (Option.get (Json.get_int (field "accepted")))
       (Option.get (Json.get_int (field "infeasible")))
 
+let pin_multi_mode r =
+  let a = r.Multi_mode.assignment in
+  Printf.sprintf "%s %s %Lx %d"
+    (String.concat ""
+       (Array.to_list
+          (Array.map (fun b -> if b then "1" else "0") a.Multi_mode.hw)))
+    (String.concat ","
+       (Array.to_list (Array.map string_of_int a.Multi_mode.impl)))
+    (Int64.bits_of_float r.Multi_mode.worst_slack_ratio)
+    r.Multi_mode.iterations_run
+
 let multi_mode () =
   let open Repro_taskgraph in
   let t id sw_time clbs =
@@ -283,16 +294,41 @@ let multi_mode () =
       ~bus:{ Repro_arch.Platform.kb_per_ms = 80.0; latency_ms = 0.05 }
       ()
   in
-  let r = Multi_mode.explore ~seed:3 ~iterations:2_000 problem platform in
-  let a = r.Multi_mode.assignment in
-  Printf.sprintf "%s %s %Lx %d"
-    (String.concat ""
-       (Array.to_list
-          (Array.map (fun b -> if b then "1" else "0") a.Multi_mode.hw)))
-    (String.concat ","
-       (Array.to_list (Array.map string_of_int a.Multi_mode.impl)))
-    (Int64.bits_of_float r.Multi_mode.worst_slack_ratio)
-    r.Multi_mode.iterations_run
+  pin_multi_mode (Multi_mode.explore ~seed:3 ~iterations:2_000 problem platform)
+
+(* The 132-task layered graph cut into two overlapping 88-task modes
+   (the first 88 ids and the last 88, 44 shared), each with a deadline
+   at half its all-software time.  Unlike the chains above, a branching
+   mode's clustered contexts and list-scheduled software order can
+   disagree, so many proposals decode to a cyclic search graph and take
+   the infeasibility penalty. *)
+let multi_mode_branching () =
+  let open Repro_taskgraph in
+  let app, platform = layered128 () in
+  let n = App.size app in
+  let mode name lo hi =
+    let inside v = v >= lo && v < hi in
+    let members = List.init (hi - lo) (fun i -> lo + i) in
+    {
+      Multi_mode.mode_name = name;
+      members;
+      edges =
+        List.filter
+          (fun { App.src; dst; _ } -> inside src && inside dst)
+          (App.edges app);
+      deadline =
+        0.5
+        *. List.fold_left
+             (fun acc v -> acc +. (App.task app v).Task.sw_time)
+             0.0 members;
+    }
+  in
+  let problem =
+    Multi_mode.make_problem ~name:"golden-branching"
+      ~tasks:(Array.to_list app.App.tasks)
+      ~modes:[ mode "head" 0 88; mode "tail" (n - 88) n ]
+  in
+  pin_multi_mode (Multi_mode.explore ~seed:3 ~iterations:2_000 problem platform)
 
 (* Recorded before the annealer became a driven engine; the degraded
    restarts and the frontier, before the strict restart and frontier
@@ -302,7 +338,9 @@ let multi_mode () =
    reads stopped scanning the whole graph; the two GA streams, before
    the application indexed its edges and topological order once at
    construction; the four portfolio schedules, before lanes stopped
-   round-tripping through member checkpoint files between slices. *)
+   round-tripping through member checkpoint files between slices; the
+   branching multi-mode run, before the multi-mode explorer decoded
+   and scored its genes through the GA's planner. *)
 let golden =
   [
     ( "explore default",
@@ -358,6 +396,15 @@ let golden =
     ( "multi-mode explore",
       multi_mode,
       "11111 1,1,1,1,0 3fe1cccccccccccd 2200" );
+    ( "multi-mode explore, branching modes",
+      multi_mode_branching,
+      "010010000111000001100100111100011011001100101110001000100110110100\
+      010010110001010010100100000011001001101000001101100000101110111000 \
+      0,2,3,3,2,4,0,4,1,4,0,0,2,2,4,4,1,0,4,4,3,1,1,0,1,4,0,0,2,1,3,0,2,\
+      2,4,1,3,1,1,2,1,2,3,4,1,3,0,2,4,3,2,1,0,3,3,0,0,3,1,2,1,0,0,0,4,4,\
+      4,2,4,0,0,0,4,1,3,2,3,0,2,0,4,3,3,3,0,0,2,3,3,1,1,2,4,2,3,0,0,1,1,\
+      0,2,3,0,2,3,4,4,0,2,0,0,0,2,0,3,3,2,4,0,1,3,4,3,2,4,0,4,1,2,4,3,1 \
+      bfd93637e2c91221 2200" );
   ]
 
 let suite =
