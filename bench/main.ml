@@ -61,12 +61,7 @@ let header title =
   Printf.printf "\n%s\n%s\n" title (String.make (String.length title) '=')
 
 let anneal_config ~iterations ~seed =
-  {
-    Annealer.iterations;
-    warmup_iterations = 1_200;
-    schedule = Schedule.lam ~quality:(150.0 /. float_of_int iterations) ();
-    seed;
-  }
+  Annealer.config_of_budget ~seed ~warmup:1_200 iterations
 
 let explore_once ?trace ?(moves = Moves.fixed_architecture) ~iterations ~seed
     app platform =
@@ -388,7 +383,7 @@ let ablation_schedule () =
   let schedules =
     [
       ("lam (adaptive, the paper's)",
-       fun () -> Schedule.lam ~quality:(150.0 /. float_of_int iterations) ());
+       fun () -> Annealer.lam_schedule iterations);
       ("swartz (feedback target)", fun () -> Schedule.swartz ());
       ("geometric 0.95/100", fun () -> Schedule.geometric ());
       ("infinite (random walk)", fun () -> Schedule.infinite ());

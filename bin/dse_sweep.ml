@@ -13,7 +13,6 @@ open Cmdliner
 module Md = Repro_workloads.Motion_detection
 module Explorer = Repro_dse.Explorer
 module Annealer = Repro_anneal.Annealer
-module Schedule = Repro_anneal.Schedule
 module Stats = Repro_util.Stats
 module Table = Repro_util.Table
 module Parallel = Repro_util.Parallel
@@ -42,13 +41,7 @@ let sweep_cell ?engine app ~n_clb ~iters ~base_seed ~run ~stop =
      [iters] as its iteration budget. *)
   let config =
     {
-      Explorer.anneal =
-        {
-          Annealer.iterations = iters;
-          warmup_iterations = 1_200;
-          schedule = Schedule.lam ~quality:(150.0 /. float_of_int iters) ();
-          seed;
-        };
+      Explorer.anneal = Annealer.config_of_budget ~seed ~warmup:1_200 iters;
       moves = Repro_dse.Moves.fixed_architecture;
       objective = Explorer.Makespan;
     }

@@ -24,19 +24,22 @@ let default_config =
     seed = 1;
   }
 
-let config_of_quality ?(seed = 1) q =
-  if q < 0.0 || q > 1.0 then
-    invalid_arg "Annealer.config_of_quality: quality outside [0,1]";
-  let iterations = int_of_float (2_000.0 *. (100.0 ** q)) in
-  (* Slower cooling for higher quality: the Lam step scales inversely
-     with the budget so the full range of temperatures is still swept. *)
-  let lam_quality = 150.0 /. float_of_int iterations in
+let lam_schedule iterations =
+  Schedule.lam ~quality:(150.0 /. float_of_int iterations) ()
+
+let config_of_budget ?(seed = 1) ?warmup iterations =
   {
     iterations;
-    warmup_iterations = max 200 (iterations / 20);
-    schedule = Schedule.lam ~quality:lam_quality ();
+    warmup_iterations =
+      (match warmup with Some w -> w | None -> max 200 (iterations / 20));
+    schedule = lam_schedule iterations;
     seed;
   }
+
+let config_of_quality ?seed q =
+  if q < 0.0 || q > 1.0 then
+    invalid_arg "Annealer.config_of_quality: quality outside [0,1]";
+  config_of_budget ?seed (int_of_float (2_000.0 *. (100.0 ** q)))
 
 type chain = {
   schedule : Schedule.instance;

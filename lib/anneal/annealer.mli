@@ -40,11 +40,22 @@ val default_config : config
 (** 50000 iterations, 1200 warmup (the paper's Fig. 2 uses 1200),
     Lam schedule with quality 0.003, seed 1. *)
 
+val lam_schedule : int -> Schedule.t
+(** [lam_schedule iterations] is the Lam schedule for a budget of
+    [iterations] cooling moves: quality [150 / iterations], so a
+    larger budget cools proportionally slower and still sweeps the
+    full range of temperatures. *)
+
+val config_of_budget : ?seed:int -> ?warmup:int -> int -> config
+(** [config_of_budget iterations] anneals for [iterations] cooling
+    moves on {!lam_schedule}, after [warmup] moves at infinite
+    temperature (default [max 200 (iterations / 20)]).  Seed 1 by
+    default. *)
+
 val config_of_quality : ?seed:int -> float -> config
 (** [config_of_quality q] maps the user-selected optimization quality
-    [q] in \[0,1\] to a budget: iterations grow geometrically from 2k
-    (q=0) to 200k (q=1) and the Lam schedule gets a proportionally
-    slower cooling. *)
+    [q] in \[0,1\] to a budget for {!config_of_budget}: iterations
+    grow geometrically from 2k (q=0) to 200k (q=1). *)
 
 type chain = {
   schedule : Schedule.instance;

@@ -2,25 +2,27 @@
     the comparison point of the paper's §5.
 
     The GA explores spatial partitioning (and implementation selection)
-    only; for each individual the temporal partitioning is produced by
-    the deterministic {!Clustering} pass and the software schedule by
-    list scheduling on HEFT upward ranks — one partitioning and one
-    schedule per spatial solution, exactly the structure the paper
-    criticizes. *)
+    only; each individual is realized by the fixed decode of
+    {!Repro_sched.Gene_decoder} — the temporal partitioning by the
+    deterministic clustering pass and the software schedule by list
+    scheduling on HEFT upward ranks, one partitioning and one schedule
+    per spatial solution, exactly the structure the paper criticizes.
+    Multi-mode mapping ([Repro_dse.Multi_mode]) decodes its shared
+    genes through the same module. *)
 
 open Repro_taskgraph
 open Repro_arch
 open Repro_sched
 
-type individual = {
+type individual = Gene_decoder.genes = {
   hw : bool array;        (** spatial partitioning gene per task *)
   impl : int array;       (** implementation-selection gene per task *)
 }
 
 val decode : App.t -> Platform.t -> individual -> Searchgraph.spec
-(** Clustering + list scheduling realization of a chromosome.
-    Hardware genes whose implementation cannot fit the device are
-    treated as software. *)
+(** {!Gene_decoder.spec}: clustering + list scheduling realization of a
+    chromosome.  Hardware genes whose implementation cannot fit the
+    device are treated as software. *)
 
 val solution_of :
   App.t -> Platform.t -> individual ->
@@ -30,14 +32,10 @@ val solution_of :
     decoded individuals flow through the engine contract. *)
 
 val fitness : App.t -> Platform.t -> individual -> float
-(** Makespan of the decoded individual, bit for bit
-    [(Searchgraph.evaluate (decode app platform individual)).makespan],
-    without building the spec or the search graph: the same decode on
-    flat arrays, then one Kahn pass over the implicit search graph.
-    [infinity] when that graph is cyclic: the list-scheduled software
-    order and the clustered context chain follow two different
-    topological orders, and where they disagree the two chains close a
-    cycle.  That is not rare.  A traced perfbench run measures
+(** Makespan of the decoded individual ({!Gene_decoder.makespan}), bit
+    for bit [(Searchgraph.evaluate (decode app platform individual)).makespan],
+    without building the spec or the search graph.  [infinity] when that
+    graph is cyclic, which is not rare.  A traced perfbench run measures
     [ga.infeasible_ratio] at about 0.56 on the 28-task study and
     0.93-0.94 on the 132-task [ga132] workload.  Such individuals are
     selected away; deriving both orders from one is an open ROADMAP
@@ -45,11 +43,12 @@ val fitness : App.t -> Platform.t -> individual -> float
     counts one evaluation for fault injection. *)
 
 val scorer : App.t -> Platform.t -> individual -> float
-(** [scorer app platform] allocates the decode tables of one run and
-    returns a function equal to [fitness app platform] that reuses
-    them, so scoring a chromosome allocates only a few words.  The
-    tables are mutable: give each domain its own scorer.  {!fitness}
-    builds fresh tables on every call. *)
+(** [scorer app platform] allocates the decode tables of one run
+    ({!Gene_decoder.tables}) and returns a function equal to
+    [fitness app platform] that reuses them, so scoring a chromosome
+    allocates only a few words.  The tables are mutable: give each
+    domain its own scorer.  {!fitness} builds fresh tables on every
+    call. *)
 
 val engine :
   ?population:int -> ?explore_impls:bool -> unit -> Repro_dse.Engine.t

@@ -1,8 +1,6 @@
 open Repro_taskgraph
-open Repro_arch
 open Repro_sched
 module Annealer = Repro_anneal.Annealer
-module Schedule = Repro_anneal.Schedule
 module Rng = Repro_util.Rng
 
 type mode = {
@@ -30,7 +28,7 @@ let make_problem ~name ~tasks ~modes =
   let tasks = Array.of_list tasks in
   let n = Array.length tasks in
   if modes = [] then invalid_arg "Multi_mode.make_problem: no mode";
-  let realize_mode descriptor =
+  let localize descriptor =
     let members = List.sort_uniq compare descriptor.members in
     if members = [] then
       invalid_arg
@@ -78,9 +76,9 @@ let make_problem ~name ~tasks ~modes =
     in
     { descriptor; app; to_global }
   in
-  { problem_name = name; tasks; modes = List.map realize_mode modes }
+  { problem_name = name; tasks; modes = List.map localize modes }
 
-type assignment = { hw : bool array; impl : int array }
+type assignment = Gene_decoder.genes = { hw : bool array; impl : int array }
 
 type mode_result = {
   mode : mode;
@@ -97,85 +95,49 @@ type result = {
   wall_seconds : float;
 }
 
-(* Deterministic per-mode realization of the shared genes: clustering
-   for the temporal partitioning, HEFT-ranked list scheduling for the
-   processor order (the same decode as the GA baseline). *)
-let realize_mode platform assignment realized =
-  let app = realized.app in
-  let n = App.size app in
-  let impl_choice =
-    Array.init n (fun local ->
-        let k = assignment.impl.(realized.to_global.(local)) in
-        if k < Task.impl_count (App.task app local) then k else 0)
-  in
-  let selected local = Task.impl (App.task app local) impl_choice.(local) in
-  let area =
-    Array.init n (fun local ->
-        if assignment.hw.(realized.to_global.(local)) then
-          (selected local).Task.clbs
-        else -1)
-  in
-  let context = Array.make n (-1) in
-  let count =
-    Clustering.contexts app ~limit:(Platform.n_clb platform) ~area ~context
-  in
-  let time =
-    Array.init n (fun local ->
-        if context.(local) < 0 then (App.task app local).Task.sw_time
-        else (selected local).Task.hw_time)
-  in
-  let comm =
-    Array.init (App.edge_count app) (fun i ->
-        let { App.src; dst; kbytes } = App.edge app i in
-        if context.(src) < 0 <> (context.(dst) < 0) then
-          Platform.transfer_time platform kbytes
-        else 0.0)
-  in
-  let rank = Array.make n 0.0 and order = Array.make n 0 in
-  List_sched.upward_rank app ~time ~comm ~rank;
-  List_sched.prioritized_topological_order (List_sched.scratch n) app
-    ~priority:rank ~order;
-  let sw_order = List.filter (fun v -> context.(v) < 0) (Array.to_list order) in
-  Searchgraph.single_processor_spec ~app ~platform
-    ~binding:(fun local ->
-      if context.(local) < 0 then Searchgraph.Sw
-      else Searchgraph.Hw context.(local))
-    ~impl_choice:(fun local -> impl_choice.(local))
-    ~sw_order
-    ~contexts:(Clustering.members app ~context count)
+(* A mode's restriction of the shared genes, over its local ids.  A
+   local task copies its global task's implementations, so every
+   in-range global gene is in range locally. *)
+let restrict realized assignment =
+  let pick genes = Array.map (fun g -> genes.(g)) realized.to_global in
+  { hw = pick assignment.hw; impl = pick assignment.impl }
 
 let realize problem platform assignment =
   List.map
     (fun realized ->
-      (realized.descriptor, realize_mode platform assignment realized))
+      ( realized.descriptor,
+        Gene_decoder.spec realized.app platform (restrict realized assignment)
+      ))
     problem.modes
 
-let slack_ratio descriptor eval =
-  (descriptor.deadline -. eval.Searchgraph.makespan) /. descriptor.deadline
+let slack_ratio descriptor makespan =
+  (descriptor.deadline -. makespan) /. descriptor.deadline
 
 (* The annealer minimizes; feasible-and-large-margin solutions have the
-   lowest cost.  Infeasible decodes are heavily penalized but remain
-   comparable so the search can climb out. *)
-let assignment_cost problem platform assignment =
+   lowest cost.  Infeasible (cyclic) decodes are heavily penalized but
+   remain comparable so the search can climb out.  [scorers] pairs each
+   mode with its decode tables. *)
+let assignment_cost scorers assignment =
   List.fold_left
-    (fun worst realized ->
-      let spec = realize_mode platform assignment realized in
-      match Searchgraph.evaluate spec with
-      | Some eval -> Float.max worst (-.slack_ratio realized.descriptor eval)
-      | None ->
+    (fun worst (realized, tables) ->
+      let makespan =
+        Gene_decoder.makespan tables (restrict realized assignment)
+      in
+      if makespan = infinity then
         (* Dominates any feasible cost: the all-software initial
            assignment always decodes, so the best never lands here. *)
-        Float.max worst 1e9)
-    neg_infinity problem.modes
+        Float.max worst 1e9
+      else Float.max worst (-.slack_ratio realized.descriptor makespan))
+    neg_infinity scorers
 
 module Problem_state = struct
   type state = {
     problem : problem;
-    platform : Platform.t;
+    scorers : (realized_mode * Gene_decoder.tables) list;
     assignment : assignment;
   }
 
-  let cost s = assignment_cost s.problem s.platform s.assignment
+  let cost s = assignment_cost s.scorers s.assignment
 
   let snapshot s =
     {
@@ -215,42 +177,41 @@ let explore ?(seed = 1) ?(iterations = 20_000) problem platform =
   let state =
     {
       Problem_state.problem;
-      platform;
+      (* Mutable, so allocated per call and never stored in the
+         [problem], which several domains may share. *)
+      scorers =
+        List.map
+          (fun r -> (r, Gene_decoder.tables r.app platform))
+          problem.modes;
       assignment = { hw = Array.make n false; impl = Array.make n 0 };
     }
   in
-  let config =
-    {
-      Annealer.iterations;
-      warmup_iterations = max 200 (iterations / 20);
-      schedule = Schedule.lam ~quality:(150.0 /. float_of_int iterations) ();
-      seed;
-    }
+  let outcome =
+    Engine.run (Annealer.config_of_budget ~seed iterations) state
   in
-  let outcome = Engine.run config state in
   let assignment = outcome.Annealer.best.Problem_state.assignment in
   let per_mode =
     List.map
-      (fun realized ->
-        let spec = realize_mode platform assignment realized in
+      (fun (mode, spec) ->
         match Searchgraph.evaluate spec with
         | Some eval ->
           {
-            mode = realized.descriptor;
+            mode;
             spec;
             eval;
-            meets = eval.Searchgraph.makespan <= realized.descriptor.deadline;
+            meets = eval.Searchgraph.makespan <= mode.deadline;
           }
         | None ->
           (* The all-software assignment is always feasible, so the
              annealer's best — never worse than the initial state —
              decodes feasibly in every mode. *)
           assert false)
-      problem.modes
+      (realize problem platform assignment)
   in
   let worst_slack_ratio =
     List.fold_left
-      (fun worst r -> Float.min worst (slack_ratio r.mode r.eval))
+      (fun worst r ->
+        Float.min worst (slack_ratio r.mode r.eval.Searchgraph.makespan))
       infinity per_mode
   in
   {

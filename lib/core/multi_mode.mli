@@ -8,11 +8,14 @@
     implementation selection are shared across modes, while temporal
     partitioning and schedules are per-mode.
 
-    The explorer anneals over the shared decisions; each candidate is
-    realized per mode with the deterministic clustering + list
-    scheduling decode (the per-mode refinement that the single-mode
-    explorer performs with moves is left deterministic here, keeping
-    the search space the shared genes). *)
+    The explorer anneals over the shared decisions.  Each candidate is
+    realized per mode by the GA baseline's fixed decode,
+    {!Repro_sched.Gene_decoder}, on the mode's restriction of the
+    shared genes (the per-mode refinement that the single-mode explorer
+    performs with moves is left deterministic here, keeping the search
+    space the shared genes).  A branching mode can decode to a cyclic
+    search graph, as the GA's chromosomes do; such a candidate takes a
+    large penalty instead of a slack. *)
 
 open Repro_taskgraph
 open Repro_arch
@@ -32,7 +35,7 @@ val make_problem :
 (** Validates: at least one mode, members within range, every mode's
     restriction acyclic.  Task ids are global (0..n-1 over [tasks]). *)
 
-type assignment = {
+type assignment = Gene_decoder.genes = {
   hw : bool array;    (** shared spatial partitioning, per global task *)
   impl : int array;   (** shared implementation selection *)
 }
@@ -56,7 +59,9 @@ type result = {
 
 val realize :
   problem -> Platform.t -> assignment -> (mode * Searchgraph.spec) list
-(** Deterministic decode of the shared assignment in every mode. *)
+(** Deterministic decode of the shared assignment in every mode.  An
+    implementation index out of range for a hardware task raises
+    [Invalid_argument]. *)
 
 val explore :
   ?seed:int -> ?iterations:int -> problem -> Platform.t -> result

@@ -1,10 +1,11 @@
 (* The racing portfolio meta-engine: run several registered engines
    under one Engine.S contract.  Three schedules share one lane
    machinery — budget-sliced round-robin, parallel racing with hedged
-   cancellation, and pipelined warm-start chains — and every lane is
-   supervised through Parallel.map_outcomes, so a crashing, faulted or
-   overrunning member degrades to a salvaged lane instead of sinking
-   the portfolio.  See portfolio.mli for the contract. *)
+   cancellation, and pipelined warm-start chains — and a slice that
+   raises faults its lane (racing lanes run under
+   Parallel.map_outcomes), so a crashing or faulted member degrades to
+   a salvaged lane instead of sinking the portfolio.  See portfolio.mli
+   for the contract. *)
 
 module Clock = Repro_util.Clock
 module Rng = Repro_util.Rng
@@ -493,17 +494,10 @@ let start_portfolio ?report ?payload ~spec ~engines (ctx : Engine.context) =
     lane.st <-
       (if o.Engine.status = Engine.Complete then L_finished else L_alive)
   in
-  let settle lane = function
-    | Parallel.Done o -> absorb lane o
-    | outcome ->
-      let error =
-        match outcome with
-        | Parallel.Failed { error; _ } -> error
-        | _ -> Parallel.outcome_name outcome
-      in
-      lane.st <- L_faulted error;
-      Log.warn "portfolio %s: lane %d (%s) lost: %s; best-so-far salvaged"
-        name lane.index lane.ename error
+  let fault lane error =
+    lane.st <- L_faulted error;
+    Log.warn "portfolio %s: lane %d (%s) lost: %s; best-so-far salvaged"
+      name lane.index lane.ename error
   in
 
   (* -- schedules ----------------------------------------------------- *)
@@ -555,9 +549,9 @@ let start_portfolio ?report ?payload ~spec ~engines (ctx : Engine.context) =
     Option.map
       (fun lane ->
         let cut = ref false in
-        settle lane
-          (Parallel.map_outcomes ~jobs:1 1 (fun _ ~stop:_ ->
-               slice ~until ~warm:(warm ()) ~cut lane ())).(0);
+        (match slice ~until ~warm:(warm ()) ~cut lane () with
+         | o -> absorb lane o
+         | exception exn -> fault lane (Printexc.to_string exn));
         cursor := if !cut then lane.index else (lane.index + 1) mod k;
         !cut)
       (pick ())
@@ -574,7 +568,10 @@ let start_portfolio ?report ?payload ~spec ~engines (ctx : Engine.context) =
     else begin
       Parallel.map_outcomes ~jobs:n n (fun j ~stop:_ ->
           slice ~warm:ctx.Engine.warm_start ~cut:(ref false) active.(j) ())
-      |> Array.iteri (fun j outcome -> settle active.(j) outcome);
+      |> Array.iteri (fun j -> function
+           | Parallel.Done o -> absorb active.(j) o
+           | Parallel.Failed { error; _ } -> fault active.(j) error
+           | outcome -> fault active.(j) (Parallel.outcome_name outcome));
       Some false
     end
   in

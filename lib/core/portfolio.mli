@@ -23,13 +23,15 @@
       incumbent of the stages before it (greedy seeding sa, say).
 
     {b Isolation.} Every lane holds its member's live
-    {!Engine.session}, and one slice is one [advance] of it under
-    {!Repro_util.Parallel.map_outcomes}, so a member that raises or
-    hits an armed {!Repro_util.Fault} degrades to a dead lane: its
-    best-so-far (from its last completed slice) stays in the aggregate,
-    the loss is logged, and the portfolio's outcome is the best over
-    surviving lanes.  The run only fails when {e every} lane is lost
-    before producing a boundary.
+    {!Engine.session}, and one slice is one [advance] of it.  A member
+    that raises or hits an armed {!Repro_util.Fault} degrades to a dead
+    lane: its best-so-far (from its last completed slice) stays in the
+    aggregate, the loss is logged, and the portfolio's outcome is the
+    best over surviving lanes.  The run only fails when {e every} lane
+    is lost before producing a boundary.  Racing slices run as the
+    items of one {!Repro_util.Parallel.map_outcomes} pool, so a
+    [Worker] fault index names a lane among those still racing;
+    round-robin and chain slices are called directly.
 
     {b Determinism.} Member seeds derive from the portfolio seed
     ([seed + 65537 * lane]), slice boundaries are fixed by the spec and

@@ -7,8 +7,8 @@
     in topological order and packs them into the current context until
     the device capacity would be exceeded, then opens a new context.
 
-    The pass reads and writes flat arrays so that a decoder can run it
-    once per chromosome without allocating. *)
+    The pass reads and writes flat arrays so that {!Gene_decoder} can
+    run it once per gene vector without allocating. *)
 
 open Repro_taskgraph
 

@@ -1,0 +1,46 @@
+(** The fixed decode of a spatial gene vector into one schedule, after
+    Ben Chehida & Auguin (CASES'02): temporal partitioning by the
+    deterministic {!Clustering} pass (a hardware gene whose
+    implementation cannot fit the device stays in software), then the
+    software order by list scheduling on HEFT upward ranks
+    ({!List_sched}).  One partitioning and one schedule per spatial
+    solution: exactly the structure the paper criticizes.
+
+    Two searches decode their genes here: the genetic-algorithm
+    baseline ([Repro_baseline.Ga]) on the whole application, and
+    multi-mode mapping ([Repro_dse.Multi_mode]) on each mode's
+    restriction of the shared genes. *)
+
+open Repro_taskgraph
+open Repro_arch
+
+type genes = {
+  hw : bool array;  (** spatial partitioning gene per task *)
+  impl : int array;  (** implementation-selection gene per task *)
+}
+(** One gene of each kind per task.  A hardware gene's implementation
+    index must be in range for its task: an index past the task's
+    implementations raises [Invalid_argument]. *)
+
+val spec : App.t -> Platform.t -> genes -> Searchgraph.spec
+(** The decoded schedule as a single-processor search-graph spec.  The
+    spec reads [genes.impl] when evaluated, so do not mutate it while
+    the spec is in use. *)
+
+type tables
+(** A run's decode tables: the per-run parts (software times on
+    processor 0, each edge's transfer time) and every buffer the decode
+    and the makespan pass rewrite.  Mutable: give each domain its own.
+    A scoring loop allocates one set per run and never shares it. *)
+
+val tables : App.t -> Platform.t -> tables
+
+val makespan : tables -> genes -> float
+(** Makespan of the decoded gene vector, bit for bit
+    [(Searchgraph.evaluate (spec app platform genes)).makespan], without
+    building the spec or the search graph: the same decode on the
+    tables' flat arrays, then one Kahn pass over the implicit search
+    graph.  [infinity] when that graph is cyclic: the list-scheduled
+    software order and the clustered context chain follow two different
+    topological orders, and where they disagree the two chains close a
+    cycle.  Allocates only a few words. *)

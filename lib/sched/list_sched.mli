@@ -1,11 +1,12 @@
 (** List-scheduling primitives.
 
-    The genetic-algorithm baseline (after Ben Chehida & Auguin) and the
-    multi-mode decoder order tasks by a priority and schedule them in a
-    precedence-consistent order.  This module provides the classic
+    The fixed gene decode of {!Gene_decoder} (behind the
+    genetic-algorithm baseline after Ben Chehida & Auguin, and
+    multi-mode mapping) orders tasks by a priority and schedules them
+    in a precedence-consistent order.  This module provides the classic
     priority (HEFT-style upward rank) and the prioritized topological
-    order, both on flat arrays: a decoder runs them once per chromosome
-    into buffers it reuses. *)
+    order, both on flat arrays: the decoder runs them once per gene
+    vector into buffers it reuses. *)
 
 open Repro_taskgraph
 

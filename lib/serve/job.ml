@@ -1,7 +1,6 @@
 module Json = Repro_util.Json_lite
 module Explorer = Repro_dse.Explorer
 module Annealer = Repro_anneal.Annealer
-module Schedule = Repro_anneal.Schedule
 
 type source = Named of string | From_file of string
 
@@ -236,12 +235,7 @@ let result_fields ~status ?restarts (result : Explorer.result) =
 let explorer_config job =
   {
     Explorer.anneal =
-      {
-        Annealer.iterations = job.iters;
-        warmup_iterations = job.warmup;
-        schedule = Schedule.lam ~quality:(150.0 /. float_of_int job.iters) ();
-        seed = job.seed;
-      };
+      Annealer.config_of_budget ~seed:job.seed ~warmup:job.warmup job.iters;
     moves = Repro_dse.Moves.fixed_architecture;
     objective =
       (if job.serialized then Explorer.Makespan_serialized

@@ -3,7 +3,10 @@
     A fault {e plan} is a set of (site, index) points at which an
     {!Injected} exception is raised.  Four sites exist: [Eval] indexes
     the process-wide count of solution evaluations, [Worker] indexes
-    the items of a [Parallel.map_outcomes] pool, [Job] indexes the jobs a
+    the items of a [Parallel.map_outcomes] pool — restart chains,
+    frontier devices, sweep and compare cells, and the lanes of a
+    racing portfolio; a round-robin or chain portfolio's slices run
+    outside any pool, so no [Worker] index reaches them — [Job] indexes the jobs a
     [dse-serve] daemon claims — an armed [Job] point crashes the daemon
     mid-queue, the hook the service fault drills use — [Lease]
     indexes a daemon's lease refreshes, so an armed point kills a

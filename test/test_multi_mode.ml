@@ -105,6 +105,43 @@ let test_shared_binding () =
         (List.length spec.Repro_sched.Searchgraph.contexts))
     realized
 
+let test_realize_is_the_ga_decode () =
+  let problem = problem () and platform = platform () in
+  let assignment : Repro_baseline.Ga.individual =
+    { Multi_mode.hw = Array.of_list [ true; true; true; false; true; false;
+                                      false; false ];
+      impl = Array.of_list [ 1; 0; 1; 0; 0; 0; 0; 0 ] }
+  in
+  (* The capture mode holds tasks 0-4 in order, so its local genes are
+     the first five: the GA's decode of them on the mode's own
+     application is the same schedule. *)
+  let mode_app =
+    App.make ~name:"capture" ~deadline:6.0
+      ~tasks:(List.filteri (fun i _ -> i < 5) tasks)
+      ~edges:capture_mode.Multi_mode.edges ()
+  in
+  let local =
+    { Repro_baseline.Ga.hw = Array.sub assignment.Multi_mode.hw 0 5;
+      impl = Array.sub assignment.Multi_mode.impl 0 5 }
+  in
+  let makespan spec =
+    match Repro_sched.Searchgraph.evaluate spec with
+    | Some e -> e.Repro_sched.Searchgraph.makespan
+    | None -> infinity
+  in
+  (match Multi_mode.realize problem platform assignment with
+   | (_, spec) :: _ ->
+     Alcotest.(check (float 0.0)) "capture mode decodes as the GA does"
+       (Repro_baseline.Ga.fitness mode_app platform local)
+       (makespan spec)
+   | [] -> Alcotest.fail "no mode");
+  (* A hardware gene's implementation index past the task's variants
+     is a bounds error, not a silent 0. *)
+  let bad = { assignment with Multi_mode.impl = Array.make 8 7 } in
+  match Multi_mode.realize problem platform bad with
+  | _ -> Alcotest.fail "out-of-range implementation accepted"
+  | exception Invalid_argument _ -> ()
+
 let test_explore_meets_both_modes () =
   let problem = problem () in
   let result = Multi_mode.explore ~seed:3 ~iterations:8_000 problem (platform ()) in
@@ -136,6 +173,8 @@ let suite =
       test_make_problem_validation;
     Alcotest.test_case "realize all software" `Quick test_realize_all_software;
     Alcotest.test_case "shared binding" `Quick test_shared_binding;
+    Alcotest.test_case "realize is the GA decode" `Quick
+      test_realize_is_the_ga_decode;
     Alcotest.test_case "explore meets both modes" `Quick
       test_explore_meets_both_modes;
     Alcotest.test_case "explore deterministic" `Quick test_explore_deterministic;

@@ -386,6 +386,74 @@ let test_all_lanes_lost_fails () =
         Alcotest.(check bool) "failure names the lost lanes" true
           (String.length msg > 0))
 
+(* A member whose first slice raises: round-robin and chain slices run
+   outside any pool, so the exception itself faults the lane. *)
+let crashing_member : Engine.t =
+  (module struct
+    let name = "test-crashing-member"
+    let describe = "raises on its first slice"
+    let knobs = "none"
+    let default_iterations = 10
+
+    let start ?payload:_ _ctx =
+      Ok
+        {
+          Engine.advance = (fun ~until:_ -> failwith "member crashed");
+          outcome = (fun () -> assert false);
+          payload = (fun () -> assert false);
+        }
+  end)
+
+let test_sequential_member_raises () =
+  Repro_dse.Engine_registry.register crashing_member;
+  let lanes = ref [||] in
+  let outcome =
+    Engine.run
+      (engine_of
+         ~report:(fun l -> lanes := l)
+         {
+           Portfolio.mode = Round_robin;
+           members = [ "test-crashing-member"; "hill" ];
+           slice = None;
+           target_cost = None;
+         })
+      (context ~seed:11 ~iterations:40 ())
+  in
+  let lanes = !lanes in
+  Alcotest.(check string) "the raising lane is faulted with its reason"
+    "faulted: Failure(\"member crashed\")" lanes.(0).Portfolio.state;
+  Alcotest.(check string) "the other lane completes" "finished"
+    lanes.(1).Portfolio.state;
+  Alcotest.(check bool) "portfolio completes" true
+    (outcome.Engine.status = Engine.Complete);
+  Alcotest.(check bool) "outcome is the surviving lane's best" true
+    (outcome.Engine.best_cost = lanes.(1).Portfolio.best)
+
+let test_worker_faults_skip_sequential_slices () =
+  (* A worker fault indexes pool items; no round-robin slice is one. *)
+  Fun.protect ~finally:Fault.disarm (fun () ->
+      Fault.arm "worker:0";
+      let lanes = ref [||] in
+      let outcome =
+        Engine.run
+          (engine_of
+             ~report:(fun l -> lanes := l)
+             {
+               Portfolio.mode = Round_robin;
+               members = [ "greedy"; "hill" ];
+               slice = None;
+               target_cost = None;
+             })
+          (context ~seed:11 ~iterations:40 ())
+      in
+      Alcotest.(check bool) "portfolio completes" true
+        (outcome.Engine.status = Engine.Complete);
+      Array.iter
+        (fun l ->
+          Alcotest.(check string) "no lane is faulted" "finished"
+            l.Portfolio.state)
+        !lanes)
+
 (* ---- chain warm starts -------------------------------------------- *)
 
 let test_chain_warm_start () =
@@ -648,6 +716,10 @@ let suite =
       test_faulted_member_degrades;
     Alcotest.test_case "race: all lanes lost raises" `Quick
       test_all_lanes_lost_fails;
+    Alcotest.test_case "rr: a raising member faults only its lane" `Quick
+      test_sequential_member_raises;
+    Alcotest.test_case "rr: worker faults never reach a slice" `Quick
+      test_worker_faults_skip_sequential_slices;
     Alcotest.test_case "chain: stages warm-start from the incumbent" `Quick
       test_chain_warm_start;
     Alcotest.test_case "seed-from: read_incumbent crosses engines" `Quick
