@@ -95,11 +95,11 @@ faultcheck: build
 	@set -e; for spec in portfolio:race:sa+hill portfolio:rr:sa+hill \
 	    portfolio:chain:greedy+sa; do \
 	  ck=$$(mktemp -u); clean=$$(mktemp); resumed=$$(mktemp); \
-	  echo "faultcheck: $$spec kill/resume (--time-budget 1)"; \
+	  echo "faultcheck: $$spec kill/resume (--time-budget 0.1)"; \
 	  dune exec -- bin/dse_run.exe --engine $$spec --seed 7 \
 	    --iters 300000 --result $$clean >/dev/null; \
 	  if dune exec -- bin/dse_run.exe --engine $$spec \
-	       --seed 7 --iters 300000 --time-budget 1 \
+	       --seed 7 --iters 300000 --time-budget 0.1 \
 	       --checkpoint $$ck --checkpoint-every 1 >/dev/null 2>&1; then \
 	    echo "faultcheck: $$spec: time budget did not interrupt the run"; \
 	    exit 1; \

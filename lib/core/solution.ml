@@ -112,6 +112,7 @@ type op =
   | Pairs of int list * bool       (* old cache (sorted, packed u·2n+v)
                                       and whether it was fresh *)
   | Touch of int list              (* nodes whose edge weights changed *)
+  | Clbs of int * int              (* context id, old CLB total *)
 
 (* Incremental-evaluation state: a live search graph over n task nodes
    plus n configuration nodes, its longest-path solution (dynamic:
@@ -132,6 +133,10 @@ type op =
    can be asserted against a regenerate-and-diff reference
    ([pairs_fresh] tracks whether the cache is current — default-mode
    moves stop maintaining it).
+
+   [clbs] holds each live context's CLB total (0 for a free id) and
+   [over] counts the contexts above the device's [limit], so a settle
+   judges capacity without re-summing a member list.
 
    [desync] flags a move whose sequencing contradicts the application
    precedences (infeasible until undone).  A state that can no longer
@@ -157,6 +162,9 @@ type incr = {
   mutable epoch : int;             (* bumped when the log is truncated *)
   mutable dirty : int list;
   mutable desync : bool;
+  clbs : int array;
+  mutable over : int;
+  limit : int;
 }
 
 (* Paranoid cross-checking: regenerate the canonical pair list on every
@@ -335,6 +343,19 @@ let set_weight inc v w =
     mark_dirty inc v
   end
 
+let over_limit inc clbs = if clbs > inc.limit then 1 else 0
+
+(* Store a context's CLB total, keeping [over] in step. *)
+let store_clbs inc cid total =
+  inc.over <- inc.over - over_limit inc inc.clbs.(cid) + over_limit inc total;
+  inc.clbs.(cid) <- total
+
+let set_clbs inc cid total =
+  if total <> inc.clbs.(cid) then begin
+    log_push inc (Clbs (cid, inc.clbs.(cid)));
+    store_clbs inc cid total
+  end
+
 (* Replay the inverse ops down to [mark].  Re-inserting a deleted edge
    restores a historical (acyclic) graph, so it can never fail. *)
 let rollback app inc ~mark =
@@ -358,6 +379,7 @@ let rollback app inc ~mark =
       inc.pairs <- old;
       inc.pairs_fresh <- fresh
     | Touch vs -> List.iter (mark_dirty inc) vs
+    | Clbs (cid, old) -> store_clbs inc cid old
   done
 
 (* Undo closures outliving this many log entries are long dead (undo is
@@ -466,6 +488,13 @@ let spec t =
 let capacity_ok t =
   let limit = Platform.n_clb t.platform in
   List.for_all (fun (_, members) -> members_clbs t members <= limit) t.ctxs
+
+(* A live context's members changed: its CLB total and the weight of
+   its configuration node follow. *)
+let resize_context t inc cid members =
+  let clbs = members_clbs t members in
+  set_clbs inc cid clbs;
+  set_weight inc (size t + cid) (Platform.reconfiguration_time t.platform clbs)
 
 (* Mirror of [Searchgraph.exec_time] reading the solution directly, so
    the incremental path does not rebuild a spec per move. *)
@@ -798,12 +827,13 @@ let native_resync t kind ~rebound ~sw_around ~old_sw ~old_ctxs =
           log_push inc (Touch touched);
           List.iter (mark_dirty inc) touched)
         rebound;
-      List.iter
-        (fun (cid, members) ->
-          set_weight inc (n + cid)
-            (Platform.reconfiguration_time t.platform (members_clbs t members)))
+      List.iter (fun (cid, members) -> resize_context t inc cid members)
         touched_ctxs;
-      List.iter (fun (cid, _) -> set_weight inc (n + cid) 0.0) freed;
+      List.iter
+        (fun (cid, _) ->
+          set_clbs inc cid 0;
+          set_weight inc (n + cid) 0.0)
+        freed;
       (* 5. Boundary traffic: flip the sum-tree terms of the edges
          incident to rebound tasks — O(deg · log m), not a re-walk of
          the application graph. *)
@@ -878,10 +908,11 @@ let evaluate_full t =
   for v = 0 to n - 1 do
     weights.(v) <- exec_time_of t v
   done;
+  let clbs = Array.make n 0 in
   List.iter
     (fun (cid, members) ->
-      weights.(n + cid) <-
-        Platform.reconfiguration_time t.platform (members_clbs t members))
+      clbs.(cid) <- members_clbs t members;
+      weights.(n + cid) <- Platform.reconfiguration_time t.platform clbs.(cid))
     t.ctxs;
   let comm =
     Searchgraph.Comm.create
@@ -917,6 +948,9 @@ let evaluate_full t =
         epoch = 0;
         dirty = [];
         desync = false;
+        clbs;
+        over = 0;  (* [settle] builds only a state within capacity *)
+        limit = Platform.n_clb t.platform;
       }
     in
     t.incr <- Some inc;
@@ -950,8 +984,14 @@ let settle t =
      t.cached <-
        (match t.incr with
         | Some inc ->
-          if inc.desync || not (capacity_ok t) then Evaluated None
-          else evaluate_incremental t inc
+          if inc.desync then Evaluated None
+          else begin
+            if !check_deltas && (inc.over = 0) <> capacity_ok t then
+              failwith "Solution: the over-capacity count diverges from \
+                        capacity_ok";
+            if inc.over > 0 then Evaluated None
+            else evaluate_incremental t inc
+          end
         | None ->
           if not (capacity_ok t) then Evaluated None else evaluate_full t)
    | Settled _ | Evaluated _ -> ());
@@ -1002,11 +1042,8 @@ let set_impl t v k =
     | Some inc when inc.desync -> t.incr <- None
     | Some inc ->
       set_weight inc v (exec_time_of t v);
-      if t.assign.(v) >= 0 then begin
-        let members = assoc_int t.assign.(v) t.ctxs in
-        set_weight inc (size t + t.assign.(v))
-          (Platform.reconfiguration_time t.platform (members_clbs t members))
-      end
+      if t.assign.(v) >= 0 then
+        resize_context t inc t.assign.(v) (assoc_int t.assign.(v) t.ctxs)
     | None -> ()
   end
 

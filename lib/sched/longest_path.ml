@@ -1,69 +1,20 @@
 open Repro_taskgraph
-module Bitset = Repro_util.Bitset
 
-(* Zero-allocation int min-heap keyed by topological position.  Keys
-   are unique (one position per node, and the [queued] bitset pushes
-   each node at most once), so no tie-breaking stamp is needed.  A
-   heap of boxed entries would allocate on every push and pop — in
-   the innermost loop of every refresh. *)
-type heap = {
-  mutable keys : int array;
-  mutable vals : int array;
-  mutable hsize : int;
-}
+(* One bit per topological position, [bits] positions to a word: the
+   refresh worklist and the reorder's sort.  The lowest set bit of a
+   word is popped in constant time: the powers of two below 2^62 leave
+   distinct remainders mod 67 (2 generates the multiplicative group
+   mod 67), so [ctz] maps [x land (-x)] back to its bit index. *)
+let bits = 62
 
-let heap_create () = { keys = [||]; vals = [||]; hsize = 0 }
+let ctz =
+  let table = Array.make 67 0 in
+  for k = 0 to bits - 1 do
+    table.((1 lsl k) mod 67) <- k
+  done;
+  table
 
-let heap_push h key v =
-  let cap = Array.length h.keys in
-  if h.hsize = cap then begin
-    let ncap = max 8 (2 * cap) in
-    let nk = Array.make ncap 0 and nv = Array.make ncap 0 in
-    Array.blit h.keys 0 nk 0 h.hsize;
-    Array.blit h.vals 0 nv 0 h.hsize;
-    h.keys <- nk;
-    h.vals <- nv
-  end;
-  let i = ref h.hsize in
-  h.hsize <- h.hsize + 1;
-  h.keys.(!i) <- key;
-  h.vals.(!i) <- v;
-  while !i > 0 && h.keys.(!i) < h.keys.((!i - 1) / 2) do
-    let p = (!i - 1) / 2 in
-    let k = h.keys.(!i) and x = h.vals.(!i) in
-    h.keys.(!i) <- h.keys.(p);
-    h.vals.(!i) <- h.vals.(p);
-    h.keys.(p) <- k;
-    h.vals.(p) <- x;
-    i := p
-  done
-
-(* Pop the minimum-key value; the caller checks [hsize > 0]. *)
-let heap_pop h =
-  let top = h.vals.(0) in
-  h.hsize <- h.hsize - 1;
-  if h.hsize > 0 then begin
-    h.keys.(0) <- h.keys.(h.hsize);
-    h.vals.(0) <- h.vals.(h.hsize);
-    let i = ref 0 in
-    let continue = ref true in
-    while !continue do
-      let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
-      let s = ref !i in
-      if l < h.hsize && h.keys.(l) < h.keys.(!s) then s := l;
-      if r < h.hsize && h.keys.(r) < h.keys.(!s) then s := r;
-      if !s = !i then continue := false
-      else begin
-        let k = h.keys.(!i) and x = h.vals.(!i) in
-        h.keys.(!i) <- h.keys.(!s);
-        h.vals.(!i) <- h.vals.(!s);
-        h.keys.(!s) <- k;
-        h.vals.(!s) <- x;
-        i := !s
-      end
-    done
-  end;
-  top
+let lowest_bit x = ctz.((x land (-x)) mod 67)
 
 (* The weights are cached: [weight] holds the node weights, and the
    in-edges live in one flat store — [in_src] / [in_w] hold each
@@ -78,6 +29,7 @@ type t = {
   node_weight : int -> float;
   edge_weight : int -> int -> float;
   position : int array;   (* topological position of each node *)
+  at : int array;         (* the node at each position *)
   finish : float array;
   weight : float array;
   in_start : int array;
@@ -86,10 +38,9 @@ type t = {
   mutable in_src : int array;
   mutable in_w : float array;
   mutable in_used : int;  (* the store's cells past this one are free *)
-  queue : heap;           (* refresh worklist scratch; empty between *)
-  queued : Bitset.t;      (* calls, so reusable without clearing *)
-  fwd : Bitset.t;         (* Pearce–Kelly discovery marks: empty between *)
-  bwd : Bitset.t;         (* insertions, each clears what it marked *)
+  marks : int array;      (* position bitmap: empty between calls *)
+  run : int array;        (* reorder scratch: the moved nodes, *)
+  pool : int array;       (* and the positions they share *)
   mutable touched : int;
 }
 
@@ -190,8 +141,6 @@ let update t v =
   end
   else false
 
-let recompute_in_order t order = Array.iter (fun v -> ignore (update t v)) order
-
 (* The store is filled in one pass over [Graph.preds], its size known
    up front from the edge count: a handful of arrays whatever the graph
    size, not one per node. *)
@@ -208,8 +157,8 @@ let create graph ~node_weight ~edge_weight =
         weight = Array.make n 0.0; in_start = Array.make n 0;
         in_len = Array.make n 0; in_cap = Array.make n 0;
         in_src = Array.make size 0; in_w = Array.make size 0.0; in_used = 0;
-        queue = heap_create (); queued = Bitset.create n;
-        fwd = Bitset.create n; bwd = Bitset.create n; touched = n }
+        at = order; marks = Array.make ((n / bits) + 1) 0;
+        run = Array.make n 0; pool = Array.make n 0; touched = n }
     in
     let rec fill v k = function
       | [] -> k
@@ -227,7 +176,7 @@ let create graph ~node_weight ~edge_weight =
       t.in_used <- e + slack;
       t.weight.(v) <- node_weight v
     done;
-    recompute_in_order t order;
+    Array.iter (fun v -> ignore (update t v)) order;
     Some t
 
 let finish t v = t.finish.(v)
@@ -248,62 +197,94 @@ let makespan t =
   !m
 
 let recompute t =
-  let n = Array.length t.position in
-  for v = 0 to n - 1 do
+  for v = 0 to Array.length t.position - 1 do
     reread t v
   done;
-  (* Rebuild the processing order from positions. *)
-  let order = Array.make n 0 in
-  Array.iteri (fun v pos -> order.(pos) <- v) t.position;
-  recompute_in_order t order;
-  t.touched <- n
+  Array.iter (fun v -> ignore (update t v)) t.at;
+  t.touched <- Array.length t.at
 
-(* Worklist in topological order: each node is evaluated after all of
-   its updated predecessors, so it is processed at most once. *)
-let push t v =
-  if not (Bitset.mem t.queued v) then begin
-    Bitset.add t.queued v;
-    heap_push t.queue t.position.(v) v
+let mark t p =
+  let w = p / bits in
+  t.marks.(w) <- t.marks.(w) lor (1 lsl (p mod bits))
+
+let marked t p = t.marks.(p / bits) land (1 lsl (p mod bits)) <> 0
+
+(* Queue [v] unless it is queued already; [queued] counts the queue. *)
+let push t queued v =
+  let p = t.position.(v) in
+  if marked t p then queued
+  else begin
+    mark t p;
+    queued + 1
   end
 
-let rec push_all t = function
-  | [] -> ()
-  | v :: rest ->
-    push t v;
-    push_all t rest
+let rec push_succs t queued = function
+  | [] -> queued
+  | v :: rest -> push_succs t (push t queued v) rest
 
 (* A dirty node re-reads its weights when first queued, so a node
    listed twice is read once. *)
-let rec push_dirty t = function
-  | [] -> ()
+let rec push_dirty t queued = function
+  | [] -> queued
   | v :: rest ->
-    if not (Bitset.mem t.queued v) then begin
-      reread t v;
-      push t v
-    end;
-    push_dirty t rest
+    let now = push t queued v in
+    if now > queued then reread t v;
+    push_dirty t now rest
 
+let rec lowest_position t low = function
+  | [] -> low
+  | v :: rest ->
+    let p = t.position.(v) in
+    lowest_position t (if p < low then p else low) rest
+
+(* Worklist in topological order: the lowest queued position is popped
+   first, and every node it queues sits at a later position, so one
+   forward sweep of the bitmap evaluates each node after all of its
+   updated predecessors, at most once. *)
 let refresh t dirty =
-  push_dirty t dirty;
-  t.touched <- 0;
-  while t.queue.hsize > 0 do
-    let v = heap_pop t.queue in
-    Bitset.remove t.queued v;
-    t.touched <- t.touched + 1;
-    if update t v then push_all t (Graph.succs t.graph v)
-  done
+  let queued = ref (push_dirty t 0 dirty) in
+  let w = ref (lowest_position t max_int dirty / bits) in
+  let touched = ref 0 in
+  while !queued > 0 do
+    let x = t.marks.(!w) in
+    if x = 0 then incr w
+    else begin
+      t.marks.(!w) <- x land (x - 1);
+      decr queued;
+      incr touched;
+      let v = t.at.((!w * bits) + lowest_bit x) in
+      if update t v then queued := push_succs t !queued (Graph.succs t.graph v)
+    end
+  done;
+  t.touched <- !touched
 
 let touched_last_refresh t = t.touched
+
+(* Move the nodes at the marked positions in [lb, ub] into [t.run]
+   from index [i], in position order, clearing the marks; returns the
+   index past the last one. *)
+let collect t lb ub i =
+  let i = ref i in
+  for w = lb / bits to ub / bits do
+    let x = ref t.marks.(w) in
+    while !x <> 0 do
+      t.run.(!i) <- t.at.((w * bits) + lowest_bit !x);
+      incr i;
+      x := !x land (!x - 1)
+    done;
+    t.marks.(w) <- 0
+  done;
+  !i
 
 (* Dynamic topological-order maintenance (Pearce & Kelly): an edge
    u -> v with pos(u) < pos(v) is order-compatible and costs nothing;
    otherwise the nodes reaching u from v's position range and the nodes
    reachable from v up to u's position range swap position pools.  The
    two discovery DFSs run before any mutation, so a rejected (cyclic)
-   insertion leaves the state untouched.  Their marks live in the two
-   bitsets owned by [t], and each search keeps the list of the nodes it
-   marked: clearing and sorting those costs the search area, not the
-   graph size. *)
+   insertion leaves the state untouched.  Both searches mark the
+   positions they visit in the bitmap, all inside [pos v, pos u]; one
+   sweep of that range sorts each set, so clearing and sorting cost
+   the search area, not the graph size. *)
 let insert_edge t u v =
   let n = Array.length t.position in
   if u < 0 || u >= n || v < 0 || v >= n then
@@ -317,47 +298,59 @@ let insert_edge t u v =
   end
   else begin
     let lb = t.position.(v) and ub = t.position.(u) in
-    let fwd = ref [] and cycle = ref false in
+    let cycle = ref false in
     let rec forward w =
       if not !cycle then begin
-        Bitset.add t.fwd w;
-        fwd := w :: !fwd;
+        mark t t.position.(w);
         List.iter
           (fun x ->
             if x = u then cycle := true
-            else if t.position.(x) < ub && not (Bitset.mem t.fwd x) then
+            else if t.position.(x) < ub && not (marked t t.position.(x)) then
               forward x)
           (Graph.succs t.graph w)
       end
     in
     forward v;
-    List.iter (Bitset.remove t.fwd) !fwd;
+    let fwd = collect t lb ub 0 in
     if !cycle then false
     else begin
-      let bwd = ref [] in
       let rec backward w =
-        Bitset.add t.bwd w;
-        bwd := w :: !bwd;
+        mark t t.position.(w);
         List.iter
           (fun x ->
-            if t.position.(x) > lb && not (Bitset.mem t.bwd x) then backward x)
+            if t.position.(x) > lb && not (marked t t.position.(x)) then
+              backward x)
           (Graph.preds t.graph w)
       in
       backward u;
-      List.iter (Bitset.remove t.bwd) !bwd;
+      let all = collect t lb ub fwd in
       (* Positions increase along every path, so the forward frontier
          bounded by pos(u) cannot miss a cycle, and the two sets are
-         disjoint whenever no cycle was found.  Reassign the merged
-         position pool: ancestors of [u] first (keeping their relative
-         order), then descendants of [v]. *)
-      let by_pos l =
-        List.sort (fun a b -> Int.compare t.position.(a) t.position.(b)) l
-      in
-      let affected = by_pos !bwd @ by_pos !fwd in
-      let pool =
-        List.sort Int.compare (List.map (fun w -> t.position.(w)) affected)
-      in
-      List.iter2 (fun w p -> t.position.(w) <- p) affected pool;
+         disjoint whenever no cycle was found.  [t.run] holds the
+         descendants of [v] in [0, fwd) and the ancestors of [u] in
+         [fwd, all), each in position order.  Merge their positions into
+         the pool, then reassign it: ancestors first (keeping their
+         relative order), then descendants. *)
+      let i = ref 0 and j = ref fwd in
+      for k = 0 to all - 1 do
+        if
+          !j < all
+          && (!i = fwd || t.position.(t.run.(!j)) < t.position.(t.run.(!i)))
+        then begin
+          t.pool.(k) <- t.position.(t.run.(!j));
+          incr j
+        end
+        else begin
+          t.pool.(k) <- t.position.(t.run.(!i));
+          incr i
+        end
+      done;
+      let bwd = all - fwd in
+      for k = 0 to all - 1 do
+        let w = t.run.(if k < bwd then fwd + k else k - bwd) in
+        t.position.(w) <- t.pool.(k);
+        t.at.(t.pool.(k)) <- w
+      done;
       Graph.add_edge t.graph u v;
       add_in t u v;
       true

@@ -15,7 +15,15 @@
     Node and edge weights are read through the provided callbacks and
     cached: the caller mutates its own weight store and then calls
     {!refresh} with the affected nodes, which is when the cache is
-    re-read. *)
+    re-read.
+
+    The state keeps each node's topological position and the node at
+    each position, and one bitmap with a bit per position.  The
+    {!refresh} worklist is a forward sweep of that bitmap, popping the
+    lowest queued position in constant time; a reorder sorts the nodes
+    its two searches visited by marking their positions and sweeping
+    the affected range, then merges the two sorted runs into the
+    shared position pool, with no comparison sort. *)
 
 open Repro_taskgraph
 

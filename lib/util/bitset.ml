@@ -43,10 +43,28 @@ let union_into dst src =
 
 let equal a b = a.capacity = b.capacity && a.words = b.words
 
+(* The index of a word's one set bit, the sign bit included: halved,
+   the powers of two below 2^62 leave distinct non-zero remainders mod
+   67 (2 generates the multiplicative group mod 67), and 1 halves to
+   0. *)
+let bit_index =
+  let table = Array.make 67 0 in
+  for k = 0 to bits_per_word - 1 do
+    table.(((1 lsl k) lsr 1) mod 67) <- k
+  done;
+  fun bit -> table.((bit lsr 1) mod 67)
+
+(* Each word's set bits, lowest first. *)
 let iter f t =
-  for i = 0 to t.capacity - 1 do
-    if mem t i then f i
-  done
+  Array.iteri
+    (fun w word ->
+      let x = ref word in
+      while !x <> 0 do
+        let bit = !x land (- !x) in
+        f ((w * bits_per_word) + bit_index bit);
+        x := !x lxor bit
+      done)
+    t.words
 
 let fold f t init =
   let acc = ref init in

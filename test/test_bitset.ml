@@ -86,6 +86,30 @@ let qcheck_matches_intset =
       Bitset.to_list b = IntSet.elements !reference
       && Bitset.cardinal b = IntSet.cardinal !reference)
 
+let qcheck_iter_matches_mem_scan =
+  (* Capacities just around multiples of the word size, with every
+     word's top (sign) bit often set: the word walk must list exactly
+     the indices a [mem] scan finds, in ascending order. *)
+  let w = Sys.int_size in
+  let gen =
+    QCheck.(
+      triple (int_range 0 4) (int_range (-2) 2)
+        (list_of_size Gen.(int_range 0 80) (int_range 0 ((5 * w) + 1))))
+  in
+  QCheck.Test.make ~name:"to_list equals a mem scan" ~count:300 gen
+    (fun (words, offset, raw) ->
+      let capacity = max 0 ((words * w) + offset) in
+      let tops = List.init (words + 1) (fun k -> (k * w) + w - 1) in
+      let b = Bitset.create capacity in
+      List.iter
+        (fun i -> if i < capacity then Bitset.add b i)
+        (tops @ raw);
+      let scan =
+        List.filter (Bitset.mem b) (List.init capacity Fun.id)
+      in
+      Bitset.to_list b = scan
+      && Bitset.fold (fun _ acc -> acc + 1) b 0 = Bitset.cardinal b)
+
 let suite =
   [
     Alcotest.test_case "empty" `Quick test_empty;
@@ -96,4 +120,5 @@ let suite =
     Alcotest.test_case "copy/clear/equal" `Quick test_copy_clear_equal;
     Alcotest.test_case "iter/fold" `Quick test_iter_fold;
     QCheck_alcotest.to_alcotest qcheck_matches_intset;
+    QCheck_alcotest.to_alcotest qcheck_iter_matches_mem_scan;
   ]

@@ -534,6 +534,92 @@ let qcheck_cached_weights =
           peak > 50 && Graph.in_degree g hub = 1
         with Exit -> false)
 
+(* The worklist and the reorder's sort are sweeps of a bitmap with one
+   bit per topological position, 62 to a word.  Graphs of 1 to 200
+   nodes put positions on both sides of the word boundaries, and half
+   of the insertions join a node in the upper half of the node order to
+   one in the lower half, so their Pearce–Kelly range [pos v, pos u]
+   spans several words on the larger graphs.  After every refresh the
+   completion times carry the bits of a fresh [create]; a rejected
+   insertion changes no completion time, nor does a refresh after it. *)
+let qcheck_position_bitmap =
+  QCheck.Test.make ~name:"bitmap worklist and reorder match a fresh create"
+    ~count:60
+    QCheck.(pair small_int (int_range 1 200))
+    (fun (seed, n) ->
+      let n = max 1 (min 200 n) in
+      let rng = Rng.create (seed + 211) in
+      let g = Graph.create n in
+      for _ = 1 to 2 * n do
+        let u = Rng.int rng n and v = Rng.int rng n in
+        if u < v then Graph.add_edge g u v
+      done;
+      let weights = Array.init n (fun _ -> Rng.float rng 10.0) in
+      let edge_weights = Array.init (n * n) (fun _ -> Rng.float rng 3.0) in
+      let node_weight v = weights.(v) in
+      let edge_weight u v = edge_weights.((u * n) + v) in
+      let bits = Array.map Int64.bits_of_float in
+      match Longest_path.create g ~node_weight ~edge_weight with
+      | None -> false
+      | Some lp ->
+        let check ok = if not ok then raise Exit in
+        let check_fresh () =
+          match Longest_path.create (Graph.copy g) ~node_weight ~edge_weight with
+          | None -> check false
+          | Some fresh ->
+            check
+              (bits (Longest_path.finish_array fresh)
+               = bits (Longest_path.finish_array lp))
+        in
+        (* A rejected insertion still names [v], so the round's
+           refresh re-reads it and must change nothing. *)
+        let rejected = ref false in
+        let insert u v =
+          rejected := not (Longest_path.insert_edge lp u v);
+          [ v ]
+        in
+        let edit () =
+          let u = Rng.int rng n and v = Rng.int rng n in
+          match Rng.int rng 5 with
+          | 0 -> insert u v
+          | 1 ->
+            (* Upper half into lower half of the node order. *)
+            let hi = max u v and lo = min u v in
+            insert (hi + ((n - hi) / 2)) (lo / 2)
+          | 2 -> (
+            match Graph.succs g u with
+            | [] -> []
+            | succs ->
+              let w = Rng.choice_list rng succs in
+              Longest_path.delete_edge lp u w;
+              [ w ])
+          | 3 -> (
+            match Graph.succs g u with
+            | [] -> []
+            | succs ->
+              let w = Rng.choice_list rng succs in
+              edge_weights.((u * n) + w) <- Rng.float rng 3.0;
+              [ w ])
+          | _ ->
+            weights.(v) <- Rng.float rng 10.0;
+            [ v ]
+        in
+        try
+          for _ = 1 to 200 do
+            let before = bits (Longest_path.finish_array lp) in
+            rejected := false;
+            let dirty = edit () in
+            if !rejected then
+              check (bits (Longest_path.finish_array lp) = before);
+            Longest_path.refresh lp dirty;
+            if !rejected then
+              check (bits (Longest_path.finish_array lp) = before);
+            check (Longest_path.touched_last_refresh lp <= n);
+            check_fresh ()
+          done;
+          true
+        with Exit -> false)
+
 (* Minor-heap words allocated by [f]; the two readings themselves
    account for a handful. *)
 let minor_words f =
@@ -559,7 +645,7 @@ let test_refresh_allocation () =
   with
   | None -> Alcotest.fail "DAG"
   | Some lp ->
-    (* Warm-up: the worklist heap grows to its working size once. *)
+    (* Warm-up: the first refresh pays for any one-time allocation. *)
     weights.(0) <- 2.0;
     Longest_path.refresh lp [ 0 ];
     weights.(0) <- 3.0;
@@ -589,6 +675,7 @@ let suite =
     QCheck_alcotest.to_alcotest qcheck_large_dags;
     QCheck_alcotest.to_alcotest qcheck_makespan_is_the_fold;
     QCheck_alcotest.to_alcotest qcheck_cached_weights;
+    QCheck_alcotest.to_alcotest qcheck_position_bitmap;
     Alcotest.test_case "refresh allocates nothing per node" `Quick
       test_refresh_allocation;
   ]
