@@ -32,10 +32,10 @@ val solution_of :
     decoded individuals flow through the engine contract. *)
 
 val fitness : App.t -> Platform.t -> individual -> float
-(** Makespan of the decoded individual ({!Gene_decoder.makespan}), bit
-    for bit [(Searchgraph.evaluate (decode app platform individual)).makespan],
-    without building the spec or the search graph.  [infinity] when that
-    graph is cyclic, which is not rare.  A traced perfbench run measures
+(** Makespan of the decoded individual ({!Gene_decoder.makespan}): the
+    longest path of [Searchgraph.build (decode app platform individual)],
+    without building either.  [infinity] when that graph is cyclic,
+    which is not rare.  A traced perfbench run measures
     [ga.infeasible_ratio] at about 0.56 on the 28-task study and
     0.93-0.94 on the 132-task [ga132] workload.  Such individuals are
     selected away; deriving both orders from one is an open ROADMAP

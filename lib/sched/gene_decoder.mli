@@ -30,17 +30,16 @@ val spec : App.t -> Platform.t -> genes -> Searchgraph.spec
 type tables
 (** A run's decode tables: the per-run parts (software times on
     processor 0, each edge's transfer time) and every buffer the decode
-    and the makespan pass rewrite.  Mutable: give each domain its own.
-    A scoring loop allocates one set per run and never shares it. *)
+    and the pass rewrite.  Mutable: give each domain its own. *)
 
 val tables : App.t -> Platform.t -> tables
 
 val makespan : tables -> genes -> float
-(** Makespan of the decoded gene vector, bit for bit
-    [(Searchgraph.evaluate (spec app platform genes)).makespan], without
-    building the spec or the search graph: the same decode on the
-    tables' flat arrays, then one Kahn pass over the implicit search
-    graph.  [infinity] when that graph is cyclic: the list-scheduled
-    software order and the clustered context chain follow two different
-    topological orders, and where they disagree the two chains close a
-    cycle.  Allocates only a few words. *)
+(** Makespan of the decoded gene vector without building the spec: the
+    same decode written straight into {!Searchgraph.Flat}'s arrays,
+    then the pass {!Searchgraph.evaluate} runs on [spec app platform
+    genes]; the tests check both against [Graph.longest_path] over
+    {!Searchgraph.build}.  [infinity] when that graph is cyclic: the
+    list-scheduled software order and the clustered context chain
+    follow two different topological orders, and where they disagree
+    the two chains close a cycle.  Allocates nothing. *)

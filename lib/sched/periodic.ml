@@ -15,20 +15,19 @@ type t = {
    precedences. *)
 let context_span spec members =
   let app = spec.Searchgraph.app in
-  let in_context = Hashtbl.create 8 in
-  List.iter (fun v -> Hashtbl.replace in_context v ()) members;
-  let sub = Graph.create (App.size app) in
-  List.iter
-    (fun { App.src; dst; kbytes = _ } ->
-      if Hashtbl.mem in_context src && Hashtbl.mem in_context dst then
-        Graph.add_edge sub src dst)
-    (App.edges app);
-  let finish =
-    Graph.longest_path sub
-      ~node_weight:(fun v ->
-        if Hashtbl.mem in_context v then Searchgraph.exec_time spec v else 0.0)
-      ~edge_weight:(fun _ _ -> 0.0)
-  in
+  let inside = Array.make (App.size app) false in
+  List.iter (fun v -> inside.(v) <- true) members;
+  let ins = App.in_edges app and finish = Array.make (App.size app) 0.0 in
+  Array.iter
+    (fun v ->
+      if inside.(v) then begin
+        for k = ins.start.(v) to ins.start.(v + 1) - 1 do
+          if inside.(ins.node.(k)) then
+            finish.(v) <- Float.max finish.(v) finish.(ins.node.(k))
+        done;
+        finish.(v) <- finish.(v) +. Searchgraph.exec_time spec v
+      end)
+    (App.topo app);
   List.fold_left (fun acc v -> Float.max acc finish.(v)) 0.0 members
 
 let analyze spec =
@@ -62,23 +61,9 @@ let analyze spec =
         +. context_span spec members)
     spec.Searchgraph.contexts;
   let bus_busy =
-    List.fold_left
-      (fun acc { App.src; dst; kbytes } ->
-        let crossing =
-          match (spec.Searchgraph.binding src, spec.Searchgraph.binding dst)
-          with
-          | Searchgraph.Sw, Searchgraph.Sw ->
-            spec.Searchgraph.proc_of src <> spec.Searchgraph.proc_of dst
-          | Searchgraph.Hw _, Searchgraph.Hw _ -> false
-          | Searchgraph.On_asic a, Searchgraph.On_asic b -> a <> b
-          | (Searchgraph.Sw | Searchgraph.Hw _ | Searchgraph.On_asic _), _ ->
-            true
-        in
-        if crossing then
-          acc +. Platform.transfer_time spec.Searchgraph.platform kbytes
-        else acc)
-      0.0
-      (App.edges spec.Searchgraph.app)
+    Array.fold_left ( +. ) 0.0
+      (Searchgraph.comm_terms ~platform:spec.Searchgraph.platform
+         ~app:spec.Searchgraph.app ~crossing:(Searchgraph.crossing spec))
   in
   let loads =
     List.init processors (fun p ->

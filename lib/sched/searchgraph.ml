@@ -104,21 +104,14 @@ end
 
 (* Per-application-edge boundary terms, in [App.edges] order: the
    transfer time when the edge crosses the HW/SW boundary, 0 otherwise.
-   Shared by the one-shot [comm_cost] below and by [Solution]'s
-   incrementally patched total (which flips individual terms as
-   bindings change) — one implementation, one association, identical
-   bits. *)
+   Shared by [evaluate] below and by [Solution]'s incrementally
+   patched total (which flips individual terms as bindings change) —
+   one implementation, one association, identical bits. *)
 let comm_terms ~platform ~app ~crossing =
   Array.init (App.edge_count app) (fun i ->
       let { App.src; dst; kbytes } = App.edge app i in
       if crossing src dst then Platform.transfer_time platform kbytes
       else 0.0)
-
-let comm_cost spec =
-  Comm.total
-    (Comm.create
-       (comm_terms ~platform:spec.platform ~app:spec.app
-          ~crossing:(crossing spec)))
 
 (* The sequentialization edge families as explicit pair lists, emitted
    in the exact order [build] inserts them.  [Solution]'s incremental
@@ -223,125 +216,214 @@ let build spec =
   in
   (g, node_weight, edge_weight)
 
-let evaluate spec =
-  let g, node_weight, edge_weight = build spec in
-  match Graph.topological_order g with
-  | None -> None
-  | Some order ->
-    let n = App.size spec.app in
-    let total = Graph.size g in
-    let finish = Array.make total 0.0 in
-    Array.iter
-      (fun v ->
-        let start =
-          List.fold_left
-            (fun acc u -> Float.max acc (finish.(u) +. edge_weight u v))
-            0.0 (Graph.preds g v)
-        in
-        finish.(v) <- start +. node_weight v)
-      order;
-    let makespan = Array.fold_left Float.max 0.0 finish in
-    let initial_reconfig = if total > n then node_weight n else 0.0 in
-    let dynamic_reconfig = ref 0.0 in
-    for j = n + 1 to total - 1 do
-      dynamic_reconfig := !dynamic_reconfig +. node_weight j
+(* A start is the max over in-edges of (predecessor finish + edge
+   weight), and [Float.max] is exact: any topological order gives the
+   finish times of [Graph.longest_path] over [build].  The FIFO's tie
+   rule fixes the recorded order, which the bus model sorts by. *)
+module Flat = struct
+  type t = {
+    app : App.t;
+    dst : int array;
+    exec : float array;
+    weight : float array;
+    next_sw : int array;
+    context : int array;
+    ctx_start : int array;
+    ctx_member : int array;
+    cfg_time : float array;
+    mutable n_contexts : int;
+    indegree : int array;
+    time : float array;
+    order : int array;
+    mutable queued : int;
+    mutable makespan : float;
+  }
+
+  let create app ~contexts ~members =
+    let n = App.size app and m = App.edge_count app in
+    {
+      app;
+      dst = Array.init m (fun e -> (App.edge app e).App.dst);
+      exec = Array.make n 0.0;
+      weight = Array.make m 0.0;
+      next_sw = Array.make n (-1);
+      context = Array.make n (-1);
+      ctx_start = Array.make (contexts + 1) 0;
+      ctx_member = Array.make members 0;
+      cfg_time = Array.make contexts 0.0;
+      n_contexts = 0;
+      indegree = Array.make (n + contexts) 0;
+      time = Array.make (n + contexts) 0.0;
+      order = Array.make (n + contexts) 0;
+      queued = 0;
+      makespan = 0.0;
+    }
+
+  let push k x =
+    k.order.(k.queued) <- x;
+    k.queued <- k.queued + 1
+  [@@inline]
+
+  (* An edge into [y] from a node that finished at [f]. *)
+  let relax k y f =
+    k.time.(y) <- Float.max k.time.(y) f;
+    let d = k.indegree.(y) - 1 in
+    k.indegree.(y) <- d;
+    if d = 0 then push k y
+  [@@inline]
+
+  let pass ?(bus = ([||], [||])) k =
+    let n = App.size k.app and nc = k.n_contexts in
+    let ins = App.in_edges k.app and outs = App.out_edges k.app in
+    let indegree = k.indegree and time = k.time and dst = k.dst in
+    for v = 0 to n - 1 do
+      indegree.(v) <-
+        ins.start.(v + 1) - ins.start.(v) + if k.context.(v) >= 0 then 1 else 0
     done;
-    let comm = comm_cost spec in
-    Some
-      {
-        makespan;
-        initial_reconfig;
-        dynamic_reconfig = !dynamic_reconfig;
-        comm;
-        n_contexts = total - n;
-        finish;
-      }
+    for v = 0 to n - 1 do
+      let w = k.next_sw.(v) in
+      if w >= 0 then indegree.(w) <- indegree.(w) + 1
+    done;
+    for j = 0 to nc - 1 do
+      indegree.(n + j) <-
+        (if j = 0 then 0 else 1 + k.ctx_start.(j) - k.ctx_start.(j - 1))
+    done;
+    Array.fill time 0 (n + nc) 0.0;
+    k.queued <- 0;
+    for x = 0 to n + nc - 1 do
+      if indegree.(x) = 0 then push k x
+    done;
+    let head = ref 0 and makespan = ref 0.0 in
+    let bus, bus_time = bus and clock = ref 0.0 and txn = ref 0 in
+    while !head < k.queued do
+      let x = k.order.(!head) in
+      incr head;
+      if x < n then begin
+        let f = time.(x) +. k.exec.(x) in
+        time.(x) <- f;
+        makespan := Float.max !makespan f;
+        (* §3.3 bus transactions out of [x], in bus order: each runs
+           once both its source and the previous transaction are done. *)
+        while !txn < Array.length bus && (App.edge k.app bus.(!txn)).App.src = x
+        do
+          let e = bus.(!txn) in
+          clock := Float.max !clock f +. bus_time.(e);
+          time.(dst.(e)) <- Float.max time.(dst.(e)) !clock;
+          incr txn
+        done;
+        for e = outs.start.(x) to outs.start.(x + 1) - 1 do
+          relax k dst.(e) (f +. k.weight.(e))
+        done;
+        let w = k.next_sw.(x) and j = k.context.(x) in
+        if w >= 0 then relax k w f;
+        if j >= 0 && j + 1 < nc then relax k (n + j + 1) f
+      end
+      else begin
+        let j = x - n in
+        let f = time.(x) +. k.cfg_time.(j) in
+        time.(x) <- f;
+        makespan := Float.max !makespan f;
+        for i = k.ctx_start.(j) to k.ctx_start.(j + 1) - 1 do
+          relax k k.ctx_member.(i) f
+        done;
+        if j + 1 < nc then relax k (x + 1) f
+      end
+    done;
+    k.makespan <- Float.max !makespan !clock;
+    k.queued = n + nc
+end
+
+(* The flat arrays of a spec: the structure [build] inserts, with
+   [build]'s node and edge weights; and the spec's crossing predicate. *)
+let flat spec =
+  let app = spec.app and platform = spec.platform and n = App.size spec.app in
+  let contexts = spec.contexts and nc = List.length spec.contexts in
+  let k =
+    Flat.create app ~contexts:nc
+      ~members:(List.fold_left (fun acc c -> acc + List.length c) 0 contexts)
+  in
+  Array.iteri (fun v _ -> k.exec.(v) <- exec_time spec v) k.exec;
+  (* One binding lookup per task, not two per edge. *)
+  let code = Array.init n (resource_code spec.binding spec.proc_of) in
+  let crossing u v = code.(u) <> code.(v) in
+  let terms = comm_terms ~platform ~app ~crossing in
+  Array.blit terms 0 k.weight 0 (Array.length terms);
+  (* A chain pair that repeats an application edge is that edge:
+     [Graph.add_edge] keeps the first insertion only. *)
+  let rec link = function
+    | a :: (b :: _ as rest) ->
+      if not (Graph.has_edge app.App.graph a b) then k.next_sw.(a) <- b;
+      link rest
+    | [ _ ] | [] -> ()
+  in
+  List.iter link (spec.sw_order :: spec.extra_sw_orders);
+  List.iteri
+    (fun j members ->
+      let first = k.ctx_start.(j) in
+      List.iteri
+        (fun i v -> k.context.(v) <- j; k.ctx_member.(first + i) <- v)
+        members;
+      k.ctx_start.(j + 1) <- first + List.length members;
+      k.cfg_time.(j) <-
+        Platform.reconfiguration_time platform (context_clbs spec members))
+    contexts;
+  k.n_contexts <- nc;
+  (k, crossing)
+
+let eval_of (k : Flat.t) ~comm =
+  let nc = k.n_contexts in
+  let dynamic_reconfig = ref 0.0 in
+  for j = 1 to nc - 1 do
+    dynamic_reconfig := !dynamic_reconfig +. k.cfg_time.(j)
+  done;
+  {
+    makespan = k.makespan;
+    initial_reconfig = (if nc > 0 then k.cfg_time.(0) else 0.0);
+    dynamic_reconfig = !dynamic_reconfig;
+    comm;
+    n_contexts = nc;
+    finish = k.time;
+  }
+
+let evaluate spec =
+  let k, _ = flat spec in
+  if Flat.pass k then
+    Some (eval_of k ~comm:(Comm.total (Comm.create k.weight)))
+  else None
 
 (* §3.3 transaction model: each boundary-crossing transfer occupies the
-   shared bus exclusively; the transactions execute under a total order
-   consistent with the task execution order.  We realize it by adding
-   one node per transaction (weight = transfer time) between producer
-   and consumer, chained in the order of the producers' positions in a
-   topological order of the base search graph — forward edges in a
-   topological order can never create a cycle. *)
+   shared bus exclusively, under a total order consistent with the
+   task execution order — the crossing edges sorted by the positions
+   of (source, destination) in the pass's topological order.  A second
+   pass pops the same order and runs the bus.  The crossing edge itself
+   then weighs 0: its transaction ends no earlier than its source, so
+   the edge can never set the destination's start. *)
 let evaluate_serialized spec =
-  let base, base_node_weight, _ = build spec in
-  match Graph.topological_order base with
-  | None -> None
-  | Some order ->
-    let n = App.size spec.app in
-    let base_size = Graph.size base in
-    let position = Array.make base_size 0 in
-    Array.iteri (fun i v -> position.(v) <- i) order;
-    let transactions =
-      List.filter (fun { App.src; dst; kbytes = _ } -> crossing spec src dst)
-        (App.edges spec.app)
+  let k, crossing = flat spec in
+  if not (Flat.pass k) then None
+  else begin
+    let nodes = Array.length k.order in
+    let position = Array.make nodes 0 in
+    Array.iteri (fun i v -> position.(v) <- i) k.order;
+    let src e = (App.edge spec.app e).App.src in
+    let key e = (position.(src e) * nodes) + position.(k.dst.(e)) in
+    let bus =
+      List.filter
+        (fun e -> crossing (src e) k.dst.(e))
+        (List.init (App.edge_count spec.app) Fun.id)
     in
-    let transactions =
-      List.sort
-        (fun a b ->
-          compare
-            (position.(a.App.src), position.(a.App.dst))
-            (position.(b.App.src), position.(b.App.dst)))
-        transactions
-    in
-    let m = List.length transactions in
-    let g = Graph.create (base_size + m) in
-    (* Base structure minus the crossing edges, which route through
-       their transaction node instead. *)
-    Graph.iter_edges
-      (fun u v ->
-        if not (u < n && v < n && crossing spec u v) then Graph.add_edge g u v)
-      base;
-    let transfer = Array.make m 0.0 in
-    List.iteri
-      (fun i { App.src; dst; kbytes } ->
-        let txn = base_size + i in
-        transfer.(i) <- Platform.transfer_time spec.platform kbytes;
-        Graph.add_edge g src txn;
-        Graph.add_edge g txn dst;
-        if i > 0 then Graph.add_edge g (txn - 1) txn)
-      transactions;
-    let node_weight v =
-      if v < base_size then base_node_weight v else transfer.(v - base_size)
-    in
-    (match Graph.topological_order g with
-     | None -> None (* unreachable: all added edges are forward *)
-     | Some order ->
-       let finish = Array.make (Graph.size g) 0.0 in
-       Array.iter
-         (fun v ->
-           let start =
-             List.fold_left (fun acc u -> Float.max acc finish.(u)) 0.0
-               (Graph.preds g v)
-           in
-           finish.(v) <- start +. node_weight v)
-         order;
-       let makespan = Array.fold_left Float.max 0.0 finish in
-       let initial_reconfig =
-         if base_size > n then base_node_weight n else 0.0
-       in
-       let dynamic_reconfig = ref 0.0 in
-       for j = n + 1 to base_size - 1 do
-         dynamic_reconfig := !dynamic_reconfig +. base_node_weight j
-       done;
-       let comm = Array.fold_left ( +. ) 0.0 transfer in
-       Some
-         {
-           makespan;
-           initial_reconfig;
-           dynamic_reconfig = !dynamic_reconfig;
-           comm;
-           n_contexts = base_size - n;
-           finish = Array.sub finish 0 base_size;
-         })
+    let bus = Array.of_list bus and transfer = Array.copy k.weight in
+    Array.sort (fun a b -> Int.compare (key a) (key b)) bus;
+    Array.fill k.weight 0 (Array.length k.weight) 0.0;
+    ignore (Flat.pass ~bus:(bus, transfer) k : bool);
+    let comm = Array.fold_left (fun acc e -> acc +. transfer.(e)) 0.0 bus in
+    Some (eval_of k ~comm)
+  end
 
 let schedule spec =
-  match evaluate spec with
-  | None -> None
-  | Some eval ->
-    let n = App.size spec.app in
+  let k, _ = flat spec in
+  if Flat.pass k then
     Some
-      (Array.init n (fun v ->
-           let f = eval.finish.(v) in
-           (f -. exec_time spec v, f)))
+      (Array.init (App.size spec.app) (fun v ->
+           (k.time.(v) -. k.exec.(v), k.time.(v))))
+  else None

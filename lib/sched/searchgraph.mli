@@ -79,7 +79,7 @@ val resource_code : (int -> binding) -> (int -> int) -> int -> int
     one integer: software on processor p is [-(p+1)], the
     reconfigurable circuit is [0], the a-th ASIC is [a+1].  A transfer
     crosses the shared memory exactly when the endpoint codes differ —
-    the single crossing predicate behind {!comm_cost} and [Solution]'s
+    the single crossing predicate behind {!evaluate}'s [comm] and [Solution]'s
     incrementally patched boundary-traffic total. *)
 
 val crossing : spec -> int -> int -> bool
@@ -111,13 +111,9 @@ val comm_terms :
   float array
 (** Per-application-edge boundary terms in [App.edges] order: the
     transfer time when the edge crosses under [crossing], 0 otherwise.
-    [Comm.total (Comm.create (comm_terms ...))] is {!comm_cost}. *)
-
-val comm_cost : spec -> float
-(** Total boundary-crossing transfer time (the [comm] field of
-    {!eval}); depends only on bindings and processor assignments, not
-    on implementation choices.  Computed as the {!Comm} pairwise sum of
-    {!comm_terms}. *)
+    [Comm.total (Comm.create (comm_terms ...))] is the [comm] field of
+    {!evaluate}; it depends only on bindings and processor
+    assignments, not on implementation choices. *)
 
 (** {2 Sequentialization-pair emitters}
 
@@ -173,23 +169,68 @@ val sequencing_pairs :
 
 val build : spec -> Graph.t * (int -> float) * (int -> int -> float)
 (** The raw search graph with its node- and edge-weight functions
-    (tasks [0..n-1], then context configuration nodes).  Exposed for
-    tests and for the Gantt view. *)
+    (tasks [0..n-1], then context configuration nodes): the reference
+    the evaluators below match bit for bit, which they never build. *)
+
+(** The one pass behind {!evaluate}, {!evaluate_serialized}, {!schedule}
+    and the GA decoder: Kahn's algorithm over the graph {!build} would
+    construct, given as arrays.  Node [v < n] is task [v], node [n + j]
+    context [j]'s configuration.  The FIFO is seeded in id order, and a
+    popped node relaxes its out-edges in {!build}'s insertion order
+    (application edges in [App.edges] order, the chain successor, the
+    Ehw pairs): the pop order is [Graph.topological_order]'s on the
+    built graph when no chain link repeats an application edge (the
+    spec evaluators leave such links out; the times do not change). *)
+module Flat : sig
+  type t = {
+    app : App.t;
+    dst : int array;  (** per application edge ([App.edges] order) *)
+    exec : float array;  (** per task: execution time *)
+    weight : float array;  (** per application edge: transfer delay *)
+    next_sw : int array;  (** per task: chain successor, or -1 *)
+    context : int array;  (** per task: context position, or -1 *)
+    ctx_start : int array;
+    (** context [j] is [ctx_member.(ctx_start.(j) .. ctx_start.(j+1)-1)] *)
+    ctx_member : int array;
+    cfg_time : float array;  (** per context: configuration time *)
+    mutable n_contexts : int;
+    indegree : int array;
+    time : float array;  (** per node, after {!pass}: finish time *)
+    order : int array;  (** the FIFO, after {!pass}: the pop order *)
+    mutable queued : int;
+    mutable makespan : float;  (** after {!pass}: the largest finish *)
+  }
+
+  val create : App.t -> contexts:int -> members:int -> t
+  (** Buffers for up to [contexts] contexts holding [members] tasks in
+      all; every input array starts empty (no link, no context). *)
+
+  val pass : ?bus:int array * float array -> t -> bool
+  (** The pass over the first [n + n_contexts] nodes; [false] when the
+      graph is cyclic.  [bus] gives the §3.3 bus: the crossing edges in
+      transaction order, each leaving tasks in pop order, and each
+      application edge's transaction time.  A transaction starts once
+      its source and the previous one have finished; its destination
+      starts no earlier than its end.  Allocates nothing. *)
+end
 
 val evaluate : spec -> eval option
-(** [None] when the search graph is cyclic (infeasible order).
-    Boundary-crossing transfers are charged as edge delays; concurrent
-    transactions do not contend for the bus. *)
+(** One {!Flat.pass}: [Graph.longest_path] over {!build}, or [None] when
+    the search graph is cyclic (infeasible order).  Boundary-crossing
+    transfers are edge delays; concurrent transactions do not contend
+    for the bus.  [comm] is the {!Comm} sum of {!comm_terms}. *)
 
 val evaluate_serialized : spec -> eval option
 (** Like {!evaluate} but with the paper's §3.3 transaction model made
     explicit: every boundary-crossing transfer becomes a bus
     transaction, and all transactions execute under a total order on
-    the shared medium (one at a time).  The order is derived from a
-    topological order of the search graph, hence always consistent with
-    the task execution ordering: a spec feasible for {!evaluate} is
-    feasible here too, with a makespan at least as large. *)
+    the shared medium (one at a time), sorted by the positions of
+    (source, destination) in {!evaluate}'s pop order, so consistent
+    with the task execution order: a spec feasible for {!evaluate} is
+    feasible here, with a makespan at least as large.  A second pass
+    runs the bus.  [comm] is a left fold in transaction order. *)
 
 val schedule : spec -> (float * float) array option
-(** Start/finish times per task (ASAP under the longest-path
-    semantics); [None] when infeasible. *)
+(** Start/finish times per task from one {!Flat.pass} (ASAP under the
+    longest-path semantics; start is finish minus {!exec_time});
+    [None] when infeasible. *)

@@ -85,11 +85,6 @@ type job_state =
       (** the reason JSON's fields (empty when unreadable) *)
   | Missing  (** never submitted, or spool files removed *)
 
-val state_of : Spool.t -> entry -> job_state
-(** Where one campaign job currently stands.  An in-flight copy
-    (queued/claimed) wins over a stale earlier result — a re-enqueued
-    timed-out job counts as not done. *)
-
 val report : Spool.t -> t -> Repro_util.Json_lite.t
 (** The aggregate report object: campaign name, per-state counts
     (queued / claimed / completed / timed-out / degraded /

@@ -73,9 +73,6 @@ val release : ?fields:(string * Repro_util.Json_lite.t) list -> t -> unit
     file is kept (it is the last heartbeat, [dse-serve status] shows
     the daemon as exited) but the lease no longer protects anything. *)
 
-val view_of_fields :
-  (string * Repro_util.Json_lite.t) list -> (view, string) result
-
 val load : string -> (view, string) result
 (** Read and parse one lease file. *)
 

@@ -65,12 +65,10 @@ let iter_edges f t =
     List.iter (fun dst -> f src dst) t.succs.(src)
   done
 
-let fold_edges f t init =
-  let acc = ref init in
-  iter_edges (fun src dst -> acc := f src dst !acc) t;
-  !acc
-
-let edges t = List.rev (fold_edges (fun s d acc -> (s, d) :: acc) t [])
+let edges t =
+  let acc = ref [] in
+  iter_edges (fun src dst -> acc := (src, dst) :: !acc) t;
+  List.rev !acc
 
 let sources t =
   List.filter (fun v -> t.preds.(v) = []) (List.init t.size Fun.id)

@@ -29,7 +29,6 @@ val out_degree : t -> int -> int
 val in_degree : t -> int -> int
 
 val iter_edges : (int -> int -> unit) -> t -> unit
-val fold_edges : (int -> int -> 'a -> 'a) -> t -> 'a -> 'a
 val edges : t -> (int * int) list
 
 val sources : t -> int list

@@ -92,7 +92,6 @@ let event level ?(fields = []) msg =
 let logf level ?fields fmt =
   Printf.ksprintf (fun msg -> event level ?fields msg) fmt
 
-let debug ?fields fmt = logf Debug ?fields fmt
 let info ?fields fmt = logf Info ?fields fmt
 let warn ?fields fmt = logf Warn ?fields fmt
 let error ?fields fmt = logf Error ?fields fmt

@@ -12,10 +12,6 @@
 
 type level = Debug | Info | Warn | Error
 
-val level_name : level -> string
-val level_of_name : string -> level option
-(** Accepts ["debug"], ["info"], ["warn"]/["warning"], ["error"]. *)
-
 type field = string * Json_lite.t
 (** One structured field; rendered as [key=value] on stderr and as a
     JSON member in the sink. *)
@@ -35,14 +31,12 @@ val env_var : string
 (** ["REPRO_LOG"] — level name honoured by {!configure_from_env}. *)
 
 val configure_from_env : unit -> unit
-(** Set the level from [$REPRO_LOG] when present and valid. *)
+(** Set the level from [$REPRO_LOG] when present and valid (["debug"],
+    ["info"], ["warn"]/["warning"] or ["error"]). *)
 
 val enabled : level -> bool
 (** Whether events at this level currently pass the threshold. *)
 
-val logf : level -> ?fields:field list ->
-  ('a, unit, string, unit) format4 -> 'a
-val debug : ?fields:field list -> ('a, unit, string, unit) format4 -> 'a
 val info : ?fields:field list -> ('a, unit, string, unit) format4 -> 'a
 val warn : ?fields:field list -> ('a, unit, string, unit) format4 -> 'a
 val error : ?fields:field list -> ('a, unit, string, unit) format4 -> 'a

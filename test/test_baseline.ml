@@ -170,27 +170,32 @@ let on_board tg () =
   | Ok app, Ok platform -> (app, platform)
   | Error msg, _ | _, Error msg -> Alcotest.fail msg
 
-(* The GA's fitness (flat decode, then one Kahn pass over the implicit
-   search graph) against the independent paths: the decoded spec's own
-   [Searchgraph.evaluate], and the same realization built as a
-   Solution (slotted live graph, dynamic longest path) and checked by
-   [Validate].  [score] is one scorer shared by every chromosome of the
-   input, so stale tables from the previous chromosome would show;
-   [Ga.fitness] builds its own.  Returns the feasible count. *)
+(* The GA's fitness (flat decode, then the shared flat pass) against
+   independent paths: the longest path of the decoded spec's search
+   graph as [Searchgraph.build] constructs it, and the same realization
+   built as a Solution (slotted live graph, dynamic longest path) and
+   checked by [Validate].  [score] is one scorer shared by every
+   chromosome of the input, so stale tables from the previous
+   chromosome would show; [Ga.fitness] builds its own.  Returns the
+   feasible count. *)
 let check_against_oracle app platform score k individual =
   let fitness = Ga.fitness app platform individual in
   let label what = Printf.sprintf "chromosome %d: %s" k what in
   let bits = Int64.bits_of_float in
   Alcotest.(check int64) (label "shared tables score the same") (bits fitness)
     (bits (score individual));
-  match Searchgraph.evaluate (Ga.decode app platform individual) with
-  | None ->
+  let g, node_weight, edge_weight =
+    Searchgraph.build (Ga.decode app platform individual)
+  in
+  if not (Graph.is_dag g) then begin
     Alcotest.(check bool) (label "infeasible scores infinity") true
       (fitness = infinity);
     0
-  | Some eval -> (
-    Alcotest.(check int64) (label "fitness is the makespan")
-      (bits eval.Searchgraph.makespan) (bits fitness);
+  end
+  else begin
+    let finish = Graph.longest_path g ~node_weight ~edge_weight in
+    Alcotest.(check int64) (label "fitness is the longest path")
+      (bits (Array.fold_left Float.max 0.0 finish)) (bits fitness);
     match Ga.solution_of app platform individual with
     | Error msg -> Alcotest.fail (label msg)
     | Ok s ->
@@ -199,7 +204,8 @@ let check_against_oracle app platform score k individual =
       (match Repro_sched.Validate.evaluated (Solution.spec s) with
        | Ok () -> ()
        | Error problems -> Alcotest.fail (label (String.concat "; " problems)));
-      1)
+      1
+  end
 
 (* Each chromosome draws its own hardware density, so sparse
    partitions — the ones that decode to an acyclic graph — are well

@@ -240,6 +240,349 @@ let test_comm_tree_bit_identity () =
         terms)
     [ 0; 1; 2; 3; 5; 8; 13 ]
 
+(* --- the flat pass against the built search graph ------------------ *)
+
+module Rng = Repro_util.Rng
+
+let bits = Int64.bits_of_float
+
+(* What the evaluators computed before the flat pass, kept as the
+   reference: [Graph.longest_path] over [build]'s graph, with the
+   reconfiguration and comm terms read off [build]'s weights. *)
+let reference spec =
+  let g, node_weight, edge_weight = Searchgraph.build spec in
+  if not (Graph.is_dag g) then None
+  else begin
+    let n = App.size spec.Searchgraph.app and total = Graph.size g in
+    let finish = Graph.longest_path g ~node_weight ~edge_weight in
+    let dynamic = ref 0.0 in
+    for j = n + 1 to total - 1 do
+      dynamic := !dynamic +. node_weight j
+    done;
+    let terms =
+      Array.of_list
+        (List.map
+           (fun { App.src; dst; kbytes = _ } -> edge_weight src dst)
+           (App.edges spec.Searchgraph.app))
+    in
+    Some
+      {
+        Searchgraph.makespan = Array.fold_left Float.max 0.0 finish;
+        initial_reconfig = (if total > n then node_weight n else 0.0);
+        dynamic_reconfig = !dynamic;
+        comm = Searchgraph.Comm.total (Searchgraph.Comm.create terms);
+        n_contexts = total - n;
+        finish;
+      }
+  end
+
+(* The §3.3 model as a second graph: one node per crossing transfer,
+   chained in the order of (source, destination) positions in
+   [Graph.topological_order] of the built graph. *)
+let serialized_reference spec =
+  let app = spec.Searchgraph.app in
+  let base, base_weight, _ = Searchgraph.build spec in
+  match Graph.topological_order base with
+  | None -> None
+  | Some order ->
+    let n = App.size app and base_size = Graph.size base in
+    let position = Array.make base_size 0 in
+    Array.iteri (fun i v -> position.(v) <- i) order;
+    let crossing u v = u < n && v < n && Searchgraph.crossing spec u v in
+    let transactions =
+      List.sort
+        (fun a b ->
+          compare
+            (position.(a.App.src), position.(a.App.dst))
+            (position.(b.App.src), position.(b.App.dst)))
+        (List.filter (fun e -> crossing e.App.src e.App.dst) (App.edges app))
+    in
+    let m = List.length transactions in
+    let g = Graph.create (base_size + m) in
+    Graph.iter_edges
+      (fun u v -> if not (crossing u v) then Graph.add_edge g u v)
+      base;
+    let transfer = Array.make m 0.0 in
+    List.iteri
+      (fun i { App.src; dst; kbytes } ->
+        let txn = base_size + i in
+        transfer.(i) <- Platform.transfer_time spec.Searchgraph.platform kbytes;
+        Graph.add_edge g src txn;
+        Graph.add_edge g txn dst;
+        if i > 0 then Graph.add_edge g (txn - 1) txn)
+      transactions;
+    let weight v =
+      if v < base_size then base_weight v else transfer.(v - base_size)
+    in
+    let finish =
+      Graph.longest_path g ~node_weight:weight ~edge_weight:(fun _ _ -> 0.0)
+    in
+    let dynamic = ref 0.0 in
+    for j = n + 1 to base_size - 1 do
+      dynamic := !dynamic +. base_weight j
+    done;
+    Some
+      {
+        Searchgraph.makespan = Array.fold_left Float.max 0.0 finish;
+        initial_reconfig = (if base_size > n then base_weight n else 0.0);
+        dynamic_reconfig = !dynamic;
+        comm = Array.fold_left ( +. ) 0.0 transfer;
+        n_contexts = base_size - n;
+        finish = Array.sub finish 0 base_size;
+      }
+
+let same_eval label expected actual =
+  let f what a b =
+    if bits a <> bits b then
+      Alcotest.failf "%s: %s %h, reference %h" label what b a
+  in
+  match (expected, actual) with
+  | None, None -> ()
+  | Some _, None -> Alcotest.failf "%s: None on an acyclic graph" label
+  | None, Some _ -> Alcotest.failf "%s: Some on a cyclic graph" label
+  | Some (r : Searchgraph.eval), Some (e : Searchgraph.eval) ->
+    f "makespan" r.makespan e.makespan;
+    f "initial_reconfig" r.initial_reconfig e.initial_reconfig;
+    f "dynamic_reconfig" r.dynamic_reconfig e.dynamic_reconfig;
+    f "comm" r.comm e.comm;
+    Alcotest.(check int) (label ^ ": n_contexts") r.n_contexts e.n_contexts;
+    Alcotest.(check int) (label ^ ": nodes") (Array.length r.finish)
+      (Array.length e.finish);
+    Array.iteri (fun v x -> f (Printf.sprintf "finish.(%d)" v) x e.finish.(v))
+      r.finish
+
+(* Every reading of the pass against its reference; true when the spec
+   is feasible. *)
+let check_spec label spec =
+  let expected = reference spec in
+  same_eval (label ^ " evaluate") expected (Searchgraph.evaluate spec);
+  same_eval (label ^ " evaluate_serialized") (serialized_reference spec)
+    (Searchgraph.evaluate_serialized spec);
+  (match (expected, Searchgraph.schedule spec) with
+   | None, None -> ()
+   | Some r, Some windows ->
+     Array.iteri
+       (fun v (start, stop) ->
+         let f = r.Searchgraph.finish.(v) in
+         if bits stop <> bits f
+            || bits start <> bits (f -. Searchgraph.exec_time spec v)
+         then Alcotest.failf "%s schedule: task %d" label v)
+       windows
+   | _ -> Alcotest.failf "%s schedule: feasibility differs" label);
+  expected <> None
+
+let asic_count platform =
+  List.length
+    (List.filter
+       (function Resource.Asic _ -> true | _ -> false)
+       platform.Platform.extra)
+
+(* A random spec: each task on a random processor, the circuit or an
+   ASIC, with a random implementation.  Three in four draw one random
+   topological order for every chain and context (feasible); the rest
+   a random permutation (mostly cyclic).  The hardware tasks of that
+   order are cut into up to four consecutive contexts, some possibly
+   empty, and each context's member list is shuffled. *)
+let random_spec rng app platform =
+  let n = App.size app in
+  let order =
+    if Rng.int rng 4 = 0 then begin
+      let perm = Array.init n Fun.id in
+      Rng.shuffle_in_place rng perm;
+      perm
+    end
+    else begin
+      let level = Array.make n 0 in
+      Array.iter
+        (fun v ->
+          List.iter
+            (fun w -> level.(w) <- max level.(w) (level.(v) + 1))
+            (Graph.succs app.App.graph v))
+        (App.topo app);
+      let key = Array.init n (fun v -> (level.(v), Rng.int rng 1_000_000, v)) in
+      let perm = Array.init n Fun.id in
+      Array.sort (fun a b -> compare key.(a) key.(b)) perm;
+      perm
+    end
+  in
+  let procs = Platform.processor_count platform in
+  let asics = asic_count platform in
+  let resource =
+    Array.init n (fun _ ->
+        match Rng.int rng 4 with
+        | 0 when asics > 0 -> `Asic (Rng.int rng asics)
+        | 0 | 1 -> `Hw
+        | _ -> `Sw (Rng.int rng procs))
+  in
+  let hw = List.filter (fun v -> resource.(v) = `Hw) (Array.to_list order) in
+  let n_ctx = if hw = [] then 0 else 1 + Rng.int rng 4 in
+  let cuts =
+    List.sort compare
+      (List.init (max 0 (n_ctx - 1)) (fun _ ->
+           Rng.int rng (List.length hw + 1)))
+  in
+  let context = Array.make n (-1) in
+  let rec chunk j i cuts = function
+    | [] -> []
+    | v :: rest as all -> (
+      match cuts with
+      | c :: cuts' when c <= i -> [] :: chunk (j + 1) i cuts' all
+      | _ ->
+        context.(v) <- j;
+        (match chunk j (i + 1) cuts rest with
+         | here :: later -> (v :: here) :: later
+         | [] -> [ [ v ] ]))
+  in
+  let contexts =
+    if n_ctx = 0 then []
+    else
+      let cs = chunk 0 0 cuts hw in
+      cs @ List.init (n_ctx - List.length cs) (fun _ -> [])
+  in
+  let contexts =
+    List.map
+      (fun members ->
+        let a = Array.of_list members in
+        Rng.shuffle_in_place rng a;
+        Array.to_list a)
+      contexts
+  in
+  let on p =
+    List.filter (fun v -> resource.(v) = `Sw p) (Array.to_list order)
+  in
+  {
+    Searchgraph.app;
+    platform;
+    binding =
+      (fun v ->
+        match resource.(v) with
+        | `Sw _ -> Searchgraph.Sw
+        | `Hw -> Searchgraph.Hw (max 0 context.(v))
+        | `Asic a -> Searchgraph.On_asic a);
+    impl_choice =
+      (let c =
+         Array.init n (fun v -> Rng.int rng (Task.impl_count (App.task app v)))
+       in
+       fun v -> c.(v));
+    sw_order = on 0;
+    contexts;
+    proc_of =
+      (fun v -> match resource.(v) with `Sw p -> p | `Hw | `Asic _ -> 0);
+    extra_sw_orders = List.init (procs - 1) (fun p -> on (p + 1));
+  }
+
+let fixture name load =
+  match load (Filename.concat "fixtures" name) with
+  | Ok x -> x
+  | Error msg -> Alcotest.fail msg
+
+let layered seed ~layers ~width =
+  Generators.layered (Rng.create seed) Generators.default_impl_model ~layers
+    ~width ~edge_probability:0.3 ~mean_sw_time:2.0 ~mean_kbytes:8.0
+
+(* Fixture apps on the fixture board (two processors, an ASIC), the
+   multiprocessor and ASIC tests' own settings, and layered graphs. *)
+let instances =
+  lazy
+    (let board = fixture "good_board.plat" Platform_io.load in
+     let dual = Test_multiproc.dual_platform ~dsp_speed:2.0 () in
+     [|
+       ("abc", app (), platform ());
+       ("tiny/board", fixture "good_tiny.tg" App_io.load, board);
+       ("diamond/board", fixture "good_diamond.tg" App_io.load, board);
+       ("independent/dual", Test_multiproc.independent_app (), dual);
+       ("fan/asic", Test_asic.app (), Test_asic.platform ());
+       ("layered/board", layered 5 ~layers:4 ~width:5, board);
+       ("layered/dual", layered 6 ~layers:5 ~width:4, dual);
+       ("layered/asic", layered 7 ~layers:3 ~width:6, Test_asic.platform ());
+     |])
+
+let qcheck_flat_matches_build =
+  QCheck.Test.make ~name:"flat pass = longest path over build, bit for bit"
+    ~count:400
+    QCheck.(pair (int_bound 7) int)
+    (fun (i, seed) ->
+      let name, app, platform = (Lazy.force instances).(i) in
+      let spec = random_spec (Rng.create seed) app platform in
+      ignore (check_spec (Printf.sprintf "%s seed %d" name seed) spec : bool);
+      true)
+
+(* The property's inputs reach a feasible spec on every instance, and
+   cyclic ones too. *)
+let test_flat_inputs_cover () =
+  let cyclic = ref 0 in
+  Array.iter
+    (fun (name, app, platform) ->
+      let feasible = ref 0 in
+      for seed = 1 to 40 do
+        if check_spec name (random_spec (Rng.create seed) app platform) then
+          incr feasible
+        else incr cyclic
+      done;
+      Alcotest.(check bool) (name ^ ": some feasible spec") true
+        (!feasible > 0))
+    (Lazy.force instances);
+  Alcotest.(check bool)
+    (Printf.sprintf "some cyclic specs (%d)" !cyclic)
+    true (!cyclic >= 20)
+
+(* A chain pair that repeats an application edge is one search-graph
+   edge.  Task 0's application edges are 0 -> 2, then 0 -> 1 (latest
+   input first); its chain successor 2 repeats the first, and 1 sits on
+   the ASIC.  Were the pair a second edge, 2 would leave the FIFO after
+   1, and the transactions 2 -> 3 and 1 -> 3 would swap on the bus. *)
+let test_chain_repeats_app_edge () =
+  let app = fixture "good_diamond.tg" App_io.load in
+  let board = fixture "good_board.plat" Platform_io.load in
+  let spec =
+    {
+      Searchgraph.app;
+      platform = board;
+      binding =
+        (function
+          | 1 -> Searchgraph.On_asic 0
+          | 3 -> Searchgraph.Hw 0
+          | _ -> Searchgraph.Sw);
+      impl_choice = (fun _ -> 0);
+      sw_order = [ 0; 2 ];
+      contexts = [ [ 3 ] ];
+      proc_of = (fun _ -> 0);
+      extra_sw_orders = [];
+    }
+  in
+  Alcotest.(check bool) "feasible" true (check_spec "diamond chain" spec)
+
+(* The GA's makespan is the kernel's makespan of the decoded spec, and
+   [infinity] exactly where the kernel finds a cycle. *)
+let test_gene_decoder_is_the_kernel () =
+  Array.iter
+    (fun (name, app, platform) ->
+      let n = App.size app in
+      let tables = Gene_decoder.tables app platform in
+      let rng = Rng.create 3 in
+      for k = 1 to 60 do
+        let density = Rng.float rng 1.0 in
+        let genes =
+          {
+            Gene_decoder.hw = Array.init n (fun _ -> Rng.bernoulli rng density);
+            impl =
+              Array.init n (fun v ->
+                  Rng.int rng (Task.impl_count (App.task app v)));
+          }
+        in
+        let label = Printf.sprintf "%s chromosome %d" name k in
+        let spec = Gene_decoder.spec app platform genes in
+        let makespan = Gene_decoder.makespan tables genes in
+        match Searchgraph.evaluate spec with
+        | None ->
+          Alcotest.(check bool) (label ^ ": cyclic scores infinity") true
+            (makespan = infinity)
+        | Some e ->
+          Alcotest.(check int64) (label ^ ": makespan")
+            (bits e.Searchgraph.makespan) (bits makespan)
+      done)
+    (Lazy.force instances)
+
 let suite =
   [
     Alcotest.test_case "all software" `Quick test_all_software;
@@ -261,4 +604,11 @@ let suite =
       test_chain_pairs_near;
     Alcotest.test_case "comm tree bit identity" `Quick
       test_comm_tree_bit_identity;
+    QCheck_alcotest.to_alcotest qcheck_flat_matches_build;
+    Alcotest.test_case "flat pass inputs reach both verdicts" `Quick
+      test_flat_inputs_cover;
+    Alcotest.test_case "chain pair repeating an application edge" `Quick
+      test_chain_repeats_app_edge;
+    Alcotest.test_case "gene decoder makespan is the kernel's" `Quick
+      test_gene_decoder_is_the_kernel;
   ]
