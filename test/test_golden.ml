@@ -220,6 +220,37 @@ let portfolio spec iterations () =
   pin ~best:o.Engine.best ~cost:o.Engine.best_cost
     [ o.Engine.iterations_run; o.Engine.evaluations; o.Engine.accepted ]
 
+(* Motion detection on the ARM + DSP + FPGA board of [data/]: two
+   processors, so the best solutions keep two software chains — the
+   other pins all map onto one processor. *)
+let two_processor_board () =
+  let app =
+    match Repro_taskgraph.App_io.load "../data/motion_detection.tg" with
+    | Ok app -> app
+    | Error msg -> Alcotest.fail msg
+  in
+  match Repro_arch.Platform_io.load "../data/arm_dsp_fpga.plat" with
+  | Ok platform -> (app, platform)
+  | Error msg -> Alcotest.fail msg
+
+(* The pin also counts the best solution's non-empty chains. *)
+let board_engine name iterations () =
+  Repro_baseline.Engines.register_all ();
+  let engine =
+    match Repro_dse.Engine_registry.find name with
+    | Ok e -> e
+    | Error msg -> Alcotest.fail msg
+  in
+  let app, platform = two_processor_board () in
+  let o =
+    Engine.run engine (Engine.context ~app ~platform ~seed:5 ~iterations ())
+  in
+  let chains =
+    List.length (List.filter (( <> ) []) (Solution.sw_orders o.Engine.best))
+  in
+  pin ~best:o.Engine.best ~cost:o.Engine.best_cost
+    [ o.Engine.iterations_run; o.Engine.evaluations; o.Engine.accepted; chains ]
+
 let daemon_job () =
   let root = Filename.temp_dir "repro_golden" "" in
   Fun.protect
@@ -337,7 +368,8 @@ let multi_mode_branching () =
    the move path's membership tests, Pearce–Kelly scratch and makespan
    reads stopped scanning the whole graph; the two GA streams, before
    the application indexed its edges and topological order once at
-   construction; the four portfolio schedules, before lanes stopped
+   construction; the two-processor board runs, before the software
+   orders became linked chains; the four portfolio schedules, before lanes stopped
    round-tripping through member checkpoint files between slices; the
    branching multi-mode run, before the multi-mode explorer decoded
    and scored its genes through the GA's planner. *)
@@ -393,6 +425,12 @@ let golden =
     ( "portfolio chain greedy+sa",
       portfolio "portfolio:chain:greedy+sa" 600,
       "2b1f7860 403f15121deeabb6 600 469 179" );
+    ( "sa on the two-processor board",
+      board_engine "sa" 4_000,
+      "eda36f23 403a659786524d62 4000 2373 1996 2" );
+    ( "tabu on the two-processor board",
+      board_engine "tabu" 60,
+      "b898555e 4035654b6a619daa 60 792 60 2" );
     ( "multi-mode explore",
       multi_mode,
       "11111 1,1,1,1,0 3fe1cccccccccccd 2200" );
