@@ -64,30 +64,33 @@ let realized solution mutate =
    left to validation, where Pearce-Kelly catches them. *)
 
 (* m1 places [vs] right before [vd]: [vs] jumps ahead of the tasks in
-   [vd, vs) when [vd] comes first, behind those in (vs, vd) otherwise. *)
+   [vd, vs) when [vd] comes first, behind those in (vs, vd) otherwise.
+   Which comes first is found by walking the chain forward from both
+   at once, so the walks stay within twice the distance between the
+   two tasks. *)
 let reorder_cyclic solution vs vd =
   let clo = Solution.closure solution in
+  if Solution.processor_index solution vs
+     <> Solution.processor_index solution vd
+  then invalid_arg "Moves.reorder_cyclic: tasks not on one processor";
   Closure.reaches clo vd vs
   ||
-  let rec jumped_ahead_of = function
-    | [] -> false
-    | y :: rest ->
-      y <> vs && (Closure.reaches clo y vs || jumped_ahead_of rest)
+  let next = Solution.sw_next solution in
+  (* [a] walks from [vs], [b] from [vd]: whichever meets the other task
+     or the end of the order first settles it. *)
+  let rec vd_first a b =
+    if b = vs || a < 0 then true
+    else if a = vd || b < 0 then false
+    else vd_first (next a) (next b)
   in
-  let rec jumped_behind = function
-    | [] -> false
-    | y :: rest ->
-      y <> vd && (Closure.reaches clo vs y || jumped_behind rest)
+  let rec jumped_ahead_of y =
+    y <> vs && (Closure.reaches clo y vs || jumped_ahead_of (next y))
   in
-  let rec find = function
-    | [] -> invalid_arg "Moves.reorder_cyclic: tasks not on one processor"
-    | y :: rest ->
-      if y = vd then jumped_ahead_of rest
-      else if y = vs then jumped_behind rest
-      else find rest
+  let rec jumped_behind y =
+    y <> vd && (Closure.reaches clo vs y || jumped_behind (next y))
   in
-  let proc = Solution.processor_index solution vs in
-  find (List.nth (Solution.sw_orders solution) proc)
+  if vd_first (next vs) (next vd) then jumped_ahead_of (next vd)
+  else jumped_behind (next vs)
 
 type placement = Join of int | Fresh_at of int
 
@@ -226,10 +229,27 @@ let reorder_move solution vs vd =
    processor that must follow it (closure query), at the end
    otherwise. *)
 let sw_insertion_point solution ~proc vs =
+  if proc < 0 || proc >= Platform.processor_count (Solution.platform solution)
+  then invalid_arg "Moves: no such processor";
   let clo = Solution.closure solution in
-  match List.nth_opt (Solution.sw_orders solution) proc with
-  | Some order -> List.find_opt (fun w -> Closure.reaches clo vs w) order
-  | None -> invalid_arg "Moves: no such processor"
+  let rec scan w =
+    if w < 0 then None
+    else if Closure.reaches clo vs w then Some w
+    else scan (Solution.sw_next solution w)
+  in
+  scan (Solution.sw_first solution proc)
+
+(* The length of processor [proc]'s order and its [k]-th task, walked
+   along the chain. *)
+let chain_length solution proc =
+  let rec count w acc =
+    if w < 0 then acc else count (Solution.sw_next solution w) (acc + 1)
+  in
+  count (Solution.sw_first solution proc) 0
+
+let chain_nth solution proc k =
+  let rec walk w k = if k = 0 then w else walk (Solution.sw_next solution w) (k - 1) in
+  walk (Solution.sw_first solution proc) k
 
 (* m2 with a software destination: migrate [vs] to the processor
    holding [vd]. *)
@@ -295,17 +315,16 @@ let propose_kind rng config solution (kind : Solution.move_kind) =
   | Solution.Ctx_swap -> swap_contexts_move rng solution
   | Solution.Platform_swap -> device_move rng config solution
   | Solution.Sw_migrate -> hw_to_sw_move rng solution
-  | Solution.Sw_reorder -> (
-    match Solution.sw_orders solution with
-    | [] -> None
-    | orders ->
-      let proc = Rng.int rng (List.length orders) in
-      let order = Array.of_list (List.nth orders proc) in
-      if Array.length order < 2 then None
-      else
-        let vs = order.(Rng.int rng (Array.length order)) in
-        let vd = order.(Rng.int rng (Array.length order)) in
-        if vs = vd then None else reorder_move solution vs vd)
+  | Solution.Sw_reorder ->
+    let proc =
+      Rng.int rng (Platform.processor_count (Solution.platform solution))
+    in
+    let length = chain_length solution proc in
+    if length < 2 then None
+    else
+      let vs = chain_nth solution proc (Rng.int rng length) in
+      let vd = chain_nth solution proc (Rng.int rng length) in
+      if vs = vd then None else reorder_move solution vs vd
   | Solution.Ctx_migrate -> (
     match draw_hw_task rng solution with
     | None -> None

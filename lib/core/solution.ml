@@ -155,8 +155,8 @@ type incr = {
   (* reused by every context-membership diff — never live across moves *)
   around : int array;
   mutable around_stamp : int;
-  (* task -> stamp of the last resync that put it around a disturbed
-     software position: one O(1) test per chain cell *)
+  (* task -> stamp of the last software-pair capture that visited it,
+     so a pair between two disturbed tasks is emitted once *)
   mutable log : op array;
   mutable log_len : int;
   mutable epoch : int;             (* bumped when the log is truncated *)
@@ -190,8 +190,8 @@ type cache =
   | Evaluated of Searchgraph.eval option
 
 (* The version chain that makes {!save} O(1): Baker's rerooting, as in
-   Conchon and Filliâtre's persistent arrays, over the [assign] and
-   [impl] arrays together.  The live arrays are the state of the root
+   Conchon and Filliâtre's persistent arrays, over the [assign],
+   [impl] and chain-link arrays together.  The live arrays are the state of the root
    version (the one whose [next] is itself); any other version [v] is
    [v.next]'s state with [v.arr.(v.idx) = v.old].  A write turns the
    root into such a diff and starts a fresh root; [save] keeps the
@@ -231,7 +231,10 @@ let reroot v =
    (so -1 is the primary processor), otherwise the stable id (>= 0) of
    its context.  Stable ids survive context insertions and removals;
    the execution order of contexts is the order of the [contexts]
-   association list.  [sw.(p)] is the execution order of processor p.
+   association list.  The execution order of processor p is a doubly
+   linked chain from [head.(p)] to [tail.(p)] through [next] and [prev]
+   (-1 at the ends, for an empty processor, and for a hardware task),
+   so a software move links and unlinks in O(1).
    Contexts are never empty, so n ids suffice: [free_ids] holds the ids
    in [0, n) no context uses.  Like [ctxs] it is an immutable list, so
    saving and restoring it is a pointer copy. *)
@@ -241,8 +244,11 @@ type t = {
   mutable platform : Platform.t;
   assign : int array;
   impl : int array;
-  mutable version : version;  (* root of the [assign]/[impl] chain *)
-  mutable sw : int list array;
+  next : int array;
+  prev : int array;
+  head : int array;
+  tail : int array;
+  mutable version : version;  (* root of the chain over the six arrays *)
   mutable ctxs : (int * int list) list;
   mutable free_ids : int list;
   mutable cached : cache;
@@ -251,8 +257,8 @@ type t = {
   stats : eval_stats;
 }
 
-(* Every write to [assign] and [impl] goes through here, recording the
-   old value on the chain. *)
+(* Every write to [assign], [impl] and the chain links goes through
+   here, recording the old value on the version chain. *)
 let write t arr i x =
   let root = t.version and fresh = fresh_root () in
   root.arr <- arr;
@@ -283,27 +289,54 @@ let eval_stats t = t.stats
    copies; a weak-keyed cache would be overkill here. *)
 let closure_of_app application = Closure.of_graph application.App.graph
 
-let all_software application platform =
+(* A solution with every chain empty; the constructors link its
+   orders ([link_orders]). *)
+let unlinked application platform ~assign ~impl ~ctxs ~free_ids =
   let n = App.size application in
-  let order = Array.to_list (App.topological_order application) in
   let processors = Platform.processor_count platform in
-  let sw = Array.make processors [] in
-  sw.(0) <- order;
   {
     app = application;
     clo = closure_of_app application;
     platform;
-    assign = Array.make n (-1);
-    impl = Array.make n 0;
+    assign;
+    impl;
+    next = Array.make n (-1);
+    prev = Array.make n (-1);
+    head = Array.make processors (-1);
+    tail = Array.make processors (-1);
     version = fresh_root ();
-    sw;
-    ctxs = [];
-    free_ids = List.init n Fun.id;
+    ctxs;
+    free_ids;
     cached = Stale;
     incr = None;
     last_kind = Init;
     stats = fresh_stats ();
   }
+
+(* Link processor [p]'s chain from an order list, bypassing the
+   version chain: only for a solution nothing has saved yet, whose
+   chain [p] is empty.  The list must be duplicate-free. *)
+let link_order t p order =
+  let last =
+    List.fold_left
+      (fun prev v ->
+        t.prev.(v) <- prev;
+        if prev < 0 then t.head.(p) <- v else t.next.(prev) <- v;
+        v)
+      (-1) order
+  in
+  t.tail.(p) <- last
+
+let link_orders t orders = List.iteri (link_order t) orders
+
+let all_software application platform =
+  let n = App.size application in
+  let t =
+    unlinked application platform ~assign:(Array.make n (-1))
+      ~impl:(Array.make n 0) ~ctxs:[] ~free_ids:(List.init n Fun.id)
+  in
+  link_order t 0 (Array.to_list (App.topological_order application));
+  t
 
 (* Copies never share the incremental state: it tracks one solution's
    mutations and would be corrupted by a sibling's.  The stats record
@@ -315,8 +348,11 @@ let copy t =
     t with
     assign = Array.copy t.assign;
     impl = Array.copy t.impl;
+    next = Array.copy t.next;
+    prev = Array.copy t.prev;
+    head = Array.copy t.head;
+    tail = Array.copy t.tail;
     version = fresh_root ();
-    sw = Array.copy t.sw;
     cached = t.cached;
     incr = None;
   }
@@ -389,7 +425,6 @@ let log_truncate_threshold = 8192
 
 let save t =
   let version = t.version in
-  let sw = Array.copy t.sw in
   let ctxs = t.ctxs in
   let free_ids = t.free_ids in
   let cached = t.cached in
@@ -402,25 +437,31 @@ let save t =
         inc.log_len <- 0;
         inc.epoch <- inc.epoch + 1
       end;
-      Some (inc, inc.epoch, inc.log_len)
+      let len = inc.log_len in
+      Some (inc, inc.epoch, len, if len = 0 then None else Some inc.log.(len - 1))
     | Some _ | None -> None
   in
   fun () ->
     (* The incremental state rolls its delta log back to the save
-       point when it is still the same generation; any mismatch (a
-       rebuild happened in between, the log was truncated, undos ran
-       out of order) drops it — the solution arrays are restored
-       either way. *)
+       point when the log still holds the save's history: same
+       generation, and the entry just below the mark is the one the
+       save saw — every pushed op is a fresh block, so an earlier undo
+       that cut below the mark and pushed again is told apart.  Any
+       mismatch (a rebuild happened in between, the log was truncated,
+       an out-of-order undo rewrote it) drops the live graph — the
+       solution arrays are restored either way. *)
     (match (t.incr, mark) with
-     | Some inc, Some (saved, epoch, len)
-       when inc == saved && inc.epoch = epoch && inc.log_len >= len ->
+     | Some inc, Some (saved, epoch, len, last)
+       when inc == saved && inc.epoch = epoch && inc.log_len >= len
+            && (match last with
+                | None -> true
+                | Some op -> inc.log.(len - 1) == op) ->
        rollback t.app inc ~mark:len;
        inc.desync <- false
      | Some _, _ -> t.incr <- None
      | None, _ -> ());
     reroot version;
     t.version <- version;
-    t.sw <- Array.copy sw;
     t.ctxs <- ctxs;
     t.free_ids <- free_ids;
     t.cached <- cached;
@@ -438,8 +479,16 @@ let binding t v =
   end
 
 let impl_index t v = t.impl.(v)
-let sw_order t = t.sw.(0)
-let sw_orders t = Array.to_list t.sw
+let sw_first t p = t.head.(p)
+let sw_next t v = t.next.(v)
+
+(* Processor [p]'s order as a list, consed from the tail back. *)
+let order_of t p =
+  let rec walk v acc = if v < 0 then acc else walk t.prev.(v) (v :: acc) in
+  walk t.tail.(p) []
+
+let sw_order t = order_of t 0
+let sw_orders t = List.init (Array.length t.head) (order_of t)
 let contexts t = List.map snd t.ctxs
 let n_contexts t = List.length t.ctxs
 
@@ -472,17 +521,27 @@ let context_clbs t j =
   | Some (_, members) -> members_clbs t members
   | None -> invalid_arg "Solution.context_clbs: no such context"
 
+(* The spec's bindings come from one table filled in a pass over the
+   contexts, one [Hw j] per context: a consumer asks once or twice per
+   task and edge. *)
 let spec t =
+  let bindings = Array.make (size t) Searchgraph.Sw in
+  List.iteri
+    (fun j (_, members) ->
+      let hw = Searchgraph.Hw j in
+      List.iter (fun v -> bindings.(v) <- hw) members)
+    t.ctxs;
+  let orders = sw_orders t in
   {
     Searchgraph.app = t.app;
     platform = t.platform;
-    binding = binding t;
+    binding = (fun v -> bindings.(v));
     impl_choice = (fun v -> t.impl.(v));
-    sw_order = t.sw.(0);
+    sw_order = List.hd orders;
     contexts = List.map snd t.ctxs;
     proc_of =
       (fun v -> if t.assign.(v) < 0 then -t.assign.(v) - 1 else 0);
-    extra_sw_orders = List.tl (Array.to_list t.sw);
+    extra_sw_orders = List.tl orders;
   }
 
 let capacity_ok t =
@@ -544,10 +603,11 @@ let pack_pairs t pairs =
 let sequencing_pairs t =
   let n = size t in
   let cfg = Array.of_list (List.map (fun (cid, _) -> n + cid) t.ctxs) in
+  let orders = sw_orders t in
   Searchgraph.sequencing_pairs
     ~cfg:(fun j -> cfg.(j))
-    ~sw_order:t.sw.(0)
-    ~extra_sw_orders:(List.tl (Array.to_list t.sw))
+    ~sw_order:(List.hd orders)
+    ~extra_sw_orders:(List.tl orders)
     ~contexts:(List.map snd t.ctxs)
 
 (* [a \ b] for sorted int lists. *)
@@ -588,23 +648,31 @@ let capture_ctx_pairs n in_region ctxs =
   in
   walk None [] ctxs
 
-(* Consecutive (prev, next) neighbors of the selected tasks in a
-   software order — the tasks whose Esw adjacencies a removal or an
-   insertion at that position disturbs. *)
-let chain_neighbors order targets =
-  let rec walk prev acc = function
-    | [] -> acc
-    | v :: rest ->
-      let acc =
-        if mem_int v targets then begin
-          let acc = match prev with Some p -> p :: acc | None -> acc in
-          match rest with nx :: _ -> nx :: acc | [] -> acc
-        end
-        else acc
-      in
-      walk (Some v) acc rest
-  in
-  walk None [] order
+(* The Esw pairs with an endpoint in [around], each once: [(prev a, a)]
+   and [(a, next a)] for every task [a] of the list, skipping a pair
+   whose other endpoint was visited first.  A hardware task has no
+   links, hence no pairs.  O(|around|), whatever the chain lengths. *)
+let sw_pairs_near t inc around =
+  inc.around_stamp <- inc.around_stamp + 1;
+  let seen = inc.around_stamp in
+  List.fold_left
+    (fun acc a ->
+      if inc.around.(a) = seen then acc
+      else begin
+        inc.around.(a) <- seen;
+        let p = t.prev.(a) and s = t.next.(a) in
+        let acc = if p >= 0 && inc.around.(p) <> seen then (p, a) :: acc else acc in
+        if s >= 0 && inc.around.(s) <> seen then (a, s) :: acc else acc
+      end)
+    [] around
+
+(* The before-capture of a software move, taken ahead of the mutation
+   for the resync that follows it; without a live graph there is
+   nothing to edit. *)
+let sw_capture t around =
+  match t.incr with
+  | Some inc when not inc.desync -> sw_pairs_near t inc around
+  | Some _ | None -> []
 
 (* Consecutive context-id pairs of the execution order. *)
 let ctx_adjacencies ctxs =
@@ -634,22 +702,23 @@ let sym_diff_pairs a b =
 
 (* Re-synchronize the live search graph with a mutated solution from
    the move's own footprint — no global pair-list regeneration.  The
-   mutator hands over its pre-move snapshots ([old_sw] is a copy of
-   the order array, [old_ctxs] the context association list — both
-   hold immutable lists, so snapshotting is pointer copying), the
-   tasks whose binding changed ([rebound]) and the tasks around the
-   disturbed software positions ([sw_around]).
+   mutator hands over the tasks around the disturbed software
+   positions ([sw_around]) with the Esw pairs they had before the
+   mutation ([sw_before], from {!sw_capture}), its pre-move context
+   association list ([old_ctxs] — immutable, so snapshotting it is a
+   pointer copy) and the tasks whose binding changed ([rebound]).
 
-   The touched region is derived by comparing the snapshots with the
-   mutated state: chains that changed (pointer inequality), contexts
-   whose member list changed, contexts created or removed, and both
-   endpoints of every context adjacency that appeared or disappeared.
-   The per-class emitters ([Searchgraph.chain_pairs_near],
-   [ehw_intra_pairs], [gtlp_pairs]) then produce the pairs owned by
-   the region before and after the mutation; their sorted-packed diff
-   is the move's exact edge delta, because pairs owned by emitters
-   outside the region are untouched by construction (the ownership
-   contract) and pairs the region captures on both sides cancel.
+   The touched context region is derived by comparing the snapshot
+   with the mutated state: contexts whose member list changed,
+   contexts created or removed, and both endpoints of every context
+   adjacency that appeared or disappeared.  The Esw pairs with an
+   endpoint around the disturbed positions ([sw_pairs_near], read off
+   the chain links) and the context emitters ([ehw_intra_pairs],
+   [gtlp_pairs]) produce the pairs owned by the footprint before and
+   after the mutation; their sorted-packed diff is the move's exact
+   edge delta, because pairs owned by emitters outside the footprint
+   are untouched by construction (the ownership contract) and pairs
+   it captures on both sides cancel.
 
    The delta is applied as edge deletions then insertions in packed
    order — the same canonical order the regenerate-and-diff path
@@ -664,7 +733,7 @@ let sym_diff_pairs a b =
    Under [REPRO_CHECK_DELTAS] the canonical list is additionally
    regenerated and the emitted delta asserted against the
    regenerate-and-diff reference. *)
-let native_resync t kind ~rebound ~sw_around ~old_sw ~old_ctxs =
+let native_resync t kind ~rebound ~sw_around ~sw_before ~old_ctxs =
   t.cached <- Stale;
   t.last_kind <- kind;
   match t.incr with
@@ -677,14 +746,7 @@ let native_resync t kind ~rebound ~sw_around ~old_sw ~old_ctxs =
     let n = size t in
     let appg = t.app.App.graph in
     let ks = kind_stats t.stats kind in
-    (* 1. The move's footprint, from the snapshots. *)
-    let changed_procs =
-      let acc = ref [] in
-      for p = Array.length t.sw - 1 downto 0 do
-        if not (t.sw.(p) == old_sw.(p)) then acc := p :: !acc
-      done;
-      !acc
-    in
+    (* 1. The move's context footprint, from the snapshot. *)
     (* Pointer equality of the association lists means the move never
        touched the context chain: every context diff below is empty and
        the captures reduce to the disturbed software adjacencies. *)
@@ -730,21 +792,14 @@ let native_resync t kind ~rebound ~sw_around ~old_sw ~old_ctxs =
            @ adj_endpoints)
     in
     let in_region cid = mem_int cid region in
-    inc.around_stamp <- inc.around_stamp + 1;
-    let stamp = inc.around_stamp in
-    List.iter (fun v -> inc.around.(v) <- stamp) sw_around;
-    let around v = inc.around.(v) = stamp in
-    (* 2. Before- and after-pairs, from the snapshots and from the
+    (* 2. Before- and after-pairs, from the captures and from the
        mutated state; their sorted diff is the move's exact edge
        delta. *)
-    let captured sw ctxs =
-      List.concat_map
-        (fun p -> Searchgraph.chain_pairs_near around sw.(p))
-        changed_procs
-      @ (if region = [] then [] else capture_ctx_pairs n in_region ctxs)
+    let captured ctxs =
+      if region = [] then [] else capture_ctx_pairs n in_region ctxs
     in
-    let before_pairs = captured old_sw old_ctxs in
-    let after_pairs = captured t.sw t.ctxs in
+    let before_pairs = sw_before @ captured old_ctxs in
+    let after_pairs = sw_pairs_near t inc sw_around @ captured t.ctxs in
     let before_packed = pack_pairs t before_pairs in
     let after_packed = pack_pairs t after_pairs in
     let removals = diff_sorted before_packed after_packed in
@@ -888,10 +943,54 @@ let eval_from_incr t inc =
     finish;
   }
 
-(* The makespan straight off the live finish array.  The nodes of free
-   ids are isolated and of weight 0, so they finish at 0 and leave the
-   maximum over the canonical nodes unchanged. *)
-let settled inc = Settled (Longest_path.makespan inc.lp)
+(* [Float.max] with the common case first: one float compare, no
+   boxing. *)
+let fmax m x =
+  if x > m then x
+  else if Float.is_nan x || Float.is_nan m then Float.max m x
+  else m
+[@@inline]
+
+(* The makespan read over the sinks of the live graph: the chain tails
+   and the members of the last context.  Every other task has a
+   successor (its chain successor, or the next context's configuration
+   node), every configuration node precedes its context's members, and
+   the nodes of free ids are isolated and of weight 0.  Node and edge
+   weights are >= 0, so a finish time never exceeds its successors',
+   and the maximum over these sinks is the maximum over the whole
+   finish array, bit for bit: O(processors + contexts + |last
+   context|), where a scan costs 2n.  [REPRO_CHECK_DELTAS] asserts it
+   against the scan. *)
+let settled t inc =
+  let finish = Longest_path.finish_array inc.lp in
+  let m = ref 0.0 in
+  for p = 0 to Array.length t.tail - 1 do
+    let v = t.tail.(p) in
+    if v >= 0 then m := fmax !m finish.(v)
+  done;
+  let rec last = function
+    | [] -> []
+    | [ (_, members) ] -> members
+    | _ :: rest -> last rest
+  in
+  let members = ref (last t.ctxs) in
+  while
+    match !members with
+    | [] -> false
+    | v :: rest ->
+      m := fmax !m finish.(v);
+      members := rest;
+      true
+  do
+    ()
+  done;
+  let m = !m in
+  if
+    !check_deltas
+    && Int64.bits_of_float m
+       <> Int64.bits_of_float (Array.fold_left Float.max 0.0 finish)
+  then failwith "Solution: the sink makespan diverges from the finish scan";
+  Settled m
 
 (* Full build: construct the search graph over n task and n
    configuration nodes and its longest-path state, and keep them alive
@@ -954,7 +1053,7 @@ let evaluate_full t =
       }
     in
     t.incr <- Some inc;
-    settled inc
+    settled t inc
 
 (* Incremental path: the live graph already realizes the mutated
    structure (resync applied the edge delta and weights eagerly);
@@ -972,7 +1071,7 @@ let evaluate_incremental t inc =
   t.stats.incr_evals <- t.stats.incr_evals + 1;
   (kind_stats t.stats t.last_kind).k_incr_evals <-
     (kind_stats t.stats t.last_kind).k_incr_evals + 1;
-  settled inc
+  settled t inc
 
 (* Bring the cache up to date — it is never [Stale] afterwards: refresh
    the live graph's dirty cones (or rebuild it) and read the makespan.
@@ -1072,52 +1171,69 @@ let fresh_id t =
     id
   | [] -> assert false (* n ids, and contexts are never empty *)
 
-let insert_before x (before : int) list =
-  let rec walk = function
-    | [] -> [ x ]
-    | y :: rest -> if y = before then x :: y :: rest else y :: walk rest
-  in
-  walk list
-
-let detach t task =
-  if t.assign.(task) >= 0 then remove_from_context t task
+(* Unlink software [task] from its processor's chain. *)
+let unlink t task =
+  let p = processor_index t task in
+  let a = t.prev.(task) and b = t.next.(task) in
+  if a < 0 then write t t.head p b
   else begin
-    let p = processor_index t task in
-    t.sw.(p) <- List.filter (fun w -> w <> task) t.sw.(p)
+    write t t.next a b;
+    write t t.prev task (-1)
+  end;
+  if b < 0 then write t t.tail p a
+  else begin
+    write t t.prev b a;
+    write t t.next task (-1)
   end
 
-(* The tasks around the software positions a move disturbs: the moved
-   task, its chain neighbors at the source, and the insertion point's
-   old predecessor (or the old tail when appending). *)
-let sw_departure_around t task =
-  if t.assign.(task) < 0 then
-    task :: chain_neighbors t.sw.(processor_index t task) [ task ]
-  else [ task ]
+(* Link unlinked [task] into processor [p]'s chain just before
+   [anchor], at the tail when [anchor] is -1. *)
+let link t task p anchor =
+  let a = if anchor < 0 then t.tail.(p) else t.prev.(anchor) in
+  if a < 0 then write t t.head p task
+  else begin
+    write t t.next a task;
+    write t t.prev task a
+  end;
+  if anchor < 0 then write t t.tail p task
+  else begin
+    write t t.prev anchor task;
+    write t t.next task anchor
+  end
+
+let detach t task =
+  if t.assign.(task) >= 0 then remove_from_context t task else unlink t task
+
+(* [v] and its chain neighbours, onto [acc]: the tasks whose Esw
+   adjacencies a removal or an insertion at [v]'s position disturbs. *)
+let with_neighbors t v acc =
+  let acc = if t.prev.(v) >= 0 then t.prev.(v) :: acc else acc in
+  let acc = if t.next.(v) >= 0 then t.next.(v) :: acc else acc in
+  v :: acc
 
 let move_to_sw ?(proc = 0) t ~task ~before =
-  if proc < 0 || proc >= Array.length t.sw then
+  if proc < 0 || proc >= Array.length t.head then
     invalid_arg "Solution.move_to_sw: no such processor";
   if t.assign.(task) < 0 && processor_index t task = proc then
     invalid_arg "Solution.move_to_sw: task already on that processor";
-  let old_sw = Array.copy t.sw in
+  let anchor = match before with Some anchor -> anchor | None -> -1 in
+  if anchor >= 0 && t.assign.(anchor) <> -(proc + 1) then
+    invalid_arg "Solution.move_to_sw: anchor not in that processor's order";
   let old_ctxs = t.ctxs in
+  (* The moved task, its chain neighbours at the source, and the
+     insertion point with its neighbours (or the old tail when
+     appending). *)
   let sw_around =
-    sw_departure_around t task
-    @
-    match before with
-    | Some anchor -> anchor :: chain_neighbors t.sw.(proc) [ anchor ]
-    | None ->
-      (match List.rev t.sw.(proc) with last :: _ -> [ last ] | [] -> [])
+    with_neighbors t task
+      (if anchor >= 0 then with_neighbors t anchor []
+       else if t.tail.(proc) >= 0 then [ t.tail.(proc) ]
+       else [])
   in
+  let sw_before = sw_capture t sw_around in
   detach t task;
   write t t.assign task (-(proc + 1));
-  (match before with
-   | None -> t.sw.(proc) <- t.sw.(proc) @ [ task ]
-   | Some anchor ->
-     if not (mem_int anchor t.sw.(proc)) then
-       invalid_arg "Solution.move_to_sw: anchor not in that processor's order";
-     t.sw.(proc) <- insert_before task anchor t.sw.(proc));
-  native_resync t Sw_migrate ~rebound:[ task ] ~sw_around ~old_sw ~old_ctxs
+  link t task proc anchor;
+  native_resync t Sw_migrate ~rebound:[ task ] ~sw_around ~sw_before ~old_ctxs
 
 let joins_context t ~task ~dest =
   if t.assign.(dest) < 0 then
@@ -1132,9 +1248,9 @@ let move_to_context t ~task ~dest =
   if t.assign.(task) = dest_id then
     invalid_arg "Solution.move_to_context: already in that context";
   let joins = joins_context t ~task ~dest in
-  let old_sw = Array.copy t.sw in
   let old_ctxs = t.ctxs in
-  let sw_around = sw_departure_around t task in
+  let sw_around = with_neighbors t task [] in
+  let sw_before = sw_capture t sw_around in
   (* Detach the source task first. *)
   detach t task;
   let placed = ref false in
@@ -1158,14 +1274,14 @@ let move_to_context t ~task ~dest =
         else [ (cid, members) ])
       t.ctxs;
   assert !placed;
-  native_resync t Ctx_migrate ~rebound:[ task ] ~sw_around ~old_sw ~old_ctxs
+  native_resync t Ctx_migrate ~rebound:[ task ] ~sw_around ~sw_before ~old_ctxs
 
 let insert_context t ~task ~at =
   let k = List.length t.ctxs in
   if at < 0 || at > k then invalid_arg "Solution.insert_context: bad position";
-  let old_sw = Array.copy t.sw in
   let old_ctxs = t.ctxs in
-  let sw_around = sw_departure_around t task in
+  let sw_around = with_neighbors t task [] in
+  let sw_before = sw_capture t sw_around in
   detach t task;
   let fresh = fresh_id t in
   write t t.assign task fresh;
@@ -1177,7 +1293,7 @@ let insert_context t ~task ~at =
     | c :: rest -> c :: insert (j + 1) rest
   in
   t.ctxs <- insert 0 t.ctxs;
-  native_resync t Ctx_create ~rebound:[ task ] ~sw_around ~old_sw ~old_ctxs
+  native_resync t Ctx_create ~rebound:[ task ] ~sw_around ~sw_before ~old_ctxs
 
 let append_context t ~task =
   insert_context t ~task ~at:(List.length t.ctxs)
@@ -1190,9 +1306,9 @@ let swap_contexts t ~at =
     | c :: rest -> c :: swap (j + 1) rest
     | [] -> assert false (* bound checked above *)
   in
-  let old_sw = t.sw and old_ctxs = t.ctxs in
+  let old_ctxs = t.ctxs in
   t.ctxs <- swap 0 t.ctxs;
-  native_resync t Ctx_swap ~rebound:[] ~sw_around:[] ~old_sw ~old_ctxs
+  native_resync t Ctx_swap ~rebound:[] ~sw_around:[] ~sw_before:[] ~old_ctxs
 
 let reorder_sw t ~task ~before =
   if t.assign.(task) >= 0 || t.assign.(before) >= 0 then
@@ -1201,18 +1317,16 @@ let reorder_sw t ~task ~before =
   if processor_index t before <> p then
     invalid_arg "Solution.reorder_sw: tasks on different processors";
   if task <> before then begin
-    let old_sw = Array.copy t.sw in
     let old_ctxs = t.ctxs in
-    let sw_around =
-      task :: before :: chain_neighbors t.sw.(p) [ task; before ]
-    in
-    t.sw.(p) <-
-      insert_before task before (List.filter (fun w -> w <> task) t.sw.(p));
-    native_resync t Sw_reorder ~rebound:[] ~sw_around ~old_sw ~old_ctxs
+    let sw_around = with_neighbors t task (with_neighbors t before []) in
+    let sw_before = sw_capture t sw_around in
+    unlink t task;
+    link t task p before;
+    native_resync t Sw_reorder ~rebound:[] ~sw_around ~sw_before ~old_ctxs
   end
 
 let replace_platform t platform =
-  if Platform.processor_count platform <> Array.length t.sw then
+  if Platform.processor_count platform <> Array.length t.head then
     invalid_arg
       "Solution.replace_platform: platforms must have the same number of \
        processors";
@@ -1222,8 +1336,11 @@ let replace_platform t platform =
   invalidate t
 
 let random rng application platform =
-  let t = all_software application platform in
   let n = App.size application in
+  let t =
+    unlinked application platform ~assign:(Array.make n (-1))
+      ~impl:(Array.make n 0) ~ctxs:[] ~free_ids:(List.init n Fun.id)
+  in
   (* Randomized precedence-consistent software order: Kahn with random
      ready choice. *)
   let g = application.App.graph in
@@ -1242,7 +1359,7 @@ let random rng application platform =
       (Graph.succs g v)
   done;
   let random_topological_order = List.rev !order in
-  t.sw.(0) <- random_topological_order;
+  link_order t 0 random_topological_order;
   (* Move a random number of tasks, one by one, to the circuit; pack in
      topological order, opening a new context when the last one is
      full (the paper's initial-solution procedure). *)
@@ -1276,7 +1393,7 @@ let random rng application platform =
         match List.rev t.ctxs with
         | (last_id, members) :: _
           when members_clbs t members + task_clbs t v <= limit ->
-          t.sw.(0) <- List.filter (fun w -> w <> v) t.sw.(0);
+          unlink t v;
           write t t.assign v last_id;
           t.ctxs <-
             List.map
@@ -1295,7 +1412,115 @@ let random rng application platform =
    invariant check rejects it. *)
 let free_ids_after ~n ~k = List.init (max 0 (n - k)) (fun i -> k + i)
 
-let rec of_mapping application platform ~sw_orders ~contexts ~impl =
+(* The structural invariants over the software orders given as lists:
+   the constructors check their input before linking it (a repeated
+   task would corrupt a chain), {!check_invariants} the orders walked
+   off the chains. *)
+let invariant_problems t ~orders =
+  let problems = ref [] in
+  let note msg = problems := msg :: !problems in
+  let n = size t in
+  let limit = Platform.n_clb t.platform in
+  (* Bindings agree with context membership. *)
+  List.iter
+    (fun (cid, members) ->
+      if members = [] then note (Printf.sprintf "context %d empty" cid);
+      List.iter
+        (fun v ->
+          if t.assign.(v) <> cid then
+            note (Printf.sprintf "task %d in context %d but assigned %d" v cid
+                    t.assign.(v)))
+        members;
+      if members_clbs t members > limit then
+        note (Printf.sprintf "context %d exceeds capacity" cid))
+    t.ctxs;
+  (* Each hardware-assigned task appears in exactly one context. *)
+  let occurrences = Array.make n 0 in
+  List.iter
+    (fun (_, members) ->
+      List.iter (fun v -> occurrences.(v) <- occurrences.(v) + 1) members)
+    t.ctxs;
+  for v = 0 to n - 1 do
+    let expected = if t.assign.(v) >= 0 then 1 else 0 in
+    if occurrences.(v) <> expected then
+      note (Printf.sprintf "task %d occurs %d times in contexts" v occurrences.(v));
+    let k = t.impl.(v) in
+    if k < 0 || k >= Task.impl_count (App.task t.app v) then
+      note (Printf.sprintf "task %d: bad implementation index" v)
+  done;
+  (* Per-processor orders partition the software tasks. *)
+  List.iteri
+    (fun p order ->
+      List.iter
+        (fun v ->
+          if t.assign.(v) <> -(p + 1) then
+            note
+              (Printf.sprintf "task %d listed on processor %d but assigned %d" v
+                 p t.assign.(v)))
+        order;
+      if List.length (List.sort_uniq compare order) <> List.length order then
+        note (Printf.sprintf "processor %d order has duplicates" p))
+    orders;
+  let sw_expected =
+    List.sort compare (List.filter (fun v -> t.assign.(v) < 0) (List.init n Fun.id))
+  in
+  let sw_listed = List.sort compare (List.concat orders) in
+  if sw_listed <> sw_expected then note "sw orders are not a partition";
+  if List.length orders <> Platform.processor_count t.platform then
+    note "processor order count differs from the platform";
+  (* Context ids unique. *)
+  let ids = List.map fst t.ctxs in
+  if List.length (List.sort_uniq compare ids) <> List.length ids then
+    note "duplicate context ids";
+  !problems
+
+(* A constructor's result: the unlinked solution [t] with [orders]
+   linked in, once they pass the invariants. *)
+let linked ~what t orders =
+  match invariant_problems t ~orders with
+  | [] ->
+    link_orders t orders;
+    Ok t
+  | ps -> Error (what ^ String.concat "; " ps)
+
+(* Processor [p]'s chain walked from its head, each link checked
+   against its successor's back link and the tail; the walk is bounded,
+   so a cyclic chain is reported, not followed. *)
+let walk_chain t p =
+  let n = size t in
+  let rec walk prev v steps acc =
+    if v < 0 then
+      if t.tail.(p) = prev then Ok (List.rev acc)
+      else Error (Printf.sprintf "processor %d chain does not end at its tail" p)
+    else if v >= n || steps >= n then
+      Error (Printf.sprintf "processor %d chain is broken or cyclic" p)
+    else if t.prev.(v) <> prev then
+      Error
+        (Printf.sprintf "processor %d chain: task %d links back to %d, not %d"
+           p v t.prev.(v) prev)
+    else walk v t.next.(v) (steps + 1) (v :: acc)
+  in
+  walk (-1) t.head.(p) 0 []
+
+let check_invariants t =
+  let chains = List.init (Array.length t.head) (walk_chain t) in
+  let unlinked_hw =
+    List.filter
+      (fun v -> t.assign.(v) >= 0 && (t.next.(v) >= 0 || t.prev.(v) >= 0))
+      (List.init (size t) Fun.id)
+  in
+  let problems =
+    List.filter_map (function Error msg -> Some msg | Ok _ -> None) chains
+    @ List.map (Printf.sprintf "hardware task %d is linked into a chain")
+        unlinked_hw
+  in
+  let problems =
+    if problems <> [] then problems
+    else invariant_problems t ~orders:(List.map Result.get_ok chains)
+  in
+  match problems with [] -> Ok () | ps -> Error (String.concat "; " ps)
+
+let of_mapping application platform ~sw_orders ~contexts ~impl =
   let n = App.size application in
   let procs = Platform.processor_count platform in
   if List.length sw_orders <> procs then
@@ -1330,88 +1555,14 @@ let rec of_mapping application platform ~sw_orders ~contexts ~impl =
       | None ->
         if Array.exists (fun a -> a = min_int) assign then
           Error "of_mapping: some task is neither scheduled nor in a context"
-        else begin
-          let t =
-            {
-              app = application;
-              clo = closure_of_app application;
-              platform;
-              assign;
-              impl = Array.of_list impl;
-              version = fresh_root ();
-              sw = Array.of_list sw_orders;
-              ctxs = List.mapi (fun j members -> (j, members)) contexts;
-              free_ids = free_ids_after ~n ~k:(List.length contexts);
-              cached = Stale;
-              incr = None;
-              last_kind = Init;
-              stats = fresh_stats ();
-            }
-          in
-          match check_invariants t with
-          | Ok () -> Ok t
-          | Error msg -> Error ("of_mapping: " ^ msg)
-        end
+        else
+          linked ~what:"of_mapping: "
+            (unlinked application platform ~assign ~impl:(Array.of_list impl)
+               ~ctxs:(List.mapi (fun j members -> (j, members)) contexts)
+               ~free_ids:(free_ids_after ~n ~k:(List.length contexts)))
+            sw_orders
     end
   end
-
-and check_invariants t =
-  let problems = ref [] in
-  let note msg = problems := msg :: !problems in
-  let n = size t in
-  let limit = Platform.n_clb t.platform in
-  (* Bindings agree with context membership. *)
-  List.iter
-    (fun (cid, members) ->
-      if members = [] then note (Printf.sprintf "context %d empty" cid);
-      List.iter
-        (fun v ->
-          if t.assign.(v) <> cid then
-            note (Printf.sprintf "task %d in context %d but assigned %d" v cid
-                    t.assign.(v)))
-        members;
-      if members_clbs t members > limit then
-        note (Printf.sprintf "context %d exceeds capacity" cid))
-    t.ctxs;
-  (* Each hardware-assigned task appears in exactly one context. *)
-  let occurrences = Array.make n 0 in
-  List.iter
-    (fun (_, members) ->
-      List.iter (fun v -> occurrences.(v) <- occurrences.(v) + 1) members)
-    t.ctxs;
-  for v = 0 to n - 1 do
-    let expected = if t.assign.(v) >= 0 then 1 else 0 in
-    if occurrences.(v) <> expected then
-      note (Printf.sprintf "task %d occurs %d times in contexts" v occurrences.(v));
-    let k = t.impl.(v) in
-    if k < 0 || k >= Task.impl_count (App.task t.app v) then
-      note (Printf.sprintf "task %d: bad implementation index" v)
-  done;
-  (* Per-processor orders partition the software tasks. *)
-  Array.iteri
-    (fun p order ->
-      List.iter
-        (fun v ->
-          if t.assign.(v) <> -(p + 1) then
-            note
-              (Printf.sprintf "task %d listed on processor %d but assigned %d" v
-                 p t.assign.(v)))
-        order;
-      if List.length (List.sort_uniq compare order) <> List.length order then
-        note (Printf.sprintf "processor %d order has duplicates" p))
-    t.sw;
-  let sw_expected =
-    List.sort compare (List.filter (fun v -> t.assign.(v) < 0) (List.init n Fun.id))
-  in
-  let sw_listed = List.sort compare (List.concat (Array.to_list t.sw)) in
-  if sw_listed <> sw_expected then note "sw orders are not a partition";
-  if Array.length t.sw <> Platform.processor_count t.platform then
-    note "processor order count differs from the platform";
-  (* Context ids unique. *)
-  let ids = List.map fst t.ctxs in
-  if List.length (List.sort_uniq compare ids) <> List.length ids then
-    note "duplicate context ids";
-  match !problems with [] -> Ok () | ps -> Error (String.concat "; " ps)
 
 (* --- textual codec (checkpoints) ---
 
@@ -1435,13 +1586,13 @@ let encode t =
     Buffer.add_char b '\n'
   in
   add_ints "solution"
-    [ n; Array.length t.sw; List.length t.ctxs ];
+    [ n; Array.length t.head; List.length t.ctxs ];
   add_ints "assign"
     (List.init n (fun v ->
          let a = t.assign.(v) in
          if a < 0 then a else Hashtbl.find positional a));
   add_ints "impl" (Array.to_list t.impl);
-  Array.iter (fun order -> add_ints "sw" order) t.sw;
+  List.iter (add_ints "sw") (sw_orders t);
   List.iter (fun (_, members) -> add_ints "ctx" members) t.ctxs;
   Buffer.contents b
 
@@ -1505,33 +1656,18 @@ let decode application platform text =
              && List.for_all (List.for_all in_range) ctx_members
              && List.for_all (fun a -> a >= -procs && a < k) assign)
         then Error "solution codec: index out of range"
-        else begin
-          let t =
-            {
-              app = application;
-              clo = closure_of_app application;
-              platform;
-              assign = Array.of_list assign;
-              impl = Array.of_list impl;
-              version = fresh_root ();
-              sw = Array.of_list sw_orders;
-              ctxs = List.mapi (fun j members -> (j, members)) ctx_members;
-              free_ids = free_ids_after ~n ~k;
-              cached = Stale;
-              incr = None;
-              last_kind = Init;
-              stats = fresh_stats ();
-            }
-          in
-          match check_invariants t with
-          | Ok () -> Ok t
-          | Error msg -> Error ("solution codec: " ^ msg)
-        end)
+        else
+          linked ~what:"solution codec: "
+            (unlinked application platform ~assign:(Array.of_list assign)
+               ~impl:(Array.of_list impl)
+               ~ctxs:(List.mapi (fun j members -> (j, members)) ctx_members)
+               ~free_ids:(free_ids_after ~n ~k))
+            sw_orders)
 
 let pp fmt t =
   let eval = evaluate t in
   Format.fprintf fmt "@[<v>solution: %d sw / %d hw tasks, %d context(s)@,"
-    (Array.fold_left (fun acc order -> acc + List.length order) 0 t.sw)
+    (size t - hw_count t)
     (hw_count t)
     (n_contexts t);
   (match eval with
@@ -1541,14 +1677,14 @@ let pp fmt t =
        e.Searchgraph.initial_reconfig e.Searchgraph.dynamic_reconfig
        e.Searchgraph.comm
    | None -> Format.fprintf fmt "infeasible@,");
-  Array.iteri
+  List.iteri
     (fun p order ->
       Format.fprintf fmt "processor %d order: %a@," p
         (Format.pp_print_list
            ~pp_sep:(fun fmt () -> Format.fprintf fmt " ")
            Format.pp_print_int)
         order)
-    t.sw;
+    (sw_orders t);
   List.iteri
     (fun j (_, members) ->
       Format.fprintf fmt "context %d (%d CLBs): %a@," (j + 1)

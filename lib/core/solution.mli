@@ -69,6 +69,15 @@ val sw_order : t -> int list
 val sw_orders : t -> int list list
 (** Execution orders of every processor (primary first). *)
 
+val sw_first : t -> int -> int
+(** [sw_first t p] is the first task of processor [p]'s order, [-1]
+    when it runs none.  With {!sw_next}, a walk of an order that builds
+    no list. *)
+
+val sw_next : t -> int -> int
+(** The task after [v] in its processor's order; [-1] at the end of the
+    order and for a hardware task.  O(1). *)
+
 val processor_index : t -> int -> int
 (** Processor of a software-bound task (0 = primary); raises
     [Invalid_argument] for a hardware task. *)
@@ -105,11 +114,13 @@ val evaluate : t -> Searchgraph.eval option
     {!insert_context}/{!append_context}, {!swap_contexts}) edit it in
     place, and the next evaluation refreshes only the affected
     downstream cones ({!Repro_sched.Longest_path.refresh}).  Each
-    mutator emits its own exact edge delta from the per-class pair
-    emitters of the chains, contexts and context adjacencies it
-    touched ({!Repro_sched.Searchgraph.chain_pairs_near},
-    [ehw_intra_pairs], [gtlp_pairs]) — the global canonical pair list
-    is never regenerated on the move path — and the boundary-traffic
+    mutator emits its own exact edge delta from the software pairs
+    around the positions it disturbed (read off the linked processor
+    orders in O(1) per task) and from the per-class emitters of the
+    contexts and context adjacencies it touched
+    ({!Repro_sched.Searchgraph.ehw_intra_pairs}, [gtlp_pairs]) — the
+    global canonical pair list is never regenerated on the move path,
+    and no processor order is walked — and the boundary-traffic
     total is patched by flipping the sum-tree terms of the edges
     incident to the moved tasks.  Every edit lands in a delta log so
     {!save}'s undo closure restores the live graph by replaying
@@ -190,8 +201,11 @@ val check_deltas_enabled : unit -> bool
 val makespan : t -> float
 (** Makespan of a feasible solution; [infinity] when infeasible.  Read
     straight off the live longest-path state, without building the
-    {!evaluate} record: this is what judging a move costs.  Bitwise
-    equal to the record's makespan. *)
+    {!evaluate} record: this is what judging a move costs.  Only the
+    sinks of the search graph are read — the tail of each processor
+    order and the members of the last context — since every other node
+    finishes no later than a successor.  Bitwise equal to the record's
+    makespan. *)
 
 val check_invariants : t -> (unit, string) result
 (** Structural invariants: bindings, context membership and capacity,
@@ -206,14 +220,17 @@ val snapshot : t -> t
 val save : t -> (unit -> unit)
 (** Capture the full mutable state in O(1); the returned closure
     restores it (move undo).  The assignment and implementation arrays
-    are not copied: every write to them is recorded on a version chain,
+    and the links of the processor orders (each a doubly linked chain
+    through per-task successor and predecessor arrays) are not copied:
+    every write to them is recorded on a version chain,
     [save] keeps the current version, and the undo reroots the chain at
     it, in time proportional to the writes made since.  The live search
     graph is restored by replaying the delta log backwards to the save
     point, so rejecting a structural move costs a few inverse edge
     edits rather than a rebuild.  Undo closures are one-shot and meant
-    LIFO; out-of-order use still restores the exact saved state, but
-    drops the live graph, and the next evaluation rebuilds it. *)
+    LIFO; out-of-order use still restores the exact saved state, and
+    drops the live graph when an earlier undo rewrote the log below
+    the save point, so the next evaluation rebuilds it. *)
 
 val invalidate : t -> unit
 (** Drop the live search graph, so the next evaluation rebuilds it from

@@ -116,10 +116,9 @@ let reread t v =
    [true] when it changed.  This is the innermost loop of every refresh
    and rebuild: a plain loop over the slice with an unboxed
    accumulator, and no float crosses a call (a returned float would be
-   boxed).  The maximum is [Float.max]'s, as in [makespan] below:
-   the accumulator starts at +0, so away from NaNs the strict test is
-   exact (and order-independent), and a NaN goes through [Float.max]
-   itself.
+   boxed).  The maximum is [Float.max]'s: the accumulator starts at
+   +0, so away from NaNs the strict test is exact (and
+   order-independent), and a NaN goes through [Float.max] itself.
 
    Exact comparison, not a tolerance: incremental refresh must reach
    the same bitwise fixpoint as a full rebuild, or a checkpoint/resume
@@ -181,20 +180,6 @@ let create graph ~node_weight ~edge_weight =
 
 let finish t v = t.finish.(v)
 let finish_array t = t.finish
-
-(* [Array.fold_left Float.max 0.0 t.finish] without boxing a float per
-   node: this runs on every settled move.  Away from NaNs the
-   accumulator starts at +0 and only grows, so it is never -0 and the
-   strict test is exactly [Float.max]; a NaN on either side goes
-   through [Float.max] itself. *)
-let makespan t =
-  let m = ref 0.0 in
-  for i = 0 to Array.length t.finish - 1 do
-    let x = t.finish.(i) in
-    if x > !m then m := x
-    else if Float.is_nan x || Float.is_nan !m then m := Float.max !m x
-  done;
-  !m
 
 let recompute t =
   for v = 0 to Array.length t.position - 1 do

@@ -58,8 +58,6 @@ val finish_array : t -> float array
     view for bulk consumers (one blit instead of a call per node on
     every evaluation).  Mutating it corrupts the state. *)
 
-val makespan : t -> float
-
 val refresh : t -> int list -> unit
 (** [refresh t dirty] re-reads the weights of the [dirty] nodes (and of
     their incoming edges) and propagates changes through their

@@ -144,17 +144,6 @@ let chain_pairs order =
   in
   walk [] order
 
-(* Consecutive pairs of a chain with an endpoint satisfying [mem]: the
-   Esw pairs a move around one software position can have disturbed.
-   One allocation-free walk of the order — no global list, no sort. *)
-let chain_pairs_near mem order =
-  let rec walk acc = function
-    | a :: (b :: _ as rest) ->
-      walk (if mem a || mem b then (a, b) :: acc else acc) rest
-    | [ _ ] | [] -> acc
-  in
-  walk [] order
-
 let ehw_intra_pairs ~cfg members = List.map (fun v -> (cfg, v)) members
 
 let gtlp_pairs ~prev_cfg ~prev_members ~cfg =

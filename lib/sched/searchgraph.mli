@@ -132,12 +132,6 @@ val chain_pairs : int list -> (int * int) list
 (** Consecutive pairs of a software execution order: the Esw chain
     edges, in emission order. *)
 
-val chain_pairs_near : (int -> bool) -> int list -> (int * int) list
-(** Consecutive pairs of an order with at least one endpoint selected:
-    the Esw pairs a move around the selected positions can have
-    disturbed.  One walk of the order, no global list; pair order is
-    unspecified (callers sort). *)
-
 val ehw_intra_pairs : cfg:int -> int list -> (int * int) list
 (** Pairs owned by one context: its configuration node [cfg] before
     each member. *)

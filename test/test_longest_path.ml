@@ -2,6 +2,8 @@ module Graph = Repro_taskgraph.Graph
 module Longest_path = Repro_sched.Longest_path
 module Rng = Repro_util.Rng
 
+let makespan lp = Array.fold_left Float.max 0.0 (Longest_path.finish_array lp)
+
 let diamond_weights () =
   let g = Graph.create 4 in
   Graph.add_edge g 0 1;
@@ -20,7 +22,7 @@ let test_create_matches_graph_longest_path () =
   with
   | None -> Alcotest.fail "DAG"
   | Some lp ->
-    Alcotest.(check (float 1e-9)) "makespan" 7.0 (Longest_path.makespan lp);
+    Alcotest.(check (float 1e-9)) "makespan" 7.0 (makespan lp);
     Alcotest.(check (float 1e-9)) "finish 2" 3.0 (Longest_path.finish lp 2)
 
 let test_create_rejects_cycle () =
@@ -45,7 +47,7 @@ let test_refresh_propagates () =
     Longest_path.refresh lp [ 1 ];
     (* Critical path now goes through node 2: 1 + 2 + 1. *)
     Alcotest.(check (float 1e-9)) "makespan updated" 4.0
-      (Longest_path.makespan lp);
+      (makespan lp);
     Alcotest.(check (float 1e-9)) "finish 1 updated" 1.5
       (Longest_path.finish lp 1)
 
@@ -70,7 +72,7 @@ let test_refresh_stops_early () =
     Alcotest.(check int) "only the sink re-evaluated" 1
       (Longest_path.touched_last_refresh lp);
     Alcotest.(check (float 1e-9)) "makespan" (float_of_int (n - 1) +. 3.0)
-      (Longest_path.makespan lp);
+      (makespan lp);
     (* No-op refresh of an unchanged node stops immediately after it. *)
     Longest_path.refresh lp [ 0 ];
     Alcotest.(check int) "unchanged node does not cascade" 1
@@ -183,7 +185,7 @@ let qcheck_repeated_refresh_rounds =
             Array.fold_left Float.max 0.0 finish
           in
           if
-            abs_float (reference_makespan -. Longest_path.makespan lp) >= 1e-9
+            abs_float (reference_makespan -. makespan lp) >= 1e-9
             || not
                  (Array.for_all
                     (fun v ->
@@ -309,36 +311,6 @@ let qcheck_dynamic_edges =
           then ok := false
         done;
         !ok)
-
-let qcheck_makespan_is_the_fold =
-  (* The unboxed makespan scan against the fold it replaced, bit for
-     bit, with NaNs, signed zeros, infinities and negative weights in
-     the finish times. *)
-  let specials = [| nan; -.nan; -0.0; 0.0; infinity; neg_infinity; -1.5 |] in
-  QCheck.Test.make ~name:"makespan equals the Float.max fold bitwise"
-    ~count:300
-    QCheck.(pair small_int (int_range 1 20))
-    (fun (seed, n) ->
-      let rng = Rng.create (seed + 5) in
-      let g = Graph.create n in
-      for u = 0 to n - 2 do
-        if Rng.bernoulli rng 0.3 then Graph.add_edge g u (u + 1)
-      done;
-      let weights =
-        Array.init n (fun _ ->
-            if Rng.bernoulli rng 0.3 then Rng.choice rng specials
-            else Rng.float rng 10.0)
-      in
-      match
-        Longest_path.create g
-          ~node_weight:(fun v -> weights.(v))
-          ~edge_weight:(fun _ _ -> 0.0)
-      with
-      | None -> false
-      | Some lp ->
-        Int64.bits_of_float (Longest_path.makespan lp)
-        = Int64.bits_of_float
-            (Array.fold_left Float.max 0.0 (Longest_path.finish_array lp)))
 
 (* Reachability in the current graph, by an independent search: the
    reference for which insertions must be rejected. *)
@@ -470,8 +442,8 @@ let qcheck_cached_weights =
             Array.for_all2
               (fun x y -> Int64.bits_of_float x = Int64.bits_of_float y)
               a b
-            && Int64.bits_of_float (Longest_path.makespan lp)
-               = Int64.bits_of_float (Longest_path.makespan fresh)
+            && Int64.bits_of_float (makespan lp)
+               = Int64.bits_of_float (makespan fresh)
         in
         (* Only [grow] and [shrink] edit the hub's in-edges. *)
         let random_edit () =
@@ -673,7 +645,6 @@ let suite =
     QCheck_alcotest.to_alcotest qcheck_repeated_refresh_rounds;
     QCheck_alcotest.to_alcotest qcheck_dynamic_edges;
     QCheck_alcotest.to_alcotest qcheck_large_dags;
-    QCheck_alcotest.to_alcotest qcheck_makespan_is_the_fold;
     QCheck_alcotest.to_alcotest qcheck_cached_weights;
     QCheck_alcotest.to_alcotest qcheck_position_bitmap;
     Alcotest.test_case "refresh allocates nothing per node" `Quick

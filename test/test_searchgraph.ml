@@ -167,7 +167,6 @@ let test_build_exposes_cfg_nodes () =
 (* --- sequentialization-pair emitters ------------------------------ *)
 
 let ipair = Alcotest.(pair int int)
-let sorted_pairs = List.sort compare
 
 (* The per-class emitters, concatenated per the ownership contract,
    must reproduce [ehw_pairs] exactly — order included — for every
@@ -197,22 +196,6 @@ let test_emitters_compose () =
         (compose ctxs))
     [ []; [ [ 5 ] ]; [ [ 0 ]; [ 1; 2 ] ]; [ [ 1 ]; [ 2 ]; [ 3; 4 ] ];
       [ [ 7; 8; 9 ]; [ 2 ]; [ 0; 3 ]; [ 6 ] ] ]
-
-let test_chain_pairs_near () =
-  let order = [ 4; 1; 7; 2; 9 ] in
-  (* Selecting everything recovers the full chain (order aside). *)
-  Alcotest.(check (list ipair))
-    "total selection = chain_pairs"
-    (sorted_pairs (Searchgraph.chain_pairs order))
-    (sorted_pairs (Searchgraph.chain_pairs_near (fun _ -> true) order));
-  (* A single selected task owns exactly its incident chain pairs. *)
-  Alcotest.(check (list ipair))
-    "pairs around one task"
-    [ (1, 7); (7, 2) ]
-    (sorted_pairs (Searchgraph.chain_pairs_near (fun v -> v = 7) order));
-  Alcotest.(check (list ipair))
-    "nothing selected" []
-    (Searchgraph.chain_pairs_near (fun _ -> false) order)
 
 (* Updating sum-tree leaves must land on exactly the bits a fresh tree
    over the mutated terms produces — the invariant that keeps patched
@@ -600,8 +583,6 @@ let suite =
       test_build_exposes_cfg_nodes;
     Alcotest.test_case "emitters compose to ehw_pairs" `Quick
       test_emitters_compose;
-    Alcotest.test_case "chain_pairs_near ownership" `Quick
-      test_chain_pairs_near;
     Alcotest.test_case "comm tree bit identity" `Quick
       test_comm_tree_bit_identity;
     QCheck_alcotest.to_alcotest qcheck_flat_matches_build;

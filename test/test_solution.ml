@@ -728,6 +728,172 @@ let test_save_allocation () =
   undo ();
   Alcotest.(check string) "undone" want_code (Solution.encode s)
 
+(* The software orders against a plain-list model: random mutators,
+   saves and undos in any order, and copies, on random layered graphs
+   run by one to three processors, half of the cases under the paranoid
+   delta check.  After every step the chains read back as the model's
+   lists, the invariants hold, and the settled makespan is the bits of
+   a from-scratch evaluation (infinite exactly when that is cyclic or a
+   context is over capacity). *)
+let qcheck_chains_match_model =
+  QCheck.Test.make ~name:"linked orders match a list model under save/undo"
+    ~count:200
+    QCheck.(triple small_int (int_range 1 3) (int_range 20 120))
+    (fun (seed, procs, steps) ->
+      let rng = Rng.create (seed + 101) in
+      let application =
+        Generators.layered rng Generators.default_impl_model
+          ~layers:(3 + Rng.int rng 4) ~width:(4 + Rng.int rng 7)
+          ~edge_probability:0.15 ~mean_sw_time:2.0 ~mean_kbytes:4.0
+      in
+      let plat =
+        Platform.make ~name:"board"
+          ~processor:(Resource.processor "cpu")
+          ~rc:(Resource.reconfigurable ~n_clb:400 ~reconfig_ms_per_clb:0.01 "rc")
+          ~extra:
+            (List.init (procs - 1) (fun i ->
+                 Resource.processor ~speed:(1.0 +. float_of_int i)
+                   (Printf.sprintf "dsp%d" i)))
+          ~bus:Platform.default_bus ()
+      in
+      let n = App.size application in
+      let was = Solution.check_deltas_enabled () in
+      Solution.set_check_deltas (seed mod 2 = 0);
+      Fun.protect ~finally:(fun () -> Solution.set_check_deltas was)
+      @@ fun () ->
+      let s = ref (Solution.random rng application plat) in
+      let model = ref (Array.of_list (Solution.sw_orders !s)) in
+      let saves = ref [] in
+      let remove v = Array.map (List.filter (fun w -> w <> v)) in
+      let insert v ~before order =
+        match before with
+        | None -> order @ [ v ]
+        | Some b -> List.concat_map (fun w -> if w = b then [ v; w ] else [ w ]) order
+      in
+      let proc_of v =
+        match Solution.binding !s v with
+        | Searchgraph.Sw -> Some (Solution.processor_index !s v)
+        | Searchgraph.Hw _ | Searchgraph.On_asic _ -> None
+      in
+      let pick l = List.nth l (Rng.int rng (List.length l)) in
+      let ok = ref true in
+      let fail fmt = Printf.ksprintf (fun m -> QCheck.Test.fail_report m) fmt in
+      for step = 1 to steps do
+        let v = Rng.int rng n in
+        (* Most infeasible moves are taken back at once, as the
+           annealer does, so the live graph is rarely dropped. *)
+        let take_back = Solution.save !s and before = !model in
+        (* Six mutators at three chances in thirty each, then saves,
+           undos and a copy. *)
+        let draw = Rng.int rng 30 in
+        let op =
+          if draw < 18 then draw / 3
+          else if draw < 23 then 6
+          else if draw < 29 then 8
+          else 9
+        in
+        (match op with
+         | 0 -> (
+           let p = Rng.int rng procs in
+           match !model.(p) with
+           | _ :: _ :: _ as order ->
+             let a = pick order and b = pick order in
+             if a <> b then begin
+               Solution.reorder_sw !s ~task:a ~before:b;
+               let m = remove a !model in
+               m.(p) <- insert a ~before:(Some b) m.(p);
+               model := m
+             end
+           | [ _ ] | [] -> ())
+         | 1 ->
+           let p = Rng.int rng procs in
+           if proc_of v <> Some p then begin
+             let before =
+               if !model.(p) = [] || Rng.bool rng then None
+               else Some (pick !model.(p))
+             in
+             Solution.move_to_sw ~proc:p !s ~task:v ~before;
+             let m = remove v !model in
+             m.(p) <- insert v ~before m.(p);
+             model := m
+           end
+         | 2 -> (
+           match Solution.hw_count !s with
+           | 0 -> ()
+           | k ->
+             let dest = Solution.nth_hw_task !s (Rng.int rng k) in
+             if Solution.binding !s v <> Solution.binding !s dest then begin
+               Solution.move_to_context !s ~task:v ~dest;
+               model := remove v !model
+             end)
+         | 3 ->
+           let alone =
+             match Solution.binding !s v with
+             | Searchgraph.Hw j -> List.length (List.nth (Solution.contexts !s) j) = 1
+             | Searchgraph.Sw | Searchgraph.On_asic _ -> false
+           in
+           if not alone then begin
+             Solution.insert_context !s ~task:v
+               ~at:(Rng.int rng (Solution.n_contexts !s + 1));
+             model := remove v !model
+           end
+         | 4 ->
+           let k = Solution.n_contexts !s in
+           if k >= 2 then Solution.swap_contexts !s ~at:(Rng.int rng (k - 1))
+         | 5 ->
+           Solution.set_impl !s v
+             (Rng.int rng (Task.impl_count (App.task application v)))
+         | 6 -> saves := (Solution.save !s, !model) :: !saves
+         | 8 -> (
+           match !saves with
+           | [] -> ()
+           | l ->
+             (* Any saved state, not only the latest. *)
+             let i = Rng.int rng (List.length l) in
+             let undo, saved = List.nth l i in
+             undo ();
+             model := saved;
+             saves := List.filteri (fun j _ -> j <> i) l)
+         | _ ->
+           s := Solution.copy !s;
+           saves := []);
+        if op <= 5 && Solution.makespan !s = infinity && Rng.int rng 5 > 0
+        then begin
+          take_back ();
+          model := before
+        end;
+        if !ok then begin
+          if Solution.sw_orders !s <> Array.to_list !model then
+            ok := fail "step %d: the chains differ from the model" step
+          else
+            let over =
+              List.exists
+                (fun j -> Solution.context_clbs !s j > Platform.n_clb plat)
+                (List.init (Solution.n_contexts !s) Fun.id)
+            in
+            (* An implementation swap may overfill a context: the one
+               invariant a move may break, until it is undone. *)
+            let capacity_only msg =
+              List.for_all
+                (fun part -> String.ends_with ~suffix:"exceeds capacity" part)
+                (String.split_on_char ';' msg)
+            in
+            match Solution.check_invariants !s with
+            | Error msg when not (over && capacity_only msg) ->
+              ok := fail "step %d: %s" step msg
+            | Error _ | Ok () ->
+              let got = Solution.makespan !s in
+              let want =
+                match Searchgraph.evaluate (Solution.spec !s) with
+                | Some e when not over -> e.Searchgraph.makespan
+                | Some _ | None -> infinity
+              in
+              if Int64.bits_of_float got <> Int64.bits_of_float want then
+                ok := fail "step %d: makespan %h, from scratch %h" step got want
+        end
+      done;
+      !ok)
+
 let suite =
   [
     Alcotest.test_case "all software" `Quick test_all_software;
@@ -761,6 +927,7 @@ let suite =
     Alcotest.test_case "native delta counters" `Quick
       test_native_delta_counters;
     QCheck_alcotest.to_alcotest qcheck_paranoid_deltas;
+    QCheck_alcotest.to_alcotest qcheck_chains_match_model;
     Alcotest.test_case "replace platform" `Quick test_replace_platform;
     Alcotest.test_case "makespan path (md28, g128)" `Quick test_makespan_path;
     Alcotest.test_case "undo across 100k accepted moves" `Quick test_long_undo;
