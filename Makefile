@@ -44,7 +44,9 @@ examples:
 
 # Deterministic fault drills: the in-process fault suite, then — for
 # several seeds — crash a checkpointed CLI run at an injected
-# evaluation fault and prove the checkpoint resumes to completion,
+# evaluation fault and prove the checkpoint resumes to completion
+# (every engine; sa and tabu also on the two-processor board of data/,
+# whose checkpoints hold two software chains),
 # interrupt a checkpointed dse-sweep mid-cell and prove the resumed
 # table equals an uninterrupted one, and crash the job daemon
 # mid-queue at an injected job fault and prove recovery leaves every
@@ -92,6 +94,35 @@ faultcheck: build
 	  fi; \
 	  rm -f $$ck $$clean $$clean.cmp $$resumed $$resumed.cmp; \
 	done; echo "faultcheck all-engine kill/resume drill OK"
+	@set -e; board="--app-file data/motion_detection.tg \
+	    --platform-file data/arm_dsp_fpga.plat"; \
+	for spec in sa:5000:2500 tabu:60:300; do \
+	  engine=$${spec%%:*}; rest=$${spec#*:}; \
+	  iters=$${rest%%:*}; fault=$${rest#*:}; \
+	  ck=$$(mktemp -u); clean=$$(mktemp); resumed=$$(mktemp); \
+	  echo "faultcheck: engine $$engine on the two-processor board" \
+	       "kill/resume (iters $$iters, REPRO_FAULTS=eval:$$fault)"; \
+	  dune exec -- bin/dse_run.exe $$board --engine $$engine --seed 7 \
+	    --iters $$iters --warmup 200 --result $$clean >/dev/null; \
+	  if REPRO_FAULTS=eval:$$fault dune exec -- bin/dse_run.exe $$board \
+	       --engine $$engine --seed 7 --iters $$iters --warmup 200 \
+	       --checkpoint $$ck --checkpoint-every 1 >/dev/null 2>&1; then \
+	    echo "faultcheck: $$engine: injected fault did not fire"; exit 1; \
+	  fi; \
+	  if [ $$(grep -ac '^sw [0-9]' $$ck) -lt 2 ]; then \
+	    echo "faultcheck: $$engine: the checkpoint keeps one chain"; exit 1; \
+	  fi; \
+	  dune exec -- bin/dse_run.exe $$board --engine $$engine --seed 7 \
+	    --iters $$iters --warmup 200 --resume $$ck \
+	    --result $$resumed >/dev/null; \
+	  sed -e 's/, "eval_stats": .*/}/' -e 's/"wall_seconds": [^,]*, //' $$clean > $$clean.cmp; \
+	  sed -e 's/, "eval_stats": .*/}/' -e 's/"wall_seconds": [^,]*, //' $$resumed > $$resumed.cmp; \
+	  if ! diff $$clean.cmp $$resumed.cmp >/dev/null; then \
+	    echo "faultcheck: $$engine: resumed result differs from clean run"; \
+	    cat $$clean.cmp $$resumed.cmp; exit 1; \
+	  fi; \
+	  rm -f $$ck $$clean $$clean.cmp $$resumed $$resumed.cmp; \
+	done; echo "faultcheck two-processor kill/resume drill OK"
 	@set -e; for spec in portfolio:race:sa+hill portfolio:rr:sa+hill \
 	    portfolio:chain:greedy+sa; do \
 	  ck=$$(mktemp -u); clean=$$(mktemp); resumed=$$(mktemp); \

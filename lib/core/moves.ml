@@ -248,7 +248,9 @@ let chain_length solution proc =
   count (Solution.sw_first solution proc) 0
 
 let chain_nth solution proc k =
-  let rec walk w k = if k = 0 then w else walk (Solution.sw_next solution w) (k - 1) in
+  let rec walk w k =
+    if k = 0 then w else walk (Solution.sw_next solution w) (k - 1)
+  in
   walk (Solution.sw_first solution proc) k
 
 (* m2 with a software destination: migrate [vs] to the processor

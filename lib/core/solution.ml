@@ -191,8 +191,8 @@ type cache =
 
 (* The version chain that makes {!save} O(1): Baker's rerooting, as in
    Conchon and Filliâtre's persistent arrays, over the [assign],
-   [impl] and chain-link arrays together.  The live arrays are the state of the root
-   version (the one whose [next] is itself); any other version [v] is
+   [impl] and chain-link arrays together.  The live arrays are the
+   state of the root version (the one whose [next] is itself); any other version [v] is
    [v.next]'s state with [v.arr.(v.idx) = v.old].  A write turns the
    root into such a diff and starts a fresh root; [save] keeps the
    current root; the undo reroots the chain at the saved version,
@@ -438,7 +438,8 @@ let save t =
         inc.epoch <- inc.epoch + 1
       end;
       let len = inc.log_len in
-      Some (inc, inc.epoch, len, if len = 0 then None else Some inc.log.(len - 1))
+      let last = if len = 0 then None else Some inc.log.(len - 1) in
+      Some (inc, inc.epoch, len, last)
     | Some _ | None -> None
   in
   fun () ->
@@ -661,7 +662,9 @@ let sw_pairs_near t inc around =
       else begin
         inc.around.(a) <- seen;
         let p = t.prev.(a) and s = t.next.(a) in
-        let acc = if p >= 0 && inc.around.(p) <> seen then (p, a) :: acc else acc in
+        let acc =
+          if p >= 0 && inc.around.(p) <> seen then (p, a) :: acc else acc
+        in
         if s >= 0 && inc.around.(s) <> seen then (a, s) :: acc else acc
       end)
     [] around
@@ -746,10 +749,10 @@ let native_resync t kind ~rebound ~sw_around ~sw_before ~old_ctxs =
     let n = size t in
     let appg = t.app.App.graph in
     let ks = kind_stats t.stats kind in
-    (* 1. The move's context footprint, from the snapshot. *)
-    (* Pointer equality of the association lists means the move never
-       touched the context chain: every context diff below is empty and
-       the captures reduce to the disturbed software adjacencies. *)
+    (* 1. The move's context footprint, from the snapshot.  Pointer
+       equality of the association lists means the move never touched
+       the context chain: every context diff below is empty and the
+       captures reduce to the disturbed software adjacencies. *)
     let ctx_changed = not (old_ctxs == t.ctxs) in
     let freed, touched_ctxs =
       if not ctx_changed then ([], [])
@@ -1491,7 +1494,8 @@ let walk_chain t p =
   let rec walk prev v steps acc =
     if v < 0 then
       if t.tail.(p) = prev then Ok (List.rev acc)
-      else Error (Printf.sprintf "processor %d chain does not end at its tail" p)
+      else
+        Error (Printf.sprintf "processor %d chain does not end at its tail" p)
     else if v >= n || steps >= n then
       Error (Printf.sprintf "processor %d chain is broken or cyclic" p)
     else if t.prev.(v) <> prev then

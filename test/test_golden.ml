@@ -369,10 +369,10 @@ let multi_mode_branching () =
    reads stopped scanning the whole graph; the two GA streams, before
    the application indexed its edges and topological order once at
    construction; the two-processor board runs, before the software
-   orders became linked chains; the four portfolio schedules, before lanes stopped
-   round-tripping through member checkpoint files between slices; the
-   branching multi-mode run, before the multi-mode explorer decoded
-   and scored its genes through the GA's planner. *)
+   orders became linked chains; the four portfolio schedules, before
+   lanes stopped round-tripping through member checkpoint files between
+   slices; the branching multi-mode run, before the multi-mode explorer
+   decoded and scored its genes through the GA's planner. *)
 let golden =
   [
     ( "explore default",

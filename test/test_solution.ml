@@ -749,7 +749,9 @@ let qcheck_chains_match_model =
       let plat =
         Platform.make ~name:"board"
           ~processor:(Resource.processor "cpu")
-          ~rc:(Resource.reconfigurable ~n_clb:400 ~reconfig_ms_per_clb:0.01 "rc")
+          ~rc:
+            (Resource.reconfigurable ~n_clb:400 ~reconfig_ms_per_clb:0.01
+               "rc")
           ~extra:
             (List.init (procs - 1) (fun i ->
                  Resource.processor ~speed:(1.0 +. float_of_int i)
@@ -768,7 +770,8 @@ let qcheck_chains_match_model =
       let insert v ~before order =
         match before with
         | None -> order @ [ v ]
-        | Some b -> List.concat_map (fun w -> if w = b then [ v; w ] else [ w ]) order
+        | Some b ->
+          List.concat_map (fun w -> if w = b then [ v; w ] else [ w ]) order
       in
       let proc_of v =
         match Solution.binding !s v with
@@ -829,7 +832,8 @@ let qcheck_chains_match_model =
          | 3 ->
            let alone =
              match Solution.binding !s v with
-             | Searchgraph.Hw j -> List.length (List.nth (Solution.contexts !s) j) = 1
+             | Searchgraph.Hw j ->
+               List.length (List.nth (Solution.contexts !s) j) = 1
              | Searchgraph.Sw | Searchgraph.On_asic _ -> false
            in
            if not alone then begin
