@@ -192,12 +192,12 @@ type cache =
 (* The version chain that makes {!save} O(1): Baker's rerooting, as in
    Conchon and Filliâtre's persistent arrays, over the [assign],
    [impl] and chain-link arrays together.  The live arrays are the
-   state of the root version (the one whose [next] is itself); any other version [v] is
-   [v.next]'s state with [v.arr.(v.idx) = v.old].  A write turns the
-   root into such a diff and starts a fresh root; [save] keeps the
-   current root; the undo reroots the chain at the saved version,
-   reversing the diffs on the way, so undos in any order restore the
-   exact arrays. *)
+   state of the root version (the one whose [next] is itself); any
+   other version [v] is [v.next]'s state with [v.arr.(v.idx) = v.old].
+   A write turns the root into such a diff and starts a fresh root;
+   [save] keeps the current root; the undo reroots the chain at the
+   saved version, reversing the diffs on the way, so undos in any order
+   restore the exact arrays. *)
 type version = {
   mutable arr : int array;
   mutable idx : int;
@@ -273,6 +273,39 @@ let processor_index t v =
     invalid_arg "Solution.processor_index: task is in hardware";
   -t.assign.(v) - 1
 
+(* Unlink software [task] from its processor's chain. *)
+let unlink t task =
+  let p = processor_index t task in
+  let a = t.prev.(task) and b = t.next.(task) in
+  if a < 0 then write t t.head p b
+  else begin
+    write t t.next a b;
+    write t t.prev task (-1)
+  end;
+  if b < 0 then write t t.tail p a
+  else begin
+    write t t.prev b a;
+    write t t.next task (-1)
+  end
+
+(* Link unlinked [task] into processor [p]'s chain just before
+   [anchor], at the tail when [anchor] is -1. *)
+let link t task p anchor =
+  let a = if anchor < 0 then t.tail.(p) else t.prev.(anchor) in
+  if a < 0 then write t t.head p task
+  else begin
+    write t t.next a task;
+    write t t.prev task a
+  end;
+  if anchor < 0 then write t t.tail p task
+  else begin
+    write t t.prev anchor task;
+    write t t.next task anchor
+  end
+
+(* Append the tasks of [order] to processor [p]'s chain. *)
+let link_all t p order = List.iter (fun v -> link t v p (-1)) order
+
 let app t = t.app
 let platform t = t.platform
 let closure t = t.clo
@@ -290,7 +323,7 @@ let eval_stats t = t.stats
 let closure_of_app application = Closure.of_graph application.App.graph
 
 (* A solution with every chain empty; the constructors link its
-   orders ([link_orders]). *)
+   orders. *)
 let unlinked application platform ~assign ~impl ~ctxs ~free_ids =
   let n = App.size application in
   let processors = Platform.processor_count platform in
@@ -313,29 +346,13 @@ let unlinked application platform ~assign ~impl ~ctxs ~free_ids =
     stats = fresh_stats ();
   }
 
-(* Link processor [p]'s chain from an order list, bypassing the
-   version chain: only for a solution nothing has saved yet, whose
-   chain [p] is empty.  The list must be duplicate-free. *)
-let link_order t p order =
-  let last =
-    List.fold_left
-      (fun prev v ->
-        t.prev.(v) <- prev;
-        if prev < 0 then t.head.(p) <- v else t.next.(prev) <- v;
-        v)
-      (-1) order
-  in
-  t.tail.(p) <- last
-
-let link_orders t orders = List.iteri (link_order t) orders
-
 let all_software application platform =
   let n = App.size application in
   let t =
     unlinked application platform ~assign:(Array.make n (-1))
       ~impl:(Array.make n 0) ~ctxs:[] ~free_ids:(List.init n Fun.id)
   in
-  link_order t 0 (Array.to_list (App.topological_order application));
+  link_all t 0 (Array.to_list (App.topological_order application));
   t
 
 (* Copies never share the incremental state: it tracks one solution's
@@ -1174,36 +1191,6 @@ let fresh_id t =
     id
   | [] -> assert false (* n ids, and contexts are never empty *)
 
-(* Unlink software [task] from its processor's chain. *)
-let unlink t task =
-  let p = processor_index t task in
-  let a = t.prev.(task) and b = t.next.(task) in
-  if a < 0 then write t t.head p b
-  else begin
-    write t t.next a b;
-    write t t.prev task (-1)
-  end;
-  if b < 0 then write t t.tail p a
-  else begin
-    write t t.prev b a;
-    write t t.next task (-1)
-  end
-
-(* Link unlinked [task] into processor [p]'s chain just before
-   [anchor], at the tail when [anchor] is -1. *)
-let link t task p anchor =
-  let a = if anchor < 0 then t.tail.(p) else t.prev.(anchor) in
-  if a < 0 then write t t.head p task
-  else begin
-    write t t.next a task;
-    write t t.prev task a
-  end;
-  if anchor < 0 then write t t.tail p task
-  else begin
-    write t t.prev anchor task;
-    write t t.next task anchor
-  end
-
 let detach t task =
   if t.assign.(task) >= 0 then remove_from_context t task else unlink t task
 
@@ -1362,7 +1349,7 @@ let random rng application platform =
       (Graph.succs g v)
   done;
   let random_topological_order = List.rev !order in
-  link_order t 0 random_topological_order;
+  link_all t 0 random_topological_order;
   (* Move a random number of tasks, one by one, to the circuit; pack in
      topological order, opening a new context when the last one is
      full (the paper's initial-solution procedure). *)
@@ -1416,9 +1403,8 @@ let random rng application platform =
 let free_ids_after ~n ~k = List.init (max 0 (n - k)) (fun i -> k + i)
 
 (* The structural invariants over the software orders given as lists:
-   the constructors check their input before linking it (a repeated
-   task would corrupt a chain), {!check_invariants} the orders walked
-   off the chains. *)
+   the constructors' input before it is linked, or the orders
+   {!check_invariants} walked off the chains. *)
 let invariant_problems t ~orders =
   let problems = ref [] in
   let note msg = problems := msg :: !problems in
@@ -1478,11 +1464,12 @@ let invariant_problems t ~orders =
   !problems
 
 (* A constructor's result: the unlinked solution [t] with [orders]
-   linked in, once they pass the invariants. *)
+   linked in, once they pass the invariants (a repeated task would
+   corrupt a chain). *)
 let linked ~what t orders =
   match invariant_problems t ~orders with
   | [] ->
-    link_orders t orders;
+    List.iteri (link_all t) orders;
     Ok t
   | ps -> Error (what ^ String.concat "; " ps)
 
