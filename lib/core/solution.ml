@@ -192,8 +192,9 @@ type cache =
 (* The version chain that makes {!save} O(1): Baker's rerooting, as in
    Conchon and Filliâtre's persistent arrays, over the [assign],
    [impl] and chain-link arrays together.  The live arrays are the
-   state of the root version (the one whose [next] is itself); any
-   other version [v] is [v.next]'s state with [v.arr.(v.idx) = v.old].
+   state of the root version (the one whose [next] is the [live]
+   marker); any other version [v] is [v.next]'s state with
+   [v.arr.(v.idx) = v.old].
    A write turns the root into such a diff and starts a fresh root;
    [save] keeps the current root; the undo reroots the chain at the
    saved version, reversing the diffs on the way, so undos in any order
@@ -205,16 +206,19 @@ type version = {
   mutable next : version;
 }
 
-let fresh_root () =
-  let rec root = { arr = [||]; idx = 0; old = 0; next = root } in
-  root
+(* The root's [next]: one shared record that is no solution's version.
+   A root pointing at itself would be built through the runtime's
+   recursive-value path on every write; this is a plain allocation. *)
+let rec live = { arr = [||]; idx = 0; old = 0; next = live }
+
+let fresh_root () = { arr = [||]; idx = 0; old = 0; next = live }
 
 (* Make [v] the root: apply the diffs between it and the root, nearest
    the root first, each reversed so that the old root can come back.
    The path is collected by a tail-recursive walk: an undo may span
    any number of writes. *)
 let reroot v =
-  let rec path acc v = if v.next == v then acc else path (v :: acc) v.next in
+  let rec path acc v = if v.next == live then acc else path (v :: acc) v.next in
   List.iter
     (fun d ->
       let root = d.next and arr = d.arr and i = d.idx in
@@ -224,7 +228,7 @@ let reroot v =
       root.next <- d;
       arr.(i) <- d.old;
       d.arr <- [||];
-      d.next <- d)
+      d.next <- live)
     (path [] v)
 
 (* assign.(v) = -(p+1) when the task runs in software on processor p
