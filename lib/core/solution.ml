@@ -997,6 +997,8 @@ let settled t inc =
     | [ (_, members) ] -> members
     | _ :: rest -> last rest
   in
+  (* A loop, not [List.iter]: a float ref captured by a closure would
+     be boxed on every store. *)
   let members = ref (last t.ctxs) in
   while
     match !members with
