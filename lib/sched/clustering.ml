@@ -27,6 +27,3 @@ let members app ~context count =
     if j >= 0 then lists.(j) <- v :: lists.(j)
   done;
   Array.to_list lists
-
-let oversized_tasks app ~limit ~area =
-  List.filter (fun v -> area.(v) > limit) (List.init (App.size app) Fun.id)

@@ -27,6 +27,3 @@ val members : App.t -> context:int array -> int -> int list list
 (** [members app ~context count] lists the members of each of the
     [count] contexts written by {!contexts}, contexts in execution
     order and members in topological order. *)
-
-val oversized_tasks : App.t -> limit:int -> area:int array -> int list
-(** The hardware-requested tasks that cannot fit the device at all. *)

@@ -19,7 +19,8 @@ type tables = {
   area : int array;  (* CLBs asked for in hardware, -1 for software *)
   time : float array;  (* rank weight: software or selected hw time *)
   rank : float array;
-  order : int array;  (* prioritized topological order, all tasks *)
+  sw : int array;  (* software tasks in list-scheduled order *)
+  mutable n_sw : int;
   ctx_clbs : int array;
   flat : Searchgraph.Flat.t;
 }
@@ -38,18 +39,34 @@ let tables app platform =
     area = Array.make n (-1);
     time = Array.make n 0.0;
     rank = Array.make n 0.0;
-    order = Array.make n 0;
+    sw = Array.make n 0;
+    n_sw = 0;
     ctx_clbs = Array.make n 0;
     flat = Searchgraph.Flat.create app ~contexts:n ~members:n;
   }
 
 let selected t genes v = t.app.App.tasks.(v).Task.impls.(genes.impl.(v))
 
+(* Keeps the software tasks of [tasks.(0 .. n-1)], in order, in
+   [t.sw]; [tasks] may be [t.sw] itself. *)
+let keep_software t tasks =
+  let m = ref 0 in
+  for i = 0 to App.size t.app - 1 do
+    let v = tasks.(i) in
+    if t.flat.context.(v) < 0 then begin
+      t.sw.(!m) <- v;
+      incr m
+    end
+  done;
+  t.n_sw <- !m
+
 (* The deterministic realization of a gene vector, the single planner
    behind [spec] and [makespan]: temporal partitioning by clustering
    (a hardware gene whose implementation cannot fit the device stays in
    software), then the software order by list scheduling on upward
-   ranks.  Fills [t]'s per-gene-vector buffers. *)
+   ranks: a sort by rank where that is the heap's order (see
+   [List_sched]), else the heap's software restriction.  Fills [t]'s
+   per-gene-vector buffers. *)
 let plan t genes =
   let n = App.size t.app in
   let context = t.flat.context and comm = t.flat.weight in
@@ -75,19 +92,23 @@ let plan t genes =
          else 0.0)
     done
   done;
-  List_sched.upward_rank t.app ~time:t.time ~comm ~rank:t.rank;
-  List_sched.prioritized_topological_order t.scratch t.app ~priority:t.rank
-    ~order:t.order
+  let strict = List_sched.upward_rank t.app ~time:t.time ~comm ~rank:t.rank in
+  keep_software t (App.topo t.app);
+  if
+    not
+      (strict
+      && List_sched.sort_descending t.scratch ~priority:t.rank t.sw t.n_sw)
+  then begin
+    List_sched.prioritized_topological_order t.scratch t.app
+      ~priority:t.rank ~order:t.sw;
+    keep_software t t.sw
+  end
 
 let spec app platform genes =
   let t = tables app platform in
   plan t genes;
   let context = t.flat.context in
-  let sw_order =
-    Array.fold_right
-      (fun v acc -> if context.(v) < 0 then v :: acc else acc)
-      t.order []
-  in
+  let sw_order = List.init t.n_sw (Array.get t.sw) in
   let bindings =
     Array.map
       (fun j -> if j < 0 then Searchgraph.Sw else Searchgraph.Hw j)
@@ -118,19 +139,14 @@ let load t =
       k.ctx_start.(j + 1) <- !members;
       t.ctx_clbs.(j) <- t.ctx_clbs.(j) + t.area.(v)
     end
-    else k.exec.(v) <- t.sw_exec.(v)
+    else k.exec.(v) <- t.sw_exec.(v);
+    k.next_sw.(v) <- -1
   done;
   for j = 0 to nc - 1 do
     k.cfg_time.(j) <- Platform.reconfiguration_time t.platform t.ctx_clbs.(j)
   done;
-  let last = ref (-1) in
-  for i = 0 to n - 1 do
-    let v = t.order.(i) in
-    k.next_sw.(v) <- -1;
-    if context.(v) < 0 then begin
-      if !last >= 0 then k.next_sw.(!last) <- v;
-      last := v
-    end
+  for i = 1 to t.n_sw - 1 do
+    k.next_sw.(t.sw.(i - 1)) <- t.sw.(i)
   done
 
 let makespan t genes =

@@ -6,6 +6,13 @@
     ({!List_sched}).  One partitioning and one schedule per spatial
     solution: exactly the structure the paper criticizes.
 
+    The software order is the software tasks sorted by descending rank,
+    which is the list scheduler's order whenever every rank is strictly
+    above its successors' and no two software tasks share a rank (the
+    rank-sort identity in {!List_sched}).  Where either check fails the
+    list scheduler's heap runs and its software restriction is used,
+    so the order is always the heap's.
+
     Two searches decode their genes here: the genetic-algorithm
     baseline ([Repro_baseline.Ga]) on the whole application, and
     multi-mode mapping ([Repro_dse.Multi_mode]) on each mode's

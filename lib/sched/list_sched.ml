@@ -2,14 +2,20 @@ open Repro_taskgraph
 
 let upward_rank app ~time ~comm ~rank =
   let outs = App.out_edges app and topo = App.topo app in
+  let strict = ref true in
   for i = Array.length topo - 1 downto 0 do
     let v = topo.(i) in
     let tail = ref 0.0 in
     for k = outs.start.(v) to outs.start.(v + 1) - 1 do
       tail := Float.max !tail (comm.(outs.edge.(k)) +. rank.(outs.node.(k)))
     done;
-    rank.(v) <- time.(v) +. !tail
-  done
+    let r = time.(v) +. !tail in
+    rank.(v) <- r;
+    (* [tail >= comm + rank w >= rank w] for every successor [w]; a NaN
+       fails the compare too. *)
+    if not (r > !tail) then strict := false
+  done;
+  !strict
 
 type scratch = {
   heap : int array;
@@ -96,3 +102,68 @@ let prioritized_topological_order s app ~priority ~order =
       if indegree.(w) = 0 then push s priority w
     done
   done
+
+(* Insertion sort in blocks, then bottom-up merges through [s.heap]:
+   O(n log n) at worst, and near linear on the input the decoder gives,
+   tasks in topological order, along which ranks fall.  Both phases are
+   stable, and a merge whose halves are already in order is skipped. *)
+let block = 32
+
+let sort_descending s ~(priority : float array) tasks count =
+  if Array.length s.heap < count then
+    invalid_arg "List_sched: scratch smaller than the tasks to sort";
+  let lo = ref 0 in
+  while !lo < count do
+    let hi = Int.min count (!lo + block) in
+    for i = !lo + 1 to hi - 1 do
+      let v = tasks.(i) in
+      let p = priority.(v) and j = ref i in
+      while !j > !lo && priority.(tasks.(!j - 1)) < p do
+        tasks.(!j) <- tasks.(!j - 1);
+        decr j
+      done;
+      tasks.(!j) <- v
+    done;
+    lo := hi
+  done;
+  let buf = s.heap and width = ref block in
+  while !width < count do
+    let lo = ref 0 in
+    while !lo + !width < count do
+      let mid = !lo + !width in
+      let hi = Int.min count (mid + !width) in
+      let head = priority.(tasks.(mid)) in
+      if priority.(tasks.(mid - 1)) < head then begin
+        (* The left run's prefix that goes before the right run's head
+           stays where it is. *)
+        let first = ref !lo in
+        while priority.(tasks.(!first)) >= head do
+          incr first
+        done;
+        let len = mid - !first in
+        Array.blit tasks !first buf 0 len;
+        let i = ref 0 and j = ref mid and k = ref !first in
+        while !i < len && !j < hi do
+          let u = buf.(!i) and w = tasks.(!j) in
+          if priority.(w) > priority.(u) then begin
+            tasks.(!k) <- w;
+            incr j
+          end
+          else begin
+            tasks.(!k) <- u;
+            incr i
+          end;
+          incr k
+        done;
+        Array.blit buf !i tasks !k (len - !i)
+      end;
+      lo := hi
+    done;
+    width := 2 * !width
+  done;
+  let strict = ref true and i = ref 1 in
+  while !strict && !i < count do
+    strict := priority.(tasks.(!i - 1)) > priority.(tasks.(!i));
+    incr i
+  done;
+  !strict

@@ -48,7 +48,7 @@ let cluster ?(is_hw = fun _ -> true) app platform =
   let count =
     Clustering.contexts app ~limit:(Platform.n_clb platform) ~area ~context
   in
-  (Clustering.members app ~context count, area)
+  (Clustering.members app ~context count, context)
 
 let test_clustering_capacity () =
   let app = app () in
@@ -60,14 +60,14 @@ let test_clustering_capacity () =
 let test_clustering_skips_oversized () =
   let app = app () in
   let platform = platform ~n_clb:45 () in
-  let contexts, area = cluster app platform in
+  let contexts, context = cluster app platform in
   List.iter
     (fun members ->
       Alcotest.(check bool) "only tasks that fit" true
         (List.for_all (fun v -> v = 0 || v = 3) members))
     contexts;
-  Alcotest.(check (list int)) "oversized reported" [ 1; 2 ]
-    (Clustering.oversized_tasks app ~limit:(Platform.n_clb platform) ~area)
+  Alcotest.(check (list int)) "oversized stay in software" [ -1; -1 ]
+    [ context.(1); context.(2) ]
 
 let test_clustering_respects_is_hw () =
   let app = app () in

@@ -1,5 +1,9 @@
 open Repro_taskgraph
+open Repro_arch
 module List_sched = Repro_sched.List_sched
+module Gene_decoder = Repro_sched.Gene_decoder
+module Searchgraph = Repro_sched.Searchgraph
+module Rng = Repro_util.Rng
 
 let impl = { Task.clbs = 10; hw_time = 0.5 }
 
@@ -11,10 +15,12 @@ let edge src dst = { App.src; dst; kbytes = 0.0 }
 
 let rank_of app ~time ~comm =
   let rank = Array.make (App.size app) 0.0 in
-  List_sched.upward_rank app
-    ~time:(Array.init (App.size app) time)
-    ~comm:(Array.make (App.edge_count app) comm)
-    ~rank;
+  ignore
+    (List_sched.upward_rank app
+       ~time:(Array.init (App.size app) time)
+       ~comm:(Array.make (App.edge_count app) comm)
+       ~rank
+      : bool);
   rank
 
 let order_of app ~priority =
@@ -107,6 +113,311 @@ let test_determinism () =
   let order () = order_of app ~priority:float_of_int in
   Alcotest.(check (list int)) "stable across calls" (order ()) (order ())
 
+(* [upward_rank] reports whether every task ranks strictly above its
+   successors: a rank absorbed by rounding, or a NaN, is not. *)
+let test_upward_rank_strictness () =
+  let strict ~time app =
+    let n = App.size app in
+    List_sched.upward_rank app ~time:(Array.init n time)
+      ~comm:(Array.make (App.edge_count app) 0.0)
+      ~rank:(Array.make n 0.0)
+  in
+  let pair = App.make ~name:"pair" ~tasks:[ task 0 1.0; task 1 1.0 ]
+      ~edges:[ edge 0 1 ] ()
+  in
+  Alcotest.(check bool) "chain" true
+    (strict (chain_app ()) ~time:(fun v -> float_of_int (v + 1)));
+  Alcotest.(check bool) "1e-20 ahead of 1e3" false
+    (strict pair ~time:(function 0 -> 1e-20 | _ -> 1e3));
+  Alcotest.(check bool) "NaN at a sink" false
+    (strict pair ~time:(function 0 -> 1.0 | _ -> nan))
+
+(* [sort_descending] against [List.stable_sort] on random, nearly
+   sorted, ascending and few-valued priorities, up to ~1,100 tasks (a
+   few dozen blocks), with a NaN now and then. *)
+let qcheck_sort_descending =
+  QCheck.Test.make ~name:"sort_descending is a stable descending sort"
+    ~count:300
+    QCheck.(pair (int_bound 1_100) int)
+    (fun (count, seed) ->
+      let rng = Rng.create seed in
+      let n = count + 2 and shape = Rng.int rng 4 in
+      let priority =
+        Array.init n (fun i ->
+            match shape with
+            | 0 -> Rng.float rng 1.0
+            | 1 -> float_of_int (n - i) +. Rng.float rng 40.0
+            | 2 -> float_of_int i
+            | _ -> float_of_int (Rng.int rng 5))
+      in
+      if Rng.int rng 8 = 0 then priority.(Rng.int rng n) <- nan;
+      let tasks = Array.init n Fun.id in
+      Rng.shuffle_in_place rng tasks;
+      let input = Array.to_list (Array.sub tasks 0 count)
+      and spare = Array.sub tasks count 2 in
+      let strict =
+        List_sched.sort_descending (List_sched.scratch n) ~priority tasks count
+      in
+      let output = Array.to_list (Array.sub tasks 0 count) in
+      let priorities = List.map (Array.get priority) input in
+      let has_nan = List.exists Float.is_nan priorities in
+      let distinct =
+        List.length (List.sort_uniq Float.compare priorities) = count
+      in
+      List.sort Int.compare output = List.sort Int.compare input
+      && Array.sub tasks count 2 = spare
+      && strict = ((not has_nan) && distinct)
+      && (has_nan
+         || output
+            = List.stable_sort
+                (fun a b -> Float.compare priority.(b) priority.(a))
+                input))
+
+(* --- the decoder's software order against the heap's --- *)
+
+(* The heap path: [prioritized_topological_order] on the upward ranks
+   of the decoded gene vector, restricted to its software tasks.  Also
+   says whether the rank-sort identity applies (strict ranks, no two
+   software tasks of equal rank). *)
+let heap_sw_order app platform (genes : Gene_decoder.genes)
+    (spec : Searchgraph.spec) =
+  let n = App.size app in
+  let hw = Array.make n false in
+  List.iter (List.iter (fun v -> hw.(v) <- true)) spec.contexts;
+  let time =
+    Array.init n (fun v ->
+        let t = App.task app v in
+        if hw.(v) then (Task.impl t genes.impl.(v)).Task.hw_time
+        else t.Task.sw_time)
+  in
+  let comm =
+    Array.init (App.edge_count app) (fun e ->
+        let { App.src; dst; kbytes } = App.edge app e in
+        if hw.(src) <> hw.(dst) then Platform.transfer_time platform kbytes
+        else 0.0)
+  in
+  let rank = Array.make n 0.0 in
+  let strict = List_sched.upward_rank app ~time ~comm ~rank in
+  let order = Array.make n 0 in
+  List_sched.prioritized_topological_order (List_sched.scratch n) app
+    ~priority:rank ~order;
+  let sw = List.filter (fun v -> not hw.(v)) (Array.to_list order) in
+  let ranks = List.map (Array.get rank) sw in
+  let distinct =
+    List.length (List.sort_uniq Float.compare ranks) = List.length sw
+  in
+  (sw, strict && distinct)
+
+let bits = Int64.bits_of_float
+
+(* [spec]'s software order is the heap's, and [makespan] on [tables]
+   has the bits of the heap-ordered spec's makespan.  Returns whether
+   the identity applied. *)
+let check_decode label app platform tables genes =
+  let spec = Gene_decoder.spec app platform genes in
+  let sw, sorted = heap_sw_order app platform genes spec in
+  Alcotest.(check (list int)) (label ^ ": software order") sw
+    spec.Searchgraph.sw_order;
+  let heap_makespan =
+    match Searchgraph.evaluate { spec with Searchgraph.sw_order = sw } with
+    | Some e -> e.Searchgraph.makespan
+    | None -> infinity
+  in
+  Alcotest.(check int64) (label ^ ": makespan bits") (bits heap_makespan)
+    (bits (Gene_decoder.makespan tables genes));
+  sorted
+
+let random_genes rng app =
+  let n = App.size app in
+  let density = Rng.float rng 1.0 in
+  {
+    Gene_decoder.hw = Array.init n (fun _ -> Rng.bernoulli rng density);
+    impl = Array.init n (fun v -> Rng.int rng (Task.impl_count (App.task app v)));
+  }
+
+let layered ?(edge_probability = 0.3) ~layers ~width ~min_size () =
+  let rec find seed =
+    let app =
+      Generators.layered (Rng.create seed) Generators.default_impl_model
+        ~layers ~width ~edge_probability ~mean_sw_time:2.0 ~mean_kbytes:8.0
+    in
+    if App.size app >= min_size then app else find (seed + 1)
+  in
+  find 1
+
+(* [app] with every time replaced by [time v] and every transfer
+   free. *)
+let retimed app ~time =
+  App.make ~name:app.App.name
+    ~tasks:
+      (List.init (App.size app) (fun v ->
+           let t = App.task app v in
+           Task.make ~id:v ~name:t.Task.name
+             ~functionality:t.Task.functionality ~sw_time:(time v)
+             ~impls:
+               (Array.to_list
+                  (Array.map (fun i -> { i with Task.hw_time = time v })
+                     t.Task.impls))))
+    ~edges:(List.map (fun e -> { e with App.kbytes = 0.0 }) (App.edges app))
+    ()
+
+let on_600 app =
+  (app, Platform.with_rc_size (Repro_workloads.Suite.platform_for app) 600)
+
+(* Layered graphs of several shapes, ~1,000 tasks the largest; md28;
+   every good fixture app on the fixture board; and two retimed graphs
+   where the heap must run: unit times (equal software ranks) and times
+   of 1e3 or 1e-20 (ranks absorbed by rounding). *)
+let decode_instances =
+  lazy
+    (let board =
+       match Platform_io.load (Filename.concat "fixtures" "good_board.plat") with
+       | Ok p -> p
+       | Error msg -> failwith msg
+     in
+     let fixtures =
+       Sys.readdir "fixtures" |> Array.to_list |> List.sort compare
+       |> List.filter (fun f ->
+              String.starts_with ~prefix:"good_" f
+              && Filename.check_suffix f ".tg")
+       |> List.map (fun f ->
+              match App_io.load (Filename.concat "fixtures" f) with
+              | Ok app -> (f, app, board)
+              | Error msg -> failwith msg)
+     in
+     let shape name ~layers ~width ?edge_probability ~min_size () =
+       let app, platform =
+         on_600 (layered ~layers ~width ?edge_probability ~min_size ())
+       in
+       (name, app, platform)
+     in
+     let g = layered ~layers:5 ~width:6 ~min_size:20 () in
+     Array.of_list
+       ([
+          shape "ga132" ~layers:8 ~width:31 ~edge_probability:0.12
+            ~min_size:128 ();
+          shape "narrow" ~layers:20 ~width:3 ~edge_probability:0.5
+            ~min_size:40 ();
+          shape "wide" ~layers:2 ~width:60 ~edge_probability:0.05
+            ~min_size:60 ();
+          shape "1k" ~layers:8 ~width:250 ~edge_probability:0.015
+            ~min_size:1000 ();
+          ( "md28",
+            Repro_workloads.Motion_detection.app (),
+            Repro_workloads.Motion_detection.platform ~n_clb:2000 () );
+          (let app, p = on_600 (retimed g ~time:(fun _ -> 1.0)) in
+           ("unit times", app, p));
+          (let app, p =
+             on_600 (retimed g ~time:(fun v -> if v mod 3 = 0 then 1e-20 else 1e3))
+           in
+           ("absorbed", app, p));
+        ]
+       @ fixtures))
+
+let decode_tables =
+  lazy
+    (Array.map
+       (fun (_, app, platform) -> Gene_decoder.tables app platform)
+       (Lazy.force decode_instances))
+
+let qcheck_decoder_is_the_heap =
+  QCheck.Test.make
+    ~name:"decoder's software order and makespan are the heap path's"
+    ~count:400
+    QCheck.(pair (int_bound 100) int)
+    (fun (i, seed) ->
+      let instances = Lazy.force decode_instances in
+      let i = i mod Array.length instances in
+      let name, app, platform = instances.(i) in
+      let genes = random_genes (Rng.create seed) app in
+      ignore
+        (check_decode
+           (Printf.sprintf "%s seed %d" name seed)
+           app platform (Lazy.force decode_tables).(i) genes
+          : bool);
+      true)
+
+(* The property's inputs take both the sort and the heap. *)
+let test_decode_inputs_cover () =
+  let sorted = ref 0 and heap = ref 0 in
+  Array.iteri
+    (fun i (name, app, platform) ->
+      let rng = Rng.create (i + 1) in
+      for k = 1 to 20 do
+        if
+          check_decode
+            (Printf.sprintf "%s vector %d" name k)
+            app platform (Lazy.force decode_tables).(i) (random_genes rng app)
+        then incr sorted
+        else incr heap
+      done)
+    (Lazy.force decode_instances);
+  Alcotest.(check bool)
+    (Printf.sprintf "sorted %d, heap %d" !sorted !heap)
+    true
+    (!sorted > 0 && !heap > 0)
+
+let all_software app =
+  {
+    Gene_decoder.hw = Array.make (App.size app) false;
+    impl = Array.make (App.size app) 0;
+  }
+
+let decoded_sw_order app platform genes =
+  (Gene_decoder.spec app platform genes).Searchgraph.sw_order
+
+(* Two software tasks of equal rank: 0 forks into a light branch 1 and
+   a heavy branch 2, each ending in a leaf of time 1.  The heap readies
+   leaf 4 before leaf 3, as branch 2 goes first; a stable sort of the
+   topological order [0; 1; 2; 3; 4] would keep 3 first. *)
+let test_tie_takes_the_heap () =
+  let app =
+    App.make ~name:"fork"
+      ~tasks:[ task 0 1.0; task 1 2.0; task 2 5.0; task 3 1.0; task 4 1.0 ]
+      ~edges:[ edge 0 1; edge 0 2; edge 1 3; edge 2 4 ]
+      ()
+  in
+  let app, platform = on_600 app in
+  let genes = all_software app in
+  Alcotest.(check (list int)) "heap order" [ 0; 2; 1; 4; 3 ]
+    (decoded_sw_order app platform genes);
+  ignore
+    (check_decode "fork" app platform (Gene_decoder.tables app platform) genes
+      : bool)
+
+(* Ranks the sort cannot be trusted with.  A rank absorbed by rounding
+   (1e-20 ahead of a successor of rank 1e3) still leaves the heap's
+   order non-increasing in rank, so either path gives [0; 1]; the heap
+   runs.  A NaN rank is unordered: with hardware task 1 of NaN time
+   ahead of software task 2 (rank 10), the heap pops software task 0
+   (rank 5) first, where a sort would put 2 first. *)
+let test_non_strict_takes_the_heap () =
+  let absorbed, platform =
+    on_600
+      (App.make ~name:"absorbed" ~tasks:[ task 0 1e-20; task 1 1e3 ]
+         ~edges:[ edge 0 1 ] ())
+  in
+  Alcotest.(check (list int)) "absorbed" [ 0; 1 ]
+    (decoded_sw_order absorbed platform (all_software absorbed));
+  let nan_app =
+    App.make ~name:"nan"
+      ~tasks:
+        [
+          task 0 5.0;
+          Task.make ~id:1 ~name:"t1" ~functionality:"F" ~sw_time:1.0
+            ~impls:[ { Task.clbs = 10; hw_time = nan } ];
+          task 2 10.0;
+        ]
+      ~edges:[ edge 1 2 ] ()
+  in
+  let genes = { (all_software nan_app) with hw = [| false; true; false |] } in
+  Alcotest.(check (list int)) "NaN" [ 0; 2 ]
+    (decoded_sw_order nan_app platform genes);
+  Alcotest.(check (list int)) "NaN: the heap's" [ 0; 2 ]
+    (fst
+       (heap_sw_order nan_app platform genes
+          (Gene_decoder.spec nan_app platform genes)))
+
 let suite =
   [
     Alcotest.test_case "upward rank chain" `Quick test_upward_rank_chain;
@@ -117,4 +428,14 @@ let suite =
     Alcotest.test_case "successor order is input-independent" `Quick
       test_successor_order_is_input_independent;
     Alcotest.test_case "determinism" `Quick test_determinism;
+    Alcotest.test_case "upward rank strictness" `Quick
+      test_upward_rank_strictness;
+    QCheck_alcotest.to_alcotest qcheck_sort_descending;
+    QCheck_alcotest.to_alcotest qcheck_decoder_is_the_heap;
+    Alcotest.test_case "decode inputs take the sort and the heap" `Quick
+      test_decode_inputs_cover;
+    Alcotest.test_case "equal software ranks take the heap" `Quick
+      test_tie_takes_the_heap;
+    Alcotest.test_case "non-strict ranks take the heap" `Quick
+      test_non_strict_takes_the_heap;
   ]
