@@ -132,17 +132,10 @@ let sort_descending s ~(priority : float array) tasks count =
     while !lo + !width < count do
       let mid = !lo + !width in
       let hi = Int.min count (mid + !width) in
-      let head = priority.(tasks.(mid)) in
-      if priority.(tasks.(mid - 1)) < head then begin
-        (* The left run's prefix that goes before the right run's head
-           stays where it is. *)
-        let first = ref !lo in
-        while priority.(tasks.(!first)) >= head do
-          incr first
-        done;
-        let len = mid - !first in
-        Array.blit tasks !first buf 0 len;
-        let i = ref 0 and j = ref mid and k = ref !first in
+      if priority.(tasks.(mid - 1)) < priority.(tasks.(mid)) then begin
+        let len = mid - !lo in
+        Array.blit tasks !lo buf 0 len;
+        let i = ref 0 and j = ref mid and k = ref !lo in
         while !i < len && !j < hi do
           let u = buf.(!i) and w = tasks.(!j) in
           if priority.(w) > priority.(u) then begin
