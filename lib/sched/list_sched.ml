@@ -106,7 +106,8 @@ let prioritized_topological_order s app ~priority ~order =
 (* Insertion sort in blocks, then bottom-up merges through [s.heap]:
    O(n log n) at worst, and near linear on the input the decoder gives,
    tasks in topological order, along which ranks fall.  Both phases are
-   stable, and a merge whose halves are already in order is skipped. *)
+   stable, and a merge whose halves are already in order is skipped.
+   Blocks of 32 timed best of 8 to 64 on the decoder's inputs. *)
 let block = 32
 
 let sort_descending s ~(priority : float array) tasks count =

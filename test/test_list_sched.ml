@@ -132,9 +132,11 @@ let test_upward_rank_strictness () =
   Alcotest.(check bool) "NaN at a sink" false
     (strict pair ~time:(function 0 -> 1.0 | _ -> nan))
 
-(* [sort_descending] against [List.stable_sort] on random, nearly
-   sorted, ascending and few-valued priorities, up to ~1,100 tasks (a
-   few dozen blocks), with a NaN now and then. *)
+(* [sort_descending] against [List.stable_sort] on tasks of random
+   priorities, nearly descending ones (most merges skipped), ascending
+   ones (every insertion and merge at its longest) and few-valued ones
+   (ties), up to ~1,100 tasks (a few dozen blocks), with a NaN now and
+   then. *)
 let qcheck_sort_descending =
   QCheck.Test.make ~name:"sort_descending is a stable descending sort"
     ~count:300
@@ -152,7 +154,7 @@ let qcheck_sort_descending =
       in
       if Rng.int rng 8 = 0 then priority.(Rng.int rng n) <- nan;
       let tasks = Array.init n Fun.id in
-      Rng.shuffle_in_place rng tasks;
+      if shape = 0 || shape = 3 then Rng.shuffle_in_place rng tasks;
       let input = Array.to_list (Array.sub tasks 0 count)
       and spare = Array.sub tasks count 2 in
       let strict =
