@@ -11,12 +11,11 @@
 
     {b The rank-sort identity.}  With positive times and nonnegative
     communication costs, a task's upward rank is never below a
-    successor's, rounding included.  So the highest-ranked unordered
-    task always has a ready task of the same rank, and
-    {!prioritized_topological_order} on upward ranks lists the tasks
-    by non-increasing rank.  Its restriction to any subset of tasks
-    whose ranks are pairwise distinct is therefore that subset sorted
-    by descending rank.  The decoder sorts its software tasks with
+    successor's, rounding included.  So some unordered task of the
+    highest rank is always ready, and {!prioritized_topological_order}
+    on upward ranks lists the tasks by non-increasing rank.  Its
+    restriction to any subset of tasks whose ranks are pairwise
+    distinct is therefore that subset sorted by descending rank.  The decoder sorts its software tasks with
     {!sort_descending} and keeps the heap for the two cases where the
     identity is not known to hold: {!upward_rank} found a task not
     strictly above its successors (a NaN rank, which no compare
