@@ -94,56 +94,71 @@ let reorder_cyclic solution vs vd =
 
 type placement = Join of int | Fresh_at of int
 
+(* Whether [v] reaches a task of a list other than itself, or is
+   reached from one. *)
+let rec reaches_into clo v = function
+  | [] -> false
+  | x :: rest -> (x <> v && Closure.reaches clo v x) || reaches_into clo v rest
+
+let rec reached_from clo v = function
+  | [] -> false
+  | x :: rest -> (x <> v && Closure.reaches clo x v) || reached_from clo v rest
+
 (* Every member of an earlier context precedes every member of a later
    one, so the moved task [v] must not reach into an earlier context,
    nor be reached from a later one.  Positions count the contexts left
-   once [v] is detached, as the mutators do. *)
-let placement_cyclic solution v placement =
+   once [v] is detached, as the mutators do: a context holding [v]
+   alone is skipped.  The walks read the solution's own context list
+   and allocate nothing; [position] finds the context of id [id]. *)
+let rec position v id j = function
+  | [] -> invalid_arg "Moves.placement_cyclic: destination in software"
+  | (_, [ x ]) :: rest when x = v -> position v id j rest
+  | (cid, _) :: rest -> if cid = id then j else position v id (j + 1) rest
+
+(* Contexts before position [lo] run before [v]'s, those from [hi] on
+   after it. *)
+let rec scan clo v lo hi j = function
+  | [] -> false
+  | (_, [ x ]) :: rest when x = v -> scan clo v lo hi j rest
+  | (_, members) :: rest ->
+    (j < lo && reaches_into clo v members)
+    || (j >= hi && reached_from clo v members)
+    || scan clo v lo hi (j + 1) rest
+
+let fresh_cyclic solution v at =
+  scan (Solution.closure solution) v at at 0 (Solution.context_chain solution)
+
+let join_cyclic solution v vd =
   let clo = Solution.closure solution in
-  let contexts =
-    List.filter
-      (function [ x ] -> x <> v | _ -> true)
-      (Solution.contexts solution)
-  in
-  (* Contexts before position [lo] run before [v]'s, those from [hi] on
-     after it. *)
-  let lo, hi =
-    match placement with
-    | Fresh_at at -> (at, at)
-    | Join vd ->
-      let rec position j = function
-        | [] -> invalid_arg "Moves.placement_cyclic: destination in software"
-        | members :: rest ->
-          if List.exists (fun x -> x = vd) members then j
-          else position (j + 1) rest
-      in
-      let d = position 0 contexts in
-      (* A full destination spawns [v]'s context right after it. *)
-      if Solution.joins_context solution ~task:v ~dest:vd then (d, d + 1)
-      else (d + 1, d + 1)
-  in
-  let reaches_into = List.exists (fun x -> x <> v && Closure.reaches clo v x)
-  and reached_from = List.exists (fun x -> x <> v && Closure.reaches clo x v) in
-  let rec scan j = function
-    | [] -> false
-    | members :: rest ->
-      (j < lo && reaches_into members)
-      || (j >= hi && reached_from members)
-      || scan (j + 1) rest
-  in
-  scan 0 contexts
+  let chain = Solution.context_chain solution in
+  let d = position v (Solution.context_id solution vd) 0 chain in
+  (* A full destination spawns [v]'s context right after it. *)
+  if Solution.joins_context solution ~task:v ~dest:vd then
+    scan clo v d (d + 1) 0 chain
+  else scan clo v (d + 1) (d + 1) 0 chain
+
+let placement_cyclic solution v = function
+  | Fresh_at at -> fresh_cyclic solution v at
+  | Join vd -> join_cyclic solution v vd
+
+let rec reaches_any clo x = function
+  | [] -> false
+  | y :: rest -> Closure.reaches clo x y || reaches_any clo x rest
+
+let rec any_reaches clo second = function
+  | [] -> false
+  | x :: rest -> reaches_any clo x second || any_reaches clo second rest
 
 (* Swapping contexts [at] and [at+1] runs every member of the second
    before every member of the first. *)
+let rec swap_closes clo at = function
+  | (_, first) :: ((_, second) :: _ as rest) ->
+    if at = 0 then any_reaches clo second first else swap_closes clo (at - 1) rest
+  | [ _ ] | [] -> invalid_arg "Moves.swap_cyclic: bad position"
+
 let swap_cyclic solution at =
-  let clo = Solution.closure solution in
-  let contexts = Solution.contexts solution in
-  match List.filteri (fun j _ -> j = at || j = at + 1) contexts with
-  | [ first; second ] ->
-    List.exists
-      (fun x -> List.exists (fun y -> Closure.reaches clo x y) second)
-      first
-  | _ -> invalid_arg "Moves.swap_cyclic: bad position"
+  if at < 0 then invalid_arg "Moves.swap_cyclic: bad position";
+  swap_closes (Solution.closure solution) at (Solution.context_chain solution)
 
 let draw_hw_task rng solution =
   match Solution.hw_count solution with
@@ -169,14 +184,16 @@ let new_context_move rng solution =
   let v = Rng.int rng n in
   (* A task alone in its own context gains nothing from a fresh one. *)
   let alone_in_context =
-    match Solution.binding solution v with
-    | Searchgraph.Hw j -> List.length (List.nth (Solution.contexts solution) j) = 1
-    | Searchgraph.Sw | Searchgraph.On_asic _ -> false
+    let id = Solution.context_id solution v in
+    id >= 0
+    && (match List.assq id (Solution.context_chain solution) with
+        | [ _ ] -> true
+        | _ -> false)
   in
   if alone_in_context then None
   else begin
     let at = Rng.int rng (Solution.n_contexts solution + 1) in
-    if placement_cyclic solution v (Fresh_at at) then None
+    if fresh_cyclic solution v at then None
     else
       realized solution (fun () -> Solution.insert_context solution ~task:v ~at)
   end
@@ -271,13 +288,13 @@ let hw_to_sw_move rng solution =
   in
   let proc = Rng.int rng processors in
   let v = Rng.int rng n in
-  match Solution.binding solution v with
-  | Searchgraph.Sw when Solution.processor_index solution v = proc -> None
-  | Searchgraph.Sw | Searchgraph.Hw _ | Searchgraph.On_asic _ ->
-    to_software_move ~proc solution v
+  if Solution.context_id solution v < 0
+     && Solution.processor_index solution v = proc
+  then None
+  else to_software_move ~proc solution v
 
 let to_context_move solution vs vd =
-  if placement_cyclic solution vs (Join vd) then None
+  if join_cyclic solution vs vd then None
   else
     realized solution (fun () ->
         Solution.move_to_context solution ~task:vs ~dest:vd)
@@ -286,24 +303,21 @@ let main_move rng solution =
   let n = Solution.size solution in
   let vs = Rng.int rng n and vd = Rng.int rng n in
   if vs = vd then None
-  else
-    match (Solution.binding solution vs, Solution.binding solution vd) with
-    | Searchgraph.Sw, Searchgraph.Sw ->
-      let p = Solution.processor_index solution vs in
-      let q = Solution.processor_index solution vd in
-      if p = q then reorder_move solution vs vd
-      else to_software_move ~proc:q solution vs
-    | Searchgraph.Hw a, Searchgraph.Hw b when a = b ->
+  else begin
+    (* Solutions never bind tasks to an ASIC (exploration over ASIC
+       assignment is future work, as in the paper): a task is in
+       software or in a context. *)
+    let cs = Solution.context_id solution vs in
+    let cd = Solution.context_id solution vd in
+    if cd >= 0 then
       (* Same RC context: the paper performs no move. *)
-      None
-    | (Searchgraph.Sw | Searchgraph.Hw _), Searchgraph.Hw _ ->
-      to_context_move solution vs vd
-    | Searchgraph.Hw _, Searchgraph.Sw ->
-      to_software_move ~proc:(Solution.processor_index solution vd) solution vs
-    | Searchgraph.On_asic _, _ | _, Searchgraph.On_asic _ ->
-      (* Solutions never bind tasks to an ASIC (exploration over ASIC
-         assignment is future work, as in the paper). *)
-      None
+      if cs = cd then None else to_context_move solution vs vd
+    else
+      let q = Solution.processor_index solution vd in
+      if cs < 0 && Solution.processor_index solution vs = q then
+        reorder_move solution vs vd
+      else to_software_move ~proc:q solution vs
+  end
 
 (* One generator per move kind, for the per-kind benchmark matrix:
    the same draws and validation as [propose], minus the lottery.
@@ -334,10 +348,9 @@ let propose_kind rng config solution (kind : Solution.move_kind) =
       let vs = Rng.int rng (Solution.size solution) in
       if vs = vd then None
       else
-        match (Solution.binding solution vs, Solution.binding solution vd) with
-        | Searchgraph.Hw a, Searchgraph.Hw b when a = b -> None
-        | _, Searchgraph.Hw _ -> to_context_move solution vs vd
-        | _, (Searchgraph.Sw | Searchgraph.On_asic _) -> None)
+        let cd = Solution.context_id solution vd in
+        if cd < 0 || Solution.context_id solution vs = cd then None
+        else to_context_move solution vs vd)
 
 let propose rng config solution =
   let draw = Rng.float rng 1.0 in

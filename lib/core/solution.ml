@@ -90,12 +90,8 @@ let fresh_stats () =
 
 let kind_stats stats kind = stats.by_kind.(kind_index kind)
 
-(* Int-typed list lookups for the move path: the polymorphic [List.mem]
-   and [List.assoc] pay a generic compare per cell. *)
-let rec mem_int (x : int) = function
-  | [] -> false
-  | y :: rest -> x = y || mem_int x rest
-
+(* Int-typed list lookup for the move path: the polymorphic
+   [List.assoc] pays a generic compare per cell. *)
 let rec assoc_int (x : int) = function
   | [] -> raise Not_found
   | (k, v) :: rest -> if x = k then v else assoc_int x rest
@@ -141,9 +137,9 @@ type op =
    [desync] flags a move whose sequencing contradicts the application
    precedences (infeasible until undone).  A state that can no longer
    be trusted is dropped ([t.incr <- None]) and the next evaluation
-   builds a new one.  The scratch fields ([scratch_tbl], [around])
-   belong to the one solution that owns this state: restarts anneal on
-   several domains, so nothing here may be shared between solutions. *)
+   builds a new one.  The stamp arrays belong to the one solution that
+   owns this state: restarts anneal on several domains, so nothing here
+   may be shared between solutions. *)
 type incr = {
   sg : Graph.t;
   lp : Longest_path.t;
@@ -151,12 +147,13 @@ type incr = {
   mutable pairs : int list;
   mutable pairs_fresh : bool;
   comm : Searchgraph.Comm.t;
-  scratch_tbl : (int, int list) Hashtbl.t;
-  (* reused by every context-membership diff — never live across moves *)
-  around : int array;
-  mutable around_stamp : int;
-  (* task -> stamp of the last software-pair capture that visited it,
-     so a pair between two disturbed tasks is emitted once *)
+  around : int array;  (* task -> the last stamp that visited it *)
+  mutable stamp : int;  (* the last stamp handed out *)
+  ctx_seen : int array;
+  (* context id -> the stamp of the last pre-move list holding it, with
+     its members there and its predecessor's id (-1 for the first) *)
+  ctx_members : int list array;
+  ctx_pred : int array;
   mutable log : op array;
   mutable log_len : int;
   mutable epoch : int;             (* bumped when the log is truncated *)
@@ -500,6 +497,9 @@ let binding t v =
     Searchgraph.Hw (position 0 t.ctxs)
   end
 
+let context_id t v = if t.assign.(v) >= 0 then t.assign.(v) else -1
+let context_chain t = t.ctxs
+
 let impl_index t v = t.impl.(v)
 let sw_first t p = t.head.(p)
 let sw_next t v = t.next.(v)
@@ -535,8 +535,9 @@ let nth_hw_task t k =
 
 let task_clbs t v = (Task.impl (App.task t.app v) t.impl.(v)).Task.clbs
 
-let members_clbs t members =
-  List.fold_left (fun acc v -> acc + task_clbs t v) 0 members
+let rec members_clbs t = function
+  | [] -> 0
+  | v :: rest -> task_clbs t v + members_clbs t rest
 
 let context_clbs t j =
   match List.nth_opt t.ctxs j with
@@ -611,10 +612,7 @@ let comm_term_of t { App.src; dst; kbytes } =
    Sequencing edges are not application edges and weigh 0. *)
 let edge_weight_over app comm = App.edge_weight app (Searchgraph.Comm.get comm)
 
-(* Pairs are packed into a single int (u·2n+v) and sorted with the int
-   comparator: this runs once per structural move, and a polymorphic
-   sort over boxed tuples would cost as much as the full rebuild it
-   replaces. *)
+(* Pairs packed into a single int (u·2n+v), sorted. *)
 let pack_pairs t pairs =
   let stride = 2 * size t in
   List.sort Int.compare (List.map (fun (u, v) -> (u * stride) + v) pairs)
@@ -642,41 +640,15 @@ let rec diff_sorted a b =
     else if (x : int) < y then x :: diff_sorted xs b
     else diff_sorted a ys
 
-(* The per-move pair capture over the context chain: walk the list
-   once, running the intra emitter for every context in the region and
-   the GTLP emitter for every adjacency with an endpoint in it.
-   Contexts outside the region contribute only an O(1) id test —
-   their member lists are never traversed. *)
-let capture_ctx_pairs n in_region ctxs =
-  let cfg cid = n + cid in
-  let rec walk prev acc = function
-    | [] -> acc
-    | (cid, members) :: rest ->
-      let acc =
-        match prev with
-        | Some (prev_id, prev_members)
-          when in_region prev_id || in_region cid ->
-          Searchgraph.gtlp_pairs ~prev_cfg:(cfg prev_id) ~prev_members
-            ~cfg:(cfg cid)
-          @ acc
-        | Some _ | None -> acc
-      in
-      let acc =
-        if in_region cid then
-          Searchgraph.ehw_intra_pairs ~cfg:(cfg cid) members @ acc
-        else acc
-      in
-      walk (Some (cid, members)) acc rest
-  in
-  walk None [] ctxs
-
-(* The Esw pairs with an endpoint in [around], each once: [(prev a, a)]
-   and [(a, next a)] for every task [a] of the list, skipping a pair
-   whose other endpoint was visited first.  A hardware task has no
-   links, hence no pairs.  O(|around|), whatever the chain lengths. *)
+(* The Esw pairs with an endpoint in [around], each once and packed
+   (u·2n+v): [(prev a, a)] and [(a, next a)] for every task [a] of the
+   list, skipping a pair whose other endpoint was visited first.  A
+   hardware task has no links, hence no pairs.  O(|around|), whatever
+   the chain lengths. *)
 let sw_pairs_near t inc around =
-  inc.around_stamp <- inc.around_stamp + 1;
-  let seen = inc.around_stamp in
+  let stride = 2 * size t in
+  inc.stamp <- inc.stamp + 1;
+  let seen = inc.stamp in
   List.fold_left
     (fun acc a ->
       if inc.around.(a) = seen then acc
@@ -684,9 +656,11 @@ let sw_pairs_near t inc around =
         inc.around.(a) <- seen;
         let p = t.prev.(a) and s = t.next.(a) in
         let acc =
-          if p >= 0 && inc.around.(p) <> seen then (p, a) :: acc else acc
+          if p >= 0 && inc.around.(p) <> seen then (p * stride) + a :: acc
+          else acc
         in
-        if s >= 0 && inc.around.(s) <> seen then (a, s) :: acc else acc
+        if s >= 0 && inc.around.(s) <> seen then (a * stride) + s :: acc
+        else acc
       end)
     [] around
 
@@ -698,65 +672,129 @@ let sw_capture t around =
   | Some inc when not inc.desync -> sw_pairs_near t inc around
   | Some _ | None -> []
 
-(* Consecutive context-id pairs of the execution order. *)
-let ctx_adjacencies ctxs =
-  let rec walk acc = function
-    | (a, _) :: ((b, _) :: _ as rest) -> walk ((a, b) :: acc) rest
-    | [ _ ] | [] -> acc
-  in
-  walk [] ctxs
+(* The context half of a move's edge delta.  Context [c] (node
+   [n + id]) owns its intra pairs [(c, v)], [v] a member, and its GTLP
+   pairs [(p, c)] and [(u, c)], [u] a member of its predecessor [p]
+   ({!Searchgraph.ehw_pairs}' adjacencies, keyed by the later context).
+   So its pairs change only with its members, its predecessor or its
+   predecessor's members.  One walk of the mutated list against the
+   recorded pre-move one emits each change: O(k), plus the member lists
+   the move rebuilt (an intact one is physically equal).  [push_intra]
+   and [push_into] pack [(c, v)] and [(v, c)] for each [v] of a list. *)
+let rec push_intra n c acc = function
+  | [] -> acc
+  | v :: rest -> push_intra n c ((c * 2 * n) + v :: acc) rest
 
-(* Symmetric difference of two lists of int pairs, sorted here with a
-   monomorphic comparator (the lists are tiny — the context adjacencies
-   a move disturbed — but this runs on every structural move). *)
-let sym_diff_pairs a b =
-  let cmp (a1, b1) (a2, b2) =
-    if a1 = (a2 : int) then Int.compare b1 b2 else Int.compare a1 a2
-  in
-  let rec walk a b =
-    match (a, b) with
-    | [], r | r, [] -> r
-    | x :: xs, y :: ys ->
-      let c = cmp x y in
-      if c = 0 then walk xs ys
-      else if c < 0 then x :: walk xs b
-      else y :: walk a ys
-  in
-  walk (List.sort cmp a) (List.sort cmp b)
+let rec push_into n c acc = function
+  | [] -> acc
+  | u :: rest -> push_into n c ((u * 2 * n) + c :: acc) rest
+
+(* Node [c]'s GTLP pairs behind the context [pred] whose members are
+   [members]; none for the first context ([pred < 0]). *)
+let push_gtlp n pred members c acc =
+  if pred < 0 then acc
+  else push_into n c (((n + pred) * 2 * n) + c :: acc) members
+
+(* The tasks that left and joined a member list: the old ones not
+   re-stamped [s + 1] with the new, the new ones not stamped [s]. *)
+let member_diff inc old_members members =
+  inc.stamp <- inc.stamp + 2;
+  let s = inc.stamp - 1 and around = inc.around in
+  List.iter (fun v -> around.(v) <- s) old_members;
+  let came = List.filter (fun v -> around.(v) <> s) members in
+  List.iter (fun v -> around.(v) <- s + 1) members;
+  (List.filter (fun v -> around.(v) <> s + 1) old_members, came)
+
+(* A move's packed pairs, removed and added, before cancellation; the
+   contexts created or with changed members; the ids it freed. *)
+type delta = {
+  mutable rm : int list;
+  mutable add : int list;
+  mutable resized : (int * int list) list;
+  mutable freed : int list;
+}
+
+(* Stamp the pre-move list's ids [s] and record their members (an
+   unchanged list is not rewritten) and predecessors. *)
+let rec record_ctxs inc s pred = function
+  | [] -> ()
+  | (cid, members) :: rest ->
+    inc.ctx_seen.(cid) <- s;
+    if not (inc.ctx_members.(cid) == members) then
+      inc.ctx_members.(cid) <- members;
+    inc.ctx_pred.(cid) <- pred;
+    record_ctxs inc s cid rest
+
+(* Walk the mutated list behind context [pred] (-1 before the first)
+   with its members and their diff.  A context stamped [s] was in the
+   old list (all are re-stamped [s + 1]); a created one diffs as if it
+   had no members and came first. *)
+let rec diff_ctxs inc d n s pred pred_members pred_gone pred_came = function
+  | [] -> ()
+  | (cid, members) :: rest ->
+    let c = n + cid and held = inc.ctx_seen.(cid) = s in
+    inc.ctx_seen.(cid) <- s + 1;
+    let old_members = if held then inc.ctx_members.(cid) else [] in
+    let gone, came =
+      if old_members == members then ([], [])
+      else member_diff inc old_members members
+    in
+    if not (gone == [] && came == []) then begin
+      d.rm <- push_intra n c d.rm gone;
+      d.add <- push_intra n c d.add came;
+      d.resized <- (cid, members) :: d.resized
+    end;
+    let old_pred = if held then inc.ctx_pred.(cid) else -1 in
+    if old_pred = pred then begin
+      d.rm <- push_into n c d.rm pred_gone;
+      d.add <- push_into n c d.add pred_came
+    end
+    else begin
+      (* The whole GTLP set is replaced: a pair on both sides (a task
+         that moved into the new predecessor) cancels later. *)
+      if old_pred >= 0 then
+        d.rm <- push_gtlp n old_pred inc.ctx_members.(old_pred) c d.rm;
+      d.add <- push_gtlp n pred pred_members c d.add
+    end;
+    diff_ctxs inc d n s cid members gone came rest
+
+(* The contexts of the old list still stamped [s] were freed by the
+   move: their whole owned sets go. *)
+let rec free_ctxs inc d n s = function
+  | [] -> ()
+  | (cid, members) :: rest ->
+    if inc.ctx_seen.(cid) = s then begin
+      let pred = inc.ctx_pred.(cid) in
+      d.rm <- push_intra n (n + cid) d.rm members;
+      if pred >= 0 then
+        d.rm <- push_gtlp n pred inc.ctx_members.(pred) (n + cid) d.rm;
+      d.freed <- cid :: d.freed
+    end;
+    free_ctxs inc d n s rest
 
 (* Re-synchronize the live search graph with a mutated solution from
    the move's own footprint — no global pair-list regeneration.  The
    mutator hands over the tasks around the disturbed software
-   positions ([sw_around]) with the Esw pairs they had before the
-   mutation ([sw_before], from {!sw_capture}), its pre-move context
-   association list ([old_ctxs] — immutable, so snapshotting it is a
-   pointer copy) and the tasks whose binding changed ([rebound]).
+   positions ([sw_around]) with the packed Esw pairs they had before
+   the mutation ([sw_before], from {!sw_capture}), its pre-move context
+   list ([old_ctxs] — immutable, so snapshotting it is a pointer copy)
+   and the tasks whose binding changed ([rebound]).
 
-   The touched context region is derived by comparing the snapshot
-   with the mutated state: contexts whose member list changed,
-   contexts created or removed, and both endpoints of every context
-   adjacency that appeared or disappeared.  The Esw pairs with an
-   endpoint around the disturbed positions ([sw_pairs_near], read off
-   the chain links) and the context emitters ([ehw_intra_pairs],
-   [gtlp_pairs]) produce the pairs owned by the footprint before and
-   after the mutation; their sorted-packed diff is the move's exact
-   edge delta, because pairs owned by emitters outside the footprint
-   are untouched by construction (the ownership contract) and pairs
-   it captures on both sides cancel.
-
-   The delta is applied as edge deletions then insertions in packed
-   order — the same canonical order the regenerate-and-diff path
-   produced, so the downstream [Longest_path] edits are unchanged.
-   Each intermediate edge set is a subset of the union of two acyclic
-   sets realized over the same order-maintained graph, so a genuine
-   cycle is detected by some insertion failing — never spuriously.
-   Weights are re-read for rebound tasks and touched contexts only,
-   and the boundary-traffic sum tree is patched by flipping the terms
-   of the edges incident to rebound tasks.
-
-   Under [REPRO_CHECK_DELTAS] the canonical list is additionally
-   regenerated and the emitted delta asserted against the
-   regenerate-and-diff reference. *)
+   The removals are [sw_before] and the context pairs the move took
+   away, the additions the Esw pairs around [sw_around] after it and
+   the context pairs it brought.  A pair on both sides (a software
+   adjacency the move kept, a GTLP pair re-emitted under a new
+   predecessor) cancels; the rest is the exact edge delta, since the
+   pairs of chains and contexts outside the footprint are untouched.
+   It is applied as deletions then insertions in packed order, the
+   canonical order of the regenerate-and-diff path.  Each intermediate
+   edge set is a subset of the union of two acyclic sets realized over
+   the same order-maintained graph, so a genuine cycle is detected by
+   some insertion failing — never spuriously.  Weights are re-read for
+   rebound tasks and touched contexts only, and the boundary-traffic
+   sum tree is patched by flipping the terms of the edges incident to
+   rebound tasks.  Under [REPRO_CHECK_DELTAS] the emitted delta is
+   asserted against the regenerate-and-diff reference. *)
 let native_resync t kind ~rebound ~sw_around ~sw_before ~old_ctxs =
   t.cached <- Stale;
   t.last_kind <- kind;
@@ -770,67 +808,25 @@ let native_resync t kind ~rebound ~sw_around ~sw_before ~old_ctxs =
     let n = size t in
     let appg = t.app.App.graph in
     let ks = kind_stats t.stats kind in
-    (* 1. The move's context footprint, from the snapshot.  Pointer
-       equality of the association lists means the move never touched
-       the context chain: every context diff below is empty and the
-       captures reduce to the disturbed software adjacencies. *)
-    let ctx_changed = not (old_ctxs == t.ctxs) in
-    let freed, touched_ctxs =
-      if not ctx_changed then ([], [])
-      else begin
-        (* One pass over each list through the reused scratch table:
-           old members keyed by id, then the new list classifies every
-           context as created or membership-changed (both touched), or
-           intact — what stays unclaimed in the table was freed. *)
-        let old_tbl = inc.scratch_tbl in
-        Hashtbl.reset old_tbl;
-        List.iter (fun (cid, ms) -> Hashtbl.replace old_tbl cid ms) old_ctxs;
-        let touched = ref [] in
-        List.iter
-          (fun (cid, ms) ->
-            match Hashtbl.find_opt old_tbl cid with
-            | None -> touched := (cid, ms) :: !touched
-            | Some old_ms ->
-              Hashtbl.remove old_tbl cid;
-              if not (old_ms == ms || List.equal Int.equal old_ms ms) then
-                touched := (cid, ms) :: !touched)
-          t.ctxs;
-        let freed =
-          List.filter (fun (cid, _) -> Hashtbl.mem old_tbl cid) old_ctxs
-        in
-        (freed, List.rev !touched)
-      end
-    in
-    let region =
-      if not ctx_changed then []
-      else
-        let adj_endpoints =
-          List.concat_map
-            (fun (a, b) -> [ a; b ])
-            (sym_diff_pairs (ctx_adjacencies old_ctxs)
-               (ctx_adjacencies t.ctxs))
-        in
-        List.sort_uniq Int.compare
-          (List.map fst touched_ctxs
-           @ List.map fst freed
-           @ adj_endpoints)
-    in
-    let in_region cid = mem_int cid region in
-    (* 2. Before- and after-pairs, from the captures and from the
-       mutated state; their sorted diff is the move's exact edge
-       delta. *)
-    let captured ctxs =
-      if region = [] then [] else capture_ctx_pairs n in_region ctxs
-    in
-    let before_pairs = sw_before @ captured old_ctxs in
-    let after_pairs = sw_pairs_near t inc sw_around @ captured t.ctxs in
-    let before_packed = pack_pairs t before_pairs in
-    let after_packed = pack_pairs t after_pairs in
-    let removals = diff_sorted before_packed after_packed in
-    let additions = diff_sorted after_packed before_packed in
-    let emitted = List.length before_pairs + List.length after_pairs in
+    (* 1. The move's pairs, removed and added.  Pointer equality of the
+       association lists means the move never touched the context
+       chain: only the disturbed software adjacencies changed. *)
+    let d = { rm = sw_before; add = []; resized = []; freed = [] } in
+    d.add <- sw_pairs_near t inc sw_around;
+    if not (old_ctxs == t.ctxs) then begin
+      inc.stamp <- inc.stamp + 2;
+      let s = inc.stamp - 1 in
+      record_ctxs inc s (-1) old_ctxs;
+      diff_ctxs inc d n s (-1) [] [] [] t.ctxs;
+      free_ctxs inc d n s old_ctxs
+    end;
+    let emitted = List.length d.rm + List.length d.add in
     t.stats.pairs_emitted <- t.stats.pairs_emitted + emitted;
     ks.k_pairs_emitted <- ks.k_pairs_emitted + emitted;
+    (* 2. Cancel what is on both sides; the rest, sorted, is the
+       delta. *)
+    let rm = List.sort Int.compare d.rm and add = List.sort Int.compare d.add in
+    let removals = diff_sorted rm add and additions = diff_sorted add rm in
     (* Paranoid mode: the regenerate-and-diff reference must agree with
        the emitted delta.  [pairs] is maintained only here; a cache
        left stale by default-mode moves is re-seeded without asserting
@@ -907,12 +903,12 @@ let native_resync t kind ~rebound ~sw_around ~sw_before ~old_ctxs =
           List.iter (mark_dirty inc) touched)
         rebound;
       List.iter (fun (cid, members) -> resize_context t inc cid members)
-        touched_ctxs;
+        d.resized;
       List.iter
-        (fun (cid, _) ->
+        (fun cid ->
           set_clbs inc cid 0;
           set_weight inc (n + cid) 0.0)
-        freed;
+        d.freed;
       (* 5. Boundary traffic: flip the sum-tree terms of the edges
          incident to rebound tasks — O(deg · log m), not a re-walk of
          the application graph. *)
@@ -1065,9 +1061,11 @@ let evaluate_full t =
         pairs = (if !check_deltas then pack_pairs t pairs_raw else []);
         pairs_fresh = !check_deltas;
         comm;
-        scratch_tbl = Hashtbl.create 16;
         around = Array.make n 0;
-        around_stamp = 0;
+        stamp = 0;
+        ctx_seen = Array.make n 0;
+        ctx_members = Array.make n [];
+        ctx_pred = Array.make n (-1);
         log = [||];
         log_len = 0;
         epoch = 0;

@@ -61,6 +61,18 @@ val size : t -> int
 val binding : t -> int -> Searchgraph.binding
 (** [Hw j] uses the positional index of the context (0-based). *)
 
+val context_id : t -> int -> int
+(** An id of the context holding [v], [-1] for a software task.  Ids
+    are opaque and stable while a context lives: two tasks share a
+    context exactly when their ids are equal ({!encode} renumbers them,
+    so nothing may depend on their values).  O(1), unlike {!binding}'s
+    positional index. *)
+
+val context_chain : t -> (int * int list) list
+(** The contexts in execution order, each with its {!context_id} and
+    its members — the solution's own immutable list, so reading it
+    allocates nothing. *)
+
 val impl_index : t -> int -> int
 
 val sw_order : t -> int list
@@ -116,11 +128,13 @@ val evaluate : t -> Searchgraph.eval option
     downstream cones ({!Repro_sched.Longest_path.refresh}).  Each
     mutator emits its own exact edge delta from the software pairs
     around the positions it disturbed (read off the linked processor
-    orders in O(1) per task) and from the per-class emitters of the
-    contexts and context adjacencies it touched
-    ({!Repro_sched.Searchgraph.ehw_intra_pairs}, [gtlp_pairs]) — the
-    global canonical pair list is never regenerated on the move path,
-    and no processor order is walked — and the boundary-traffic
+    orders in O(1) per task) and from the contexts whose members,
+    predecessor or predecessor's members it changed, each context
+    owning the pairs into and out of its configuration node that the
+    next context does not — the global canonical pair list is never
+    regenerated on the move path, no processor order is walked, and
+    only the member lists the move rebuilt are read — and the
+    boundary-traffic
     total is patched by flipping the sum-tree terms of the edges
     incident to the moved tasks.  Every edit lands in a delta log so
     {!save}'s undo closure restores the live graph by replaying
@@ -169,8 +183,9 @@ type eval_stats = {
   mutable incr_nodes : int;   (** nodes re-evaluated across refreshes *)
   mutable edges_edited : int; (** in-place edge insertions/deletions *)
   mutable pairs_emitted : int;
-  (** pairs produced by the per-move delta emitters (before + after
-      captures) — the footprint of the native-delta path *)
+  (** pairs produced by the per-move delta emitters, removals and
+      additions, before a pair on both sides cancels — the footprint
+      of the native-delta path *)
   mutable comm_patched : int;
   (** boundary-traffic terms flipped in the comm sum tree *)
   mutable pair_regens : int;

@@ -115,9 +115,9 @@ let comm_terms ~platform ~app ~crossing =
 
 (* The sequentialization edge families as explicit pair lists, emitted
    in the exact order [build] inserts them.  [Solution]'s incremental
-   path derives per-move edge deltas from these same generators (with a
-   slot-based [cfg] labelling), so the edited live graph and a fresh
-   build can never disagree on the edge set.
+   path emits its per-move edge deltas under the same ownership
+   contract, and its paranoid mode checks them against this list (with
+   an id-based [cfg] labelling).
 
    Ownership contract: every Esw/Ehw pair has exactly one emitter.
 
@@ -134,9 +134,8 @@ let comm_terms ~platform ~app ~crossing =
    Configuration nodes are distinct from tasks and each other, so the
    three families are mutually disjoint and the concatenated list is
    duplicate-free.  A mutator can therefore emit the exact pair delta
-   of a move by running the emitters of only the chains, contexts and
-   adjacencies its footprint touches, before and after the mutation:
-   pairs owned by an untouched emitter are untouched. *)
+   of a move from the chains, contexts and adjacencies its footprint
+   touches alone: pairs owned by an untouched emitter are untouched. *)
 let chain_pairs order =
   let rec walk acc = function
     | a :: (b :: _ as rest) -> walk ((a, b) :: acc) rest

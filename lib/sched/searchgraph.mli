@@ -125,8 +125,7 @@ val comm_terms :
     [j-1] — belong to the adjacent context pair ({!gtlp_pairs}).  The
     families are mutually disjoint, so the canonical list is
     duplicate-free, and a mutator obtains the exact pair delta of a
-    move by running only the emitters its footprint touches, before
-    and after the mutation. *)
+    move from the owners its footprint touches alone. *)
 
 val chain_pairs : int list -> (int * int) list
 (** Consecutive pairs of a software execution order: the Esw chain

@@ -561,6 +561,116 @@ let test_swap_test_exact () =
         (!rejected < !draws))
     (inputs ())
 
+(* The list-based context tests the moves ran before they walked the
+   solution's own context list, kept as the reference for their answers:
+   a filtered copy of the contexts and a positional binding. *)
+let placement_reference solution v placement =
+  let clo = Solution.closure solution in
+  let contexts =
+    List.filter (function [ x ] -> x <> v | _ -> true)
+      (Solution.contexts solution)
+  in
+  let lo, hi =
+    match placement with
+    | Moves.Fresh_at at -> (at, at)
+    | Moves.Join vd ->
+      let rec position j = function
+        | [] -> invalid_arg "reference: destination in software"
+        | members :: rest ->
+          if List.mem vd members then j else position (j + 1) rest
+      in
+      let d = position 0 contexts in
+      if Solution.joins_context solution ~task:v ~dest:vd then (d, d + 1)
+      else (d + 1, d + 1)
+  in
+  let reaches_into = List.exists (fun x -> x <> v && Repro_sched.Closure.reaches clo v x)
+  and reached_from = List.exists (fun x -> x <> v && Repro_sched.Closure.reaches clo x v) in
+  List.exists Fun.id
+    (List.mapi
+       (fun j members ->
+         (j < lo && reaches_into members) || (j >= hi && reached_from members))
+       contexts)
+
+let swap_reference solution at =
+  let clo = Solution.closure solution in
+  match List.filteri (fun j _ -> j = at || j = at + 1) (Solution.contexts solution) with
+  | [ first; second ] ->
+    List.exists (fun x -> List.exists (fun y -> Repro_sched.Closure.reaches clo x y) second) first
+  | _ -> invalid_arg "reference: bad position"
+
+(* Minor plus direct-major words allocated by [f ()]. *)
+let words_allocated f =
+  let total () =
+    let _, promoted, major = Gc.counters () in
+    Gc.minor_words () +. major -. promoted
+  in
+  let before = total () in
+  f ();
+  total () -. before
+
+(* The context moves' static pre-checks, on random md28 states with
+   many contexts: every placement and swap answers as the list-based
+   reference does, and a sweep over all of them allocates nothing but
+   the measurement's own few words. *)
+let test_context_prechecks () =
+  let application = Repro_workloads.Motion_detection.app () in
+  List.iter
+    (fun (n_clb, seed) ->
+      let plat = Repro_workloads.Motion_detection.platform ~n_clb () in
+      let rec many_contexts seed =
+        let s = Solution.random (Rng.create seed) application plat in
+        if Solution.n_contexts s >= 6 then s else many_contexts (seed + 1)
+      in
+      let s = many_contexts seed in
+      let n = Solution.size s and k = Solution.n_contexts s in
+      let joins =
+        Array.init n (fun v ->
+            Array.of_list
+              (List.filter
+                 (fun vd ->
+                   Solution.context_id s vd >= 0
+                   && Solution.context_id s vd <> Solution.context_id s v)
+                 (List.init n Fun.id)))
+      in
+      for v = 0 to n - 1 do
+        for at = 0 to k do
+          Alcotest.(check bool) "fresh placement"
+            (placement_reference s v (Moves.Fresh_at at))
+            (Moves.placement_cyclic s v (Moves.Fresh_at at))
+        done;
+        Array.iter
+          (fun vd ->
+            Alcotest.(check bool) "join placement"
+              (placement_reference s v (Moves.Join vd))
+              (Moves.placement_cyclic s v (Moves.Join vd)))
+          joins.(v)
+      done;
+      for at = 0 to k - 2 do
+        Alcotest.(check bool) "swap" (swap_reference s at)
+          (Moves.swap_cyclic s at)
+      done;
+      let fresh = Array.init (k + 1) (fun at -> Moves.Fresh_at at) in
+      let joins = Array.map (Array.map (fun vd -> Moves.Join vd)) joins in
+      let words =
+        words_allocated (fun () ->
+            for v = 0 to n - 1 do
+              for i = 0 to k do
+                ignore (Moves.placement_cyclic s v fresh.(i))
+              done;
+              for j = 0 to Array.length joins.(v) - 1 do
+                ignore (Moves.placement_cyclic s v joins.(v).(j))
+              done
+            done;
+            for at = 0 to k - 2 do
+              ignore (Moves.swap_cyclic s at)
+            done)
+      in
+      Alcotest.(check bool)
+        (Printf.sprintf "%d contexts: the sweep allocates <= 16 words (%.0f)"
+           k words)
+        true (words <= 16.0))
+    [ (100, 7); (200, 3) ]
+
 let suite =
   [
     Alcotest.test_case "feasibility preserved" `Quick test_feasibility_preserved;
@@ -585,4 +695,6 @@ let suite =
       test_reorder_test_exact;
     Alcotest.test_case "swap cycle test is exact on hardware" `Quick
       test_swap_test_exact;
+    Alcotest.test_case "context pre-checks: list answers, no allocation" `Quick
+      test_context_prechecks;
   ]

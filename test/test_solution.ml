@@ -516,6 +516,147 @@ let test_respawn_freed_id () =
   matches_rebuild "after the undo and a swap";
   Alcotest.(check int) "no rebuild" full_before stats.Solution.full_evals
 
+let with_check_deltas f =
+  let was = Solution.check_deltas_enabled () in
+  Solution.set_check_deltas true;
+  Fun.protect ~finally:(fun () -> Solution.set_check_deltas was) f
+
+(* Eight independent tasks of 20 CLBs: on a 100-CLB device every
+   context order is acyclic and any three tasks share a context. *)
+let free_app () =
+  let t id =
+    Task.make ~id ~name:(Printf.sprintf "f%d" id) ~functionality:"F"
+      ~sw_time:(1.0 +. float_of_int id) ~impls:[ impl 20 (0.5 +. float_of_int id) ]
+  in
+  App.make ~name:"free8" ~tasks:(List.init 8 t) ~edges:[] ()
+
+(* A free8 solution whose contexts hold [layout]'s tasks in that order,
+   built through the moves themselves. *)
+let laid_out layout =
+  let s = Solution.all_software (free_app ()) (platform ()) in
+  ignore (Solution.makespan s);
+  List.iter
+    (function
+      | [] -> ()
+      | first :: rest ->
+        Solution.append_context s ~task:first;
+        List.iter (fun v -> Solution.move_to_context s ~task:v ~dest:first) rest)
+    layout;
+  s
+
+let sorted_contexts s = List.map (List.sort compare) (Solution.contexts s)
+
+(* One context-chain move on [layout] under the paranoid delta check
+   (a divergent delta raises): the contexts end as [expect], the live
+   evaluation carries a rebuild's bits, and after the undo the same move
+   on the rolled-back live graph does too — with no rebuild. *)
+let pinned_ctx_move label layout ~expect move =
+  with_check_deltas @@ fun () ->
+  let s = laid_out layout in
+  Alcotest.(check (list (list int))) (label ^ ": laid out")
+    (List.map (List.sort compare) layout) (sorted_contexts s);
+  let stats = Solution.eval_stats s in
+  let full = stats.Solution.full_evals in
+  let matches_rebuild what =
+    match (Solution.evaluate s, Searchgraph.evaluate (Solution.spec s)) with
+    | Some got, Some want ->
+      Alcotest.(check bool) (label ^ what ^ ": a rebuild's bits") true
+        (same_eval got want)
+    | _ -> Alcotest.failf "%s%s: expected a feasible evaluation" label what
+  in
+  let code = Solution.encode s in
+  let undo = Solution.save s in
+  move s;
+  Alcotest.(check (list (list int))) (label ^ ": contexts") expect
+    (sorted_contexts s);
+  Alcotest.(check bool) (label ^ ": invariants") true
+    (ok (Solution.check_invariants s));
+  matches_rebuild "";
+  undo ();
+  Alcotest.(check string) (label ^ ": undone") code (Solution.encode s);
+  move s;
+  matches_rebuild " (again, after the undo)";
+  Alcotest.(check int) (label ^ ": no rebuild") full stats.Solution.full_evals
+
+let test_pinned_context_moves () =
+  let to_sw task s = Solution.move_to_sw s ~task ~before:None in
+  let join task dest s = Solution.move_to_context s ~task ~dest in
+  let insert task at s = Solution.insert_context s ~task ~at in
+  let swap at s = Solution.swap_contexts s ~at in
+  (* The last member leaves: its context is freed and its neighbours
+     become adjacent. *)
+  pinned_ctx_move "freed to software" [ [ 0; 1 ]; [ 2 ]; [ 3; 4 ] ]
+    ~expect:[ [ 0; 1 ]; [ 3; 4 ] ] (to_sw 2);
+  pinned_ctx_move "freed into a later context" [ [ 0 ]; [ 1 ]; [ 2 ]; [ 3 ] ]
+    ~expect:[ [ 0 ]; [ 2 ]; [ 1; 3 ] ] (join 1 3);
+  pinned_ctx_move "freed first context" [ [ 0 ]; [ 1; 2 ]; [ 3 ] ]
+    ~expect:[ [ 1; 2 ]; [ 3 ] ] (to_sw 0);
+  (* The task moves into the context that becomes the next one's new
+     predecessor: the pair (task, next) is in both GTLP sets and must
+     cancel. *)
+  pinned_ctx_move "cancelling pair" [ [ 0; 4 ]; [ 1 ]; [ 2; 5 ] ]
+    ~expect:[ [ 0; 1; 4 ]; [ 2; 5 ] ] (join 1 0);
+  pinned_ctx_move "cancelling pair, last context"
+    [ [ 3 ]; [ 0 ]; [ 1 ]; [ 2 ] ]
+    ~expect:[ [ 3 ]; [ 0; 1 ]; [ 2 ] ] (join 1 0);
+  (* A member leaves a context that stays: its successor loses one GTLP
+     pair, the destination's successor gains one. *)
+  pinned_ctx_move "member diff" [ [ 0; 1 ]; [ 2 ]; [ 3; 4 ]; [ 5 ] ]
+    ~expect:[ [ 0 ]; [ 2 ]; [ 1; 3; 4 ]; [ 5 ] ] (join 1 3);
+  pinned_ctx_move "insert at 0" [ [ 0 ]; [ 1; 2 ] ]
+    ~expect:[ [ 3 ]; [ 0 ]; [ 1; 2 ] ] (insert 3 0);
+  pinned_ctx_move "insert at k" [ [ 0 ]; [ 1; 2 ] ]
+    ~expect:[ [ 0 ]; [ 1; 2 ]; [ 3 ] ] (insert 3 2);
+  pinned_ctx_move "insert at 0 out of a context" [ [ 0 ]; [ 1; 2 ] ]
+    ~expect:[ [ 2 ]; [ 0 ]; [ 1 ] ] (insert 2 0);
+  (* The source context empties and its id is re-used by the fresh one,
+     at the clamped last position: the same context in the same place. *)
+  pinned_ctx_move "insert at k out of a freed context" [ [ 0 ]; [ 1 ] ]
+    ~expect:[ [ 0 ]; [ 1 ] ] (insert 1 2);
+  pinned_ctx_move "insert at k, freed in the middle" [ [ 0 ]; [ 1 ]; [ 2 ] ]
+    ~expect:[ [ 0 ]; [ 2 ]; [ 1 ] ] (insert 1 3);
+  pinned_ctx_move "swap the first pair" [ [ 0; 1 ]; [ 2 ]; [ 3; 4 ]; [ 5 ] ]
+    ~expect:[ [ 2 ]; [ 0; 1 ]; [ 3; 4 ]; [ 5 ] ] (swap 0);
+  pinned_ctx_move "swap the last pair" [ [ 0; 1 ]; [ 2 ]; [ 3; 4 ]; [ 5 ] ]
+    ~expect:[ [ 0; 1 ]; [ 2 ]; [ 5 ]; [ 3; 4 ] ] (swap 2)
+
+(* Random context-heavy move sequences on md28 at 100-400 CLBs, where
+   the tasks spread over many contexts, under the paranoid delta check
+   (a divergent delta raises): the context kinds drawn directly, the
+   mixed lottery otherwise, a third of the moves undone, and every
+   evaluation a rebuild's bits. *)
+let qcheck_md28_context_deltas =
+  QCheck.Test.make ~name:"md28 context moves match the regenerated pairs"
+    ~count:40
+    QCheck.(pair small_int (int_range 100 400))
+    (fun (seed, n_clb) ->
+      with_check_deltas @@ fun () ->
+      let application = Repro_workloads.Motion_detection.app () in
+      let plat = Repro_workloads.Motion_detection.platform ~n_clb () in
+      let rng = Rng.create (seed + 29) in
+      let s = Solution.random rng application plat in
+      let kinds =
+        [| Solution.Ctx_migrate; Solution.Ctx_create; Solution.Ctx_swap;
+           Solution.Sw_migrate |]
+      in
+      let ok = ref true in
+      for _ = 1 to 200 do
+        let proposed =
+          if Rng.bernoulli rng 0.6 then
+            Repro_dse.Moves.propose_kind rng Repro_dse.Moves.fixed_architecture
+              s (Rng.choice rng kinds)
+          else Repro_dse.Moves.propose rng Repro_dse.Moves.fixed_architecture s
+        in
+        (match proposed with
+         | Some undo -> if Rng.bernoulli rng 0.3 then undo ()
+         | None -> ());
+        match (Solution.evaluate s, Searchgraph.evaluate (Solution.spec s)) with
+        | None, None -> ()
+        | Some got, Some want -> if not (same_eval got want) then ok := false
+        | Some _, None | None, Some _ -> ok := false
+      done;
+      !ok)
+
 (* A mutation applied directly, so the next read finds the state
    unsettled; a reorder without the closure check may close a cycle. *)
 let direct_mutation rng s =
@@ -915,6 +1056,9 @@ let suite =
     Alcotest.test_case "swap contexts" `Quick test_swap_contexts;
     Alcotest.test_case "freed id re-spawned in one move" `Quick
       test_respawn_freed_id;
+    Alcotest.test_case "pinned context-chain deltas" `Quick
+      test_pinned_context_moves;
+    QCheck_alcotest.to_alcotest qcheck_md28_context_deltas;
     Alcotest.test_case "set impl" `Quick test_set_impl;
     Alcotest.test_case "capacity violation infeasible" `Quick
       test_capacity_violation_infeasible;
