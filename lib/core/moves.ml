@@ -153,7 +153,8 @@ let rec any_reaches clo second = function
    before every member of the first. *)
 let rec swap_closes clo at = function
   | (_, first) :: ((_, second) :: _ as rest) ->
-    if at = 0 then any_reaches clo second first else swap_closes clo (at - 1) rest
+    if at = 0 then any_reaches clo second first
+    else swap_closes clo (at - 1) rest
   | [ _ ] | [] -> invalid_arg "Moves.swap_cyclic: bad position"
 
 let swap_cyclic solution at =

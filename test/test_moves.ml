@@ -583,8 +583,9 @@ let placement_reference solution v placement =
       if Solution.joins_context solution ~task:v ~dest:vd then (d, d + 1)
       else (d + 1, d + 1)
   in
-  let reaches_into = List.exists (fun x -> x <> v && Repro_sched.Closure.reaches clo v x)
-  and reached_from = List.exists (fun x -> x <> v && Repro_sched.Closure.reaches clo x v) in
+  let reaches = Repro_sched.Closure.reaches clo in
+  let reaches_into = List.exists (fun x -> x <> v && reaches v x)
+  and reached_from = List.exists (fun x -> x <> v && reaches x v) in
   List.exists Fun.id
     (List.mapi
        (fun j members ->
@@ -593,9 +594,11 @@ let placement_reference solution v placement =
 
 let swap_reference solution at =
   let clo = Solution.closure solution in
-  match List.filteri (fun j _ -> j = at || j = at + 1) (Solution.contexts solution) with
+  let contexts = Solution.contexts solution in
+  match List.filteri (fun j _ -> j = at || j = at + 1) contexts with
   | [ first; second ] ->
-    List.exists (fun x -> List.exists (fun y -> Repro_sched.Closure.reaches clo x y) second) first
+    let reaches = Repro_sched.Closure.reaches clo in
+    List.exists (fun x -> List.exists (fun y -> reaches x y) second) first
   | _ -> invalid_arg "reference: bad position"
 
 (* Minor plus direct-major words allocated by [f ()]. *)

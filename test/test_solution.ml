@@ -526,7 +526,8 @@ let with_check_deltas f =
 let free_app () =
   let t id =
     Task.make ~id ~name:(Printf.sprintf "f%d" id) ~functionality:"F"
-      ~sw_time:(1.0 +. float_of_int id) ~impls:[ impl 20 (0.5 +. float_of_int id) ]
+      ~sw_time:(1.0 +. float_of_int id)
+      ~impls:[ impl 20 (0.5 +. float_of_int id) ]
   in
   App.make ~name:"free8" ~tasks:(List.init 8 t) ~edges:[] ()
 
@@ -540,7 +541,9 @@ let laid_out layout =
       | [] -> ()
       | first :: rest ->
         Solution.append_context s ~task:first;
-        List.iter (fun v -> Solution.move_to_context s ~task:v ~dest:first) rest)
+        List.iter
+          (fun v -> Solution.move_to_context s ~task:v ~dest:first)
+          rest)
     layout;
   s
 
