@@ -111,12 +111,12 @@ type op =
   | Clbs of int * int              (* context id, old CLB total *)
 
 (* Incremental-evaluation state: a live search graph over n task nodes
-   plus n configuration nodes, its longest-path solution (dynamic:
-   edges are edited in place), and the bookkeeping that turns a
-   structural mutation into an edge-delta set.  A context's id is in
-   [0, n) and its configuration node is [n + id]; the nodes of free ids
-   stay isolated (no edges, weight 0) and are excluded from the
-   canonical evaluation.
+   plus n configuration nodes, held by its longest-path state [lp]
+   alone (which owns the adjacency, edited in place), and the
+   bookkeeping that turns a structural mutation into an edge-delta
+   set.  A context's id is in [0, n) and its configuration node is
+   [n + id]; the nodes of free ids stay isolated (no edges, weight 0)
+   and are excluded from the canonical evaluation.
 
    Each mutator emits its own exact edge delta from the pair emitters
    of only the chains, contexts and context adjacencies it touched
@@ -141,7 +141,6 @@ type op =
    owns this state: restarts anneal on several domains, so nothing here
    may be shared between solutions. *)
 type incr = {
-  sg : Graph.t;
   lp : Longest_path.t;
   weights : float array;
   mutable pairs : int list;
@@ -517,9 +516,12 @@ let n_contexts t = List.length t.ctxs
 let hw_tasks t =
   List.filter (fun v -> t.assign.(v) >= 0) (List.init (size t) Fun.id)
 
+(* A plain loop: it runs on every [impl] and [ctx_migrate] draw. *)
 let hw_count t =
   let count = ref 0 in
-  Array.iter (fun a -> if a >= 0 then incr count) t.assign;
+  for v = 0 to Array.length t.assign - 1 do
+    if t.assign.(v) >= 0 then incr count
+  done;
   !count
 
 let nth_hw_task t k =
@@ -872,7 +874,7 @@ let native_resync t kind ~rebound ~sw_around ~sw_before ~old_ctxs =
        List.iter
          (fun p ->
            let u = p / stride and v = p mod stride in
-           if not (Graph.has_edge inc.sg u v) then
+           if not (Longest_path.has_edge inc.lp u v) then
              if Longest_path.insert_edge inc.lp u v then begin
                log_push inc (E_add (u, v));
                mark_dirty inc v;
@@ -1053,7 +1055,6 @@ let evaluate_full t =
       (kind_stats t.stats t.last_kind).k_full_evals + 1;
     let inc =
       {
-        sg = g;
         lp;
         weights;
         (* The canonical pair cache is a verification artifact: seed it
@@ -1097,6 +1098,23 @@ let evaluate_incremental t inc =
     (kind_stats t.stats t.last_kind).k_incr_evals + 1;
   settled t inc
 
+(* Paranoid mode: the live adjacency must be the application edges
+   together with the regenerated canonical pairs, and the longest-path
+   state's two slice stores must agree ({!Longest_path.edges}). *)
+let check_adjacency t inc =
+  let stride = 2 * size t in
+  let pack (u, v) = (u * stride) + v in
+  let app_edges =
+    List.map (fun { App.src; dst; kbytes = _ } -> (src, dst)) (App.edges t.app)
+  in
+  if
+    List.map pack (Longest_path.edges inc.lp)
+    <> List.sort_uniq Int.compare
+         (List.rev_map pack (List.rev_append app_edges (sequencing_pairs t)))
+  then
+    failwith "Solution: the live adjacency diverges from the application \
+              edges and the canonical pairs"
+
 (* Bring the cache up to date — it is never [Stale] afterwards: refresh
    the live graph's dirty cones (or rebuild it) and read the makespan.
    This is all a move costs to judge; the evaluation record waits for
@@ -1109,6 +1127,7 @@ let settle t =
         | Some inc ->
           if inc.desync then Evaluated None
           else begin
+            if !check_deltas then check_adjacency t inc;
             if !check_deltas && (inc.over = 0) <> capacity_ok t then
               failwith "Solution: the over-capacity count diverges from \
                         capacity_ok";

@@ -9,13 +9,21 @@
     soon as values stabilize).
 
     The graph is dynamic: {!insert_edge} and {!delete_edge} edit the
-    underlying structure while maintaining a valid topological order
-    in-place (Pearce–Kelly), so structural moves on the search graph
-    are served by the same {!refresh} worklist as weight changes.
-    Node and edge weights are read through the provided callbacks and
-    cached: the caller mutates its own weight store and then calls
-    {!refresh} with the affected nodes, which is when the cache is
-    re-read.
+    state's own copy of the structure while maintaining a valid
+    topological order in-place (Pearce–Kelly), so structural moves on
+    the search graph are served by the same {!refresh} worklist as
+    weight changes.  Node and edge weights are read through the
+    provided callbacks and cached: the caller mutates its own weight
+    store and then calls {!refresh} with the affected nodes, which is
+    when the cache is re-read.
+
+    The state owns the adjacency: every edge is listed once in its
+    target's in-slice (with its cached weight) and once in its source's
+    out-slice, each store one flat array of per-node slices.  Both
+    halves of a cone step read them — the maximum over the in-slice,
+    then the out-slice's targets queued — Pearce–Kelly searches forward
+    over out-slices and backward over in-slices, and {!has_edge} scans
+    an out-slice.
 
     The state keeps each node's topological position and the node at
     each position, and one bitmap with a bit per position.  The
@@ -33,11 +41,17 @@ val create :
   Graph.t -> node_weight:(int -> float) -> edge_weight:(int -> int -> float) ->
   t option
 (** Builds the state and computes all completion times; [None] when the
-    graph is cyclic.  The graph must only be mutated afterwards through
-    {!insert_edge} / {!delete_edge}. *)
+    graph is cyclic.  The graph is read once, here: the state copies its
+    edges into its own slices and is edited afterwards through
+    {!insert_edge} / {!delete_edge} only, leaving the graph as it was
+    (and free for the caller to change). *)
+
+val has_edge : t -> int -> int -> bool
+(** [has_edge t u v]: whether the state's graph holds edge [u -> v] — a
+    scan of [u]'s out-slice. *)
 
 val insert_edge : t -> int -> int -> bool
-(** [insert_edge t u v] adds edge [u -> v] to the graph, restoring a
+(** [insert_edge t u v] adds edge [u -> v] to the state's graph, restoring a
     valid topological order if needed.  Returns [false] — with the
     graph and order left untouched — when the edge would create a
     cycle; returns [true] if the edge was added (or already present).
@@ -74,3 +88,10 @@ val recompute : t -> unit
 val touched_last_refresh : t -> int
 (** Number of nodes re-evaluated by the last {!refresh} — exposed to
     measure the locality win. *)
+
+val edges : t -> (int * int) list
+(** The state's edge set, read from the out-slices, in increasing
+    (source, target) order — a verification reader, O(E log E).  Raises
+    [Failure] when an out-slice lists an edge twice, when the in-slices
+    hold another set, or when an edge runs against the maintained
+    topological order. *)

@@ -8,13 +8,20 @@ type t = {
   impls : impl array;
 }
 
+(* Times must be finite as well as positive: [t <= 0.0] is false for
+   NaN, whose compares would leave the schedulers' orders undefined. *)
 let validate_impl i =
   if i.clbs <= 0 then invalid_arg "Task: implementation with clbs <= 0";
-  if i.hw_time <= 0.0 then invalid_arg "Task: implementation with hw_time <= 0"
+  if i.hw_time <= 0.0 then
+    invalid_arg "Task: implementation with hw_time <= 0";
+  if not (Float.is_finite i.hw_time) then
+    invalid_arg "Task: implementation with hw_time not finite"
 
 let make ~id ~name ~functionality ~sw_time ~impls =
   if id < 0 then invalid_arg "Task.make: negative id";
   if sw_time <= 0.0 then invalid_arg "Task.make: sw_time <= 0";
+  if not (Float.is_finite sw_time) then
+    invalid_arg "Task.make: sw_time not finite";
   if impls = [] then invalid_arg "Task.make: no hardware implementation";
   List.iter validate_impl impls;
   let sorted =

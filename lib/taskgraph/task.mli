@@ -22,7 +22,8 @@ type t = {
 val make :
   id:int -> name:string -> functionality:string -> sw_time:float ->
   impls:impl list -> t
-(** Validates and normalizes: positive times, at least one
+(** Validates and normalizes: positive finite times (NaN and the
+    infinities are rejected), at least one
     implementation, implementations sorted by area.  Raises
     [Invalid_argument] on violation. *)
 

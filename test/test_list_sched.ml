@@ -390,9 +390,8 @@ let test_tie_takes_the_heap () =
 (* Ranks the sort cannot be trusted with.  A rank absorbed by rounding
    (1e-20 ahead of a successor of rank 1e3) still leaves the heap's
    order non-increasing in rank, so either path gives [0; 1]; the heap
-   runs.  A NaN rank is unordered: with hardware task 1 of NaN time
-   ahead of software task 2 (rank 10), the heap pops software task 0
-   (rank 5) first, where a sort would put 2 first. *)
+   runs.  A NaN rank, which would make the heap's compares no total
+   order, cannot arise: [Task.make] rejects a NaN time. *)
 let test_non_strict_takes_the_heap () =
   let absorbed, platform =
     on_600
@@ -401,24 +400,12 @@ let test_non_strict_takes_the_heap () =
   in
   Alcotest.(check (list int)) "absorbed" [ 0; 1 ]
     (decoded_sw_order absorbed platform (all_software absorbed));
-  let nan_app =
-    App.make ~name:"nan"
-      ~tasks:
-        [
-          task 0 5.0;
-          Task.make ~id:1 ~name:"t1" ~functionality:"F" ~sw_time:1.0
-            ~impls:[ { Task.clbs = 10; hw_time = nan } ];
-          task 2 10.0;
-        ]
-      ~edges:[ edge 1 2 ] ()
-  in
-  let genes = { (all_software nan_app) with hw = [| false; true; false |] } in
-  Alcotest.(check (list int)) "NaN" [ 0; 2 ]
-    (decoded_sw_order nan_app platform genes);
-  Alcotest.(check (list int)) "NaN: the heap's" [ 0; 2 ]
-    (fst
-       (heap_sw_order nan_app platform genes
-          (Gene_decoder.spec nan_app platform genes)))
+  Alcotest.check_raises "NaN time rejected"
+    (Invalid_argument "Task: implementation with hw_time not finite")
+    (fun () ->
+      ignore
+        (Task.make ~id:1 ~name:"t1" ~functionality:"F" ~sw_time:1.0
+           ~impls:[ { Task.clbs = 10; hw_time = nan } ]))
 
 let suite =
   [

@@ -4,6 +4,21 @@ module Rng = Repro_util.Rng
 
 let makespan lp = Array.fold_left Float.max 0.0 (Longest_path.finish_array lp)
 
+(* [create] reads its graph once, so each test keeps that graph as its
+   own mirror of the state's: [insert] and [delete] apply an edit to the
+   state and, when the state accepted it, to the mirror. *)
+let insert lp g u v =
+  let accepted = Longest_path.insert_edge lp u v in
+  if accepted then Graph.add_edge g u v;
+  accepted
+
+let delete lp g u v =
+  Longest_path.delete_edge lp u v;
+  Graph.remove_edge g u v
+
+(* The state's edge count, from its own stores. *)
+let live_edges lp = List.length (Longest_path.edges lp)
+
 let diamond_weights () =
   let g = Graph.create 4 in
   Graph.add_edge g 0 1;
@@ -210,13 +225,13 @@ let test_insert_edge_reorders () =
   | None -> Alcotest.fail "DAG"
   | Some lp ->
     Alcotest.(check bool) "insert accepted" true
-      (Longest_path.insert_edge lp 2 0);
-    Alcotest.(check bool) "edge present" true (Graph.has_edge g 2 0);
+      (insert lp g 2 0);
+    Alcotest.(check bool) "edge present" true (Longest_path.has_edge lp 2 0);
     Longest_path.refresh lp [ 0 ];
     Alcotest.(check (float 1e-9)) "finish 1 via 2" 7.0
       (Longest_path.finish lp 1);
     (* Re-inserting an existing edge is a no-op success. *)
-    Alcotest.(check bool) "idempotent" true (Longest_path.insert_edge lp 2 0)
+    Alcotest.(check bool) "idempotent" true (insert lp g 2 0)
 
 let test_insert_edge_rejects_cycle () =
   let g = Graph.create 3 in
@@ -232,13 +247,13 @@ let test_insert_edge_rejects_cycle () =
   | Some lp ->
     let edges_before = Graph.edge_count g in
     Alcotest.(check bool) "cycle rejected" false
-      (Longest_path.insert_edge lp 2 0);
+      (insert lp g 2 0);
     Alcotest.(check bool) "self-loop rejected" false
-      (Longest_path.insert_edge lp 1 1);
-    Alcotest.(check int) "graph untouched" edges_before (Graph.edge_count g);
+      (insert lp g 1 1);
+    Alcotest.(check int) "graph untouched" edges_before (live_edges lp);
     (* The state must still be usable: delete the middle edge and
        check against a fresh reference solve. *)
-    Longest_path.delete_edge lp 0 1;
+    delete lp g 0 1;
     Longest_path.refresh lp [ 1 ];
     let reference =
       Graph.longest_path g
@@ -282,13 +297,13 @@ let qcheck_dynamic_edges =
           let dirty =
             if Rng.bernoulli rng 0.5 then
               if u <> v && Graph.has_edge g u v then begin
-                Longest_path.delete_edge lp u v;
+                delete lp g u v;
                 [ v ]
               end
-              else if Longest_path.insert_edge lp u v then [ v ]
+              else if insert lp g u v then [ v ]
               else begin
                 (* Rejected: the edge must not have been added. *)
-                if Graph.has_edge g u v then ok := false;
+                if Longest_path.has_edge lp u v then ok := false;
                 []
               end
             else begin
@@ -367,13 +382,13 @@ let qcheck_large_dags =
           in
           let before = Array.copy (Longest_path.finish_array lp) in
           let edges = Graph.edge_count g in
-          let accepted = Longest_path.insert_edge lp u v in
+          let accepted = insert lp g u v in
           check (accepted = expected);
           if accepted then Longest_path.refresh lp [ v ]
           else begin
             incr rejected;
             check
-              (Graph.edge_count g = edges
+              (live_edges lp = edges
                && Longest_path.finish_array lp = before)
           end;
           check_fresh ()
@@ -383,7 +398,7 @@ let qcheck_large_dags =
             let u = Rng.int rng n and v = Rng.int rng n in
             if Rng.bernoulli rng 0.3 && Graph.succs g u <> [] then begin
               let w = Rng.choice_list rng (Graph.succs g u) in
-              Longest_path.delete_edge lp u w;
+              delete lp g u w;
               Longest_path.refresh lp [ w ];
               check_fresh ()
             end
@@ -451,10 +466,10 @@ let qcheck_cached_weights =
           match Rng.int rng 4 with
           | 0 ->
             if u <> v && Graph.has_edge g u v then begin
-              Longest_path.delete_edge lp u v;
+              delete lp g u v;
               [ v ]
             end
-            else if Longest_path.insert_edge lp u v then [ v ]
+            else if insert lp g u v then [ v ]
             else []
           | 1 -> (
             match Graph.succs g u with
@@ -474,7 +489,7 @@ let qcheck_cached_weights =
           if Graph.has_edge g u hub then []
           else begin
             (* The hub is a sink: an edge into it never closes a cycle. *)
-            if not (Longest_path.insert_edge lp u hub) then raise Exit;
+            if not (insert lp g u hub) then raise Exit;
             hub_in := u :: !hub_in;
             [ hub ]
           end
@@ -484,7 +499,7 @@ let qcheck_cached_weights =
           | [] -> []
           | u :: rest ->
             hub_in := rest;
-            Longest_path.delete_edge lp u hub;
+            delete lp g u hub;
             [ hub ]
         in
         let round edit =
@@ -547,7 +562,7 @@ let qcheck_position_bitmap =
            refresh re-reads it and must change nothing. *)
         let rejected = ref false in
         let insert u v =
-          rejected := not (Longest_path.insert_edge lp u v);
+          rejected := not (insert lp g u v);
           [ v ]
         in
         let edit () =
@@ -563,7 +578,7 @@ let qcheck_position_bitmap =
             | [] -> []
             | succs ->
               let w = Rng.choice_list rng succs in
-              Longest_path.delete_edge lp u w;
+              delete lp g u w;
               [ w ])
           | 3 -> (
             match Graph.succs g u with
@@ -590,6 +605,73 @@ let qcheck_position_bitmap =
             check_fresh ()
           done;
           true
+        with Exit -> false)
+
+(* The state's two slice stores against a mirror graph.  Node 0 stays
+   a source and node n-1 a sink, hubs that start without edges: half
+   of the inserts go out of the one or into the other and are always
+   accepted, so the hubs' slices outgrow the two free cells [create]
+   leaves per slice and are relocated, in both stores; [create] fills
+   its stores to the end, so the first relocation in a store compacts
+   it.  The other inserts join random inner nodes, half of them
+   backwards in node order, taking Pearce–Kelly's reorder or being
+   rejected as cycles.  After every step [has_edge] answers as the
+   mirror does for every pair, and [edges] — which fails when the in-
+   and out-slices disagree — lists the mirror's edges. *)
+let qcheck_slices_track_mirror =
+  QCheck.Test.make ~name:"has_edge and both slice stores track a mirror"
+    ~count:40
+    QCheck.(pair small_int (int_range 8 40))
+    (fun (seed, n) ->
+      let n = max 8 (min 40 n) in
+      let rng = Rng.create (seed + 307) in
+      let inner () = 1 + Rng.int rng (n - 2) in
+      let g = Graph.create n in
+      for _ = 1 to n do
+        let u = inner () and v = inner () in
+        if u < v then Graph.add_edge g u v
+      done;
+      match
+        Longest_path.create g ~node_weight:(fun _ -> 1.0)
+          ~edge_weight:(fun _ _ -> 0.0)
+      with
+      | None -> false
+      | Some lp ->
+        let peak_out = ref 0 and peak_in = ref 0 in
+        let agrees () =
+          let pairs = ref true in
+          for u = 0 to n - 1 do
+            for v = 0 to n - 1 do
+              if Longest_path.has_edge lp u v <> Graph.has_edge g u v then
+                pairs := false
+            done
+          done;
+          !pairs
+          && Longest_path.edges lp = List.sort compare (Graph.edges g)
+        in
+        let accepted ok = if not ok then raise Exit in
+        let step () =
+          let u = inner () and v = inner () in
+          (match Rng.int rng 6 with
+           | 0 -> accepted (insert lp g 0 (1 + Rng.int rng (n - 1)))
+           | 1 -> accepted (insert lp g (Rng.int rng (n - 1)) (n - 1))
+           | 2 -> ignore (insert lp g u v : bool)
+           | 3 -> ignore (insert lp g (max u v) (min u v) : bool)
+           | _ -> (
+             let u = Rng.int rng n in
+             match Graph.succs g u with
+             | [] -> ()
+             | succs -> delete lp g u (Rng.choice_list rng succs)));
+          peak_out := max !peak_out (Graph.out_degree g 0);
+          peak_in := max !peak_in (Graph.in_degree g (n - 1));
+          agrees ()
+        in
+        try
+          let ok = ref (agrees ()) in
+          for _ = 1 to 300 do
+            if !ok then ok := step ()
+          done;
+          !ok && !peak_out > 2 && !peak_in > 2
         with Exit -> false)
 
 (* Minor-heap words allocated by [f]; the two readings themselves
@@ -647,6 +729,7 @@ let suite =
     QCheck_alcotest.to_alcotest qcheck_large_dags;
     QCheck_alcotest.to_alcotest qcheck_cached_weights;
     QCheck_alcotest.to_alcotest qcheck_position_bitmap;
+    QCheck_alcotest.to_alcotest qcheck_slices_track_mirror;
     Alcotest.test_case "refresh allocates nothing per node" `Quick
       test_refresh_allocation;
   ]

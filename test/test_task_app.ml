@@ -18,6 +18,25 @@ let test_task_validation () =
         (Task.make ~id:0 ~name:"x" ~functionality:"F" ~sw_time:0.0
            ~impls:[ impl 10 0.5 ]))
 
+(* NaN passes a [<= 0.0] test, and an infinite time is no time: both
+   times reject all three non-finite values. *)
+let test_task_non_finite_times () =
+  let rejected f =
+    match f () with
+    | exception Invalid_argument _ -> true
+    | (_ : Task.t) -> false
+  in
+  List.iter
+    (fun x ->
+      let label = Printf.sprintf "%h" x in
+      Alcotest.(check bool) ("sw_time " ^ label) true
+        (rejected (fun () ->
+             Task.make ~id:0 ~name:"x" ~functionality:"F" ~sw_time:x
+               ~impls:[ impl 10 0.5 ]));
+      Alcotest.(check bool) ("hw_time " ^ label) true
+        (rejected (fun () -> simple_task ~impls:[ impl 10 x ] 0)))
+    [ nan; infinity; neg_infinity ]
+
 let test_impl_sorted () =
   let t =
     Task.make ~id:0 ~name:"x" ~functionality:"F" ~sw_time:4.0
@@ -270,6 +289,8 @@ let test_make_diagnostics () =
 let suite =
   [
     Alcotest.test_case "task validation" `Quick test_task_validation;
+    Alcotest.test_case "task rejects non-finite times" `Quick
+      test_task_non_finite_times;
     Alcotest.test_case "impl sorting/access" `Quick test_impl_sorted;
     Alcotest.test_case "pareto" `Quick test_pareto;
     Alcotest.test_case "app construction" `Quick test_app_construction;
