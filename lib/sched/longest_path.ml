@@ -151,8 +151,9 @@ let find_out t u v =
 let has_edge t u v = find_out t u v < t.out_start.(u) + t.out_len.(u)
 
 (* Drop [u -> v] from [u]'s slice as [remove_in] does; [false] when
-   the edge is absent.  A slice's order only orders the refresh's and
-   the searches' visits, which sort what they visit by position. *)
+   the edge is absent.  The order of an out-slice only orders the
+   refresh's pushes, which it pops by position, and the searches'
+   visits, which they sort by position. *)
 let remove_out t u v =
   let k = find_out t u v and last = t.out_start.(u) + t.out_len.(u) - 1 in
   k <= last
