@@ -1,14 +1,6 @@
 module Rng = Repro_util.Rng
 module Stats = Repro_util.Stats
 
-module type PROBLEM = sig
-  type state
-
-  val cost : state -> float
-  val snapshot : state -> state
-  val propose : Rng.t -> state -> (unit -> unit) option
-end
-
 type config = {
   iterations : int;
   warmup_iterations : int;
@@ -63,96 +55,88 @@ let start config ~cost =
     temperature = infinity;
   }
 
-let restore config ~schedule ~warmup ~cost =
-  check_budget config;
-  let instance = Schedule.instantiate config.schedule in
-  Schedule.restore instance schedule;
-  let stats = Stats.Running.create () in
-  Stats.Running.restore stats warmup;
-  { schedule = instance; warmup = stats; current_cost = cost;
-    temperature = infinity }
+(* Three lines, floats in "%h" so they round-trip bit-exactly. *)
+let encode_chain chain =
+  let floats tag a =
+    String.concat " " (tag :: List.map (Printf.sprintf "%h") (Array.to_list a))
+  in
+  String.concat "\n"
+    [
+      floats "schedule" (Schedule.capture chain.schedule);
+      floats "warmup" (Stats.Running.state chain.warmup);
+      floats "current" [| chain.current_cost |];
+    ]
+
+let decode_chain config lines =
+  let ( let* ) = Result.bind in
+  let parse tag line =
+    match String.split_on_char ' ' line with
+    | t :: fields when t = tag -> (
+      match List.map float_of_string_opt fields with
+      | parsed when List.for_all Option.is_some parsed ->
+        Ok (Array.of_list (List.map Option.get parsed))
+      | _ -> Error ("bad " ^ tag ^ " line"))
+    | _ -> Error ("expected a " ^ tag ^ " line")
+  in
+  match lines with
+  | schedule :: warmup :: current :: rest -> (
+    let* schedule = parse "schedule" schedule in
+    let* warmup = parse "warmup" warmup in
+    let* cost =
+      match parse "current" current with
+      | Ok [| cost |] -> Ok cost
+      | _ -> Error "bad current line"
+    in
+    let restore () =
+      check_budget config;
+      let instance = Schedule.instantiate config.schedule in
+      Schedule.restore instance schedule;
+      let stats = Stats.Running.create () in
+      Stats.Running.restore stats warmup;
+      { schedule = instance; warmup = stats; current_cost = cost;
+        temperature = infinity }
+    in
+    match restore () with
+    | chain -> Ok (chain, rest)
+    | exception Invalid_argument m -> Error m)
+  | _ -> Error "truncated chain state"
 
 type move = Infeasible | Rejected | Accepted
 
-type 'state outcome = {
-  best : 'state;
-  best_cost : float;
-  final_cost : float;
-  iterations_run : int;
-  accepted : int;
-  infeasible : int;
-}
-
-module Make (P : PROBLEM) = struct
-  (* Iteration g < warmup is a warmup move at infinite temperature; the
-     schedule starts at g = warmup, everything after cools adaptively.
-     A boundary before g = warmup leaves the schedule unstarted, so a
-     chain restored there re-runs [Schedule.start] from the restored
-     warmup statistics. *)
-  let step config chain rng state ~iteration =
-    let warmup = config.warmup_iterations in
-    if iteration = warmup then
-      Schedule.start chain.schedule
-        ~mean:(Stats.Running.mean chain.warmup)
-        ~stddev:(Stats.Running.stddev chain.warmup)
-        ~horizon:config.iterations;
-    let cooling = iteration >= warmup in
-    let temperature =
-      if cooling then Schedule.temperature chain.schedule else infinity
+(* Iteration g < warmup is a warmup move at infinite temperature; the
+   schedule starts at g = warmup, everything after cools adaptively.
+   A boundary before g = warmup leaves the schedule unstarted, so a
+   chain restored there re-runs [Schedule.start] from the restored
+   warmup statistics. *)
+let step config chain rng state ~iteration ~cost ~propose =
+  let warmup = config.warmup_iterations in
+  if iteration = warmup then
+    Schedule.start chain.schedule
+      ~mean:(Stats.Running.mean chain.warmup)
+      ~stddev:(Stats.Running.stddev chain.warmup)
+      ~horizon:config.iterations;
+  let cooling = iteration >= warmup in
+  let temperature =
+    if cooling then Schedule.temperature chain.schedule else infinity
+  in
+  chain.temperature <- temperature;
+  match propose rng state with
+  | None ->
+    (* The drawn move is structurally invalid ("not performed" in
+       the paper's terms): no state change happened, so the cooling
+       schedule does not observe it either. *)
+    Infeasible
+  | Some undo ->
+    let candidate = cost state in
+    let delta = candidate -. chain.current_cost in
+    let accept =
+      delta <= 0.0
+      || temperature = infinity
+      || Rng.float rng 1.0 < exp (-.delta /. temperature)
     in
-    chain.temperature <- temperature;
-    match P.propose rng state with
-    | None ->
-      (* The drawn move is structurally invalid ("not performed" in
-         the paper's terms): no state change happened, so the cooling
-         schedule does not observe it either. *)
-      Infeasible
-    | Some undo ->
-      let candidate = P.cost state in
-      let delta = candidate -. chain.current_cost in
-      let accept =
-        delta <= 0.0
-        || temperature = infinity
-        || Rng.float rng 1.0 < exp (-.delta /. temperature)
-      in
-      if accept then chain.current_cost <- candidate else undo ();
-      if cooling then
-        Schedule.observe chain.schedule ~cost:chain.current_cost
-          ~accepted:accept
-      else Stats.Running.add chain.warmup chain.current_cost;
-      if accept then Accepted else Rejected
-
-  let run ?trace config state =
-    let rng = Rng.create config.seed in
-    let chain = start config ~cost:(P.cost state) in
-    let best = ref (P.snapshot state) in
-    let best_cost = ref chain.current_cost in
-    let accepted = ref 0 and infeasible = ref 0 in
-    let warmup = config.warmup_iterations in
-    let total = warmup + config.iterations in
-    for g = 0 to total - 1 do
-      let move = step config chain rng state ~iteration:g in
-      (match move with
-       | Infeasible -> incr infeasible
-       | Rejected -> ()
-       | Accepted ->
-         incr accepted;
-         if chain.current_cost < !best_cost then begin
-           best_cost := chain.current_cost;
-           best := P.snapshot state
-         end);
-      match trace with
-      | None -> ()
-      | Some f ->
-        f ~iteration:(g - warmup) ~cost:chain.current_cost ~best:!best_cost
-          ~temperature:chain.temperature ~accepted:(move = Accepted)
-    done;
-    {
-      best = !best;
-      best_cost = !best_cost;
-      final_cost = chain.current_cost;
-      iterations_run = total;
-      accepted = !accepted;
-      infeasible = !infeasible;
-    }
-end
+    if accept then chain.current_cost <- candidate else undo ();
+    if cooling then
+      Schedule.observe chain.schedule ~cost:chain.current_cost
+        ~accepted:accept
+    else Stats.Running.add chain.warmup chain.current_cost;
+    if accept then Accepted else Rejected

@@ -10,7 +10,11 @@ type t = {
 
 let make ~name ~processor ~rc ?(extra = []) ~bus () =
   if bus.kb_per_ms <= 0.0 then invalid_arg "Platform.make: bus rate <= 0";
+  if not (Float.is_finite bus.kb_per_ms) then
+    invalid_arg "Platform.make: bus rate not finite";
   if bus.latency_ms < 0.0 then invalid_arg "Platform.make: negative latency";
+  if not (Float.is_finite bus.latency_ms) then
+    invalid_arg "Platform.make: latency not finite";
   match (processor, rc) with
   | Resource.Processor p, Resource.Reconfigurable r ->
     { name; processor = p; rc = r; extra; bus }

@@ -23,8 +23,9 @@ type t = private {
 val make :
   name:string -> processor:Resource.t -> rc:Resource.t ->
   ?extra:Resource.t list -> bus:bus -> unit -> t
-(** Requires [processor] to be a [Processor] and [rc] a
-    [Reconfigurable]; raises [Invalid_argument] otherwise. *)
+(** Requires [processor] to be a [Processor], [rc] a [Reconfigurable],
+    a finite positive bus rate and a finite non-negative latency;
+    raises [Invalid_argument] otherwise. *)
 
 val processors : t -> Resource.processor list
 (** All programmable processors of the platform: the primary one

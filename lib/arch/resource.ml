@@ -37,12 +37,16 @@ let reconfiguration_time rc clbs =
 
 let processor ?(cost = 1.0) ?(speed = 1.0) proc_name =
   if speed <= 0.0 then invalid_arg "Resource.processor: speed <= 0";
+  if not (Float.is_finite speed) then
+    invalid_arg "Resource.processor: speed not finite";
   Processor { proc_name; proc_cost = cost; proc_speed = speed }
 
 let reconfigurable ?(cost = 1.0) ~n_clb ~reconfig_ms_per_clb rc_name =
   if n_clb <= 0 then invalid_arg "Resource.reconfigurable: n_clb <= 0";
   if reconfig_ms_per_clb < 0.0 then
     invalid_arg "Resource.reconfigurable: negative tR";
+  if not (Float.is_finite reconfig_ms_per_clb) then
+    invalid_arg "Resource.reconfigurable: tR not finite";
   Reconfigurable { rc_name; n_clb; reconfig_ms_per_clb; rc_cost = cost }
 
 let asic ?(cost = 1.0) asic_name = Asic { asic_name; asic_cost = cost }

@@ -51,8 +51,13 @@ val reconfiguration_time : reconfigurable -> int -> float
     CLBs of the incoming context are counted. *)
 
 val processor : ?cost:float -> ?speed:float -> string -> t
+(** Raises [Invalid_argument] unless [speed] is finite and positive. *)
+
 val reconfigurable :
   ?cost:float -> n_clb:int -> reconfig_ms_per_clb:float -> string -> t
+(** Raises [Invalid_argument] unless [n_clb] is positive and
+    [reconfig_ms_per_clb] (the paper's tR) finite and non-negative. *)
+
 val asic : ?cost:float -> string -> t
 
 val pp : Format.formatter -> t -> unit

@@ -110,18 +110,13 @@ let evolve ?payload config (ctx : Engine.context) =
           Printf.bprintf b "ga %d %h\n" config.population !previous_best;
           Array.iter
             (fun (fit, i) ->
-              Printf.bprintf b "ind %h " fit;
-              Array.iter
-                (fun g -> Buffer.add_char b (if g then '1' else '0'))
-                i.hw;
-              Array.iter (fun g -> Printf.bprintf b " %d" g) i.impl;
-              Buffer.add_char b '\n')
+              Printf.bprintf b "ind %h %s\n" fit
+                (Gene_decoder.genes_to_string i))
             population;
           Buffer.contents b);
       decode =
         (fun text ->
           let ( let* ) = Result.bind in
-          let n = App.size app in
           let* header, ind_lines =
             match String.split_on_char '\n' text with
             | header :: rest -> Ok (header, List.filter (( <> ) "") rest)
@@ -143,20 +138,13 @@ let evolve ?payload config (ctx : Engine.context) =
           in
           let parse_individual line =
             match String.split_on_char ' ' line with
-            | "ind" :: fit :: genes :: impls
-              when String.length genes = n && List.length impls = n -> (
-              let impl_opt = List.map int_of_string_opt impls in
-              match (float_of_string_opt fit, String.for_all (fun c -> c = '0' || c = '1') genes,
-                     List.for_all Option.is_some impl_opt) with
-              | Some fit, true, true ->
-                Ok
-                  ( fit,
-                    {
-                      hw = Array.init n (fun v -> genes.[v] = '1');
-                      impl = Array.of_list (List.map Option.get impl_opt);
-                    } )
-              | _ -> Error "bad ind line"
-            )
+            | "ind" :: fit :: genes -> (
+              match
+                ( float_of_string_opt fit,
+                  Gene_decoder.genes_of_words app.App.tasks genes )
+              with
+              | Some fit, Some genes -> Ok (fit, genes)
+              | _ -> Error "bad ind line")
             | _ -> Error "bad ind line"
           in
           let* individuals =

@@ -21,6 +21,16 @@ type resume_mode = Resume_never | Resume_if_exists | Resume_required
 
 type checkpoint = { path : string; every : int; resume : resume_mode }
 
+type controls = {
+  seed : int;
+  budget : budget;
+  should_stop : (unit -> bool) option;
+  observe : (probe -> unit) option;
+  checkpoint : checkpoint option;
+}
+
+(* Defined after [controls], whose labels it repeats, so an
+   unannotated [ctx.seed] reads a context. *)
 type context = {
   app : Repro_taskgraph.App.t;
   platform : Repro_arch.Platform.t;
@@ -32,8 +42,8 @@ type context = {
   warm_start : Solution.t option;
 }
 
-let context ?time_limit ?max_evaluations ?should_stop ?observe ?checkpoint
-    ?warm_start ~app ~platform ~seed ~iterations () =
+let controls ?time_limit ?max_evaluations ?should_stop ?observe ?checkpoint
+    ~seed ~iterations () =
   if iterations < 0 then invalid_arg "Engine.context: negative budget";
   (match time_limit with
    | Some s when s <= 0.0 ->
@@ -48,19 +58,24 @@ let context ?time_limit ?max_evaluations ?should_stop ?observe ?checkpoint
    | Some { every; _ } when every <= 0 ->
      invalid_arg "Engine.context: non-positive checkpoint cadence"
    | Some _ | None -> ());
-  {
-    app;
-    platform;
-    seed;
-    budget = { iterations; time_limit; max_evaluations };
-    should_stop;
-    observe;
-    checkpoint;
-    warm_start;
-  }
+  { seed; budget = { iterations; time_limit; max_evaluations }; should_stop;
+    observe; checkpoint }
 
-type outcome = {
-  best : Solution.t;
+let context ?time_limit ?max_evaluations ?should_stop ?observe ?checkpoint
+    ?warm_start ~app ~platform ~seed ~iterations () =
+  let c =
+    controls ?time_limit ?max_evaluations ?should_stop ?observe ?checkpoint
+      ~seed ~iterations ()
+  in
+  { app; platform; seed; budget = c.budget; should_stop; observe; checkpoint;
+    warm_start }
+
+let controls_of (ctx : context) : controls =
+  { seed = ctx.seed; budget = ctx.budget; should_stop = ctx.should_stop;
+    observe = ctx.observe; checkpoint = ctx.checkpoint }
+
+type 'best outcome_of = {
+  best : 'best;
   best_cost : float;
   initial_cost : float;
   iterations_run : int;
@@ -70,11 +85,15 @@ type outcome = {
   status : status;
 }
 
-type session = {
+type outcome = Solution.t outcome_of
+
+type 'best session_of = {
   advance : until:(int -> bool) -> status;
-  outcome : unit -> outcome;
+  outcome : unit -> 'best outcome_of;
   payload : unit -> string;
 }
+
+type session = Solution.t session_of
 
 module type S = sig
   val name : string
@@ -94,7 +113,7 @@ let start (module E : S) = E.start
 
 (* Defined before [step], whose labels it shares, so that [drive]'s
    loop reads its step results without annotations. *)
-type 'state snapshot = {
+type ('best, 'state) snapshot = {
   iteration : int;
   evaluations : int;
   accepted : int;
@@ -102,7 +121,7 @@ type 'state snapshot = {
   best_cost : float;
   elapsed : float;
   rng : Rng.t;
-  best : Solution.t;
+  best : 'best;
   state : 'state;
 }
 
@@ -120,6 +139,21 @@ type 'state codec = {
   decode : string -> ('state, string) result;
 }
 
+type 'best filing = {
+  inputs : unit -> string list;
+  encode_best : 'best -> string;
+  decode_best : string -> ('best, string) result;
+}
+
+let solution_filing (ctx : context) =
+  {
+    inputs =
+      (fun () ->
+        [ App_io.to_string ctx.app; Platform_io.to_string ctx.platform ]);
+    encode_best = Solution.encode;
+    decode_best = Solution.decode ctx.app ctx.platform;
+  }
+
 (* ---- driver checkpoints ------------------------------------------- *)
 
 let checkpoint_kind = "dse-engine"
@@ -128,27 +162,26 @@ let checkpoint_kind = "dse-engine"
    taken under; the fingerprint ties the file to them.  The engine name
    and codec version are separate header lines so their mismatches get
    their own (more helpful) diagnostics. *)
-let fingerprint ctx =
+let fingerprint filing (c : controls) =
   Checkpoint.crc32_hex
     (String.concat "\n"
-       [
-         App_io.to_string ctx.app;
-         Platform_io.to_string ctx.platform;
-         Printf.sprintf "drive %d %d %s" ctx.seed ctx.budget.iterations
-           (match ctx.budget.max_evaluations with
-            | None -> "-"
-            | Some m -> string_of_int m);
-       ])
+       (filing.inputs ()
+       @ [
+           Printf.sprintf "drive %d %d %s" c.seed c.budget.iterations
+             (match c.budget.max_evaluations with
+              | None -> "-"
+              | Some m -> string_of_int m);
+         ]))
 
 (* Driver payload: line-oriented, floats in "%h" so every value
    round-trips bit-exactly.  The best solution and the engine's own
    state block close the file; [best]/[state] marker lines separate
-   them (no line of {!Solution.encode} is a bare "best"/"state", and
+   them (no line of a best's encoding is a bare "best"/"state", and
    the state block runs to the end of the file). *)
-let encode_payload codec ctx snap =
+let encode_filed filing codec controls snap =
   let b = Buffer.create 1024 in
   Printf.bprintf b "engine %s %d\n" codec.engine codec.version;
-  Printf.bprintf b "fingerprint %s\n" (fingerprint ctx);
+  Printf.bprintf b "fingerprint %s\n" (fingerprint filing controls);
   Printf.bprintf b "driver %d %d %d\n" snap.iteration snap.evaluations
     snap.accepted;
   Printf.bprintf b "costs %h %h\n" snap.initial_cost snap.best_cost;
@@ -157,10 +190,13 @@ let encode_payload codec ctx snap =
   Array.iter (fun w -> Printf.bprintf b " %Lx" w) (Rng.state snap.rng);
   Buffer.add_char b '\n';
   Buffer.add_string b "best\n";
-  Buffer.add_string b (Solution.encode snap.best);
+  Buffer.add_string b (filing.encode_best snap.best);
   Buffer.add_string b "state\n";
   Buffer.add_string b (codec.encode snap.state);
   Buffer.contents b
+
+let encode_payload codec ctx snap =
+  encode_filed (solution_filing ctx) codec (controls_of ctx) snap
 
 (* The payload cut at its marker lines: the header lines, the best
    solution's text and the engine's state text. *)
@@ -185,7 +221,7 @@ let payload_incumbent app platform payload =
     | Ok _ as ok -> ok
     | Error m -> Error ("incumbent does not fit these inputs: " ^ m))
 
-let decode_payload codec ctx payload =
+let decode_filed filing codec controls payload =
   let ( let* ) = Result.bind in
   let fail fmt = Printf.ksprintf (fun m -> Error ("checkpoint: " ^ m)) fmt in
   let* header, best, state =
@@ -215,7 +251,7 @@ let decode_payload codec ctx payload =
   in
   let* () =
     match line "fingerprint" Option.some with
-    | Ok [ fp ] when fp = fingerprint ctx -> Ok ()
+    | Ok [ fp ] when fp = fingerprint filing controls -> Ok ()
     | Ok [ _ ] -> fail "produced under a different application/platform/seed/budget"
     | Ok _ -> fail "bad fingerprint line"
     | Error _ as e -> e
@@ -227,7 +263,7 @@ let decode_payload codec ctx payload =
   match (driver, costs, wall, words) with
   | ( [ iteration; evaluations; accepted ], [ initial_cost; best_cost ],
       [ elapsed ], [ _; _; _; _ ] ) ->
-    let* best = Solution.decode ctx.app ctx.platform best in
+    let* best = filing.decode_best best in
     let* state =
       match codec.decode state with
       | Ok s -> Ok s
@@ -247,21 +283,24 @@ let decode_payload codec ctx payload =
       }
   | _ -> fail "bad driver, costs, wall or rng line"
 
+let decode_payload codec ctx payload =
+  decode_filed (solution_filing ctx) codec (controls_of ctx) payload
+
 (* The generic search loop: budget accounting, best-snapshot
    bookkeeping and per-iteration observation live here once, instead
    of once per baseline.  Engines supply the initial state, the
    single-iteration step and a state codec; everything the driver does
-   is deterministic given the context, so an engine built on it
+   is deterministic given the controls, so an engine built on it
    inherits the determinism and resume contracts for free. *)
-let drive ?payload ~codec ctx ~init ~step ~snapshot =
+let drive_filed ?payload ~codec ~filing (c : controls) ~init ~step ~snapshot =
   let start_clock = Clock.mono () in
   (* [init] runs only on a fresh start; a resumed run restores the
      engine's working state through the codec instead. *)
   let start =
     match payload with
-    | Some text -> decode_payload codec ctx text
+    | Some text -> decode_filed filing codec c text
     | None ->
-      let rng = Rng.create ctx.seed in
+      let rng = Rng.create c.seed in
       let state, cost, evaluations = init rng in
       Ok
         {
@@ -291,10 +330,10 @@ let drive ?payload ~codec ctx ~init ~step ~snapshot =
       (* Boundary checks in order: the budget's end, the caller's
          predicate, the evaluation budget. *)
       let rec advance ~until =
-        if !g >= ctx.budget.iterations then Complete
+        if !g >= c.budget.iterations then Complete
         else if until !g then Interrupted
         else
-          match ctx.budget.max_evaluations with
+          match c.budget.max_evaluations with
           | Some m when !evaluations >= m -> Complete
           | _ ->
             let r = step rng ~iteration:!g !state in
@@ -305,7 +344,7 @@ let drive ?payload ~codec ctx ~init ~step ~snapshot =
               best_cost := r.cost;
               best := snapshot r.state
             end;
-            (match ctx.observe with
+            (match c.observe with
              | Some f ->
                f { iteration = !g; cost = r.cost; best = !best_cost;
                    accepted = r.accepted }
@@ -330,7 +369,7 @@ let drive ?payload ~codec ctx ~init ~step ~snapshot =
         }
       in
       let payload () =
-        encode_payload codec ctx
+        encode_filed filing codec c
           {
             iteration = !g;
             evaluations = !evaluations;
@@ -346,23 +385,27 @@ let drive ?payload ~codec ctx ~init ~step ~snapshot =
       { advance; outcome; payload })
     start
 
-(* A session from the context's checkpoint under its resume mode, or a
+let drive ?payload ~codec ctx ~init ~step ~snapshot =
+  drive_filed ?payload ~codec ~filing:(solution_filing ctx) (controls_of ctx)
+    ~init ~step ~snapshot
+
+(* A session from the controls' checkpoint under its resume mode, or a
    fresh one. *)
-let resume_or_start (module E : S) ctx =
+let resume_or_start (c : controls) start =
   let ok = function Ok s -> s | Error msg -> failwith msg in
   let resume path =
     Result.bind (Checkpoint.load path ~kind:checkpoint_kind) (fun payload ->
-        Result.map_error (fun msg -> path ^ ": " ^ msg) (E.start ~payload ctx))
+        Result.map_error (fun msg -> path ^ ": " ^ msg) (start (Some payload)))
   in
-  match ctx.checkpoint with
+  match c.checkpoint with
   | Some { path; resume = Resume_required; _ } -> ok (resume path)
   | Some { path; resume = Resume_if_exists; _ } when Sys.file_exists path -> (
     match resume path with
     | Ok s -> s
     | Error msg ->
       Log.warn "ignoring unusable checkpoint: %s" msg;
-      ok (E.start ctx))
-  | Some _ | None -> ok (E.start ctx)
+      ok (start None))
+  | Some _ | None -> ok (start None)
 
 (* The one run loop, and the only code that touches checkpoint files:
    the session advances in [every]-iteration chunks with the payload
@@ -371,17 +414,17 @@ let resume_or_start (module E : S) ctx =
    starts here) and is latched.  A chunk's end is checked first, so
    the boundary a chunk ends at polls the probe once, on the next
    [advance]. *)
-let run engine ctx =
+let run_session (c : controls) start =
   let expired =
-    match ctx.budget.time_limit with
+    match c.budget.time_limit with
     | Some seconds -> Clock.deadline ~seconds
     | None -> fun () -> false
   in
-  let should_stop = Option.value ctx.should_stop ~default:(fun () -> false) in
+  let should_stop = Option.value c.should_stop ~default:(fun () -> false) in
   let stopped = ref false in
-  let session = resume_or_start engine ctx in
+  let session = resume_or_start c start in
   let every, save =
-    match ctx.checkpoint with
+    match c.checkpoint with
     | Some ck ->
       ( ck.every,
         fun () ->
@@ -406,3 +449,10 @@ let run engine ctx =
   in
   go ();
   session.outcome ()
+
+let run (module E : S) ctx =
+  run_session (controls_of ctx) (fun payload -> E.start ?payload ctx)
+
+let run_driven ~codec ~filing controls ~init ~step ~snapshot =
+  run_session controls (fun payload ->
+      drive_filed ?payload ~codec ~filing controls ~init ~step ~snapshot)

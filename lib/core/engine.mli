@@ -35,7 +35,9 @@
     included — builds its session with the generic driver {!drive},
     which centralizes the budget accounting, best-snapshot bookkeeping
     and the checkpoint payload; the portfolio builds its own over its
-    members' sessions. *)
+    members' sessions.  {!run_driven} is the same loop over the same
+    driver for a search whose best is not a {!Solution.t}: multi-mode
+    mapping anneals there. *)
 
 open Repro_taskgraph
 open Repro_arch
@@ -90,6 +92,16 @@ type checkpoint = {
 (** Crash-safety contract for a run: where {!run} persists its
     state, how often, and whether to continue from an existing file. *)
 
+type controls
+(** A {!context} less its inputs and warm start: what a run obeys,
+    whatever it searches. *)
+
+val controls :
+  ?time_limit:float -> ?max_evaluations:int -> ?should_stop:(unit -> bool) ->
+  ?observe:(probe -> unit) -> ?checkpoint:checkpoint -> seed:int ->
+  iterations:int -> unit -> controls
+(** Validated as {!context} validates them. *)
+
 type context = {
   app : App.t;
   platform : Platform.t;
@@ -118,9 +130,9 @@ val context :
   app:App.t -> platform:Platform.t -> seed:int -> iterations:int -> unit ->
   context
 
-type outcome = {
-  best : Solution.t;          (** deep copy of the best solution found *)
-  best_cost : float;          (** its makespan (ms) *)
+type 'best outcome_of = {
+  best : 'best;               (** deep copy of the best state found *)
+  best_cost : float;          (** its cost (an engine's: the makespan, ms) *)
   initial_cost : float;       (** cost of the engine's initial state *)
   iterations_run : int;       (** <= [budget.iterations], always *)
   evaluations : int;          (** cost-function evaluations performed *)
@@ -129,20 +141,24 @@ type outcome = {
   status : status;
 }
 
+type outcome = Solution.t outcome_of
+
 (** {1 Sessions and the engine signature} *)
 
-type session = {
+type 'best session_of = {
   advance : until:(int -> bool) -> status;
   (** Run iterations until [until] — given the iterations completed —
       holds at a boundary ([Interrupted]; a later call carries on from
       there) or the budget ends ([Complete]). *)
-  outcome : unit -> outcome;
+  outcome : unit -> 'best outcome_of;
   (** The counters and best so far; [status] is the last [advance]'s. *)
   payload : unit -> string;
   (** The driver checkpoint payload of the current boundary. *)
 }
 (** A run in progress.  The context's [should_stop], [time_limit] and
     [checkpoint] are not its business: {!run} applies them. *)
+
+type session = Solution.t session_of
 
 module type S = sig
   val name : string
@@ -220,11 +236,22 @@ type 'state codec = {
     The driver owns everything else (counters, RNG words, best
     snapshot, wall-clock offset). *)
 
+type 'best filing = {
+  inputs : unit -> string list;
+  (** the searched inputs as text; with the seed and budgets they make
+      the checkpoint fingerprint (a {!Solution.t} run's: its
+      application and platform) *)
+  encode_best : 'best -> string;
+  (** newline-terminated lines, none a bare ["best"] or ["state"] *)
+  decode_best : string -> ('best, string) result;
+}
+(** How a driven run files its best in a checkpoint. *)
+
 val checkpoint_kind : string
 (** The {!Repro_util.Checkpoint} kind tag of driver checkpoints,
     ["dse-engine"]. *)
 
-type 'state snapshot = {
+type ('best, 'state) snapshot = {
   iteration : int;      (** iterations completed *)
   evaluations : int;    (** cost evaluations spent *)
   accepted : int;       (** iterations that changed the state *)
@@ -232,20 +259,21 @@ type 'state snapshot = {
   best_cost : float;
   elapsed : float;      (** wall seconds spent before the snapshot *)
   rng : Repro_util.Rng.t;
-  best : Solution.t;
+  best : 'best;         (** persisted through the filing *)
   state : 'state;       (** persisted through the codec *)
 }
 (** Everything a checkpoint holds: the driver's counters, costs, wall
-    offset, RNG words and best solution, plus the engine's working
-    state. *)
+    offset, RNG words and best, plus the engine's working state. *)
 
-val encode_payload : 'state codec -> context -> 'state snapshot -> string
+val encode_payload :
+  'state codec -> context -> (Solution.t, 'state) snapshot -> string
 (** The snapshot as a driver checkpoint payload, stamped with the
     codec's engine name and version and with a fingerprint of the
     application, platform, seed and budgets. *)
 
 val decode_payload :
-  'state codec -> context -> string -> ('state snapshot, string) result
+  'state codec -> context -> string ->
+  ((Solution.t, 'state) snapshot, string) result
 (** The inverse of {!encode_payload}; a payload from a different engine
     or codec version, or fingerprint-mismatched, is a one-line
     [Error]. *)
@@ -272,3 +300,16 @@ val drive :
     calls [step], keeps the accounts, snapshots new strict bests and
     emits the observation.  The initial state's cost must be finite
     (start from a feasible solution, e.g. all-software). *)
+
+val run_driven :
+  codec:'state codec ->
+  filing:'best filing ->
+  controls ->
+  init:(Repro_util.Rng.t -> 'state * float * int) ->
+  step:(Repro_util.Rng.t -> iteration:int -> 'state -> 'state step) ->
+  snapshot:('state -> 'best) ->
+  'best outcome_of
+(** {!run} over a {!drive}n session whose best is any value: the same
+    loop, checkpoint files, random stream and accounts, under
+    [controls], with the payload's best section and fingerprint from
+    [filing]. *)

@@ -13,8 +13,6 @@ let all () = !registry
 
 let names () = List.map Engine.name !registry
 
-let mem name = List.exists (fun e -> Engine.name e = name) !registry
-
 let find name =
   match List.find_opt (fun e -> Engine.name e = name) !registry with
   | Some e -> Ok e

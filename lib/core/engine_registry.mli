@@ -23,5 +23,3 @@ val all : unit -> Engine.t list
 
 val names : unit -> string list
 (** Registered names, in registration order. *)
-
-val mem : string -> bool

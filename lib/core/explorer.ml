@@ -4,7 +4,6 @@ open Repro_sched
 module Annealer = Repro_anneal.Annealer
 module Schedule = Repro_anneal.Schedule
 module Rng = Repro_util.Rng
-module Stats = Repro_util.Stats
 module Parallel = Repro_util.Parallel
 module Checkpoint = Repro_util.Checkpoint
 
@@ -128,37 +127,19 @@ let config_label config =
              m.Moves.p_swap_contexts m.Moves.p_to_sw m.Moves.p_device
           :: List.map Platform_io.to_string m.Moves.device_catalogue)))
 
-(* Chain state on disk, version 1: the configuration line, the schedule
-   and warmup statistics (floats in "%h", so they round-trip
-   bit-exactly), the current cost, then the current solution. *)
+(* Chain state on disk, version 1: the configuration line, the chain
+   ({!Annealer.encode_chain}), then the current solution. *)
 let sa_codec config application platform : sa_state Engine.codec =
   let label = config_label config in
-  let floats tag a =
-    String.concat " " (tag :: List.map (Printf.sprintf "%h") (Array.to_list a))
-  in
   let encode s =
     String.concat "\n"
-      [
-        "config " ^ label;
-        floats "schedule" (Schedule.capture s.chain.Annealer.schedule);
-        floats "warmup" (Stats.Running.state s.chain.Annealer.warmup);
-        floats "current" [| s.chain.Annealer.current_cost |];
-        Solution.encode s.solution;
-      ]
+      [ "config " ^ label; Annealer.encode_chain s.chain;
+        Solution.encode s.solution ]
   in
   let decode text =
     let ( let* ) = Result.bind in
-    let parse tag line =
-      match String.split_on_char ' ' line with
-      | t :: fields when t = tag -> (
-        match List.map float_of_string_opt fields with
-        | parsed when List.for_all Option.is_some parsed ->
-          Ok (Array.of_list (List.map Option.get parsed))
-        | _ -> Error ("bad " ^ tag ^ " line"))
-      | _ -> Error ("expected a " ^ tag ^ " line")
-    in
     match String.split_on_char '\n' text with
-    | written :: schedule :: warmup :: current :: solution ->
+    | written :: rest ->
       let* () =
         match String.split_on_char ' ' written with
         | "config" :: _ when written = "config " ^ label -> Ok ()
@@ -168,20 +149,12 @@ let sa_codec config application platform : sa_state Engine.codec =
                (String.concat " " words) label)
         | _ -> Error "expected a config line"
       in
-      let* schedule = parse "schedule" schedule in
-      let* warmup = parse "warmup" warmup in
-      let* cost =
-        match parse "current" current with
-        | Ok [| cost |] -> Ok cost
-        | _ -> Error "bad current line"
-      in
+      let* chain, solution = Annealer.decode_chain config.anneal rest in
       let* solution =
         Solution.decode application platform (String.concat "\n" solution)
       in
-      (match Annealer.restore config.anneal ~schedule ~warmup ~cost with
-       | chain -> Ok { solution; chain }
-       | exception Invalid_argument m -> Error m)
-    | _ -> Error "truncated chain state"
+      Ok { solution; chain }
+    | [] -> Error "truncated chain state"
   in
   { Engine.engine = "sa"; version = 1; encode; decode }
 
@@ -190,14 +163,8 @@ let sa_codec config application platform : sa_state Engine.codec =
    relative to the end of warmup (negative during warmup), the
    temperature and the working solution. *)
 let anneal ?notify ?payload config (ctx : Engine.context) =
-  let module P = struct
-    type state = Solution.t
-
-    let cost = cost_of config.objective
-    let snapshot = Solution.snapshot
-    let propose rng s = Moves.propose rng config.moves s
-  end in
-  let module A = Annealer.Make (P) in
+  let cost = cost_of config.objective in
+  let propose rng s = Moves.propose rng config.moves s in
   let anneal = config.anneal in
   let init _driver_rng =
     (* The random initial solution has its own stream, seeded like the
@@ -210,12 +177,14 @@ let anneal ?notify ?payload config (ctx : Engine.context) =
     in
     if Solution.evaluate solution = None then
       invalid_arg "Explorer.explore: initial solution is infeasible";
-    let cost = P.cost solution in
+    let cost = cost solution in
     ({ solution; chain = Annealer.start anneal ~cost }, cost, 0)
   in
   let last = ref None in
   let step rng ~iteration s =
-    let move = A.step anneal s.chain rng s.solution ~iteration in
+    let move =
+      Annealer.step anneal s.chain rng s.solution ~iteration ~cost ~propose
+    in
     if notify <> None then last := Some s;
     {
       Engine.state = s;

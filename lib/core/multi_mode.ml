@@ -93,6 +93,7 @@ type result = {
   worst_slack_ratio : float;
   iterations_run : int;
   wall_seconds : float;
+  status : Engine.status;
 }
 
 (* A mode's restriction of the shared genes, over its local ids.  A
@@ -130,66 +131,101 @@ let assignment_cost scorers assignment =
       else Float.max worst (-.slack_ratio realized.descriptor makespan))
     neg_infinity scorers
 
-module Problem_state = struct
-  type state = {
-    problem : problem;
-    scorers : (realized_mode * Gene_decoder.tables) list;
-    assignment : assignment;
-  }
+(* Genes on disk: one "genes" line. *)
+let encode_genes g = "genes " ^ Gene_decoder.genes_to_string g
 
-  let cost s = assignment_cost s.scorers s.assignment
+let decode_genes problem line =
+  match String.split_on_char ' ' line with
+  | "genes" :: words -> (
+    match Gene_decoder.genes_of_words problem.tasks words with
+    | Some genes -> Ok genes
+    | None -> Error "bad genes line")
+  | _ -> Error "bad genes line"
 
-  let snapshot s =
-    {
-      s with
-      assignment =
-        {
-          hw = Array.copy s.assignment.hw;
-          impl = Array.copy s.assignment.impl;
-        };
-    }
+(* The annealing run's working state: the shared genes under annealing
+   and the Metropolis chain around them. *)
+type chain_state = { genes : assignment; chain : Annealer.chain }
 
-  let propose rng s =
-    let n = Array.length s.assignment.hw in
-    let v = Rng.int rng n in
+let explore ?(seed = 1) ?(iterations = 20_000) ?time_limit ?should_stop
+    ?observe ?checkpoint problem platform =
+  let config = Annealer.config_of_budget ~seed iterations in
+  let controls =
+    Engine.controls ?time_limit ?should_stop ?observe ?checkpoint ~seed
+      ~iterations:(config.Annealer.warmup_iterations + iterations) ()
+  in
+  (* Mutable, so allocated per call and never stored in the [problem],
+     which several domains may share. *)
+  let scorers =
+    List.map (fun r -> (r, Gene_decoder.tables r.app platform)) problem.modes
+  in
+  let cost = assignment_cost scorers in
+  let propose rng genes =
+    let v = Rng.int rng (Array.length genes.hw) in
     if Rng.bernoulli rng 0.3 then begin
-      let task = s.problem.tasks.(v) in
-      let count = Task.impl_count task in
+      let count = Task.impl_count problem.tasks.(v) in
       if count < 2 then None
       else begin
-        let old = s.assignment.impl.(v) in
+        let old = genes.impl.(v) in
         let pick = Rng.int rng (count - 1) in
-        s.assignment.impl.(v) <- (if pick >= old then pick + 1 else pick);
-        Some (fun () -> s.assignment.impl.(v) <- old)
+        genes.impl.(v) <- (if pick >= old then pick + 1 else pick);
+        Some (fun () -> genes.impl.(v) <- old)
       end
     end
     else begin
-      s.assignment.hw.(v) <- not s.assignment.hw.(v);
-      Some (fun () -> s.assignment.hw.(v) <- not s.assignment.hw.(v))
+      genes.hw.(v) <- not genes.hw.(v);
+      Some (fun () -> genes.hw.(v) <- not genes.hw.(v))
     end
-end
-
-module Engine = Annealer.Make (Problem_state)
-
-let explore ?(seed = 1) ?(iterations = 20_000) problem platform =
-  let start_clock = Repro_util.Clock.mono () in
-  let n = Array.length problem.tasks in
-  let state =
+  in
+  (* The state on disk, version 1: the chain, then the genes line. *)
+  let decode text =
+    match Annealer.decode_chain config (String.split_on_char '\n' text) with
+    | Ok (chain, [ line ]) ->
+      Result.map (fun genes -> { genes; chain }) (decode_genes problem line)
+    | Ok _ -> Error "expected one genes line"
+    | Error _ as e -> e
+  in
+  let encode s = Annealer.encode_chain s.chain ^ "\n" ^ encode_genes s.genes in
+  let codec = { Engine.engine = "multi-mode"; version = 1; encode; decode } in
+  (* A checkpoint binds the platform and every mode: its application
+     and where its tasks sit in the shared genes. *)
+  let inputs () =
+    let members r =
+      String.concat " "
+        ("members" :: Array.to_list (Array.map string_of_int r.to_global))
+    in
+    Repro_arch.Platform_io.to_string platform
+    :: Printf.sprintf "tasks %d" (Array.length problem.tasks)
+    :: List.concat_map (fun r -> [ App_io.to_string r.app; members r ])
+         problem.modes
+  in
+  let filing =
+    { Engine.inputs; decode_best = decode_genes problem;
+      encode_best = (fun genes -> encode_genes genes ^ "\n") }
+  in
+  let init _driver_rng =
+    let n = Array.length problem.tasks in
+    let genes = { hw = Array.make n false; impl = Array.make n 0 } in
+    let cost = cost genes in
+    ({ genes; chain = Annealer.start config ~cost }, cost, 0)
+  in
+  let step rng ~iteration s =
+    let move =
+      Annealer.step config s.chain rng s.genes ~iteration ~cost ~propose
+    in
     {
-      Problem_state.problem;
-      (* Mutable, so allocated per call and never stored in the
-         [problem], which several domains may share. *)
-      scorers =
-        List.map
-          (fun r -> (r, Gene_decoder.tables r.app platform))
-          problem.modes;
-      assignment = { hw = Array.make n false; impl = Array.make n 0 };
+      Engine.state = s;
+      cost = s.chain.Annealer.current_cost;
+      accepted = move = Annealer.Accepted;
+      evaluations = (if move = Annealer.Infeasible then 0 else 1);
     }
   in
-  let outcome =
-    Engine.run (Annealer.config_of_budget ~seed iterations) state
+  let snapshot s =
+    { hw = Array.copy s.genes.hw; impl = Array.copy s.genes.impl }
   in
-  let assignment = outcome.Annealer.best.Problem_state.assignment in
+  let outcome =
+    Engine.run_driven ~codec ~filing controls ~init ~step ~snapshot
+  in
+  let assignment = outcome.Engine.best in
   let per_mode =
     List.map
       (fun (mode, spec) ->
@@ -218,6 +254,7 @@ let explore ?(seed = 1) ?(iterations = 20_000) problem platform =
     assignment;
     per_mode;
     worst_slack_ratio;
-    iterations_run = outcome.Annealer.iterations_run;
-    wall_seconds = Repro_util.Clock.mono () -. start_clock;
+    iterations_run = outcome.Engine.iterations_run;
+    wall_seconds = outcome.Engine.wall_seconds;
+    status = outcome.Engine.status;
   }

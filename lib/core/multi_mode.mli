@@ -55,6 +55,10 @@ type result = {
       every mode meets its constraint *)
   iterations_run : int;
   wall_seconds : float;
+  (** the annealing run's, on the monotonic clock, across resumes *)
+  status : Engine.status;
+  (** [Interrupted] when the stop probe or the time limit ended the
+      run; the assignment is still the best seen so far *)
 }
 
 val realize :
@@ -64,7 +68,18 @@ val realize :
     [Invalid_argument]. *)
 
 val explore :
-  ?seed:int -> ?iterations:int -> problem -> Platform.t -> result
+  ?seed:int -> ?iterations:int -> ?time_limit:float ->
+  ?should_stop:(unit -> bool) -> ?observe:(Engine.probe -> unit) ->
+  ?checkpoint:Engine.checkpoint -> problem -> Platform.t -> result
 (** Anneal the shared assignment to maximize the worst slack ratio
     (all-modes feasibility first, margin second).  Defaults: seed 1,
-    20000 iterations. *)
+    20000 cooling iterations, after the warmup moves of
+    {!Repro_anneal.Annealer.config_of_budget}.
+
+    The run keeps the engine contract ({!Engine.run_driven}):
+    [should_stop] and [time_limit] end it at an iteration boundary with
+    status [Interrupted] and the best so far; [observe] sees every
+    move, warmup included; [checkpoint] saves it (engine
+    ["multi-mode"]: the chain and the genes) and resumes it bit for
+    bit, refusing with one line a file taken on another problem,
+    platform, seed or budget. *)

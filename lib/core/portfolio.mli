@@ -78,9 +78,6 @@ val canonical : spec -> string
     identity stamped into checkpoints.  The full default is
     ["portfolio"]. *)
 
-val is_spec : string -> bool
-(** True for ["portfolio"] and anything starting with ["portfolio:"]. *)
-
 type lane_report = {
   member : string;  (** the member engine's name *)
   state : string;

@@ -16,8 +16,6 @@ let of_graph g =
     reach;
   { size = n; reach; preds }
 
-let size t = t.size
-
 let reaches t u v =
   if u < 0 || u >= t.size || v < 0 || v >= t.size then
     invalid_arg "Closure.reaches: node out of range";

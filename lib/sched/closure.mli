@@ -13,8 +13,6 @@ type t
 val of_graph : Graph.t -> t
 (** Closure of a DAG.  Raises [Invalid_argument] on cyclic input. *)
 
-val size : t -> int
-
 val reaches : t -> int -> int -> bool
 (** [reaches t u v] is [true] iff there is a non-empty path u -> v.
     O(1). *)

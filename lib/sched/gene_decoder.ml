@@ -3,6 +3,28 @@ open Repro_arch
 
 type genes = { hw : bool array; impl : int array }
 
+let genes_to_string g =
+  String.init (Array.length g.hw) (fun v -> if g.hw.(v) then '1' else '0')
+  ^ String.concat "" (List.map (Printf.sprintf " %d") (Array.to_list g.impl))
+
+let genes_of_words (tasks : Task.t array) words =
+  let n = Array.length tasks in
+  let in_range v = function
+    | Some i -> i >= 0 && i < Task.impl_count tasks.(v)
+    | None -> false
+  in
+  match words with
+  | hw :: impl
+    when String.length hw = n && List.length impl = n
+         && String.for_all (fun c -> c = '0' || c = '1') hw -> (
+    match List.map int_of_string_opt impl with
+    | impl when List.for_all Fun.id (List.mapi in_range impl) ->
+      Some
+        { hw = Array.init n (fun v -> hw.[v] = '1');
+          impl = Array.of_list (List.map Option.get impl) }
+    | _ -> None)
+  | _ -> None
+
 (* A run's decode tables: what a gene vector's realization reads but
    its genes do not change, computed once, and the buffers that the
    decode and the makespan pass rewrite for every gene vector.  A

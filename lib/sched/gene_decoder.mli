@@ -29,6 +29,15 @@ type genes = {
     index must be in range for its task: an index past the task's
     implementations raises [Invalid_argument]. *)
 
+val genes_to_string : genes -> string
+(** The genes as checkpoints hold them: the hardware genes as one word
+    of ['0']/['1'], then one word per implementation index. *)
+
+val genes_of_words : Task.t array -> string list -> genes option
+(** The inverse of {!genes_to_string} split at spaces, for these
+    tasks; [None] on any other word list, an implementation index out
+    of range included. *)
+
 val spec : App.t -> Platform.t -> genes -> Searchgraph.spec
 (** The decoded schedule as a single-processor search-graph spec.  The
     spec reads [genes.impl] when evaluated, so do not mutate it while

@@ -78,8 +78,6 @@ let seq (t : t) =
   Mutex.unlock t.lock;
   s
 
-let ttl (t : t) = t.ttl
-
 let write (t : t) ~seq ~released ~fields =
   let open Json in
   Atomic_io.write_string (path t)

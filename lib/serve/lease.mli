@@ -50,7 +50,6 @@ val acquire : ?id:string -> dir:string -> ttl:float -> unit -> t
 
 val id : t -> string
 val seq : t -> int
-val ttl : t -> float
 val path : t -> string
 
 val refresh : ?fields:(string * Repro_util.Json_lite.t) list -> t -> unit

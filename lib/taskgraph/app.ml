@@ -50,6 +50,8 @@ let make ~name ?deadline ~tasks ~edges:input () =
     tasks;
   (match deadline with
    | Some d when d <= 0.0 -> invalid_arg "App.make: non-positive deadline"
+   | Some d when not (Float.is_finite d) ->
+     invalid_arg "App.make: deadline not finite"
    | Some _ | None -> ());
   let graph = Graph.create n in
   let out_degree = Array.make n 0 and in_degree = Array.make n 0 in
@@ -58,6 +60,8 @@ let make ~name ?deadline ~tasks ~edges:input () =
       if src < 0 || src >= n || dst < 0 || dst >= n then
         invalid_arg "App.make: edge endpoint out of range";
       if kbytes < 0.0 then invalid_arg "App.make: negative data amount";
+      if not (Float.is_finite kbytes) then
+        invalid_arg "App.make: data amount not finite";
       let before = Graph.edge_count graph in
       Graph.add_edge graph src dst;
       if Graph.edge_count graph = before then

@@ -27,8 +27,9 @@ val make :
   unit -> t
 (** Builds and validates an application: task ids must be exactly
     [0 .. n-1], edges must reference existing tasks, data amounts must
-    be non-negative, and the precedence graph must be acyclic.
-    Raises [Invalid_argument] otherwise. *)
+    be finite and non-negative, a deadline finite and positive, and the
+    precedence graph must be acyclic.  Raises [Invalid_argument]
+    otherwise. *)
 
 val size : t -> int
 val task : t -> int -> Task.t

@@ -1,6 +1,7 @@
 module Schedule = Repro_anneal.Schedule
 module Annealer = Repro_anneal.Annealer
 module Rng = Repro_util.Rng
+module Engine = Repro_dse.Engine
 
 let test_infinite_schedule () =
   let s = Schedule.instantiate (Schedule.infinite ()) in
@@ -89,15 +90,67 @@ module Toy = struct
     let trap = if abs (s.x - 80) < 5 then -3 + abs (s.x - 80) else 0 in
     float_of_int (base + trap)
 
-  let snapshot s = { x = s.x }
-
   let propose rng s =
     let old = s.x in
     s.x <- s.x + (if Rng.bool rng then 1 else -1);
     Some (fun () -> s.x <- old)
 end
 
-module Toy_annealer = Annealer.Make (Toy)
+type toy_run = { toy : Toy.state; chain : Annealer.chain }
+
+(* The toy anneals on the engine driver as the explorer and multi-mode
+   mapping do: one driver iteration is one Metropolis step over
+   warmup + cooling iterations, and the best is the position [x]. *)
+let anneal ?observe config x =
+  let codec =
+    {
+      Engine.engine = "toy";
+      version = 1;
+      encode =
+        (fun r ->
+          Printf.sprintf "%s\n%d" (Annealer.encode_chain r.chain) r.toy.Toy.x);
+      decode =
+        (fun text ->
+          let lines = String.split_on_char '\n' text in
+          match Annealer.decode_chain config lines with
+          | Ok (chain, [ x ]) -> Ok { toy = { Toy.x = int_of_string x }; chain }
+          | Ok _ -> Error "expected one x line"
+          | Error _ as e -> e);
+    }
+  in
+  let filing =
+    {
+      Engine.inputs = (fun () -> [ "toy" ]);
+      encode_best = Printf.sprintf "%d\n";
+      decode_best =
+        (fun t -> Option.to_result ~none:"bad x" (int_of_string_opt t));
+    }
+  in
+  let init _ =
+    let toy = { Toy.x } in
+    let cost = Toy.cost toy in
+    ({ toy; chain = Annealer.start config ~cost }, cost, 0)
+  in
+  let step rng ~iteration r =
+    let move =
+      Annealer.step config r.chain rng r.toy ~iteration ~cost:Toy.cost
+        ~propose:Toy.propose
+    in
+    {
+      Engine.state = r;
+      cost = r.chain.Annealer.current_cost;
+      accepted = move = Annealer.Accepted;
+      evaluations = (if move = Annealer.Infeasible then 0 else 1);
+    }
+  in
+  let controls =
+    Engine.controls ?observe ~seed:config.Annealer.seed
+      ~iterations:
+        (config.Annealer.warmup_iterations + config.Annealer.iterations)
+      ()
+  in
+  Engine.run_driven ~codec ~filing controls ~init ~step
+    ~snapshot:(fun r -> r.toy.Toy.x)
 
 let test_annealer_minimizes () =
   let config =
@@ -108,11 +161,11 @@ let test_annealer_minimizes () =
       seed = 5;
     }
   in
-  let outcome = Toy_annealer.run config { Toy.x = 90 } in
+  let outcome = anneal config 90 in
   Alcotest.(check (float 1e-9)) "found the global minimum" 0.0
-    outcome.Annealer.best_cost;
-  Alcotest.(check int) "best state" 37 outcome.Annealer.best.Toy.x;
-  Alcotest.(check bool) "accepted some moves" true (outcome.Annealer.accepted > 0)
+    outcome.Engine.best_cost;
+  Alcotest.(check int) "best state" 37 outcome.Engine.best;
+  Alcotest.(check bool) "accepted some moves" true (outcome.Engine.accepted > 0)
 
 let test_annealer_outcome_fields () =
   let config =
@@ -123,10 +176,13 @@ let test_annealer_outcome_fields () =
       seed = 1;
     }
   in
-  let outcome = Toy_annealer.run config { Toy.x = 40 } in
-  Alcotest.(check int) "iterations counted" 150 outcome.Annealer.iterations_run;
+  let final = ref nan in
+  let outcome =
+    anneal ~observe:(fun (p : Engine.probe) -> final := p.Engine.cost) config 40
+  in
+  Alcotest.(check int) "iterations counted" 150 outcome.Engine.iterations_run;
   Alcotest.(check bool) "final >= best" true
-    (outcome.Annealer.final_cost >= outcome.Annealer.best_cost)
+    (!final >= outcome.Engine.best_cost)
 
 let test_trace_callback () =
   let config =
@@ -137,11 +193,13 @@ let test_trace_callback () =
       seed = 3;
     }
   in
+  (* Numbered as the explorer's trace numbers them: relative to the end
+     of warmup. *)
   let iterations = ref [] in
-  let trace ~iteration ~cost:_ ~best:_ ~temperature:_ ~accepted:_ =
-    iterations := iteration :: !iterations
+  let observe (p : Engine.probe) =
+    iterations := (p.Engine.iteration - config.warmup_iterations) :: !iterations
   in
-  ignore (Toy_annealer.run ~trace config { Toy.x = 0 });
+  ignore (anneal ~observe config 0);
   let recorded = List.rev !iterations in
   Alcotest.(check int) "one event per iteration" 15 (List.length recorded);
   Alcotest.(check (list int)) "warmup negative then cooling"
@@ -160,11 +218,11 @@ let test_best_monotone () =
   in
   let previous_best = ref infinity in
   let monotone = ref true in
-  let trace ~iteration:_ ~cost:_ ~best ~temperature:_ ~accepted:_ =
-    if best > !previous_best +. 1e-12 then monotone := false;
-    previous_best := best
+  let observe (p : Engine.probe) =
+    if p.Engine.best > !previous_best +. 1e-12 then monotone := false;
+    previous_best := p.Engine.best
   in
-  ignore (Toy_annealer.run ~trace config { Toy.x = 90 });
+  ignore (anneal ~observe config 90);
   Alcotest.(check bool) "best never regresses" true !monotone
 
 let suite =

@@ -21,6 +21,36 @@ let test_resource_validation () =
     (Invalid_argument "Resource.reconfigurable: negative tR") (fun () ->
       ignore (Resource.reconfigurable ~n_clb:10 ~reconfig_ms_per_clb:(-1.0) "x"))
 
+(* NaN passes every [<= 0.0] / [< 0.0] test: each number the
+   constructors take rejects all three non-finite values. *)
+let test_non_finite_numbers () =
+  let rejected expected f =
+    Alcotest.check_raises expected (Invalid_argument expected) (fun () ->
+        ignore (f ()))
+  in
+  let platform ?(kb_per_ms = 100.0) ?(latency_ms = 0.1) () =
+    Platform.make ~name:"p" ~processor:(Resource.processor "cpu")
+      ~rc:(Resource.reconfigurable ~n_clb:10 ~reconfig_ms_per_clb:0.01 "rc")
+      ~bus:{ Platform.kb_per_ms; latency_ms } ()
+  in
+  let speed speed () = Resource.processor ~speed "cpu" in
+  let tr reconfig_ms_per_clb () =
+    Resource.reconfigurable ~n_clb:10 ~reconfig_ms_per_clb "rc"
+  in
+  rejected "Resource.processor: speed not finite" (speed nan);
+  rejected "Resource.processor: speed not finite" (speed infinity);
+  rejected "Resource.processor: speed <= 0" (speed neg_infinity);
+  rejected "Resource.reconfigurable: tR not finite" (tr nan);
+  rejected "Resource.reconfigurable: tR not finite" (tr infinity);
+  rejected "Resource.reconfigurable: negative tR" (tr neg_infinity);
+  rejected "Platform.make: bus rate not finite" (platform ~kb_per_ms:nan);
+  rejected "Platform.make: bus rate not finite" (platform ~kb_per_ms:infinity);
+  rejected "Platform.make: bus rate <= 0" (platform ~kb_per_ms:neg_infinity);
+  rejected "Platform.make: latency not finite" (platform ~latency_ms:nan);
+  rejected "Platform.make: latency not finite" (platform ~latency_ms:infinity);
+  rejected "Platform.make: negative latency"
+    (platform ~latency_ms:neg_infinity)
+
 let test_reconfiguration_time () =
   match Resource.reconfigurable ~n_clb:100 ~reconfig_ms_per_clb:0.0225 "rc" with
   | Resource.Reconfigurable rc ->
@@ -84,4 +114,5 @@ let suite =
     Alcotest.test_case "with_rc_size" `Quick test_with_rc_size;
     Alcotest.test_case "platform reconfiguration" `Quick
       test_platform_reconfiguration;
+    Alcotest.test_case "non-finite numbers" `Quick test_non_finite_numbers;
   ]

@@ -1,6 +1,7 @@
 open Repro_taskgraph
 open Repro_arch
 module Multi_mode = Repro_dse.Multi_mode
+module Engine = Repro_dse.Engine
 
 let impl clbs hw_time = { Task.clbs; hw_time }
 
@@ -167,6 +168,202 @@ let test_explore_deterministic () =
   in
   Alcotest.(check (float 1e-12)) "same seed same result" (run ()) (run ())
 
+(* A 48-task layered graph cut into two overlapping modes, each with a
+   deadline at half its all-software time: a branching mode's contexts
+   and software order can disagree, so on this 200-CLB device some
+   states (235 of seed 3's 1700) decode to a cyclic graph and take the
+   infeasibility penalty. *)
+let branching () =
+  let app =
+    Generators.layered ~name:"branching" (Repro_util.Rng.create 1)
+      Generators.default_impl_model ~layers:8 ~width:10 ~edge_probability:0.12
+      ~mean_sw_time:2.0 ~mean_kbytes:8.0
+  in
+  let n = App.size app in
+  let mode name lo hi =
+    let inside v = v >= lo && v < hi in
+    let members = List.init (hi - lo) (fun i -> lo + i) in
+    {
+      Multi_mode.mode_name = name;
+      members;
+      edges =
+        List.filter
+          (fun { App.src; dst; _ } -> inside src && inside dst)
+          (App.edges app);
+      deadline =
+        0.5
+        *. List.fold_left
+             (fun acc v -> acc +. (App.task app v).Task.sw_time)
+             0.0 members;
+    }
+  in
+  ( Multi_mode.make_problem ~name:"branching"
+      ~tasks:(Array.to_list app.App.tasks)
+      ~modes:[ mode "head" 0 (2 * n / 3); mode "tail" (n / 3) n ],
+    Platform.with_rc_size (Repro_workloads.Suite.platform_for app) 200 )
+
+let with_temp f =
+  let path = Filename.temp_file "repro_multi_mode" ".ckpt" in
+  Sys.remove path;
+  Fun.protect
+    ~finally:(fun () -> if Sys.file_exists path then Sys.remove path)
+    (fun () -> f path)
+
+let checkpoint resume path = { Engine.path; every = 1_000_000; resume }
+
+(* The run cut by its stop probe after [k] iterations, saving its
+   checkpoint at the cut. *)
+let explore_until ~k ~seed ~iterations path problem platform =
+  let seen = ref 0 in
+  Multi_mode.explore ~seed ~iterations
+    ~observe:(fun _ -> incr seen)
+    ~should_stop:(fun () -> !seen >= k)
+    ~checkpoint:(checkpoint Engine.Resume_never path)
+    problem platform
+
+let bits (r : Multi_mode.result) =
+  let a = r.Multi_mode.assignment in
+  Printf.sprintf "%s %s %Lx %d"
+    (String.concat ""
+       (Array.to_list
+          (Array.map (fun b -> if b then "1" else "0") a.Multi_mode.hw)))
+    (String.concat ","
+       (Array.to_list (Array.map string_of_int a.Multi_mode.impl)))
+    (Int64.bits_of_float r.Multi_mode.worst_slack_ratio)
+    r.Multi_mode.iterations_run
+
+(* Each observation, bit for bit. *)
+let probe_bits (p : Engine.probe) =
+  Printf.sprintf "%d %Lx %Lx %b" p.Engine.iteration
+    (Int64.bits_of_float p.Engine.cost)
+    (Int64.bits_of_float p.Engine.best)
+    p.Engine.accepted
+
+(* The engine contract's resume rule, for the multi-mode annealer: a
+   run stopped at iteration k (in warmup or while cooling) and resumed
+   from its checkpoint finishes bit for bit as the run never stopped,
+   and observes the same moves after k (the restored chain's schedule
+   and warmup statistics steer every later acceptance). *)
+let test_resume_bit_identical () =
+  let iterations = 1_500 in
+  let check_resume label (problem, platform) =
+    let seen = ref [] in
+    let observe p = seen := probe_bits p :: !seen in
+    let full =
+      Multi_mode.explore ~seed:3 ~iterations ~observe problem platform
+    in
+    let full_probes = List.rev !seen in
+    List.iter
+      (fun k ->
+        with_temp (fun path ->
+            let cut =
+              explore_until ~k ~seed:3 ~iterations path problem platform
+            in
+            Alcotest.(check string)
+              (Printf.sprintf "%s: stopped at %d" label k)
+              "interrupted"
+              (Engine.status_name cut.Multi_mode.status);
+            Alcotest.(check int)
+              (Printf.sprintf "%s: %d iterations before the stop" label k)
+              k cut.Multi_mode.iterations_run;
+            seen := [];
+            let resumed =
+              Multi_mode.explore ~seed:3 ~iterations ~observe
+                ~checkpoint:(checkpoint Engine.Resume_required path)
+                problem platform
+            in
+            Alcotest.(check string)
+              (Printf.sprintf "%s: resumed at %d" label k)
+              (bits full) (bits resumed);
+            Alcotest.(check (list string))
+              (Printf.sprintf "%s: moves observed after %d" label k)
+              (List.filteri (fun i _ -> i >= k) full_probes)
+              (List.rev !seen);
+            Alcotest.(check string)
+              (Printf.sprintf "%s: complete after resuming at %d" label k)
+              "complete"
+              (Engine.status_name resumed.Multi_mode.status)))
+      [ 137; 1_234 ]
+  in
+  check_resume "chain" (problem (), platform ());
+  check_resume "branching" (branching ())
+
+(* The time limit is the engine contract's: a run far over its limit
+   stops at an iteration boundary with its best so far. *)
+let test_time_limit () =
+  let result =
+    Multi_mode.explore ~seed:3 ~iterations:50_000_000 ~time_limit:0.05
+      (problem ()) (platform ())
+  in
+  Alcotest.(check string) "interrupted" "interrupted"
+    (Engine.status_name result.Multi_mode.status);
+  Alcotest.(check bool) "stopped early" true
+    (result.Multi_mode.iterations_run < 50_000_000);
+  Alcotest.(check int) "a best in every mode" 2
+    (List.length result.Multi_mode.per_mode)
+
+(* A checkpoint binds its problem, platform, seed and budget: any other
+   run refuses it with one line. *)
+let test_foreign_checkpoint_refused () =
+  let problem = problem () and platform = platform () in
+  with_temp (fun path ->
+      ignore
+        (explore_until ~k:500 ~seed:3 ~iterations:1_500 path problem platform);
+      let refused label ?(seed = 3) ?(iterations = 1_500) ?(platform = platform)
+          problem =
+        match
+          Multi_mode.explore ~seed ~iterations
+            ~checkpoint:(checkpoint Engine.Resume_required path)
+            problem platform
+        with
+        | _ -> Alcotest.fail (label ^ ": foreign checkpoint resumed")
+        | exception Failure msg ->
+          Alcotest.(check bool) (label ^ ": one line, " ^ msg) true
+            (not (String.contains msg '\n'));
+          Alcotest.(check bool) (label ^ ": names the mismatch, " ^ msg) true
+            (String.ends_with
+               ~suffix:"produced under a different \
+                        application/platform/seed/budget"
+               msg)
+      in
+      refused "another seed" ~seed:4 problem;
+      refused "another budget" ~iterations:1_600 problem;
+      refused "another problem"
+        (Multi_mode.make_problem ~name:"videophone" ~tasks
+           ~modes:[ capture_mode; { playback_mode with deadline = 7.0 } ]);
+      refused "another platform" ~platform:(Platform.with_rc_size platform 120)
+        problem;
+      (* The file itself is untouched: the right run still resumes it. *)
+      Alcotest.(check string) "own run resumes" "complete"
+        (Engine.status_name
+           (Multi_mode.explore ~seed:3 ~iterations:1_500
+              ~checkpoint:(checkpoint Engine.Resume_required path)
+              problem platform)
+             .Multi_mode.status);
+      (* A well-formed file whose genes name an implementation past the
+         last task's variants is refused as well. *)
+      let module Checkpoint = Repro_util.Checkpoint in
+      let payload =
+        Result.get_ok (Checkpoint.load path ~kind:Engine.checkpoint_kind)
+      in
+      let tamper line =
+        if String.starts_with ~prefix:"genes " line then
+          String.sub line 0 (String.rindex line ' ') ^ " 9"
+        else line
+      in
+      Checkpoint.save path ~kind:Engine.checkpoint_kind
+        (String.concat "\n"
+           (List.map tamper (String.split_on_char '\n' payload)));
+      match
+        Multi_mode.explore ~seed:3 ~iterations:1_500
+          ~checkpoint:(checkpoint Engine.Resume_required path)
+          problem platform
+      with
+      | _ -> Alcotest.fail "out-of-range implementation resumed"
+      | exception Failure msg ->
+        Alcotest.(check bool) ("tampered genes, " ^ msg) true
+          (String.ends_with ~suffix:"bad genes line" msg))
+
 let suite =
   [
     Alcotest.test_case "make_problem validation" `Quick
@@ -178,4 +375,9 @@ let suite =
     Alcotest.test_case "explore meets both modes" `Quick
       test_explore_meets_both_modes;
     Alcotest.test_case "explore deterministic" `Quick test_explore_deterministic;
+    Alcotest.test_case "resumed run is bit-identical" `Quick
+      test_resume_bit_identical;
+    Alcotest.test_case "foreign checkpoint refused" `Quick
+      test_foreign_checkpoint_refused;
+    Alcotest.test_case "time limit interrupts" `Quick test_time_limit;
   ]

@@ -37,6 +37,24 @@ let test_task_non_finite_times () =
         (rejected (fun () -> simple_task ~impls:[ impl 10 x ] 0)))
     [ nan; infinity; neg_infinity ]
 
+(* The same hole in the application's numbers: a NaN data amount gives
+   a NaN transfer time and so a NaN upward rank, and a NaN deadline a
+   NaN multi-mode cost. *)
+let test_app_non_finite_numbers () =
+  let rejected ?deadline ?(kbytes = 1.0) expected =
+    Alcotest.check_raises expected (Invalid_argument expected) (fun () ->
+        ignore
+          (App.make ~name:"bad" ?deadline
+             ~tasks:[ simple_task 0; simple_task 1 ]
+             ~edges:[ { App.src = 0; dst = 1; kbytes } ] ()))
+  in
+  rejected ~deadline:nan "App.make: deadline not finite";
+  rejected ~deadline:infinity "App.make: deadline not finite";
+  rejected ~deadline:neg_infinity "App.make: non-positive deadline";
+  rejected ~kbytes:nan "App.make: data amount not finite";
+  rejected ~kbytes:infinity "App.make: data amount not finite";
+  rejected ~kbytes:neg_infinity "App.make: negative data amount"
+
 let test_impl_sorted () =
   let t =
     Task.make ~id:0 ~name:"x" ~functionality:"F" ~sw_time:4.0
@@ -306,4 +324,6 @@ let suite =
     Alcotest.test_case "index of layered apps" `Quick test_index_layered;
     Alcotest.test_case "index of the good fixtures" `Quick test_index_fixtures;
     Alcotest.test_case "make diagnostics" `Quick test_make_diagnostics;
+    Alcotest.test_case "app rejects non-finite numbers" `Quick
+      test_app_non_finite_numbers;
   ]
