@@ -155,7 +155,9 @@ let sort_descending s ~(priority : float array) tasks count =
     done;
     width := 2 * !width
   done;
-  let strict = ref true and i = ref 1 in
+  (* A lone NaN meets no compare below, so it is tested on its own. *)
+  let strict = ref (count = 0 || not (Float.is_nan priority.(tasks.(0))))
+  and i = ref 1 in
   while !strict && !i < count do
     strict := priority.(tasks.(!i - 1)) > priority.(tasks.(!i));
     incr i

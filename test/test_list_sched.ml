@@ -407,6 +407,15 @@ let test_non_strict_takes_the_heap () =
         (Task.make ~id:1 ~name:"t1" ~functionality:"F" ~sw_time:1.0
            ~impls:[ { Task.clbs = 10; hw_time = nan } ]))
 
+(* One task is always in order, but a NaN priority is never strict: no
+   compare between neighbours sees a lone NaN. *)
+let test_sort_descending_lone_nan () =
+  let strict priority =
+    List_sched.sort_descending (List_sched.scratch 1) ~priority [| 0 |] 1
+  in
+  Alcotest.(check bool) "finite" true (strict [| 1.0 |]);
+  Alcotest.(check bool) "NaN" false (strict [| nan |])
+
 let suite =
   [
     Alcotest.test_case "upward rank chain" `Quick test_upward_rank_chain;
@@ -427,4 +436,6 @@ let suite =
       test_tie_takes_the_heap;
     Alcotest.test_case "non-strict ranks take the heap" `Quick
       test_non_strict_takes_the_heap;
+    Alcotest.test_case "a lone NaN is not strict" `Quick
+      test_sort_descending_lone_nan;
   ]
