@@ -299,7 +299,9 @@ val drive :
     [advance] checks the budget, [until] and the evaluation budget,
     calls [step], keeps the accounts, snapshots new strict bests and
     emits the observation.  The initial state's cost must be finite
-    (start from a feasible solution, e.g. all-software). *)
+    (start from a feasible solution, e.g. all-software).  The best is
+    filed against the context's application and platform; the loop
+    itself never reads them, so {!run_driven} runs it for any best. *)
 
 val run_driven :
   codec:'state codec ->
