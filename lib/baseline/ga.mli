@@ -39,14 +39,14 @@ val fitness : App.t -> Platform.t -> individual -> float
     [ga.infeasible_ratio] at about 0.56 on the 28-task study and
     0.93-0.94 on the 132-task [ga132] workload.  Such individuals are
     selected away; deriving both orders from one is an open ROADMAP
-    item ("Make the GA of [6] feasible by construction").  Each call
+    item ("One rank order for the GA decoder").  Each call
     counts one evaluation for fault injection. *)
 
 val scorer : App.t -> Platform.t -> individual -> float
 (** [scorer app platform] allocates the decode tables of one run
     ({!Gene_decoder.tables}) and returns a function equal to
     [fitness app platform] that reuses them, so scoring a chromosome
-    allocates only a few words.  The tables are mutable: give each
+    allocates only its result's box.  The tables are mutable: give each
     domain its own scorer.  {!fitness} builds fresh tables on every
     call. *)
 

@@ -197,7 +197,10 @@ type eval_stats = {
 val eval_stats : t -> eval_stats
 (** Counters shared by a solution and its snapshots — the measured
     locality win of the incremental path, written into the
-    [dse-run --result] file and read by the perfbench probes. *)
+    [dse-run --result] file and read by the perfbench probes.  They
+    count one process's evaluations: every solution built from scratch,
+    one decoded from a checkpoint included, starts them at zero, so
+    after a resume they cover only the resumed process's work. *)
 
 val kind_stats : eval_stats -> move_kind -> kind_stats
 (** Evaluation work booked against the kind of the mutation that

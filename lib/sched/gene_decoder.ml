@@ -32,18 +32,21 @@ let genes_of_words (tasks : Task.t array) words =
    portfolio lanes run GA sessions on several domains at once. *)
 type tables = {
   app : App.t;
-  platform : Platform.t;
   sw_exec : float array;  (* software time on processor 0 *)
-  transfer : float array;  (* bus time of each application edge's data *)
+  delay : float array;
+  (* per application edge [e]: [delay.(2e)] is 0, [delay.(2e+1)] the
+     bus time of its data, so the xor of its ends' sides picks its
+     delay without a branch *)
+  n_clb : int;
+  clb_time : float;  (* reconfiguration time of one CLB *)
   scratch : List_sched.scratch;
-  (* Per gene vector, written by [plan] (task contexts and edge delays
-     straight into [flat]) and [load]. *)
-  area : int array;  (* CLBs asked for in hardware, -1 for software *)
+  (* Per gene vector, written by [decode] (task contexts, times, edge
+     delays and the software chain straight into [flat]). *)
+  side : int array;  (* 1 in hardware, 0 in software *)
   time : float array;  (* rank weight: software or selected hw time *)
   rank : float array;
   sw : int array;  (* software tasks in list-scheduled order *)
   mutable n_sw : int;
-  ctx_clbs : int array;
   flat : Searchgraph.Flat.t;
 }
 
@@ -52,83 +55,141 @@ let tables app platform =
   let speed = Platform.processor_speed platform 0 in
   {
     app;
-    platform;
     sw_exec = Array.map (fun task -> task.Task.sw_time /. speed) app.App.tasks;
-    transfer =
-      Array.init (App.edge_count app) (fun i ->
-          Platform.transfer_time platform (App.edge app i).App.kbytes);
+    delay =
+      Array.init
+        (2 * App.edge_count app)
+        (fun i ->
+          if i land 1 = 0 then 0.0
+          else
+            let edge = App.edge app (i lsr 1) in
+            Platform.transfer_time platform edge.App.kbytes);
+    n_clb = Platform.n_clb platform;
+    clb_time = Platform.reconfiguration_time platform 1;
     scratch = List_sched.scratch n;
-    area = Array.make n (-1);
+    side = Array.make n 0;
     time = Array.make n 0.0;
     rank = Array.make n 0.0;
     sw = Array.make n 0;
     n_sw = 0;
-    ctx_clbs = Array.make n 0;
     flat = Searchgraph.Flat.create app ~contexts:n ~members:n;
   }
 
 let selected t genes v = t.app.App.tasks.(v).Task.impls.(genes.impl.(v))
 
-(* Keeps the software tasks of [tasks.(0 .. n-1)], in order, in
-   [t.sw]; [tasks] may be [t.sw] itself. *)
-let keep_software t tasks =
+(* Keeps the software tasks of [t.sw.(0 .. n-1)], in order. *)
+let keep_software t =
   let m = ref 0 in
   for i = 0 to App.size t.app - 1 do
-    let v = tasks.(i) in
-    if t.flat.context.(v) < 0 then begin
+    let v = t.sw.(i) in
+    if t.side.(v) = 0 then begin
       t.sw.(!m) <- v;
       incr m
     end
   done;
   t.n_sw <- !m
 
-(* The deterministic realization of a gene vector, the single planner
-   behind [spec] and [makespan]: temporal partitioning by clustering
-   (a hardware gene whose implementation cannot fit the device stays in
-   software), then the software order by list scheduling on upward
-   ranks: a sort by rank where that is the heap's order (see
-   [List_sched]), else the heap's software restriction.  Fills [t]'s
-   per-gene-vector buffers. *)
-let plan t genes =
-  let n = App.size t.app in
-  let context = t.flat.context and comm = t.flat.weight in
-  for v = 0 to n - 1 do
-    t.area.(v) <- (if genes.hw.(v) then (selected t genes v).Task.clbs else -1)
+(* [Float.max] with the common case first: one float compare, no
+   boxing.  Local to this module, so that it inlines.  It differs from
+   [Float.max] only on [fmax (-0.) 0.]; no tail here is -0. *)
+let fmax m x =
+  if x > m then x
+  else if Float.is_nan x || Float.is_nan m then Float.max m x
+  else m
+[@@inline]
+
+(* The deterministic realization of a gene vector, the single decode
+   behind [spec] and [makespan], written into [t.flat] in two sweeps.
+
+   The forward sweep walks the topological order and clusters: a task
+   goes to hardware when its gene is set and its selected
+   implementation fits the device (one that cannot fit stays in
+   software), into the current context while the context's CLBs stay
+   within the device, else into a new one.  So contexts are numbered,
+   and each one's members listed in [ctx_member], along the
+   topological order, and a context's configuration time is set when
+   the next one opens.  The software tasks go to [t.sw] in topological
+   order.
+
+   The reverse sweep sets each edge's delay (its transfer time when it
+   crosses HW/SW: [side] differs at its ends) and each task's HEFT
+   upward rank, and checks that every task ranks strictly above its
+   tail.  The software order is then a sort by rank where that is the
+   list scheduler's order (see [List_sched]), else the heap's software
+   restriction. *)
+let decode t genes =
+  let n = App.size t.app and k = t.flat in
+  let tasks = t.app.App.tasks and topo = App.topo t.app in
+  let side = t.side and time = t.time and rank = t.rank in
+  let contexts = ref 0 and clbs = ref 0 and members = ref 0 in
+  let n_sw = ref 0 in
+  for i = 0 to n - 1 do
+    let v = topo.(i) in
+    let a = if genes.hw.(v) then (selected t genes v).Task.clbs else -1 in
+    if a >= 0 && a <= t.n_clb then begin
+      let hw_time = (selected t genes v).Task.hw_time in
+      if !contexts = 0 || !clbs + a > t.n_clb then begin
+        if !contexts > 0 then
+          k.cfg_time.(!contexts - 1) <- t.clb_time *. float_of_int !clbs;
+        incr contexts;
+        clbs := 0
+      end;
+      clbs := !clbs + a;
+      k.context.(v) <- !contexts - 1;
+      k.exec.(v) <- hw_time;
+      time.(v) <- hw_time;
+      side.(v) <- 1;
+      k.ctx_member.(!members) <- v;
+      incr members;
+      k.ctx_start.(!contexts) <- !members
+    end
+    else begin
+      k.context.(v) <- -1;
+      k.exec.(v) <- t.sw_exec.(v);
+      time.(v) <- tasks.(v).Task.sw_time;
+      side.(v) <- 0;
+      t.sw.(!n_sw) <- v;
+      incr n_sw
+    end;
+    k.next_sw.(v) <- -1
   done;
-  t.flat.n_contexts <-
-    Clustering.contexts t.app ~limit:(Platform.n_clb t.platform) ~area:t.area
-      ~context;
-  for v = 0 to n - 1 do
-    t.time.(v) <-
-      (if context.(v) < 0 then t.app.App.tasks.(v).Task.sw_time
-       else (selected t genes v).Task.hw_time)
+  if !contexts > 0 then
+    k.cfg_time.(!contexts - 1) <- t.clb_time *. float_of_int !clbs;
+  k.n_contexts <- !contexts;
+  t.n_sw <- !n_sw;
+  let outs = App.out_edges t.app and dst = k.dst and weight = k.weight in
+  let strict = ref true in
+  for i = n - 1 downto 0 do
+    let v = topo.(i) in
+    let s = side.(v) and tail = ref 0.0 in
+    for e = outs.start.(v) to outs.start.(v + 1) - 1 do
+      let w = dst.(e) in
+      let d = t.delay.((e lsl 1) lor (s lxor side.(w))) in
+      weight.(e) <- d;
+      tail := fmax !tail (d +. rank.(w))
+    done;
+    let r = time.(v) +. !tail in
+    rank.(v) <- r;
+    (* [tail >= delay + rank w >= rank w] for every successor [w]; a
+       NaN fails the compare too. *)
+    if not (r > !tail) then strict := false
   done;
-  (* A transfer costs only across the HW/SW boundary. *)
-  let outs = App.out_edges t.app in
-  for v = 0 to n - 1 do
-    for k = outs.start.(v) to outs.start.(v + 1) - 1 do
-      let e = outs.edge.(k) in
-      comm.(e) <-
-        (if context.(v) < 0 <> (context.(outs.node.(k)) < 0) then
-           t.transfer.(e)
-         else 0.0)
-    done
-  done;
-  let strict = List_sched.upward_rank t.app ~time:t.time ~comm ~rank:t.rank in
-  keep_software t (App.topo t.app);
   if
     not
-      (strict
-      && List_sched.sort_descending t.scratch ~priority:t.rank t.sw t.n_sw)
+      (!strict
+      && List_sched.sort_descending t.scratch ~priority:rank t.sw t.n_sw)
   then begin
-    List_sched.prioritized_topological_order t.scratch t.app
-      ~priority:t.rank ~order:t.sw;
-    keep_software t t.sw
-  end
+    List_sched.prioritized_topological_order t.scratch t.app ~priority:rank
+      ~order:t.sw;
+    keep_software t
+  end;
+  for i = 1 to t.n_sw - 1 do
+    k.next_sw.(t.sw.(i - 1)) <- t.sw.(i)
+  done
 
 let spec app platform genes =
   let t = tables app platform in
-  plan t genes;
+  decode t genes;
   let context = t.flat.context in
   let sw_order = List.init t.n_sw (Array.get t.sw) in
   let bindings =
@@ -142,36 +203,6 @@ let spec app platform genes =
     ~sw_order
     ~contexts:(Clustering.members app ~context t.flat.n_contexts)
 
-(* The rest of the planned gene vector's pass arrays, the structure
-   [spec] describes: each task's time on its resource, the software
-   chain along the list-scheduled order, and the contexts as slices of
-   [ctx_member] — clustering numbers them along the topological order,
-   so each context's members are consecutive there. *)
-let load t =
-  let n = App.size t.app and k = t.flat and members = ref 0 in
-  let nc = k.n_contexts and context = k.context and topo = App.topo t.app in
-  Array.fill t.ctx_clbs 0 nc 0;
-  for i = 0 to n - 1 do
-    let v = topo.(i) in
-    let j = context.(v) in
-    if j >= 0 then begin
-      k.exec.(v) <- t.time.(v);
-      k.ctx_member.(!members) <- v;
-      incr members;
-      k.ctx_start.(j + 1) <- !members;
-      t.ctx_clbs.(j) <- t.ctx_clbs.(j) + t.area.(v)
-    end
-    else k.exec.(v) <- t.sw_exec.(v);
-    k.next_sw.(v) <- -1
-  done;
-  for j = 0 to nc - 1 do
-    k.cfg_time.(j) <- Platform.reconfiguration_time t.platform t.ctx_clbs.(j)
-  done;
-  for i = 1 to t.n_sw - 1 do
-    k.next_sw.(t.sw.(i - 1)) <- t.sw.(i)
-  done
-
 let makespan t genes =
-  plan t genes;
-  load t;
+  decode t genes;
   if Searchgraph.Flat.pass t.flat then t.flat.makespan else infinity

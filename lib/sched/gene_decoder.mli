@@ -1,10 +1,15 @@
 (** The fixed decode of a spatial gene vector into one schedule, after
     Ben Chehida & Auguin (CASES'02): temporal partitioning by the
-    deterministic {!Clustering} pass (a hardware gene whose
-    implementation cannot fit the device stays in software), then the
-    software order by list scheduling on HEFT upward ranks
+    deterministic clustering pass of {!Clustering} (a hardware gene
+    whose implementation cannot fit the device stays in software), then
+    the software order by list scheduling on HEFT upward ranks
     ({!List_sched}).  One partitioning and one schedule per spatial
     solution: exactly the structure the paper criticizes.
+
+    The decode runs in two sweeps over the topological order: a forward
+    one that clusters and sets each task's time on its resource, and a
+    reverse one that sets each edge's delay (its transfer time where it
+    crosses HW/SW) and each task's upward rank.
 
     The software order is the software tasks sorted by descending rank,
     which is the list scheduler's order whenever every rank is strictly
@@ -58,4 +63,5 @@ val makespan : tables -> genes -> float
     {!Searchgraph.build}.  [infinity] when that graph is cyclic: the
     list-scheduled software order and the clustered context chain
     follow two different topological orders, and where they disagree
-    the two chains close a cycle.  Allocates nothing. *)
+    the two chains close a cycle.  Allocates nothing but the box of its
+    result. *)

@@ -1,22 +1,5 @@
 open Repro_taskgraph
 
-let upward_rank app ~time ~comm ~rank =
-  let outs = App.out_edges app and topo = App.topo app in
-  let strict = ref true in
-  for i = Array.length topo - 1 downto 0 do
-    let v = topo.(i) in
-    let tail = ref 0.0 in
-    for k = outs.start.(v) to outs.start.(v + 1) - 1 do
-      tail := Float.max !tail (comm.(outs.edge.(k)) +. rank.(outs.node.(k)))
-    done;
-    let r = time.(v) +. !tail in
-    rank.(v) <- r;
-    (* [tail >= comm + rank w >= rank w] for every successor [w]; a NaN
-       fails the compare too. *)
-    if not (r > !tail) then strict := false
-  done;
-  !strict
-
 type scratch = {
   heap : int array;
   stamp : int array;

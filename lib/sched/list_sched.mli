@@ -2,12 +2,13 @@
 
     The fixed gene decode of {!Gene_decoder} (behind the
     genetic-algorithm baseline after Ben Chehida & Auguin, and
-    multi-mode mapping) orders tasks by a priority and schedules them
-    in a precedence-consistent order.  This module provides the classic
-    priority (HEFT-style upward rank), the prioritized topological
-    order, and a sort by descending priority that stands in for the
-    order where the two are provably the same, all on flat arrays: the
-    decoder runs them once per gene vector into buffers it reuses.
+    multi-mode mapping) orders tasks by a priority, the HEFT-style
+    upward rank that its reverse sweep computes, and schedules them in
+    a precedence-consistent order.  This module provides the
+    prioritized topological order, and a sort by descending priority
+    that stands in for the order where the two are provably the same,
+    both on flat arrays: the decoder runs them once per gene vector
+    into buffers it reuses.
 
     {b The rank-sort identity.}  With positive times and nonnegative
     communication costs, a task's upward rank is never below a
@@ -15,24 +16,14 @@
     highest rank is always ready, and {!prioritized_topological_order}
     on upward ranks lists the tasks by non-increasing rank.  Its
     restriction to any subset of tasks whose ranks are pairwise
-    distinct is therefore that subset sorted by descending rank.  The decoder sorts its software tasks with
-    {!sort_descending} and keeps the heap for the two cases where the
-    identity is not known to hold: {!upward_rank} found a task not
-    strictly above its successors (a NaN rank, which no compare
-    orders, fails it), or two software tasks share a rank. *)
+    distinct is therefore that subset sorted by descending rank.  The
+    decoder sorts its software tasks with {!sort_descending} and keeps
+    the heap for the two cases where the identity is not known to
+    hold: a task does not rank strictly above its costliest successor
+    path (a NaN rank, which no compare orders, fails that test), or
+    two software tasks share a rank. *)
 
 open Repro_taskgraph
-
-val upward_rank :
-  App.t -> time:float array -> comm:float array -> rank:float array -> bool
-(** [upward_rank app ~time ~comm ~rank] writes into [rank] the HEFT
-    upward rank: for each task, the longest remaining path to a sink
-    counting node times [time.(v)] and edge communication costs
-    [comm.(i)], where [i] is the edge's index in {!App.edges}.  Returns
-    whether every task ranks strictly above its own time-less tail
-    (the costliest successor's rank plus edge cost; 0 at a sink):
-    with nonnegative [comm], every task then ranks strictly above each
-    successor, and no rank is NaN. *)
 
 type scratch
 (** The ready heap, stamps and in-degree counters of

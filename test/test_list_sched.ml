@@ -4,6 +4,7 @@ module List_sched = Repro_sched.List_sched
 module Gene_decoder = Repro_sched.Gene_decoder
 module Searchgraph = Repro_sched.Searchgraph
 module Rng = Repro_util.Rng
+module Reference = Decode_reference
 
 let impl = { Task.clbs = 10; hw_time = 0.5 }
 
@@ -16,7 +17,7 @@ let edge src dst = { App.src; dst; kbytes = 0.0 }
 let rank_of app ~time ~comm =
   let rank = Array.make (App.size app) 0.0 in
   ignore
-    (List_sched.upward_rank app
+    (Reference.upward_rank app
        ~time:(Array.init (App.size app) time)
        ~comm:(Array.make (App.edge_count app) comm)
        ~rank
@@ -113,12 +114,13 @@ let test_determinism () =
   let order () = order_of app ~priority:float_of_int in
   Alcotest.(check (list int)) "stable across calls" (order ()) (order ())
 
-(* [upward_rank] reports whether every task ranks strictly above its
-   successors: a rank absorbed by rounding, or a NaN, is not. *)
+(* The reference [upward_rank] reports whether every task ranks
+   strictly above its successors: a rank absorbed by rounding, or a
+   NaN, is not. *)
 let test_upward_rank_strictness () =
   let strict ~time app =
     let n = App.size app in
-    List_sched.upward_rank app ~time:(Array.init n time)
+    Reference.upward_rank app ~time:(Array.init n time)
       ~comm:(Array.make (App.edge_count app) 0.0)
       ~rank:(Array.make n 0.0)
   in
@@ -175,63 +177,40 @@ let qcheck_sort_descending =
                 (fun a b -> Float.compare priority.(b) priority.(a))
                 input))
 
-(* --- the decoder's software order against the heap's --- *)
-
-(* The heap path: [prioritized_topological_order] on the upward ranks
-   of the decoded gene vector, restricted to its software tasks.  Also
-   says whether the rank-sort identity applies (strict ranks, no two
-   software tasks of equal rank). *)
-let heap_sw_order app platform (genes : Gene_decoder.genes)
-    (spec : Searchgraph.spec) =
-  let n = App.size app in
-  let hw = Array.make n false in
-  List.iter (List.iter (fun v -> hw.(v) <- true)) spec.contexts;
-  let time =
-    Array.init n (fun v ->
-        let t = App.task app v in
-        if hw.(v) then (Task.impl t genes.impl.(v)).Task.hw_time
-        else t.Task.sw_time)
-  in
-  let comm =
-    Array.init (App.edge_count app) (fun e ->
-        let { App.src; dst; kbytes } = App.edge app e in
-        if hw.(src) <> hw.(dst) then Platform.transfer_time platform kbytes
-        else 0.0)
-  in
-  let rank = Array.make n 0.0 in
-  let strict = List_sched.upward_rank app ~time ~comm ~rank in
-  let order = Array.make n 0 in
-  List_sched.prioritized_topological_order (List_sched.scratch n) app
-    ~priority:rank ~order;
-  let sw = List.filter (fun v -> not hw.(v)) (Array.to_list order) in
-  let ranks = List.map (Array.get rank) sw in
-  let distinct =
-    List.length (List.sort_uniq Float.compare ranks) = List.length sw
-  in
-  (sw, strict && distinct)
+(* --- the decoder against the step-by-step reference --- *)
 
 let bits = Int64.bits_of_float
 
-(* [spec]'s software order is the heap's, and [makespan] on [tables]
-   has the bits of the heap-ordered spec's makespan.  Returns whether
-   the identity applied. *)
+(* [spec]'s contexts and software order are the reference's, the heap's
+   order included, and [makespan] on [tables] has the bits of the
+   reference spec's makespan: [infinity] exactly where
+   [Searchgraph.evaluate] finds the graph cyclic.  Returns whether the
+   rank-sort identity applied. *)
 let check_decode label app platform tables genes =
   let spec = Gene_decoder.spec app platform genes in
-  let sw, sorted = heap_sw_order app platform genes spec in
-  Alcotest.(check (list int)) (label ^ ": software order") sw
+  let d = Reference.decode app platform genes in
+  Alcotest.(check (list (list int))) (label ^ ": contexts") d.members
+    spec.Searchgraph.contexts;
+  Alcotest.(check (list int)) (label ^ ": software order") d.sw_order
     spec.Searchgraph.sw_order;
-  let heap_makespan =
-    match Searchgraph.evaluate { spec with Searchgraph.sw_order = sw } with
-    | Some e -> e.Searchgraph.makespan
+  let reference =
+    match Searchgraph.evaluate (Reference.spec app platform genes d) with
+    | Some e ->
+      Alcotest.(check bool) (label ^ ": feasible makespan is finite") true
+        (Float.is_finite e.Searchgraph.makespan);
+      e.makespan
     | None -> infinity
   in
-  Alcotest.(check int64) (label ^ ": makespan bits") (bits heap_makespan)
+  Alcotest.(check int64) (label ^ ": makespan bits") (bits reference)
     (bits (Gene_decoder.makespan tables genes));
-  sorted
+  Reference.sorted d
 
+(* Hardware genes at a random density, 0 and 1 included. *)
 let random_genes rng app =
   let n = App.size app in
-  let density = Rng.float rng 1.0 in
+  let density =
+    match Rng.int rng 4 with 0 -> 0.0 | 1 -> 1.0 | _ -> Rng.float rng 1.0
+  in
   {
     Gene_decoder.hw = Array.init n (fun _ -> Rng.bernoulli rng density);
     impl = Array.init n (fun v -> Rng.int rng (Task.impl_count (App.task app v)));
@@ -339,6 +318,59 @@ let qcheck_decoder_is_the_heap =
           : bool);
       true)
 
+(* Random layered graphs on four kinds of device: one smaller than
+   about half the implementations (hardware genes that cannot fit stay
+   in software), one that fits a single task per context (the smallest
+   implementation's area), and 600 CLBs with every transfer free or
+   with every task of equal time (equal software ranks: the heap). *)
+let qcheck_decoder_is_the_reference =
+  QCheck.Test.make
+    ~name:"decoder is the reference on random graphs and devices" ~count:300
+    QCheck.(pair (int_bound 3) int)
+    (fun (device, seed) ->
+      let rng = Rng.create seed in
+      let app =
+        Generators.layered rng Generators.default_impl_model
+          ~layers:(1 + Rng.int rng 8) ~width:(1 + Rng.int rng 12)
+          ~edge_probability:(Rng.float rng 0.6) ~mean_sw_time:2.0
+          ~mean_kbytes:8.0
+      in
+      let areas =
+        Array.concat
+          (List.map
+             (fun t -> Array.map (fun i -> i.Task.clbs) t.Task.impls)
+             (Array.to_list app.App.tasks))
+      in
+      Array.sort Int.compare areas;
+      let app, n_clb =
+        match device with
+        | 0 -> (app, areas.(Array.length areas / 2))
+        | 1 -> (app, areas.(0))
+        | 2 ->
+          ( App.make ~name:app.App.name
+              ~tasks:(Array.to_list app.App.tasks)
+              ~edges:
+                (List.map
+                   (fun e -> { e with App.kbytes = 0.0 })
+                   (App.edges app))
+              (),
+            600 )
+        | _ -> (retimed app ~time:(fun _ -> 1.0), 600)
+      in
+      let platform =
+        Platform.with_rc_size
+          (Repro_workloads.Suite.platform_for app)
+          (Int.max 1 n_clb)
+      in
+      ignore
+        (check_decode
+           (Printf.sprintf "device %d seed %d" device seed)
+           app platform
+           (Gene_decoder.tables app platform)
+           (random_genes rng app)
+          : bool);
+      true)
+
 (* The property's inputs take both the sort and the heap. *)
 let test_decode_inputs_cover () =
   let sorted = ref 0 and heap = ref 0 in
@@ -430,6 +462,7 @@ let suite =
       test_upward_rank_strictness;
     QCheck_alcotest.to_alcotest qcheck_sort_descending;
     QCheck_alcotest.to_alcotest qcheck_decoder_is_the_heap;
+    QCheck_alcotest.to_alcotest qcheck_decoder_is_the_reference;
     Alcotest.test_case "decode inputs take the sort and the heap" `Quick
       test_decode_inputs_cover;
     Alcotest.test_case "equal software ranks take the heap" `Quick
