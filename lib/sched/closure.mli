@@ -17,14 +17,10 @@ val reaches : t -> int -> int -> bool
 (** [reaches t u v] is [true] iff there is a non-empty path u -> v.
     O(1). *)
 
-val would_close_cycle : t -> int -> int -> bool
-(** [would_close_cycle t u v] — would adding edge u->v create a cycle?
-    Equivalent to [u = v || reaches t v u].  O(1). *)
-
 val add_edge : t -> int -> int -> unit
 (** Registers a new edge and updates reachability.  Raises
-    [Invalid_argument] if the edge closes a cycle (check with
-    {!would_close_cycle} first). *)
+    [Invalid_argument] if the edge closes a cycle: if [u = v] or
+    [reaches t v u], both O(1) to check first. *)
 
 val descendants : t -> int -> Repro_util.Bitset.t
 (** Reachability row (do not mutate). *)

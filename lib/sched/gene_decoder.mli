@@ -1,22 +1,26 @@
 (** The fixed decode of a spatial gene vector into one schedule, after
-    Ben Chehida & Auguin (CASES'02): temporal partitioning by the
-    deterministic clustering pass of {!Clustering} (a hardware gene
-    whose implementation cannot fit the device stays in software), then
-    the software order by list scheduling on HEFT upward ranks
-    ({!List_sched}).  One partitioning and one schedule per spatial
-    solution: exactly the structure the paper criticizes.
+    Ben Chehida & Auguin (CASES'02): one temporal partitioning by a
+    deterministic clustering pass, then one software order by list
+    scheduling on HEFT upward ranks.  One partitioning and one schedule
+    per spatial solution: exactly the structure the paper criticizes,
+    and its concurrent exploration removes.
 
-    The decode runs in two sweeps over the topological order: a forward
-    one that clusters and sets each task's time on its resource, and a
-    reverse one that sets each edge's delay (its transfer time where it
-    crosses HW/SW) and each task's upward rank.
+    The decode runs in two sweeps over the topological order.  The
+    forward one clusters: it walks the tasks and packs each hardware
+    task into the current context until the device capacity would be
+    exceeded, then opens a new context (a hardware gene whose
+    implementation cannot fit the device stays in software); it also
+    sets each task's time on its resource.  The reverse one sets each
+    edge's delay (its transfer time where it crosses HW/SW) and each
+    task's upward rank.
 
-    The software order is the software tasks sorted by descending rank,
-    which is the list scheduler's order whenever every rank is strictly
-    above its successors' and no two software tasks share a rank (the
-    rank-sort identity in {!List_sched}).  Where either check fails the
-    list scheduler's heap runs and its software restriction is used,
-    so the order is always the heap's.
+    The software order is the software tasks, taken in topological
+    order, sorted stably by descending rank.  Times are positive and
+    transfer times nonnegative, so a task's rank is never below a
+    successor's, rounding included; and ties keep their topological
+    positions.  So the sorted order respects precedence: it is the
+    list scheduler's order on these ranks, ties going to the earlier
+    task in the topological order.
 
     Two searches decode their genes here: the genetic-algorithm
     baseline ([Repro_baseline.Ga]) on the whole application, and

@@ -90,5 +90,3 @@ let analyze spec =
     min_initiation_interval = bottleneck_load.busy;
     bottleneck = bottleneck_load.resource;
   }
-
-let sustains_period spec period = (analyze spec).min_initiation_interval <= period

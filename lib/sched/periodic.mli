@@ -29,7 +29,3 @@ type t = {
 val analyze : Searchgraph.spec -> t
 (** Resource-occupation analysis of a mapping (independent of schedule
     feasibility: pure sums over the assignment). *)
-
-val sustains_period : Searchgraph.spec -> float -> bool
-(** [sustains_period spec t] — can the mapping initiate one iteration
-    every [t] ms in steady state? *)

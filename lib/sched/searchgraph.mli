@@ -127,10 +127,6 @@ val comm_terms :
     duplicate-free, and a mutator obtains the exact pair delta of a
     move from the owners its footprint touches alone. *)
 
-val chain_pairs : int list -> (int * int) list
-(** Consecutive pairs of a software execution order: the Esw chain
-    edges, in emission order. *)
-
 val ehw_intra_pairs : cfg:int -> int list -> (int * int) list
 (** Pairs owned by one context: its configuration node [cfg] before
     each member. *)

@@ -4,8 +4,6 @@
 
 open Repro_taskgraph
 open Repro_arch
-module Clustering = Repro_sched.Clustering
-module List_sched = Repro_sched.List_sched
 module Searchgraph = Repro_sched.Searchgraph
 
 (* Clustering: walks the tasks in topological order and packs each one
@@ -34,40 +32,36 @@ let contexts app ~limit ~area ~context =
   done;
   !count
 
+(* The members of each of [count] contexts, in topological order. *)
+let members app ~context count =
+  let topo = Array.to_list (App.topo app) in
+  List.init count (fun j -> List.filter (fun v -> context.(v) = j) topo)
+
 (* The HEFT upward rank: for each task, the longest remaining path to
    a sink counting node times [time.(v)] and edge communication costs
-   [comm.(i)], where [i] is the edge's index in [App.edges].  Returns
-   whether every task ranks strictly above its own time-less tail (the
-   costliest successor's rank plus edge cost; 0 at a sink): with
-   nonnegative [comm], every task then ranks strictly above each
-   successor, and no rank is NaN. *)
+   [comm.(i)], where [i] is the edge's index in [App.edges]. *)
 let upward_rank app ~time ~comm ~rank =
   let outs = App.out_edges app and topo = App.topo app in
-  let strict = ref true in
   for i = Array.length topo - 1 downto 0 do
     let v = topo.(i) in
     let tail = ref 0.0 in
     for k = outs.start.(v) to outs.start.(v + 1) - 1 do
       tail := Float.max !tail (comm.(outs.edge.(k)) +. rank.(outs.node.(k)))
     done;
-    let r = time.(v) +. !tail in
-    rank.(v) <- r;
-    if not (r > !tail) then strict := false
-  done;
-  !strict
+    rank.(v) <- time.(v) +. !tail
+  done
 
 type decoded = {
   context : int array;  (* per task: its context's position, or -1 *)
   members : int list list;  (* per context, in topological order *)
   rank : float array;
-  strict : bool;  (* [upward_rank]'s verdict *)
-  sw_order : int list;  (* the heap's order, restricted to software *)
+  sw_order : int list;  (* by descending rank, ties in topological order *)
 }
 
 (* Clustering of the hardware genes' areas, the upward ranks under
    each task's time on its resource and each crossing edge's transfer
-   time, then the list scheduler's heap on those ranks, restricted to
-   the software tasks. *)
+   time, then the software tasks in topological order, sorted stably
+   by descending rank. *)
 let decode app platform (genes : Repro_sched.Gene_decoder.genes) =
   let n = App.size app in
   let selected v = Task.impl (App.task app v) genes.impl.(v) in
@@ -89,16 +83,16 @@ let decode app platform (genes : Repro_sched.Gene_decoder.genes) =
         else 0.0)
   in
   let rank = Array.make n 0.0 in
-  let strict = upward_rank app ~time ~comm ~rank in
-  let order = Array.make n 0 in
-  List_sched.prioritized_topological_order (List_sched.scratch n) app
-    ~priority:rank ~order;
+  upward_rank app ~time ~comm ~rank;
+  let software =
+    List.filter (fun v -> context.(v) < 0) (Array.to_list (App.topo app))
+  in
   {
     context;
-    members = Clustering.members app ~context count;
+    members = members app ~context count;
     rank;
-    strict;
-    sw_order = List.filter (fun v -> context.(v) < 0) (Array.to_list order);
+    sw_order =
+      List.stable_sort (fun a b -> Float.compare rank.(b) rank.(a)) software;
   }
 
 (* The decoded gene vector as a search-graph spec. *)
@@ -109,10 +103,3 @@ let spec app platform (genes : Repro_sched.Gene_decoder.genes) d =
       if j < 0 then Searchgraph.Sw else Searchgraph.Hw j)
     ~impl_choice:(fun v -> genes.impl.(v))
     ~sw_order:d.sw_order ~contexts:d.members
-
-(* Whether the rank-sort identity applies: strict ranks, and no two
-   software tasks of equal rank. *)
-let sorted d =
-  let ranks = List.map (Array.get d.rank) d.sw_order in
-  d.strict
-  && List.length (List.sort_uniq Float.compare ranks) = List.length d.sw_order

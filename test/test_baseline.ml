@@ -1,6 +1,5 @@
 open Repro_taskgraph
 open Repro_arch
-module Clustering = Repro_sched.Clustering
 module Ga = Repro_baseline.Ga
 module Greedy = Repro_baseline.Greedy
 module Random_search = Repro_baseline.Random_search
@@ -49,7 +48,7 @@ let cluster ?(is_hw = fun _ -> true) app platform =
     Decode_reference.contexts app ~limit:(Platform.n_clb platform) ~area
       ~context
   in
-  (Clustering.members app ~context count, context)
+  (Decode_reference.members app ~context count, context)
 
 let test_clustering_capacity () =
   let app = app () in

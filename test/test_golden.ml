@@ -201,6 +201,10 @@ let ga132 () =
   let app, platform = layered128 () in
   registered_ga "ga" app platform
 
+let ga_md28 () =
+  let app, platform = md () in
+  registered_ga "ga" app platform
+
 let ga_spatial_md28 () =
   let app, platform = md () in
   registered_ga "ga-spatial" app platform
@@ -372,7 +376,9 @@ let multi_mode_branching () =
    orders became linked chains; the four portfolio schedules, before
    lanes stopped round-tripping through member checkpoint files between
    slices; the branching multi-mode run, before the multi-mode explorer
-   decoded and scored its genes through the GA's planner. *)
+   decoded and scored its genes through the GA's planner; the ga run
+   on motion detection, whose ranks tie, before the decoder's software
+   order became a stable sort of the topological order alone. *)
 let golden =
   [
     ( "explore default",
@@ -410,6 +416,9 @@ let golden =
     ( "registered ga on the 132-task layered benchmark graph",
       ga132,
       "1dcbd260 40667c661c0da1a4 1195 3" );
+    ( "registered ga on motion detection",
+      ga_md28,
+      "8be9d50b 403cc61ef80330e6 1195 3" );
     ( "registered ga-spatial on motion detection",
       ga_spatial_md28,
       "b4d50a54 403e898cff3659cb 1195 3" );

@@ -56,9 +56,9 @@ let test_mixed_mapping () =
   checkf "II is the cpu" 3.0 analysis.Periodic.min_initiation_interval;
   (* Pipelined feasibility vs latency: latency is 4.3 ms (see the
      searchgraph tests) but one iteration can start every 3 ms. *)
-  Alcotest.(check bool) "sustains 3 ms" true (Periodic.sustains_period s 3.0);
-  Alcotest.(check bool) "cannot sustain 2.9 ms" false
-    (Periodic.sustains_period s 2.9)
+  let interval = analysis.Periodic.min_initiation_interval in
+  Alcotest.(check bool) "sustains 3 ms" true (interval <= 3.0);
+  Alcotest.(check bool) "cannot sustain 2.9 ms" false (interval <= 2.9)
 
 let test_latency_vs_period () =
   let s =
@@ -83,14 +83,16 @@ let test_motion_detection_period () =
   let app = Repro_workloads.Motion_detection.app () in
   let platform = Repro_workloads.Motion_detection.platform () in
   let all_sw = Repro_dse.Solution.all_software app platform in
+  let interval s =
+    (Periodic.analyze (Repro_dse.Solution.spec s))
+      .Periodic.min_initiation_interval
+  in
   Alcotest.(check bool) "all-software cannot sustain 40 ms" false
-    (Periodic.sustains_period (Repro_dse.Solution.spec all_sw) 40.0);
+    (interval all_sw <= 40.0);
   let config = Repro_dse.Explorer.default_config ~seed:2 () in
   let result = Repro_dse.Explorer.explore config app platform in
   Alcotest.(check bool) "explored mapping sustains 40 ms" true
-    (Periodic.sustains_period
-       (Repro_dse.Solution.spec result.Repro_dse.Explorer.best)
-       40.0)
+    (interval result.Repro_dse.Explorer.best <= 40.0)
 
 let qcheck_all_software_period_is_total_time =
   QCheck.Test.make
