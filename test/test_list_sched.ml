@@ -311,6 +311,163 @@ let test_ties_keep_topological_order () =
     (decoded_sw_order app platform genes);
   check_decode "fork" app platform (Gene_decoder.tables app platform) genes
 
+(* --- pinned decodes: the rank order and the clustering --- *)
+
+let fork_app () =
+  (* 0 -> {1, 2} -> 3, with 2 much heavier than 1. *)
+  App.make ~name:"fork"
+    ~tasks:[ task 0 1.0; task 1 1.0; task 2 9.0; task 3 1.0 ]
+    ~edges:[ edge 0 1; edge 0 2; edge 1 3; edge 2 3 ]
+    ()
+
+(* Decodes [genes] and checks the result against the reference too. *)
+let decoded ?(n_clb = 600) app genes =
+  let platform =
+    Platform.with_rc_size (Repro_workloads.Suite.platform_for app) n_clb
+  in
+  check_decode app.App.name app platform
+    (Gene_decoder.tables app platform)
+    genes;
+  Gene_decoder.spec app platform genes
+
+let hardware app hw =
+  { Gene_decoder.hw = Array.init (App.size app) hw;
+    impl = Array.make (App.size app) 0 }
+
+let test_heavy_branch_first () =
+  let app = fork_app () in
+  Alcotest.(check (list int)) "heavy first" [ 0; 2; 1; 3 ]
+    (decoded app (all_software app)).Searchgraph.sw_order
+
+(* With every time equal, ranks fall along each edge, so the order is
+   topological and complete. *)
+let test_order_is_topological () =
+  let app = retimed (fork_app ()) ~time:(fun _ -> 1.0) in
+  let order = (decoded app (all_software app)).Searchgraph.sw_order in
+  let position = Array.make (App.size app) (-1) in
+  List.iteri (fun i v -> position.(v) <- i) order;
+  List.iter
+    (fun { App.src; dst; kbytes = _ } ->
+      Alcotest.(check bool) "edge respected" true
+        (position.(src) < position.(dst)))
+    (App.edges app);
+  Alcotest.(check int) "complete" 4 (List.length order)
+
+(* Equal-rank successors decode in [App.topo]'s order, which follows
+   the order the edges were given in: [Graph.add_edge] conses each
+   successor in front, so the fan's later edges are released first. *)
+let test_equal_successors_follow_topo () =
+  let app edges =
+    App.make ~name:"fan"
+      ~tasks:[ task 0 1.0; task 1 1.0; task 2 1.0; task 3 1.0 ]
+      ~edges ()
+  in
+  let check label expected app =
+    Alcotest.(check (list int)) (label ^ ": App.topo") expected
+      (Array.to_list (App.topo app));
+    Alcotest.(check (list int)) label expected
+      (decoded app (all_software app)).Searchgraph.sw_order
+  in
+  check "forward input" [ 0; 1; 2; 3 ]
+    (app [ edge 0 1; edge 0 2; edge 0 3 ]);
+  check "backward input" [ 0; 3; 2; 1 ]
+    (app [ edge 0 3; edge 0 2; edge 0 1 ])
+
+(* The sort's three kinds of input at their largest, on 1,100
+   independent tasks (35 blocks): ranks rising along the topological
+   order (every insertion and merge at its longest), falling (every
+   merge skipped) and five-valued (ties across blocks and merges). *)
+let check_antichain_order label ~time ~expected =
+  let app = antichain 1_100 ~time in
+  Alcotest.(check (list int)) label (expected app)
+    (decoded app (all_software app)).Searchgraph.sw_order
+
+let test_rising_ranks () =
+  check_antichain_order "descending ranks"
+    ~time:(fun v -> float_of_int (v + 1))
+    ~expected:(fun app -> List.rev (Array.to_list (App.topo app)))
+
+let test_falling_ranks () =
+  check_antichain_order "input order"
+    ~time:(fun v -> float_of_int (2_000 - v))
+    ~expected:(fun app -> Array.to_list (App.topo app))
+
+let test_five_valued_ranks () =
+  check_antichain_order "stable descending" ~time:five_valued
+    ~expected:(fun app ->
+      List.stable_sort
+        (fun a b -> Float.compare (five_valued b) (five_valued a))
+        (Array.to_list (App.topo app)))
+
+(* A rank absorbed by rounding ties with its successor's: 0 (1e-20)
+   precedes 1 (1e3) and ranks exactly as 1 and the independent 2 do.
+   The three ties keep [App.topo]'s order, which releases the sources
+   0 and 2 before 1, so 0 stays ahead of its successor. *)
+let test_absorbed_rank_keeps_precedence () =
+  let app =
+    App.make ~name:"absorbed"
+      ~tasks:[ task 0 1e-20; task 1 1e3; task 2 1e3 ]
+      ~edges:[ edge 0 1 ] ()
+  in
+  let rank =
+    rank_of app ~time:(fun v -> (App.task app v).Task.sw_time) ~comm:0.0
+  in
+  Alcotest.(check int64) "0 ties with 1" (bits rank.(1)) (bits rank.(0));
+  Alcotest.(check int64) "1 ties with 2" (bits rank.(2)) (bits rank.(1));
+  Alcotest.(check (list int)) "topological tie order" [ 0; 2; 1 ]
+    (decoded app (all_software app)).Searchgraph.sw_order
+
+let test_hardware_leaves_software_order () =
+  let app = fork_app () in
+  let spec = decoded app (hardware app (fun v -> v = 2)) in
+  Alcotest.(check (list int)) "software order" [ 0; 1; 3 ]
+    spec.Searchgraph.sw_order;
+  Alcotest.(check (list (list int))) "contexts" [ [ 2 ] ]
+    spec.Searchgraph.contexts
+
+(* A chain of 10-CLB tasks on a 25-CLB device: two per context. *)
+let test_clustering_fills_contexts () =
+  let app =
+    App.make ~name:"chain5"
+      ~tasks:(List.init 5 (fun v -> task v 1.0))
+      ~edges:(List.init 4 (fun v -> edge v (v + 1)))
+      ()
+  in
+  let spec = decoded ~n_clb:25 app (hardware app (fun _ -> true)) in
+  Alcotest.(check (list (list int))) "contexts" [ [ 0; 1 ]; [ 2; 3 ]; [ 4 ] ]
+    spec.Searchgraph.contexts;
+  Alcotest.(check (list int)) "no software" [] spec.Searchgraph.sw_order
+
+(* A hardware gene whose implementation is larger than the device
+   stays in software, and the clustering goes on past it. *)
+let test_oversized_gene_stays_in_software () =
+  let big v =
+    Task.make ~id:v ~name:(Printf.sprintf "t%d" v) ~functionality:"F"
+      ~sw_time:1.0
+      ~impls:[ { Task.clbs = 40; hw_time = 0.5 } ]
+  in
+  let app =
+    App.make ~name:"oversized"
+      ~tasks:[ task 0 1.0; big 1; task 2 1.0 ]
+      ~edges:[ edge 0 1; edge 1 2 ] ()
+  in
+  let spec = decoded ~n_clb:25 app (hardware app (fun _ -> true)) in
+  Alcotest.(check (list (list int))) "contexts" [ [ 0; 2 ] ]
+    spec.Searchgraph.contexts;
+  Alcotest.(check (list int)) "software" [ 1 ] spec.Searchgraph.sw_order
+
+(* Contexts fill along the topological order, not the task ids: the
+   chain 2 -> 1 -> 0 packs 2 and 1 first. *)
+let test_contexts_follow_topological_order () =
+  let app =
+    App.make ~name:"reversed"
+      ~tasks:(List.init 3 (fun v -> task v 1.0))
+      ~edges:[ edge 2 1; edge 1 0 ] ()
+  in
+  let spec = decoded ~n_clb:20 app (hardware app (fun _ -> true)) in
+  Alcotest.(check (list (list int))) "contexts" [ [ 2; 1 ]; [ 0 ] ]
+    spec.Searchgraph.contexts
+
 let suite =
   [
     Alcotest.test_case "upward rank chain" `Quick test_upward_rank_chain;
@@ -319,4 +476,22 @@ let suite =
     QCheck_alcotest.to_alcotest qcheck_decoder_is_the_reference;
     Alcotest.test_case "equal software ranks keep topological order" `Quick
       test_ties_keep_topological_order;
+    Alcotest.test_case "prioritized topo order" `Quick test_heavy_branch_first;
+    Alcotest.test_case "order is topological" `Quick test_order_is_topological;
+    Alcotest.test_case "equal successors follow App.topo" `Quick
+      test_equal_successors_follow_topo;
+    Alcotest.test_case "rising ranks across blocks" `Quick test_rising_ranks;
+    Alcotest.test_case "falling ranks across blocks" `Quick test_falling_ranks;
+    Alcotest.test_case "five-valued ranks across blocks" `Quick
+      test_five_valued_ranks;
+    Alcotest.test_case "absorbed rank keeps precedence" `Quick
+      test_absorbed_rank_keeps_precedence;
+    Alcotest.test_case "hardware leaves the software order" `Quick
+      test_hardware_leaves_software_order;
+    Alcotest.test_case "clustering fills contexts" `Quick
+      test_clustering_fills_contexts;
+    Alcotest.test_case "oversized gene stays in software" `Quick
+      test_oversized_gene_stays_in_software;
+    Alcotest.test_case "contexts follow the topological order" `Quick
+      test_contexts_follow_topological_order;
   ]
