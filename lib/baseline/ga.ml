@@ -55,32 +55,45 @@ let scorer app platform =
 
 let fitness app platform individual = scorer app platform individual
 
+(* The draw order of the operators below is part of every seeded run:
+   the implementation genes draw before the hardware genes, the order
+   in which OCaml evaluated the fields of the record literals that once
+   built the children (right to left).  Binding the [impl] draws first
+   keeps every seeded trajectory and checkpoint as it was. *)
 let random_individual rng config app =
   let n = App.size app in
-  {
-    hw = Array.init n (fun _ -> Rng.bool rng);
-    impl =
-      Array.init n (fun v ->
-          if config.explore_impls then
-            Rng.int rng (Task.impl_count (App.task app v))
-          else 0);
-  }
+  let impl =
+    Array.init n (fun v ->
+        if config.explore_impls then
+          Rng.int rng (Task.impl_count (App.task app v))
+        else 0)
+  in
+  let hw = Array.init n (fun _ -> Rng.bool rng) in
+  { hw; impl }
 
 let crossover rng a b =
-  (* Uniform crossover, gene by gene. *)
+  (* Uniform crossover: one coin per gene, from a's gene on heads. *)
   let n = Array.length a.hw in
-  let pick x y = if Rng.bool rng then x else y in
-  {
-    hw = Array.init n (fun v -> pick a.hw.(v) b.hw.(v));
-    impl = Array.init n (fun v -> pick a.impl.(v) b.impl.(v));
-  }
+  let impl = Array.make n 0 in
+  Rng.select_into rng a.impl b.impl impl;
+  let hw = Array.make n false in
+  Rng.select_bools_into rng a.hw b.hw hw;
+  { hw; impl }
 
-let mutate rng config app rate individual =
-  let n = Array.length individual.hw in
-  for v = 0 to n - 1 do
-    if Rng.bernoulli rng rate then individual.hw.(v) <- not individual.hw.(v);
-    if config.explore_impls && Rng.bernoulli rng rate then
-      individual.impl.(v) <- Rng.int rng (Task.impl_count (App.task app v))
+let mutate rng ~explore_impls app rate individual =
+  (* The per-gene loop's draws, walked from hit to hit: a hit on draw
+     [per * v] flips task [v]'s hardware gene; with implementation
+     genes ([per = 2]), a hit on draw [2v + 1] redraws its
+     implementation gene at once, before the walk goes on. *)
+  let per = if explore_impls then 2 else 1 in
+  let total = per * Array.length individual.hw in
+  let k = ref (Rng.first_below rng rate ~from:0 ~until:total) in
+  while !k < total do
+    let v = !k / per in
+    if !k mod per = 0 then individual.hw.(v) <- not individual.hw.(v)
+    else
+      individual.impl.(v) <- Rng.int rng (Task.impl_count (App.task app v));
+    k := Rng.first_below rng rate ~from:(!k + 1) ~until:total
   done
 
 let copy_individual i = { hw = Array.copy i.hw; impl = Array.copy i.impl }
@@ -220,7 +233,8 @@ let evolve ?payload config (ctx : Engine.context) =
                   crossover rng parent_a (tournament_pick ())
                 else copy_individual parent_a
               in
-              mutate rng config app config.mutation_rate child;
+              mutate rng ~explore_impls:config.explore_impls app
+                config.mutation_rate child;
               (score child, child)
             end)
       in

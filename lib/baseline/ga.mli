@@ -50,6 +50,23 @@ val scorer : App.t -> Platform.t -> individual -> float
     domain its own scorer.  {!fitness} builds fresh tables on every
     call. *)
 
+val crossover : Repro_util.Rng.t -> individual -> individual -> individual
+(** [crossover rng a b] is uniform crossover: each gene comes from [a]
+    on heads of one {!Repro_util.Rng.bool} coin, else from [b].  All
+    implementation genes draw first, then all hardware genes, each in
+    task order ({!Repro_util.Rng.select_into} and
+    {!Repro_util.Rng.select_bools_into}). *)
+
+val mutate :
+  Repro_util.Rng.t -> explore_impls:bool -> App.t -> float -> individual ->
+  unit
+(** [mutate rng ~explore_impls app rate i] mutates [i] in place, task by
+    task: a {!Repro_util.Rng.bernoulli} [rate] draw flips the hardware
+    gene, then, with [explore_impls], a second one redraws the
+    implementation gene with {!Repro_util.Rng.int} at once.  The draws
+    are walked from hit to hit with {!Repro_util.Rng.first_below}, which
+    consumes the same stream as the per-gene loop. *)
+
 val engine :
   ?population:int -> ?explore_impls:bool -> unit -> Repro_dse.Engine.t
 (** An engine over generations: one budget iteration = one generation.

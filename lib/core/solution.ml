@@ -318,8 +318,9 @@ let invalidate t =
 
 let eval_stats t = t.stats
 
-(* Shared closures are computed once per application and reused by
-   copies; a weak-keyed cache would be overkill here. *)
+(* Every constructor ([all_software], [random], [of_mapping], [decode])
+   computes the closure afresh through [unlinked]; only copies of a
+   solution share it. *)
 let closure_of_app application = Closure.of_graph application.App.graph
 
 (* A solution with every chain empty; the constructors link its

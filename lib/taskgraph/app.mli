@@ -62,11 +62,19 @@ val iter_incident : t -> int -> (int -> unit) -> unit
 
 val topological_order : t -> int array
 (** {!Graph.topological_order} of [graph], computed once by {!make};
-    each call returns a fresh copy. *)
+    each call returns a fresh copy.  Among the orders the edges allow,
+    the one returned depends on the order in which the edges were
+    given: {!Graph.add_edge} puts each new successor in front of the
+    earlier ones, so a fan [0 -> {1, 2, 3}] listed forward gives
+    [[0; 1; 2; 3]] and listed backward [[0; 3; 2; 1]].  The edge order
+    of an application (of a [.tg] file too) is therefore part of its
+    input: it sets the tie order of the GA decode
+    ([Repro_sched.Gene_decoder]) and of the all-software warm start. *)
 
 val topo : t -> int array
 (** The array behind {!topological_order}, shared rather than copied,
-    for per-evaluation loops.  Read it; never write it. *)
+    for per-evaluation loops; the same edge-order dependence.  Read it;
+    never write it. *)
 
 type adjacency = private {
   start : int array;

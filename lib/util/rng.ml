@@ -95,6 +95,91 @@ let bool t = Int64.logand (next t) 1L = 1L
 
 let bernoulli t p = float t 1.0 < p
 
+(* The bulk kernels step the generator with its four words in locals:
+   one load and one store of the state per call instead of per draw.
+   Each consumes exactly the draws of the single-draw loop it stands
+   for, in the same order, so a stream is the same either way.  The
+   step is [next]'s, written out in each loop because a helper taking
+   the locals would box them.  The selections pick without a branch:
+   [m] is all ones on heads, and [b lxor ((a lxor b) land m)] is then
+   [a], else [b]; a coin is as likely to mispredict as not. *)
+
+let check_lengths name a b dst =
+  let n = Array.length dst in
+  if Array.length a <> n || Array.length b <> n then
+    invalid_arg ("Rng." ^ name ^ ": arrays of unequal lengths");
+  n
+
+let select_into t (a : int array) (b : int array) (dst : int array) =
+  let n = check_lengths "select_into" a b dst in
+  let open Int64 in
+  let s0 = ref (get t 0) and s1 = ref (get t 1) in
+  let s2 = ref (get t 2) and s3 = ref (get t 3) in
+  for i = 0 to n - 1 do
+    let x0 = !s0 and x1 = !s1 in
+    let result = mul (rotl (mul x1 5L) 7) 9L in
+    let x2 = logxor !s2 x0 in
+    let x3 = logxor !s3 x1 in
+    s0 := logxor x0 x3;
+    s1 := logxor x1 x2;
+    s2 := logxor x2 (shift_left x1 17);
+    s3 := rotl x3 45;
+    let m = -(to_int result land 1) and bi = b.(i) in
+    dst.(i) <- bi lxor ((a.(i) lxor bi) land m)
+  done;
+  set t 0 !s0;
+  set t 1 !s1;
+  set t 2 !s2;
+  set t 3 !s3
+
+let select_bools_into t (a : bool array) (b : bool array) (dst : bool array) =
+  let n = check_lengths "select_bools_into" a b dst in
+  let open Int64 in
+  let s0 = ref (get t 0) and s1 = ref (get t 1) in
+  let s2 = ref (get t 2) and s3 = ref (get t 3) in
+  for i = 0 to n - 1 do
+    let x0 = !s0 and x1 = !s1 in
+    let result = mul (rotl (mul x1 5L) 7) 9L in
+    let x2 = logxor !s2 x0 in
+    let x3 = logxor !s3 x1 in
+    s0 := logxor x0 x3;
+    s1 := logxor x1 x2;
+    s2 := logxor x2 (shift_left x1 17);
+    s3 := rotl x3 45;
+    let m = -(to_int result land 1) and bi = Bool.to_int b.(i) in
+    dst.(i) <- bi lxor ((Bool.to_int a.(i) lxor bi) land m) = 1
+  done;
+  set t 0 !s0;
+  set t 1 !s1;
+  set t 2 !s2;
+  set t 3 !s3
+
+let first_below t p ~from ~until =
+  let open Int64 in
+  let s0 = ref (get t 0) and s1 = ref (get t 1) in
+  let s2 = ref (get t 2) and s3 = ref (get t 3) in
+  let i = ref from and hit = ref false in
+  while (not !hit) && !i < until do
+    let x0 = !s0 and x1 = !s1 in
+    let result = mul (rotl (mul x1 5L) 7) 9L in
+    let x2 = logxor !s2 x0 in
+    let x3 = logxor !s3 x1 in
+    s0 := logxor x0 x3;
+    s1 := logxor x1 x2;
+    s2 := logxor x2 (shift_left x1 17);
+    s3 := rotl x3 45;
+    (* [float t 1.0 < p], the same rounding included. *)
+    if to_float (shift_right_logical result 11) /. 9007199254740992.0 *. 1.0
+       < p
+    then hit := true
+    else incr i
+  done;
+  set t 0 !s0;
+  set t 1 !s1;
+  set t 2 !s2;
+  set t 3 !s3;
+  if !hit then !i else until
+
 let gaussian t =
   let rec draw () =
     let u = float t 1.0 in

@@ -46,6 +46,24 @@ val bool : t -> bool
 val bernoulli : t -> float -> bool
 (** [bernoulli t p] is [true] with probability [p]. *)
 
+val select_into : t -> int array -> int array -> int array -> unit
+(** [select_into t a b dst] sets [dst.(i)] to [a.(i)] if {!bool} [t]
+    is [true], else to [b.(i)], for ascending [i]: the draws of that
+    loop in its order, with the generator state loaded and stored once.
+    [dst] may be [a] or [b].  Raises [Invalid_argument] unless the
+    three arrays have equal lengths. *)
+
+val select_bools_into : t -> bool array -> bool array -> bool array -> unit
+(** {!select_into} on arrays of booleans. *)
+
+val first_below : t -> float -> from:int -> until:int -> int
+(** [first_below t p ~from ~until] draws [float t 1.0] for the indices
+    [from], [from + 1], ... below [until] and returns the index of the
+    first draw below [p], stopping after that draw.  It returns [until]
+    when no draw is below [p], after [until - from] draws, none when
+    [from >= until].  The draws are those of {!bernoulli} [t p] at each
+    index, with the generator state loaded and stored once. *)
+
 val gaussian : t -> float
 (** Standard normal deviate (Box-Muller). *)
 

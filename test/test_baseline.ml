@@ -1,6 +1,7 @@
 open Repro_taskgraph
 open Repro_arch
 module Ga = Repro_baseline.Ga
+module Rng = Repro_util.Rng
 module Greedy = Repro_baseline.Greedy
 module Random_search = Repro_baseline.Random_search
 module Hill_climb = Repro_baseline.Hill_climb
@@ -142,6 +143,46 @@ let test_ga_spatial_only () =
     (List.for_all
        (fun v -> Solution.impl_index o.Engine.best v = 0)
        (List.init (App.size app) Fun.id))
+
+(* --- breeding against the single-draw reference --- *)
+
+let random_parent rng app =
+  let n = App.size app in
+  {
+    Ga.hw = Array.init n (fun _ -> Rng.bool rng);
+    impl =
+      Array.init n (fun v -> Rng.int rng (Task.impl_count (App.task app v)));
+  }
+
+(* A child bred by [Ga] and one bred by [Breeding_reference] from the
+   same parents and generator state: crossover then mutation, as a
+   generation breeds, and mutation of a parent's copy, as it does when
+   crossover is skipped.  At rate 1 every gene hits, so the [Rng.int]
+   draws of the implementation genes interleave with the rest. *)
+let breeds_like_reference ~explore_impls =
+  let apps = lazy [| Md.app (); fst (Test_golden.layered128 ()) |] in
+  QCheck.Test.make ~count:150
+    ~name:
+      (Printf.sprintf "%s breeding = single-draw reference"
+         (if explore_impls then "ga" else "ga-spatial"))
+    QCheck.(triple small_nat (int_bound 2) (int_bound 1))
+    (fun (seed, r, which) ->
+      let app = (Lazy.force apps).(which) in
+      let rate = [| 0.0; 0.02; 1.0 |].(r) in
+      let rng = Rng.create seed in
+      let a = random_parent rng app and b = random_parent rng app in
+      let fast = Rng.copy rng and slow = Rng.copy rng in
+      let child = Ga.crossover fast a b in
+      let want = Breeding_reference.crossover slow a b in
+      Ga.mutate fast ~explore_impls app rate child;
+      Breeding_reference.mutate slow ~explore_impls app rate want;
+      let copy i =
+        { Ga.hw = Array.copy i.Ga.hw; impl = Array.copy i.Ga.impl }
+      in
+      let mutant = copy a and want_mutant = copy a in
+      Ga.mutate fast ~explore_impls app rate mutant;
+      Breeding_reference.mutate slow ~explore_impls app rate want_mutant;
+      child = want && mutant = want_mutant && Rng.state fast = Rng.state slow)
 
 (* --- greedy --- *)
 
@@ -484,6 +525,8 @@ let suite =
       test_ga_final_population_vs_oracle;
     Alcotest.test_case "ga tables reused: A, B, A" `Quick test_ga_tables_reused;
     Alcotest.test_case "ga scoring allocation" `Quick test_ga_scoring_allocation;
+    QCheck_alcotest.to_alcotest (breeds_like_reference ~explore_impls:true);
+    QCheck_alcotest.to_alcotest (breeds_like_reference ~explore_impls:false);
     Alcotest.test_case "greedy fraction" `Quick test_greedy_fraction;
     Alcotest.test_case "greedy run" `Quick test_greedy_run;
     Alcotest.test_case "random search" `Quick test_random_search;

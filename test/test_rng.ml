@@ -190,6 +190,108 @@ let qcheck_int_bounds =
       let v = Rng.int rng n in
       v >= 0 && v < n)
 
+(* The bulk kernels against the single-draw loops they stand for:
+   equal results and equal generator states afterwards. *)
+
+let probabilities = [| 0.0; 0.02; 0.5; 1.0 |]
+
+let full_ints rng n = Array.init n (fun _ -> Int64.to_int (Rng.bits64 rng))
+
+let qcheck_select_into =
+  QCheck.Test.make ~name:"Rng.select_into is its single-draw loop" ~count:300
+    QCheck.(pair small_nat (int_range 0 300))
+    (fun (seed, n) ->
+      let data = Rng.create (seed + 1_000) in
+      let a = full_ints data n and b = full_ints data n in
+      let fast = Rng.create seed in
+      let slow = Rng.copy fast in
+      let dst = Array.make n 0 in
+      Rng.select_into fast a b dst;
+      let want =
+        Array.init n (fun i -> if Rng.bool slow then a.(i) else b.(i))
+      in
+      dst = want && Rng.state fast = Rng.state slow)
+
+let qcheck_select_bools_into =
+  QCheck.Test.make ~name:"Rng.select_bools_into is its single-draw loop"
+    ~count:300
+    QCheck.(pair small_nat (int_range 0 300))
+    (fun (seed, n) ->
+      let data = Rng.create (seed + 1_000) in
+      let a = Array.init n (fun _ -> Rng.bool data)
+      and b = Array.init n (fun _ -> Rng.bool data) in
+      let fast = Rng.create seed in
+      let slow = Rng.copy fast in
+      (* In place over [b], as a selection may be. *)
+      let want =
+        Array.init n (fun i -> if Rng.bool slow then a.(i) else b.(i))
+      in
+      Rng.select_bools_into fast a b b;
+      b = want && Rng.state fast = Rng.state slow)
+
+(* Walks every hit, as [Ga.mutate] does, from a random start. *)
+let qcheck_first_below =
+  QCheck.Test.make ~name:"Rng.first_below is its single-draw loop" ~count:500
+    QCheck.(
+      quad small_nat (int_range 0 300) (int_bound 3) (int_range 0 300))
+    (fun (seed, until, which, from) ->
+      let p = probabilities.(which) in
+      let from = from mod (until + 2) in
+      let fast = Rng.create seed in
+      let slow = Rng.copy fast in
+      let rec walk from =
+        let k = Rng.first_below fast p ~from ~until in
+        if k < until then k :: walk (k + 1) else [ k ]
+      in
+      let want =
+        List.filter (fun _ -> Rng.bernoulli slow p)
+          (List.init (max 0 (until - from)) (fun i -> from + i))
+        @ [ until ]
+      in
+      walk from = want && Rng.state fast = Rng.state slow)
+
+let test_select_unequal_lengths () =
+  let rng = Rng.create 3 in
+  let short = [| 1; 2 |] and long = [| 1; 2; 3 |] in
+  let raises f =
+    Alcotest.check_raises "unequal lengths"
+      (Invalid_argument "Rng.select_into: arrays of unequal lengths") f
+  in
+  raises (fun () -> Rng.select_into rng short long long);
+  raises (fun () -> Rng.select_into rng long short long);
+  raises (fun () -> Rng.select_into rng long long short);
+  Alcotest.check_raises "unequal lengths, booleans"
+    (Invalid_argument "Rng.select_bools_into: arrays of unequal lengths")
+    (fun () -> Rng.select_bools_into rng [| true |] [||] [| false |]);
+  let before = Rng.state (Rng.create 3) in
+  Alcotest.(check (array int64)) "no draw before the check" before
+    (Rng.state rng)
+
+let test_first_below_empty () =
+  let rng = Rng.create 4 in
+  let before = Rng.state rng in
+  Alcotest.(check int) "from = until" 7
+    (Rng.first_below rng 1.0 ~from:7 ~until:7);
+  Alcotest.(check int) "from > until" 7
+    (Rng.first_below rng 1.0 ~from:9 ~until:7);
+  Alcotest.(check (array int64)) "no draw" before (Rng.state rng)
+
+let test_kernels_allocation () =
+  let rng = Rng.create 6 in
+  let a = Array.make 264 1 and b = Array.make 264 2 in
+  let dst = Array.make 264 0 in
+  let ha = Array.make 264 true and hb = Array.make 264 false in
+  let before = Gc.minor_words () in
+  for _ = 1 to 100 do
+    Rng.select_into rng a b dst;
+    Rng.select_bools_into rng ha hb hb;
+    ignore (Rng.first_below rng 0.02 ~from:0 ~until:264)
+  done;
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check bool)
+    (Printf.sprintf "the kernels allocate %.0f words in 100 rounds" words)
+    true (words < 100.0)
+
 let suite =
   [
     Alcotest.test_case "determinism" `Quick test_determinism;
@@ -210,4 +312,11 @@ let suite =
     Alcotest.test_case "choice_list" `Quick test_choice_list;
     Alcotest.test_case "pick_weighted" `Quick test_pick_weighted;
     QCheck_alcotest.to_alcotest qcheck_int_bounds;
+    QCheck_alcotest.to_alcotest qcheck_select_into;
+    QCheck_alcotest.to_alcotest qcheck_select_bools_into;
+    QCheck_alcotest.to_alcotest qcheck_first_below;
+    Alcotest.test_case "select unequal lengths" `Quick
+      test_select_unequal_lengths;
+    Alcotest.test_case "first_below, no index" `Quick test_first_below_empty;
+    Alcotest.test_case "kernels allocation" `Quick test_kernels_allocation;
   ]
