@@ -106,13 +106,10 @@ let report_warnings ~what warnings =
     warnings
 
 (* The --engine front door of dse-run, dse-sweep and dse-pareto, the
-   same one the daemon uses: [None] is the annealer the tool's own
-   flags configure; [report] receives a portfolio's per-lane verdicts.
-   The registry is populated explicitly (never by linking side
-   effects), and an unknown name dies as a usage error listing what is
-   registered. *)
-let search_engine ?report name =
-  match Repro_serve.Job.resolve_engine ?report name with
+   daemon's resolver; [report] receives a portfolio's per-lane
+   verdicts, and a resolution error is a one-line usage error. *)
+let search_engine ?report ~config name =
+  match Repro_serve.Job.resolve_engine ?report ~config name with
   | Ok engine -> engine
   | Error msg -> fail "%s" msg
 

@@ -18,11 +18,12 @@ let run sizes iterations seed engine_name jobs device_timeout =
    | Some s when s <= 0.0 ->
      Cli_common.fail "--device-timeout wants a positive number of seconds"
    | _ -> ());
-  let engine = Cli_common.search_engine engine_name in
+  let config = Explorer.sa_config iterations in
+  let engine = Cli_common.search_engine ~config engine_name in
   let catalogue = List.map (fun n_clb -> Md.platform ~n_clb ()) sizes in
   let report =
     Explorer.cost_performance_frontier ~seed ~iterations ~jobs
-      ?device_timeout ?engine
+      ?device_timeout ~engine
       ~should_stop:(Cli_common.should_stop ~time_budget:None)
       app catalogue
   in
@@ -87,7 +88,7 @@ let sizes_arg =
 
 let iters_arg =
   Arg.(value & opt int 20_000 & info [ "iters" ]
-       ~doc:"Iterations per platform")
+       ~doc:"Total iterations per platform, sa's warmup included")
 
 let seed_arg = Arg.(value & opt int 1 & info [ "seed" ] ~doc:"Random seed")
 

@@ -41,14 +41,6 @@ let run app_name app_file platform_file clbs engine_name iters warmup seed
     | Ok inputs -> inputs
     | Error msg -> Cli_common.fail "%s" msg
   in
-  (* "sa" is the annealer --warmup/--schedule/--lam-quality describe;
-     any other name runs a registry engine on --iters iterations. *)
-  let lanes_seen = ref None in
-  let engine =
-    Cli_common.search_engine
-      ~report:(fun lanes -> lanes_seen := Some lanes)
-      engine_name
-  in
   let warm_start =
     match seed_from with
     | None -> None
@@ -63,15 +55,14 @@ let run app_name app_file platform_file clbs engine_name iters warmup seed
   in
   (* Every run is a supervised set of chains; a plain single sa chain
      just does not report per-restart lines and statuses. *)
-  let report_restarts =
-    restarts > 1 || restart_timeout <> None || engine <> None
-  in
+  let sa = engine_name = "sa" in
+  let report_restarts = restarts > 1 || restart_timeout <> None || not sa in
   if restarts > 1 && resume_path <> None then
     Cli_common.fail
       "--resume names a single chain's checkpoint; multi-restart runs \
        resume opportunistically from their per-chain files (rerun with \
        the same --checkpoint PATH, which keeps PATH.r<i> per chain)";
-  if engine <> None && serialized then
+  if serialized && not sa then
     Cli_common.fail
       "--serialized-bus selects an sa objective; drop --engine";
   (match restart_timeout with
@@ -80,11 +71,13 @@ let run app_name app_file platform_file clbs engine_name iters warmup seed
    | _ -> ());
   if checkpoint_every <= 0 then
     Cli_common.fail "--checkpoint-every wants a positive iteration count";
+  (* sa spends --warmup of --iters, every engine's whole budget. *)
+  let warmup = Option.value warmup ~default:(Explorer.default_warmup iters) in
   let config =
     {
       Explorer.anneal =
         {
-          Annealer.iterations = iters;
+          Annealer.iterations = iters - warmup;
           warmup_iterations = warmup;
           schedule = schedule_of_name schedule lam_quality;
           seed;
@@ -93,6 +86,12 @@ let run app_name app_file platform_file clbs engine_name iters warmup seed
       objective =
         (if serialized then Explorer.Makespan_serialized else Explorer.Makespan);
     }
+  in
+  let lanes_seen = ref None in
+  let engine =
+    Cli_common.search_engine
+      ~report:(fun lanes -> lanes_seen := Some lanes)
+      ~config engine_name
   in
   (* One checkpoint file per chain, read and written through the engine
      driver.  A single chain uses the given path exactly (--resume makes
@@ -129,14 +128,12 @@ let run app_name app_file platform_file clbs engine_name iters warmup seed
   in
   let should_stop = Cli_common.should_stop ~time_budget in
   let trace = Repro_dse.Trace.create ~every:10 () in
-  (match engine with
-   | Some e ->
-     Format.printf "engine: %s — %s@." (Repro_dse.Engine.name e)
-       (Repro_dse.Engine.describe e)
-   | None -> ());
+  if not sa then
+    Format.printf "engine: %s — %s@." (Repro_dse.Engine.name engine)
+      (Repro_dse.Engine.describe engine);
   let report =
-    Explorer.explore_restarts ~trace ~jobs ?engine ?restart_timeout
-      ?restart_checkpoint ?warm_start ~should_stop ~restarts config app
+    Explorer.explore_restarts ~trace ~jobs ?restart_timeout
+      ?restart_checkpoint ?warm_start ~should_stop ~restarts engine config app
       platform
   in
   if report_restarts then begin
@@ -288,16 +285,20 @@ let engine_arg =
            ~doc:"Search engine, by registry name: sa (default) | greedy | \
                  random | hill | tabu | ga | ga-spatial | \
                  portfolio[:rr|race|chain][:e1+e2+...][:slice=N][:target=C].  \
-                 Non-sa engines take --iters as their iteration budget (see \
-                 dse-compare --list-engines for what one iteration means per \
-                 engine); --warmup/--schedule/--lam-quality apply to sa only")
+                 Every engine takes --iters as its whole iteration budget \
+                 (see dse-compare --list-engines for what one iteration \
+                 means per engine); --warmup/--schedule/--lam-quality \
+                 apply to sa only")
 
 let iters_arg =
-  Arg.(value & opt int 50_000 & info [ "iters" ] ~doc:"Cooling iterations")
+  Arg.(value & opt int 50_000 & info [ "iters" ]
+       ~doc:"Total iterations, for every engine; sa spends --warmup of \
+             them at infinite temperature and cools for the rest")
 
 let warmup_arg =
-  Arg.(value & opt int 1_200 & info [ "warmup" ]
-       ~doc:"Infinite-temperature iterations")
+  Arg.(value & opt (some int) None & info [ "warmup" ]
+       ~doc:"sa's infinite-temperature iterations out of --iters (default \
+             a tenth, at most 1200); other engines ignore it")
 
 let seed_arg = Arg.(value & opt int 1 & info [ "seed" ] ~doc:"Random seed")
 

@@ -34,19 +34,15 @@ type point = {
    or this cell's deadline): an over-budget cell flushes best-so-far at
    an iteration boundary instead of hanging the sweep, and says it was
    interrupted so a cell the global stop cut short is not kept. *)
-let sweep_cell ?engine app ~n_clb ~iters ~base_seed ~run ~stop =
+let sweep_cell engine (config : Explorer.config) app ~n_clb ~base_seed ~run
+    ~stop =
   let platform = Md.platform ~n_clb () in
   let seed = base_seed + (run * 7919) + n_clb in
-  (* Any --engine gets the same coordinate-derived seed and takes
-     [iters] as its iteration budget. *)
-  let config =
-    {
-      Explorer.anneal = Annealer.config_of_budget ~seed ~warmup:1_200 iters;
-      moves = Repro_dse.Moves.fixed_architecture;
-      objective = Explorer.Makespan;
-    }
+  (* Any --engine gets the same coordinate-derived seed and budget. *)
+  let config = { config with anneal = { config.anneal with Annealer.seed } } in
+  let result =
+    Explorer.explore_with ~should_stop:stop engine config app platform
   in
-  let result = Explorer.explore ?engine ~should_stop:stop config app platform in
   let eval = result.Explorer.best_eval in
   ( ( eval.Repro_sched.Searchgraph.makespan,
       eval.Repro_sched.Searchgraph.initial_reconfig,
@@ -126,7 +122,16 @@ let run runs iters base_seed sizes engine_name csv_path jobs checkpoint_path
    | Some s when s <= 0.0 ->
      Cli_common.fail "--restart-timeout wants a positive number of seconds"
    | _ -> ());
-  let engine = Cli_common.search_engine engine_name in
+  (* sa spends the registry's warmup share of --iters. *)
+  let warmup = Explorer.default_warmup iters in
+  let config =
+    {
+      Explorer.anneal = Annealer.config_of_budget ~warmup (iters - warmup);
+      moves = Repro_dse.Moves.fixed_architecture;
+      objective = Explorer.Makespan;
+    }
+  in
+  let engine = Cli_common.search_engine ~config engine_name in
   Printf.printf
     "Fig. 3 sweep: %d run(s) per size, %d iterations each, %d job(s), \
      engine %s (paper: 100 runs)\n%!"
@@ -140,7 +145,7 @@ let run runs iters base_seed sizes engine_name csv_path jobs checkpoint_path
   let size_arr = Array.of_list sizes in
   let n_cells = Array.length size_arr * runs in
   let cell i ~stop =
-    sweep_cell ?engine app ~n_clb:size_arr.(i / runs) ~iters ~base_seed
+    sweep_cell engine config app ~n_clb:size_arr.(i / runs) ~base_seed
       ~run:(i mod runs) ~stop
   in
   let checkpoint =
@@ -150,8 +155,9 @@ let run runs iters base_seed sizes engine_name csv_path jobs checkpoint_path
           Repro_dse.Cell_grid.path;
           kind = "dse-sweep";
           fingerprint =
-            Printf.sprintf "sweep runs=%d iters=%d seed=%d engine=%s sizes=%s"
-              runs iters base_seed engine_name
+            Printf.sprintf
+              "sweep runs=%d iters=%d warmup=%d seed=%d engine=%s sizes=%s"
+              runs iters warmup base_seed engine_name
               (String.concat "," (List.map string_of_int sizes));
           encode = encode_cell;
           decode = decode_cell;
@@ -234,7 +240,8 @@ let runs_arg =
   Arg.(value & opt int 10 & info [ "runs" ] ~doc:"Runs per device size")
 
 let iters_arg =
-  Arg.(value & opt int 20_000 & info [ "iters" ] ~doc:"Iterations per run")
+  Arg.(value & opt int 20_000 & info [ "iters" ]
+       ~doc:"Total iterations per run, sa's warmup included")
 
 let seed_arg = Arg.(value & opt int 1 & info [ "seed" ] ~doc:"Base seed")
 

@@ -15,7 +15,10 @@ type status = Complete | Interrupted
 
 let status_name = function Complete -> "complete" | Interrupted -> "interrupted"
 
-type probe = { iteration : int; cost : float; best : float; accepted : bool }
+type probe = {
+  iteration : int; cost : float; best : float; accepted : bool;
+  temperature : float; n_contexts : int;
+}
 
 type resume_mode = Resume_never | Resume_if_exists | Resume_required
 
@@ -347,7 +350,7 @@ let drive_filed ?payload ~codec ~filing (c : controls) ~init ~step ~snapshot =
             (match c.observe with
              | Some f ->
                f { iteration = !g; cost = r.cost; best = !best_cost;
-                   accepted = r.accepted }
+                   accepted = r.accepted; temperature = 0.0; n_contexts = 0 }
              | None -> ());
             incr g;
             advance ~until

@@ -73,6 +73,8 @@ type probe = {
   cost : float;       (** cost of the working state after the iteration *)
   best : float;       (** best cost seen so far *)
   accepted : bool;    (** the iteration changed the working state *)
+  temperature : float;  (** the annealer's temperature, 0 for others *)
+  n_contexts : int;     (** the annealer's context count, 0 for others *)
 }
 (** One per-iteration observation, delivered to [context.observe]. *)
 

@@ -158,11 +158,9 @@ let sa_codec config application platform : sa_state Engine.codec =
   in
   { Engine.engine = "sa"; version = 1; encode; decode }
 
-(* One annealing run through the generic driver.  [notify] sees every
-   move with its annealing-specific context: the iteration number
-   relative to the end of warmup (negative during warmup), the
-   temperature and the working solution. *)
-let anneal ?notify ?payload config (ctx : Engine.context) =
+(* One annealing run through the generic driver; its probes carry the
+   chain's temperature and the working solution's context count. *)
+let anneal ?payload config (ctx : Engine.context) =
   let cost = cost_of config.objective in
   let propose rng s = Moves.propose rng config.moves s in
   let anneal = config.anneal in
@@ -180,12 +178,12 @@ let anneal ?notify ?payload config (ctx : Engine.context) =
     let cost = cost solution in
     ({ solution; chain = Annealer.start anneal ~cost }, cost, 0)
   in
-  let last = ref None in
+  let observed = ctx.observe <> None and last = ref None in
   let step rng ~iteration s =
     let move =
       Annealer.step anneal s.chain rng s.solution ~iteration ~cost ~propose
     in
-    if notify <> None then last := Some s;
+    if observed then last := Some s;
     {
       Engine.state = s;
       cost = s.chain.Annealer.current_cost;
@@ -196,29 +194,45 @@ let anneal ?notify ?payload config (ctx : Engine.context) =
     }
   in
   let observe =
-    match notify with
-    | None -> ctx.observe
-    | Some f ->
-      let warmup = anneal.Annealer.warmup_iterations in
-      Some
-        (fun (p : Engine.probe) ->
-          let s = Option.get !last in
-          f ~iteration:(p.Engine.iteration - warmup) ~cost:p.Engine.cost
-            ~best:p.Engine.best ~temperature:s.chain.Annealer.temperature
-            ~accepted:p.Engine.accepted s.solution;
-          Option.iter (fun g -> g p) ctx.observe)
+    Option.map
+      (fun f (p : Engine.probe) ->
+        let s = Option.get !last in
+        f
+          { p with
+            Engine.temperature = s.chain.Annealer.temperature;
+            n_contexts = Solution.n_contexts s.solution })
+      ctx.observe
   in
   Engine.drive ?payload
     ~codec:(sa_codec config ctx.app ctx.platform)
     { ctx with observe } ~init ~step
     ~snapshot:(fun s -> Solution.snapshot s.solution)
 
-(* The registered annealer: the generic iteration budget is the *total*
-   move count (warmup + cooling), so [iterations_run <=
-   budget.iterations] holds exactly as for every other engine. *)
+let budget config =
+  config.anneal.Annealer.warmup_iterations + config.anneal.Annealer.iterations
+
+let annealer config : Engine.t =
+  (module struct
+    let name = "sa"
+    let describe = "adaptive simulated annealing (the paper, \xc2\xa74)"
+    let knobs = config_label config ^ "; one iteration = one proposed move"
+    let default_iterations = budget config
+    let start ?payload ctx = anneal ?payload config ctx
+  end)
+
+(* The registry's warmup rule, in this one place. *)
+let default_warmup total = max 1 (min 1_200 (total / 10))
+
+let sa_config ?seed total =
+  let d = default_config ?seed () in
+  let warmup = default_warmup total in
+  { d with
+    anneal =
+      { d.anneal with
+        Annealer.iterations = total - warmup; warmup_iterations = warmup } }
+
 module Sa_engine : Engine.S = struct
-  let name = "sa"
-  let describe = "adaptive simulated annealing (the paper, \xc2\xa74)"
+  include (val annealer (default_config ()) : Engine.S)
 
   let knobs =
     "Lam schedule (quality 0.003); warmup = min(1200, budget/10); one \
@@ -236,94 +250,53 @@ module Sa_engine : Engine.S = struct
       | None -> ctx.budget.iterations
     in
     if total < 2 then invalid_arg "sa engine: budget below 2 iterations";
-    let warmup = max 1 (min 1_200 (total / 10)) in
-    let config =
-      {
-        anneal =
-          {
-            Annealer.default_config with
-            Annealer.iterations = total - warmup;
-            warmup_iterations = warmup;
-            seed = ctx.seed;
-          };
-        moves = Moves.fixed_architecture;
-        objective = Makespan;
-      }
-    in
-    anneal ?payload config
+    Engine.start
+      (annealer (sa_config total))
+      ?payload
       { ctx with budget = { ctx.budget with iterations = total } }
 end
 
 let sa_engine : Engine.t = (module Sa_engine)
 
-(* [explore]'s own annealer: [config] as given, with [notify] seeing
-   every move. *)
-let annealer ?notify config : Engine.t =
-  (module struct
-    include Sa_engine
-
-    let start ?payload ctx = anneal ?notify ?payload config ctx
-  end)
-
-let result_of_outcome ~infeasible (o : Engine.outcome) =
-  let best_eval =
-    match Solution.evaluate o.best with
-    | Some eval -> eval
-    | None -> failwith "Explorer: engine returned an infeasible best solution"
-  in
-  {
-    best = o.best;
-    best_eval;
-    best_cost = o.best_cost;
-    initial_cost = o.initial_cost;
-    iterations_run = o.iterations_run;
-    accepted = o.accepted;
-    infeasible;
-    wall_seconds = o.wall_seconds;
-    status = o.status;
-  }
-
-let explore ?trace ?initial ?checkpoint ?should_stop ?engine config
+let explore_with ?trace ?initial ?checkpoint ?should_stop engine config
     application platform =
-  let engine, iterations, observe, infeasible =
-    match engine with
-    | None ->
-      let notify =
-        Option.map
-          (fun t ~iteration ~cost ~best ~temperature ~accepted solution ->
-            let n_contexts = Solution.n_contexts solution in
-            Trace.record t
-              { Trace.iteration; cost; best; temperature; accepted; n_contexts })
-          trace
-      in
-      ( annealer ?notify config,
-        config.anneal.Annealer.warmup_iterations
-        + config.anneal.Annealer.iterations,
-        None,
-        fun (o : Engine.outcome) -> o.iterations_run - o.evaluations )
-    | Some engine ->
-      (* Any other engine takes the cooling count as its budget; it
-         has no temperature or context count, both observed as 0. *)
-      let observe =
-        Option.map
-          (fun t { Engine.iteration; cost; best; accepted } ->
-            Trace.record t
-              { Trace.iteration; cost; best; temperature = 0.0; accepted;
-                n_contexts = 0 })
-          trace
-      in
-      ( engine,
-        config.anneal.Annealer.iterations,
-        observe,
-        fun _ -> 0 )
+  (* Only the annealer numbers its trace from the end of warmup and
+     counts infeasible proposals. *)
+  let sa = Engine.name engine = Sa_engine.name in
+  let offset = if sa then config.anneal.Annealer.warmup_iterations else 0 in
+  let observe =
+    Option.map
+      (fun t (p : Engine.probe) ->
+        Trace.record t
+          { Trace.iteration = p.iteration - offset; cost = p.cost;
+            best = p.best; temperature = p.temperature;
+            accepted = p.accepted; n_contexts = p.n_contexts })
+      trace
   in
-  let ctx =
-    Engine.context ?should_stop ?observe ?checkpoint ?warm_start:initial
-      ~app:application ~platform ~seed:config.anneal.Annealer.seed ~iterations
-      ()
+  let o =
+    Engine.run engine
+      (Engine.context ?should_stop ?observe ?checkpoint ?warm_start:initial
+         ~app:application ~platform ~seed:config.anneal.Annealer.seed
+         ~iterations:(budget config) ())
   in
-  let outcome = Engine.run engine ctx in
-  result_of_outcome ~infeasible:(infeasible outcome) outcome
+  match Solution.evaluate o.best with
+  | None -> failwith "Explorer: engine returned an infeasible best solution"
+  | Some best_eval ->
+    {
+      best = o.best;
+      best_eval;
+      best_cost = o.best_cost;
+      initial_cost = o.initial_cost;
+      iterations_run = o.iterations_run;
+      accepted = o.accepted;
+      infeasible = (if sa then o.iterations_run - o.evaluations else 0);
+      wall_seconds = o.wall_seconds;
+      status = o.status;
+    }
+
+let explore ?trace ?initial ?checkpoint ?should_stop config =
+  explore_with ?trace ?initial ?checkpoint ?should_stop (annealer config)
+    config
 
 (* ---- supervised restarts ----------------------------------------- *)
 
@@ -340,8 +313,9 @@ let not_done outcomes =
     (fun n -> function Parallel.Done _ -> n | _ -> n + 1)
     0 outcomes
 
-let explore_restarts ?trace ?(jobs = 1) ?restart_timeout ?should_stop ?engine
-    ?restart_checkpoint ?warm_start ~restarts config application platform =
+let explore_restarts ?trace ?(jobs = 1) ?restart_timeout ?should_stop
+    ?restart_checkpoint ?warm_start ~restarts engine config application
+    platform =
   if restarts < 1 then invalid_arg "Explorer.explore_restarts: restarts < 1";
   (* Each chain's seed is a pure function of its index, and results are
      collected in index order, so the winner (first strict minimum) and
@@ -355,7 +329,8 @@ let explore_restarts ?trace ?(jobs = 1) ?restart_timeout ?should_stop ?engine
     (* The per-restart deadline reaches the engine as its stop probe: a
        chain out of budget returns best-so-far at the next iteration
        boundary instead of being torn down. *)
-    explore ?trace ?checkpoint ~should_stop:stop ?initial:warm_start ?engine
+    explore_with ?trace ?checkpoint ~should_stop:stop ?initial:warm_start
+      engine
       { config with anneal = { config.anneal with Annealer.seed } }
       application platform
   in
@@ -411,7 +386,8 @@ type frontier_report = {
 }
 
 let cost_performance_frontier ?(seed = 1) ?(iterations = 20_000)
-    ?(jobs = 1) ?device_timeout ?should_stop ?engine application catalogue =
+    ?(jobs = 1) ?device_timeout ?should_stop ?(engine = sa_engine) application
+    catalogue =
   (* One independent exploration per catalogue device: a natural
      parallel grid (same seed per device as sequentially).  A device
      whose exploration fails or runs out of budget drops out of the
@@ -421,20 +397,14 @@ let cost_performance_frontier ?(seed = 1) ?(iterations = 20_000)
   let devices = Array.of_list catalogue in
   (* Slot [i] is written by device [i]'s body only. *)
   let stopped_early = Array.make (Array.length devices) false in
+  let config = sa_config ~seed iterations in
   let outcomes =
     Parallel.map_outcomes ~jobs ?timeout:device_timeout ?should_stop
       (Array.length devices)
       (fun i ~stop ->
         let platform = devices.(i) in
-        let config =
-          {
-            anneal = { Annealer.default_config with Annealer.iterations; seed };
-            moves = Moves.fixed_architecture;
-            objective = Makespan;
-          }
-        in
         let result =
-          explore ~should_stop:stop ?engine config application platform
+          explore_with ~should_stop:stop engine config application platform
         in
         stopped_early.(i) <- result.status = Engine.Interrupted;
         {

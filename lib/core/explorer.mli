@@ -56,9 +56,8 @@ type result = {
   (** [Interrupted] when [should_stop] ended the run early; the best
       solution is still the best seen so far. *)
 }
-(** For results produced by an engine other than the annealer (see
-    [engine] below), [infeasible] is 0 (only the annealer counts
-    structurally invalid proposals). *)
+(** [infeasible] counts the annealer's structurally invalid proposals
+    (never evaluated); 0 for every other engine. *)
 
 val cost_of : objective -> Solution.t -> float
 (** The scalar the annealer minimizes. *)
@@ -74,46 +73,51 @@ val read_incumbent :
     that the donor ran on the same inputs (the decode fails
     otherwise). *)
 
-val explore :
-  ?trace:Trace.t -> ?initial:Solution.t -> ?checkpoint:Engine.checkpoint ->
-  ?should_stop:(unit -> bool) -> ?engine:Engine.t ->
-  config -> App.t -> Platform.t -> result
-(** Run one exploration on the engine driver ({!Engine.drive}).  By
-    default the engine is the annealer [config] describes: [warmup + iterations] moves
-    under the configured schedule, objective and move set, seeded with
-    [config.anneal.seed].  The initial solution defaults to
-    {!Solution.random} drawn from a stream of its own with that seed;
-    [initial] replaces it (the run anneals a copy).
+val budget : config -> int
+(** [warmup_iterations + iterations]: every engine's budget in
+    {!explore_with}. *)
 
-    [checkpoint] makes the run crash-safe under the engine driver's
-    contract: periodic and on-interrupt saves of kind ["dse-engine"],
-    and, by its [resume] mode, a continuation that replays the
-    uninterrupted run bit for bit.  The annealer's chain state records
-    its warmup/cooling split, schedule, objective and move set, so a
-    checkpoint taken under another configuration is refused with a
-    one-line diagnostic even when seed and total budget agree.
-    [should_stop] is polled at iteration boundaries — on [true] the run
-    flushes a final checkpoint (when [checkpoint] is given) and returns
-    with status [Interrupted].  Raises [Invalid_argument] when
-    [Cost_under_deadline] is used on an application without a
-    deadline.
+val annealer : config -> Engine.t
+(** ["sa"] as [config] describes it: [warmup_iterations] moves at
+    infinite temperature, then [iterations] cooling ones.  Its chain
+    state records that split, the schedule, objective and move set, so
+    a checkpoint taken under another configuration is refused in one
+    line even when seed and total budget agree. *)
 
-    [engine] runs any registered engine instead, on
-    [config.anneal.iterations] iterations with [config.anneal.seed]
-    and the makespan objective; its observations carry temperature and
-    context count 0. *)
+val default_warmup : int -> int
+(** The registry's warmup for a budget of [total] moves: a tenth, at
+    least 1 and at most the paper's 1200. *)
+
+val sa_config : ?seed:int -> int -> config
+(** {!default_config} re-split for a budget of [total] moves by
+    {!default_warmup}. *)
 
 val sa_engine : Engine.t
-(** The annealer behind the uniform {!Engine.S} contract, under the
-    name ["sa"].  The generic iteration budget is the run's {e total}
-    move count: a tenth (capped at the paper's 1200, at least 1) is
-    spent as infinite-temperature warmup and the rest cools under the
-    default Lam schedule, so [iterations_run <= budget.iterations]
-    holds like for every other engine; an evaluation budget is
-    enforced exactly by capping the move count (the annealer spends at
-    most one evaluation per move).  The objective is the makespan.
-    It runs on {!Engine.drive} like {!explore}'s annealer, with the
-    same versioned ["sa"] state codec. *)
+(** The registered ["sa"]: [annealer (sa_config n)] on each run's
+    budget [n], capped by an evaluation budget (the annealer spends at
+    most one evaluation per move).  A budget below 2 raises
+    [Invalid_argument]. *)
+
+val explore_with :
+  ?trace:Trace.t -> ?initial:Solution.t -> ?checkpoint:Engine.checkpoint ->
+  ?should_stop:(unit -> bool) -> Engine.t ->
+  config -> App.t -> Platform.t -> result
+(** Run [engine] once on {!Engine.run} for [budget config] iterations,
+    seeded with [config.anneal.seed]; only the annealer reads the rest
+    of [config].  [initial] replaces the initial solution (the run
+    works on a copy).  [trace] records every iteration: the annealer's
+    entries count from the end of warmup and carry its temperature and
+    context count (0 for other engines).  [checkpoint] and
+    [should_stop] as in {!Engine.run}: periodic and on-interrupt saves
+    of kind ["dse-engine"] that resume bit for bit, and status
+    [Interrupted] when the stop probe ends the run.  Raises
+    [Invalid_argument] when [Cost_under_deadline] is used on an
+    application without a deadline. *)
+
+val explore :
+  ?trace:Trace.t -> ?initial:Solution.t -> ?checkpoint:Engine.checkpoint ->
+  ?should_stop:(unit -> bool) -> config -> App.t -> Platform.t -> result
+(** [explore_with (annealer config) config]. *)
 
 val meets_deadline : App.t -> Searchgraph.eval -> bool
 (** True when the application declares no deadline or the evaluated
@@ -136,10 +140,11 @@ type restarts_report = {
 
 val explore_restarts :
   ?trace:Trace.t -> ?jobs:int -> ?restart_timeout:float ->
-  ?should_stop:(unit -> bool) -> ?engine:Engine.t ->
+  ?should_stop:(unit -> bool) ->
   ?restart_checkpoint:(int -> Engine.checkpoint) ->
   ?warm_start:Solution.t ->
-  restarts:int -> config -> App.t -> Platform.t -> restarts_report
+  restarts:int -> Engine.t -> config -> App.t -> Platform.t ->
+  restarts_report
 (** Run [restarts] independent explorations and keep the best — the
     usual defense against annealing variance, and the data behind the
     paper's Fig. 3 averaging.  Supervised: one raising or overrunning
@@ -153,9 +158,8 @@ val explore_restarts :
     deterministic) answer.  Raises [Invalid_argument] when
     [restarts < 1].
 
-    Each chain is one {!explore} call with seed [config.anneal.seed +
-    65537 * index], so [engine] (default: the configured annealer)
-    chooses the search as there; restart 0 feeds [trace].  [jobs]
+    Each chain is one {!explore_with} call of [engine] with seed
+    [config.anneal.seed + 65537 * index]; restart 0 feeds [trace].  [jobs]
     (default 1) runs the chains on that many domains
     ({!Repro_util.Parallel}); seeds derive from the index and results
     fold in index order, so the report and the trace are bit-identical
@@ -202,11 +206,11 @@ val cost_performance_frontier :
 (** Explore the application once per catalogue platform (makespan
     objective) and keep the Pareto-dominant (platform cost, makespan)
     points, sorted by increasing cost — the designer-facing output of
-    the paper's cost-minimization story.  Each device is one {!explore}
-    call on the default configuration with [seed] and [iterations]
-    cooling moves (default 20000), so [engine] chooses the search as
-    there; every device gets the same seed and budget, and [jobs]
-    explores devices in parallel with identical output.
+    the paper's cost-minimization story.  Each device is one
+    {!explore_with} call of [engine] (default {!sa_engine}) with [seed]
+    and a budget of [iterations] (default 20000) in all; every device
+    gets the same seed and budget, and [jobs] explores devices in
+    parallel with identical output.
 
     Supervised: each device explores once, under its own
     [device_timeout] and failure isolation (a raising device is lost,

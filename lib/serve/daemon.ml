@@ -105,15 +105,12 @@ let run_attempt config spool job ~attempts ~stop ~deadline_expired =
   | Ok (app, platform) ->
     (* An unknown engine name is poison, not a transient failure; the
        registry error already lists every known name.  "sa" is the
-       annealer the job's own fields configure, as in dse-run.
-       Portfolio specs (portfolio:race:sa+tabu:...) build the
-       meta-engine on the fly; its checkpoint nests the member states
-       inside its one regular checkpoint file. *)
+       annealer the job's own fields configure, as in dse-run. *)
+    let explorer_config = Job.explorer_config job in
     let engine =
-      match Option.map Job.resolve_engine job.Job.engine with
-      | None -> None
-      | Some (Ok e) -> e
-      | Some (Error msg) -> failwith msg
+      Job.resolve_engine ~config:explorer_config
+        (Option.value job.Job.engine ~default:"sa")
+      |> Result.fold ~ok:Fun.id ~error:failwith
     in
     (* Every job runs as supervised chains; the job deadline is every
        chain's stop probe, so a chain that overruns flushes its
@@ -132,9 +129,9 @@ let run_attempt config spool job ~attempts ~stop ~deadline_expired =
       }
     in
     let report =
-      Explorer.explore_restarts ~jobs:config.jobs ~should_stop:stop ?engine
-        ~restart_checkpoint ~restarts:job.Job.restarts
-        (Job.explorer_config job) app platform
+      Explorer.explore_restarts ~jobs:config.jobs ~should_stop:stop
+        ~restart_checkpoint ~restarts:job.Job.restarts engine explorer_config
+        app platform
     in
     let outcomes = Array.to_list report.Explorer.restart_outcomes in
     (* An injected fault is a simulated crash wherever it fired, so it

@@ -24,11 +24,20 @@ let known_fields =
     "restarts"; "timeout"; "serialized"; "engine";
   ]
 
+let no_cooling ~iters ~warmup =
+  Printf.sprintf
+    "sa warmup %d leaves no cooling iteration out of %d (want warmup < iters)"
+    warmup iters
+
 (* "sa" is the annealer the job's (or the tool's) own fields configure;
    every other name is a registry engine or a portfolio spec. *)
-let resolve_engine ?report name =
-  if name = "sa" then Ok None
-  else Result.map Option.some (Repro_dse.Portfolio.resolve ?report name)
+let resolve_engine ?report ~config name =
+  let a = config.Explorer.anneal in
+  if name <> "sa" then Repro_dse.Portfolio.resolve ?report name
+  else if a.Annealer.iterations < 1 then
+    Error (no_cooling ~iters:(Explorer.budget config)
+             ~warmup:a.Annealer.warmup_iterations)
+  else Ok (Explorer.annealer config)
 
 (* A job file is one flat JSON object.  Unknown keys and ill-typed
    values are hard errors: a poison job must be quarantined with a
@@ -75,7 +84,7 @@ let of_json ~name text =
   in
   let* clbs = int_field "clbs" 2000 in
   let* iters = int_field "iters" 20_000 in
-  let* warmup = int_field "warmup" 1_200 in
+  let* warmup = int_field "warmup" (Explorer.default_warmup iters) in
   let* seed = int_field "seed" 1 in
   let* restarts = int_field "restarts" 1 in
   let* timeout =
@@ -104,17 +113,15 @@ let of_json ~name text =
       | Some s -> Ok (Some s)
       | None -> Error "job field \"engine\" wants a string")
   in
+  let sa = match engine with None | Some "sa" -> true | Some _ -> false in
   let* () =
     if iters < 1 || warmup < 0 then Error "job wants iters >= 1, warmup >= 0"
     else if restarts < 1 then Error "job wants restarts >= 1"
     else if clbs < 1 then Error "job wants clbs >= 1"
-    else if serialized then
-      match Option.map resolve_engine engine with
-      | None | Some (Ok None) -> Ok ()
-      | Some (Ok (Some _)) ->
-        Error "job field \"serialized\" only applies to the annealer \
-               (\"engine\": \"sa\" or no \"engine\" field)"
-      | Some (Error msg) -> Error msg
+    else if sa && warmup >= iters then Error (no_cooling ~iters ~warmup)
+    else if serialized && not sa then
+      Error "job field \"serialized\" only applies to the annealer \
+             (\"engine\": \"sa\" or no \"engine\" field)"
     else Ok ()
   in
   Ok
@@ -233,9 +240,12 @@ let result_fields ~status ?restarts (result : Explorer.result) =
     ]
 
 let explorer_config job =
+  (* [of_json] leaves an sa job a cooling move; other engines spend all
+     [iters] and ignore the split, which the cap keeps well formed. *)
+  let warmup = min job.warmup (job.iters - 1) in
   {
     Explorer.anneal =
-      Annealer.config_of_budget ~seed:job.seed ~warmup:job.warmup job.iters;
+      Annealer.config_of_budget ~seed:job.seed ~warmup (job.iters - warmup);
     moves = Repro_dse.Moves.fixed_architecture;
     objective =
       (if job.serialized then Explorer.Makespan_serialized

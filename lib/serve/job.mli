@@ -10,7 +10,9 @@
       (exactly one of the two)
     - ["platform_file"] — a [.plat] path; defaults to the
       motion-detection platform sized by ["clbs"] (default 2000)
-    - ["iters"] (default 20000), ["warmup"] (default 1200),
+    - ["iters"] (default 20000), every engine's total budget;
+      ["warmup"] (default {!Repro_dse.Explorer.default_warmup}), the
+      annealer's share of it, which must leave a cooling move;
       ["seed"] (default 1), ["restarts"] (default 1)
     - ["timeout"] — per-job wall seconds, overriding the daemon's
       default
@@ -19,8 +21,8 @@
     - ["engine"] — resolved by {!resolve_engine}: ["sa"], like no
       field at all, runs the annealer its ["iters"], ["warmup"] and
       ["serialized"] fields describe; any other registered engine or
-      portfolio spec runs with budget = ["iters"] and the makespan
-      objective (["warmup"] is annealer-specific and ignored).
+      portfolio spec runs ["iters"] iterations on the makespan
+      objective and ignores ["warmup"].
     Either way the job runs through the engine driver's checkpointing,
     so a timed-out job records best-so-far {e and} keeps its resume
     checkpoint for a retry. *)
@@ -43,13 +45,14 @@ type t = {
 
 val resolve_engine :
   ?report:(Repro_dse.Portfolio.lane_report array -> unit) ->
-  string -> (Repro_dse.Engine.t option, string) result
+  config:Repro_dse.Explorer.config -> string ->
+  (Repro_dse.Engine.t, string) result
 (** The one [--engine]/["engine"] resolver of [dse-run], [dse-sweep],
-    [dse-pareto] and the daemon: ["sa"] is [None], the annealer the
-    caller's own configuration describes (budget, warmup, schedule,
-    objective); any other name goes through {!Repro_dse.Portfolio.resolve}
-    ([report] as there).  [Error] is a one-line message listing the
-    registered engines. *)
+    [dse-pareto] and the daemon: ["sa"] is
+    {!Repro_dse.Explorer.annealer}[ config] ([Error] when [config]
+    leaves it no cooling move); any other name goes through
+    {!Repro_dse.Portfolio.resolve} ([report] as there).  [Error] is a
+    one-line message. *)
 
 val of_json : name:string -> string -> (t, string) result
 (** Parse a job file; every failure is a one-line message. *)
@@ -87,5 +90,6 @@ val result_fields :
     [degraded_restarts] follow. *)
 
 val explorer_config : t -> Repro_dse.Explorer.config
-(** The annealing configuration the job requests (Lam schedule with
-    the budget-proportional quality, as [dse-sweep] uses). *)
+(** ["iters"] split into ["warmup"] and cooling moves, on the Lam
+    schedule with the quality of the cooling share, as [dse-sweep]
+    does. *)

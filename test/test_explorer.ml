@@ -136,7 +136,10 @@ let test_explore_restarts () =
   let app = Md.app () in
   let platform = Md.platform () in
   let config = small_budget ~seed:8 ~iterations:2_000 () in
-  let report = Explorer.explore_restarts ~restarts:4 config app platform in
+  let report =
+    Explorer.explore_restarts ~restarts:4 (Explorer.annealer config) config
+      app platform
+  in
   let costs = List.map snd report.Explorer.restart_costs in
   Alcotest.(check int) "one cost per restart" 4 (List.length costs);
   Alcotest.(check int) "nothing degraded" 0 report.Explorer.degraded;
@@ -145,7 +148,9 @@ let test_explore_restarts () =
     (Option.get report.Explorer.best_result).Explorer.best_cost;
   Alcotest.check_raises "restarts < 1"
     (Invalid_argument "Explorer.explore_restarts: restarts < 1") (fun () ->
-      ignore (Explorer.explore_restarts ~restarts:0 config app platform))
+      ignore
+        (Explorer.explore_restarts ~restarts:0 (Explorer.annealer config)
+           config app platform))
 
 let test_serialized_objective () =
   let app = Md.app () in
@@ -222,7 +227,8 @@ let test_supervised_restarts_degrade () =
      over the survivors and label the loss. *)
   Fault.arm_point ~site:Fault.Worker ~index:1;
   let report =
-    Explorer.explore_restarts ~restarts:3 config app platform
+    Explorer.explore_restarts ~restarts:3 (Explorer.annealer config) config
+      app platform
   in
   Alcotest.(check int) "one restart degraded" 1 report.Explorer.degraded;
   Alcotest.(check (list string)) "statuses" [ "done"; "failed"; "done" ]
@@ -255,8 +261,8 @@ let test_supervised_restarts_all_lost () =
   let platform = Md.platform ~n_clb:2000 () in
   Fault.arm "worker:0, worker:1";
   let report =
-    Explorer.explore_restarts ~restarts:2
-      (small_budget ~seed:5 ~iterations:400 ())
+    let config = small_budget ~seed:5 ~iterations:400 () in
+    Explorer.explore_restarts ~restarts:2 (Explorer.annealer config) config
       app platform
   in
   Alcotest.(check bool) "no best" true (report.Explorer.best_result = None);

@@ -138,8 +138,9 @@ let test_restarts_deterministic () =
   let run jobs =
     let trace = Trace.create () in
     let report =
-      Explorer.explore_restarts ~trace ~jobs ~restarts:3 (small_config ~seed:5)
-        app platform
+      let config = small_config ~seed:5 in
+      Explorer.explore_restarts ~trace ~jobs ~restarts:3
+        (Explorer.annealer config) config app platform
     in
     ( Option.get report.Explorer.best_result,
       report.Explorer.restart_costs,
