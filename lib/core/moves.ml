@@ -1,6 +1,5 @@
 open Repro_taskgraph
 open Repro_arch
-open Repro_sched
 module Rng = Repro_util.Rng
 
 type config = {
@@ -69,7 +68,7 @@ let realized solution mutate =
    at once, so the walks stay within twice the distance between the
    two tasks. *)
 let reorder_cyclic solution vs vd =
-  let clo = Solution.closure solution in
+  let clo = App.closure (Solution.app solution) in
   if Solution.processor_index solution vs
      <> Solution.processor_index solution vd
   then invalid_arg "Moves.reorder_cyclic: tasks not on one processor";
@@ -126,10 +125,11 @@ let rec scan clo v lo hi j = function
     || scan clo v lo hi (j + 1) rest
 
 let fresh_cyclic solution v at =
-  scan (Solution.closure solution) v at at 0 (Solution.context_chain solution)
+  scan (App.closure (Solution.app solution)) v at at 0
+    (Solution.context_chain solution)
 
 let join_cyclic solution v vd =
-  let clo = Solution.closure solution in
+  let clo = App.closure (Solution.app solution) in
   let chain = Solution.context_chain solution in
   let d = position v (Solution.context_id solution vd) 0 chain in
   (* A full destination spawns [v]'s context right after it. *)
@@ -159,7 +159,8 @@ let rec swap_closes clo at = function
 
 let swap_cyclic solution at =
   if at < 0 then invalid_arg "Moves.swap_cyclic: bad position";
-  swap_closes (Solution.closure solution) at (Solution.context_chain solution)
+  swap_closes (App.closure (Solution.app solution)) at
+    (Solution.context_chain solution)
 
 let draw_hw_task rng solution =
   match Solution.hw_count solution with
@@ -249,7 +250,7 @@ let reorder_move solution vs vd =
 let sw_insertion_point solution ~proc vs =
   if proc < 0 || proc >= Platform.processor_count (Solution.platform solution)
   then invalid_arg "Moves: no such processor";
-  let clo = Solution.closure solution in
+  let clo = App.closure (Solution.app solution) in
   let rec scan w =
     if w < 0 then None
     else if Closure.reaches clo vs w then Some w

@@ -21,8 +21,9 @@
     construction, and a move whose search graph becomes cyclic (or
     whose contexts overflow) is reported as infeasible, matching §4.3.
     A reorder, context placement or context swap that would sequence
-    two tasks against an application path is rejected on the closure
-    matrix before anything is saved ({!reorder_cyclic},
+    two tasks against an application path is rejected on the
+    application's closure matrix ({!Repro_taskgraph.App.closure})
+    before anything is saved ({!reorder_cyclic},
     {!placement_cyclic}, {!swap_cyclic}); any other move is realized,
     and undone when the live search graph finds a cycle (one running
     through both the software chain and the context chain) or an

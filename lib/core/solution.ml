@@ -240,7 +240,6 @@ let reroot v =
    saving and restoring it is a pointer copy. *)
 type t = {
   app : App.t;
-  clo : Closure.t;
   mutable platform : Platform.t;
   assign : int array;
   impl : int array;
@@ -308,7 +307,6 @@ let link_all t p order = List.iter (fun v -> link t v p (-1)) order
 
 let app t = t.app
 let platform t = t.platform
-let closure t = t.clo
 let size t = App.size t.app
 
 (* Drop the live search graph: the next evaluation builds a new one. *)
@@ -318,11 +316,6 @@ let invalidate t =
 
 let eval_stats t = t.stats
 
-(* Every constructor ([all_software], [random], [of_mapping], [decode])
-   computes the closure afresh through [unlinked]; only copies of a
-   solution share it. *)
-let closure_of_app application = Closure.of_graph application.App.graph
-
 (* A solution with every chain empty; the constructors link its
    orders. *)
 let unlinked application platform ~assign ~impl ~ctxs ~free_ids =
@@ -330,7 +323,6 @@ let unlinked application platform ~assign ~impl ~ctxs ~free_ids =
   let processors = Platform.processor_count platform in
   {
     app = application;
-    clo = closure_of_app application;
     platform;
     assign;
     impl;

@@ -22,9 +22,6 @@ type t
 
 val app : t -> App.t
 val platform : t -> Platform.t
-val closure : t -> Closure.t
-(** Transitive closure of the application graph (static precedences),
-    shared by all solutions of the same problem. *)
 
 (** {1 Construction} *)
 

@@ -3,7 +3,8 @@ type edge = { src : int; dst : int; kbytes : float }
 type adjacency = { start : int array; node : int array; edge : int array }
 
 (* The application's derived structure, computed once by [make]: the
-   rebuild evaluators and the GA decoder read it on every evaluation.
+   rebuild evaluators and the GA decoder read it on every evaluation,
+   and the moves' cycle tests read its closure.
    The per-task lists are int slices of flat arrays ({!adjacency}):
    task [v]'s slots are [start.(v) .. start.(v+1) - 1].  Int arrays
    hold no pointers, so building them costs the collector nothing
@@ -18,6 +19,7 @@ type index = {
   inc_start : int array;
   inc_edge : int array;            (* slot -> edge index, ascending per task *)
   topo : int array;
+  closure : Closure.t;
 }
 
 type t = {
@@ -74,6 +76,7 @@ let make ~name ?deadline ~tasks ~edges:input () =
     | Some order -> order
     | None -> invalid_arg "App.make: precedence graph has a cycle"
   in
+  let closure = Closure.of_graph graph in
   let m = Graph.edge_count graph in
   (* [Graph.add_edge] conses each new successor in front, so
      [Graph.edges] lists a source's edges latest input first: fill each
@@ -127,6 +130,7 @@ let make ~name ?deadline ~tasks ~edges:input () =
       inc_start;
       inc_edge;
       topo;
+      closure;
     }
   in
   { name; tasks; graph; index; deadline }
@@ -177,6 +181,7 @@ let in_edges t = t.index.ins
 let out_edges t = t.index.outs
 let topological_order t = Array.copy t.index.topo
 let topo t = t.index.topo
+let closure t = t.index.closure
 
 let total_sw_time t =
   Array.fold_left (fun acc (task : Task.t) -> acc +. task.Task.sw_time) 0.0 t.tasks

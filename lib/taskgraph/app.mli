@@ -11,8 +11,8 @@ type edge = {
 type index
 (** The structure derived from the precedence graph once, at
     construction: the indexed edge array, per-task in-edges and
-    incident edges, and the topological order.  Read it through the
-    accessors below. *)
+    incident edges, the topological order and the transitive closure.
+    Read it through the accessors below. *)
 
 type t = private {
   name : string;
@@ -75,6 +75,12 @@ val topo : t -> int array
 (** The array behind {!topological_order}, shared rather than copied,
     for per-evaluation loops; the same edge-order dependence.  Read it;
     never write it. *)
+
+val closure : t -> Closure.t
+(** Reachability between the tasks of [graph] ({!Closure.of_graph}),
+    computed once by {!make} right after its acyclicity check.  The
+    graph never changes, so every solution of the application, on any
+    domain, reads this one matrix; nothing writes it after {!make}. *)
 
 type adjacency = private {
   start : int array;

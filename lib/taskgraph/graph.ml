@@ -70,12 +70,6 @@ let edges t =
   iter_edges (fun src dst -> acc := (src, dst) :: !acc) t;
   List.rev !acc
 
-let sources t =
-  List.filter (fun v -> t.preds.(v) = []) (List.init t.size Fun.id)
-
-let sinks t =
-  List.filter (fun v -> t.succs.(v) = []) (List.init t.size Fun.id)
-
 let topological_order t =
   let indeg = Array.init t.size (fun v -> List.length t.preds.(v)) in
   let queue = Queue.create () in
@@ -145,49 +139,3 @@ let longest_path t ~node_weight ~edge_weight =
         finish.(v) <- start +. node_weight v)
       order;
     finish
-
-let critical_path t ~node_weight ~edge_weight =
-  match topological_order t with
-  | None -> invalid_arg "Graph.critical_path: cyclic graph"
-  | Some order ->
-    let finish = Array.make t.size 0.0 in
-    let best_pred = Array.make t.size (-1) in
-    Array.iter
-      (fun v ->
-        let start = ref 0.0 in
-        List.iter
-          (fun u ->
-            let candidate = finish.(u) +. edge_weight u v in
-            if candidate > !start then begin
-              start := candidate;
-              best_pred.(v) <- u
-            end)
-          t.preds.(v);
-        finish.(v) <- !start +. node_weight v)
-      order;
-    if t.size = 0 then (0.0, [])
-    else begin
-      let best = ref 0 in
-      for v = 1 to t.size - 1 do
-        if finish.(v) > finish.(!best) then best := v
-      done;
-      let rec walk v acc =
-        if best_pred.(v) = -1 then v :: acc else walk best_pred.(v) (v :: acc)
-      in
-      (finish.(!best), walk !best [])
-    end
-
-let transitive_reduction t =
-  let closure = transitive_closure t in
-  let reduced = create t.size in
-  iter_edges
-    (fun src dst ->
-      (* Keep src->dst only if no intermediate successor reaches dst. *)
-      let redundant =
-        List.exists
-          (fun mid -> mid <> dst && Bitset.mem closure.(mid) dst)
-          t.succs.(src)
-      in
-      if not redundant then add_edge reduced src dst)
-    t;
-  reduced

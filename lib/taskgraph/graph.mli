@@ -31,12 +31,6 @@ val in_degree : t -> int -> int
 val iter_edges : (int -> int -> unit) -> t -> unit
 val edges : t -> (int * int) list
 
-val sources : t -> int list
-(** Nodes without predecessors, in increasing id order. *)
-
-val sinks : t -> int list
-(** Nodes without successors, in increasing id order. *)
-
 val topological_order : t -> int array option
 (** Kahn's algorithm; [None] when the graph has a cycle. *)
 
@@ -58,12 +52,3 @@ val longest_path :
     array of completion times: [finish.(v)] is the maximum, over paths
     ending at [v], of the sum of node weights plus edge weights along
     the path.  Raises [Invalid_argument] on cyclic graphs. *)
-
-val critical_path :
-  t -> node_weight:(int -> float) -> edge_weight:(int -> int -> float) ->
-  float * int list
-(** Longest-path value over the whole DAG and one witness path (node
-    ids in order). *)
-
-val transitive_reduction : t -> t
-(** Minimal sub-DAG with the same reachability.  Requires a DAG. *)

@@ -1,7 +1,7 @@
 (** Fixed-capacity bitsets over \[0, capacity), packed into ints.
 
-    Backing store for the incremental transitive-closure matrix used to
-    reject cyclic moves in O(1) per query. *)
+    Backing store for the transitive-closure matrix used to reject
+    cyclic moves in O(1) per query. *)
 
 type t
 

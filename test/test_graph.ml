@@ -45,11 +45,6 @@ let test_copy_independent () =
   Graph.remove_edge h 0 1;
   Alcotest.(check bool) "original untouched" true (Graph.has_edge g 0 1)
 
-let test_sources_sinks () =
-  let g = diamond () in
-  Alcotest.(check (list int)) "sources" [ 0 ] (Graph.sources g);
-  Alcotest.(check (list int)) "sinks" [ 3 ] (Graph.sinks g)
-
 let valid_topological_order g order =
   let position = Array.make (Graph.size g) (-1) in
   Array.iteri (fun i v -> position.(v) <- i) order;
@@ -111,17 +106,6 @@ let test_longest_path_edge_weights () =
   in
   Alcotest.(check (float 1e-9)) "edge delay counted" 4.5 finish.(1)
 
-let test_critical_path_witness () =
-  let g = diamond () in
-  let weights = [| 1.0; 5.0; 2.0; 1.0 |] in
-  let value, path =
-    Graph.critical_path g
-      ~node_weight:(fun v -> weights.(v))
-      ~edge_weight:(fun _ _ -> 0.0)
-  in
-  Alcotest.(check (float 1e-9)) "value" 7.0 value;
-  Alcotest.(check (list int)) "witness" [ 0; 1; 3 ] path
-
 let test_longest_path_cyclic_rejected () =
   let g = Graph.create 2 in
   Graph.add_edge g 0 1;
@@ -131,13 +115,6 @@ let test_longest_path_cyclic_rejected () =
       ignore
         (Graph.longest_path g ~node_weight:(fun _ -> 1.0)
            ~edge_weight:(fun _ _ -> 0.0)))
-
-let test_transitive_reduction () =
-  let g = diamond () in
-  Graph.add_edge g 0 3 (* redundant: implied by 0->1->3 *);
-  let reduced = Graph.transitive_reduction g in
-  Alcotest.(check bool) "redundant edge dropped" false (Graph.has_edge reduced 0 3);
-  Alcotest.(check int) "diamond edges kept" 4 (Graph.edge_count reduced)
 
 (* Random DAG generator for property tests: edges only from lower to
    higher ids, hence always acyclic. *)
@@ -173,15 +150,6 @@ let qcheck_topo_valid =
       | None -> false
       | Some order -> valid_topological_order g order)
 
-let qcheck_reduction_preserves_reachability =
-  QCheck.Test.make ~name:"transitive reduction preserves reachability"
-    ~count:200 random_dag_arb (fun spec ->
-      let g = build spec in
-      let reduced = Graph.transitive_reduction g in
-      let c1 = Graph.transitive_closure g in
-      let c2 = Graph.transitive_closure reduced in
-      Array.for_all2 Bitset.equal c1 c2)
-
 let qcheck_closure_matches_reachable =
   QCheck.Test.make ~name:"transitive closure matches DFS reachability"
     ~count:200 random_dag_arb (fun spec ->
@@ -197,7 +165,6 @@ let suite =
     Alcotest.test_case "duplicate/self-loop" `Quick test_duplicate_and_selfloop;
     Alcotest.test_case "remove edge" `Quick test_remove_edge;
     Alcotest.test_case "copy independent" `Quick test_copy_independent;
-    Alcotest.test_case "sources/sinks" `Quick test_sources_sinks;
     Alcotest.test_case "topological order" `Quick test_topological_order;
     Alcotest.test_case "cycle detection" `Quick test_cycle_detection;
     Alcotest.test_case "reachable" `Quick test_reachable;
@@ -205,11 +172,8 @@ let suite =
     Alcotest.test_case "longest path" `Quick test_longest_path;
     Alcotest.test_case "longest path edge weights" `Quick
       test_longest_path_edge_weights;
-    Alcotest.test_case "critical path witness" `Quick test_critical_path_witness;
     Alcotest.test_case "cyclic longest path rejected" `Quick
       test_longest_path_cyclic_rejected;
-    Alcotest.test_case "transitive reduction" `Quick test_transitive_reduction;
     QCheck_alcotest.to_alcotest qcheck_topo_valid;
-    QCheck_alcotest.to_alcotest qcheck_reduction_preserves_reachability;
     QCheck_alcotest.to_alcotest qcheck_closure_matches_reachable;
   ]

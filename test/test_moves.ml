@@ -238,11 +238,10 @@ let matrix_kinds =
    singleton contexts — their independence keeps at least the swap of
    those two contexts acyclic, so every kind has feasible draws. *)
 let prepare s =
-  let clo = Solution.closure s in
+  let clo = App.closure (Solution.app s) in
   let order = Solution.sw_order s in
   let independent a b =
-    (not (Repro_sched.Closure.reaches clo a b))
-    && not (Repro_sched.Closure.reaches clo b a)
+    (not (Closure.reaches clo a b)) && not (Closure.reaches clo b a)
   in
   let pair =
     List.find_map
@@ -565,7 +564,7 @@ let test_swap_test_exact () =
    solution's own context list, kept as the reference for their answers:
    a filtered copy of the contexts and a positional binding. *)
 let placement_reference solution v placement =
-  let clo = Solution.closure solution in
+  let clo = App.closure (Solution.app solution) in
   let contexts =
     List.filter (function [ x ] -> x <> v | _ -> true)
       (Solution.contexts solution)
@@ -583,7 +582,7 @@ let placement_reference solution v placement =
       if Solution.joins_context solution ~task:v ~dest:vd then (d, d + 1)
       else (d + 1, d + 1)
   in
-  let reaches = Repro_sched.Closure.reaches clo in
+  let reaches = Closure.reaches clo in
   let reaches_into = List.exists (fun x -> x <> v && reaches v x)
   and reached_from = List.exists (fun x -> x <> v && reaches x v) in
   List.exists Fun.id
@@ -593,11 +592,11 @@ let placement_reference solution v placement =
        contexts)
 
 let swap_reference solution at =
-  let clo = Solution.closure solution in
+  let clo = App.closure (Solution.app solution) in
   let contexts = Solution.contexts solution in
   match List.filteri (fun j _ -> j = at || j = at + 1) contexts with
   | [ first; second ] ->
-    let reaches = Repro_sched.Closure.reaches clo in
+    let reaches = Closure.reaches clo in
     List.exists (fun x -> List.exists (fun y -> reaches x y) second) first
   | _ -> invalid_arg "reference: bad position"
 

@@ -1,6 +1,8 @@
 (* The domain pool: ordered collection, per-index seeding, per-item
-   outcomes, and the end-to-end determinism contract of
-   Explorer.explore_restarts (jobs=1 and jobs=4 must agree bitwise). *)
+   outcomes, the end-to-end determinism contract of
+   Explorer.explore_restarts (jobs=1 and jobs=4 must agree bitwise),
+   and solutions of one application built and searched on two domains
+   at once. *)
 
 module Parallel = Repro_util.Parallel
 module Rng = Repro_util.Rng
@@ -9,6 +11,10 @@ module Explorer = Repro_dse.Explorer
 module Solution = Repro_dse.Solution
 module Trace = Repro_dse.Trace
 module Annealer = Repro_anneal.Annealer
+module Moves = Repro_dse.Moves
+module App = Repro_taskgraph.App
+module Generators = Repro_taskgraph.Generators
+module Platform = Repro_arch.Platform
 
 (* Unwrap a pool run in which every item must complete. *)
 let values outcomes =
@@ -159,6 +165,70 @@ let test_restarts_deterministic () =
   Alcotest.(check bool) "trace identical" true (trace1 = trace4);
   Alcotest.(check bool) "trace not empty" true (trace1 <> [])
 
+(* The application's derived data (its closure, edge index and
+   topological order) is built once by [App.make] and read by every
+   solution of it.  Two domains build solutions of one shared [App.t]
+   (all-software, random, and decoded from an encoding) and run
+   seeded moves with undos on them at the same time; each item's
+   final encoding and makespan bits must equal those of a run on one
+   domain.  The larger application has the shape of the benchmark's
+   [layered1k] graph: 8 layers of up to 250 tasks, 600-CLB contexts. *)
+let test_shared_app_across_domains () =
+  let layered =
+    let rec find seed =
+      let app =
+        Generators.layered ~name:"layered1k" (Rng.create seed)
+          Generators.default_impl_model ~layers:8 ~width:250
+          ~edge_probability:0.015 ~mean_sw_time:2.0 ~mean_kbytes:8.0
+      in
+      if App.size app >= 1000 then app else find (seed + 1)
+    in
+    let app = find 1 in
+    (app, Platform.with_rc_size (Repro_workloads.Suite.platform_for app) 600)
+  in
+  let problems = [| layered; (Md.app (), Md.platform ~n_clb:2000 ()) |] in
+  let encodings =
+    Array.mapi
+      (fun i (app, platform) ->
+        Solution.encode (Solution.random (Rng.create (50 + i)) app platform))
+      problems
+  in
+  let item i =
+    let app, platform = problems.(i / 3) in
+    let rng = Rng.create (100 + i) in
+    let s =
+      match i mod 3 with
+      | 0 -> Solution.all_software app platform
+      | 1 -> Solution.random rng app platform
+      | _ -> (
+        match Solution.decode app platform encodings.(i / 3) with
+        | Ok s -> s
+        | Error e -> failwith e)
+    in
+    let kept = ref 0 in
+    for _ = 1 to 300 do
+      match Moves.propose rng Moves.fixed_architecture s with
+      | Some undo when Rng.bool rng -> undo ()
+      | Some _ -> incr kept
+      | None -> ()
+    done;
+    if !kept = 0 then failwith "no move kept";
+    (match Solution.check_invariants s with
+     | Ok () -> ()
+     | Error e -> failwith e);
+    (Solution.encode s, Int64.bits_of_float (Solution.makespan s))
+  in
+  let run jobs = map ~jobs (3 * Array.length problems) item in
+  let one = run 1 and two = run 2 in
+  Array.iteri
+    (fun i (encoding, bits) ->
+      let encoding', bits' = two.(i) in
+      Alcotest.(check string) (Printf.sprintf "item %d encoding" i) encoding
+        encoding';
+      Alcotest.(check int64) (Printf.sprintf "item %d makespan bits" i) bits
+        bits')
+    one
+
 let suite =
   [
     Alcotest.test_case "map matches sequential" `Quick
@@ -178,4 +248,6 @@ let suite =
       test_map_outcomes_validates;
     Alcotest.test_case "explore_restarts jobs-invariant" `Quick
       test_restarts_deterministic;
+    Alcotest.test_case "one app's solutions on two domains" `Quick
+      test_shared_app_across_domains;
   ]
