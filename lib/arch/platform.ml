@@ -6,6 +6,7 @@ type t = {
   rc : Resource.reconfigurable;
   extra : Resource.t list;
   bus : bus;
+  procs : Resource.processor array;
 }
 
 let make ~name ~processor ~rc ?(extra = []) ~bus () =
@@ -17,24 +18,26 @@ let make ~name ~processor ~rc ?(extra = []) ~bus () =
     invalid_arg "Platform.make: latency not finite";
   match (processor, rc) with
   | Resource.Processor p, Resource.Reconfigurable r ->
-    { name; processor = p; rc = r; extra; bus }
+    let extra_procs =
+      List.filter_map
+        (function
+          | Resource.Processor q -> Some q
+          | Resource.Reconfigurable _ | Resource.Asic _ -> None)
+        extra
+    in
+    { name; processor = p; rc = r; extra; bus;
+      procs = Array.of_list (p :: extra_procs) }
   | (Resource.Processor _ | Resource.Reconfigurable _ | Resource.Asic _), _ ->
     invalid_arg "Platform.make: needs a Processor and a Reconfigurable"
 
-let processors t =
-  t.processor
-  :: List.filter_map
-       (function
-         | Resource.Processor p -> Some p
-         | Resource.Reconfigurable _ | Resource.Asic _ -> None)
-       t.extra
+let processors t = Array.to_list t.procs
 
-let processor_count t = List.length (processors t)
+let processor_count t = Array.length t.procs
 
 let processor_speed t k =
-  match List.nth_opt (processors t) k with
-  | Some p -> p.Resource.proc_speed
-  | None -> invalid_arg "Platform.processor_speed: no such processor"
+  if k < 0 || k >= Array.length t.procs then
+    invalid_arg "Platform.processor_speed: no such processor";
+  t.procs.(k).Resource.proc_speed
 
 let transfer_time t kbytes =
   if kbytes < 0.0 then invalid_arg "Platform.transfer_time: negative amount";

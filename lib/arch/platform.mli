@@ -18,6 +18,10 @@ type t = private {
   rc : Resource.reconfigurable;         (** the (first) DRLC *)
   extra : Resource.t list;              (** further PEs, exploration mode *)
   bus : bus;
+  procs : Resource.processor array;
+  (** [processor] then the [Processor] entries of [extra]: built once
+      by {!make}, read by {!processor_count} and {!processor_speed} on
+      the move path *)
 }
 
 val make :

@@ -163,6 +163,21 @@ type incr = {
   limit : int;
 }
 
+(* The evaluator of a small application: its search graph is never
+   kept alive; each settle fills the arrays of one
+   {!Searchgraph.Flat} kernel straight from the solution and runs the
+   pass.  The tables are read once from the platform [tables_for]; the
+   whole record is rebuilt when the solution's platform is another one
+   ({!replace_platform}, or an undo across it).  Like [incr], it
+   belongs to one solution: copies start without one. *)
+type flat = {
+  kernel : Searchgraph.Flat.t;
+  tables_for : Platform.t;
+  sw_time : float array;   (* p * n + v: task v's time on processor p *)
+  transfer : float array;  (* application edge: its transfer time *)
+  src : int array;         (* application edge: its source *)
+}
+
 (* Paranoid cross-checking: regenerate the canonical pair list on every
    structural move and assert the mutator-emitted delta equals the
    regenerate-and-diff reference.  Read once from the environment
@@ -252,6 +267,7 @@ type t = {
   mutable free_ids : int list;
   mutable cached : cache;
   mutable incr : incr option;
+  mutable flat : flat option;
   mutable last_kind : move_kind;
   stats : eval_stats;
 }
@@ -335,6 +351,7 @@ let unlinked application platform ~assign ~impl ~ctxs ~free_ids =
     free_ids;
     cached = Stale;
     incr = None;
+    flat = None;
     last_kind = Init;
     stats = fresh_stats ();
   }
@@ -348,8 +365,10 @@ let all_software application platform =
   link_all t 0 (Array.to_list (App.topological_order application));
   t
 
-(* Copies never share the incremental state: it tracks one solution's
-   mutations and would be corrupted by a sibling's.  The stats record
+(* Copies never share the incremental state or the flat kernel: the
+   one tracks one solution's mutations and would be corrupted by a
+   sibling's, the other is scratch space that restarts on several
+   domains would overwrite under each other.  The stats record
    stays shared so a solution and its snapshots count together, and the
    cache is copied as is (a settled copy builds its record from the
    spec, see [evaluate]). *)
@@ -365,6 +384,7 @@ let copy t =
     version = fresh_root ();
     cached = t.cached;
     incr = None;
+    flat = None;
   }
 
 let snapshot = copy
@@ -1009,6 +1029,14 @@ let settled t inc =
   then failwith "Solution: the sink makespan diverges from the finish scan";
   Settled m
 
+(* Book one from-scratch evaluation of [nodes] search-graph nodes
+   against the kind of the mutation before it. *)
+let book_full t nodes =
+  t.stats.full_evals <- t.stats.full_evals + 1;
+  t.stats.full_nodes <- t.stats.full_nodes + nodes;
+  let ks = kind_stats t.stats t.last_kind in
+  ks.k_full_evals <- ks.k_full_evals + 1
+
 (* Full build: construct the search graph over n task and n
    configuration nodes and its longest-path state, and keep them alive
    for the incremental path. *)
@@ -1042,10 +1070,7 @@ let evaluate_full t =
   with
   | None -> Evaluated None
   | Some lp ->
-    t.stats.full_evals <- t.stats.full_evals + 1;
-    t.stats.full_nodes <- t.stats.full_nodes + n + k;
-    (kind_stats t.stats t.last_kind).k_full_evals <-
-      (kind_stats t.stats t.last_kind).k_full_evals + 1;
+    book_full t (n + k);
     let inc =
       {
         lp;
@@ -1108,27 +1133,141 @@ let check_adjacency t inc =
     failwith "Solution: the live adjacency diverges from the application \
               edges and the canonical pairs"
 
-(* Bring the cache up to date — it is never [Stale] afterwards: refresh
-   the live graph's dirty cones (or rebuild it) and read the makespan.
-   This is all a move costs to judge; the evaluation record waits for
-   [evaluate]. *)
+(* Applications of at most this many tasks are judged by the flat
+   pass, larger ones by the live graph.  Below it, the per-move pair
+   emission, edge edits, delta log and cone refresh cost more than one
+   O(n + m) pass over the solution's own arrays; above it, the pass
+   grows with the graph while a move's cone stays small.  Measured by
+   annealing layered graphs of 31 to 1001 tasks with each evaluator:
+   the flat pass wins up to 48 tasks, the two are within the host's
+   noise from 65 to ~90, and the live graph wins from 99 on
+   (EXPERIMENTS.md). *)
+let flat_max_tasks = 64
+
+(* The flat evaluator for the current platform, built on first use
+   and after a platform change. *)
+let flat_of t =
+  match t.flat with
+  | Some f when f.tables_for == t.platform -> f
+  | Some _ | None ->
+    let app = t.app and platform = t.platform and n = size t in
+    let m = App.edge_count app in
+    let f =
+      {
+        kernel = Searchgraph.Flat.create app ~contexts:n ~members:n;
+        tables_for = platform;
+        sw_time =
+          Array.init
+            (Platform.processor_count platform * n)
+            (fun i ->
+              (App.task app (i mod n)).Task.sw_time
+              /. Platform.processor_speed platform (i / n));
+        transfer =
+          Array.init m (fun e ->
+              Platform.transfer_time platform (App.edge app e).App.kbytes);
+        src = Array.init m (fun e -> (App.edge app e).App.src);
+      }
+    in
+    t.flat <- Some f;
+    f
+
+(* Context [j]'s members from slot [i] of the kernel: each is placed and
+   its CLBs summed; the end slot closes the context. *)
+let rec place_members t (k : Searchgraph.Flat.t) j i clbs = function
+  | [] ->
+    k.ctx_start.(j + 1) <- i;
+    clbs
+  | v :: rest ->
+    k.context.(v) <- j;
+    k.ctx_member.(i) <- v;
+    place_members t k j (i + 1) (clbs + task_clbs t v) rest
+
+(* The contexts from position [j] on, each checked against the device
+   [limit]: the context count, or -1 when one overflows. *)
+let rec place_contexts t (k : Searchgraph.Flat.t) limit j = function
+  | [] -> j
+  | (_, members) :: rest ->
+    let clbs = place_members t k j k.ctx_start.(j) 0 members in
+    if clbs > limit then -1
+    else begin
+      k.cfg_time.(j) <- Platform.reconfiguration_time t.platform clbs;
+      place_contexts t k limit (j + 1) rest
+    end
+
+(* The flat settle: fill the kernel with [Searchgraph.flat]'s arrays,
+   read off [assign], [impl], the chains and [ctxs] (a chain link that
+   repeats an application edge is left out, as there), judge capacity
+   in the same pass over the contexts, and run the kernel.  The same
+   pass over the same arrays as [Searchgraph.evaluate (spec t)], so the
+   same bits; [REPRO_CHECK_DELTAS] asserts it. *)
+let settle_flat t =
+  let f = flat_of t in
+  let k = f.kernel and n = size t and app = t.app in
+  let appg = app.App.graph in
+  for v = 0 to n - 1 do
+    let a = t.assign.(v) in
+    if a < 0 then begin
+      k.exec.(v) <- f.sw_time.(((-a - 1) * n) + v);
+      k.context.(v) <- -1;
+      let w = t.next.(v) in
+      k.next_sw.(v) <- (if w >= 0 && not (Graph.has_edge appg v w) then w else -1)
+    end
+    else begin
+      k.exec.(v) <- (Task.impl (App.task app v) t.impl.(v)).Task.hw_time;
+      k.next_sw.(v) <- -1
+    end
+  done;
+  let src = f.src and dst = k.dst in
+  for e = 0 to Array.length src - 1 do
+    k.weight.(e) <-
+      (if crossing_of t src.(e) dst.(e) then f.transfer.(e) else 0.0)
+  done;
+  let nc = place_contexts t k (Platform.n_clb t.platform) 0 t.ctxs in
+  let result =
+    if nc < 0 then Evaluated None
+    else begin
+      k.n_contexts <- nc;
+      book_full t (n + nc);
+      if Searchgraph.Flat.pass k then Settled k.makespan else Evaluated None
+    end
+  in
+  if !check_deltas then begin
+    let agree =
+      match (result, Searchgraph.evaluate (spec t)) with
+      | Settled m, Some e ->
+        Int64.bits_of_float m = Int64.bits_of_float e.Searchgraph.makespan
+      | Evaluated None, None -> true
+      | Evaluated None, Some _ -> not (capacity_ok t)
+      | (Settled _ | Evaluated _ | Stale), _ -> false
+    in
+    if not agree then
+      failwith "Solution: the flat settle diverges from Searchgraph.evaluate"
+  end;
+  result
+
+(* Bring the cache up to date — it is never [Stale] afterwards: run the
+   flat pass of a small application, or refresh the live graph's dirty
+   cones (or rebuild it), and read the makespan.  This is all a move
+   costs to judge; the evaluation record waits for [evaluate]. *)
 let settle t =
   (match t.cached with
    | Stale ->
      t.cached <-
-       (match t.incr with
-        | Some inc ->
-          if inc.desync then Evaluated None
-          else begin
-            if !check_deltas then check_adjacency t inc;
-            if !check_deltas && (inc.over = 0) <> capacity_ok t then
-              failwith "Solution: the over-capacity count diverges from \
-                        capacity_ok";
-            if inc.over > 0 then Evaluated None
-            else evaluate_incremental t inc
-          end
-        | None ->
-          if not (capacity_ok t) then Evaluated None else evaluate_full t)
+       (if size t <= flat_max_tasks then settle_flat t
+        else
+          match t.incr with
+          | Some inc ->
+            if inc.desync then Evaluated None
+            else begin
+              if !check_deltas then check_adjacency t inc;
+              if !check_deltas && (inc.over = 0) <> capacity_ok t then
+                failwith "Solution: the over-capacity count diverges from \
+                          capacity_ok";
+              if inc.over > 0 then Evaluated None
+              else evaluate_incremental t inc
+            end
+          | None ->
+            if not (capacity_ok t) then Evaluated None else evaluate_full t)
    | Settled _ | Evaluated _ -> ());
   t.cached
 
@@ -1341,6 +1480,33 @@ let replace_platform t platform =
   (* Every weight and transfer time may change: rebuild. *)
   invalidate t
 
+(* Fenwick tree over the stamps [0, n) of the ready tasks: [tree] is
+   1-based, [fenwick_add] counts a stamp in or out, [fenwick_find r]
+   is the stamp of ascending rank [r] (1-based) among those counted. *)
+let fenwick_add tree stamp d =
+  let i = ref (stamp + 1) in
+  while !i < Array.length tree do
+    tree.(!i) <- tree.(!i) + d;
+    i := !i + (!i land - !i)
+  done
+
+let fenwick_find tree r =
+  let n = Array.length tree - 1 in
+  let step = ref 1 in
+  while 2 * !step <= n do
+    step := 2 * !step
+  done;
+  let pos = ref 0 and rest = ref r in
+  while !step > 0 do
+    let next = !pos + !step in
+    if next <= n && tree.(next) < !rest then begin
+      pos := next;
+      rest := !rest - tree.(next)
+    end;
+    step := !step / 2
+  done;
+  !pos
+
 let random rng application platform =
   let n = App.size application in
   let t =
@@ -1348,24 +1514,38 @@ let random rng application platform =
       ~impl:(Array.make n 0) ~ctxs:[] ~free_ids:(List.init n Fun.id)
   in
   (* Randomized precedence-consistent software order: Kahn with random
-     ready choice. *)
+     ready choice.  The draw indexes the ready tasks newest first, the
+     sources by increasing id: each task is stamped when it becomes
+     ready (the sources in decreasing id), so the [i]-th ready task is
+     the one of descending stamp rank [i], found in O(log n). *)
   let g = application.App.graph in
   let indegree = Array.init n (fun v -> Graph.in_degree g v) in
-  let ready = ref (List.filter (fun v -> indegree.(v) = 0) (List.init n Fun.id)) in
-  let order = ref [] in
-  while !ready <> [] do
-    let arr = Array.of_list !ready in
-    let v = Rng.choice rng arr in
-    ready := List.filter (fun w -> w <> v) !ready;
-    order := v :: !order;
+  let stamped = Array.make n 0 and tree = Array.make (n + 1) 0 in
+  let stamps = ref 0 and ready = ref 0 in
+  let make_ready v =
+    stamped.(!stamps) <- v;
+    fenwick_add tree !stamps 1;
+    incr stamps;
+    incr ready
+  in
+  for v = n - 1 downto 0 do
+    if indegree.(v) = 0 then make_ready v
+  done;
+  let order = Array.make n 0 and ordered = ref 0 in
+  while !ready > 0 do
+    let stamp = fenwick_find tree (!ready - Rng.int rng !ready) in
+    fenwick_add tree stamp (-1);
+    decr ready;
+    let v = stamped.(stamp) in
+    order.(!ordered) <- v;
+    incr ordered;
     List.iter
       (fun w ->
         indegree.(w) <- indegree.(w) - 1;
-        if indegree.(w) = 0 then ready := w :: !ready)
+        if indegree.(w) = 0 then make_ready w)
       (Graph.succs g v)
   done;
-  let random_topological_order = List.rev !order in
-  link_all t 0 random_topological_order;
+  Array.iter (fun v -> link t v 0 (-1)) order;
   (* Move a random number of tasks, one by one, to the circuit; pack in
      topological order, opening a new context when the last one is
      full (the paper's initial-solution procedure). *)
@@ -1391,26 +1571,28 @@ let random rng application platform =
   (* Pack along the same topological order that the software schedule
      uses: a single linear order underlies the whole initial solution,
      so software edges, context packing and the context chain cannot
-     disagree — the initial search graph is acyclic by construction. *)
-  let topo = Array.of_list random_topological_order in
+     disagree — the initial search graph is acyclic by construction.
+     The contexts are built last first, with the last one's CLB total
+     at hand, and put in execution order once. *)
+  let packed = ref [] and last_clbs = ref 0 in
   Array.iter
     (fun v ->
       if in_hw.(v) then begin
-        match List.rev t.ctxs with
-        | (last_id, members) :: _
-          when members_clbs t members + task_clbs t v <= limit ->
-          unlink t v;
-          write t t.assign v last_id;
-          t.ctxs <-
-            List.map
-              (fun (cid, ms) -> if cid = last_id then (cid, v :: ms) else (cid, ms))
-              t.ctxs
-        | _ :: _ | [] -> append_context t ~task:v
+        let clbs = task_clbs t v in
+        unlink t v;
+        match !packed with
+        | (id, members) :: rest when !last_clbs + clbs <= limit ->
+          write t t.assign v id;
+          packed := (id, v :: members) :: rest;
+          last_clbs := !last_clbs + clbs
+        | _ :: _ | [] ->
+          let id = fresh_id t in
+          write t t.assign v id;
+          packed := (id, [ v ]) :: !packed;
+          last_clbs := clbs
       end)
-    topo;
-  (* [append_context] stamps its own kind: the first evaluation of the
-     initial solution is booked under [Init]. *)
-  t.last_kind <- Init;
+    order;
+  t.ctxs <- List.rev !packed;
   t
 
 (* Ids [k..n-1] are free.  The guard keeps a malformed input (more

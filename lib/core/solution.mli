@@ -116,8 +116,10 @@ val evaluate : t -> Searchgraph.eval option
     {!makespan}; which of the two is read first changes neither the
     result nor {!eval_stats}.
 
-    Evaluation keeps the built search graph and its longest-path state
-    alive inside the solution, and the graph is {e dynamic}: both the
+    An application of more than {!flat_max_tasks} tasks keeps the built
+    search graph and its longest-path state alive inside the solution
+    (a smaller one is judged by the flat pass, see {!flat_max_tasks}),
+    and the graph is {e dynamic}: both the
     structure-preserving mutation ({!set_impl}) and the structural
     moves ({!reorder_sw}, {!move_to_sw}, {!move_to_context},
     {!insert_context}/{!append_context}, {!swap_contexts}) edit it in
@@ -147,6 +149,20 @@ val evaluate : t -> Searchgraph.eval option
     ({!Repro_sched.Searchgraph.Comm}).  Under [REPRO_CHECK_DELTAS]
     (see {!set_check_deltas}) every move's emitted delta is
     additionally asserted against a regenerate-and-diff reference. *)
+
+val flat_max_tasks : int
+(** Applications of at most this many tasks are judged by the flat
+    pass instead: each settle fills one {!Repro_sched.Searchgraph.Flat}
+    kernel per solution straight from the solution's arrays (capacity
+    judged in the same walk) and runs it, bit-identical to
+    {!Repro_sched.Searchgraph.evaluate} of {!spec}.  No live graph is
+    ever built for them: mutators write the solution's arrays and mark
+    the cache stale, an undo is the version-chain reroot alone, and
+    every evaluation (a cyclic one included) is booked in
+    {!eval_stats} as a full one ([full_evals], [full_nodes] and the move
+    kind's [k_full_evals]), so the [incr_*], edge, pair and comm
+    counters stay 0.  Under [REPRO_CHECK_DELTAS] every flat settle is
+    asserted against {!Repro_sched.Searchgraph.evaluate}. *)
 
 (** {1 Evaluation statistics} *)
 
@@ -215,11 +231,12 @@ val check_deltas_enabled : unit -> bool
 
 val makespan : t -> float
 (** Makespan of a feasible solution; [infinity] when infeasible.  Read
-    straight off the live longest-path state, without building the
-    {!evaluate} record: this is what judging a move costs.  Only the
-    sinks of the search graph are read — the tail of each processor
-    order and the members of the last context — since every other node
-    finishes no later than a successor.  Bitwise equal to the record's
+    off the flat pass ({!flat_max_tasks}) or straight off the live
+    longest-path state, without building the {!evaluate} record: this
+    is what judging a move costs.  On the live state only the sinks of
+    the search graph are read — the tail of each processor order and
+    the members of the last context — since every other node finishes
+    no later than a successor.  Bitwise equal to the record's
     makespan. *)
 
 val check_invariants : t -> (unit, string) result

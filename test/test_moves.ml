@@ -331,7 +331,14 @@ let test_incremental_matches_rebuild () =
              raises on a mismatch: the drive itself is the check. *)
           ignore (lockstep ~label ~paranoid:true ~draws:100 ~seed input kind))
         matrix_kinds)
-    (inputs ())
+    (* md28 itself is judged by the flat pass, which keeps no live
+       graph: its padded twin drives the incremental path. *)
+    [
+      ( "md28+pad",
+        let application, plat = Test_solution.md28 () in
+        (Test_solution.above_flat application, plat) );
+      ("g128", Test_golden.layered128 ());
+    ]
 
 (* The static cycle tests.  [realize s mutate] makes a mutation, reads
    whether the solution calls it infeasible and whether a rebuild of

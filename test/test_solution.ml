@@ -36,6 +36,24 @@ let platform ?(n_clb = 100) () =
     ~rc:(Resource.reconfigurable ~n_clb ~reconfig_ms_per_clb:0.01 "rc")
     ~bus:Platform.default_bus ()
 
+(* [application] with isolated filler tasks appended up to one task
+   more than the flat evaluator takes ({!Solution.flat_max_tasks}): the
+   tests of the live search graph run on it. *)
+let above_flat application =
+  let n = App.size application in
+  let filler id =
+    Task.make ~id ~name:(Printf.sprintf "pad%d" id) ~functionality:"pad"
+      ~sw_time:0.5 ~impls:[ impl 10 0.25 ]
+  in
+  App.make ~name:(application.App.name ^ "+pad")
+    ?deadline:application.App.deadline
+    ~tasks:
+      (Array.to_list application.App.tasks
+      @ List.init
+          (max 0 (Solution.flat_max_tasks + 1 - n))
+          (fun i -> filler (n + i)))
+    ~edges:(App.edges application) ()
+
 let ok = function
   | Ok () -> true
   | Error msg -> Alcotest.failf "invariant violation: %s" msg
@@ -207,7 +225,9 @@ let chain_app () =
   App.make ~name:"chain16" ~tasks ~edges ()
 
 let test_incremental_locality () =
-  let s = Solution.all_software (chain_app ()) (platform ~n_clb:200 ()) in
+  let s =
+    Solution.all_software (above_flat (chain_app ())) (platform ~n_clb:200 ())
+  in
   Solution.append_context s ~task:15;
   Alcotest.(check bool) "feasible" true (Solution.evaluate s <> None);
   let stats = Solution.eval_stats s in
@@ -270,7 +290,7 @@ let test_incremental_matches_reference_random () =
   let rng = Rng.create 77 in
   let s =
     Solution.random rng
-      (Repro_workloads.Motion_detection.app ())
+      (above_flat (Repro_workloads.Motion_detection.app ()))
       (Repro_workloads.Motion_detection.platform ~n_clb:800 ())
   in
   for _ = 1 to 400 do
@@ -295,7 +315,7 @@ let test_incremental_matches_reference_random () =
    refresh — no full rebuild — and each evaluation must equal a
    from-scratch [Searchgraph.evaluate] of the same spec bitwise. *)
 let test_structural_moves_incremental () =
-  let s = Solution.all_software (app ()) (platform ~n_clb:200 ()) in
+  let s = Solution.all_software (above_flat (app ())) (platform ~n_clb:200 ()) in
   Alcotest.(check bool) "warm" true (Solution.evaluate s <> None);
   let stats = Solution.eval_stats s in
   let full_before = stats.Solution.full_evals in
@@ -395,7 +415,7 @@ let test_native_delta_counters () =
   let was = Solution.check_deltas_enabled () in
   Solution.set_check_deltas false;
   Fun.protect ~finally:(fun () -> Solution.set_check_deltas was) @@ fun () ->
-  let s = Solution.all_software (app ()) (platform ~n_clb:200 ()) in
+  let s = Solution.all_software (above_flat (app ())) (platform ~n_clb:200 ()) in
   Alcotest.(check bool) "warm" true (Solution.evaluate s <> None);
   Solution.insert_context s ~task:1 ~at:0;
   ignore (Solution.makespan s);
@@ -487,7 +507,7 @@ let test_respawn_freed_id () =
   let was = Solution.check_deltas_enabled () in
   Solution.set_check_deltas true;
   Fun.protect ~finally:(fun () -> Solution.set_check_deltas was) @@ fun () ->
-  let s = Solution.all_software (app ()) (platform ~n_clb:100 ()) in
+  let s = Solution.all_software (above_flat (app ())) (platform ~n_clb:100 ()) in
   Solution.append_context s ~task:0;
   Solution.append_context s ~task:2;
   Solution.append_context s ~task:1;
@@ -521,15 +541,16 @@ let with_check_deltas f =
   Solution.set_check_deltas true;
   Fun.protect ~finally:(fun () -> Solution.set_check_deltas was) f
 
-(* Eight independent tasks of 20 CLBs: on a 100-CLB device every
-   context order is acyclic and any three tasks share a context. *)
+(* Eight independent tasks of 20 CLBs, padded with isolated fillers
+   above the flat evaluator's range: on a 100-CLB device every context
+   order is acyclic and any three of the eight share a context. *)
 let free_app () =
   let t id =
     Task.make ~id ~name:(Printf.sprintf "f%d" id) ~functionality:"F"
       ~sw_time:(1.0 +. float_of_int id)
       ~impls:[ impl 20 (0.5 +. float_of_int id) ]
   in
-  App.make ~name:"free8" ~tasks:(List.init 8 t) ~edges:[] ()
+  above_flat (App.make ~name:"free8" ~tasks:(List.init 8 t) ~edges:[] ())
 
 (* A free8 solution whose contexts hold [layout]'s tasks in that order,
    built through the moves themselves. *)
@@ -1042,6 +1063,122 @@ let qcheck_chains_match_model =
       done;
       !ok)
 
+(* The flat path: small applications keep no live graph, so after every
+   move and every undo the makespan must carry the bits of a fresh
+   [Searchgraph.evaluate] of the spec.  Device moves swap the platform
+   for a smaller and a larger circuit, and back on undo, so the flat
+   tables follow the platform both ways.  Each input runs once in the
+   default mode and once under [REPRO_CHECK_DELTAS], whose flat settle
+   asserts the same equality itself. *)
+let fixture name load =
+  match load (Filename.concat "fixtures" name) with
+  | Ok x -> x
+  | Error msg -> Alcotest.fail msg
+
+let flat_inputs () =
+  let md n_clb =
+    ( Printf.sprintf "md28 at %d CLBs" n_clb,
+      (Repro_workloads.Motion_detection.app (),
+       Repro_workloads.Motion_detection.platform ~n_clb ()) )
+  in
+  let board = fixture "good_board.plat" Platform_io.load in
+  [
+    md 100; md 400; md 1000; md 3000;
+    ("good_tiny on good_board", (fixture "good_tiny.tg" App_io.load, board));
+    ("good_diamond on good_board", (fixture "good_diamond.tg" App_io.load, board));
+    ("md28 on the two-processor board", Test_golden.two_processor_board ());
+  ]
+
+let flat_matches_evaluate ~paranoid (label, (application, plat)) =
+  let was = Solution.check_deltas_enabled () in
+  Solution.set_check_deltas paranoid;
+  Fun.protect ~finally:(fun () -> Solution.set_check_deltas was) @@ fun () ->
+  if App.size application > Solution.flat_max_tasks then
+    Alcotest.failf "%s: above the flat range" label;
+  let n_clb = Platform.n_clb plat in
+  let config =
+    Repro_dse.Moves.exploration
+      [ plat; Platform.with_rc_size plat (max 1 (n_clb / 2));
+        Platform.with_rc_size plat (2 * n_clb) ]
+  in
+  let rng = Rng.create 23 in
+  let s = Solution.random (Rng.create 3) application plat in
+  let check what =
+    let got = Solution.makespan s in
+    match Searchgraph.evaluate (Solution.spec s) with
+    | Some e when same_bits got e.Searchgraph.makespan -> ()
+    | Some e ->
+      Alcotest.failf "%s: %s: makespan %h, evaluate %h" label what got
+        e.Searchgraph.makespan
+    | None -> Alcotest.failf "%s: %s: evaluate finds a cycle" label what
+  in
+  check "initial";
+  let devices = ref 0 in
+  for step = 1 to 400 do
+    match Repro_dse.Moves.propose rng config s with
+    | None -> ()
+    | Some undo ->
+      if not (Solution.platform s == plat) then incr devices;
+      check (Printf.sprintf "move %d" step);
+      if Rng.bernoulli rng 0.4 then begin
+        undo ();
+        check (Printf.sprintf "undo %d" step)
+      end
+  done;
+  let stats = Solution.eval_stats s in
+  Alcotest.(check bool) (label ^ ": device moves drawn") true (!devices > 0);
+  Alcotest.(check int) (label ^ ": no incremental evaluation") 0
+    stats.Solution.incr_evals;
+  Alcotest.(check int) (label ^ ": no edge edited") 0
+    stats.Solution.edges_edited;
+  Alcotest.(check bool) (label ^ ": every evaluation booked full") true
+    (stats.Solution.full_evals > 0)
+
+let test_flat_matches_evaluate () =
+  List.iter
+    (fun input ->
+      flat_matches_evaluate ~paranoid:false input;
+      flat_matches_evaluate ~paranoid:true input)
+    (flat_inputs ())
+
+(* A flat evaluation books the kind of the mutation before it, which
+   the traced benchmark's per-kind mix reads. *)
+let test_flat_books_kinds () =
+  let application, plat = md28 () in
+  let s = Solution.all_software application plat in
+  ignore (Solution.makespan s);
+  Solution.append_context s ~task:3;
+  ignore (Solution.makespan s);
+  let stats = Solution.eval_stats s in
+  let full kind = (Solution.kind_stats stats kind).Solution.k_full_evals in
+  Alcotest.(check int) "init" 1 (full Solution.Init);
+  Alcotest.(check int) "ctx_create" 1 (full Solution.Ctx_create);
+  Alcotest.(check int) "full evals" 2 stats.Solution.full_evals;
+  (* 28 tasks, then 28 tasks and one configuration node. *)
+  Alcotest.(check int) "full nodes" (28 + 29) stats.Solution.full_nodes
+
+(* [Solution.random] against the list-based reference: the same
+   solution, and the generator left in the same state. *)
+let test_random_matches_reference () =
+  let layered =
+    let application, plat = Test_golden.layered128 () in
+    ("g128", (application, plat))
+  in
+  List.iter
+    (fun (label, (application, plat)) ->
+      for seed = 1 to 25 do
+        let fast = Rng.create seed and slow = Rng.create seed in
+        let got = Solution.random fast application plat in
+        let want = Random_reference.random slow application plat in
+        Alcotest.(check string)
+          (Printf.sprintf "%s, seed %d: same solution" label seed)
+          (Solution.encode want) (Solution.encode got);
+        Alcotest.(check int)
+          (Printf.sprintf "%s, seed %d: same next draw" label seed)
+          (Rng.int slow 1_000_000) (Rng.int fast 1_000_000)
+      done)
+    (layered :: flat_inputs ())
+
 let suite =
   [
     Alcotest.test_case "all software" `Quick test_all_software;
@@ -1083,4 +1220,10 @@ let suite =
     Alcotest.test_case "makespan path (md28, g128)" `Quick test_makespan_path;
     Alcotest.test_case "undo across 100k accepted moves" `Quick test_long_undo;
     Alcotest.test_case "save allocates O(1) words" `Quick test_save_allocation;
+    Alcotest.test_case "flat path matches evaluate (moves, undos, devices)"
+      `Quick test_flat_matches_evaluate;
+    Alcotest.test_case "flat evaluations booked full, per kind" `Quick
+      test_flat_books_kinds;
+    Alcotest.test_case "random matches the list reference" `Quick
+      test_random_matches_reference;
   ]
