@@ -18,13 +18,15 @@ module Annealer = Repro_anneal.Annealer
 module Schedule = Repro_anneal.Schedule
 module App = Repro_taskgraph.App
 
+(* [None] is the recipe's Lam schedule, at quality 150/--iters. *)
 let schedule_of_name name quality =
-  match name with
-  | "lam" -> Schedule.lam ~quality ()
-  | "swartz" -> Schedule.swartz ()
-  | "geometric" -> Schedule.geometric ()
-  | "infinite" -> Schedule.infinite ()
-  | other -> invalid_arg (Printf.sprintf "unknown schedule %S" other)
+  match (name, quality) with
+  | "lam", None -> None
+  | "lam", Some quality -> Some (Schedule.lam ~quality ())
+  | "swartz", _ -> Some (Schedule.swartz ())
+  | "geometric", _ -> Some (Schedule.geometric ())
+  | "infinite", _ -> Some (Schedule.infinite ())
+  | other, _ -> invalid_arg (Printf.sprintf "unknown schedule %S" other)
 
 let run app_name app_file platform_file clbs engine_name iters warmup seed
     schedule lam_quality serialized trace_path gantt dot_path save_app
@@ -71,17 +73,15 @@ let run app_name app_file platform_file clbs engine_name iters warmup seed
    | _ -> ());
   if checkpoint_every <= 0 then
     Cli_common.fail "--checkpoint-every wants a positive iteration count";
-  (* sa spends --warmup of --iters, every engine's whole budget. *)
-  let warmup = Option.value warmup ~default:(Explorer.default_warmup iters) in
+  if iters < 1 then Cli_common.fail "--iters wants a positive iteration count";
+  (* sa spends --warmup of --iters, every engine's whole budget; the
+     others ignore --warmup. *)
+  let warmup = if sa then warmup else Some 0 in
   let config =
     {
       Explorer.anneal =
-        {
-          Annealer.iterations = iters - warmup;
-          warmup_iterations = warmup;
-          schedule = schedule_of_name schedule lam_quality;
-          seed;
-        };
+        Annealer.for_budget ~seed ?warmup
+          ?schedule:(schedule_of_name schedule lam_quality) iters;
       moves = Repro_dse.Moves.fixed_architecture;
       objective =
         (if serialized then Explorer.Makespan_serialized else Explorer.Makespan);
@@ -307,8 +307,10 @@ let schedule_arg =
        & info [ "schedule" ] ~doc:"lam | swartz | geometric | infinite")
 
 let quality_arg =
-  Arg.(value & opt float 0.003 & info [ "lam-quality" ]
-       ~doc:"Lam schedule quality parameter")
+  Arg.(value & opt (some float) None & info [ "lam-quality" ]
+       ~doc:"Lam schedule quality parameter (default 150/--iters: 0.003 \
+             at 50000, higher for a smaller budget, so any budget cools \
+             through the whole temperature range)")
 
 let serialized_arg =
   Arg.(value & flag

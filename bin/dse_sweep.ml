@@ -122,15 +122,8 @@ let run runs iters base_seed sizes engine_name csv_path jobs checkpoint_path
    | Some s when s <= 0.0 ->
      Cli_common.fail "--restart-timeout wants a positive number of seconds"
    | _ -> ());
-  (* sa spends the registry's warmup share of --iters. *)
-  let warmup = Explorer.default_warmup iters in
-  let config =
-    {
-      Explorer.anneal = Annealer.config_of_budget ~warmup (iters - warmup);
-      moves = Repro_dse.Moves.fixed_architecture;
-      objective = Explorer.Makespan;
-    }
-  in
+  (* sa anneals as the registry's on --iters. *)
+  let config = Explorer.sa_config iters in
   let engine = Cli_common.search_engine ~config engine_name in
   Printf.printf
     "Fig. 3 sweep: %d run(s) per size, %d iterations each, %d job(s), \
@@ -157,7 +150,8 @@ let run runs iters base_seed sizes engine_name csv_path jobs checkpoint_path
           fingerprint =
             Printf.sprintf
               "sweep runs=%d iters=%d warmup=%d seed=%d engine=%s sizes=%s"
-              runs iters warmup base_seed engine_name
+              runs iters config.anneal.Annealer.warmup_iterations base_seed
+              engine_name
               (String.concat "," (List.map string_of_int sizes));
           encode = encode_cell;
           decode = decode_cell;

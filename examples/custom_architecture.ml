@@ -20,7 +20,7 @@ let () =
   let start = Md.platform ~n_clb:10000 () in
   let config =
     {
-      Explorer.anneal = { Annealer.default_config with seed = 3 };
+      Explorer.anneal = Annealer.for_budget ~seed:3 50_000;
       moves = Moves.exploration catalogue;
       objective = Explorer.Cost_under_deadline { penalty_per_ms = 50.0 };
     }

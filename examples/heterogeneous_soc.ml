@@ -14,7 +14,7 @@ module Annealer = Repro_anneal.Annealer
 let explore app platform =
   let config =
     {
-      Explorer.anneal = { Annealer.default_config with seed = 9 };
+      Explorer.anneal = Annealer.for_budget ~seed:9 50_000;
       moves = Repro_dse.Moves.fixed_architecture;
       objective = Explorer.Makespan;
     }

@@ -16,7 +16,7 @@ let () =
   Format.printf "%a@.@." Repro_arch.Platform.pp platform;
 
   let trace = Repro_dse.Trace.create ~every:100 () in
-  let config = Explorer.default_config ~seed:7 () in
+  let config = Explorer.sa_config ~seed:7 50_000 in
   let result = Explorer.explore ~trace config app platform in
 
   let eval = result.Explorer.best_eval in

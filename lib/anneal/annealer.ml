@@ -8,30 +8,27 @@ type config = {
   seed : int;
 }
 
-let default_config =
-  {
-    iterations = 50_000;
-    warmup_iterations = 1_200;
-    schedule = Schedule.lam ~quality:0.003 ();
-    seed = 1;
-  }
-
-let lam_schedule iterations =
-  Schedule.lam ~quality:(150.0 /. float_of_int iterations) ()
-
-let config_of_budget ?(seed = 1) ?warmup iterations =
-  {
-    iterations;
-    warmup_iterations =
-      (match warmup with Some w -> w | None -> max 200 (iterations / 20));
-    schedule = lam_schedule iterations;
-    seed;
-  }
-
-let config_of_quality ?seed q =
-  if q < 0.0 || q > 1.0 then
-    invalid_arg "Annealer.config_of_quality: quality outside [0,1]";
-  config_of_budget ?seed (int_of_float (2_000.0 *. (100.0 ** q)))
+(* The registry's one recipe.  Lam's quality 150/total makes a small
+   budget cool faster and still sweep the whole temperature range; at
+   the default 50000 moves it is the same double as the historical
+   0.003. *)
+let for_budget ?(seed = 1) ?warmup ?schedule total =
+  let warmup =
+    match warmup with Some w -> w | None -> max 1 (min 1_200 (total / 10))
+  in
+  if warmup < 0 then invalid_arg "Annealer: negative warmup";
+  if warmup >= total then
+    invalid_arg
+      (Printf.sprintf
+         "sa warmup %d leaves no cooling iteration out of %d (want warmup < \
+          iters)"
+         warmup total);
+  let schedule =
+    match schedule with
+    | Some s -> s
+    | None -> Schedule.lam ~quality:(150.0 /. float_of_int total) ()
+  in
+  { iterations = total - warmup; warmup_iterations = warmup; schedule; seed }
 
 type chain = {
   schedule : Schedule.instance;

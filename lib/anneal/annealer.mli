@@ -20,26 +20,17 @@ type config = {
   seed : int;
 }
 
-val default_config : config
-(** 50000 iterations, 1200 warmup (the paper's Fig. 2 uses 1200),
-    Lam schedule with quality 0.003, seed 1. *)
-
-val lam_schedule : int -> Schedule.t
-(** [lam_schedule iterations] is the Lam schedule for a budget of
-    [iterations] cooling moves: quality [150 / iterations], so a
-    larger budget cools proportionally slower and still sweeps the
-    full range of temperatures. *)
-
-val config_of_budget : ?seed:int -> ?warmup:int -> int -> config
-(** [config_of_budget iterations] anneals for [iterations] cooling
-    moves on {!lam_schedule}, after [warmup] moves at infinite
-    temperature (default [max 200 (iterations / 20)]).  Seed 1 by
-    default. *)
-
-val config_of_quality : ?seed:int -> float -> config
-(** [config_of_quality q] maps the user-selected optimization quality
-    [q] in \[0,1\] to a budget for {!config_of_budget}: iterations
-    grow geometrically from 2k (q=0) to 200k (q=1). *)
+val for_budget :
+  ?seed:int -> ?warmup:int -> ?schedule:Schedule.t -> int -> config
+(** [for_budget total] is the one recipe that turns a budget of [total]
+    moves into a configuration: [warmup] moves at infinite temperature
+    (default a tenth of [total], at least 1 and at most the paper's
+    1200), then [total - warmup] cooling moves on [schedule] (default
+    Lam at quality [150 /. float total]: 0.003 at 50000 moves, and a
+    smaller budget cools proportionally faster, still sweeping the full
+    range of temperatures).  Seed 1 by default.  Raises
+    [Invalid_argument] with a one-line message when [warmup] is
+    negative or leaves no cooling move ([warmup >= total]). *)
 
 type chain = {
   schedule : Schedule.instance;

@@ -43,7 +43,7 @@ let engine_start ?payload (ctx : Engine.context) =
          then only has to beat the donated incumbent. *)
       let s =
         match ctx.Engine.warm_start with
-        | Some w -> Solution.snapshot w
+        | Some w -> Solution.copy w
         | None -> Solution.all_software app platform
       in
       (s, Solution.makespan s, 1))
@@ -58,7 +58,7 @@ let engine_start ?payload (ctx : Engine.context) =
         let accepted = cost < !sweep_best in
         if accepted then sweep_best := cost;
         { Engine.state = candidate; cost; accepted; evaluations = 1 })
-    ~snapshot:Solution.snapshot
+    ~snapshot:Solution.copy
 
 module Engine_impl : Engine.S = struct
   let name = "greedy"

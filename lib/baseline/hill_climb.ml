@@ -24,7 +24,7 @@ let engine_start ?payload ~moves_per_climb (ctx : Engine.context) =
          the iteration-0 restart still draws its own fresh state. *)
       let s =
         match ctx.Engine.warm_start with
-        | Some w -> Solution.snapshot w
+        | Some w -> Solution.copy w
         | None -> Solution.all_software app platform
       in
       let cost = Solution.makespan s in
@@ -54,7 +54,7 @@ let engine_start ?payload ~moves_per_climb (ctx : Engine.context) =
           { Engine.state; cost = !current; accepted = false;
             evaluations = restart_evals + 1 }
         end)
-    ~snapshot:Solution.snapshot
+    ~snapshot:Solution.copy
 
 let engine_with ?(moves_per_climb = 5000) () : Engine.t =
   (module struct

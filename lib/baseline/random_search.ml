@@ -16,7 +16,7 @@ let engine_start ?payload (ctx : Engine.context) =
     ~init:(fun _rng ->
       let s =
         match ctx.Engine.warm_start with
-        | Some w -> Solution.snapshot w
+        | Some w -> Solution.copy w
         | None -> Solution.all_software app platform
       in
       let cost = Solution.makespan s in
@@ -28,7 +28,7 @@ let engine_start ?payload (ctx : Engine.context) =
       let accepted = cost < !best_seen in
       if accepted then best_seen := cost;
       { Engine.state = candidate; cost; accepted; evaluations = 1 })
-    ~snapshot:Solution.snapshot
+    ~snapshot:Solution.copy
 
 module Engine_impl : Engine.S = struct
   let name = "random"

@@ -146,7 +146,7 @@ let engine_start ?payload ~neighbourhood ~tenure ~aspiration
     ~init:(fun rng ->
       let solution =
         match ctx.Engine.warm_start with
-        | Some w -> Solution.snapshot w
+        | Some w -> Solution.copy w
         | None -> Solution.random (Rng.split rng) app platform
       in
       let cost = Solution.makespan solution in
@@ -201,7 +201,7 @@ let engine_start ?payload ~neighbourhood ~tenure ~aspiration
         if cost < !incumbent then incumbent := cost;
         { Engine.state = solution; cost; accepted = true;
           evaluations = !evals })
-    ~snapshot:Solution.snapshot
+    ~snapshot:Solution.copy
 
 let engine_with ?(neighbourhood = default_config.neighbourhood)
     ?(tenure = default_config.tenure)

@@ -19,19 +19,17 @@ type config = {
   objective : objective;
 }
 
-let default_config ?(seed = 1) () =
+let sa_config ?seed total =
   {
-    anneal = { Annealer.default_config with seed };
+    anneal = Annealer.for_budget ?seed total;
     moves = Moves.fixed_architecture;
     objective = Makespan;
   }
 
-let quality_config ?(seed = 1) q =
-  {
-    anneal = Annealer.config_of_quality ~seed q;
-    moves = Moves.fixed_architecture;
-    objective = Makespan;
-  }
+let quality_config ?seed q =
+  if q < 0.0 || q > 1.0 then
+    invalid_arg "Explorer.quality_config: quality outside [0,1]";
+  sa_config ?seed (int_of_float (2_000.0 *. (100.0 ** q)))
 
 type result = {
   best : Solution.t;
@@ -71,7 +69,7 @@ let cost_of objective solution =
      | Some eval -> eval.Searchgraph.makespan
      | None -> infinity)
   | Min_period ->
-    if Solution.evaluate solution = None then infinity
+    if Solution.makespan solution = infinity then infinity
     else
       (Periodic.analyze (Solution.spec solution)).Periodic.min_initiation_interval
   | Cost_under_deadline { penalty_per_ms } ->
@@ -170,7 +168,7 @@ let anneal ?payload config (ctx : Engine.context) =
        every later decision off the historical runs. *)
     let solution =
       match ctx.warm_start with
-      | Some s -> Solution.snapshot s
+      | Some s -> Solution.copy s
       | None -> Solution.random (Rng.create ctx.seed) ctx.app ctx.platform
     in
     if Solution.evaluate solution = None then
@@ -206,7 +204,7 @@ let anneal ?payload config (ctx : Engine.context) =
   Engine.drive ?payload
     ~codec:(sa_codec config ctx.app ctx.platform)
     { ctx with observe } ~init ~step
-    ~snapshot:(fun s -> Solution.snapshot s.solution)
+    ~snapshot:(fun s -> Solution.copy s.solution)
 
 let budget config =
   config.anneal.Annealer.warmup_iterations + config.anneal.Annealer.iterations
@@ -220,25 +218,12 @@ let annealer config : Engine.t =
     let start ?payload ctx = anneal ?payload config ctx
   end)
 
-(* The registry's warmup rule, in this one place. *)
-let default_warmup total = max 1 (min 1_200 (total / 10))
-
-let sa_config ?seed total =
-  let d = default_config ?seed () in
-  let warmup = default_warmup total in
-  { d with
-    anneal =
-      { d.anneal with
-        Annealer.iterations = total - warmup; warmup_iterations = warmup } }
-
 module Sa_engine : Engine.S = struct
-  include (val annealer (default_config ()) : Engine.S)
+  include (val annealer (sa_config 50_000) : Engine.S)
 
   let knobs =
-    "Lam schedule (quality 0.003); warmup = min(1200, budget/10); one \
-     iteration = one proposed move"
-
-  let default_iterations = 50_000
+    "Lam schedule (quality 150/budget, 0.003 at 50000); warmup = \
+     min(1200, budget/10); one iteration = one proposed move"
 
   let start ?payload (ctx : Engine.context) =
     (* The annealer spends at most one evaluation per iteration, so an

@@ -35,13 +35,18 @@ type config = {
   objective : objective;
 }
 
-val default_config : ?seed:int -> unit -> config
-(** Fixed architecture, makespan objective, Lam schedule, the paper's
-    1200-iteration infinite-temperature warmup. *)
+val sa_config : ?seed:int -> int -> config
+(** Fixed architecture, makespan objective, and the annealer's one
+    recipe for a budget of [total] moves,
+    {!Repro_anneal.Annealer.for_budget}: a tenth of them (at least 1, at
+    most the paper's 1200) at infinite temperature, then Lam cooling at
+    quality [150 / total]. *)
 
 val quality_config : ?seed:int -> float -> config
-(** User-selected optimization quality in \[0,1\] (the paper's knob
-    trading computing time for solution quality). *)
+(** User-selected optimization quality [q] in \[0,1\] (the paper's knob
+    trading computing time for solution quality): {!sa_config} on a
+    budget growing geometrically from 2000 moves (q=0) to 200000
+    (q=1). *)
 
 type result = {
   best : Solution.t;
@@ -83,14 +88,6 @@ val annealer : config -> Engine.t
     state records that split, the schedule, objective and move set, so
     a checkpoint taken under another configuration is refused in one
     line even when seed and total budget agree. *)
-
-val default_warmup : int -> int
-(** The registry's warmup for a budget of [total] moves: a tenth, at
-    least 1 and at most the paper's 1200. *)
-
-val sa_config : ?seed:int -> int -> config
-(** {!default_config} re-split for a budget of [total] moves by
-    {!default_warmup}. *)
 
 val sa_engine : Engine.t
 (** The registered ["sa"]: [annealer (sa_config n)] on each run's

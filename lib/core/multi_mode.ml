@@ -148,10 +148,10 @@ type chain_state = { genes : assignment; chain : Annealer.chain }
 
 let explore ?(seed = 1) ?(iterations = 20_000) ?time_limit ?should_stop
     ?observe ?checkpoint problem platform =
-  let config = Annealer.config_of_budget ~seed iterations in
+  let config = Annealer.for_budget ~seed iterations in
   let controls =
     Engine.controls ?time_limit ?should_stop ?observe ?checkpoint ~seed
-      ~iterations:(config.Annealer.warmup_iterations + iterations) ()
+      ~iterations ()
   in
   (* Mutable, so allocated per call and never stored in the [problem],
      which several domains may share. *)

@@ -73,8 +73,8 @@ val explore :
   ?checkpoint:Engine.checkpoint -> problem -> Platform.t -> result
 (** Anneal the shared assignment to maximize the worst slack ratio
     (all-modes feasibility first, margin second).  Defaults: seed 1,
-    20000 cooling iterations, after the warmup moves of
-    {!Repro_anneal.Annealer.config_of_budget}.
+    [iterations] 20000 moves in all, warmup included, split by
+    {!Repro_anneal.Annealer.for_budget}.
 
     The run keeps the engine contract ({!Engine.run_driven}):
     [should_stop] and [time_limit] end it at an iteration boundary with

@@ -369,7 +369,7 @@ let all_software application platform =
    one tracks one solution's mutations and would be corrupted by a
    sibling's, the other is scratch space that restarts on several
    domains would overwrite under each other.  The stats record
-   stays shared so a solution and its snapshots count together, and the
+   stays shared so a solution and its copies count together, and the
    cache is copied as is (a settled copy builds its record from the
    spec, see [evaluate]). *)
 let copy t =
@@ -386,8 +386,6 @@ let copy t =
     incr = None;
     flat = None;
   }
-
-let snapshot = copy
 
 (* --- delta-log plumbing --- *)
 

@@ -208,7 +208,7 @@ type eval_stats = {
 }
 
 val eval_stats : t -> eval_stats
-(** Counters shared by a solution and its snapshots — the measured
+(** Counters shared by a solution and its copies — the measured
     locality win of the incremental path, written into the
     [dse-run --result] file and read by the perfbench probes.  They
     count one process's evaluations: every solution built from scratch,
@@ -245,9 +245,6 @@ val check_invariants : t -> (unit, string) result
     context non-empty, implementation indices in range. *)
 
 (** {1 Mutation — used by Moves} *)
-
-val snapshot : t -> t
-(** Alias of {!copy} for the annealer's best-keeping. *)
 
 val save : t -> (unit -> unit)
 (** Capture the full mutable state in O(1); the returned closure

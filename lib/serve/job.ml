@@ -10,7 +10,7 @@ type t = {
   platform_file : string option;
   clbs : int;
   iters : int;
-  warmup : int;
+  warmup : int option;
   seed : int;
   restarts : int;
   timeout : float option;
@@ -24,20 +24,15 @@ let known_fields =
     "restarts"; "timeout"; "serialized"; "engine";
   ]
 
-let no_cooling ~iters ~warmup =
-  Printf.sprintf
-    "sa warmup %d leaves no cooling iteration out of %d (want warmup < iters)"
-    warmup iters
-
 (* "sa" is the annealer the job's (or the tool's) own fields configure;
    every other name is a registry engine or a portfolio spec. *)
 let resolve_engine ?report ~config name =
-  let a = config.Explorer.anneal in
   if name <> "sa" then Repro_dse.Portfolio.resolve ?report name
-  else if a.Annealer.iterations < 1 then
-    Error (no_cooling ~iters:(Explorer.budget config)
-             ~warmup:a.Annealer.warmup_iterations)
-  else Ok (Explorer.annealer config)
+  else
+    let warmup = config.Explorer.anneal.Annealer.warmup_iterations in
+    match Annealer.for_budget ~warmup (Explorer.budget config) with
+    | _ -> Ok (Explorer.annealer config)
+    | exception Invalid_argument msg -> Error msg
 
 (* A job file is one flat JSON object.  Unknown keys and ill-typed
    values are hard errors: a poison job must be quarantined with a
@@ -56,13 +51,16 @@ let of_json ~name text =
            (String.concat "|" known_fields))
     | None -> Ok ()
   in
-  let int_field key default =
+  let int_option key =
     match Json.find fields key with
-    | None -> Ok default
+    | None -> Ok None
     | Some v -> (
       match Json.get_int v with
-      | Some i -> Ok i
+      | Some i -> Ok (Some i)
       | None -> Error (Printf.sprintf "job field %S wants an integer" key))
+  in
+  let int_field key default =
+    Result.map (Option.value ~default) (int_option key)
   in
   let* app =
     match (Json.str_field fields "app", Json.str_field fields "app_file") with
@@ -84,7 +82,7 @@ let of_json ~name text =
   in
   let* clbs = int_field "clbs" 2000 in
   let* iters = int_field "iters" 20_000 in
-  let* warmup = int_field "warmup" (Explorer.default_warmup iters) in
+  let* warmup = int_option "warmup" in
   let* seed = int_field "seed" 1 in
   let* restarts = int_field "restarts" 1 in
   let* timeout =
@@ -115,14 +113,19 @@ let of_json ~name text =
   in
   let sa = match engine with None | Some "sa" -> true | Some _ -> false in
   let* () =
-    if iters < 1 || warmup < 0 then Error "job wants iters >= 1, warmup >= 0"
+    if iters < 1 || Option.value warmup ~default:0 < 0 then
+      Error "job wants iters >= 1, warmup >= 0"
     else if restarts < 1 then Error "job wants restarts >= 1"
     else if clbs < 1 then Error "job wants clbs >= 1"
-    else if sa && warmup >= iters then Error (no_cooling ~iters ~warmup)
     else if serialized && not sa then
       Error "job field \"serialized\" only applies to the annealer \
              (\"engine\": \"sa\" or no \"engine\" field)"
-    else Ok ()
+    else if not sa then Ok ()
+    else
+      (* The recipe refuses a warmup that leaves no cooling move. *)
+      match Annealer.for_budget ?warmup iters with
+      | _ -> Ok ()
+      | exception Invalid_argument msg -> Error msg
   in
   Ok
     {
@@ -142,10 +145,9 @@ let to_json job =
     @ [
         ("clbs", num_int job.clbs);
         ("iters", num_int job.iters);
-        ("warmup", num_int job.warmup);
-        ("seed", num_int job.seed);
-        ("restarts", num_int job.restarts);
       ]
+    @ (match job.warmup with Some w -> [ ("warmup", num_int w) ] | None -> [])
+    @ [ ("seed", num_int job.seed); ("restarts", num_int job.restarts) ]
     @ (match job.timeout with Some t -> [ ("timeout", Num t) ] | None -> [])
     @ (match job.serialized with true -> [ ("serialized", Bool true) ] | false -> [])
     @ (match job.engine with Some e -> [ ("engine", Str e) ] | None -> [])
@@ -241,11 +243,13 @@ let result_fields ~status ?restarts (result : Explorer.result) =
 
 let explorer_config job =
   (* [of_json] leaves an sa job a cooling move; other engines spend all
-     [iters] and ignore the split, which the cap keeps well formed. *)
-  let warmup = min job.warmup (job.iters - 1) in
+     [iters] and ignore the split, which a warmup of 0 keeps well
+     formed. *)
+  let warmup =
+    match job.engine with None | Some "sa" -> job.warmup | Some _ -> Some 0
+  in
   {
-    Explorer.anneal =
-      Annealer.config_of_budget ~seed:job.seed ~warmup (job.iters - warmup);
+    Explorer.anneal = Annealer.for_budget ~seed:job.seed ?warmup job.iters;
     moves = Repro_dse.Moves.fixed_architecture;
     objective =
       (if job.serialized then Explorer.Makespan_serialized

@@ -11,8 +11,10 @@
     - ["platform_file"] — a [.plat] path; defaults to the
       motion-detection platform sized by ["clbs"] (default 2000)
     - ["iters"] (default 20000), every engine's total budget;
-      ["warmup"] (default {!Repro_dse.Explorer.default_warmup}), the
-      annealer's share of it, which must leave a cooling move;
+      ["warmup"], the annealer's share of it, which must leave a
+      cooling move (default the rule of
+      {!Repro_anneal.Annealer.for_budget}: a tenth, at least 1, at most
+      1200);
       ["seed"] (default 1), ["restarts"] (default 1)
     - ["timeout"] — per-job wall seconds, overriding the daemon's
       default
@@ -35,7 +37,7 @@ type t = {
   platform_file : string option;
   clbs : int;
   iters : int;
-  warmup : int;
+  warmup : int option;  (** [None]: the recipe's rule *)
   seed : int;
   restarts : int;
   timeout : float option;
@@ -90,6 +92,8 @@ val result_fields :
     [degraded_restarts] follow. *)
 
 val explorer_config : t -> Repro_dse.Explorer.config
-(** ["iters"] split into ["warmup"] and cooling moves, on the Lam
-    schedule with the quality of the cooling share, as [dse-sweep]
-    does. *)
+(** {!Repro_anneal.Annealer.for_budget} on ["iters"], ["warmup"] and
+    ["seed"], the recipe of every tool: a job without a ["warmup"]
+    field anneals as the registered [sa] on the same budget.  Any
+    other engine ignores ["warmup"] and gets a warmup of 0, so its
+    config is well formed at any budget. *)

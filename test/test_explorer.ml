@@ -5,13 +5,13 @@ module Moves = Repro_dse.Moves
 module Annealer = Repro_anneal.Annealer
 module Md = Repro_workloads.Motion_detection
 
+let lam = Repro_anneal.Schedule.lam ~quality:0.003 ()
+
 let small_budget ?(seed = 1) ?(iterations = 8_000) () =
-  let base = Explorer.default_config ~seed () in
   {
-    base with
+    (Explorer.sa_config ~seed iterations) with
     Explorer.anneal =
-      { base.Explorer.anneal with Annealer.iterations;
-        warmup_iterations = 400 };
+      Annealer.for_budget ~seed ~warmup:400 ~schedule:lam (iterations + 400);
   }
 
 let test_improves_over_initial () =
@@ -120,7 +120,7 @@ let test_architecture_exploration_picks_cheaper_device () =
   let config =
     {
       Explorer.anneal =
-        { Annealer.default_config with iterations = 20_000; seed = 5 };
+        Annealer.for_budget ~seed:5 ~warmup:1_200 ~schedule:lam 21_200;
       moves = Moves.exploration catalogue;
       objective = Explorer.Cost_under_deadline { penalty_per_ms = 50.0 };
     }
@@ -341,7 +341,7 @@ let test_quality_config () =
     (c1.Explorer.anneal.Annealer.iterations
      > 10 * c0.Explorer.anneal.Annealer.iterations);
   Alcotest.check_raises "range checked"
-    (Invalid_argument "Annealer.config_of_quality: quality outside [0,1]")
+    (Invalid_argument "Explorer.quality_config: quality outside [0,1]")
     (fun () -> ignore (Explorer.quality_config 1.5))
 
 let suite =

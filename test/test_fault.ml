@@ -78,12 +78,11 @@ let test_eval_fault_reaches_explorer () =
      an exploration deep inside the annealing loop. *)
   Fault.arm_point ~site:Fault.Eval ~index:40;
   let cfg =
-    let base = Explorer.default_config ~seed:2 () in
     {
-      base with
+      (Explorer.sa_config 600) with
       Explorer.anneal =
-        { base.Explorer.anneal with Annealer.iterations = 500;
-          warmup_iterations = 100 };
+        Annealer.for_budget ~seed:2 ~warmup:100
+          ~schedule:(Repro_anneal.Schedule.lam ~quality:0.003 ()) 600;
     }
   in
   match Explorer.explore cfg (Md.app ()) (Md.platform ~n_clb:2000 ()) with

@@ -424,7 +424,7 @@ let test_static_rejections_sound () =
                   (Moves.propose_kind rng Moves.fixed_architecture walk
                      Solution.Ctx_create)
               done;
-              Solution.snapshot walk)
+              Solution.copy walk)
       in
       let draws = Hashtbl.create 4 and rejected = Hashtbl.create 4 in
       let bump table kind =

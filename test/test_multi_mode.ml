@@ -171,8 +171,8 @@ let test_explore_deterministic () =
 (* A 48-task layered graph cut into two overlapping modes, each with a
    deadline at half its all-software time: a branching mode's contexts
    and software order can disagree, so on this 200-CLB device some
-   states (235 of seed 3's 1700) decode to a cyclic graph and take the
-   infeasibility penalty. *)
+   states decode to a cyclic graph and take the infeasibility
+   penalty. *)
 let branching () =
   let app =
     Generators.layered ~name:"branching" (Repro_util.Rng.create 1)

@@ -173,7 +173,8 @@ let test_explorer_benefits_from_second_processor () =
     let config =
       {
         Explorer.anneal =
-          { Annealer.default_config with iterations = 10_000; seed = 11 };
+          Annealer.for_budget ~seed:11 ~warmup:1_200
+            ~schedule:(Repro_anneal.Schedule.lam ~quality:0.003 ()) 11_200;
         moves = Moves.fixed_architecture;
         objective = Explorer.Makespan;
       }

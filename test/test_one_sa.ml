@@ -1,18 +1,22 @@
-(* One annealer answers to "sa".  The configuration dse-run builds from
-   its default flags, run through [Explorer.explore], is the registered
+(* One annealer answers to "sa", built by one recipe
+   ([Annealer.for_budget]).  The config every tool builds from a budget
+   and a seed alone ([Explorer.sa_config]: dse-sweep and dse-pareto
+   call it, dse-run with default flags builds the same record) run
+   through [Explorer.explore], and a daemon job without a "warmup"
+   field, run the way the daemon runs it, are the registered
    [Explorer.sa_engine] run through [Engine.run]: same best solution,
    same cost bits, same counters, at budgets on both sides of 12000
    (where the warmup rule stops growing).  And every tool's budget is
    the total: [iterations_run <= iters] for sa and tabu through
    [explore_with], [explore_restarts], the frontier and a daemon job,
-   while an sa warmup that leaves no cooling move is refused. *)
+   multi-mode mapping files exactly its [~iterations], while an sa
+   warmup that leaves no cooling move is refused. *)
 
 module Explorer = Repro_dse.Explorer
 module Engine = Repro_dse.Engine
 module Solution = Repro_dse.Solution
-module Moves = Repro_dse.Moves
+module Multi_mode = Repro_dse.Multi_mode
 module Annealer = Repro_anneal.Annealer
-module Schedule = Repro_anneal.Schedule
 module Md = Repro_workloads.Motion_detection
 module Checkpoint = Repro_util.Checkpoint
 module Json = Repro_util.Json_lite
@@ -27,25 +31,31 @@ let () = Repro_baseline.Engines.register_all ()
 let md () = (Md.app (), Md.platform ~n_clb:2000 ())
 let crc s = Checkpoint.crc32_hex (Solution.encode s)
 
-(* What dse-run builds from --iters [iters] --seed [seed] and every
-   other flag at its default. *)
-let dse_run_config ~seed iters =
-  let warmup = Explorer.default_warmup iters in
-  {
-    Explorer.anneal =
-      {
-        Annealer.iterations = iters - warmup;
-        warmup_iterations = warmup;
-        schedule = Schedule.lam ~quality:0.003 ();
-        seed;
-      };
-    moves = Moves.fixed_architecture;
-    objective = Explorer.Makespan;
-  }
+(* A daemon job's sa, the way [Daemon] runs one chain of it: parse,
+   load, configure, resolve, explore. *)
+let job_result ~seed iters =
+  let ok = function Ok x -> x | Error msg -> Alcotest.fail msg in
+  let job =
+    Job.of_json ~name:"one-sa"
+      (Printf.sprintf
+         "{\"app\": \"motion_detection\", \"iters\": %d, \"seed\": %d}"
+         iters seed)
+    |> ok
+  in
+  let app, platform = ok (Job.load_inputs job) in
+  let config = Job.explorer_config job in
+  let engine =
+    ok (Job.resolve_engine ~config (Option.value job.Job.engine ~default:"sa"))
+  in
+  Explorer.explore_with engine config app platform
 
-let identity ~seed ~iters () =
+let identity ~path ~seed ~iters () =
   let app, platform = md () in
-  let r = Explorer.explore (dse_run_config ~seed iters) app platform in
+  let r =
+    match path with
+    | `Tool -> Explorer.explore (Explorer.sa_config ~seed iters) app platform
+    | `Job -> job_result ~seed iters
+  in
   let o =
     Engine.run Explorer.sa_engine
       (Engine.context ~app ~platform ~seed ~iterations:iters ())
@@ -64,15 +74,34 @@ let identity ~seed ~iters () =
 
 let identity_cases =
   List.concat_map
-    (fun iters ->
-      List.map
-        (fun seed ->
-          Alcotest.test_case
-            (Printf.sprintf "dse-run defaults = registered sa (seed %d, %d)"
-               seed iters)
-            `Quick (identity ~seed ~iters))
-        [ 1; 2 ])
-    [ 2_000; 20_000 ]
+    (fun (path, what, budgets) ->
+      List.concat_map
+        (fun iters ->
+          List.map
+            (fun seed ->
+              Alcotest.test_case
+                (Printf.sprintf "%s = registered sa (seed %d, %d)" what seed
+                   iters)
+                `Quick (identity ~path ~seed ~iters))
+            [ 1; 2 ])
+        budgets)
+    [
+      (`Tool, "dse-run defaults", [ 2_000; 3_000; 20_000 ]);
+      (`Job, "daemon job", [ 3_000; 20_000 ]);
+    ]
+
+(* Multi-mode mapping's [~iterations] is its total, warmup included. *)
+let test_multi_mode_budget () =
+  List.iter
+    (fun n ->
+      let r =
+        Multi_mode.explore ~seed:3 ~iterations:n (Test_multi_mode.problem ())
+          (Test_multi_mode.platform ())
+      in
+      Alcotest.(check int)
+        (Printf.sprintf "multi-mode ~iterations:%d" n)
+        n r.Multi_mode.iterations_run)
+    [ 300; 2_000 ]
 
 (* ---- one budget unit --------------------------------------------- *)
 
@@ -225,7 +254,9 @@ let test_job_refuses_no_cooling () =
        (Explorer.budget (Job.explorer_config j))
    | Error msg -> Alcotest.fail msg);
   match Job.of_json ~name:"d" "{\"app\": \"motion_detection\", \"iters\": 700}" with
-  | Ok j -> Alcotest.(check int) "default warmup is the rule" 70 j.Job.warmup
+  | Ok j ->
+    Alcotest.(check int) "default warmup is the rule" 70
+      (Job.explorer_config j).Explorer.anneal.Annealer.warmup_iterations
   | Error msg -> Alcotest.fail msg
 
 let test_daemon_quarantines_no_cooling () =
@@ -247,6 +278,8 @@ let suite =
         test_frontier_budget;
       Alcotest.test_case "iterations_run <= iters: daemon job" `Quick
         test_daemon_budget;
+      Alcotest.test_case "multi-mode files ~iterations as its total" `Quick
+        test_multi_mode_budget;
       Alcotest.test_case "resolver refuses an sa warmup >= iters" `Quick
         test_resolver_refuses_no_cooling;
       Alcotest.test_case "job refuses an sa warmup >= iters" `Quick

@@ -130,12 +130,11 @@ let test_map_outcomes_runs_each_item_once () =
     (Array.to_list (Array.map Atomic.get runs))
 
 let small_config ~seed =
-  let base = Explorer.default_config ~seed () in
   {
-    base with
+    (Explorer.sa_config 1_000) with
     Explorer.anneal =
-      { base.Explorer.anneal with Annealer.iterations = 800;
-        warmup_iterations = 200 };
+      Annealer.for_budget ~seed ~warmup:200
+        ~schedule:(Repro_anneal.Schedule.lam ~quality:0.003 ()) 1_000;
   }
 
 let test_restarts_deterministic () =

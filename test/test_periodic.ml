@@ -89,7 +89,14 @@ let test_motion_detection_period () =
   in
   Alcotest.(check bool) "all-software cannot sustain 40 ms" false
     (interval all_sw <= 40.0);
-  let config = Repro_dse.Explorer.default_config ~seed:2 () in
+  let config =
+    {
+      (Repro_dse.Explorer.sa_config 51_200) with
+      anneal =
+        Repro_anneal.Annealer.for_budget ~seed:2 ~warmup:1_200
+          ~schedule:(Repro_anneal.Schedule.lam ~quality:0.003 ()) 51_200;
+    }
+  in
   let result = Repro_dse.Explorer.explore config app platform in
   Alcotest.(check bool) "explored mapping sustains 40 ms" true
     (interval result.Repro_dse.Explorer.best <= 40.0)

@@ -24,14 +24,8 @@ let with_temp f =
 let config ?(warmup = 300) ?(schedule = Schedule.lam ~quality:0.003 ()) ~seed
     () =
   {
-    (Explorer.default_config ~seed ()) with
-    Explorer.anneal =
-      {
-        Annealer.iterations = 1_800 - warmup;
-        warmup_iterations = warmup;
-        schedule;
-        seed;
-      };
+    (Explorer.sa_config 1_800) with
+    Explorer.anneal = Annealer.for_budget ~seed ~warmup ~schedule 1_800;
   }
 
 let checkpoint ?(every = 10_000) resume path = { Engine.path; every; resume }

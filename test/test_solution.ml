@@ -191,9 +191,9 @@ let test_save_restore () =
 let test_copy_independent () =
   let s = Solution.all_software (app ()) (platform ()) in
   Solution.append_context s ~task:1;
-  let snap = Solution.snapshot s in
+  let copy = Solution.copy s in
   Solution.move_to_sw s ~task:1 ~before:None;
-  Alcotest.(check (list int)) "snapshot keeps hw" [ 1 ] (Solution.hw_tasks snap);
+  Alcotest.(check (list int)) "copy keeps hw" [ 1 ] (Solution.hw_tasks copy);
   Alcotest.(check (list int)) "original changed" [] (Solution.hw_tasks s)
 
 let test_evaluation_caching () =

@@ -8,6 +8,8 @@ module Solution = Repro_dse.Solution
 module Annealer = Repro_anneal.Annealer
 module Rng = Repro_util.Rng
 
+let lam = Repro_anneal.Schedule.lam ~quality:0.003 ()
+
 let big_app () =
   let rng = Rng.create 2024 in
   Generators.layered rng Generators.default_impl_model ~layers:20 ~width:8
@@ -26,7 +28,7 @@ let test_large_graph_exploration () =
   let config =
     {
       Explorer.anneal =
-        { Annealer.default_config with iterations = 15_000; seed = 77 };
+        Annealer.for_budget ~seed:77 ~warmup:1_200 ~schedule:lam 16_200;
       moves = Repro_dse.Moves.fixed_architecture;
       objective = Explorer.Makespan;
     }
@@ -67,7 +69,7 @@ let test_wide_app_many_contexts () =
   let config =
     {
       Explorer.anneal =
-        { Annealer.default_config with iterations = 8_000; seed = 5 };
+        Annealer.for_budget ~seed:5 ~warmup:1_200 ~schedule:lam 9_200;
       moves = Repro_dse.Moves.fixed_architecture;
       objective = Explorer.Makespan;
     }
