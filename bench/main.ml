@@ -755,6 +755,97 @@ let pareto () =
      [ ("frontier_points", float_of_int (List.length frontier)) ])
 
 (* ------------------------------------------------------------------ *)
+(* Fixed-work settle table: the cost of one move of each kind on fixed
+   md28 states, a random and an annealed one per Fig. 3 size.  Every
+   proposal is undone, so each state is the same for all of its draws;
+   the work (proposals, settles, allocations) is a function of the
+   seeds alone, and only the times vary between runs.                 *)
+(* ------------------------------------------------------------------ *)
+
+let settle_batches = 20
+let settle_batch = 100
+
+(* The [q]-quantile of [xs] (nearest rank). *)
+let quantile q xs =
+  let a = Array.of_list xs in
+  Array.sort Float.compare a;
+  a.(min (Array.length a - 1) (int_of_float (q *. float_of_int (Array.length a))))
+
+let settle () =
+  header "Settle — one move per kind on fixed md28 states";
+  Printf.printf
+    "states: Solution.random (seed = CLBs) and the best of a 20000-move sa\n\
+     (seed = CLBs) at each Fig. 3 size; per state and kind %d proposals\n\
+     through Moves.propose_kind (Rng seed 7), each one undone; ns per\n\
+     propose + settle + undo over batches of %d (monotonic clock).\n\n"
+    (settle_batches * settle_batch) settle_batch;
+  let app = Md.app () in
+  let states =
+    List.concat_map
+      (fun n_clb ->
+        let platform = Md.platform ~n_clb () in
+        let annealed =
+          Explorer.explore (Explorer.sa_config ~seed:n_clb 20_000) app platform
+        in
+        [ Solution.random (Rng.create n_clb) app platform;
+          annealed.Explorer.best ])
+      Md.fig3_sizes
+  in
+  let kinds =
+    Solution.[ Impl; Sw_reorder; Sw_migrate; Ctx_migrate; Ctx_create; Ctx_swap ]
+  in
+  let table =
+    Table.create
+      [ ("kind", Table.Left); ("applied", Table.Right);
+        ("settles", Table.Right); ("words/move", Table.Right);
+        ("ns q1", Table.Right); ("ns median", Table.Right);
+        ("ns q3", Table.Right) ]
+  in
+  let metrics =
+    List.concat_map
+      (fun kind ->
+        let label = Solution.move_kind_label kind in
+        let samples = ref [] and applied = ref 0 and settles = ref 0 in
+        let words = ref 0.0 in
+        List.iter
+          (fun s ->
+            let rng = Rng.create 7 in
+            let stats = Solution.eval_stats s in
+            let before = stats.Solution.full_evals in
+            for _ = 1 to settle_batches do
+              let w0 = Gc.minor_words () and t0 = Clock.mono () in
+              for _ = 1 to settle_batch do
+                match Moves.propose_kind rng Moves.fixed_architecture s kind with
+                | Some undo ->
+                  incr applied;
+                  undo ()
+                | None -> ()
+              done;
+              let t1 = Clock.mono () in
+              words := !words +. (Gc.minor_words () -. w0);
+              samples := (t1 -. t0) *. 1e9 /. float_of_int settle_batch :: !samples
+            done;
+            settles := !settles + stats.Solution.full_evals - before)
+          states;
+        let moves = float_of_int (List.length states * settle_batches * settle_batch) in
+        let q1 = quantile 0.25 !samples and median = quantile 0.5 !samples in
+        let q3 = quantile 0.75 !samples and per_move = !words /. moves in
+        Table.add_row table
+          [ label; Table.cell_int !applied; Table.cell_int !settles;
+            Table.cell_float ~decimals:1 per_move;
+            Table.cell_float ~decimals:0 q1; Table.cell_float ~decimals:0 median;
+            Table.cell_float ~decimals:0 q3 ];
+        [ (label ^ "_applied", float_of_int !applied);
+          (label ^ "_settles", float_of_int !settles);
+          (label ^ "_words_per_move", per_move);
+          (label ^ "_ns_p25", q1); (label ^ "_ns_p50", median);
+          (label ^ "_ns_p75", q3) ])
+      kinds
+  in
+  print_string (Table.render table);
+  metrics
+
+(* ------------------------------------------------------------------ *)
 (* Beyond the paper: multiprocessor platforms (the general model of
    section 3 allows several processors).                               *)
 (* ------------------------------------------------------------------ *)
@@ -825,6 +916,7 @@ let experiments =
     ("scaling", scaling);
     ("multiproc", multiproc);
     ("suite", suite_eval);
+    ("settle", settle);
   ]
 
 let json_field (key, value) =

@@ -163,21 +163,6 @@ type incr = {
   limit : int;
 }
 
-(* The evaluator of a small application: its search graph is never
-   kept alive; each settle fills the arrays of one
-   {!Searchgraph.Flat} kernel straight from the solution and runs the
-   pass.  The tables are read once from the platform [tables_for]; the
-   whole record is rebuilt when the solution's platform is another one
-   ({!replace_platform}, or an undo across it).  Like [incr], it
-   belongs to one solution: copies start without one. *)
-type flat = {
-  kernel : Searchgraph.Flat.t;
-  tables_for : Platform.t;
-  sw_time : float array;   (* p * n + v: task v's time on processor p *)
-  transfer : float array;  (* application edge: its transfer time *)
-  src : int array;         (* application edge: its source *)
-}
-
 (* Paranoid cross-checking: regenerate the canonical pair list on every
    structural move and assert the mutator-emitted delta equals the
    regenerate-and-diff reference.  Read once from the environment
@@ -241,6 +226,33 @@ let reroot v =
       d.arr <- [||];
       d.next <- live)
     (path [] v)
+
+(* The evaluator of a small application: its search graph is never
+   kept alive; each settle fills the arrays of one
+   {!Searchgraph.Flat} kernel from the solution and runs the pass.
+   The fill refills only what changed since the last one: every write
+   to [assign], [impl] and the chain links is a diff on the version
+   chain, so the path from [filled_at] to the root names exactly the
+   positions that differ ({!refill}).  It reads tables, not the
+   application: the implementations' from {!App.impl_table}, the
+   platform's ones read once from [tables_for]; the record is rebuilt,
+   with a full fill, when the solution's platform is another one
+   ({!replace_platform}, or an undo across it).  Like [incr], it
+   belongs to one solution: copies start without one. *)
+type flat = {
+  kernel : Searchgraph.Flat.t;
+  tables_for : Platform.t;
+  sw_time : float array;   (* p * n + v: task v's time on processor p *)
+  transfer : float array;  (* application edge: its transfer time *)
+  src : int array;         (* application edge: its source *)
+  per_clb : float;         (* the device's reconfiguration time per CLB *)
+  n_clb : int;             (* the device's CLBs *)
+  impls : App.impl_table;  (* hardware time and CLBs per implementation *)
+  app_edge : Bytes.t;      (* u * n + v: '\001' for an application edge *)
+  mutable filled_at : version;  (* the kernel's state; [live]: none yet *)
+  mutable placed : (int * int list) list;  (* the contexts it holds *)
+  mutable fits : bool;     (* and whether each is within [n_clb] *)
+}
 
 (* assign.(v) = -(p+1) when the task runs in software on processor p
    (so -1 is the primary processor), otherwise the stable id (>= 0) of
@@ -1133,14 +1145,16 @@ let check_adjacency t inc =
 
 (* Applications of at most this many tasks are judged by the flat
    pass, larger ones by the live graph.  Below it, the per-move pair
-   emission, edge edits, delta log and cone refresh cost more than one
-   O(n + m) pass over the solution's own arrays; above it, the pass
-   grows with the graph while a move's cone stays small.  Measured by
-   annealing layered graphs of 31 to 1001 tasks with each evaluator:
-   the flat pass wins up to 48 tasks, the two are within the host's
-   noise from 65 to ~90, and the live graph wins from 99 on
-   (EXPERIMENTS.md). *)
-let flat_max_tasks = 64
+   emission, edge edits, delta log and cone refresh cost more than a
+   pass over the solution's own arrays refilled where the move wrote;
+   above it, the pass grows with the graph while a move's cone stays
+   small.  Measured by annealing layered graphs of 31 to 1004 tasks
+   with each evaluator: the flat pass wins at every size up to 303
+   tasks in two rounds, by 1.1-1.3x from 99 to 128, and the live graph
+   wins at 1004 (EXPERIMENTS.md).  The constant stays below the 132
+   tasks of the GA benchmark's graph, so no benchmark workload changes
+   evaluator with it. *)
+let flat_max_tasks = 127
 
 (* The flat evaluator for the current platform, built on first use
    and after a platform change. *)
@@ -1150,6 +1164,11 @@ let flat_of t =
   | Some _ | None ->
     let app = t.app and platform = t.platform and n = size t in
     let m = App.edge_count app in
+    let src = Array.init m (fun e -> (App.edge app e).App.src) in
+    let app_edge = Bytes.make (n * n) '\000' in
+    for e = 0 to m - 1 do
+      Bytes.set app_edge ((src.(e) * n) + (App.edge app e).App.dst) '\001'
+    done;
     let f =
       {
         kernel = Searchgraph.Flat.create app ~contexts:n ~members:n;
@@ -1163,69 +1182,159 @@ let flat_of t =
         transfer =
           Array.init m (fun e ->
               Platform.transfer_time platform (App.edge app e).App.kbytes);
-        src = Array.init m (fun e -> (App.edge app e).App.src);
+        src;
+        (* [Platform.reconfiguration_time] is this times the CLBs. *)
+        per_clb = Platform.reconfiguration_time platform 1;
+        n_clb = Platform.n_clb platform;
+        impls = App.impl_table app;
+        app_edge;
+        filled_at = live;
+        placed = [];
+        fits = false;
       }
     in
     t.flat <- Some f;
     f
 
+(* The fill, shared by the full one and the refill along the version
+   chain.  Task [v]'s entries: its execution time, its chain link (one
+   that repeats an application edge is left out, as in
+   [Searchgraph.flat]) and, in software, its context -1; a hardware
+   task's context comes with the placement. *)
+let fill_task f (k : Searchgraph.Flat.t) t n v =
+  let a = t.assign.(v) in
+  if a < 0 then begin
+    k.exec.(v) <- f.sw_time.(((-a - 1) * n) + v);
+    k.context.(v) <- -1;
+    let w = t.next.(v) in
+    k.next_sw.(v) <-
+      (if w >= 0 && Bytes.get f.app_edge ((v * n) + w) = '\000' then w else -1)
+  end
+  else begin
+    k.exec.(v) <- f.impls.hw_time.(f.impls.first.(v) + t.impl.(v));
+    k.next_sw.(v) <- -1
+  end
+
+(* Application edge [e]'s weight: its transfer time when it crosses. *)
+let fill_edge f (k : Searchgraph.Flat.t) t e =
+  k.weight.(e) <-
+    (if crossing_of t f.src.(e) k.dst.(e) then f.transfer.(e) else 0.0)
+
+(* The edges into and out of task [v]: its binding changed. *)
+let fill_incident f k t v =
+  let ins = App.in_edges t.app and outs = App.out_edges t.app in
+  for s = ins.App.start.(v) to ins.App.start.(v + 1) - 1 do
+    fill_edge f k t ins.App.edge.(s)
+  done;
+  for s = outs.App.start.(v) to outs.App.start.(v + 1) - 1 do
+    fill_edge f k t outs.App.edge.(s)
+  done
+
 (* Context [j]'s members from slot [i] of the kernel: each is placed and
    its CLBs summed; the end slot closes the context. *)
-let rec place_members t (k : Searchgraph.Flat.t) j i clbs = function
+let rec place_members f (k : Searchgraph.Flat.t) t j i clbs = function
   | [] ->
     k.ctx_start.(j + 1) <- i;
     clbs
   | v :: rest ->
     k.context.(v) <- j;
     k.ctx_member.(i) <- v;
-    place_members t k j (i + 1) (clbs + task_clbs t v) rest
+    place_members f k t j (i + 1)
+      (clbs + f.impls.clbs.(f.impls.first.(v) + t.impl.(v)))
+      rest
 
-(* The contexts from position [j] on, each checked against the device
-   [limit]: the context count, or -1 when one overflows. *)
-let rec place_contexts t (k : Searchgraph.Flat.t) limit j = function
-  | [] -> j
+(* The contexts from position [j] on, with their configuration times and
+   count: whether each is within the device. *)
+let rec place_contexts f (k : Searchgraph.Flat.t) t j fits = function
+  | [] ->
+    k.n_contexts <- j;
+    fits
   | (_, members) :: rest ->
-    let clbs = place_members t k j k.ctx_start.(j) 0 members in
-    if clbs > limit then -1
-    else begin
-      k.cfg_time.(j) <- Platform.reconfiguration_time t.platform clbs;
-      place_contexts t k limit (j + 1) rest
-    end
+    let clbs = place_members f k t j k.ctx_start.(j) 0 members in
+    k.cfg_time.(j) <- f.per_clb *. float_of_int clbs;
+    place_contexts f k t (j + 1) (fits && clbs <= f.n_clb) rest
 
-(* The flat settle: fill the kernel with [Searchgraph.flat]'s arrays,
-   read off [assign], [impl], the chains and [ctxs] (a chain link that
-   repeats an application edge is left out, as there), judge capacity
-   in the same pass over the contexts, and run the kernel.  The same
-   pass over the same arrays as [Searchgraph.evaluate (spec t)], so the
-   same bits; [REPRO_CHECK_DELTAS] asserts it. *)
+(* Every entry of kernel [k]: whether the contexts fit. *)
+let fill_all f k t =
+  let n = size t in
+  for v = 0 to n - 1 do
+    fill_task f k t n v
+  done;
+  for e = 0 to Array.length f.src - 1 do
+    fill_edge f k t e
+  done;
+  place_contexts f k t 0 true t.ctxs
+
+(* Refill the entries of the tasks named by the diffs from version [v]
+   to the root, at most [budget] of them.  The kernel reads [assign],
+   [impl] and [next] only: a [prev], [head] or [tail] diff comes with
+   [next] diffs of the tasks whose links changed.  [-1] when the path
+   is longer than the budget, otherwise [1] when an implementation
+   changed and [impl] when none did. *)
+let rec refill_path f k t n (v : version) budget impl =
+  if v.next == live then impl
+  else if budget = 0 then -1
+  else begin
+    let arr = v.arr and i = v.idx in
+    if arr == t.assign || arr == t.next || arr == t.impl then
+      fill_task f k t n i;
+    if arr == t.assign then fill_incident f k t i;
+    refill_path f k t n v.next (budget - 1) (if arr == t.impl then 1 else impl)
+  end
+
+(* Bring the kernel to the solution's state.  A first fill, or a path
+   longer than the task count, fills everything; otherwise the path is
+   refilled, and the contexts re-placed only when the list is another
+   one or an implementation changed. *)
+let refill f t =
+  let k = f.kernel and n = size t in
+  let changed =
+    if f.filled_at == live then -1 else refill_path f k t n f.filled_at n 0
+  in
+  if changed < 0 then f.fits <- fill_all f k t
+  else if changed > 0 || not (t.ctxs == f.placed) then
+    f.fits <- place_contexts f k t 0 true t.ctxs;
+  f.placed <- t.ctxs;
+  f.filled_at <- t.version
+
+(* Paranoid mode: the refilled kernel must hold what a full fill into
+   fresh arrays does. *)
+let check_refill f t =
+  let k = f.kernel and n = size t in
+  let full = Searchgraph.Flat.create t.app ~contexts:n ~members:n in
+  let fits = fill_all f full t in
+  let nc = full.n_contexts in
+  let same eq a b len =
+    let rec from i = i >= len || (eq a.(i) b.(i) && from (i + 1)) in
+    from 0
+  in
+  let bits x y = Int64.bits_of_float x = Int64.bits_of_float y in
+  if
+    not
+      (fits = f.fits && nc = k.n_contexts
+      && same bits full.exec k.exec n
+      && same Int.equal full.next_sw k.next_sw n
+      && same Int.equal full.context k.context n
+      && same bits full.weight k.weight (Array.length full.weight)
+      && same Int.equal full.ctx_start k.ctx_start (nc + 1)
+      && same Int.equal full.ctx_member k.ctx_member full.ctx_start.(nc)
+      && same bits full.cfg_time k.cfg_time nc)
+  then failwith "Solution: the flat refill diverges from a full fill"
+
+(* The flat settle: refill the kernel with [Searchgraph.flat]'s arrays
+   and run it when the contexts fit.  The same pass over the same
+   arrays as [Searchgraph.evaluate (spec t)], so the same bits;
+   [REPRO_CHECK_DELTAS] asserts the refill against a full fill and the
+   result against [Searchgraph.evaluate]. *)
 let settle_flat t =
   let f = flat_of t in
-  let k = f.kernel and n = size t and app = t.app in
-  let appg = app.App.graph in
-  for v = 0 to n - 1 do
-    let a = t.assign.(v) in
-    if a < 0 then begin
-      k.exec.(v) <- f.sw_time.(((-a - 1) * n) + v);
-      k.context.(v) <- -1;
-      let w = t.next.(v) in
-      k.next_sw.(v) <- (if w >= 0 && not (Graph.has_edge appg v w) then w else -1)
-    end
-    else begin
-      k.exec.(v) <- (Task.impl (App.task app v) t.impl.(v)).Task.hw_time;
-      k.next_sw.(v) <- -1
-    end
-  done;
-  let src = f.src and dst = k.dst in
-  for e = 0 to Array.length src - 1 do
-    k.weight.(e) <-
-      (if crossing_of t src.(e) dst.(e) then f.transfer.(e) else 0.0)
-  done;
-  let nc = place_contexts t k (Platform.n_clb t.platform) 0 t.ctxs in
+  refill f t;
+  if !check_deltas then check_refill f t;
+  let k = f.kernel in
   let result =
-    if nc < 0 then Evaluated None
+    if not f.fits then Evaluated None
     else begin
-      k.n_contexts <- nc;
-      book_full t (n + nc);
+      book_full t (size t + k.n_contexts);
       if Searchgraph.Flat.pass k then Settled k.makespan else Evaluated None
     end
   in

@@ -12,7 +12,11 @@
 
     The transaction order on the bus follows from the longest-path
     (ASAP) semantics of the search graph.  Mutations are performed by
-    {!Moves}; evaluation is cached and invalidated on mutation. *)
+    {!Moves}; evaluation is cached and invalidated on mutation.  A
+    large application's evaluation edits a live search graph
+    ({!evaluate}); a small one's refills a flat kernel only where the
+    writes since its last fill, read off {!save}'s version chain,
+    changed it ({!flat_max_tasks}). *)
 
 open Repro_taskgraph
 open Repro_arch
@@ -152,17 +156,29 @@ val evaluate : t -> Searchgraph.eval option
 
 val flat_max_tasks : int
 (** Applications of at most this many tasks are judged by the flat
-    pass instead: each settle fills one {!Repro_sched.Searchgraph.Flat}
-    kernel per solution straight from the solution's arrays (capacity
-    judged in the same walk) and runs it, bit-identical to
-    {!Repro_sched.Searchgraph.evaluate} of {!spec}.  No live graph is
+    pass instead: each settle brings one
+    {!Repro_sched.Searchgraph.Flat} kernel per solution up to the
+    solution's state (capacity judged in the same walk over the
+    contexts) and runs it, bit-identical to
+    {!Repro_sched.Searchgraph.evaluate} of {!spec}.  The settle
+    refills only what the writes since its last fill touched: the
+    path along {!save}'s version chain from the version it filled at
+    to the current one names the tasks whose binding, implementation
+    or chain link changed, and the contexts are re-placed only when
+    the context list or an implementation changed.  A first fill, a
+    copy, a platform change or a path longer than the task count
+    fills everything.  The fill reads tables, not the application:
+    per solution, software and transfer times and the application
+    edges; per application, the hardware time and CLBs of every
+    implementation ({!Repro_taskgraph.App.impl_table}).  No live graph is
     ever built for them: mutators write the solution's arrays and mark
     the cache stale, an undo is the version-chain reroot alone, and
     every evaluation (a cyclic one included) is booked in
     {!eval_stats} as a full one ([full_evals], [full_nodes] and the move
     kind's [k_full_evals]), so the [incr_*], edge, pair and comm
-    counters stay 0.  Under [REPRO_CHECK_DELTAS] every flat settle is
-    asserted against {!Repro_sched.Searchgraph.evaluate}. *)
+    counters stay 0.  Under [REPRO_CHECK_DELTAS] every refilled kernel
+    is compared with a full fill into fresh arrays, and every flat
+    settle is asserted against {!Repro_sched.Searchgraph.evaluate}. *)
 
 (** {1 Evaluation statistics} *)
 

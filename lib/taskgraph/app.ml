@@ -2,6 +2,8 @@ type edge = { src : int; dst : int; kbytes : float }
 
 type adjacency = { start : int array; node : int array; edge : int array }
 
+type impl_table = { first : int array; hw_time : float array; clbs : int array }
+
 (* The application's derived structure, computed once by [make]: the
    rebuild evaluators and the GA decoder read it on every evaluation,
    and the moves' cycle tests read its closure.
@@ -20,6 +22,7 @@ type index = {
   inc_edge : int array;            (* slot -> edge index, ascending per task *)
   topo : int array;
   closure : Closure.t;
+  impls : impl_table;              (* every task's implementations *)
 }
 
 type t = {
@@ -121,6 +124,15 @@ let make ~name ?deadline ~tasks ~edges:input () =
       out_next.(v) <- out_next.(v) + 1
     done
   done;
+  let first = starts (Array.map (fun (t : Task.t) -> Array.length t.impls) tasks) in
+  let hw_time = Array.make first.(n) 0.0 and clbs = Array.make first.(n) 0 in
+  for v = 0 to n - 1 do
+    let impls = tasks.(v).Task.impls in
+    for i = 0 to Array.length impls - 1 do
+      hw_time.(first.(v) + i) <- impls.(i).Task.hw_time;
+      clbs.(first.(v) + i) <- impls.(i).Task.clbs
+    done
+  done;
   let index =
     {
       edges;
@@ -131,6 +143,7 @@ let make ~name ?deadline ~tasks ~edges:input () =
       inc_edge;
       topo;
       closure;
+      impls = { first; hw_time; clbs };
     }
   in
   { name; tasks; graph; index; deadline }
@@ -179,6 +192,7 @@ let kbytes t src dst =
 let edges t = t.index.edge_list
 let in_edges t = t.index.ins
 let out_edges t = t.index.outs
+let impl_table t = t.index.impls
 let topological_order t = Array.copy t.index.topo
 let topo t = t.index.topo
 let closure t = t.index.closure

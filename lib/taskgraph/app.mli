@@ -99,6 +99,18 @@ val in_edges : t -> adjacency
 val out_edges : t -> adjacency
 (** Each task's successors, in increasing task id. *)
 
+type impl_table = private {
+  first : int array;
+  hw_time : float array;
+  clbs : int array;
+}
+(** Every task's implementations as flat arrays: implementation [i] of
+    task [v] is slot [first.(v) + i], with its hardware time
+    [hw_time] and its CLBs [clbs] ({!Task.impl}).  Built once by
+    {!make} and shared: read it; never write it. *)
+
+val impl_table : t -> impl_table
+
 val total_sw_time : t -> float
 (** Execution time of the all-software solution (tasks are sequential
     on the single processor, no communication cost). *)

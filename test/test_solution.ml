@@ -1075,15 +1075,15 @@ let fixture name load =
   | Ok x -> x
   | Error msg -> Alcotest.fail msg
 
-let flat_inputs () =
+let flat_inputs ?(sizes = [ 100; 400; 1000; 3000 ]) () =
   let md n_clb =
     ( Printf.sprintf "md28 at %d CLBs" n_clb,
       (Repro_workloads.Motion_detection.app (),
        Repro_workloads.Motion_detection.platform ~n_clb ()) )
   in
   let board = fixture "good_board.plat" Platform_io.load in
-  [
-    md 100; md 400; md 1000; md 3000;
+  List.map md sizes
+  @ [
     ("good_tiny on good_board", (fixture "good_tiny.tg" App_io.load, board));
     ("good_diamond on good_board", (fixture "good_diamond.tg" App_io.load, board));
     ("md28 on the two-processor board", Test_golden.two_processor_board ());
@@ -1157,6 +1157,78 @@ let test_flat_books_kinds () =
   (* 28 tasks, then 28 tasks and one configuration node. *)
   Alcotest.(check int) "full nodes" (28 + 29) stats.Solution.full_nodes
 
+(* The flat refill follows the version chain: a settle refills only the
+   kernel entries of the tasks written since the last fill, and under
+   [REPRO_CHECK_DELTAS] each refill is compared with a full fill.  The
+   steps mix moves of every kind, saves, undos of any saved state (not
+   only the latest), copies and device swaps to a half and a double
+   device; after each, the makespan must carry the bits of
+   [Searchgraph.evaluate]. *)
+let refill_kinds =
+  Solution.
+    [| Impl; Sw_reorder; Sw_migrate; Ctx_migrate; Ctx_create; Ctx_swap;
+       Platform_swap |]
+
+let refill_run (label, (application, plat)) seed steps =
+  let n_clb = Platform.n_clb plat in
+  let config =
+    Repro_dse.Moves.exploration
+      [ plat; Platform.with_rc_size plat (max 1 (n_clb / 2));
+        Platform.with_rc_size plat (2 * n_clb) ]
+  in
+  let rng = Rng.create seed in
+  let s = ref (Solution.random (Rng.create (seed + 1)) application plat) in
+  let saved = ref [] in
+  let check step what =
+    let got = Solution.makespan !s in
+    match Searchgraph.evaluate (Solution.spec !s) with
+    | Some e when same_bits got e.Searchgraph.makespan -> ()
+    | Some e ->
+      QCheck.Test.fail_reportf "%s, step %d (%s): makespan %h, evaluate %h"
+        label step what got e.Searchgraph.makespan
+    | None ->
+      QCheck.Test.fail_reportf "%s, step %d (%s): evaluate finds a cycle"
+        label step what
+  in
+  check 0 "initial";
+  for step = 1 to steps do
+    let draw = Rng.int rng 10 in
+    if draw < 6 then begin
+      let kind = refill_kinds.(Rng.int rng (Array.length refill_kinds)) in
+      (match Repro_dse.Moves.propose_kind rng config !s kind with
+       | Some undo -> saved := undo :: !saved
+       | None -> ());
+      check step (Solution.move_kind_label kind)
+    end
+    else if draw < 8 then saved := Solution.save !s :: !saved
+    else if draw < 9 then begin
+      match !saved with
+      | [] -> ()
+      | list ->
+        let i = Rng.int rng (List.length list) in
+        (List.nth list i) ();
+        saved := List.filteri (fun j _ -> j <> i) list;
+        check step "undo"
+    end
+    else begin
+      (* The saved states belong to the solution left behind. *)
+      s := Solution.copy !s;
+      saved := [];
+      check step "copy"
+    end
+  done;
+  true
+
+let qcheck_refill_follows_versions =
+  QCheck.Test.make ~name:"flat refill along the version chain equals a full fill"
+    ~count:12
+    QCheck.(pair small_int (int_range 50 300))
+    (fun (seed, steps) ->
+      with_check_deltas @@ fun () ->
+      List.for_all
+        (fun input -> refill_run input seed steps)
+        (flat_inputs ~sizes:[ 100; 500; 2000 ] ()))
+
 (* [Solution.random] against the list-based reference: the same
    solution, and the generator left in the same state. *)
 let test_random_matches_reference () =
@@ -1224,6 +1296,7 @@ let suite =
       `Quick test_flat_matches_evaluate;
     Alcotest.test_case "flat evaluations booked full, per kind" `Quick
       test_flat_books_kinds;
+    QCheck_alcotest.to_alcotest qcheck_refill_follows_versions;
     Alcotest.test_case "random matches the list reference" `Quick
       test_random_matches_reference;
   ]
