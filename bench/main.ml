@@ -777,7 +777,8 @@ let settle () =
     "states: Solution.random (seed = CLBs) and the best of a 20000-move sa\n\
      (seed = CLBs) at each Fig. 3 size; per state and kind %d proposals\n\
      through Moves.propose_kind (Rng seed 7), each one undone; ns per\n\
-     propose + settle + undo over batches of %d (monotonic clock).\n\n"
+     propose + settle + undo over batches of %d (monotonic clock);\n\
+     settles full + partial, and a partial pass's mean suffix in nodes.\n\n"
     (settle_batches * settle_batch) settle_batch;
   let app = Md.app () in
   let states =
@@ -797,7 +798,8 @@ let settle () =
   let table =
     Table.create
       [ ("kind", Table.Left); ("applied", Table.Right);
-        ("settles", Table.Right); ("words/move", Table.Right);
+        ("settles", Table.Right); ("suffix", Table.Right);
+        ("words/move", Table.Right);
         ("ns q1", Table.Right); ("ns median", Table.Right);
         ("ns q3", Table.Right) ]
   in
@@ -806,12 +808,15 @@ let settle () =
       (fun kind ->
         let label = Solution.move_kind_label kind in
         let samples = ref [] and applied = ref 0 and settles = ref 0 in
-        let words = ref 0.0 in
+        let partial = ref 0 and suffix = ref 0 and words = ref 0.0 in
         List.iter
           (fun s ->
             let rng = Rng.create 7 in
             let stats = Solution.eval_stats s in
-            let before = stats.Solution.full_evals in
+            let ks = Solution.kind_stats stats kind in
+            let before = stats.Solution.full_evals + stats.Solution.incr_evals in
+            let partial0 = ks.Solution.k_incr_evals in
+            let suffix0 = ks.Solution.k_incr_nodes in
             for _ = 1 to settle_batches do
               let w0 = Gc.minor_words () and t0 = Clock.mono () in
               for _ = 1 to settle_batch do
@@ -825,18 +830,28 @@ let settle () =
               words := !words +. (Gc.minor_words () -. w0);
               samples := (t1 -. t0) *. 1e9 /. float_of_int settle_batch :: !samples
             done;
-            settles := !settles + stats.Solution.full_evals - before)
+            settles :=
+              !settles + stats.Solution.full_evals + stats.Solution.incr_evals
+              - before;
+            partial := !partial + ks.Solution.k_incr_evals - partial0;
+            suffix := !suffix + ks.Solution.k_incr_nodes - suffix0)
           states;
+        let mean_suffix =
+          if !partial = 0 then 0.0
+          else float_of_int !suffix /. float_of_int !partial
+        in
         let moves = float_of_int (List.length states * settle_batches * settle_batch) in
         let q1 = quantile 0.25 !samples and median = quantile 0.5 !samples in
         let q3 = quantile 0.75 !samples and per_move = !words /. moves in
         Table.add_row table
           [ label; Table.cell_int !applied; Table.cell_int !settles;
+            Table.cell_float ~decimals:1 mean_suffix;
             Table.cell_float ~decimals:1 per_move;
             Table.cell_float ~decimals:0 q1; Table.cell_float ~decimals:0 median;
             Table.cell_float ~decimals:0 q3 ];
         [ (label ^ "_applied", float_of_int !applied);
           (label ^ "_settles", float_of_int !settles);
+          (label ^ "_suffix_mean", mean_suffix);
           (label ^ "_words_per_move", per_move);
           (label ^ "_ns_p25", q1); (label ^ "_ns_p50", median);
           (label ^ "_ns_p75", q3) ])

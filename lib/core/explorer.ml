@@ -10,7 +10,6 @@ module Checkpoint = Repro_util.Checkpoint
 type objective =
   | Makespan
   | Makespan_serialized
-  | Min_period
   | Cost_under_deadline of { penalty_per_ms : float }
 
 type config = {
@@ -68,10 +67,6 @@ let cost_of objective solution =
     (match Searchgraph.evaluate_serialized (Solution.spec solution) with
      | Some eval -> eval.Searchgraph.makespan
      | None -> infinity)
-  | Min_period ->
-    if Solution.makespan solution = infinity then infinity
-    else
-      (Periodic.analyze (Solution.spec solution)).Periodic.min_initiation_interval
   | Cost_under_deadline { penalty_per_ms } ->
     let deadline =
       match (Solution.app solution).App.deadline with
@@ -104,7 +99,6 @@ type sa_state = { solution : Solution.t; chain : Annealer.chain }
 let objective_label = function
   | Makespan -> "makespan"
   | Makespan_serialized -> "makespan-serialized"
-  | Min_period -> "min-period"
   | Cost_under_deadline { penalty_per_ms } ->
     Printf.sprintf "cost-under-deadline/%h" penalty_per_ms
 

@@ -19,11 +19,6 @@ type objective =
       (** minimize execution time under the explicit bus-transaction
           model ({!Repro_sched.Searchgraph.evaluate_serialized}):
           concurrent boundary crossings contend for the shared medium *)
-  | Min_period
-      (** minimize the steady-state initiation interval
-          ({!Repro_sched.Periodic}): the right objective when the
-          constraint is a pipeline period (one image every 40 ms)
-          rather than a latency *)
   | Cost_under_deadline of { penalty_per_ms : float }
       (** minimize platform cost, with [penalty_per_ms] per millisecond
           of deadline overshoot; requires the application to declare a

@@ -5,8 +5,8 @@ module Rng = Repro_util.Rng
 
 (* The move vocabulary, for attribution of evaluation work: every
    mutator stamps the solution with the kind of the last mutation, and
-   the next evaluation books its cost (full vs incremental, nodes
-   touched, edges edited) against that kind. *)
+   the next evaluation books its cost (a full or a partial pass, and
+   the nodes it passed) against that kind. *)
 type move_kind =
   | Init
   | Impl
@@ -96,76 +96,9 @@ let rec assoc_int (x : int) = function
   | [] -> raise Not_found
   | (k, v) :: rest -> if x = k then v else assoc_int x rest
 
-(* One entry of the incremental state's delta log.  Every mutation of
-   the live search graph, its weights, the cached pair list or the
-   boundary-traffic total is recorded here, so an undo closure can
-   replay the inverse ops (LIFO) instead of forcing a rebuild. *)
-type op =
-  | W of int * float * float       (* node, old weight, new weight *)
-  | E_add of int * int
-  | E_del of int * int
-  | Comm_set of int * float        (* app-edge index, old boundary term *)
-  | Pairs of int list * bool       (* old cache (sorted, packed u·2n+v)
-                                      and whether it was fresh *)
-  | Touch of int list              (* nodes whose edge weights changed *)
-  | Clbs of int * int              (* context id, old CLB total *)
-
-(* Incremental-evaluation state: a live search graph over n task nodes
-   plus n configuration nodes, held by its longest-path state [lp]
-   alone (which owns the adjacency, edited in place), and the
-   bookkeeping that turns a structural mutation into an edge-delta
-   set.  A context's id is in [0, n) and its configuration node is
-   [n + id]; the nodes of free ids stay isolated (no edges, weight 0)
-   and are excluded from the canonical evaluation.
-
-   Each mutator emits its own exact edge delta from the pair emitters
-   of only the chains, contexts and context adjacencies it touched
-   (see [native_resync]); the boundary-traffic total [comm] is a
-   pairwise sum tree, one leaf per application edge in {!App.edges}
-   order, whose terms are flipped for the edges incident to rebound
-   tasks ({!App.iter_incident}).  [pairs] is a verification artifact
-   only: in [REPRO_CHECK_DELTAS] paranoid mode it caches the sorted
-   packed (u·2n+v) canonical pair list so every move's emitted delta
-   can be asserted against a regenerate-and-diff reference
-   ([pairs_fresh] tracks whether the cache is current — default-mode
-   moves stop maintaining it).
-
-   [clbs] holds each live context's CLB total (0 for a free id) and
-   [over] counts the contexts above the device's [limit], so a settle
-   judges capacity without re-summing a member list.
-
-   [desync] flags a move whose sequencing contradicts the application
-   precedences (infeasible until undone).  A state that can no longer
-   be trusted is dropped ([t.incr <- None]) and the next evaluation
-   builds a new one.  The stamp arrays belong to the one solution that
-   owns this state: restarts anneal on several domains, so nothing here
-   may be shared between solutions. *)
-type incr = {
-  lp : Longest_path.t;
-  weights : float array;
-  mutable pairs : int list;
-  mutable pairs_fresh : bool;
-  comm : Searchgraph.Comm.t;
-  around : int array;  (* task -> the last stamp that visited it *)
-  mutable stamp : int;  (* the last stamp handed out *)
-  ctx_seen : int array;
-  (* context id -> the stamp of the last pre-move list holding it, with
-     its members there and its predecessor's id (-1 for the first) *)
-  ctx_members : int list array;
-  ctx_pred : int array;
-  mutable log : op array;
-  mutable log_len : int;
-  mutable epoch : int;             (* bumped when the log is truncated *)
-  mutable dirty : int list;
-  mutable desync : bool;
-  clbs : int array;
-  mutable over : int;
-  limit : int;
-}
-
-(* Paranoid cross-checking: regenerate the canonical pair list on every
-   structural move and assert the mutator-emitted delta equals the
-   regenerate-and-diff reference.  Read once from the environment
+(* Paranoid cross-checking: compare every refilled kernel with a full
+   fill, every pass with a full pass over it and every settle with
+   [Searchgraph.evaluate].  Read once from the environment
    ([REPRO_CHECK_DELTAS=1]); tests toggle it in-process. *)
 let check_deltas =
   ref
@@ -177,8 +110,8 @@ let set_check_deltas enabled = check_deltas := enabled
 let check_deltas_enabled () = !check_deltas
 
 (* What the solution knows about its own evaluation.  [Settled m]: the
-   state is feasible with makespan [m], and the O(n+k) evaluation record
-   has not been built — the move path reads only the makespan.
+   state is feasible with makespan [m], and the evaluation record has
+   not been built — the move path reads only the makespan.
    [Evaluated None] is an infeasible state. *)
 type cache =
   | Stale
@@ -227,18 +160,22 @@ let reroot v =
       d.next <- live)
     (path [] v)
 
-(* The evaluator of a small application: its search graph is never
-   kept alive; each settle fills the arrays of one
-   {!Searchgraph.Flat} kernel from the solution and runs the pass.
-   The fill refills only what changed since the last one: every write
-   to [assign], [impl] and the chain links is a diff on the version
-   chain, so the path from [filled_at] to the root names exactly the
-   positions that differ ({!refill}).  It reads tables, not the
-   application: the implementations' from {!App.impl_table}, the
-   platform's ones read once from [tables_for]; the record is rebuilt,
-   with a full fill, when the solution's platform is another one
-   ({!replace_platform}, or an undo across it).  Like [incr], it
-   belongs to one solution: copies start without one. *)
+(* The evaluator: the search graph is never built; each settle brings
+   the arrays of one {!Searchgraph.Flat} kernel to the solution's state
+   and runs the pass from the first node that changed.  The fill
+   refills only what changed since the last one: every write to
+   [assign], [impl] and the chain links is a diff on the version chain,
+   so the path from [filled_at] to the root names exactly the positions
+   that differ ({!refill}).  Each entry it rewrites is compared with
+   the one it replaces: a changed node (its time, its in-edges or
+   their weights) lowers [low] to its position in the last pass's
+   order, and an added edge that runs backward in that order widens
+   the window [lo, hi] between its ends.  It reads tables, not the application: the implementations'
+   from {!App.impl_table}, the platform's ones read once from
+   [tables_for]; the record is rebuilt, with a full fill, when the
+   solution's platform is another one ({!replace_platform}, or an undo
+   across it).  It belongs to one solution: copies start without
+   one. *)
 type flat = {
   kernel : Searchgraph.Flat.t;
   tables_for : Platform.t;
@@ -248,10 +185,13 @@ type flat = {
   per_clb : float;         (* the device's reconfiguration time per CLB *)
   n_clb : int;             (* the device's CLBs *)
   impls : App.impl_table;  (* hardware time and CLBs per implementation *)
-  app_edge : Bytes.t;      (* u * n + v: '\001' for an application edge *)
   mutable filled_at : version;  (* the kernel's state; [live]: none yet *)
   mutable placed : (int * int list) list;  (* the contexts it holds *)
   mutable fits : bool;     (* and whether each is within [n_clb] *)
+  mutable low : int;       (* the least position changed since the pass *)
+  mutable lo : int;        (* the positions that edges added since run *)
+  mutable hi : int;        (* backward between, or [lo > hi] *)
+  mutable full : bool;     (* the next pass starts at position 0 *)
 }
 
 (* assign.(v) = -(p+1) when the task runs in software on processor p
@@ -278,7 +218,6 @@ type t = {
   mutable ctxs : (int * int list) list;
   mutable free_ids : int list;
   mutable cached : cache;
-  mutable incr : incr option;
   mutable flat : flat option;
   mutable last_kind : move_kind;
   stats : eval_stats;
@@ -337,10 +276,11 @@ let app t = t.app
 let platform t = t.platform
 let size t = App.size t.app
 
-(* Drop the live search graph: the next evaluation builds a new one. *)
+(* Drop the cache and the flat record: the next evaluation fills a new
+   kernel and runs a full pass. *)
 let invalidate t =
   t.cached <- Stale;
-  t.incr <- None
+  t.flat <- None
 
 let eval_stats t = t.stats
 
@@ -362,7 +302,6 @@ let unlinked application platform ~assign ~impl ~ctxs ~free_ids =
     ctxs;
     free_ids;
     cached = Stale;
-    incr = None;
     flat = None;
     last_kind = Init;
     stats = fresh_stats ();
@@ -377,13 +316,11 @@ let all_software application platform =
   link_all t 0 (Array.to_list (App.topological_order application));
   t
 
-(* Copies never share the incremental state or the flat kernel: the
-   one tracks one solution's mutations and would be corrupted by a
-   sibling's, the other is scratch space that restarts on several
-   domains would overwrite under each other.  The stats record
-   stays shared so a solution and its copies count together, and the
-   cache is copied as is (a settled copy builds its record from the
-   spec, see [evaluate]). *)
+(* Copies never share the flat kernel: it is scratch space that
+   restarts on several domains would overwrite under each other.  The
+   stats record stays shared so a solution and its copies count
+   together, and the cache is copied as is (a settled copy builds its
+   record from the spec, see [evaluate]). *)
 let copy t =
   {
     t with
@@ -395,73 +332,8 @@ let copy t =
     tail = Array.copy t.tail;
     version = fresh_root ();
     cached = t.cached;
-    incr = None;
     flat = None;
   }
-
-(* --- delta-log plumbing --- *)
-
-let log_push inc op =
-  if inc.log_len = Array.length inc.log then begin
-    let grown = Array.make (max 64 (2 * Array.length inc.log)) op in
-    Array.blit inc.log 0 grown 0 inc.log_len;
-    inc.log <- grown
-  end;
-  inc.log.(inc.log_len) <- op;
-  inc.log_len <- inc.log_len + 1
-
-let mark_dirty inc v = inc.dirty <- v :: inc.dirty
-
-let set_weight inc v w =
-  if w <> inc.weights.(v) then begin
-    log_push inc (W (v, inc.weights.(v), w));
-    inc.weights.(v) <- w;
-    mark_dirty inc v
-  end
-
-let over_limit inc clbs = if clbs > inc.limit then 1 else 0
-
-(* Store a context's CLB total, keeping [over] in step. *)
-let store_clbs inc cid total =
-  inc.over <- inc.over - over_limit inc inc.clbs.(cid) + over_limit inc total;
-  inc.clbs.(cid) <- total
-
-let set_clbs inc cid total =
-  if total <> inc.clbs.(cid) then begin
-    log_push inc (Clbs (cid, inc.clbs.(cid)));
-    store_clbs inc cid total
-  end
-
-(* Replay the inverse ops down to [mark].  Re-inserting a deleted edge
-   restores a historical (acyclic) graph, so it can never fail. *)
-let rollback app inc ~mark =
-  while inc.log_len > mark do
-    inc.log_len <- inc.log_len - 1;
-    match inc.log.(inc.log_len) with
-    | W (v, old, _) ->
-      inc.weights.(v) <- old;
-      mark_dirty inc v
-    | E_add (u, v) ->
-      Longest_path.delete_edge inc.lp u v;
-      mark_dirty inc v
-    | E_del (u, v) ->
-      if not (Longest_path.insert_edge inc.lp u v) then assert false;
-      mark_dirty inc v
-    | Comm_set (i, old) ->
-      Searchgraph.Comm.set inc.comm i old;
-      (* The term doubles as the longest-path weight of this edge. *)
-      mark_dirty inc (App.edge app i).App.dst
-    | Pairs (old, fresh) ->
-      inc.pairs <- old;
-      inc.pairs_fresh <- fresh
-    | Touch vs -> List.iter (mark_dirty inc) vs
-    | Clbs (cid, old) -> store_clbs inc cid old
-  done
-
-(* Undo closures outliving this many log entries are long dead (undo is
-   LIFO and one-shot), so [save] resets the log once it grows past the
-   threshold. *)
-let log_truncate_threshold = 8192
 
 let save t =
   let version = t.version in
@@ -470,37 +342,7 @@ let save t =
   let cached = t.cached in
   let platform = t.platform in
   let last_kind = t.last_kind in
-  let mark =
-    match t.incr with
-    | Some inc when not inc.desync ->
-      if inc.log_len > log_truncate_threshold then begin
-        inc.log_len <- 0;
-        inc.epoch <- inc.epoch + 1
-      end;
-      let len = inc.log_len in
-      let last = if len = 0 then None else Some inc.log.(len - 1) in
-      Some (inc, inc.epoch, len, last)
-    | Some _ | None -> None
-  in
   fun () ->
-    (* The incremental state rolls its delta log back to the save
-       point when the log still holds the save's history: same
-       generation, and the entry just below the mark is the one the
-       save saw — every pushed op is a fresh block, so an earlier undo
-       that cut below the mark and pushed again is told apart.  Any
-       mismatch (a rebuild happened in between, the log was truncated,
-       an out-of-order undo rewrote it) drops the live graph — the
-       solution arrays are restored either way. *)
-    (match (t.incr, mark) with
-     | Some inc, Some (saved, epoch, len, last)
-       when inc == saved && inc.epoch = epoch && inc.log_len >= len
-            && (match last with
-                | None -> true
-                | Some op -> inc.log.(len - 1) == op) ->
-       rollback t.app inc ~mark:len;
-       inc.desync <- false
-     | Some _, _ -> t.incr <- None
-     | None, _ -> ());
     reroot version;
     t.version <- version;
     t.ctxs <- ctxs;
@@ -596,21 +438,6 @@ let capacity_ok t =
   let limit = Platform.n_clb t.platform in
   List.for_all (fun (_, members) -> members_clbs t members <= limit) t.ctxs
 
-(* A live context's members changed: its CLB total and the weight of
-   its configuration node follow. *)
-let resize_context t inc cid members =
-  let clbs = members_clbs t members in
-  set_clbs inc cid clbs;
-  set_weight inc (size t + cid) (Platform.reconfiguration_time t.platform clbs)
-
-(* Mirror of [Searchgraph.exec_time] reading the solution directly, so
-   the incremental path does not rebuild a spec per move. *)
-let exec_time_of t v =
-  let task = App.task t.app v in
-  if t.assign.(v) < 0 then
-    task.Task.sw_time /. Platform.processor_speed t.platform (processor_index t v)
-  else (Task.impl task t.impl.(v)).Task.hw_time
-
 (* [Searchgraph.resource_code] read off the assignment array directly:
    [assign.(v)] is already -(p+1) for software on processor p, and any
    context id (>= 0) is the reconfigurable circuit, code 0.  Solutions
@@ -619,542 +446,21 @@ let crossing_of t u v =
   let code a = if a < 0 then a else 0 in
   code t.assign.(u) <> code t.assign.(v)
 
-(* The boundary term of one application edge under this solution's
-   bindings — one leaf of [Searchgraph.comm_terms].
-   The rebuild's [Searchgraph.Comm] tree and the incrementally patched
-   one evaluate the identical expression over identical terms, hence
-   bitwise-equal totals (resume replay depends on it). *)
-let comm_term_of t { App.src; dst; kbytes } =
-  if crossing_of t src dst then Platform.transfer_time t.platform kbytes
-  else 0.0
-
-(* Edge weights for the longest path, read off the live boundary-term
-   tree: the term of application edge [i] is already the transfer time
-   when crossing and 0 otherwise, kept current by the per-move comm
-   patch — so the innermost refresh loop scans the tiny per-task
-   in-edge list of the application index ({!App.edge_weight}) instead
-   of recomputing a transfer time on every predecessor visit.
-   Sequencing edges are not application edges and weigh 0. *)
-let edge_weight_over app comm = App.edge_weight app (Searchgraph.Comm.get comm)
-
-(* Pairs packed into a single int (u·2n+v), sorted. *)
-let pack_pairs t pairs =
-  let stride = 2 * size t in
-  List.sort Int.compare (List.map (fun (u, v) -> (u * stride) + v) pairs)
-
-(* The canonical dynamic pair list (Esw ∪ Ehw) the live graph must
-   realize for the current solution state, configuration nodes at
-   [n + id]. *)
-let sequencing_pairs t =
-  let n = size t in
-  let cfg = Array.of_list (List.map (fun (cid, _) -> n + cid) t.ctxs) in
-  let orders = sw_orders t in
-  Searchgraph.sequencing_pairs
-    ~cfg:(fun j -> cfg.(j))
-    ~sw_order:(List.hd orders)
-    ~extra_sw_orders:(List.tl orders)
-    ~contexts:(List.map snd t.ctxs)
-
-(* [a \ b] for sorted int lists. *)
-let rec diff_sorted a b =
-  match (a, b) with
-  | [], _ -> []
-  | _, [] -> a
-  | x :: xs, y :: ys ->
-    if x = y then diff_sorted xs ys
-    else if (x : int) < y then x :: diff_sorted xs b
-    else diff_sorted a ys
-
-(* The Esw pairs with an endpoint in [around], each once and packed
-   (u·2n+v): [(prev a, a)] and [(a, next a)] for every task [a] of the
-   list, skipping a pair whose other endpoint was visited first.  A
-   hardware task has no links, hence no pairs.  O(|around|), whatever
-   the chain lengths. *)
-let sw_pairs_near t inc around =
-  let stride = 2 * size t in
-  inc.stamp <- inc.stamp + 1;
-  let seen = inc.stamp in
-  List.fold_left
-    (fun acc a ->
-      if inc.around.(a) = seen then acc
-      else begin
-        inc.around.(a) <- seen;
-        let p = t.prev.(a) and s = t.next.(a) in
-        let acc =
-          if p >= 0 && inc.around.(p) <> seen then (p * stride) + a :: acc
-          else acc
-        in
-        if s >= 0 && inc.around.(s) <> seen then (a * stride) + s :: acc
-        else acc
-      end)
-    [] around
-
-(* The before-capture of a software move, taken ahead of the mutation
-   for the resync that follows it; without a live graph there is
-   nothing to edit. *)
-let sw_capture t around =
-  match t.incr with
-  | Some inc when not inc.desync -> sw_pairs_near t inc around
-  | Some _ | None -> []
-
-(* The context half of a move's edge delta.  Context [c] (node
-   [n + id]) owns its intra pairs [(c, v)], [v] a member, and its GTLP
-   pairs [(p, c)] and [(u, c)], [u] a member of its predecessor [p]
-   ({!Searchgraph.ehw_pairs}' adjacencies, keyed by the later context).
-   So its pairs change only with its members, its predecessor or its
-   predecessor's members.  One walk of the mutated list against the
-   recorded pre-move one emits each change: O(k), plus the member lists
-   the move rebuilt (an intact one is physically equal).  [push_intra]
-   and [push_into] pack [(c, v)] and [(v, c)] for each [v] of a list. *)
-let rec push_intra n c acc = function
-  | [] -> acc
-  | v :: rest -> push_intra n c ((c * 2 * n) + v :: acc) rest
-
-let rec push_into n c acc = function
-  | [] -> acc
-  | u :: rest -> push_into n c ((u * 2 * n) + c :: acc) rest
-
-(* Node [c]'s GTLP pairs behind the context [pred] whose members are
-   [members]; none for the first context ([pred < 0]). *)
-let push_gtlp n pred members c acc =
-  if pred < 0 then acc
-  else push_into n c (((n + pred) * 2 * n) + c :: acc) members
-
-(* The tasks that left and joined a member list: the old ones not
-   re-stamped [s + 1] with the new, the new ones not stamped [s]. *)
-let member_diff inc old_members members =
-  inc.stamp <- inc.stamp + 2;
-  let s = inc.stamp - 1 and around = inc.around in
-  List.iter (fun v -> around.(v) <- s) old_members;
-  let came = List.filter (fun v -> around.(v) <> s) members in
-  List.iter (fun v -> around.(v) <- s + 1) members;
-  (List.filter (fun v -> around.(v) <> s + 1) old_members, came)
-
-(* A move's packed pairs, removed and added, before cancellation; the
-   contexts created or with changed members; the ids it freed. *)
-type delta = {
-  mutable rm : int list;
-  mutable add : int list;
-  mutable resized : (int * int list) list;
-  mutable freed : int list;
-}
-
-(* Stamp the pre-move list's ids [s] and record their members (an
-   unchanged list is not rewritten) and predecessors. *)
-let rec record_ctxs inc s pred = function
-  | [] -> ()
-  | (cid, members) :: rest ->
-    inc.ctx_seen.(cid) <- s;
-    if not (inc.ctx_members.(cid) == members) then
-      inc.ctx_members.(cid) <- members;
-    inc.ctx_pred.(cid) <- pred;
-    record_ctxs inc s cid rest
-
-(* Walk the mutated list behind context [pred] (-1 before the first)
-   with its members and their diff.  A context stamped [s] was in the
-   old list (all are re-stamped [s + 1]); a created one diffs as if it
-   had no members and came first. *)
-let rec diff_ctxs inc d n s pred pred_members pred_gone pred_came = function
-  | [] -> ()
-  | (cid, members) :: rest ->
-    let c = n + cid and held = inc.ctx_seen.(cid) = s in
-    inc.ctx_seen.(cid) <- s + 1;
-    let old_members = if held then inc.ctx_members.(cid) else [] in
-    let gone, came =
-      if old_members == members then ([], [])
-      else member_diff inc old_members members
-    in
-    if not (gone == [] && came == []) then begin
-      d.rm <- push_intra n c d.rm gone;
-      d.add <- push_intra n c d.add came;
-      d.resized <- (cid, members) :: d.resized
-    end;
-    let old_pred = if held then inc.ctx_pred.(cid) else -1 in
-    if old_pred = pred then begin
-      d.rm <- push_into n c d.rm pred_gone;
-      d.add <- push_into n c d.add pred_came
-    end
-    else begin
-      (* The whole GTLP set is replaced: a pair on both sides (a task
-         that moved into the new predecessor) cancels later. *)
-      if old_pred >= 0 then
-        d.rm <- push_gtlp n old_pred inc.ctx_members.(old_pred) c d.rm;
-      d.add <- push_gtlp n pred pred_members c d.add
-    end;
-    diff_ctxs inc d n s cid members gone came rest
-
-(* The contexts of the old list still stamped [s] were freed by the
-   move: their whole owned sets go. *)
-let rec free_ctxs inc d n s = function
-  | [] -> ()
-  | (cid, members) :: rest ->
-    if inc.ctx_seen.(cid) = s then begin
-      let pred = inc.ctx_pred.(cid) in
-      d.rm <- push_intra n (n + cid) d.rm members;
-      if pred >= 0 then
-        d.rm <- push_gtlp n pred inc.ctx_members.(pred) (n + cid) d.rm;
-      d.freed <- cid :: d.freed
-    end;
-    free_ctxs inc d n s rest
-
-(* Re-synchronize the live search graph with a mutated solution from
-   the move's own footprint — no global pair-list regeneration.  The
-   mutator hands over the tasks around the disturbed software
-   positions ([sw_around]) with the packed Esw pairs they had before
-   the mutation ([sw_before], from {!sw_capture}), its pre-move context
-   list ([old_ctxs] — immutable, so snapshotting it is a pointer copy)
-   and the tasks whose binding changed ([rebound]).
-
-   The removals are [sw_before] and the context pairs the move took
-   away, the additions the Esw pairs around [sw_around] after it and
-   the context pairs it brought.  A pair on both sides (a software
-   adjacency the move kept, a GTLP pair re-emitted under a new
-   predecessor) cancels; the rest is the exact edge delta, since the
-   pairs of chains and contexts outside the footprint are untouched.
-   It is applied as deletions then insertions in packed order, the
-   canonical order of the regenerate-and-diff path.  Each intermediate
-   edge set is a subset of the union of two acyclic sets realized over
-   the same order-maintained graph, so a genuine cycle is detected by
-   some insertion failing — never spuriously.  Weights are re-read for
-   rebound tasks and touched contexts only, and the boundary-traffic
-   sum tree is patched by flipping the terms of the edges incident to
-   rebound tasks.  Under [REPRO_CHECK_DELTAS] the emitted delta is
-   asserted against the regenerate-and-diff reference. *)
-let native_resync t kind ~rebound ~sw_around ~sw_before ~old_ctxs =
-  t.cached <- Stale;
-  t.last_kind <- kind;
-  match t.incr with
-  | None -> ()
-  | Some inc when inc.desync ->
-    (* Mutating on top of an unresolved desync loses the diff base. *)
-    t.incr <- None
-  | Some inc ->
-    let mark = inc.log_len in
-    let n = size t in
-    let appg = t.app.App.graph in
-    let ks = kind_stats t.stats kind in
-    (* 1. The move's pairs, removed and added.  Pointer equality of the
-       association lists means the move never touched the context
-       chain: only the disturbed software adjacencies changed. *)
-    let d = { rm = sw_before; add = []; resized = []; freed = [] } in
-    d.add <- sw_pairs_near t inc sw_around;
-    if not (old_ctxs == t.ctxs) then begin
-      inc.stamp <- inc.stamp + 2;
-      let s = inc.stamp - 1 in
-      record_ctxs inc s (-1) old_ctxs;
-      diff_ctxs inc d n s (-1) [] [] [] t.ctxs;
-      free_ctxs inc d n s old_ctxs
-    end;
-    let emitted = List.length d.rm + List.length d.add in
-    t.stats.pairs_emitted <- t.stats.pairs_emitted + emitted;
-    ks.k_pairs_emitted <- ks.k_pairs_emitted + emitted;
-    (* 2. Cancel what is on both sides; the rest, sorted, is the
-       delta. *)
-    let rm = List.sort Int.compare d.rm and add = List.sort Int.compare d.add in
-    let removals = diff_sorted rm add and additions = diff_sorted add rm in
-    (* Paranoid mode: the regenerate-and-diff reference must agree with
-       the emitted delta.  [pairs] is maintained only here; a cache
-       left stale by default-mode moves is re-seeded without asserting
-       (self-healing when the mode is toggled on mid-run). *)
-    if !check_deltas then begin
-      t.stats.pair_regens <- t.stats.pair_regens + 1;
-      ks.k_pair_regens <- ks.k_pair_regens + 1;
-      let fresh = pack_pairs t (sequencing_pairs t) in
-      if inc.pairs_fresh then begin
-        let want_rm = diff_sorted inc.pairs fresh in
-        let want_add = diff_sorted fresh inc.pairs in
-        if removals <> want_rm || additions <> want_add then
-          failwith
-            (Printf.sprintf
-               "Solution: %s: emitted deltas diverge from \
-                regenerate-and-diff (emitted %d-/%d+, reference %d-/%d+)"
-               (move_kind_label kind) (List.length removals)
-               (List.length additions) (List.length want_rm)
-               (List.length want_add))
-      end;
-      log_push inc (Pairs (inc.pairs, inc.pairs_fresh));
-      inc.pairs <- fresh;
-      inc.pairs_fresh <- true
-    end
-    else inc.pairs_fresh <- false;
-    (* 3. Apply the delta: deletions then insertions, packed order. *)
-    let stride = 2 * n in
-    let edited = ref 0 in
-    List.iter
-      (fun p ->
-        let u = p / stride and v = p mod stride in
-        (* An Esw chain pair can coincide with a static application
-           edge; the shared arc must survive its removal. *)
-        if not (u < n && v < n && Graph.has_edge appg u v) then begin
-          Longest_path.delete_edge inc.lp u v;
-          log_push inc (E_del (u, v));
-          mark_dirty inc v;
-          incr edited
-        end)
-      removals;
-    let cyclic = ref false in
-    (try
-       List.iter
-         (fun p ->
-           let u = p / stride and v = p mod stride in
-           if not (Longest_path.has_edge inc.lp u v) then
-             if Longest_path.insert_edge inc.lp u v then begin
-               log_push inc (E_add (u, v));
-               mark_dirty inc v;
-               incr edited
-             end
-             else raise Exit)
-         additions
-     with Exit -> cyclic := true);
-    if !cyclic then begin
-      (* The new sequencing contradicts the precedences: a fresh build
-         of the same edge set would be cyclic too.  Leave the graph at
-         the pre-move state and report infeasible until the move is
-         undone. *)
-      rollback t.app inc ~mark;
-      inc.desync <- true
-    end
-    else begin
-      (* 4. Weights: rebound tasks re-read their execution time (and
-         their application successors see changed edge weights);
-         configuration nodes track their context's area — only where
-         membership changed — and a freed context's node goes back to
-         weight 0. *)
-      List.iter
-        (fun v ->
-          set_weight inc v (exec_time_of t v);
-          let touched = v :: Graph.succs appg v in
-          log_push inc (Touch touched);
-          List.iter (mark_dirty inc) touched)
-        rebound;
-      List.iter (fun (cid, members) -> resize_context t inc cid members)
-        d.resized;
-      List.iter
-        (fun cid ->
-          set_clbs inc cid 0;
-          set_weight inc (n + cid) 0.0)
-        d.freed;
-      (* 5. Boundary traffic: flip the sum-tree terms of the edges
-         incident to rebound tasks — O(deg · log m), not a re-walk of
-         the application graph. *)
-      if rebound <> [] then begin
-        let patched = ref 0 in
-        List.iter
-          (fun v ->
-            App.iter_incident t.app v (fun i ->
-                let term = comm_term_of t (App.edge t.app i) in
-                let old = Searchgraph.Comm.get inc.comm i in
-                if term <> old then begin
-                  log_push inc (Comm_set (i, old));
-                  Searchgraph.Comm.set inc.comm i term;
-                  incr patched
-                end))
-          rebound;
-        t.stats.comm_patched <- t.stats.comm_patched + !patched;
-        ks.k_comm_patched <- ks.k_comm_patched + !patched
-      end;
-      t.stats.edges_edited <- t.stats.edges_edited + !edited;
-      ks.k_edges_edited <- ks.k_edges_edited + !edited
-    end
-
-(* Assemble the evaluation record from the live state, reading only
-   the canonical nodes (tasks, then the configuration nodes of the live
-   contexts in execution order) so free ids are invisible.  The folds run in
-   the same order as [Searchgraph.evaluate]'s, keeping the result
-   bit-identical to a rebuild. *)
-let eval_from_incr t inc =
-  let n = size t in
-  let k = List.length t.ctxs in
-  let lp_finish = Longest_path.finish_array inc.lp in
-  let finish = Array.make (n + k) 0.0 in
-  Array.blit lp_finish 0 finish 0 n;
-  let initial_reconfig = ref 0.0 in
-  let dynamic_reconfig = ref 0.0 in
-  List.iteri
-    (fun j (cid, _) ->
-      let s = n + cid in
-      finish.(n + j) <- lp_finish.(s);
-      if j = 0 then initial_reconfig := inc.weights.(s)
-      else dynamic_reconfig := !dynamic_reconfig +. inc.weights.(s))
-    t.ctxs;
-  let makespan = Array.fold_left Float.max 0.0 finish in
-  let initial_reconfig = !initial_reconfig in
-  {
-    Searchgraph.makespan;
-    initial_reconfig;
-    dynamic_reconfig = !dynamic_reconfig;
-    comm = Searchgraph.Comm.total inc.comm;
-    n_contexts = k;
-    finish;
-  }
-
-(* [Float.max] with the common case first: one float compare, no
-   boxing. *)
-let fmax m x =
-  if x > m then x
-  else if Float.is_nan x || Float.is_nan m then Float.max m x
-  else m
-[@@inline]
-
-(* The makespan read over the sinks of the live graph: the chain tails
-   and the members of the last context.  Every other task has a
-   successor (its chain successor, or the next context's configuration
-   node), every configuration node precedes its context's members, and
-   the nodes of free ids are isolated and of weight 0.  Node and edge
-   weights are >= 0, so a finish time never exceeds its successors',
-   and the maximum over these sinks is the maximum over the whole
-   finish array, bit for bit: O(processors + contexts + |last
-   context|), where a scan costs 2n.  [REPRO_CHECK_DELTAS] asserts it
-   against the scan. *)
-let settled t inc =
-  let finish = Longest_path.finish_array inc.lp in
-  let m = ref 0.0 in
-  for p = 0 to Array.length t.tail - 1 do
-    let v = t.tail.(p) in
-    if v >= 0 then m := fmax !m finish.(v)
-  done;
-  let rec last = function
-    | [] -> []
-    | [ (_, members) ] -> members
-    | _ :: rest -> last rest
-  in
-  (* A loop, not [List.iter]: a float ref captured by a closure would
-     be boxed on every store. *)
-  let members = ref (last t.ctxs) in
-  while
-    match !members with
-    | [] -> false
-    | v :: rest ->
-      m := fmax !m finish.(v);
-      members := rest;
-      true
-  do
-    ()
-  done;
-  let m = !m in
-  if
-    !check_deltas
-    && Int64.bits_of_float m
-       <> Int64.bits_of_float (Array.fold_left Float.max 0.0 finish)
-  then failwith "Solution: the sink makespan diverges from the finish scan";
-  Settled m
-
-(* Book one from-scratch evaluation of [nodes] search-graph nodes
-   against the kind of the mutation before it. *)
+(* Book one pass over [nodes] search-graph nodes against the kind of
+   the mutation before it: a full one, or one restarted after the
+   unchanged prefix of the last pass. *)
 let book_full t nodes =
   t.stats.full_evals <- t.stats.full_evals + 1;
   t.stats.full_nodes <- t.stats.full_nodes + nodes;
   let ks = kind_stats t.stats t.last_kind in
   ks.k_full_evals <- ks.k_full_evals + 1
 
-(* Full build: construct the search graph over n task and n
-   configuration nodes and its longest-path state, and keep them alive
-   for the incremental path. *)
-let evaluate_full t =
-  let n = size t in
-  let k = List.length t.ctxs in
-  let g = Graph.create (2 * n) in
-  List.iter (fun { App.src; dst; kbytes = _ } -> Graph.add_edge g src dst)
-    (App.edges t.app);
-  let pairs_raw = sequencing_pairs t in
-  List.iter (fun (a, b) -> Graph.add_edge g a b) pairs_raw;
-  let weights = Array.make (2 * n) 0.0 in
-  for v = 0 to n - 1 do
-    weights.(v) <- exec_time_of t v
-  done;
-  let clbs = Array.make n 0 in
-  List.iter
-    (fun (cid, members) ->
-      clbs.(cid) <- members_clbs t members;
-      weights.(n + cid) <- Platform.reconfiguration_time t.platform clbs.(cid))
-    t.ctxs;
-  let comm =
-    Searchgraph.Comm.create
-      (Searchgraph.comm_terms ~platform:t.platform ~app:t.app
-         ~crossing:(crossing_of t))
-  in
-  match
-    Longest_path.create g
-      ~node_weight:(fun v -> weights.(v))
-      ~edge_weight:(edge_weight_over t.app comm)
-  with
-  | None -> Evaluated None
-  | Some lp ->
-    book_full t (n + k);
-    let inc =
-      {
-        lp;
-        weights;
-        (* The canonical pair cache is a verification artifact: seed it
-           only when the paranoid cross-check will read it. *)
-        pairs = (if !check_deltas then pack_pairs t pairs_raw else []);
-        pairs_fresh = !check_deltas;
-        comm;
-        around = Array.make n 0;
-        stamp = 0;
-        ctx_seen = Array.make n 0;
-        ctx_members = Array.make n [];
-        ctx_pred = Array.make n (-1);
-        log = [||];
-        log_len = 0;
-        epoch = 0;
-        dirty = [];
-        desync = false;
-        clbs;
-        over = 0;  (* [settle] builds only a state within capacity *)
-        limit = Platform.n_clb t.platform;
-      }
-    in
-    t.incr <- Some inc;
-    settled t inc
-
-(* Incremental path: the live graph already realizes the mutated
-   structure (resync applied the edge delta and weights eagerly);
-   propagate through the dirty cones only. *)
-let evaluate_incremental t inc =
-  (match inc.dirty with
-   | [] -> ()
-   | dirty ->
-     inc.dirty <- [];
-     Longest_path.refresh inc.lp dirty;
-     let touched = Longest_path.touched_last_refresh inc.lp in
-     t.stats.incr_nodes <- t.stats.incr_nodes + touched;
-     let ks = kind_stats t.stats t.last_kind in
-     ks.k_incr_nodes <- ks.k_incr_nodes + touched);
+let book_partial t nodes =
   t.stats.incr_evals <- t.stats.incr_evals + 1;
-  (kind_stats t.stats t.last_kind).k_incr_evals <-
-    (kind_stats t.stats t.last_kind).k_incr_evals + 1;
-  settled t inc
-
-(* Paranoid mode: the live adjacency must be the application edges
-   together with the regenerated canonical pairs, and the longest-path
-   state's two slice stores must agree ({!Longest_path.edges}). *)
-let check_adjacency t inc =
-  let stride = 2 * size t in
-  let pack (u, v) = (u * stride) + v in
-  let app_edges =
-    List.map (fun { App.src; dst; kbytes = _ } -> (src, dst)) (App.edges t.app)
-  in
-  if
-    List.map pack (Longest_path.edges inc.lp)
-    <> List.sort_uniq Int.compare
-         (List.rev_map pack (List.rev_append app_edges (sequencing_pairs t)))
-  then
-    failwith "Solution: the live adjacency diverges from the application \
-              edges and the canonical pairs"
-
-(* Applications of at most this many tasks are judged by the flat
-   pass, larger ones by the live graph.  Below it, the per-move pair
-   emission, edge edits, delta log and cone refresh cost more than a
-   pass over the solution's own arrays refilled where the move wrote;
-   above it, the pass grows with the graph while a move's cone stays
-   small.  Measured by annealing layered graphs of 31 to 1004 tasks
-   with each evaluator: the flat pass wins at every size up to 303
-   tasks in two rounds, by 1.1-1.3x from 99 to 128, and the live graph
-   wins at 1004 (EXPERIMENTS.md).  The constant stays below the 132
-   tasks of the GA benchmark's graph, so no benchmark workload changes
-   evaluator with it. *)
-let flat_max_tasks = 127
+  t.stats.incr_nodes <- t.stats.incr_nodes + nodes;
+  let ks = kind_stats t.stats t.last_kind in
+  ks.k_incr_evals <- ks.k_incr_evals + 1;
+  ks.k_incr_nodes <- ks.k_incr_nodes + nodes
 
 (* The flat evaluator for the current platform, built on first use
    and after a platform change. *)
@@ -1164,11 +470,6 @@ let flat_of t =
   | Some _ | None ->
     let app = t.app and platform = t.platform and n = size t in
     let m = App.edge_count app in
-    let src = Array.init m (fun e -> (App.edge app e).App.src) in
-    let app_edge = Bytes.make (n * n) '\000' in
-    for e = 0 to m - 1 do
-      Bytes.set app_edge ((src.(e) * n) + (App.edge app e).App.dst) '\001'
-    done;
     let f =
       {
         kernel = Searchgraph.Flat.create app ~contexts:n ~members:n;
@@ -1182,19 +483,85 @@ let flat_of t =
         transfer =
           Array.init m (fun e ->
               Platform.transfer_time platform (App.edge app e).App.kbytes);
-        src;
+        src = Array.init m (fun e -> (App.edge app e).App.src);
         (* [Platform.reconfiguration_time] is this times the CLBs. *)
         per_clb = Platform.reconfiguration_time platform 1;
         n_clb = Platform.n_clb platform;
         impls = App.impl_table app;
-        app_edge;
         filled_at = live;
         placed = [];
         fits = false;
+        low = max_int;
+        lo = max_int;
+        hi = -1;
+        full = true;
       }
     in
     t.flat <- Some f;
     f
+
+(* Node [x] changed: the next pass restarts no later than its position
+   in the last one.  Marking a node that did not change only costs the
+   pass time. *)
+let mark f x =
+  let p = f.kernel.Searchgraph.Flat.position.(x) in
+  if p < f.low then f.low <- p
+[@@inline]
+
+(* An edge [u -> x] added: when it runs backward in the last pass's
+   order, the next pass re-sorts the positions between its ends. *)
+let added f u x =
+  let position = f.kernel.Searchgraph.Flat.position in
+  let pu = position.(u) and px = position.(x) in
+  if pu > px then begin
+    if px < f.lo then f.lo <- px;
+    if pu > f.hi then f.hi <- pu
+  end
+[@@inline]
+
+(* Whether the chain link [v -> w] repeats an application edge: a scan
+   of [v]'s successors, in increasing id. *)
+let app_edge app v w =
+  let outs = App.out_edges app in
+  let rec scan s =
+    s < outs.App.start.(v + 1)
+    && (let d = outs.App.node.(s) in
+        d = w || (d < w && scan (s + 1)))
+  in
+  scan outs.App.start.(v)
+
+(* Point [v]'s chain link at [w] (-1: none), [prev_sw] kept its
+   inverse; the old and the new target change in-edges. *)
+let relink f (k : Searchgraph.Flat.t) v w =
+  let old = k.next_sw.(v) in
+  if old <> w then begin
+    if old >= 0 then begin
+      if k.prev_sw.(old) = v then k.prev_sw.(old) <- -1;
+      mark f old
+    end;
+    if w >= 0 then begin
+      k.prev_sw.(w) <- v;
+      mark f w;
+      added f v w
+    end;
+    k.next_sw.(v) <- w
+  end
+
+(* Put task [v] in the context at position [j] (-1: software): it and
+   the configuration nodes after its old and its new context change
+   in-edges. *)
+let enter f (k : Searchgraph.Flat.t) n v j =
+  let old = k.context.(v) in
+  if old <> j then begin
+    if old >= 0 && old + 1 < k.n_contexts then mark f (n + old + 1);
+    if j >= 0 && j < k.n_contexts then added f (n + j) v;
+    if j >= 0 && j + 1 < k.n_contexts then begin
+      mark f (n + j + 1);
+      added f v (n + j + 1)
+    end;
+    mark f v;
+    k.context.(v) <- j
+  end
 
 (* The fill, shared by the full one and the refill along the version
    chain.  Task [v]'s entries: its execution time, its chain link (one
@@ -1203,22 +570,28 @@ let flat_of t =
    task's context comes with the placement. *)
 let fill_task f (k : Searchgraph.Flat.t) t n v =
   let a = t.assign.(v) in
+  let exec =
+    if a < 0 then f.sw_time.(((-a - 1) * n) + v)
+    else f.impls.hw_time.(f.impls.first.(v) + t.impl.(v))
+  in
+  if exec <> k.exec.(v) then begin
+    k.exec.(v) <- exec;
+    mark f v
+  end;
   if a < 0 then begin
-    k.exec.(v) <- f.sw_time.(((-a - 1) * n) + v);
-    k.context.(v) <- -1;
     let w = t.next.(v) in
-    k.next_sw.(v) <-
-      (if w >= 0 && Bytes.get f.app_edge ((v * n) + w) = '\000' then w else -1)
+    relink f k v (if w >= 0 && not (app_edge t.app v w) then w else -1);
+    enter f k n v (-1)
   end
-  else begin
-    k.exec.(v) <- f.impls.hw_time.(f.impls.first.(v) + t.impl.(v));
-    k.next_sw.(v) <- -1
-  end
+  else relink f k v (-1)
 
 (* Application edge [e]'s weight: its transfer time when it crosses. *)
 let fill_edge f (k : Searchgraph.Flat.t) t e =
-  k.weight.(e) <-
-    (if crossing_of t f.src.(e) k.dst.(e) then f.transfer.(e) else 0.0)
+  let w = if crossing_of t f.src.(e) k.dst.(e) then f.transfer.(e) else 0.0 in
+  if w <> k.weight.(e) then begin
+    k.weight.(e) <- w;
+    mark f k.dst.(e)
+  end
 
 (* The edges into and out of task [v]: its binding changed. *)
 let fill_incident f k t v =
@@ -1232,38 +605,50 @@ let fill_incident f k t v =
 
 (* Context [j]'s members from slot [i] of the kernel: each is placed and
    its CLBs summed; the end slot closes the context. *)
-let rec place_members f (k : Searchgraph.Flat.t) t j i clbs = function
+let rec place_members f (k : Searchgraph.Flat.t) t n j i clbs = function
   | [] ->
     k.ctx_start.(j + 1) <- i;
     clbs
   | v :: rest ->
-    k.context.(v) <- j;
+    enter f k n v j;
     k.ctx_member.(i) <- v;
-    place_members f k t j (i + 1)
+    place_members f k t n j (i + 1)
       (clbs + f.impls.clbs.(f.impls.first.(v) + t.impl.(v)))
       rest
 
 (* The contexts from position [j] on, with their configuration times and
-   count: whether each is within the device. *)
-let rec place_contexts f (k : Searchgraph.Flat.t) t j fits = function
+   count: whether each is within the device.  A new count renumbers the
+   configuration nodes, so the next pass is a full one. *)
+let rec place_contexts f (k : Searchgraph.Flat.t) t n j fits = function
   | [] ->
-    k.n_contexts <- j;
+    if j <> k.n_contexts then begin
+      k.n_contexts <- j;
+      f.full <- true
+    end;
     fits
   | (_, members) :: rest ->
-    let clbs = place_members f k t j k.ctx_start.(j) 0 members in
-    k.cfg_time.(j) <- f.per_clb *. float_of_int clbs;
-    place_contexts f k t (j + 1) (fits && clbs <= f.n_clb) rest
+    let clbs = place_members f k t n j k.ctx_start.(j) 0 members in
+    let cfg = f.per_clb *. float_of_int clbs in
+    if cfg <> k.cfg_time.(j) then begin
+      k.cfg_time.(j) <- cfg;
+      mark f (n + j)
+    end;
+    place_contexts f k t n (j + 1) (fits && clbs <= f.n_clb) rest
 
-(* Every entry of kernel [k]: whether the contexts fit. *)
-let fill_all f k t =
+(* Every entry of kernel [k], the links unset first: whether the
+   contexts fit.  The next pass is a full one. *)
+let fill_all f (k : Searchgraph.Flat.t) t =
   let n = size t in
+  f.full <- true;
+  Array.fill k.next_sw 0 n (-1);
+  Array.fill k.prev_sw 0 n (-1);
   for v = 0 to n - 1 do
     fill_task f k t n v
   done;
   for e = 0 to Array.length f.src - 1 do
     fill_edge f k t e
   done;
-  place_contexts f k t 0 true t.ctxs
+  place_contexts f k t n 0 true t.ctxs
 
 (* Refill the entries of the tasks named by the diffs from version [v]
    to the root, at most [budget] of them.  The kernel reads [assign],
@@ -1293,16 +678,22 @@ let refill f t =
   in
   if changed < 0 then f.fits <- fill_all f k t
   else if changed > 0 || not (t.ctxs == f.placed) then
-    f.fits <- place_contexts f k t 0 true t.ctxs;
+    f.fits <- place_contexts f k t n 0 true t.ctxs;
   f.placed <- t.ctxs;
   f.filled_at <- t.version
 
 (* Paranoid mode: the refilled kernel must hold what a full fill into
-   fresh arrays does. *)
+   fresh arrays does; that reference kernel is returned for the pass's
+   check.  Its fill leaves the record's marks as they were. *)
 let check_refill f t =
   let k = f.kernel and n = size t in
   let full = Searchgraph.Flat.create t.app ~contexts:n ~members:n in
+  let low = f.low and lo = f.lo and hi = f.hi and forced = f.full in
   let fits = fill_all f full t in
+  f.low <- low;
+  f.lo <- lo;
+  f.hi <- hi;
+  f.full <- forced;
   let nc = full.n_contexts in
   let same eq a b len =
     let rec from i = i >= len || (eq a.(i) b.(i) && from (i + 1)) in
@@ -1314,28 +705,65 @@ let check_refill f t =
       (fits = f.fits && nc = k.n_contexts
       && same bits full.exec k.exec n
       && same Int.equal full.next_sw k.next_sw n
+      && same Int.equal full.prev_sw k.prev_sw n
       && same Int.equal full.context k.context n
       && same bits full.weight k.weight (Array.length full.weight)
       && same Int.equal full.ctx_start k.ctx_start (nc + 1)
       && same Int.equal full.ctx_member k.ctx_member full.ctx_start.(nc)
       && same bits full.cfg_time k.cfg_time nc)
-  then failwith "Solution: the flat refill diverges from a full fill"
+  then failwith "Solution: the flat refill diverges from a full fill";
+  full
 
-(* The flat settle: refill the kernel with [Searchgraph.flat]'s arrays
-   and run it when the contexts fit.  The same pass over the same
-   arrays as [Searchgraph.evaluate (spec t)], so the same bits;
-   [REPRO_CHECK_DELTAS] asserts the refill against a full fill and the
-   result against [Searchgraph.evaluate]. *)
+(* Paranoid mode: a pass from [from] must give the full pass's verdict
+   and, when acyclic, its makespan and every finish time, bit for
+   bit. *)
+let check_pass (k : Searchgraph.Flat.t) (full : Searchgraph.Flat.t) ~from
+    acyclic =
+  let bits x y = Int64.bits_of_float x = Int64.bits_of_float y in
+  let nodes = Array.length full.exec + full.n_contexts in
+  let rec same_times x =
+    x >= nodes || (bits k.time.(x) full.time.(x) && same_times (x + 1))
+  in
+  if
+    Searchgraph.Flat.pass full <> acyclic
+    || (acyclic && not (bits k.makespan full.makespan && same_times 0))
+  then
+    failwith
+      (Printf.sprintf
+         "Solution: the pass from position %d diverges from a full pass" from)
+
+(* The flat settle: refill the kernel and, when the contexts fit, run
+   the pass from the least position a node changed at since the last
+   pass, re-sorting the window that edges added since run backward
+   across (from 0 after a first fill or a new context count).  Refills
+   that run no pass let their marks add up; a cyclic pass leaves the
+   last order in place, and the next pass restarts no later than it
+   did.  The same times as [Searchgraph.evaluate (spec t)]'s pass, so
+   the same bits; [REPRO_CHECK_DELTAS] asserts the refill against a
+   full fill, the pass against a full pass and the result against
+   [Searchgraph.evaluate]. *)
 let settle_flat t =
   let f = flat_of t in
   refill f t;
-  if !check_deltas then check_refill f t;
+  let reference = if !check_deltas then Some (check_refill f t) else None in
   let k = f.kernel in
   let result =
     if not f.fits then Evaluated None
     else begin
-      book_full t (size t + k.n_contexts);
-      if Searchgraph.Flat.pass k then Settled k.makespan else Evaluated None
+      let nodes = size t + k.n_contexts in
+      let from = if f.full then 0 else min f.low nodes in
+      if from = 0 then book_full t nodes else book_partial t (nodes - from);
+      let acyclic = Searchgraph.Flat.pass_from k from ~lo:f.lo ~hi:f.hi in
+      Option.iter (fun full -> check_pass k full ~from acyclic) reference;
+      if acyclic then begin
+        f.full <- false;
+        f.low <- max_int;
+        f.lo <- max_int;
+        f.hi <- -1
+      end
+      else if from = 0 then f.full <- true
+      else f.low <- from;
+      if acyclic then Settled k.makespan else Evaluated None
     end
   in
   if !check_deltas then begin
@@ -1352,29 +780,12 @@ let settle_flat t =
   end;
   result
 
-(* Bring the cache up to date — it is never [Stale] afterwards: run the
-   flat pass of a small application, or refresh the live graph's dirty
-   cones (or rebuild it), and read the makespan.  This is all a move
-   costs to judge; the evaluation record waits for [evaluate]. *)
+(* Bring the cache up to date — it is never [Stale] afterwards.  This
+   is all a move costs to judge; the evaluation record waits for
+   [evaluate]. *)
 let settle t =
   (match t.cached with
-   | Stale ->
-     t.cached <-
-       (if size t <= flat_max_tasks then settle_flat t
-        else
-          match t.incr with
-          | Some inc ->
-            if inc.desync then Evaluated None
-            else begin
-              if !check_deltas then check_adjacency t inc;
-              if !check_deltas && (inc.over = 0) <> capacity_ok t then
-                failwith "Solution: the over-capacity count diverges from \
-                          capacity_ok";
-              if inc.over > 0 then Evaluated None
-              else evaluate_incremental t inc
-            end
-          | None ->
-            if not (capacity_ok t) then Evaluated None else evaluate_full t)
+   | Stale -> t.cached <- settle_flat t
    | Settled _ | Evaluated _ -> ());
   t.cached
 
@@ -1385,47 +796,33 @@ let makespan t =
   | Evaluated (Some e) -> e.Searchgraph.makespan
   | Evaluated None | Stale -> infinity
 
-(* The record of a settled state, built on demand.  While the live
-   graph still realizes that state (in sync, no dirty cone) it
-   is read off the live arrays.  A copy carries no live graph, and an
-   undo restores the cache but leaves its rolled-back cones dirty:
-   there the record comes from [Searchgraph.evaluate], which is
-   bit-identical and, like the cached record it stands in for, books
-   no evaluation work. *)
+(* The record of a settled state, built on demand by
+   [Searchgraph.evaluate], which is bit-identical and, like the cached
+   record it stands in for, books no evaluation work. *)
 let evaluate t =
   Repro_util.Fault.tick_eval ();
   match settle t with
   | Evaluated result -> result
   | Stale -> None
   | Settled _ ->
-    let result =
-      match t.incr with
-      | Some inc when (not inc.desync) && inc.dirty = [] ->
-        Some (eval_from_incr t inc)
-      | Some _ | None -> Searchgraph.evaluate (spec t)
-    in
+    let result = Searchgraph.evaluate (spec t) in
     t.cached <- Evaluated result;
     result
 
 (* --- mutations --- *)
 
-(* Implementation selection is the structure-preserving move: bindings,
-   contexts and orders are untouched, only the task's weight (and its
-   context's configuration weight) change. *)
+(* Every mutator ends here: the cache is stale, and the next evaluation
+   is booked against [kind]. *)
+let mutated t kind =
+  t.cached <- Stale;
+  t.last_kind <- kind
+
 let set_impl t v k =
   if k < 0 || k >= Task.impl_count (App.task t.app v) then
     invalid_arg "Solution.set_impl: implementation index out of range";
   if t.impl.(v) <> k then begin
     write t t.impl v k;
-    t.cached <- Stale;
-    t.last_kind <- Impl;
-    match t.incr with
-    | Some inc when inc.desync -> t.incr <- None
-    | Some inc ->
-      set_weight inc v (exec_time_of t v);
-      if t.assign.(v) >= 0 then
-        resize_context t inc t.assign.(v) (assoc_int t.assign.(v) t.ctxs)
-    | None -> ()
+    mutated t Impl
   end
 
 (* An emptied context is dropped and its id freed. *)
@@ -1456,13 +853,6 @@ let fresh_id t =
 let detach t task =
   if t.assign.(task) >= 0 then remove_from_context t task else unlink t task
 
-(* [v] and its chain neighbours, onto [acc]: the tasks whose Esw
-   adjacencies a removal or an insertion at [v]'s position disturbs. *)
-let with_neighbors t v acc =
-  let acc = if t.prev.(v) >= 0 then t.prev.(v) :: acc else acc in
-  let acc = if t.next.(v) >= 0 then t.next.(v) :: acc else acc in
-  v :: acc
-
 let move_to_sw ?(proc = 0) t ~task ~before =
   if proc < 0 || proc >= Array.length t.head then
     invalid_arg "Solution.move_to_sw: no such processor";
@@ -1471,21 +861,10 @@ let move_to_sw ?(proc = 0) t ~task ~before =
   let anchor = match before with Some anchor -> anchor | None -> -1 in
   if anchor >= 0 && t.assign.(anchor) <> -(proc + 1) then
     invalid_arg "Solution.move_to_sw: anchor not in that processor's order";
-  let old_ctxs = t.ctxs in
-  (* The moved task, its chain neighbours at the source, and the
-     insertion point with its neighbours (or the old tail when
-     appending). *)
-  let sw_around =
-    with_neighbors t task
-      (if anchor >= 0 then with_neighbors t anchor []
-       else if t.tail.(proc) >= 0 then [ t.tail.(proc) ]
-       else [])
-  in
-  let sw_before = sw_capture t sw_around in
   detach t task;
   write t t.assign task (-(proc + 1));
   link t task proc anchor;
-  native_resync t Sw_migrate ~rebound:[ task ] ~sw_around ~sw_before ~old_ctxs
+  mutated t Sw_migrate
 
 let joins_context t ~task ~dest =
   if t.assign.(dest) < 0 then
@@ -1500,9 +879,6 @@ let move_to_context t ~task ~dest =
   if t.assign.(task) = dest_id then
     invalid_arg "Solution.move_to_context: already in that context";
   let joins = joins_context t ~task ~dest in
-  let old_ctxs = t.ctxs in
-  let sw_around = with_neighbors t task [] in
-  let sw_before = sw_capture t sw_around in
   (* Detach the source task first. *)
   detach t task;
   let placed = ref false in
@@ -1526,14 +902,11 @@ let move_to_context t ~task ~dest =
         else [ (cid, members) ])
       t.ctxs;
   assert !placed;
-  native_resync t Ctx_migrate ~rebound:[ task ] ~sw_around ~sw_before ~old_ctxs
+  mutated t Ctx_migrate
 
 let insert_context t ~task ~at =
   let k = List.length t.ctxs in
   if at < 0 || at > k then invalid_arg "Solution.insert_context: bad position";
-  let old_ctxs = t.ctxs in
-  let sw_around = with_neighbors t task [] in
-  let sw_before = sw_capture t sw_around in
   detach t task;
   let fresh = fresh_id t in
   write t t.assign task fresh;
@@ -1545,7 +918,7 @@ let insert_context t ~task ~at =
     | c :: rest -> c :: insert (j + 1) rest
   in
   t.ctxs <- insert 0 t.ctxs;
-  native_resync t Ctx_create ~rebound:[ task ] ~sw_around ~sw_before ~old_ctxs
+  mutated t Ctx_create
 
 let append_context t ~task =
   insert_context t ~task ~at:(List.length t.ctxs)
@@ -1558,9 +931,8 @@ let swap_contexts t ~at =
     | c :: rest -> c :: swap (j + 1) rest
     | [] -> assert false (* bound checked above *)
   in
-  let old_ctxs = t.ctxs in
   t.ctxs <- swap 0 t.ctxs;
-  native_resync t Ctx_swap ~rebound:[] ~sw_around:[] ~sw_before:[] ~old_ctxs
+  mutated t Ctx_swap
 
 let reorder_sw t ~task ~before =
   if t.assign.(task) >= 0 || t.assign.(before) >= 0 then
@@ -1569,12 +941,9 @@ let reorder_sw t ~task ~before =
   if processor_index t before <> p then
     invalid_arg "Solution.reorder_sw: tasks on different processors";
   if task <> before then begin
-    let old_ctxs = t.ctxs in
-    let sw_around = with_neighbors t task (with_neighbors t before []) in
-    let sw_before = sw_capture t sw_around in
     unlink t task;
     link t task p before;
-    native_resync t Sw_reorder ~rebound:[] ~sw_around ~sw_before ~old_ctxs
+    mutated t Sw_reorder
   end
 
 let replace_platform t platform =
@@ -1584,7 +953,7 @@ let replace_platform t platform =
        processors";
   t.platform <- platform;
   t.last_kind <- Platform_swap;
-  (* Every weight and transfer time may change: rebuild. *)
+  (* Every weight and transfer time may change: refill. *)
   invalidate t
 
 (* Fenwick tree over the stamps [0, n) of the ready tasks: [tree] is

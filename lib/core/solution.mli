@@ -12,11 +12,12 @@
 
     The transaction order on the bus follows from the longest-path
     (ASAP) semantics of the search graph.  Mutations are performed by
-    {!Moves}; evaluation is cached and invalidated on mutation.  A
-    large application's evaluation edits a live search graph
-    ({!evaluate}); a small one's refills a flat kernel only where the
-    writes since its last fill, read off {!save}'s version chain,
-    changed it ({!flat_max_tasks}). *)
+    {!Moves}; evaluation is cached and invalidated on mutation.  Every
+    evaluation, whatever the application's size, refills one flat
+    kernel ({!Repro_sched.Searchgraph.Flat}) only where the writes
+    since its last fill, read off {!save}'s version chain, changed it,
+    and restarts the pass at the first node that changed
+    ({!evaluate}). *)
 
 open Repro_taskgraph
 open Repro_arch
@@ -120,65 +121,34 @@ val evaluate : t -> Searchgraph.eval option
     {!makespan}; which of the two is read first changes neither the
     result nor {!eval_stats}.
 
-    An application of more than {!flat_max_tasks} tasks keeps the built
-    search graph and its longest-path state alive inside the solution
-    (a smaller one is judged by the flat pass, see {!flat_max_tasks}),
-    and the graph is {e dynamic}: both the
-    structure-preserving mutation ({!set_impl}) and the structural
-    moves ({!reorder_sw}, {!move_to_sw}, {!move_to_context},
-    {!insert_context}/{!append_context}, {!swap_contexts}) edit it in
-    place, and the next evaluation refreshes only the affected
-    downstream cones ({!Repro_sched.Longest_path.refresh}).  Each
-    mutator emits its own exact edge delta from the software pairs
-    around the positions it disturbed (read off the linked processor
-    orders in O(1) per task) and from the contexts whose members,
-    predecessor or predecessor's members it changed, each context
-    owning the pairs into and out of its configuration node that the
-    next context does not — the global canonical pair list is never
-    regenerated on the move path, no processor order is walked, and
-    only the member lists the move rebuilt are read — and the
-    boundary-traffic
-    total is patched by flipping the sum-tree terms of the edges
-    incident to the moved tasks.  Every edit lands in a delta log so
-    {!save}'s undo closure restores the live graph by replaying
-    inverses.  A move that closes a cycle is rolled back and the
-    solution reads as infeasible until the move is undone.  The live
-    graph is dropped, and the next evaluation builds a new one, on
-    {!replace_platform} and {!invalidate}, on an undo that does not
-    match the log (out of order, or after truncation), and on a
-    mutation on top of an infeasible move; copies and decoded
-    solutions start without one.  Incremental results are bit-identical to a rebuild: the
-    longest-path fixpoint is exact, and the comm term is a pairwise
-    sum whose value is a pure function of the current boundary terms
-    ({!Repro_sched.Searchgraph.Comm}).  Under [REPRO_CHECK_DELTAS]
-    (see {!set_check_deltas}) every move's emitted delta is
-    additionally asserted against a regenerate-and-diff reference. *)
-
-val flat_max_tasks : int
-(** Applications of at most this many tasks are judged by the flat
-    pass instead: each settle brings one
-    {!Repro_sched.Searchgraph.Flat} kernel per solution up to the
-    solution's state (capacity judged in the same walk over the
-    contexts) and runs it, bit-identical to
-    {!Repro_sched.Searchgraph.evaluate} of {!spec}.  The settle
-    refills only what the writes since its last fill touched: the
-    path along {!save}'s version chain from the version it filled at
-    to the current one names the tasks whose binding, implementation
-    or chain link changed, and the contexts are re-placed only when
-    the context list or an implementation changed.  A first fill, a
-    copy, a platform change or a path longer than the task count
-    fills everything.  The fill reads tables, not the application:
-    per solution, software and transfer times and the application
-    edges; per application, the hardware time and CLBs of every
-    implementation ({!Repro_taskgraph.App.impl_table}).  No live graph is
-    ever built for them: mutators write the solution's arrays and mark
-    the cache stale, an undo is the version-chain reroot alone, and
-    every evaluation (a cyclic one included) is booked in
-    {!eval_stats} as a full one ([full_evals], [full_nodes] and the move
-    kind's [k_full_evals]), so the [incr_*], edge, pair and comm
-    counters stay 0.  Under [REPRO_CHECK_DELTAS] every refilled kernel
-    is compared with a full fill into fresh arrays, and every flat
-    settle is asserted against {!Repro_sched.Searchgraph.evaluate}. *)
+    The search graph is never built.  Each solution keeps one
+    {!Repro_sched.Searchgraph.Flat} kernel and brings it up to the
+    solution's state on each settle (capacity judged in the same walk
+    over the contexts).  The refill follows {!save}'s version chain:
+    the path from the version it last filled at to the current one
+    names the tasks whose binding, implementation or chain link
+    changed, and the contexts are re-placed only when the context list
+    or an implementation changed.  Each rewritten entry is compared
+    with the old one, and the pass restarts at the least position, in
+    the last pass's order, of a node whose time, in-edges or in-edge
+    weights changed ({!Repro_sched.Searchgraph.Flat.pass_from}): the
+    nodes before it keep their finish times, the later ones are taken
+    in the old order, and only the positions between the ends of
+    edges added against that order are re-sorted (by Kahn's
+    algorithm, which also finds any cycle there).  A first fill, a
+    copy, a platform change, {!invalidate}, a path longer than the
+    task count, a new context count and a cyclic full pass run the
+    full pass instead; a refill whose contexts do not fit runs none,
+    and its changes, like a cyclic pass's, carry over to the next
+    pass.  The fill reads tables, not
+    the application: per solution, software and transfer times; per
+    application, the hardware time and CLBs of every implementation
+    ({!Repro_taskgraph.App.impl_table}).  The result is bit-identical
+    to {!Repro_sched.Searchgraph.evaluate} of {!spec}: a maximum is
+    exact in any order.  Under [REPRO_CHECK_DELTAS] (see
+    {!set_check_deltas}) every refilled kernel is compared with a full
+    fill into fresh arrays, every pass with a full pass over it, and
+    every settle with {!Repro_sched.Searchgraph.evaluate}. *)
 
 (** {1 Evaluation statistics} *)
 
@@ -204,28 +174,27 @@ type kind_stats = {
   mutable k_comm_patched : int;
   mutable k_pair_regens : int;
 }
+(** One move kind's share of {!eval_stats}.  [k_edges_edited],
+    [k_pairs_emitted], [k_comm_patched] and [k_pair_regens], like their
+    totals, counted the work of a live search graph that no evaluation
+    keeps any more: they read 0, and stay for the readers of the
+    counters. *)
 
 type eval_stats = {
-  mutable full_evals : int;   (** evaluations that rebuilt the graph *)
-  mutable full_nodes : int;   (** nodes evaluated across full rebuilds *)
-  mutable incr_evals : int;   (** evaluations served by the fast path *)
-  mutable incr_nodes : int;   (** nodes re-evaluated across refreshes *)
-  mutable edges_edited : int; (** in-place edge insertions/deletions *)
-  mutable pairs_emitted : int;
-  (** pairs produced by the per-move delta emitters, removals and
-      additions, before a pair on both sides cancels — the footprint
-      of the native-delta path *)
-  mutable comm_patched : int;
-  (** boundary-traffic terms flipped in the comm sum tree *)
-  mutable pair_regens : int;
-  (** global canonical pair-list regenerations; 0 in the default mode
-      (only the [REPRO_CHECK_DELTAS] cross-check regenerates) *)
+  mutable full_evals : int;   (** passes over the whole search graph *)
+  mutable full_nodes : int;   (** nodes across the full passes *)
+  mutable incr_evals : int;   (** passes restarted after a prefix *)
+  mutable incr_nodes : int;   (** nodes across those passes' suffixes *)
+  mutable edges_edited : int; (** 0 *)
+  mutable pairs_emitted : int;  (** 0 *)
+  mutable comm_patched : int;  (** 0 *)
+  mutable pair_regens : int;  (** 0 *)
   by_kind : kind_stats array; (** indexed per {!move_kind} *)
 }
 
 val eval_stats : t -> eval_stats
 (** Counters shared by a solution and its copies — the measured
-    locality win of the incremental path, written into the
+    locality win of the partial pass, written into the
     [dse-run --result] file and read by the perfbench probes.  They
     count one process's evaluations: every solution built from scratch,
     one decoded from a checkpoint included, starts them at zero, so
@@ -236,10 +205,10 @@ val kind_stats : eval_stats -> move_kind -> kind_stats
     preceded it. *)
 
 val set_check_deltas : bool -> unit
-(** Toggle the paranoid delta cross-check ([REPRO_CHECK_DELTAS]): every
-    structural move additionally regenerates the canonical
-    sequencing-pair list and asserts the mutator-emitted edge delta
-    equals the regenerate-and-diff reference (raising [Failure] on
+(** Toggle the paranoid cross-check ([REPRO_CHECK_DELTAS]): every
+    settle additionally compares its refilled kernel with a full fill,
+    its pass with a full pass and its result with
+    {!Repro_sched.Searchgraph.evaluate} (raising [Failure] on
     divergence).  Reads of the environment variable happen once at
     startup; this setter lets tests flip the mode in-process. *)
 
@@ -247,12 +216,8 @@ val check_deltas_enabled : unit -> bool
 
 val makespan : t -> float
 (** Makespan of a feasible solution; [infinity] when infeasible.  Read
-    off the flat pass ({!flat_max_tasks}) or straight off the live
-    longest-path state, without building the {!evaluate} record: this
-    is what judging a move costs.  On the live state only the sinks of
-    the search graph are read — the tail of each processor order and
-    the members of the last context — since every other node finishes
-    no later than a successor.  Bitwise equal to the record's
+    off the flat pass, without building the {!evaluate} record: this
+    is what judging a move costs.  Bitwise equal to the record's
     makespan. *)
 
 val check_invariants : t -> (unit, string) result
@@ -269,22 +234,21 @@ val save : t -> (unit -> unit)
     through per-task successor and predecessor arrays) are not copied:
     every write to them is recorded on a version chain,
     [save] keeps the current version, and the undo reroots the chain at
-    it, in time proportional to the writes made since.  The live search
-    graph is restored by replaying the delta log backwards to the save
-    point, so rejecting a structural move costs a few inverse edge
-    edits rather than a rebuild.  Undo closures are one-shot and meant
-    LIFO; out-of-order use still restores the exact saved state, and
-    drops the live graph when an earlier undo rewrote the log below
-    the save point, so the next evaluation rebuilds it. *)
+    it, in time proportional to the writes made since.  The cached
+    evaluation comes back with the state, so rejecting a move costs
+    no evaluation; the next settle refills the kernel along the chain.
+    Undo closures are one-shot and meant LIFO; out-of-order use still
+    restores the exact saved state. *)
 
 val invalidate : t -> unit
-(** Drop the live search graph, so the next evaluation rebuilds it from
-    scratch.  Escape hatch for manual surgery on the solution — and the
-    forced-rebuild twin of the incremental-vs-rebuild test. *)
+(** Drop the cached evaluation and the flat kernel, so the next
+    evaluation fills a new kernel and runs a full pass.  Escape hatch
+    for manual surgery on the solution — and the forced-full twin of
+    the partial-vs-full tests. *)
 
 val set_impl : t -> int -> int -> unit
-(** Structure-preserving: updates the task's weight (and its context's
-    configuration weight) in the live evaluation state. *)
+(** Structure-preserving: only the task's weight (and its context's
+    configuration weight) change. *)
 
 val move_to_sw : ?proc:int -> t -> task:int -> before:int option -> unit
 (** Detach [task] from wherever it runs (dropping its context if

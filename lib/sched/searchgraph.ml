@@ -68,13 +68,8 @@ let crossing spec u v =
   <> resource_code spec.binding spec.proc_of v
 
 (* The boundary-traffic total as a balanced (segment-tree) pairwise
-   sum.  A left fold would be cheaper to write, but its value could not
-   be patched incrementally without losing bit-identity: float addition
-   is not associative, so adding and subtracting a changed term leaves
-   different low bits than a recomputed fold.  The tree makes the total
-   a pure function of the current per-edge terms under one fixed
-   association — updating a leaf and recomputing its ancestors yields
-   exactly the bits a from-scratch build over the same terms would. *)
+   sum: one fixed association over the per-edge terms, so the total is
+   a pure function of them, whatever computes them. *)
 module Comm = struct
   type t = { m : int; tree : float array }
 
@@ -87,92 +82,43 @@ module Comm = struct
     done;
     { m; tree }
 
-  let get t i = t.tree.(t.m + i)
-
-  let set t i v =
-    if t.tree.(t.m + i) <> v then begin
-      t.tree.(t.m + i) <- v;
-      let j = ref ((t.m + i) / 2) in
-      while !j >= 1 do
-        t.tree.(!j) <- t.tree.(2 * !j) +. t.tree.((2 * !j) + 1);
-        j := !j / 2
-      done
-    end
-
   let total t = if t.m = 0 then 0.0 else t.tree.(1)
 end
 
 (* Per-application-edge boundary terms, in [App.edges] order: the
-   transfer time when the edge crosses the HW/SW boundary, 0 otherwise.
-   Shared by [evaluate] below and by [Solution]'s incrementally
-   patched total (which flips individual terms as bindings change) —
-   one implementation, one association, identical bits. *)
+   transfer time when the edge crosses the HW/SW boundary, 0 otherwise. *)
 let comm_terms ~platform ~app ~crossing =
   Array.init (App.edge_count app) (fun i ->
       let { App.src; dst; kbytes } = App.edge app i in
       if crossing src dst then Platform.transfer_time platform kbytes
       else 0.0)
 
-(* The sequentialization edge families as explicit pair lists, emitted
-   in the exact order [build] inserts them.  [Solution]'s incremental
-   path emits its per-move edge deltas under the same ownership
-   contract, and its paranoid mode checks them against this list (with
-   an id-based [cfg] labelling).
-
-   Ownership contract: every Esw/Ehw pair has exactly one emitter.
-
-   - An Esw pair (a, b) is owned by the adjacency of a and b in one
-     processor's execution order ([chain_pairs]; a task sits in at most
-     one order, so chains never share pairs).
-   - An Ehw pair (c_j, v) — configuration node before member — is owned
-     by context j alone ([ehw_intra_pairs]).
-   - An Ehw pair into c_j from the previous context — (c_{j-1}, c_j)
-     and (v, c_j) for v a member of context j-1 — is owned by the
-     adjacent context pair (j-1, j) ([gtlp_pairs]: the globally-total,
-     locally-partial order of the DRLC).
-
-   Configuration nodes are distinct from tasks and each other, so the
-   three families are mutually disjoint and the concatenated list is
-   duplicate-free.  A mutator can therefore emit the exact pair delta
-   of a move from the chains, contexts and adjacencies its footprint
-   touches alone: pairs owned by an untouched emitter are untouched. *)
-let chain_pairs order =
-  let rec walk acc = function
-    | a :: (b :: _ as rest) -> walk ((a, b) :: acc) rest
-    | [ _ ] | [] -> List.rev acc
+(* The sequentialization edges in the order [build] inserts them: each
+   processor's chain, then per context [j] its configuration node
+   [cfg j] before each member, preceded from [j = 1] on by the pairs
+   into [cfg j] from the previous configuration node and from each
+   member of context [j - 1] (the globally total, locally partial order
+   of the DRLC). *)
+let sequencing_pairs ~cfg ~sw_orders ~contexts =
+  let rec chain acc = function
+    | a :: (b :: _ as rest) -> chain ((a, b) :: acc) rest
+    | [ _ ] | [] -> acc
   in
-  walk [] order
-
-let ehw_intra_pairs ~cfg members = List.map (fun v -> (cfg, v)) members
-
-let gtlp_pairs ~prev_cfg ~prev_members ~cfg =
-  (prev_cfg, cfg) :: List.map (fun v -> (v, cfg)) prev_members
-
-(* [ehw_pairs] is the canonical concatenation of the per-class
-   emitters: intra pairs of context 0, then for each j >= 1 the GTLP
-   pairs of the adjacency (j-1, j) followed by the intra pairs of j.
-   Building it from the emitters themselves keeps the global list and
-   the per-move deltas structurally incapable of drifting. *)
-let ehw_pairs ~cfg contexts =
-  let rec walk j prev acc = function
-    | [] -> List.concat (List.rev acc)
+  let rec ehw j prev acc = function
+    | [] -> acc
     | members :: rest ->
       let c = cfg j in
-      let here =
+      let acc =
         match prev with
-        | None -> ehw_intra_pairs ~cfg:c members
-        | Some (prev_cfg, prev_members) ->
-          gtlp_pairs ~prev_cfg ~prev_members ~cfg:c
-          @ ehw_intra_pairs ~cfg:c members
+        | None -> acc
+        | Some prev_members ->
+          List.fold_left (fun acc v -> (v, c) :: acc) ((cfg (j - 1), c) :: acc)
+            prev_members
       in
-      walk (j + 1) (Some (c, members)) (here :: acc) rest
+      let acc = List.fold_left (fun acc v -> (c, v) :: acc) acc members in
+      ehw (j + 1) (Some members) acc rest
   in
-  walk 0 None [] contexts
-
-let sequencing_pairs ~cfg ~sw_order ~extra_sw_orders ~contexts =
-  chain_pairs sw_order
-  @ List.concat_map chain_pairs extra_sw_orders
-  @ ehw_pairs ~cfg contexts
+  List.rev (ehw 0 None (List.fold_left chain [] sw_orders) contexts)
 
 let build spec =
   let n = App.size spec.app in
@@ -189,7 +135,7 @@ let build spec =
     (fun (a, b) -> Graph.add_edge g a b)
     (sequencing_pairs
        ~cfg:(fun j -> n + j)
-       ~sw_order:spec.sw_order ~extra_sw_orders:spec.extra_sw_orders
+       ~sw_orders:(spec.sw_order :: spec.extra_sw_orders)
        ~contexts:spec.contexts);
   let node_weight v =
     if v < n then exec_time spec v
@@ -215,6 +161,7 @@ module Flat = struct
     exec : float array;
     weight : float array;
     next_sw : int array;
+    prev_sw : int array;
     context : int array;
     ctx_start : int array;
     ctx_member : int array;
@@ -225,6 +172,8 @@ module Flat = struct
     order : int array;
     mutable queued : int;
     mutable makespan : float;
+    position : int array;
+    prefix : float array;
   }
 
   let create app ~contexts ~members =
@@ -235,6 +184,7 @@ module Flat = struct
       exec = Array.make n 0.0;
       weight = Array.make m 0.0;
       next_sw = Array.make n (-1);
+      prev_sw = Array.make n (-1);
       context = Array.make n (-1);
       ctx_start = Array.make (contexts + 1) 0;
       ctx_member = Array.make members 0;
@@ -245,6 +195,8 @@ module Flat = struct
       order = Array.make (n + contexts) 0;
       queued = 0;
       makespan = 0.0;
+      position = Array.make (n + contexts) 0;
+      prefix = Array.make (n + contexts) 0.0;
     }
 
   let push k x =
@@ -269,28 +221,15 @@ module Flat = struct
     if d = 0 then push k y
   [@@inline]
 
-  let pass ?(bus = ([||], [||])) k =
+  (* Kahn's loop from FIFO slot [head], every queued node's start in
+     [time] and its unresolved in-edges in [indegree]; [makespan] is the
+     largest finish before [head].  [false] when a node is never
+     queued: the graph is cyclic. *)
+  let drain k ~bus head makespan =
     let n = App.size k.app and nc = k.n_contexts in
-    let ins = App.in_edges k.app and outs = App.out_edges k.app in
-    let indegree = k.indegree and time = k.time and dst = k.dst in
-    for v = 0 to n - 1 do
-      indegree.(v) <-
-        ins.start.(v + 1) - ins.start.(v) + if k.context.(v) >= 0 then 1 else 0
-    done;
-    for v = 0 to n - 1 do
-      let w = k.next_sw.(v) in
-      if w >= 0 then indegree.(w) <- indegree.(w) + 1
-    done;
-    for j = 0 to nc - 1 do
-      indegree.(n + j) <-
-        (if j = 0 then 0 else 1 + k.ctx_start.(j) - k.ctx_start.(j - 1))
-    done;
-    Array.fill time 0 (n + nc) 0.0;
-    k.queued <- 0;
-    for x = 0 to n + nc - 1 do
-      if indegree.(x) = 0 then push k x
-    done;
-    let head = ref 0 and makespan = ref 0.0 in
+    let outs = App.out_edges k.app in
+    let time = k.time and dst = k.dst in
+    let head = ref head and makespan = ref makespan in
     let bus, bus_time = bus and clock = ref 0.0 and txn = ref 0 in
     while !head < k.queued do
       let x = k.order.(!head) in
@@ -328,6 +267,188 @@ module Flat = struct
     done;
     k.makespan <- Float.max !makespan !clock;
     k.queued = n + nc
+  [@@inline]
+
+  let pass ?(bus = ([||], [||])) k =
+    let n = App.size k.app and nc = k.n_contexts in
+    let ins = App.in_edges k.app in
+    let indegree = k.indegree in
+    for v = 0 to n - 1 do
+      indegree.(v) <-
+        ins.start.(v + 1) - ins.start.(v) + if k.context.(v) >= 0 then 1 else 0
+    done;
+    for v = 0 to n - 1 do
+      let w = k.next_sw.(v) in
+      if w >= 0 then indegree.(w) <- indegree.(w) + 1
+    done;
+    for j = 0 to nc - 1 do
+      indegree.(n + j) <-
+        (if j = 0 then 0 else 1 + k.ctx_start.(j) - k.ctx_start.(j - 1))
+    done;
+    Array.fill k.time 0 (n + nc) 0.0;
+    k.queued <- 0;
+    for x = 0 to n + nc - 1 do
+      if indegree.(x) = 0 then push k x
+    done;
+    drain k ~bus 0 0.0
+
+  (* The pop order's positions and prefix maxima from slot 0 on. *)
+  let record k =
+    let m = ref 0.0 in
+    for i = 0 to k.queued - 1 do
+      let x = k.order.(i) in
+      k.position.(x) <- i;
+      m := fmax !m k.time.(x);
+      k.prefix.(i) <- !m
+    done
+
+  (* Node [x]'s finish from the finishes of its in-edges' sources:
+     every one of them is final. *)
+  let finish k n x =
+    let time = k.time and start = ref 0.0 in
+    if x < n then begin
+      let ins = App.in_edges k.app in
+      for s = ins.start.(x) to ins.start.(x + 1) - 1 do
+        start := fmax !start (time.(ins.node.(s)) +. k.weight.(ins.edge.(s)))
+      done;
+      let u = k.prev_sw.(x) and j = k.context.(x) in
+      if u >= 0 then start := fmax !start time.(u);
+      if j >= 0 then start := fmax !start time.(n + j);
+      time.(x) <- !start +. k.exec.(x)
+    end
+    else begin
+      let j = x - n in
+      if j > 0 then begin
+        start := fmax !start time.(x - 1);
+        for s = k.ctx_start.(j - 1) to k.ctx_start.(j) - 1 do
+          start := fmax !start time.(k.ctx_member.(s))
+        done
+      end;
+      time.(x) <- !start +. k.cfg_time.(j)
+    end
+
+  (* The nodes of slots [a, b) in the last order, each from its in-edges;
+     the makespan's prefix maxima follow. *)
+  let in_order k n a b makespan =
+    let makespan = ref makespan in
+    for i = a to b - 1 do
+      let x = k.order.(i) in
+      finish k n x;
+      makespan := fmax !makespan k.time.(x);
+      k.prefix.(i) <- !makespan
+    done;
+    !makespan
+
+  (* An edge [u -> x] into the window of slots from [lo] on: from
+     inside, it counts in [x]'s in-degree; from before, it gives a
+     start. *)
+  let enter_window k lo u x w =
+    if k.position.(u) >= lo then k.indegree.(x) <- k.indegree.(x) + 1
+    else k.time.(x) <- fmax k.time.(x) (k.time.(u) +. w)
+  [@@inline]
+
+  (* An edge to [y] from a window node that finished at [f]: relaxed
+     when [y] is inside the window of slots up to [hi]. *)
+  let relax_window k hi y f =
+    if k.position.(y) <= hi then relax k y f
+  [@@inline]
+
+  (* Kahn's algorithm over the nodes of slots [lo, hi]: their edges
+     from before [lo] give starts, the ones inside count in-degrees,
+     and a popped node relaxes only its successors inside (no edge
+     leaves a later slot for the window).  The slots are refilled in
+     the new order, with positions and prefix maxima; [None] when a
+     node is never popped (a cycle), the slots then put back. *)
+  let window k n lo hi makespan =
+    let position = k.position and time = k.time and indegree = k.indegree in
+    let from u x w = enter_window k lo u x w [@@inline] in
+    let ins = App.in_edges k.app and outs = App.out_edges k.app in
+    for i = lo to hi do
+      let x = k.order.(i) in
+      indegree.(x) <- 0;
+      time.(x) <- 0.0;
+      if x < n then begin
+        for s = ins.start.(x) to ins.start.(x + 1) - 1 do
+          from ins.node.(s) x k.weight.(ins.edge.(s))
+        done;
+        let u = k.prev_sw.(x) and j = k.context.(x) in
+        if u >= 0 then from u x 0.0;
+        if j >= 0 then from (n + j) x 0.0
+      end
+      else begin
+        let j = x - n in
+        if j > 0 then begin
+          from (x - 1) x 0.0;
+          for s = k.ctx_start.(j - 1) to k.ctx_start.(j) - 1 do
+            from k.ctx_member.(s) x 0.0
+          done
+        end
+      end
+    done;
+    k.queued <- lo;
+    for i = lo to hi do
+      let x = k.order.(i) in
+      if indegree.(x) = 0 then push k x
+    done;
+    let relax y f = relax_window k hi y f [@@inline] in
+    let nc = k.n_contexts and head = ref lo and makespan = ref makespan in
+    while !head < k.queued do
+      let x = k.order.(!head) in
+      let f =
+        if x < n then time.(x) +. k.exec.(x) else time.(x) +. k.cfg_time.(x - n)
+      in
+      time.(x) <- f;
+      makespan := fmax !makespan f;
+      k.prefix.(!head) <- !makespan;
+      incr head;
+      if x < n then begin
+        for e = outs.start.(x) to outs.start.(x + 1) - 1 do
+          relax k.dst.(e) (f +. k.weight.(e))
+        done;
+        let w = k.next_sw.(x) and j = k.context.(x) in
+        if w >= 0 then relax w f;
+        if j >= 0 && j + 1 < nc then relax (n + j + 1) f
+      end
+      else begin
+        let j = x - n in
+        for i = k.ctx_start.(j) to k.ctx_start.(j + 1) - 1 do
+          relax k.ctx_member.(i) f
+        done;
+        if j + 1 < nc then relax (x + 1) f
+      end
+    done;
+    if k.queued = hi + 1 then begin
+      for i = lo to hi do
+        position.(k.order.(i)) <- i
+      done;
+      Some !makespan
+    end
+    else begin
+      (* Put the slots back as the last order had them. *)
+      for x = 0 to n + nc - 1 do
+        if position.(x) >= lo && position.(x) <= hi then
+          k.order.(position.(x)) <- x
+      done;
+      None
+    end
+
+  let pass_from k p ~lo ~hi =
+    if p = 0 then begin
+      let acyclic = pass k in
+      if acyclic then record k;
+      acyclic
+    end
+    else begin
+      let n = App.size k.app in
+      let total = n + k.n_contexts and lo = max lo p in
+      let before, after = if lo <= hi then (lo, hi + 1) else (total, total) in
+      let m = in_order k n p before k.prefix.(p - 1) in
+      match if lo <= hi then window k n lo hi m else Some m with
+      | None -> false
+      | Some m ->
+        k.makespan <- Float.max (in_order k n after total m) 0.0;
+        true
+    end
 end
 
 (* The flat arrays of a spec: the structure [build] inserts, with

@@ -79,29 +79,22 @@ val resource_code : (int -> binding) -> (int -> int) -> int -> int
     one integer: software on processor p is [-(p+1)], the
     reconfigurable circuit is [0], the a-th ASIC is [a+1].  A transfer
     crosses the shared memory exactly when the endpoint codes differ —
-    the single crossing predicate behind {!evaluate}'s [comm] and [Solution]'s
-    incrementally patched boundary-traffic total. *)
+    the single crossing predicate behind {!evaluate}'s [comm] and
+    [Solution]'s flat fill. *)
 
 val crossing : spec -> int -> int -> bool
 (** [crossing spec u v] iff a transfer u → v goes through the shared
     memory (the endpoints' {!resource_code}s differ). *)
 
-(** Boundary-traffic total as a balanced pairwise sum.  The total is a
-    pure function of the current per-edge terms under one fixed
-    association, so updating a leaf ({!Comm.set}) and reading the root
-    yields exactly the bits a from-scratch {!Comm.create} over the same
-    terms would — the property that lets [Solution] patch the comm term
-    per move while staying bit-identical to a rebuild. *)
+(** Boundary-traffic total as a balanced pairwise sum: one fixed
+    association over the per-edge terms, so the total is a pure
+    function of the terms. *)
 module Comm : sig
   type t
 
   val create : float array -> t
   (** Build the sum tree over per-edge terms (index = position in
       [App.edges] order). *)
-
-  val get : t -> int -> float
-  val set : t -> int -> float -> unit
-  (** Replace one term and recompute its O(log m) ancestor chain. *)
 
   val total : t -> float
 end
@@ -114,47 +107,6 @@ val comm_terms :
     [Comm.total (Comm.create (comm_terms ...))] is the [comm] field of
     {!evaluate}; it depends only on bindings and processor
     assignments, not on implementation choices. *)
-
-(** {2 Sequentialization-pair emitters}
-
-    Every Esw/Ehw pair of the search graph has exactly one owner: an
-    Esw pair belongs to the adjacency of its endpoints in one
-    processor's order; an Ehw pair [(c_j, v)] belongs to context [j]
-    alone ({!ehw_intra_pairs}); the pairs into [c_j] from the previous
-    context — [(c_{j-1}, c_j)] and [(v, c_j)] per member [v] of context
-    [j-1] — belong to the adjacent context pair ({!gtlp_pairs}).  The
-    families are mutually disjoint, so the canonical list is
-    duplicate-free, and a mutator obtains the exact pair delta of a
-    move from the owners its footprint touches alone. *)
-
-val ehw_intra_pairs : cfg:int -> int list -> (int * int) list
-(** Pairs owned by one context: its configuration node [cfg] before
-    each member. *)
-
-val gtlp_pairs :
-  prev_cfg:int -> prev_members:int list -> cfg:int -> (int * int) list
-(** Pairs owned by an adjacent context pair: the configuration chain
-    edge [(prev_cfg, cfg)] and [(v, cfg)] for each member of the
-    earlier context — the globally-total local order of the DRLC. *)
-
-val ehw_pairs : cfg:(int -> int) -> int list list -> (int * int) list
-(** The Ehw context-sequentialization edges for the given context list,
-    with configuration-node ids supplied by [cfg] (positional index →
-    node id), in the exact order {!build} inserts them: intra pairs of
-    context 0, then per adjacency its GTLP pairs followed by the next
-    context's intra pairs — the concatenation of the per-class
-    emitters. *)
-
-val sequencing_pairs :
-  cfg:(int -> int) ->
-  sw_order:int list ->
-  extra_sw_orders:int list list ->
-  contexts:int list list ->
-  (int * int) list
-(** All Esw ∪ Ehw pairs in {!build}'s emission order.  The incremental
-    evaluator regenerates this list only in its [REPRO_CHECK_DELTAS]
-    paranoid mode, to assert the mutator-emitted deltas against a
-    regenerate-and-diff reference. *)
 
 val build : spec -> Graph.t * (int -> float) * (int -> int -> float)
 (** The raw search graph with its node- and edge-weight functions
@@ -177,6 +129,8 @@ module Flat : sig
     exec : float array;  (** per task: execution time *)
     weight : float array;  (** per application edge: transfer delay *)
     next_sw : int array;  (** per task: chain successor, or -1 *)
+    prev_sw : int array;
+    (** per task: chain predecessor, or -1; read by {!pass_from} only *)
     context : int array;  (** per task: context position, or -1 *)
     ctx_start : int array;
     (** context [j] is [ctx_member.(ctx_start.(j) .. ctx_start.(j+1)-1)] *)
@@ -188,6 +142,10 @@ module Flat : sig
     order : int array;  (** the FIFO, after {!pass}: the pop order *)
     mutable queued : int;
     mutable makespan : float;  (** after {!pass}: the largest finish *)
+    position : int array;
+    (** per node, after {!pass_from}: its slot in [order] *)
+    prefix : float array;
+    (** per slot, after {!pass_from}: the largest finish up to it *)
   }
 
   val create : App.t -> contexts:int -> members:int -> t
@@ -201,6 +159,26 @@ module Flat : sig
       application edge's transaction time.  A transaction starts once
       its source and the previous one have finished; its destination
       starts no earlier than its end.  Allocates nothing. *)
+
+  val pass_from : t -> int -> lo:int -> hi:int -> bool
+  (** [pass_from k p ~lo ~hi] is {!pass} that also records [position]
+      and [prefix], restarted at slot [p] of the last such pass's
+      order.  [p = 0] runs the whole {!pass}.  Otherwise its caller
+      vouches that no node before slot [p] changed since that pass:
+      not its execution or configuration time, not its set of
+      in-edges, not the weight of one of them; and that every edge
+      added since runs forward in the order or has both ends in the
+      slots [lo, hi] ([lo > hi]: no window).  Then every node before
+      [p] keeps its finish time, no edge enters the window from a
+      later slot, and any cycle lies in the window.  The nodes from
+      [p] on are taken in the old order, each from its in-edges, but
+      those of the window, which Kahn's algorithm re-sorts: the same
+      times, makespan and verdict as {!pass}, bit for bit, since a
+      maximum is exact in any order.  After a cyclic pass the order
+      and [position] are those of the last acyclic one, and the times
+      from slot [p] on are not finish times: the next call must start
+      at [p] or before (at 0 when [p] was 0), and at 0 after a change
+      of [n_contexts]. *)
 end
 
 val evaluate : spec -> eval option

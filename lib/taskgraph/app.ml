@@ -18,8 +18,6 @@ type index = {
   edge_list : edge list;           (* [edges] as a list *)
   ins : adjacency;                 (* in-edges, in [edges] order *)
   outs : adjacency;                (* out-edges, destination ascending *)
-  inc_start : int array;
-  inc_edge : int array;            (* slot -> edge index, ascending per task *)
   topo : int array;
   closure : Closure.t;
   impls : impl_table;              (* every task's implementations *)
@@ -97,21 +95,13 @@ let make ~name ?deadline ~tasks ~edges:input () =
   in
   let in_start, ins = adjacency in_degree in
   let out_start, outs = adjacency out_degree in
-  let inc_start = starts (Array.map2 ( + ) in_degree out_degree) in
-  let inc_edge = Array.make (2 * m) 0 in
-  let in_next = Array.sub in_start 0 n and inc_next = Array.sub inc_start 0 n in
-  let add_incident v i =
-    inc_edge.(inc_next.(v)) <- i;
-    inc_next.(v) <- inc_next.(v) + 1
-  in
+  let in_next = Array.sub in_start 0 n in
   Array.iteri
     (fun i { src; dst; kbytes = _ } ->
       let k = in_next.(dst) in
       ins.node.(k) <- src;
       ins.edge.(k) <- i;
-      in_next.(dst) <- k + 1;
-      add_incident src i;
-      add_incident dst i)
+      in_next.(dst) <- k + 1)
     edges;
   (* Out-slices by destination: visit the destinations in increasing
      id and append each in-edge to its source's slice. *)
@@ -139,8 +129,6 @@ let make ~name ?deadline ~tasks ~edges:input () =
       edge_list = Array.to_list edges;
       ins;
       outs;
-      inc_start;
-      inc_edge;
       topo;
       closure;
       impls = { first; hw_time; clbs };
@@ -157,12 +145,6 @@ let task t i =
 let edge_count t = Array.length t.index.edges
 let edge t i = t.index.edges.(i)
 
-let iter_incident t v f =
-  let ix = t.index in
-  for k = ix.inc_start.(v) to ix.inc_start.(v + 1) - 1 do
-    f ix.inc_edge.(k)
-  done
-
 (* Index of the edge [src -> dst], -1 if absent: an int scan of
    [dst]'s in-edge slice, since a task has a handful of predecessors
    and hashing a boxed (src, dst) key costs more. *)
@@ -174,14 +156,6 @@ let in_edge_index ix src dst =
     else scan (k + 1) stop
   in
   scan ins.start.(dst) ins.start.(dst + 1)
-
-let edge_weight t w =
-  let n = size t and ix = t.index in
-  fun src dst ->
-    if src >= n || dst < 0 || dst >= n then 0.0
-    else
-      let i = in_edge_index ix src dst in
-      if i < 0 then 0.0 else w i
 
 let kbytes t src dst =
   if dst < 0 || dst >= size t then 0.0

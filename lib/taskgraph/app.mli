@@ -49,17 +49,6 @@ val edge_count : t -> int
 val edge : t -> int -> edge
 (** [edge t i] is the [i]-th element of [edges t]. *)
 
-val edge_weight : t -> (int -> float) -> int -> int -> float
-(** [edge_weight t w] is the edge-weight function that gives [w i] for
-    the application edge [src -> dst] of index [i] in [edges], and 0
-    for any other pair (a non-edge, or a node beyond the tasks, such as
-    a configuration node of a search graph).  Apply it to [t] and [w]
-    once: the function returned scans [dst]'s in-edges directly. *)
-
-val iter_incident : t -> int -> (int -> unit) -> unit
-(** [iter_incident t v f] applies [f] to the index in [edges] of each
-    edge entering or leaving task [v], in increasing order. *)
-
 val topological_order : t -> int array
 (** {!Graph.topological_order} of [graph], computed once by {!make};
     each call returns a fresh copy.  Among the orders the edges allow,

@@ -172,28 +172,6 @@ let test_serialized_objective () =
     (result.Explorer.best_eval.Repro_sched.Searchgraph.makespan
      <= result.Explorer.best_cost +. 1e-9)
 
-let test_min_period_objective () =
-  let app = Md.app () in
-  let platform = Md.platform () in
-  let explore objective =
-    let config = { (small_budget ~seed:12 ~iterations:6_000 ()) with
-                   Explorer.objective } in
-    Explorer.explore config app platform
-  in
-  let by_period = explore Explorer.Min_period in
-  let by_latency = explore Explorer.Makespan in
-  let period_of result =
-    (Repro_sched.Periodic.analyze
-       (Repro_dse.Solution.spec result.Explorer.best))
-      .Repro_sched.Periodic.min_initiation_interval
-  in
-  Alcotest.(check (float 1e-9)) "cost is the initiation interval"
-    (period_of by_period) by_period.Explorer.best_cost;
-  (* Optimizing for the period gives a period at least as good as the
-     latency-optimized mapping's. *)
-  Alcotest.(check bool) "period objective wins on period" true
-    (period_of by_period <= period_of by_latency +. 1e-9)
-
 let test_cost_performance_frontier () =
   let app = Md.app () in
   let catalogue = List.map (fun n -> Md.platform ~n_clb:n ()) [ 200; 800; 5000 ] in
@@ -362,7 +340,6 @@ let suite =
       test_architecture_exploration_picks_cheaper_device;
     Alcotest.test_case "explore restarts" `Quick test_explore_restarts;
     Alcotest.test_case "serialized objective" `Quick test_serialized_objective;
-    Alcotest.test_case "min-period objective" `Quick test_min_period_objective;
     Alcotest.test_case "cost/performance frontier" `Slow
       test_cost_performance_frontier;
     Alcotest.test_case "supervised restarts degrade over survivors" `Quick

@@ -164,65 +164,6 @@ let test_build_exposes_cfg_nodes () =
   checkf "cfg weight is the reconfiguration" 0.5 (node_weight 3);
   Alcotest.(check bool) "cfg precedes its member" true (Graph.has_edge g 3 1)
 
-(* --- sequentialization-pair emitters ------------------------------ *)
-
-let ipair = Alcotest.(pair int int)
-
-(* The per-class emitters, concatenated per the ownership contract,
-   must reproduce [ehw_pairs] exactly — order included — for every
-   context-list shape a mutator can leave behind. *)
-let test_emitters_compose () =
-  let cfg j = 100 + j in
-  let compose ctxs =
-    match ctxs with
-    | [] -> []
-    | first :: _ ->
-      let rec walk j prev = function
-        | [] -> []
-        | members :: rest ->
-          Searchgraph.gtlp_pairs ~prev_cfg:(cfg (j - 1)) ~prev_members:prev
-            ~cfg:(cfg j)
-          @ Searchgraph.ehw_intra_pairs ~cfg:(cfg j) members
-          @ walk (j + 1) members rest
-      in
-      Searchgraph.ehw_intra_pairs ~cfg:(cfg 0) first
-      @ walk 1 first (List.tl ctxs)
-  in
-  List.iter
-    (fun ctxs ->
-      Alcotest.(check (list ipair))
-        "composition matches ehw_pairs"
-        (Searchgraph.ehw_pairs ~cfg ctxs)
-        (compose ctxs))
-    [ []; [ [ 5 ] ]; [ [ 0 ]; [ 1; 2 ] ]; [ [ 1 ]; [ 2 ]; [ 3; 4 ] ];
-      [ [ 7; 8; 9 ]; [ 2 ]; [ 0; 3 ]; [ 6 ] ] ]
-
-(* Updating sum-tree leaves must land on exactly the bits a fresh tree
-   over the mutated terms produces — the invariant that keeps patched
-   comm totals bit-identical to a rebuild. *)
-let test_comm_tree_bit_identity () =
-  List.iter
-    (fun m ->
-      let terms = Array.init m (fun i -> (0.1 *. float_of_int i) +. 0.7) in
-      let tree = Searchgraph.Comm.create (Array.copy terms) in
-      let mutate i = terms.(i) <- (0.3 *. float_of_int i) +. 0.11 in
-      Array.iteri (fun i _ -> if i mod 3 = 0 then mutate i) terms;
-      Array.iteri
-        (fun i x ->
-          if i mod 3 = 0 then Searchgraph.Comm.set tree i x)
-        terms;
-      let fresh = Searchgraph.Comm.create terms in
-      Alcotest.(check int64)
-        (Printf.sprintf "total bits, %d terms" m)
-        (Int64.bits_of_float (Searchgraph.Comm.total fresh))
-        (Int64.bits_of_float (Searchgraph.Comm.total tree));
-      Array.iteri
-        (fun i x ->
-          Alcotest.(check int64) "leaf bits" (Int64.bits_of_float x)
-            (Int64.bits_of_float (Searchgraph.Comm.get tree i)))
-        terms)
-    [ 0; 1; 2; 3; 5; 8; 13 ]
-
 (* --- the flat pass against the built search graph ------------------ *)
 
 module Rng = Repro_util.Rng
@@ -581,10 +522,6 @@ let suite =
     Alcotest.test_case "schedule extraction" `Quick test_schedule_extraction;
     Alcotest.test_case "build exposes cfg nodes" `Quick
       test_build_exposes_cfg_nodes;
-    Alcotest.test_case "emitters compose to ehw_pairs" `Quick
-      test_emitters_compose;
-    Alcotest.test_case "comm tree bit identity" `Quick
-      test_comm_tree_bit_identity;
     QCheck_alcotest.to_alcotest qcheck_flat_matches_build;
     Alcotest.test_case "flat pass inputs reach both verdicts" `Quick
       test_flat_inputs_cover;

@@ -36,24 +36,6 @@ let platform ?(n_clb = 100) () =
     ~rc:(Resource.reconfigurable ~n_clb ~reconfig_ms_per_clb:0.01 "rc")
     ~bus:Platform.default_bus ()
 
-(* [application] with isolated filler tasks appended up to one task
-   more than the flat evaluator takes ({!Solution.flat_max_tasks}): the
-   tests of the live search graph run on it. *)
-let above_flat application =
-  let n = App.size application in
-  let filler id =
-    Task.make ~id ~name:(Printf.sprintf "pad%d" id) ~functionality:"pad"
-      ~sw_time:0.5 ~impls:[ impl 10 0.25 ]
-  in
-  App.make ~name:(application.App.name ^ "+pad")
-    ?deadline:application.App.deadline
-    ~tasks:
-      (Array.to_list application.App.tasks
-      @ List.init
-          (max 0 (Solution.flat_max_tasks + 1 - n))
-          (fun i -> filler (n + i)))
-    ~edges:(App.edges application) ()
-
 let ok = function
   | Ok () -> true
   | Error msg -> Alcotest.failf "invariant violation: %s" msg
@@ -205,57 +187,35 @@ let test_evaluation_caching () =
   let e3 = Solution.evaluate s in
   Alcotest.(check bool) "invalidated on mutation" true (not (e2 == e3))
 
-(* A 16-task chain whose sink has two implementations: a weight-only
-   move at the sink has a two-node cone (config node + sink) while a
-   full rebuild evaluates all 17 search-graph nodes. *)
-let chain_app () =
-  let t id sw_time impls =
-    Task.make ~id ~name:(Printf.sprintf "c%d" id) ~functionality:"F" ~sw_time
-      ~impls
+(* Sixteen independent tasks in software, one chain in id order: a
+   reorder of the last two changes only their links, so the pass
+   restarts at the position of the first of them and passes two
+   nodes, booked as a partial pass of the reorder. *)
+let test_partial_locality () =
+  let t id =
+    Task.make ~id ~name:(Printf.sprintf "f%d" id) ~functionality:"F"
+      ~sw_time:(1.0 +. float_of_int id) ~impls:[ impl 20 0.5 ]
   in
-  let n = 16 in
-  let tasks =
-    List.init n (fun id ->
-        if id = n - 1 then t id 3.0 [ impl 40 1.0; impl 80 0.5 ]
-        else t id 1.0 [ impl 20 0.4 ])
+  let application =
+    App.make ~name:"free16" ~tasks:(List.init 16 t) ~edges:[] ()
   in
-  let edges =
-    List.init (n - 1) (fun i -> { App.src = i; dst = i + 1; kbytes = 2.0 })
-  in
-  App.make ~name:"chain16" ~tasks ~edges ()
-
-let test_incremental_locality () =
-  let s =
-    Solution.all_software (above_flat (chain_app ())) (platform ~n_clb:200 ())
-  in
-  Solution.append_context s ~task:15;
-  Alcotest.(check bool) "feasible" true (Solution.evaluate s <> None);
+  let s = Solution.all_software application (platform ()) in
+  ignore (Solution.makespan s);
   let stats = Solution.eval_stats s in
-  Alcotest.(check bool) "first evaluation is full" true
-    (stats.Solution.full_evals > 0 && stats.Solution.incr_evals = 0);
-  let full_nodes_per_eval =
-    stats.Solution.full_nodes / stats.Solution.full_evals
-  in
-  (* Toggle the sink's implementation: structure preserved. *)
-  Solution.set_impl s 15 1;
-  let incremental = Solution.evaluate s in
-  Alcotest.(check int) "served incrementally" 1 stats.Solution.incr_evals;
-  Alcotest.(check bool) "counts nodes" true (stats.Solution.incr_nodes > 0);
-  Alcotest.(check bool)
-    (Printf.sprintf "at least 5x fewer nodes (%d vs %d per eval)"
-       stats.Solution.incr_nodes full_nodes_per_eval)
-    true
-    (stats.Solution.incr_nodes * 5 <= full_nodes_per_eval);
-  (* The fast path must agree with a from-scratch evaluation. *)
-  match (incremental, Searchgraph.evaluate (Solution.spec s)) with
-  | Some got, Some want ->
-    Alcotest.(check (float 1e-9)) "makespan matches reference"
-      want.Searchgraph.makespan got.Searchgraph.makespan;
-    Alcotest.(check (float 1e-9)) "initial reconfig matches"
-      want.Searchgraph.initial_reconfig got.Searchgraph.initial_reconfig;
-    Alcotest.(check (float 1e-9)) "comm matches" want.Searchgraph.comm
-      got.Searchgraph.comm
-  | _ -> Alcotest.fail "feasibility mismatch between fast path and reference"
+  Alcotest.(check int) "first evaluation is full" 1 stats.Solution.full_evals;
+  Solution.reorder_sw s ~task:15 ~before:14;
+  let got = Solution.makespan s in
+  Alcotest.(check int) "no second full pass" 1 stats.Solution.full_evals;
+  Alcotest.(check int) "one partial pass" 1 stats.Solution.incr_evals;
+  Alcotest.(check int) "over the last two nodes" 2 stats.Solution.incr_nodes;
+  Alcotest.(check int) "booked against the reorder" 2
+    (Solution.kind_stats stats Solution.Sw_reorder).Solution.k_incr_nodes;
+  match Searchgraph.evaluate (Solution.spec s) with
+  | Some want ->
+    Alcotest.(check int64) "makespan matches reference"
+      (Int64.bits_of_float want.Searchgraph.makespan)
+      (Int64.bits_of_float got)
+  | None -> Alcotest.fail "the reference finds a cycle"
 
 let test_incremental_undo () =
   let s = Solution.all_software (app ()) (platform ~n_clb:200 ()) in
@@ -269,12 +229,11 @@ let test_incremental_undo () =
   Alcotest.(check bool) "impl move changes the makespan" true
     (changed <> original);
   restore ();
-  Alcotest.(check (float 1e-9)) "undo restores the makespan through the \
-                                 incremental path"
+  Alcotest.(check (float 1e-9)) "undo restores the makespan"
     original (Solution.makespan s);
-  (* A structural mutation after incremental activity is served by the
-     dynamic-edge refresh and stays correct (insert before task 4 to
-     keep the software order precedence-consistent). *)
+  (* A structural mutation after the undo is refilled along the
+     version chain and stays correct (insert before task 4 to keep the
+     software order precedence-consistent). *)
   Solution.move_to_sw s ~task:3 ~before:(Some 4);
   match (Solution.evaluate s, Searchgraph.evaluate (Solution.spec s)) with
   | Some got, Some want ->
@@ -284,15 +243,13 @@ let test_incremental_undo () =
   | _ -> Alcotest.fail "feasibility mismatch after structural move"
 
 let test_incremental_matches_reference_random () =
-  (* Oracle test over random accepted/undone move sequences: the cached
-     (possibly incremental) evaluation must always equal a fresh
-     Searchgraph.evaluate of the current spec. *)
+  (* Oracle test over random accepted/undone move sequences on the
+     132-task layered graph: the cached evaluation, mostly from partial
+     passes, must always equal a fresh Searchgraph.evaluate of the
+     current spec. *)
   let rng = Rng.create 77 in
-  let s =
-    Solution.random rng
-      (above_flat (Repro_workloads.Motion_detection.app ()))
-      (Repro_workloads.Motion_detection.platform ~n_clb:800 ())
-  in
+  let application, plat = Test_golden.layered128 () in
+  let s = Solution.random rng application plat in
   for _ = 1 to 400 do
     (match Repro_dse.Moves.propose rng Repro_dse.Moves.fixed_architecture s with
      | Some undo -> if Repro_util.Rng.bernoulli rng 0.3 then undo ()
@@ -308,63 +265,12 @@ let test_incremental_matches_reference_random () =
     | _ -> Alcotest.fail "feasibility diverged from reference"
   done;
   let stats = Solution.eval_stats s in
-  Alcotest.(check bool) "incremental path exercised" true
+  Alcotest.(check bool) "partial pass exercised" true
     (stats.Solution.incr_evals > 0)
 
-(* Every structural move kind must be served by the dynamic-edge
-   refresh — no full rebuild — and each evaluation must equal a
-   from-scratch [Searchgraph.evaluate] of the same spec bitwise. *)
-let test_structural_moves_incremental () =
-  let s = Solution.all_software (above_flat (app ())) (platform ~n_clb:200 ()) in
-  Alcotest.(check bool) "warm" true (Solution.evaluate s <> None);
-  let stats = Solution.eval_stats s in
-  let full_before = stats.Solution.full_evals in
-  let check_move name kind mutate =
-    mutate ();
-    (match (Solution.evaluate s, Searchgraph.evaluate (Solution.spec s)) with
-     | Some got, Some want ->
-       Alcotest.(check bool)
-         (name ^ ": bit-identical to scratch evaluation")
-         true
-         (got.Searchgraph.makespan = want.Searchgraph.makespan
-          && got.Searchgraph.initial_reconfig = want.Searchgraph.initial_reconfig
-          && got.Searchgraph.dynamic_reconfig = want.Searchgraph.dynamic_reconfig
-          && got.Searchgraph.comm = want.Searchgraph.comm
-          && got.Searchgraph.finish = want.Searchgraph.finish)
-     | _ -> Alcotest.failf "%s: expected a feasible evaluation" name);
-    Alcotest.(check int) (name ^ ": no rebuild") full_before
-      stats.Solution.full_evals;
-    Alcotest.(check bool) (name ^ ": incremental eval recorded") true
-      ((Solution.kind_stats stats kind).Solution.k_incr_evals > 0)
-  in
-  check_move "sw_reorder" Solution.Sw_reorder (fun () ->
-      Solution.reorder_sw s ~task:2 ~before:1);
-  check_move "ctx_create" Solution.Ctx_create (fun () ->
-      Solution.insert_context s ~task:1 ~at:0);
-  check_move "ctx_create2" Solution.Ctx_create (fun () ->
-      Solution.insert_context s ~task:2 ~at:1);
-  check_move "ctx_swap" Solution.Ctx_swap (fun () ->
-      Solution.swap_contexts s ~at:0);
-  check_move "ctx_migrate" Solution.Ctx_migrate (fun () ->
-      Solution.move_to_context s ~task:2 ~dest:1);
-  check_move "sw_migrate" Solution.Sw_migrate (fun () ->
-      Solution.move_to_sw s ~task:1 ~before:(Some 3));
-  check_move "impl" Solution.Impl (fun () -> Solution.set_impl s 1 1);
-  (* Undo of a structural move replays the delta log — still no
-     rebuild, still the exact pre-move value. *)
-  let before = Solution.makespan s in
-  let restore = Solution.save s in
-  Solution.append_context s ~task:3;
-  ignore (Solution.makespan s);
-  restore ();
-  Alcotest.(check bool) "undo restores exactly" true
-    (Solution.makespan s = before);
-  Alcotest.(check int) "undo avoided rebuilds" full_before
-    stats.Solution.full_evals
-
 let qcheck_incremental_exact =
-  (* Random move sequences with interleaved undo: the incrementally
-     maintained evaluation must stay bitwise equal to a from-scratch
+  (* Random move sequences with interleaved undo: the evaluation from
+     partial passes must stay bitwise equal to a from-scratch
      evaluation, and an encode/decode round trip mid-sequence must
      replay bit-identically. *)
   QCheck.Test.make ~name:"incremental evaluation bit-identical to scratch"
@@ -405,50 +311,11 @@ let qcheck_incremental_exact =
       done;
       !ok)
 
-(* Native deltas must serve every structural kind without a global
-   pair regeneration, while emitting region pairs and patching the
-   boundary terms of binding-flipping moves. *)
-let test_native_delta_counters () =
-  (* Pin the default mode: under REPRO_CHECK_DELTAS the paranoid
-     verification itself regenerates the global list, which is exactly
-     what the counters are here to prove the mutators never need. *)
-  let was = Solution.check_deltas_enabled () in
-  Solution.set_check_deltas false;
-  Fun.protect ~finally:(fun () -> Solution.set_check_deltas was) @@ fun () ->
-  let s = Solution.all_software (above_flat (app ())) (platform ~n_clb:200 ()) in
-  Alcotest.(check bool) "warm" true (Solution.evaluate s <> None);
-  Solution.insert_context s ~task:1 ~at:0;
-  ignore (Solution.makespan s);
-  Solution.reorder_sw s ~task:2 ~before:0;
-  ignore (Solution.makespan s);
-  Solution.move_to_context s ~task:2 ~dest:1;
-  ignore (Solution.makespan s);
-  Solution.move_to_sw s ~task:1 ~before:(Some 3);
-  ignore (Solution.makespan s);
-  let stats = Solution.eval_stats s in
-  Alcotest.(check int) "no global pair regeneration" 0
-    stats.Solution.pair_regens;
-  Alcotest.(check bool) "mutators emitted region pairs" true
-    (stats.Solution.pairs_emitted > 0);
-  (* ctx_create rebinds task 1 across the Sw/Hw boundary: both of its
-     application edges change their crossing status. *)
-  let created = Solution.kind_stats stats Solution.Ctx_create in
-  Alcotest.(check int) "ctx_create patched both incident terms" 2
-    created.Solution.k_comm_patched;
-  Alcotest.(check int) "ctx_create regenerated nothing" 0
-    created.Solution.k_pair_regens;
-  List.iter
-    (fun kind ->
-      Alcotest.(check int) "per-kind regens stay zero" 0
-        (Solution.kind_stats stats kind).Solution.k_pair_regens)
-    [ Solution.Sw_reorder; Solution.Sw_migrate; Solution.Ctx_migrate;
-      Solution.Ctx_create ]
-
 let qcheck_paranoid_deltas =
-  (* The paranoid mode re-derives every move's pair delta from a global
-     regenerate-and-diff and faults on any mismatch, so simply driving
-     random sequences (with undo and mid-sequence codec round trips)
-     under the flag is the property. *)
+  (* The paranoid mode compares every refill with a full fill and every
+     pass with a full pass, and faults on any mismatch, so simply
+     driving random sequences (with undo and mid-sequence codec round
+     trips) under the flag is the property. *)
   QCheck.Test.make ~name:"paranoid delta check over random move sequences"
     ~count:40
     QCheck.(pair small_int (int_range 20 80))
@@ -501,13 +368,13 @@ let same_eval (a : Searchgraph.eval) (b : Searchgraph.eval) =
 
 (* Moving a singleton context's task into a full destination frees the
    context's id and spawns a context right after the destination with
-   that same id, at another position: the emitted delta must still
-   match the regenerated pair list, with no rebuild. *)
+   that same id, at another position: the same number of contexts, so
+   a partial pass, which must carry a full evaluation's bits. *)
 let test_respawn_freed_id () =
   let was = Solution.check_deltas_enabled () in
   Solution.set_check_deltas true;
   Fun.protect ~finally:(fun () -> Solution.set_check_deltas was) @@ fun () ->
-  let s = Solution.all_software (above_flat (app ())) (platform ~n_clb:100 ()) in
+  let s = Solution.all_software (app ()) (platform ~n_clb:100 ()) in
   Solution.append_context s ~task:0;
   Solution.append_context s ~task:2;
   Solution.append_context s ~task:1;
@@ -531,26 +398,26 @@ let test_respawn_freed_id () =
   restore ();
   Alcotest.(check (list (list int))) "undone" [ [ 0 ]; [ 2 ]; [ 1 ] ]
     (Solution.contexts s);
-  (* A further move reads the rolled-back live graph. *)
+  (* A further move refills the kernel along the rerooted chain. *)
   Solution.swap_contexts s ~at:1;
   matches_rebuild "after the undo and a swap";
-  Alcotest.(check int) "no rebuild" full_before stats.Solution.full_evals
+  Alcotest.(check int) "no full pass" full_before stats.Solution.full_evals
 
 let with_check_deltas f =
   let was = Solution.check_deltas_enabled () in
   Solution.set_check_deltas true;
   Fun.protect ~finally:(fun () -> Solution.set_check_deltas was) f
 
-(* Eight independent tasks of 20 CLBs, padded with isolated fillers
-   above the flat evaluator's range: on a 100-CLB device every context
-   order is acyclic and any three of the eight share a context. *)
+(* Eight independent tasks of 20 CLBs: on a 100-CLB device every
+   context order is acyclic and any three of the eight share a
+   context. *)
 let free_app () =
   let t id =
     Task.make ~id ~name:(Printf.sprintf "f%d" id) ~functionality:"F"
       ~sw_time:(1.0 +. float_of_int id)
       ~impls:[ impl 20 (0.5 +. float_of_int id) ]
   in
-  above_flat (App.make ~name:"free8" ~tasks:(List.init 8 t) ~edges:[] ())
+  App.make ~name:"free8" ~tasks:(List.init 8 t) ~edges:[] ()
 
 (* A free8 solution whose contexts hold [layout]'s tasks in that order,
    built through the moves themselves. *)
@@ -570,17 +437,15 @@ let laid_out layout =
 
 let sorted_contexts s = List.map (List.sort compare) (Solution.contexts s)
 
-(* One context-chain move on [layout] under the paranoid delta check
-   (a divergent delta raises): the contexts end as [expect], the live
-   evaluation carries a rebuild's bits, and after the undo the same move
-   on the rolled-back live graph does too — with no rebuild. *)
+(* One context-chain move on [layout] under the paranoid check (a pass
+   that diverges from a full one raises): the contexts end as
+   [expect], the evaluation carries a rebuild's bits, and after the
+   undo the same move on the refilled kernel does too. *)
 let pinned_ctx_move label layout ~expect move =
   with_check_deltas @@ fun () ->
   let s = laid_out layout in
   Alcotest.(check (list (list int))) (label ^ ": laid out")
     (List.map (List.sort compare) layout) (sorted_contexts s);
-  let stats = Solution.eval_stats s in
-  let full = stats.Solution.full_evals in
   let matches_rebuild what =
     match (Solution.evaluate s, Searchgraph.evaluate (Solution.spec s)) with
     | Some got, Some want ->
@@ -599,8 +464,7 @@ let pinned_ctx_move label layout ~expect move =
   undo ();
   Alcotest.(check string) (label ^ ": undone") code (Solution.encode s);
   move s;
-  matches_rebuild " (again, after the undo)";
-  Alcotest.(check int) (label ^ ": no rebuild") full stats.Solution.full_evals
+  matches_rebuild " (again, after the undo)"
 
 let test_pinned_context_moves () =
   let to_sw task s = Solution.move_to_sw s ~task ~before:None in
@@ -645,12 +509,12 @@ let test_pinned_context_moves () =
     ~expect:[ [ 0; 1 ]; [ 2 ]; [ 5 ]; [ 3; 4 ] ] (swap 2)
 
 (* Random context-heavy move sequences on md28 at 100-400 CLBs, where
-   the tasks spread over many contexts, under the paranoid delta check
-   (a divergent delta raises): the context kinds drawn directly, the
-   mixed lottery otherwise, a third of the moves undone, and every
-   evaluation a rebuild's bits. *)
+   the tasks spread over many contexts, under the paranoid check (a
+   pass that diverges from a full one raises): the context kinds drawn
+   directly, the mixed lottery otherwise, a third of the moves undone,
+   and every evaluation a rebuild's bits. *)
 let qcheck_md28_context_deltas =
-  QCheck.Test.make ~name:"md28 context moves match the regenerated pairs"
+  QCheck.Test.make ~name:"md28 context moves match a full evaluation"
     ~count:40
     QCheck.(pair small_int (int_range 100 400))
     (fun (seed, n_clb) ->
@@ -700,17 +564,17 @@ let direct_mutation rng s =
     let count = Task.impl_count (App.task (Solution.app s) v) in
     Solution.set_impl s v (Rng.int rng count)
 
-(* The makespan read off the live state must carry the same bits as the
+(* The makespan read off the pass must carry the same bits as the
    evaluation record and as a from-scratch evaluation, be infinite
    exactly on infeasible states, and reading it first must not change
    the record [evaluate] returns.  Two solutions run the same moves in
    lockstep: [b] reads the record before the makespan; [a] reads the
    makespan and, on a coin, the record after it — so an undo often
    restores a state whose record was never built — and a copy of [a]
-   (which carries no live graph) builds its own.  Besides moves, direct
+   (which carries no kernel) builds its own.  Besides moves, direct
    mutations and their undo, the sequence mutates on top of infeasible
-   states and undoes nested saves out of order: the paths that drop
-   the live graph. *)
+   states and undoes nested saves out of order: the paths that force
+   a full pass or carry a refill's changes over. *)
 let test_makespan_path () =
   List.iter
     (fun (label, (application, plat), steps) ->
@@ -765,8 +629,8 @@ let test_makespan_path () =
           let failed = Solution.makespan a = infinity in
           if failed then begin
             incr infeasible;
-            (* A mutation on top of a cyclic one has lost its diff base:
-               the live graph is dropped and rebuilt. *)
+            (* A mutation on top of a cyclic one: the next pass is a
+               full one. *)
             if Rng.bernoulli coin 0.5 then begin
               direct_mutation ra a;
               direct_mutation rb b;
@@ -780,9 +644,9 @@ let test_makespan_path () =
           end
           else if Rng.bernoulli coin 0.3 then begin
             (* Two nested saves undone out of LIFO order: the outer undo
-               rolls the log back past the inner save point, so the
-               inner one no longer matches it and drops the live graph.
-               The state is the inner save point's. *)
+               reroots the chain past the inner save point, and the
+               inner one reroots it forward again.  The state is the
+               inner save point's. *)
             let inner_a = Solution.save a and inner_b = Solution.save b in
             direct_mutation ra a;
             direct_mutation rb b;
@@ -1063,9 +927,8 @@ let qcheck_chains_match_model =
       done;
       !ok)
 
-(* The flat path: small applications keep no live graph, so after every
-   move and every undo the makespan must carry the bits of a fresh
-   [Searchgraph.evaluate] of the spec.  Device moves swap the platform
+(* The flat path: after every move and every undo the makespan must
+   carry the bits of a fresh [Searchgraph.evaluate] of the spec.  Device moves swap the platform
    for a smaller and a larger circuit, and back on undo, so the flat
    tables follow the platform both ways.  Each input runs once in the
    default mode and once under [REPRO_CHECK_DELTAS], whose flat settle
@@ -1093,8 +956,6 @@ let flat_matches_evaluate ~paranoid (label, (application, plat)) =
   let was = Solution.check_deltas_enabled () in
   Solution.set_check_deltas paranoid;
   Fun.protect ~finally:(fun () -> Solution.set_check_deltas was) @@ fun () ->
-  if App.size application > Solution.flat_max_tasks then
-    Alcotest.failf "%s: above the flat range" label;
   let n_clb = Platform.n_clb plat in
   let config =
     Repro_dse.Moves.exploration
@@ -1127,12 +988,10 @@ let flat_matches_evaluate ~paranoid (label, (application, plat)) =
   done;
   let stats = Solution.eval_stats s in
   Alcotest.(check bool) (label ^ ": device moves drawn") true (!devices > 0);
-  Alcotest.(check int) (label ^ ": no incremental evaluation") 0
-    stats.Solution.incr_evals;
   Alcotest.(check int) (label ^ ": no edge edited") 0
     stats.Solution.edges_edited;
-  Alcotest.(check bool) (label ^ ": every evaluation booked full") true
-    (stats.Solution.full_evals > 0)
+  Alcotest.(check bool) (label ^ ": full and partial passes booked") true
+    (stats.Solution.full_evals > 0 && stats.Solution.incr_evals > 0)
 
 let test_flat_matches_evaluate () =
   List.iter
@@ -1142,7 +1001,8 @@ let test_flat_matches_evaluate () =
     (flat_inputs ())
 
 (* A flat evaluation books the kind of the mutation before it, which
-   the traced benchmark's per-kind mix reads. *)
+   the traced benchmark's per-kind mix reads; a new context count
+   makes it a full pass. *)
 let test_flat_books_kinds () =
   let application, plat = md28 () in
   let s = Solution.all_software application plat in
@@ -1229,6 +1089,111 @@ let qcheck_refill_follows_versions =
         (fun input -> refill_run input seed steps)
         (flat_inputs ~sizes:[ 100; 500; 2000 ] ()))
 
+(* The partial pass against the full one: under [REPRO_CHECK_DELTAS]
+   every settle also runs a full pass over a fresh full fill and
+   raises unless the partial one gives its finish times, makespan and
+   cyclicity verdict, bit for bit.  The steps mix moves of every kind,
+   saves, undos of any saved state, copies, device swaps to a half and
+   a double device, and direct mutations that may close a cycle or
+   overfill a context (most of those undone at once); after each, the
+   makespan must also be [Searchgraph.evaluate]'s, infinite where that
+   finds a cycle or a context is over capacity.  Partial passes must
+   have run. *)
+let layered300 () =
+  let app =
+    Generators.layered ~name:"layered300" (Rng.create 5)
+      Generators.default_impl_model ~layers:6 ~width:50
+      ~edge_probability:0.05 ~mean_sw_time:2.0 ~mean_kbytes:8.0
+  in
+  (app, Platform.with_rc_size (Repro_workloads.Suite.platform_for app) 600)
+
+let partial_inputs () =
+  let board = fixture "good_board.plat" Platform_io.load in
+  [
+    ("md28 at 100 CLBs", (Repro_workloads.Motion_detection.app (),
+                          Repro_workloads.Motion_detection.platform ~n_clb:100 ()));
+    ("md28 at 1000 CLBs", (Repro_workloads.Motion_detection.app (),
+                           Repro_workloads.Motion_detection.platform ~n_clb:1000 ()));
+    ("good_tiny on good_board", (fixture "good_tiny.tg" App_io.load, board));
+    ("good_diamond on good_board", (fixture "good_diamond.tg" App_io.load, board));
+    ("g128", Test_golden.layered128 ());
+    ("layered300", layered300 ());
+  ]
+
+let partial_run (label, (application, plat)) seed steps =
+  let n_clb = Platform.n_clb plat in
+  let config =
+    Repro_dse.Moves.exploration
+      [ plat; Platform.with_rc_size plat (max 1 (n_clb / 2));
+        Platform.with_rc_size plat (2 * n_clb) ]
+  in
+  let rng = Rng.create seed in
+  let s = ref (Solution.random (Rng.create (seed + 1)) application plat) in
+  let saved = ref [] in
+  let check step what =
+    let got = Solution.makespan !s in
+    let want =
+      match (Solution.check_invariants !s, Searchgraph.evaluate (Solution.spec !s)) with
+      | Ok (), Some e -> e.Searchgraph.makespan
+      | Error _, _ | _, None -> infinity
+    in
+    if not (same_bits got want) then
+      QCheck.Test.fail_reportf "%s, step %d (%s): makespan %h, evaluate %h"
+        label step what got want
+  in
+  check 0 "initial";
+  for step = 1 to steps do
+    let draw = Rng.int rng 12 in
+    if draw < 6 then begin
+      let kind = refill_kinds.(Rng.int rng (Array.length refill_kinds)) in
+      (match Repro_dse.Moves.propose_kind rng config !s kind with
+       | Some undo -> saved := undo :: !saved
+       | None -> ());
+      check step (Solution.move_kind_label kind)
+    end
+    else if draw < 8 then begin
+      let undo = Solution.save !s in
+      direct_mutation rng !s;
+      check step "direct mutation";
+      (* Most infeasible ones are taken back at once, as the annealer
+         does. *)
+      if Solution.makespan !s = infinity && Rng.int rng 4 > 0 then begin
+        undo ();
+        check step "undo of an infeasible mutation"
+      end
+      else saved := undo :: !saved
+    end
+    else if draw < 10 then begin
+      match !saved with
+      | [] -> ()
+      | list ->
+        let i = Rng.int rng (List.length list) in
+        (List.nth list i) ();
+        saved := List.filteri (fun j _ -> j <> i) list;
+        check step "undo"
+    end
+    else if draw < 11 then saved := Solution.save !s :: !saved
+    else begin
+      s := Solution.copy !s;
+      saved := [];
+      check step "copy"
+    end
+  done;
+  (Solution.eval_stats !s).Solution.incr_evals
+
+let qcheck_partial_pass =
+  QCheck.Test.make ~name:"partial pass gives the full pass's times and verdict"
+    ~count:6
+    QCheck.(pair small_int (int_range 100 300))
+    (fun (seed, steps) ->
+      (* The shrinker may step outside the range. *)
+      let steps = max 100 steps in
+      with_check_deltas @@ fun () ->
+      List.fold_left
+        (fun acc input -> acc + partial_run input seed steps)
+        0 (partial_inputs ())
+      > 0)
+
 (* [Solution.random] against the list-based reference: the same
    solution, and the generator left in the same state. *)
 let test_random_matches_reference () =
@@ -1277,15 +1242,11 @@ let suite =
     Alcotest.test_case "save/restore" `Quick test_save_restore;
     Alcotest.test_case "copy independent" `Quick test_copy_independent;
     Alcotest.test_case "evaluation caching" `Quick test_evaluation_caching;
-    Alcotest.test_case "incremental locality" `Quick test_incremental_locality;
+    Alcotest.test_case "partial pass locality" `Quick test_partial_locality;
     Alcotest.test_case "incremental undo" `Quick test_incremental_undo;
     Alcotest.test_case "incremental matches reference (random moves)" `Quick
       test_incremental_matches_reference_random;
-    Alcotest.test_case "structural moves served incrementally" `Quick
-      test_structural_moves_incremental;
     QCheck_alcotest.to_alcotest qcheck_incremental_exact;
-    Alcotest.test_case "native delta counters" `Quick
-      test_native_delta_counters;
     QCheck_alcotest.to_alcotest qcheck_paranoid_deltas;
     QCheck_alcotest.to_alcotest qcheck_chains_match_model;
     Alcotest.test_case "replace platform" `Quick test_replace_platform;
@@ -1297,6 +1258,7 @@ let suite =
     Alcotest.test_case "flat evaluations booked full, per kind" `Quick
       test_flat_books_kinds;
     QCheck_alcotest.to_alcotest qcheck_refill_follows_versions;
+    QCheck_alcotest.to_alcotest qcheck_partial_pass;
     Alcotest.test_case "random matches the list reference" `Quick
       test_random_matches_reference;
   ]

@@ -190,27 +190,12 @@ let check_index label app input =
   (* Every ordered pair, one step out of range on each side included,
      then the extremes: the data or 0.0, never an exception. *)
   (* Every ordered pair, one step out of range on each side included,
-     then the extremes: the data or 0.0, never an exception; the edge
-     weight of edge [i] is [i + 1] here, 0 off the edges. *)
-  let position_of = Hashtbl.create 64 in
-  List.iteri
-    (fun i { App.src; dst; kbytes = _ } ->
-      Hashtbl.replace position_of (src, dst) i)
-    reference;
-  let weight = App.edge_weight app (fun i -> float_of_int (i + 1)) in
+     then the extremes: the data or 0.0, never an exception. *)
   let check_pair u v =
     let expected = Option.value ~default:0.0 (Hashtbl.find_opt data (u, v)) in
     if bits (App.kbytes app u v) <> bits expected then
       Alcotest.failf "%s: kbytes %d %d = %g, expected %g" label u v
-        (App.kbytes app u v) expected;
-    let expected =
-      match Hashtbl.find_opt position_of (u, v) with
-      | Some i -> float_of_int (i + 1)
-      | None -> 0.0
-    in
-    if weight u v <> expected then
-      Alcotest.failf "%s: edge_weight %d %d = %g, expected %g" label u v
-        (weight u v) expected
+        (App.kbytes app u v) expected
   in
   for u = -1 to n do
     for v = -1 to n do
@@ -220,16 +205,6 @@ let check_index label app input =
   List.iter
     (fun (u, v) -> check_pair u v)
     [ (min_int, 0); (0, min_int); (max_int, 0); (0, max_int) ];
-  for v = 0 to n - 1 do
-    let around = ref [] in
-    List.iteri
-      (fun i { App.src; dst; kbytes = _ } ->
-        if src = v || dst = v then around := i :: !around)
-      reference;
-    let incident = ref [] in
-    App.iter_incident app v (fun i -> incident := i :: !incident);
-    Alcotest.(check (list int)) (label ^ ": incident") !around !incident
-  done;
   let order = App.topological_order app in
   Alcotest.(check (option (array int))) (label ^ ": Kahn's order")
     (Graph.topological_order app.App.graph) (Some order);
