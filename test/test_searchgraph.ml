@@ -507,6 +507,151 @@ let test_gene_decoder_is_the_kernel () =
       done)
     (Lazy.force instances)
 
+(* [Flat.pass_from] on a kernel filled by hand: six tasks in three
+   application pairs 0 -> 1, 2 -> 3, 4 -> 5, and at most one context.
+   A restart
+   must give what a full pass over a fresh kernel with the same inputs
+   gives: every finish time, the makespan and the verdict. *)
+let six () =
+  let t id =
+    Task.make ~id ~name:(Printf.sprintf "t%d" id) ~functionality:"F"
+      ~sw_time:1.0 ~impls:[ impl 10 1.0 ]
+  in
+  App.make ~name:"six" ~tasks:(List.init 6 t)
+    ~edges:
+      [ { App.src = 0; dst = 1; kbytes = 1.0 };
+        { App.src = 2; dst = 3; kbytes = 1.0 };
+        { App.src = 4; dst = 5; kbytes = 1.0 } ]
+    ()
+
+let six_exec = [| 1.0; 2.0; 3.0; 4.0; 5.0; 6.0 |]
+let six_weight = [| 0.5; 0.25; 0.125 |]
+
+(* A kernel holding [exec], the fixed edge weights, the chain [links]
+   (pairs [u, w]: w follows u) and, given [cfg], one context. *)
+let six_kernel ?(cfg = 0.0) app exec links =
+  let k = Searchgraph.Flat.create app ~contexts:1 ~members:2 in
+  Array.blit exec 0 k.exec 0 (Array.length exec);
+  Array.blit six_weight 0 k.weight 0 (Array.length six_weight);
+  List.iter (fun (u, w) -> k.next_sw.(u) <- w; k.prev_sw.(w) <- u) links;
+  if cfg > 0.0 then begin
+    (* One context holding tasks 3 and 5, configured in [cfg]. *)
+    k.context.(3) <- 0;
+    k.context.(5) <- 0;
+    k.ctx_member.(0) <- 3;
+    k.ctx_member.(1) <- 5;
+    k.ctx_start.(1) <- 2;
+    k.cfg_time.(0) <- cfg;
+    k.n_contexts <- 1
+  end;
+  k
+
+let same_as_full ?cfg label app (k : Searchgraph.Flat.t) exec links acyclic =
+  let full = six_kernel ?cfg app exec links in
+  Alcotest.(check bool) (label ^ ": verdict") (Searchgraph.Flat.pass full)
+    acyclic;
+  if acyclic then begin
+    Alcotest.(check int64) (label ^ ": makespan") (bits full.makespan)
+      (bits k.makespan);
+    Array.iteri
+      (fun v f ->
+        Alcotest.(check int64) (Printf.sprintf "%s: task %d" label v) (bits f)
+          (bits k.time.(v)))
+      (Array.sub full.time 0 (App.size app))
+  end
+
+let no_window = (max_int, -1)
+
+let first_pass (k : Searchgraph.Flat.t) =
+  let lo, hi = no_window in
+  Alcotest.(check bool) "first pass acyclic" true
+    (Searchgraph.Flat.pass_from k 0 ~lo ~hi)
+
+let test_pass_from_zero_records () =
+  let app = six () in
+  let k = six_kernel app six_exec [] in
+  let lo, hi = no_window in
+  let acyclic = Searchgraph.Flat.pass_from k 0 ~lo ~hi in
+  same_as_full "from 0" app k six_exec [] acyclic;
+  let running = ref 0.0 in
+  Array.iteri
+    (fun i x ->
+      Alcotest.(check int) (Printf.sprintf "position of %d" x) i
+        k.position.(x);
+      running := Float.max !running k.time.(x);
+      Alcotest.(check int64) (Printf.sprintf "prefix at %d" i) (bits !running)
+        (bits k.prefix.(i)))
+    (Array.sub k.order 0 6)
+
+(* A later node's time changes: the restart at its slot keeps the
+   prefix and gives the full pass's times; so does a restart earlier
+   than needed. *)
+let test_pass_from_suffix () =
+  let app = six () in
+  let k = six_kernel app six_exec [] in
+  first_pass k;
+  let exec = Array.copy six_exec in
+  let last = k.order.(5) and early = k.position.(1) in
+  exec.(last) <- 9.5;
+  k.exec.(last) <- 9.5;
+  let lo, hi = no_window in
+  let acyclic = Searchgraph.Flat.pass_from k 5 ~lo ~hi in
+  same_as_full "restart at the changed slot" app k exec [] acyclic;
+  exec.(1) <- 0.75;
+  k.exec.(1) <- 0.75;
+  let acyclic = Searchgraph.Flat.pass_from k (early - 1) ~lo ~hi in
+  same_as_full "restart before the changed slot" app k exec [] acyclic
+
+(* A chain link 5 -> 0 runs backward in the last order: the window
+   between its ends is re-sorted, and 0 now starts after 5. *)
+let test_pass_from_window () =
+  let app = six () in
+  let k = six_kernel app six_exec [] in
+  first_pass k;
+  let p0 = k.position.(0) and p5 = k.position.(5) in
+  Alcotest.(check bool) "the link runs backward" true (p5 > p0);
+  k.next_sw.(5) <- 0;
+  k.prev_sw.(0) <- 5;
+  let acyclic = Searchgraph.Flat.pass_from k p0 ~lo:p0 ~hi:p5 in
+  same_as_full "window" app k six_exec [ (5, 0) ] acyclic;
+  Alcotest.(check bool) "0 after 5" true (k.position.(0) > k.position.(5))
+
+(* A link 3 -> 2 closes a cycle with the edge 2 -> 3 inside the window:
+   the restart (after slot 0, so a partial one) finds it and leaves the
+   last acyclic order in place. *)
+let test_pass_from_cycle () =
+  let app = six () in
+  let k = six_kernel app six_exec [] in
+  first_pass k;
+  let order = Array.sub k.order 0 6 and p2 = k.position.(2)
+  and p3 = k.position.(3) in
+  Alcotest.(check bool) "a restart after slot 0" true (p2 > 0);
+  k.next_sw.(3) <- 2;
+  k.prev_sw.(2) <- 3;
+  let acyclic = Searchgraph.Flat.pass_from k p2 ~lo:p2 ~hi:p3 in
+  Alcotest.(check bool) "cyclic" false acyclic;
+  same_as_full "cycle" app k six_exec [ (3, 2) ] acyclic;
+  Alcotest.(check (array int)) "last acyclic order kept" order
+    (Array.sub k.order 0 6);
+  Array.iteri
+    (fun i x -> Alcotest.(check int) "position kept" i k.position.(x))
+    order
+
+(* A configuration node's time changes: the restart at its slot gives
+   the full pass's times for its members and what follows them. *)
+let test_pass_from_configuration () =
+  let app = six () in
+  let k = six_kernel ~cfg:2.5 app six_exec [] in
+  first_pass k;
+  let slot = k.position.(6) in
+  Alcotest.(check bool) "the context's node after slot 0" true (slot > 0);
+  k.cfg_time.(0) <- 7.25;
+  let lo, hi = no_window in
+  let acyclic = Searchgraph.Flat.pass_from k slot ~lo ~hi in
+  same_as_full ~cfg:7.25 "configuration" app k six_exec [] acyclic;
+  Alcotest.(check int64) "task 5 waits for the configuration"
+    (bits (7.25 +. 6.0)) (bits k.time.(5))
+
 let suite =
   [
     Alcotest.test_case "all software" `Quick test_all_software;
@@ -527,6 +672,16 @@ let suite =
       test_flat_inputs_cover;
     Alcotest.test_case "chain pair repeating an application edge" `Quick
       test_chain_repeats_app_edge;
+    Alcotest.test_case "pass_from 0 records positions and prefix" `Quick
+      test_pass_from_zero_records;
+    Alcotest.test_case "pass_from a changed slot keeps the prefix" `Quick
+      test_pass_from_suffix;
+    Alcotest.test_case "pass_from re-sorts a backward link's window" `Quick
+      test_pass_from_window;
+    Alcotest.test_case "pass_from finds a cycle in the window" `Quick
+      test_pass_from_cycle;
+    Alcotest.test_case "pass_from restarts at a configuration node" `Quick
+      test_pass_from_configuration;
     Alcotest.test_case "gene decoder makespan is the kernel's" `Quick
       test_gene_decoder_is_the_kernel;
   ]

@@ -187,35 +187,190 @@ let test_evaluation_caching () =
   let e3 = Solution.evaluate s in
   Alcotest.(check bool) "invalidated on mutation" true (not (e2 == e3))
 
-(* Sixteen independent tasks in software, one chain in id order: a
-   reorder of the last two changes only their links, so the pass
-   restarts at the position of the first of them and passes two
-   nodes, booked as a partial pass of the reorder. *)
-let test_partial_locality () =
+let with_check_deltas f =
+  let was = Solution.check_deltas_enabled () in
+  Solution.set_check_deltas true;
+  Fun.protect ~finally:(fun () -> Solution.set_check_deltas was) f
+
+(* Sixteen tasks in software, one chain in id order, with the given
+   application edges. *)
+let free16 ?(edges = []) () =
   let t id =
     Task.make ~id ~name:(Printf.sprintf "f%d" id) ~functionality:"F"
       ~sw_time:(1.0 +. float_of_int id) ~impls:[ impl 20 0.5 ]
   in
-  let application =
-    App.make ~name:"free16" ~tasks:(List.init 16 t) ~edges:[] ()
-  in
-  let s = Solution.all_software application (platform ()) in
+  App.make ~name:"free16" ~tasks:(List.init 16 t) ~edges ()
+
+(* The makespan carries the bits of [Searchgraph.evaluate] of the spec,
+   or is infinite where that finds a cycle. *)
+let check_reference label s =
+  let got = Solution.makespan s in
+  match Searchgraph.evaluate (Solution.spec s) with
+  | Some want ->
+    Alcotest.(check int64) (label ^ ": makespan matches reference")
+      (Int64.bits_of_float want.Searchgraph.makespan)
+      (Int64.bits_of_float got)
+  | None ->
+    Alcotest.(check bool) (label ^ ": cyclic, infinite") true
+      (got = infinity)
+
+(* Full passes, partial passes and the nodes of the partial ones. *)
+let booked s =
+  let stats = Solution.eval_stats s in
+  Solution.(stats.full_evals, stats.incr_evals, stats.incr_nodes)
+
+let passes = Alcotest.(triple int int int)
+
+(* Sixteen independent tasks: a reorder of the last two changes only
+   their links, so the pass restarts at the position of the first of
+   them and passes two nodes, booked as a partial pass of the
+   reorder. *)
+let test_partial_locality () =
+  let s = Solution.all_software (free16 ()) (platform ()) in
   ignore (Solution.makespan s);
   let stats = Solution.eval_stats s in
   Alcotest.(check int) "first evaluation is full" 1 stats.Solution.full_evals;
   Solution.reorder_sw s ~task:15 ~before:14;
-  let got = Solution.makespan s in
+  check_reference "reorder" s;
   Alcotest.(check int) "no second full pass" 1 stats.Solution.full_evals;
   Alcotest.(check int) "one partial pass" 1 stats.Solution.incr_evals;
   Alcotest.(check int) "over the last two nodes" 2 stats.Solution.incr_nodes;
   Alcotest.(check int) "booked against the reorder" 2
-    (Solution.kind_stats stats Solution.Sw_reorder).Solution.k_incr_nodes;
-  match Searchgraph.evaluate (Solution.spec s) with
-  | Some want ->
-    Alcotest.(check int64) "makespan matches reference"
-      (Int64.bits_of_float want.Searchgraph.makespan)
-      (Int64.bits_of_float got)
-  | None -> Alcotest.fail "the reference finds a cycle"
+    (Solution.kind_stats stats Solution.Sw_reorder).Solution.k_incr_nodes
+
+(* A copy keeps the cache but no kernel: its first settle fills one and
+   runs a full pass, while the original restarts its own. *)
+let test_copy_runs_full () =
+  let s = Solution.all_software (free16 ()) (platform ()) in
+  ignore (Solution.makespan s);
+  let c = Solution.copy s in
+  check_reference "copy" c;
+  Alcotest.check passes "the cache came along" (1, 0, 0) (booked s);
+  Solution.reorder_sw c ~task:15 ~before:14;
+  check_reference "copy's reorder" c;
+  Alcotest.check passes "the copy's pass is full" (2, 0, 0) (booked s);
+  Solution.reorder_sw s ~task:15 ~before:14;
+  check_reference "original's reorder" s;
+  Alcotest.check passes "the original's is partial" (2, 1, 2) (booked s)
+
+(* [invalidate] drops the kernel: the next pass is full. *)
+let test_invalidate_runs_full () =
+  let s = Solution.all_software (free16 ()) (platform ()) in
+  ignore (Solution.makespan s);
+  Solution.reorder_sw s ~task:15 ~before:14;
+  check_reference "reorder" s;
+  Solution.invalidate s;
+  check_reference "invalidated" s;
+  Alcotest.check passes "one full pass more" (2, 1, 2) (booked s)
+
+(* Another platform means other tables: a full pass, booked against
+   the device swap; the next move restarts in the new kernel. *)
+let test_platform_runs_full () =
+  let s = Solution.all_software (app ()) (platform ~n_clb:100 ()) in
+  Solution.append_context s ~task:3;
+  ignore (Solution.makespan s);
+  Solution.replace_platform s (platform ~n_clb:200 ());
+  check_reference "device swap" s;
+  let stats = Solution.eval_stats s in
+  Alcotest.(check int) "full pass for the swap" 1
+    (Solution.kind_stats stats Solution.Platform_swap).Solution.k_full_evals;
+  Alcotest.(check int) "two full passes" 2 stats.Solution.full_evals;
+  Solution.set_impl s 3 1;
+  check_reference "impl after the swap" s;
+  Alcotest.(check int) "then a partial one" 1 stats.Solution.incr_evals
+
+(* An undone move brings its cached makespan back: no pass.  The next
+   move's refill follows the chain through the undo: the kernel held
+   13 -> 15 -> 14, the solution now 11 -> 13 -> 12 -> 14 -> 15, so the
+   pass restarts at task 12's slot and passes four nodes. *)
+let test_undo_runs_no_pass () =
+  let s = Solution.all_software (free16 ()) (platform ()) in
+  let original = Solution.makespan s in
+  let undo = Solution.save s in
+  Solution.reorder_sw s ~task:15 ~before:14;
+  check_reference "reorder" s;
+  undo ();
+  Alcotest.(check int64) "undo restores the makespan"
+    (Int64.bits_of_float original)
+    (Int64.bits_of_float (Solution.makespan s));
+  Alcotest.check passes "no pass for the undo" (1, 1, 2) (booked s);
+  Solution.reorder_sw s ~task:13 ~before:12;
+  check_reference "reorder after the undo" s;
+  Alcotest.check passes "restart at task 12" (1, 2, 6) (booked s)
+
+(* A cyclic partial pass leaves its restart in place: with the edge
+   14 -> 15, running 15 before 14 is a cycle found from slot 14, and
+   the move that takes it back restarts there again. *)
+let test_cyclic_partial_pass () =
+  let application =
+    free16 ~edges:[ { App.src = 14; dst = 15; kbytes = 1.0 } ] ()
+  in
+  let s = Solution.all_software application (platform ()) in
+  ignore (Solution.makespan s);
+  Solution.reorder_sw s ~task:15 ~before:14;
+  check_reference "cycle" s;
+  Alcotest.(check bool) "infeasible" true (Solution.makespan s = infinity);
+  Alcotest.check passes "a partial pass finds it" (1, 1, 2) (booked s);
+  Solution.reorder_sw s ~task:14 ~before:15;
+  check_reference "taken back" s;
+  Alcotest.check passes "restarted at the same slot" (1, 2, 4) (booked s)
+
+(* A cycle through the first slot is found by a full pass, and the pass
+   after a cyclic full pass is a full one. *)
+let test_cyclic_full_pass () =
+  let s = Solution.all_software (app ()) (platform ()) in
+  ignore (Solution.makespan s);
+  Solution.reorder_sw s ~task:1 ~before:0;
+  check_reference "cycle" s;
+  Alcotest.(check bool) "infeasible" true (Solution.makespan s = infinity);
+  Solution.reorder_sw s ~task:0 ~before:1;
+  check_reference "taken back" s;
+  Alcotest.(check (float 1e-9)) "the chain's makespan" 15.0
+    (Solution.makespan s);
+  Alcotest.check passes "three full passes" (3, 0, 0) (booked s)
+
+(* A refill whose contexts do not fit runs no pass, and what it changed
+   carries over.  Sixteen tasks of two implementations, 20 and 90 CLBs,
+   on a 100-CLB device.  One batch of writes runs task 1 before task 0,
+   which changes the first slot's in-edges, and overflows the context
+   of tasks 3 and 4 with task 3's larger implementation.  Moving task
+   4 to software makes it fit and changes only later slots, so the
+   pass must still start at slot 0: a full pass, whose finish times
+   [REPRO_CHECK_DELTAS] compares with a fresh one. *)
+let test_overflow_carries_marks () =
+  with_check_deltas @@ fun () ->
+  let t id =
+    Task.make ~id ~name:(Printf.sprintf "f%d" id) ~functionality:"F"
+      ~sw_time:(1.0 +. float_of_int id) ~impls:[ impl 20 0.5; impl 90 0.3 ]
+  in
+  let application =
+    App.make ~name:"two16" ~tasks:(List.init 16 t) ~edges:[] ()
+  in
+  let s = Solution.all_software application (platform ~n_clb:100 ()) in
+  Solution.append_context s ~task:3;
+  Solution.move_to_context s ~task:4 ~dest:3;
+  check_reference "shared context" s;
+  Solution.reorder_sw s ~task:1 ~before:0;
+  Solution.set_impl s 3 1;
+  Alcotest.(check bool) "overflows" true (Solution.makespan s = infinity);
+  Alcotest.check passes "no pass" (1, 0, 0) (booked s);
+  Solution.move_to_sw s ~task:4 ~before:(Some 12);
+  check_reference "fits again" s;
+  Alcotest.check passes "the pass starts at slot 0" (2, 0, 0) (booked s)
+
+(* Swapping two contexts keeps their count: a partial pass, booked
+   against the swap. *)
+let test_swap_runs_partial () =
+  let s = Solution.all_software (app ()) (platform ~n_clb:100 ()) in
+  Solution.append_context s ~task:1;
+  Solution.append_context s ~task:2;
+  check_reference "two contexts" s;
+  Solution.swap_contexts s ~at:0;
+  check_reference "swapped" s;
+  let stats = Solution.eval_stats s in
+  Alcotest.(check int) "one full pass" 1 stats.Solution.full_evals;
+  Alcotest.(check int) "a partial pass for the swap" 1
+    (Solution.kind_stats stats Solution.Ctx_swap).Solution.k_incr_evals
 
 let test_incremental_undo () =
   let s = Solution.all_software (app ()) (platform ~n_clb:200 ()) in
@@ -402,11 +557,6 @@ let test_respawn_freed_id () =
   Solution.swap_contexts s ~at:1;
   matches_rebuild "after the undo and a swap";
   Alcotest.(check int) "no full pass" full_before stats.Solution.full_evals
-
-let with_check_deltas f =
-  let was = Solution.check_deltas_enabled () in
-  Solution.set_check_deltas true;
-  Fun.protect ~finally:(fun () -> Solution.set_check_deltas was) f
 
 (* Eight independent tasks of 20 CLBs: on a 100-CLB device every
    context order is acyclic and any three of the eight share a
@@ -1243,6 +1393,22 @@ let suite =
     Alcotest.test_case "copy independent" `Quick test_copy_independent;
     Alcotest.test_case "evaluation caching" `Quick test_evaluation_caching;
     Alcotest.test_case "partial pass locality" `Quick test_partial_locality;
+    Alcotest.test_case "a copy's first settle is a full pass" `Quick
+      test_copy_runs_full;
+    Alcotest.test_case "invalidate forces a full pass" `Quick
+      test_invalidate_runs_full;
+    Alcotest.test_case "a platform change forces a full pass" `Quick
+      test_platform_runs_full;
+    Alcotest.test_case "an undone move runs no pass" `Quick
+      test_undo_runs_no_pass;
+    Alcotest.test_case "a cyclic partial pass keeps its restart" `Quick
+      test_cyclic_partial_pass;
+    Alcotest.test_case "a cyclic full pass makes the next full" `Quick
+      test_cyclic_full_pass;
+    Alcotest.test_case "an overflowing refill carries its changes" `Quick
+      test_overflow_carries_marks;
+    Alcotest.test_case "a context swap runs a partial pass" `Quick
+      test_swap_runs_partial;
     Alcotest.test_case "incremental undo" `Quick test_incremental_undo;
     Alcotest.test_case "incremental matches reference (random moves)" `Quick
       test_incremental_matches_reference_random;
